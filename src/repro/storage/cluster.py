@@ -334,6 +334,11 @@ class CephCluster(object):
             except RETRYABLE as err:
                 last_err = err
                 continue
+            if not self.resilient:
+                # Zero-fault fast exit: nothing armed and every daemon up
+                # means no attempt can be lost, so there is nothing to
+                # race — run the attempt inline.
+                return (yield from gen)
             proc = self.sim.spawn(self._attempt(gen), name="rpc:%s" % what)
             timer = self.sim.timeout(self.costs.op_timeout * timeout_scale)
             index, value = yield self.sim.any_of([proc, timer])
@@ -551,68 +556,30 @@ class CephCluster(object):
         :class:`DataUnavailable` (EIO) surfaces — never silently-empty
         data.
         """
-        resilient = self.resilient
-        jobs = []
-        for index, obj_off, length in self.object_extents(offset, size):
-            if resilient:
-                jobs.append(self._resilient_read(ino, index, obj_off, length))
-            else:
-                jobs.append(self._plain_read(ino, index, obj_off, length))
+        jobs = [
+            self._read_object(ino, index, obj_off, length)
+            for index, obj_off, length in self.object_extents(offset, size)
+        ]
         parts = yield from self._dispatch(jobs, "read")
         self.metrics.counter("read_bytes").add(size)
         self._notify_op()
         return b"".join(parts)
 
-    def _plain_read(self, ino, index, obj_off, length):
-        """One fast-path object read (healthy cluster, no retry race)."""
-        osd_id = self._read_target(ino, index)
-        return (yield from self.fabric.rpc(
-            self.osds[osd_id].read(ino, index, obj_off, length),
-            send_bytes=0,
-            recv_bytes=length,
-            edge="osd%d" % osd_id,
-        ))
+    def _read_object(self, ino, index, obj_off, length):
+        """Read one object extent through the retry loop; with integrity
+        armed, checksum-verify it with replica failover and read-repair.
 
-    def _resilient_read(self, ino, index, obj_off, length):
-        if self._integrity_armed:
-            return (yield from self._verified_read(ino, index, obj_off, length))
-
-        def resolve():
-            osdmap = self._osdmap if self._lifecycle_armed else None
-            epoch = osdmap.epoch if osdmap is not None else None
-            if self._object_unreachable(ino, index):
-                raise DataUnavailable(
-                    "no live replica of object (%d, %d)" % (ino, index)
-                )
-            osd_id = self._read_target(ino, index, osdmap=osdmap)
-            if osd_id is None:
-                raise DataUnavailable(
-                    "no live OSD can serve object (%d, %d)" % (ino, index)
-                )
-            gen = self.fabric.rpc(
-                self.osds[osd_id].read(ino, index, obj_off, length,
-                                       epoch=epoch),
-                send_bytes=0,
-                recv_bytes=length,
-                edge="osd%d" % osd_id,
-            )
-            return osd_id, gen
-
-        return (yield from self._retry("read", resolve))
-
-    def _verified_read(self, ino, index, obj_off, length):
-        """Checksum-verified read: replica failover plus read-repair.
-
-        The bytes served are digest-verified against the replica they
-        came from (a separate RPC, *outside* the attempt/timeout race —
-        :class:`DataCorrupt` must never become an abandoned attempt's
-        unobserved exception). A replica failing verification is set
-        aside, the read fails over to the next copy, and the corrupt
-        replica is repaired in the background from the verified one.
-        Only when every live copy fails verification does
+        Armed, the bytes served are digest-verified against the replica
+        they came from (a separate RPC, *outside* the attempt/timeout
+        race — :class:`DataCorrupt` must never become an abandoned
+        attempt's unobserved exception). A replica failing verification
+        is set aside, the read fails over to the next copy, and the
+        corrupt replica is repaired in the background from the verified
+        one. Only when every live copy fails verification does
         :class:`DataCorrupt` (EIO) surface — bad bytes are never silently
         returned.
         """
+        verify = self._integrity_armed
         rejected = set()
         served_by = [None]
 
@@ -642,6 +609,8 @@ class CephCluster(object):
         verify_redos = 0
         while True:
             data = yield from self._retry("read", resolve)
+            if not verify:
+                return data
             osd_id = served_by[0]
             try:
                 clean = yield from self.fabric.rpc(
@@ -738,36 +707,21 @@ class CephCluster(object):
     def write_extent(self, ino, offset, data):
         """Write ``data`` at ``offset`` of file ``ino`` to all replicas.
 
-        Striped writes fan out per object under the inflight window; on
-        the fast path replica pushes are independent leaf jobs too, so
-        distinct OSDs absorb the copies concurrently. Both the plain and
-        the resilient path dispatch through :meth:`_dispatch`.
+        Striped writes fan out per object under the inflight window; the
+        replica pushes of one object overlap inside its attempt.
         """
-        resilient = self.resilient
         position = 0
         # Slice every piece up front through one memoryview (single copy
         # each) and release it before the first yield, so a caller-owned
         # bytearray is never buffer-locked across a suspension.
         view = memoryview(data)
-        sliced = []
+        jobs = []
         for index, obj_off, length in self.object_extents(offset, len(data)):
-            sliced.append((index, obj_off, bytes(view[position:position + length])))
+            jobs.append(self._resilient_write(
+                ino, index, obj_off, bytes(view[position:position + length])
+            ))
             position += length
         view.release()
-        if resilient:
-            jobs = [
-                self._resilient_write(ino, index, obj_off, piece)
-                for index, obj_off, piece in sliced
-            ]
-        else:
-            # Flat object x replica leaf RPCs: idempotent and order-free,
-            # so one windowed dispatch covers stripe and replica fan-out
-            # without nesting window acquisitions (which could deadlock).
-            jobs = [
-                self._push_replica(ino, index, obj_off, piece, osd_id)
-                for index, obj_off, piece in sliced
-                for osd_id in self._write_targets(ino, index)
-            ]
         yield from self._dispatch(jobs, "write")
         self.metrics.counter("write_bytes").add(len(data))
         self._notify_op()
@@ -1113,14 +1067,7 @@ class CephCluster(object):
 
     def mds_call(self, op_name, *args, **kwargs):
         """Run an MDS operation over the network; returns its result."""
-        if self.resilient:
-            inner = self._mds_retry(op_name, args, kwargs)
-        else:
-            op = getattr(self.mds, op_name)
-            inner = self.fabric.rpc(
-                op(*args, **kwargs), send_bytes=256, recv_bytes=256,
-                edge="mds",
-            )
+        inner = self._mds_retry(op_name, args, kwargs)
         obs = self.sim.observer
         if obs is None:
             return inner
