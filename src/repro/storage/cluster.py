@@ -8,6 +8,15 @@ and the same OSD queues, exactly like the real deployment.
 
 File data is striped over fixed-size objects (``costs.object_size``);
 object placement is computed client-side through the CRUSH map.
+
+One path. Every client-callable op has a single body: placement is
+resolved per attempt, the attempt runs through :meth:`CephCluster._retry`,
+and writes stale-mark what they routed around. What the ``arm_*`` /
+``enable_*`` switches add is *state* the one path consults (epoch stamps,
+digests, the mdsmap), not a second body. On a cluster with nothing armed
+and every daemon up no attempt can be lost, so ``_retry`` skips the
+attempt/timeout race and runs the attempt inline — the only place the
+``resilient`` property is read.
 """
 
 from repro.common.errors import (
@@ -38,8 +47,8 @@ class CephCluster(object):
         self.crush = CrushMap(num_osds, replicas=replicas)
         self.osds = [Osd(sim, i, costs) for i in range(num_osds)]
         self._mds = Mds(sim, costs)
-        #: metadata-HA coordinator, once enable_mds_ha runs; None keeps
-        #: the historical single-MDS shape (and event schedule) exactly.
+        #: metadata-HA coordinator, once enable_mds_ha runs; None means
+        #: the single un-journaled daemon serves every metadata op.
         self.mds_service = None
         #: client-side MdsMap snapshot (set when HA arms); like _osdmap,
         #: refreshed only on retry boundaries so fencing is observable.
@@ -51,12 +60,12 @@ class CephCluster(object):
         self._faults_armed = False
         self._integrity_armed = False
         #: membership lifecycle armed (heartbeats, backfill, or a CRUSH
-        #: mutation): resilient ops stamp their osdmap epoch and resolve
-        #: placement from the client-side map snapshot below.
+        #: mutation): ops stamp their osdmap epoch and resolve placement
+        #: from the client-side map snapshot below.
         self._lifecycle_armed = False
         #: True from the first CRUSH mutation until backfill converges:
         #: placements may name OSDs that do not hold the bytes yet, so
-        #: the fast read path must not trust ``crush.primary`` blindly.
+        #: reads must not trust ``crush.primary`` blindly.
         self._remapped = False
         #: the throttled backfill scheduler, once started (see
         #: start_backfill); None means the eager recover() era.
@@ -89,8 +98,8 @@ class CephCluster(object):
         #: backing OSD (including silent fault injection) changes the
         #: epoch and invalidates the entry. See peek().
         self._peek_memo = {}
-        #: the client-side osdmap snapshot resilient ops resolve against
-        #: and stamp RPCs with. Deliberately NOT refreshed on every
+        #: the client-side osdmap snapshot lifecycle-armed ops resolve
+        #: against and stamp RPCs with. Deliberately NOT refreshed on every
         #: monitor bump — only on retry boundaries (_refresh_map), which
         #: is what makes an OSD's EOLDEPOCH reject observable.
         self._osdmap = self.monitor.get_map()
@@ -118,27 +127,23 @@ class CephCluster(object):
         """True while any OSD is marked down."""
         return bool(self.monitor._down)
 
-    # -- retry machinery (active only under faults/degradation) -----------
+    # -- arming (state the one I/O path consults) --------------------------
 
     def arm_faults(self):
-        """Route every op through the retry/timeout machinery.
+        """Race every attempt against the client op timeout.
 
-        Called by :class:`repro.faults.FaultPlan` on install. Without
-        faults armed (and with the cluster healthy) the fast path skips
-        the attempt/timeout race entirely, so fault-free experiments keep
-        the exact event schedule — and therefore timing — of the
-        pre-fault code.
+        Called by :class:`repro.faults.FaultPlan` on install: once a
+        plan can break things, an attempt can be lost, so ``_retry``
+        stops taking its inline exit (see :attr:`resilient`).
         """
         self._faults_armed = True
 
     def enable_integrity(self):
         """Arm end-to-end checksums: digest recording + verified reads.
 
-        Guarded exactly like :meth:`arm_faults`: never called on the
-        fault-free fast path, so integrity-off runs keep the exact
-        pre-integrity event schedule. Once armed, every OSD records
-        per-chunk digests on write and every resilient read verifies the
-        replica it was served from.
+        Once armed, every OSD records per-chunk digests on write, every
+        object read verifies the replica it was served from, and (like
+        every arm switch) attempts race the op timeout.
         """
         self._integrity_armed = True
         for osd in self.osds:
@@ -149,12 +154,12 @@ class CephCluster(object):
         return self._integrity_armed
 
     def arm_lifecycle(self):
-        """Arm the membership lifecycle: epoch-stamped resilient ops.
+        """Arm the membership lifecycle: epoch-stamped ops.
 
         Called by :meth:`start_backfill`, the monitor's heartbeat starter
-        and the CRUSH mutators. Like :meth:`arm_faults`, never invoked on
-        the fault-free fast path, so lifecycle-off runs keep the exact
-        pre-lifecycle event schedule.
+        and the CRUSH mutators. Once armed, ops resolve placement from
+        the client-side osdmap snapshot and stamp its epoch, refreshed
+        only on retry boundaries, and attempts race the op timeout.
         """
         self._lifecycle_armed = True
         self.monitor.lifecycle = True
@@ -163,14 +168,12 @@ class CephCluster(object):
     def enable_mds_ha(self, standbys=1, ranks=1):
         """Arm metadata HA: journaled MDS ranks + standby-replay pool.
 
-        Guarded exactly like :meth:`arm_faults`: never called on the
-        fault-free fast path, so HA-off runs keep the exact single-MDS
-        event schedule. Once armed, every metadata mutation journals
-        through the OSD write path before acking, clients stamp ops with
-        the mdsmap epoch (fencing) and op ids (exactly-once resends),
-        and the monitor's heartbeat loop drives failover. ``standbys=0``
-        journals without a failover pool — the honest-crash substrate
-        for in-place ``mds_down`` recovery.
+        Once armed, every metadata mutation journals through the OSD
+        write path before acking, clients stamp ops with the mdsmap epoch
+        (fencing) and op ids (exactly-once resends), and the monitor's
+        heartbeat loop drives failover. ``standbys=0`` journals without a
+        failover pool — the honest-crash substrate for in-place
+        ``mds_down`` recovery.
         """
         from repro.storage.mds import MdsService
         if self.mds_service is None:
@@ -261,7 +264,9 @@ class CephCluster(object):
 
     @property
     def resilient(self):
-        """True when ops must go through the retry/timeout machinery."""
+        """True when an attempt can be lost: something is armed or some
+        daemon is down. Read by :meth:`_retry` only — it decides whether
+        an attempt races the op timeout, never which body an op runs."""
         return (
             self._faults_armed
             or self._integrity_armed
@@ -303,7 +308,11 @@ class CephCluster(object):
             self.inflight_attempts -= 1
 
     def _retry(self, what, resolve, timeout_scale=1):
-        """Retry loop: race each attempt against the client op timeout.
+        """The one client→OSD op loop: resolve, attempt, back off, resend.
+
+        Each attempt races the client op timeout — unless nothing is
+        armed and every daemon is up (``not self.resilient``), when no
+        attempt can be lost and it runs inline: no spawn, no timer.
 
         ``resolve`` re-resolves placement *per attempt* (epoch-aware
         resend) and returns ``(report_osd, gen)``: the attempt generator
@@ -516,8 +525,7 @@ class CephCluster(object):
         """Run per-object job generators concurrently; returns their
         results in job order.
 
-        A single job runs inline — no spawn, no window — so single-object
-        ops keep the exact pre-fan-out event schedule. Multiple jobs
+        A single job runs inline — no spawn, no window. Multiple jobs
         spawn one child each, bounded by ``costs.client_inflight_ops``;
         every child settles (fold, never raise) before the first failure,
         in dispatch order, is re-raised — so no child is ever abandoned
@@ -705,36 +713,9 @@ class CephCluster(object):
         return self.scrub
 
     def write_extent(self, ino, offset, data):
-        """Write ``data`` at ``offset`` of file ``ino`` to all replicas.
-
-        Striped writes fan out per object under the inflight window; the
-        replica pushes of one object overlap inside its attempt.
-        """
-        position = 0
-        # Slice every piece up front through one memoryview (single copy
-        # each) and release it before the first yield, so a caller-owned
-        # bytearray is never buffer-locked across a suspension.
-        view = memoryview(data)
-        jobs = []
-        for index, obj_off, length in self.object_extents(offset, len(data)):
-            jobs.append(self._resilient_write(
-                ino, index, obj_off, bytes(view[position:position + length])
-            ))
-            position += length
-        view.release()
-        yield from self._dispatch(jobs, "write")
-        self.metrics.counter("write_bytes").add(len(data))
-        self._notify_op()
-        return len(data)
-
-    def _push_replica(self, ino, index, obj_off, piece, osd_id, epoch=None):
-        """One replica push (epoch-stamped on the lifecycle path)."""
-        return (yield from self.fabric.rpc(
-            self.osds[osd_id].write(ino, index, obj_off, piece, epoch=epoch),
-            send_bytes=len(piece),
-            recv_bytes=0,
-            edge="osd%d" % osd_id,
-        ))
+        """Write ``data`` at ``offset`` of file ``ino`` to all replicas:
+        the one-extent case of :meth:`write_vector`."""
+        return self.write_vector(ino, [(offset, data)])
 
     def _pull_before_write(self, ino, index, targets, spans):
         """Recovery-on-write: materialise the object on copy-less targets.
@@ -785,54 +766,16 @@ class CephCluster(object):
                 raise value
         return outcomes[0][1]
 
-    def _resilient_write(self, ino, index, obj_off, piece):
-        """Replicated object write with per-attempt target re-resolution.
-
-        Each attempt pushes the *current* target set concurrently; a
-        mid-attempt failure retries the whole set (rewriting a replica is
-        idempotent: same bytes, same offset). The race timeout keeps the
-        conservative replica scaling — a degraded backend can still
-        serialise the copies behind one slow OSD.
-        """
-        def resolve():
-            osdmap = self._osdmap if self._lifecycle_armed else None
-            epoch = osdmap.epoch if osdmap is not None else None
-            targets = self._write_targets(ino, index, osdmap=osdmap)
-            if len(targets) < self.costs.pool_min_size:
-                raise DataUnavailable(
-                    "acting set of (%d, %d) below min_size %d"
-                    % (ino, index, self.costs.pool_min_size)
-                )
-
-            def attempt():
-                if osdmap is not None:
-                    yield from self._pull_before_write(
-                        ino, index, targets, [(obj_off, len(piece))]
-                    )
-                yield from self._fanned_replicas([
-                    self._push_replica(ino, index, obj_off, piece, osd_id,
-                                       epoch=epoch)
-                    for osd_id in targets
-                ])
-                return len(piece)
-
-            report = targets[0] if len(targets) == 1 else None
-            return report, attempt()
-
-        written = yield from self._retry(
-            "write", resolve, timeout_scale=self.crush.replicas
-        )
-        self._record_stale(ino, index)
-        return written
-
     def write_vector(self, ino, extents):
         """Write many dirty extents of one file in a single fan-out.
 
         ``extents`` is ``[(offset, bytes)]`` — a flush batch. Extents are
-        split at object boundaries and grouped per target OSD; each group
-        ships as *one* vectored RPC (one request, one queue slot, one
-        journal+data commit covering the group's total bytes) instead of
-        one RPC per dirty block. Groups dispatch concurrently under the
+        split at object boundaries and grouped per object; each object's
+        pieces ship to every replica as *one* vectored RPC (one request,
+        one queue slot, one journal+data commit covering their total
+        bytes) instead of one RPC per dirty block, and each object
+        retries on its own — blame, resend and stale-marking stay at
+        object granularity. Objects dispatch concurrently under the
         inflight window. Returns the total bytes written.
         """
         pieces_by_object = {}  # index -> [(obj_off, bytes)]
@@ -849,25 +792,11 @@ class CephCluster(object):
             total += len(data)
         if not pieces_by_object:
             return 0
-        if self.resilient:
-            # Per-object retry keeps blame, resend and stale-marking at
-            # object granularity, exactly like single-extent writes.
-            jobs = [
-                self._resilient_write_vector(ino, index, pieces)
-                for index, pieces in sorted(pieces_by_object.items())
-            ]
-        else:
-            groups = {}  # osd_id -> [(index, obj_off, bytes)]
-            for index, pieces in sorted(pieces_by_object.items()):
-                for osd_id in self._write_targets(ino, index):
-                    groups.setdefault(osd_id, []).extend(
-                        (index, obj_off, piece) for obj_off, piece in pieces
-                    )
-            jobs = [
-                self._push_vector(ino, osd_id, chunk)
-                for osd_id, chunk in sorted(groups.items())
-            ]
-        yield from self._dispatch(jobs, "writev")
+        jobs = [
+            self._write_object(ino, index, pieces)
+            for index, pieces in sorted(pieces_by_object.items())
+        ]
+        yield from self._dispatch(jobs, "write")
         self.metrics.counter("write_bytes").add(total)
         self._notify_op()
         return total
@@ -882,8 +811,16 @@ class CephCluster(object):
             edge="osd%d" % osd_id,
         ))
 
-    def _resilient_write_vector(self, ino, index, pieces):
-        """Vectored write of one object's pieces through the retry race."""
+    def _write_object(self, ino, index, pieces):
+        """Replicated write of one object's ``[(obj_off, bytes)]`` pieces
+        with per-attempt target re-resolution.
+
+        Each attempt pushes the *current* target set concurrently; a
+        mid-attempt failure retries the whole set (rewriting a replica is
+        idempotent: same bytes, same offset). The race timeout keeps the
+        conservative replica scaling — a degraded backend can still
+        serialise the copies behind one slow OSD.
+        """
         chunk = [(index, obj_off, piece) for obj_off, piece in pieces]
         nbytes = sum(len(piece) for _off, piece in pieces)
 

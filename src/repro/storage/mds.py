@@ -197,11 +197,10 @@ class Mds(object):
     def restart(self):
         """Oracle recovery: namespace survives, client sessions do not.
 
-        This is the legacy (pre-journal) heal: the in-memory tree is
-        resurrected wholesale — including mutations that were never
-        journaled or acked. Fault plans use it only under
-        ``oracle_meta=True``; the honest path is :meth:`recover_local`,
-        which rebuilds through journal replay.
+        The un-journaled heal: the in-memory tree is resurrected
+        wholesale — including mutations that were never journaled or
+        acked. Fault plans never use it; they heal through
+        :meth:`recover_local`, which rebuilds through journal replay.
         """
         self.caps = CapsTable()
         self.dedup = {}

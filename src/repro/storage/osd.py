@@ -17,8 +17,7 @@ boundary chunk whose surviving old bytes no longer match their digest is
 *poisoned* rather than silently re-blessed — verification keeps failing
 until repair replaces the replica. Digest bookkeeping is pure Python
 dictionary work with no sim events, and it is entirely skipped when
-``verify_enabled`` is False, so integrity-off runs keep the exact
-pre-integrity event schedule.
+``verify_enabled`` is False.
 """
 
 import hashlib
@@ -145,8 +144,8 @@ class Osd(object):
     def _check_epoch(self, epoch):
         """Reject an op resolved against an older osdmap (EOLDEPOCH).
 
-        ``epoch is None`` — the unstamped legacy/fast path — always
-        passes; stamped ops must be at least as new as the map the
+        ``epoch is None`` — an op issued before the lifecycle armed —
+        always passes; stamped ops must be at least as new as the map the
         monitor last pushed here. Pure state, no events.
         """
         if epoch is not None and epoch < self.map_epoch:
@@ -352,40 +351,17 @@ class Osd(object):
             self._record_digests(key, obj, touch_start, end)
 
     def write(self, ino, index, offset, data, epoch=None):
-        """Apply an object write: journal first, then the data store."""
-        if offset < 0:
-            raise InvalidArgument("negative offset")
-        yield from self._check_up()
-        self._check_epoch(epoch)
-        started = self.sim.now
-        self._enter_op()
-        yield self._slots.acquire()
-        try:
-            yield self.sim.timeout(self.costs.osd_op)
-            # Journal append, then in-place data write.
-            yield from self.device.transfer(len(data), write=True)
-            yield from self.device.transfer(len(data), write=True)
-            self._apply_write(ino, index, offset, data)
-        finally:
-            self._slots.release()
-            self._exit_op()
-        self.metrics.counter("writes").add(1)
-        self.metrics.counter("bytes_written").add(len(data))
-        obs = self.sim.observer
-        if obs is not None:
-            obs.metrics("osd%d" % self.osd_id).histogram(
-                "write_service_s"
-            ).observe(self.sim.now - started)
-        return len(data)
+        """Apply one object write: the one-piece :meth:`write_vector`."""
+        return self.write_vector(ino, [(index, offset, data)], epoch=epoch)
 
     def write_vector(self, ino, pieces, epoch=None):
         """Apply several extent writes of one file as a single op.
 
         ``pieces`` is ``[(index, obj_off, bytes)]`` — the coalesced dirty
         run a flush batched for this OSD. One queue slot, one op charge
-        and one journal+data commit cover the batch's total bytes; every
-        piece then splices into its object with the same digest
-        bookkeeping as a lone :meth:`write`.
+        and one journal+data commit (journal append, then the in-place
+        data write) cover the batch's total bytes; every piece then
+        splices into its object with full digest bookkeeping.
         """
         for _index, offset, _data in pieces:
             if offset < 0:

@@ -12,8 +12,8 @@ returning garbage — until a clean source reappears or a fresh write
 replaces the data.
 
 Starting the daemon arms cluster integrity (digest recording + verified
-reads). A world that never starts it and never injects corruption keeps
-the exact pre-integrity event schedule.
+reads). A world that never starts it and never injects corruption
+records no digests and verifies no reads.
 """
 
 from repro.common.errors import RETRYABLE, DataUnavailable

@@ -118,7 +118,8 @@ def test_vectored_write_is_one_rpc_per_osd():
     costs = CostModel(object_size=4096)
     cluster = make_cluster(sim, costs)
     # Two dirty extents inside object 0 plus one in object 1: the flush
-    # ships one vectored RPC per target OSD, not one RPC per extent.
+    # ships one vectored RPC per object (each on its own OSD here), not
+    # one RPC per extent.
     extents = [(0, b"a" * 512), (1024, b"b" * 512), (4096, b"c" * 512)]
 
     def proc():
