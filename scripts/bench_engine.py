@@ -51,7 +51,7 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if os.path.isdir(_SRC) and _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.faults import run_chaos  # noqa: E402
+from repro.faults import ChaosConfig  # noqa: E402
 from repro.bench.scaleup import run_file_scaleup, run_pool_scaleup  # noqa: E402
 from repro.bench.sequential import run_sequential  # noqa: E402
 from repro.sim.bench import (  # noqa: E402
@@ -127,10 +127,10 @@ def task_seqread():
 
 def task_chaos():
     """Corruption chaos with scrub: the nightly-matrix cell shape."""
-    result = run_chaos(
+    result = ChaosConfig(
         seed=7, duration=6.0, replicas=2, bitrot=2, torn_writes=1,
         scrub=True,
-    )
+    ).run()
     digest = hashlib.blake2b(
         repr(result.fingerprint()).encode(), digest_size=16
     ).hexdigest()

@@ -33,7 +33,7 @@ SHARED_SIZE = units.mib(8)
 
 
 def run_file_scaleup(symbol, n_clones, mode, pool_cores=8, seed=1,
-                     locking=None):
+                     locking="global"):
     world = World(
         num_cores=pool_cores, ram_bytes=units.gib(512), costs=scaled_costs(),
     )

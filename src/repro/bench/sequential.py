@@ -25,7 +25,7 @@ SEQ_PARAMS = dict(file_size=units.mib(8), iosize=units.mib(1), threads=4)
 
 
 def run_sequential(symbol, n_pools, mode, duration=3.0, seed=1,
-                   locking=None):
+                   locking="global"):
     world = World(
         num_cores=max(2 * n_pools, 4), ram_bytes=units.gib(512),
         costs=scaled_costs(),

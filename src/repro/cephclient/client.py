@@ -13,9 +13,8 @@ explanation for Danaus losing to the kernel client on cached sequential
 reads (Fig. 9 bottom). The ``locking=`` policy switches the sharding the
 paper proposes as future work (see :mod:`repro.cephclient.locking`):
 ``"global"`` (the faithful default — its event schedule is pinned by the
-engine-bench fingerprints), ``"inode"`` (per-inode locks, the old
-``fine_grained_locking=True``), ``"range"`` (per-inode state locks plus
-per-object-range data locks) and ``"adaptive"`` (watches the measured
+engine-bench fingerprints), ``"inode"`` (per-inode locks), ``"range"``
+(per-inode state locks plus per-object-range data locks) and ``"adaptive"`` (watches the measured
 contention and switches between the three at runtime). The ``abl-locking``
 ablation quantifies each step.
 """
@@ -69,8 +68,7 @@ class CephLibClient(Filesystem):
         cpuset,
         name="libceph",
         cache_bytes=None,
-        fine_grained_locking=False,
-        locking=None,
+        locking="global",
         readahead_bytes=128 * 1024,
         start_flusher=True,
         consistency="close-to-open",
@@ -94,9 +92,6 @@ class CephLibClient(Filesystem):
             fingerprint_fn=fingerprint_fn,
         )
         self.max_dirty = cache_bytes // 2
-        if locking is None:
-            # Legacy spelling: fine_grained_locking=True was per-inode.
-            locking = "inode" if fine_grained_locking else "global"
         self.readahead_bytes = readahead_bytes
         self.client_lock = Mutex(sim, name="%s.client_lock" % name)
         sim.register_lock(name, "client_lock", name, self.client_lock)

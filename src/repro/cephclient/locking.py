@@ -11,8 +11,8 @@ it as future work. This module makes that sharding a first-class,
     byte-identical to the historical code path (engine-bench
     fingerprints pin it).
 ``inode``
-    One lock per inode (the old ``fine_grained_locking=True``): ops on
-    different files stop contending; ops on one file still serialise.
+    One lock per inode: ops on different files stop contending; ops on
+    one file still serialise.
 ``range``
     Per-inode *state* lock plus per-object-range *data* locks: readers
     of different ranges of one file, and the flusher pushing other

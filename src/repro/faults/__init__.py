@@ -8,15 +8,14 @@ Three layers (see ``docs/faults.md``):
 * **recovery** — the client retry/backoff machinery, MDS session
   reestablishment and :class:`~repro.core.ServiceSupervisor` live with
   the components they protect (``storage``, ``cephclient``, ``core``);
-* **chaos harness** — :func:`run_chaos` runs a mutating workload under a
-  plan and verifies end-to-end data integrity and convergence.
+* **chaos harness** — :meth:`ChaosConfig.run` runs a mutating workload
+  under a plan and verifies end-to-end data integrity and convergence.
 """
 
 from repro.faults.chaos import (
     ChaosConfig,
     ChaosFileserver,
     ChaosResult,
-    run_chaos,
     run_membership_churn,
 )
 from repro.faults.plan import (
@@ -36,6 +35,5 @@ __all__ = [
     "ChaosConfig",
     "ChaosFileserver",
     "ChaosResult",
-    "run_chaos",
     "run_membership_churn",
 ]

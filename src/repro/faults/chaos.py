@@ -1,8 +1,7 @@
 """Chaos harness: run a workload under a fault plan, prove integrity.
 
-A :class:`ChaosConfig` (or the legacy ``run_chaos`` keyword wrapper
-around it) wires a complete testbed (world, pool, container mount,
-supervised Danaus service), installs a :class:`FaultPlan`, drives a
+A :class:`ChaosConfig` wires a complete testbed (world, pool, container
+mount, supervised Danaus service), installs a :class:`FaultPlan`, drives a
 mutating workload through the fault windows, waits for the system to
 *converge* (every fault healed, every retry drained, dirty data flushed)
 and then verifies end-to-end data integrity: every file whose last write
@@ -32,7 +31,6 @@ __all__ = [
     "ChaosConfig",
     "ChaosFileserver",
     "ChaosResult",
-    "run_chaos",
     "run_membership_churn",
 ]
 
@@ -233,13 +231,11 @@ class ChaosResult(object):
 class ChaosConfig:
     """Declarative configuration of one chaos run.
 
-    Replaces the historical 20-keyword ``run_chaos`` signature with one
-    record the spec compiler can build from a plain dict. Fields group
-    into cluster topology (``num_osds``/``replicas``/core and RAM
+    One record the spec compiler can build from a plain dict. Fields
+    group into cluster topology (``num_osds``/``replicas``/core and RAM
     sizing), workload shape (``symbol``/``duration``/``threads``/...),
     the fault mix (counts per :class:`FaultPlan` kind) and pipeline
-    switches (``supervise``/``scrub``/``until``). Defaults reproduce the
-    old ``run_chaos`` behaviour exactly.
+    switches (``supervise``/``scrub``/``until``).
 
     ``plan`` carries a pre-built :class:`FaultPlan`; when None a plan is
     generated from the seed and the fault-count fields.
@@ -275,7 +271,6 @@ class ChaosConfig:
     mds_failovers: int = 0
     mds_rank_splits: int = 0
     mds_standbys: int = 1
-    oracle_meta: bool = False
     # -- pipeline switches -----------------------------------------------
     supervise: bool = True
     scrub: bool = False
@@ -375,7 +370,6 @@ def _run_chaos_config(config):
             mds_failovers=config.mds_failovers,
             mds_rank_splits=config.mds_rank_splits,
             mds_standbys=config.mds_standbys,
-            oracle_meta=config.oracle_meta,
         )
     workload = ChaosFileserver(
         mount.fs, pool, duration=duration, threads=config.threads,
@@ -504,32 +498,6 @@ def _run_chaos_config(config):
             "chaos run did not converge by t=%s" % config.until
         )
     return process.value
-
-
-def run_chaos(seed=0, symbol="D", duration=12.0, threads=2, nfiles=24,
-              mean_size=32 * 1024, plan=None, supervise=True, until=600.0,
-              osd_crashes=1, partitions=1, service_crashes=1, mds_windows=0,
-              slow_disks=0, replicas=1, bitrot=0, torn_writes=0,
-              scrub=False, scrub_interval=None, flaps=0, osd_adds=0,
-              osd_drains=0):
-    """Back-compat wrapper over :meth:`ChaosConfig.run`.
-
-    .. deprecated:: the keyword-soup signature is frozen for existing
-       callers; new code (and every experiment spec) should build a
-       :class:`ChaosConfig` — same fields, one record, dict-friendly —
-       and call its :meth:`~ChaosConfig.run`. This wrapper simply packs
-       its keywords into a config, so behaviour and determinism
-       fingerprints are identical.
-    """
-    return ChaosConfig(
-        seed=seed, symbol=symbol, duration=duration, threads=threads,
-        nfiles=nfiles, mean_size=mean_size, plan=plan, supervise=supervise,
-        until=until, osd_crashes=osd_crashes, partitions=partitions,
-        service_crashes=service_crashes, mds_windows=mds_windows,
-        slow_disks=slow_disks, replicas=replicas, bitrot=bitrot,
-        torn_writes=torn_writes, scrub=scrub, scrub_interval=scrub_interval,
-        flaps=flaps, osd_adds=osd_adds, osd_drains=osd_drains,
-    ).run()
 
 
 #: The membership-churn preset fields (see :func:`run_membership_churn`).

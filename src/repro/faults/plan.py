@@ -19,9 +19,7 @@ Supported action kinds:
 ``link_degrade``   stretch fabric latency by ``delay_factor`` and drop
                    ``loss_rate`` of messages for ``duration``
 ``mds_down``       MDS unavailability window; heals through journal
-                   replay (sessions lost, acked namespace rebuilt) —
-                   or the legacy oracle ``Mds.restart()`` under
-                   ``oracle_meta=True``
+                   replay (sessions lost, acked namespace rebuilt)
 ``mds_crash``      SIGKILL the active MDS of rank ``target`` (un-journaled
                    in-flight mutations are honestly lost; a standby
                    promotes via heartbeats, or ``duration`` restores the
@@ -139,12 +137,8 @@ class FaultAction(object):
 class FaultPlan(object):
     """A seeded, reproducible schedule of faults over one world."""
 
-    def __init__(self, seed=0, oracle_meta=False, mds_standbys=1):
+    def __init__(self, seed=0, mds_standbys=1):
         self.seed = seed
-        #: legacy compat: heal ``mds_down`` via the oracle ``restart()``
-        #: (resurrecting un-acked in-memory mutations) instead of the
-        #: honest journal-replay recovery.
-        self.oracle_meta = oracle_meta
         #: standby-replay daemons created when an HA kind arms the pool
         self.mds_standbys = mds_standbys
         self.actions = []
@@ -177,7 +171,7 @@ class FaultPlan(object):
                  partitions=1, service_crashes=1, mds_windows=0,
                  slow_disks=0, bitrot=0, torn_writes=0, flaps=0,
                  osd_adds=0, osd_drains=0, mds_crashes=0, mds_failovers=0,
-                 mds_rank_splits=0, mds_standbys=1, oracle_meta=False):
+                 mds_rank_splits=0, mds_standbys=1):
         """A random-but-reproducible plan over ``horizon`` seconds.
 
         Every crash gets a matching restart and every window heals well
@@ -192,7 +186,7 @@ class FaultPlan(object):
         so plans generated with the legacy knobs are bit-identical.
         """
         rng = make_rng(seed, "fault-plan")
-        plan = cls(seed, oracle_meta=oracle_meta, mds_standbys=mds_standbys)
+        plan = cls(seed, mds_standbys=mds_standbys)
         for _ in range(osd_crashes):
             osd = rng.randrange(num_osds)
             start = horizon * rng.uniform(0.15, 0.40)
@@ -321,8 +315,7 @@ class FaultPlan(object):
         if any(action.kind in MDS_HA_KINDS for action in self.actions):
             world.cluster.enable_mds_ha(standbys=max(1, self.mds_standbys))
             world.cluster.monitor.start_heartbeats()
-        elif not self.oracle_meta and \
-                any(action.kind == "mds_down" for action in self.actions):
+        elif any(action.kind == "mds_down" for action in self.actions):
             # Honest mds_down: journal without a failover pool, so the
             # heal replays instead of resurrecting un-acked mutations.
             world.cluster.enable_mds_ha(standbys=0)
@@ -536,13 +529,7 @@ class FaultPlan(object):
         elif action.kind == "disk_slow":
             world.cluster.osds[action.target].device.set_slow_factor(1.0)
         elif action.kind == "mds_down":
-            mds = world.cluster.mds
-            if self.oracle_meta or mds.journal is None:
-                # Legacy oracle heal: the in-memory namespace (including
-                # un-acked mutations) is resurrected wholesale.
-                mds.restart()
-            else:
-                yield from mds.recover_local()
+            yield from world.cluster.mds.recover_local()
         elif action.kind == "mds_crash":
             yield from world.cluster.mds_service.restore(
                 action.params["gid"]

@@ -2,10 +2,10 @@
 
 One API across every layer: attach an :class:`Observer` with
 ``world.observe(categories=..., capacity=...)`` and get the flat event
-stream (what ``repro.trace.Tracer`` used to provide), nested spans with
-on-CPU attribution, get-or-create metric registries, and derived
-profiles — lock-contention tables, per-core CPU / core-steal
-attribution, flamegraph folds and Chrome ``trace_event`` exports.
+stream, nested spans with on-CPU attribution, get-or-create metric
+registries, and derived profiles — lock-contention tables, per-core CPU
+/ core-steal attribution, flamegraph folds and Chrome ``trace_event``
+exports.
 
 The module also carries the *default observation spec* the CLI uses to
 profile experiments that construct their own :class:`~repro.world.World`

@@ -5,8 +5,8 @@ metric surfaces. It is attached through ``World.observe(...)`` (which
 also installs it as ``sim.tracer`` for the legacy ``sim.trace`` emit
 path) and collects three kinds of evidence:
 
-* **events** — the flat flight-recorder records the old ``Tracer`` kept,
-  now in a ring buffer so the *most recent* window survives overflow;
+* **events** — flat flight-recorder records, in a ring buffer so the
+  *most recent* window survives overflow;
 * **spans** — nested begin/end intervals riding the DES clock, with
   parent/child structure and on-CPU time attribution (the profiling
   analogue of the paper's "our kernel profiling showed…");
@@ -112,8 +112,8 @@ class Span(object):
 class Observer(object):
     """One attached observability instance: events + spans + registries.
 
-    Event-sink surface (``emit``/``events``/``summary``/``to_jsonl``)
-    is drop-in compatible with the deprecated ``repro.trace.Tracer``.
+    Installed as ``sim.tracer`` alone (no ``sim.observer``) it is an
+    events-only sink: ``emit``/``events``/``summary``/``to_jsonl``.
     """
 
     def __init__(self, sim=None, categories=None, capacity=100000,
@@ -131,7 +131,7 @@ class Observer(object):
         self._cpu = {}  # (core name, thread name) -> seconds
         self._switches = {}  # thread name -> involuntary switch count
 
-    # -- event sink (Tracer-compatible) ---------------------------------
+    # -- event sink ------------------------------------------------------
 
     def wants(self, category):
         return self.categories is None or category in self.categories

@@ -460,7 +460,7 @@ class Simulator(object):
         self._ready = deque()  # (seq, fn, arg) — callbacks due *now*
         self._seq = 0
         self.crashed = []  # (process, exception) for unobserved failures
-        self.tracer = None  # event sink (repro.obs.Observer or legacy Tracer)
+        self.tracer = None  # event sink (a repro.obs.Observer)
         self.observer = None  # full repro.obs.Observer (spans, profiles)
         self._locks = []  # (scope, lock_class, instance, Mutex) registry
         self.partition = None  # partition name when sharded (sim.parallel)

@@ -58,8 +58,7 @@ class StackFactory(object):
     """Builds container mounts of one pool for a Table-1 configuration."""
 
     def __init__(self, world, pool, symbol, cache_bytes=None,
-                 fine_grained_locking=False, locking=None,
-                 single_queue=False):
+                 locking="global", single_queue=False):
         validate_symbol(symbol)
         self.world = world
         self.pool = pool
@@ -72,11 +71,7 @@ class StackFactory(object):
         self.partition = world.partition_of(pool.machine)
         self.symbol = symbol
         self.cache_bytes = cache_bytes
-        # ``locking`` names the client locking policy (global/inode/
-        # range/adaptive); ``fine_grained_locking`` is the legacy boolean
-        # spelling of "inode".
-        if locking is None:
-            locking = "inode" if fine_grained_locking else "global"
+        # the client locking policy (global/inode/range/adaptive)
         self.locking = locking
         self.fine_grained = locking != "global"
         self.single_queue = single_queue

@@ -344,10 +344,7 @@ class CephCluster(object):
                 last_err = err
                 continue
             if not self.resilient:
-                # Zero-fault fast exit: nothing armed and every daemon up
-                # means no attempt can be lost, so there is nothing to
-                # race — run the attempt inline.
-                return (yield from gen)
+                return (yield from gen)  # nothing can be lost: no race
             proc = self.sim.spawn(self._attempt(gen), name="rpc:%s" % what)
             timer = self.sim.timeout(self.costs.op_timeout * timeout_scale)
             index, value = yield self.sim.any_of([proc, timer])
@@ -801,7 +798,7 @@ class CephCluster(object):
         self._notify_op()
         return total
 
-    def _push_vector(self, ino, osd_id, pieces, epoch=None):
+    def _push_vector(self, ino, osd_id, pieces, epoch):
         """One vectored push: many pieces, one RPC, one commit."""
         nbytes = sum(len(piece) for _index, _off, piece in pieces)
         return (yield from self.fabric.rpc(
@@ -841,7 +838,7 @@ class CephCluster(object):
                         [(obj_off, len(piece)) for obj_off, piece in pieces],
                     )
                 yield from self._fanned_replicas([
-                    self._push_vector(ino, osd_id, chunk, epoch=epoch)
+                    self._push_vector(ino, osd_id, chunk, epoch)
                     for osd_id in targets
                 ])
                 return nbytes

@@ -165,8 +165,7 @@ class World(object):
 
         The observer becomes both ``sim.observer`` (spans, CPU and lock
         profiling) and ``sim.tracer`` (the flat ``sim.trace`` event
-        path), replacing the old manual ``world.sim.tracer = Tracer(...)``
-        idiom. Returns the observer.
+        path). Returns the observer.
         """
         observer = obs.Observer(
             sim=self.sim, categories=categories, capacity=capacity,

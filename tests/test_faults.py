@@ -24,7 +24,7 @@ from repro.common.errors import (
 )
 from repro.core import ServiceSupervisor
 from repro.costs import CostModel
-from repro.faults import KINDS, FaultAction, FaultPlan, run_chaos
+from repro.faults import KINDS, ChaosConfig, FaultAction, FaultPlan
 from repro.fs.api import OpenFlags
 from repro.net import Fabric
 from repro.stacks import StackFactory
@@ -444,7 +444,7 @@ def test_kernel_flusher_stall_delays_every_colocated_pool():
 
 @pytest.mark.chaos
 def test_chaos_run_keeps_acknowledged_data_intact():
-    result = run_chaos(seed=7)
+    result = ChaosConfig(seed=7).run()
     assert result.converged
     assert result.mismatches == []
     assert result.read_mismatches == []
@@ -457,8 +457,8 @@ def test_chaos_run_keeps_acknowledged_data_intact():
 
 @pytest.mark.chaos
 def test_chaos_same_seed_reproduces_identical_run():
-    one = run_chaos(seed=3)
-    two = run_chaos(seed=3)
+    one = ChaosConfig(seed=3).run()
+    two = ChaosConfig(seed=3).run()
     assert one.ok and two.ok
     assert one.fingerprint() == two.fingerprint()
     assert one.plan_log == two.plan_log
@@ -470,8 +470,8 @@ def test_chaos_corruption_is_repaired_by_scrub():
     """Silent corruption (bit flips + torn replica writes) under the full
     fault mix: every acknowledged write reads back intact, the scrub
     drain converges and no corrupt replica or quarantined object is left."""
-    result = run_chaos(seed=11, duration=10.0, replicas=2,
-                       bitrot=2, torn_writes=1, scrub=True)
+    result = ChaosConfig(seed=11, duration=10.0, replicas=2,
+                         bitrot=2, torn_writes=1, scrub=True).run()
     assert result.corruptions >= 1, "the plan must actually damage replicas"
     assert result.scrub_converged
     assert result.integrity_errors == []
@@ -487,8 +487,8 @@ def test_chaos_corruption_is_repaired_by_scrub():
 def test_chaos_corruption_run_is_deterministic():
     kwargs = dict(seed=5, duration=8.0, replicas=2,
                   bitrot=1, torn_writes=1, scrub=True)
-    one = run_chaos(**kwargs)
-    two = run_chaos(**kwargs)
+    one = ChaosConfig(**kwargs).run()
+    two = ChaosConfig(**kwargs).run()
     assert one.ok and two.ok
     assert one.fingerprint() == two.fingerprint()
     assert one.corruptions == two.corruptions

@@ -32,7 +32,7 @@ def test_tenant_runs_multiple_services_with_distinct_settings(world):
     factory_a = StackFactory(world, pool, "D", cache_bytes=units.mib(64))
     mount_a = factory_a.mount_root("c0")
     factory_b = StackFactory(
-        world, pool, "D", cache_bytes=units.mib(4), fine_grained_locking=True
+        world, pool, "D", cache_bytes=units.mib(4), locking="inode"
     )
     factory_b._shared.clear()  # force a second service + client
     mount_b = factory_b.mount_root("c1")

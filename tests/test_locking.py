@@ -49,9 +49,9 @@ def test_default_is_global_and_flag_maps_to_inode():
     _, _, _, default = make_world()
     assert default._locking.policy == "global"
     assert not default.fine_grained
-    _, _, _, legacy = make_world(fine_grained_locking=True)
-    assert legacy._locking.policy == "inode"
-    assert legacy.fine_grained
+    _, _, _, inode = make_world(locking="inode")
+    assert inode._locking.policy == "inode"
+    assert inode.fine_grained
 
 
 def test_all_policies_construct():

@@ -288,3 +288,122 @@ def test_osd_add_mid_fanout_converges_deterministically():
     assert result["misplaced"] == 0
     # Same seed, same build: the churn schedule is reproducible.
     assert _churn_mid_fanout_run() == result
+
+
+# --- the single path: disarmed = race skipped, not a second body -----------
+
+def test_never_armed_ops_skip_the_race():
+    # Nothing armed, every daemon up: no attempt can be lost, so no op
+    # may spawn an rpc:* attempt process, enter _attempt, or leave an
+    # op_timeout timer behind. Fails if the fast exit ever regresses
+    # into an always-on race.
+    sim = Simulator()
+    costs = CostModel(object_size=4096)
+    cluster = make_cluster(sim, costs)
+    spawned = []
+    real_spawn = sim.spawn
+
+    def recording_spawn(gen, name=None):
+        spawned.append(name)
+        return real_spawn(gen, name=name)
+
+    def no_attempt(gen):
+        raise AssertionError("disarmed op entered the attempt race")
+
+    sim.spawn = recording_spawn
+    cluster._attempt = no_attempt
+    size = 3 * costs.object_size
+    seen = []
+
+    def proc():
+        yield from cluster.mds_call("mkdir", "/d")
+        seen.append(cluster.inflight_attempts)
+        yield from cluster.write_extent(SPREAD_INO, 0, b"w" * size)
+        seen.append(cluster.inflight_attempts)
+        yield from cluster.write_vector(
+            SPREAD_INO, [(0, b"v" * 512), (4096, b"v" * 512)]
+        )
+        seen.append(cluster.inflight_attempts)
+        data = yield from cluster.read_extent(SPREAD_INO, 0, size)
+        seen.append(cluster.inflight_attempts)
+        assert len(data) == size
+
+    run(sim, proc())
+    assert not cluster.resilient
+    assert seen == [0, 0, 0, 0]
+    assert not [name for name in spawned if name and name.startswith("rpc:")]
+    assert int(cluster.metrics.counter("retries").value) == 0
+    # quiescent: no pending op_timeout (or any other) timer left behind
+    assert not sim._heap and not sim._ready
+
+
+def test_disarmed_replicated_write_lands_on_both_acting_osds(sim):
+    costs = CostModel(object_size=4096)
+    cluster = make_cluster(sim, costs, replicas=2)
+    payload = bytes(range(256)) * 48  # three objects
+
+    def proc():
+        yield from cluster.write_extent(SPREAD_INO, 0, payload)
+
+    run(sim, proc())
+    assert not cluster.resilient
+    for index in range(3):
+        piece = payload[index * 4096:(index + 1) * 4096]
+        acting = cluster.crush.placement(SPREAD_INO, index)
+        assert len(acting) == 2
+        for osd_id in acting:
+            stored = cluster.osds[osd_id]._objects[(SPREAD_INO, index)]
+            assert bytes(stored) == piece
+    assert not cluster.monitor._stale, "a clean write must mark nothing stale"
+
+
+def _one_piece_write(vectored, integrity):
+    """One 3-replica object write via write_vector or write_extent;
+    returns everything the two spellings must agree on."""
+    sim = Simulator()
+    costs = CostModel(object_size=4096)
+    cluster = make_cluster(sim, costs, replicas=3)
+    if integrity:
+        cluster.enable_integrity()
+    payload = b"p" * 1000 + b"q" * 1000
+    out = {}
+
+    def proc():
+        t0 = sim.now
+        if vectored:
+            wrote = yield from cluster.write_vector(
+                SPREAD_INO, [(100, payload)]
+            )
+        else:
+            wrote = yield from cluster.write_extent(SPREAD_INO, 100, payload)
+        out["elapsed"] = sim.now - t0
+        out["wrote"] = wrote
+
+    run(sim, proc())
+    out["op_count"] = cluster.op_count
+    out["osds"] = [
+        (
+            sorted((key, bytes(obj)) for key, obj in osd._objects.items()),
+            sorted(
+                (key, sorted(dig.items()))
+                for key, dig in osd._digests.items()
+            ),
+            sorted(osd._versions.items()),
+            int(osd.metrics.counter("writes").value),
+            int(osd.metrics.counter("bytes_written").value),
+        )
+        for osd in cluster.osds
+    ]
+    return out
+
+
+@pytest.mark.parametrize("integrity", [False, True])
+def test_write_extent_is_the_one_piece_write_vector(integrity):
+    vector = _one_piece_write(vectored=True, integrity=integrity)
+    extent = _one_piece_write(vectored=False, integrity=integrity)
+    assert vector == extent
+    assert vector["wrote"] == 2000
+    holders = [state for state in vector["osds"] if state[0]]
+    assert len(holders) == 3
+    if integrity:
+        assert all(state[1] for state in holders), "digests not recorded"

@@ -314,3 +314,49 @@ def test_client_io_survives_osd_failure(sim, machine, costs):
         return (yield from client.read_file(task, "/critical"))
 
     assert run(sim, proc()) == b"do not lose"
+
+
+def test_hand_crashed_osd_on_unarmed_cluster_takes_the_race(sim, costs):
+    # No plan installed, nothing armed: the crashed-daemon leg of
+    # ``resilient`` is the only thing that makes the *next* op race its
+    # attempts — so a dead primary surfaces as retries + EIO (one
+    # replica) or a reroute (two), never as a hang on the inline exit.
+    lone = make_cluster(sim, costs, replicas=1)
+    payload = b"only-copy" * 50
+
+    def lose_it():
+        yield from lone.write_extent(3, 0, payload)
+        assert not lone.resilient
+        assert int(lone.metrics.counter("retries").value) == 0
+        lone.osds[lone.crush.primary(3, 0)].crash()  # no mark_down, no arm
+        assert lone.resilient
+        try:
+            yield from lone.read_extent(3, 0, len(payload))
+        except DataUnavailable as err:
+            return err
+        return None
+
+    err = run(sim, lose_it())
+    assert isinstance(err, DataUnavailable)
+    assert int(lone.metrics.counter("retries").value) >= 1
+    assert lone.inflight_attempts == 0
+
+    pair = make_cluster(sim, costs, replicas=2)
+
+    def route_around():
+        yield from pair.write_extent(4, 0, payload)
+        victim = pair.crush.primary(4, 0)
+        pair.osds[victim].crash()
+        # The write's first attempt hits the dead daemon, whose silence
+        # surfaces as an OpTimeout inside the raced attempt; the retry
+        # blames it, the monitor marks it down and the resend lands on
+        # the survivor.
+        yield from pair.write_extent(4, 0, payload[::-1])
+        data = yield from pair.read_extent(4, 0, len(payload))
+        return victim, data
+
+    victim, data = run(sim, route_around())
+    assert data == payload[::-1]
+    assert int(pair.metrics.counter("retries").value) >= 1
+    assert not pair.monitor.is_up(victim)
+    assert pair.inflight_attempts == 0

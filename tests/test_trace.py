@@ -1,15 +1,15 @@
 """Tests for the event-trace surface of the observability subsystem.
 
 Worlds attach through ``World.observe(...)`` (the ``repro.obs`` entry
-point); the deprecated ``Tracer`` alias is exercised for compatibility,
-including its new ring-buffer semantics.
+point); a bare :class:`~repro.obs.Observer` installed as ``sim.tracer``
+is the events-only sink, including its ring-buffer semantics.
 """
 
 import json
 
 from repro.common import units
+from repro.obs import Observer
 from repro.stacks import StackFactory
-from repro.trace import Tracer
 from repro.world import World
 from tests.conftest import run
 
@@ -84,16 +84,16 @@ def test_observe_returns_the_attached_observer():
 
 
 def test_manual_tracer_attachment_still_works():
-    # The legacy idiom: events only, no span/profile machinery armed.
+    # Installed as sim.tracer only: events, no span/profile machinery.
     world = World(num_cores=4, ram_bytes=units.gib(4))
-    world.sim.tracer = Tracer(categories={"x"})
+    world.sim.tracer = Observer(categories={"x"})
     world.sim.trace("x", "e", value=1)
     assert world.sim.observer is None
     assert len(world.sim.tracer.records) == 1
 
 
 def test_tracer_ring_buffer_keeps_most_recent():
-    tracer = Tracer(capacity=2)
+    tracer = Observer(capacity=2)
     for index in range(5):
         tracer.emit(float(index), "x", "e", i=index)
     assert len(tracer.records) == 2
@@ -105,7 +105,7 @@ def test_tracer_ring_buffer_keeps_most_recent():
 
 
 def test_tracer_jsonl_dump(tmp_path):
-    tracer = Tracer()
+    tracer = Observer()
     tracer.emit(1.5, "cat", "name", value=42)
     out = tmp_path / "trace.jsonl"
     count = tracer.to_jsonl(str(out))
