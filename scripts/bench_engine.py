@@ -2,10 +2,10 @@
 """Wall-clock benchmark harness for the DES engine and the stacks on it.
 
 Runs the reference scenarios (pure-engine micro loops, a sequential-read
-stack, a chaos run, the striped fan-out path, the Fig. 11 scale-up
-sweeps, a multi-host fleet), measures wall-clock seconds for each, and
-records a *behavior fingerprint* per scenario — a stable hash of the
-simulated outcome (event-schedule-sensitive values: final times,
+stack, a kernel-client sequential-write stack, a chaos run, the striped
+fan-out path, the Fig. 11 scale-up sweeps, a multi-host fleet), measures
+wall-clock seconds for each, and records a *behavior fingerprint* per
+scenario — a stable hash of the simulated outcome (event-schedule-sensitive values: final times,
 throughputs, chaos determinism fingerprints). Two engines that schedule
 byte-identically produce equal fingerprints, so the file doubles as a
 determinism witness for scheduler changes.
@@ -125,6 +125,12 @@ def task_seqread():
     return run_sequential("D", 2, "read", duration=2.0, seed=1)
 
 
+def task_seqwrite():
+    """Fig. 9 sequential write over the kernel client: page cache,
+    flusher write-behind and the vectored OSD write path."""
+    return run_sequential("K", 2, "write", duration=2.0, seed=1)
+
+
 def task_chaos():
     """Corruption chaos with scrub: the nightly-matrix cell shape."""
     result = ChaosConfig(
@@ -208,6 +214,7 @@ def merge_stripe(results):
 SCENARIOS = [
     ("micro", [("micro", task_micro, {})], merge_micro),
     ("seqread", [("seqread", task_seqread, {})], merge_single),
+    ("seqwrite", [("seqwrite", task_seqwrite, {})], merge_single),
     ("partitioned", [("partitioned", task_partitioned, {})], merge_single),
     ("stripe_fanout", [
         ("serial", task_stripe, {"inflight": 1}),

@@ -17,8 +17,10 @@ cached reads and collapses under colocation in the paper.
 from repro.cephclient.extents import ExtentBuffer
 from repro.common.errors import (
     BadFileDescriptor,
+    FsError,
     InvalidArgument,
     IsADirectory,
+    ThreadKilled,
 )
 from repro.fs import pathutil
 from repro.fs.api import FileHandle, FileStat, Filesystem, OpenFlags
@@ -109,12 +111,21 @@ class CephKernelFs(Filesystem):
         extents = buffer.take(nbytes)
         if extents:
             total = sum(len(data) for _off, data in extents)
-            # Messenger send processing happens in host-wide kworkers;
-            # one scatter-gather pass covers the whole coalesced batch.
-            yield from self.kernel.workqueue.execute(
-                total / self.costs.kernel_wq_bandwidth
-            )
-            yield from self.cluster.write_vector(ino, extents)
+            try:
+                # Messenger send processing happens in host-wide kworkers;
+                # one scatter-gather pass covers the whole coalesced batch.
+                yield from self.kernel.workqueue.execute(
+                    total / self.costs.kernel_wq_bandwidth
+                )
+                yield from self.cluster.write_vector(ino, extents)
+            except (FsError, ThreadKilled):
+                # The batch is in flight nowhere else: put it back so the
+                # next flush retries it. Writers do not wait for a flush
+                # (no i_mutex here), so bytes buffered meanwhile are newer
+                # and stay on top. Rewriting a piece that did land is
+                # idempotent (same bytes, same offset).
+                buffer.put_back(extents)
+                raise
         path = self._paths.get(ino)
         if path is not None:
             from repro.common.errors import FileNotFound

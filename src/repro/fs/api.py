@@ -224,11 +224,15 @@ class Filesystem(object):
             task, path, OpenFlags.WRONLY | OpenFlags.CREAT | OpenFlags.TRUNC
         )
         try:
+            # Payloads travel by reference below this call, so a mutable
+            # input is snapshotted once here; each chunk is then one
+            # ``bytes`` slice (a whole-buffer slice is the same object).
+            payload = data if type(data) is bytes else bytes(data)
             offset = 0
-            view = memoryview(data)
-            while offset < len(view):
-                piece = view[offset:offset + chunk]
-                written = yield from self.write(task, handle, offset, bytes(piece))
+            while offset < len(payload):
+                written = yield from self.write(
+                    task, handle, offset, payload[offset:offset + chunk]
+                )
                 offset += written
             if sync:
                 yield from self.fsync(task, handle)

@@ -96,6 +96,16 @@ class RamAccount(object):
             account = account.parent
         return True
 
+    def headroom(self):
+        """Bytes that can still be charged here: the tightest remaining
+        room along this account and its ancestors."""
+        room = self.capacity - self.used
+        account = self.parent
+        while account is not None:
+            room = min(room, account.capacity - account.used)
+            account = account.parent
+        return room
+
     @property
     def available(self):
         return self.capacity - self.used

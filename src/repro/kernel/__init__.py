@@ -3,7 +3,7 @@
 from repro.kernel.host import HostKernel, Vfs
 from repro.kernel.localfs import LocalFs
 from repro.kernel.locks import GLOBAL_INSTANCE, LockRegistry
-from repro.kernel.pagecache import CachedFile, Page, PageCache
+from repro.kernel.pagecache import CachedFile, PageCache
 from repro.kernel.writeback import WritebackDaemon
 
 __all__ = [
@@ -14,6 +14,5 @@ __all__ = [
     "GLOBAL_INSTANCE",
     "PageCache",
     "CachedFile",
-    "Page",
     "WritebackDaemon",
 ]

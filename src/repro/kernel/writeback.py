@@ -103,6 +103,11 @@ class WritebackDaemon(object):
             kick = sim.event()
             self._kick_events.append(kick)
             yield sim.any_of([sim.timeout(self.costs.writeback_interval), kick])
+            if not kick.triggered:
+                # The interval won: this round's kick is dead, drop it so
+                # an idle host does not accumulate one per flusher per
+                # interval for the next _kick() to wade through.
+                self._kick_events.remove(kick)
             if self._stopped:
                 return
             yield from self._wait_stall()
@@ -122,15 +127,13 @@ class WritebackDaemon(object):
         finally:
             wb_lock.release()
         for cf in candidates:
-            if not cf.dirty_pages:
+            account = cf.oldest_dirty_account()
+            if account is None:
                 continue
-            over_background = False
-            for _index, since in cf.dirty_pages.items():
-                page = cf.pages[_index]
-                acct_dirty = self.page_cache.account_dirty(page.account)
-                if acct_dirty > self.background_threshold(page.account):
-                    over_background = True
-                break
+            over_background = (
+                self.page_cache.account_dirty(account)
+                > self.background_threshold(account)
+            )
             min_age = None if over_background else self.costs.expire_interval
             yield from self.flush_file(thread, cf, min_age=min_age)
 
@@ -172,7 +175,13 @@ class WritebackDaemon(object):
                 nbytes = len(picked) * costs.page_size
                 if cf.flush_fn is None:
                     raise SimulationError("dirty file %r has no flush_fn" % (cf.key,))
-                yield from cf.flush_fn(nbytes, picked)
+                try:
+                    yield from cf.flush_fn(nbytes, picked)
+                except BaseException:
+                    # The batch did not reach the backend: its pages stay
+                    # dirty, and must be pickable again by the next flush.
+                    self.page_cache.cancel_writeback(cf, picked)
+                    raise
                 self.page_cache.clean(cf, picked)
                 self.pages_flushed += len(picked)
                 if self.sim.tracer is not None:

@@ -27,6 +27,7 @@ from repro.common.errors import (
     OldEpoch,
     OpTimeout,
 )
+from repro.common.rope import ByteRope
 from repro.metrics import MetricSet
 from repro.sim.sync import Semaphore
 from repro.storage.crush import CrushMap
@@ -766,7 +767,8 @@ class CephCluster(object):
     def write_vector(self, ino, extents):
         """Write many dirty extents of one file in a single fan-out.
 
-        ``extents`` is ``[(offset, bytes)]`` — a flush batch. Extents are
+        ``extents`` is ``[(offset, data)]`` — a flush batch; ``data`` is
+        ``bytes`` or a :class:`~repro.common.rope.ByteRope`. Extents are
         split at object boundaries and grouped per object; each object's
         pieces ship to every replica as *one* vectored RPC (one request,
         one queue slot, one journal+data commit covering their total
@@ -774,18 +776,20 @@ class CephCluster(object):
         retries on its own — blame, resend and stale-marking stay at
         object granularity. Objects dispatch concurrently under the
         inflight window. Returns the total bytes written.
+
+        Pieces are cut by reference (see :meth:`ByteRope.split`): the
+        payload is not copied here, and the views stay valid across
+        retries because the chunks under them are immutable.
         """
-        pieces_by_object = {}  # index -> [(obj_off, bytes)]
+        pieces_by_object = {}  # index -> [(obj_off, buffer)]
         total = 0
         for offset, data in extents:
-            position = 0
-            view = memoryview(data)
-            for index, obj_off, length in self.object_extents(offset, len(data)):
-                pieces_by_object.setdefault(index, []).append(
-                    (obj_off, bytes(view[position:position + length]))
-                )
-                position += length
-            view.release()
+            spans = self.object_extents(offset, len(data))
+            pieces = ByteRope.of(data).split(
+                [length for _index, _obj_off, length in spans]
+            )
+            for (index, obj_off, _length), piece in zip(spans, pieces):
+                pieces_by_object.setdefault(index, []).append((obj_off, piece))
             total += len(data)
         if not pieces_by_object:
             return 0
@@ -809,7 +813,7 @@ class CephCluster(object):
         ))
 
     def _write_object(self, ino, index, pieces):
-        """Replicated write of one object's ``[(obj_off, bytes)]`` pieces
+        """Replicated write of one object's ``[(obj_off, buffer)]`` pieces
         with per-attempt target re-resolution.
 
         Each attempt pushes the *current* target set concurrently; a

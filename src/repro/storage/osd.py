@@ -331,7 +331,14 @@ class Osd(object):
         return data
 
     def _apply_write(self, ino, index, offset, data):
-        """Splice one write into the store with full digest bookkeeping."""
+        """Splice one write into the store with full digest bookkeeping.
+
+        ``data`` is any buffer (``bytes`` or a view of a client's
+        payload chunk). The splice below is the per-replica copy: each
+        OSD owns its bytes, so replicas stay independently corruptible
+        (bitrot, torn writes) and nothing here outlives the call as a
+        reference into the caller's buffer.
+        """
         key = (ino, index)
         obj = self._objects.get(key)
         if obj is None:
@@ -357,11 +364,13 @@ class Osd(object):
     def write_vector(self, ino, pieces, epoch=None):
         """Apply several extent writes of one file as a single op.
 
-        ``pieces`` is ``[(index, obj_off, bytes)]`` — the coalesced dirty
-        run a flush batched for this OSD. One queue slot, one op charge
-        and one journal+data commit (journal append, then the in-place
-        data write) cover the batch's total bytes; every piece then
-        splices into its object with full digest bookkeeping.
+        ``pieces`` is ``[(index, obj_off, buffer)]`` — the coalesced dirty
+        run a flush batched for this OSD; each buffer is ``bytes`` or a
+        read-only view, copied into the store by :meth:`_apply_write`.
+        One queue slot, one op charge and one journal+data commit
+        (journal append, then the in-place data write) cover the batch's
+        total bytes; every piece then splices into its object with full
+        digest bookkeeping.
         """
         for _index, offset, _data in pieces:
             if offset < 0:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cephclient import CephKernelFs, CephLibClient
 from repro.common import units
-from repro.common.errors import FileNotFound
+from repro.common.errors import DataUnavailable, FileNotFound
 from repro.costs import CostModel
 from repro.fs.api import OpenFlags
 from repro.net import Fabric
@@ -170,6 +170,41 @@ def test_kernel_writeback_flushes_ceph_dirty_pages(
     assert cluster.stored_bytes == 0
     sim.run(until=30)
     assert cluster.stored_bytes == units.kib(64)
+    assert kernel.page_cache.dirty_bytes == 0
+
+
+def test_failed_kernel_flush_keeps_the_data_and_the_pages(
+    sim, machine, kernel, cluster, kernelclient
+):
+    """A K flush that fails loses nothing: the taken extents go back to
+    the buffer, the batch stops being under writeback, and the next fsync
+    delivers the bytes."""
+    task = make_task(sim, machine)
+    payload = bytes(range(256)) * 256  # 64 KiB
+
+    def proc():
+        handle = yield from kernelclient.open(
+            task, "/f", OpenFlags.WRONLY | OpenFlags.CREAT
+        )
+        yield from kernelclient.write(task, handle, 0, payload)
+        for osd in cluster.osds:
+            osd.crash()
+        with pytest.raises(DataUnavailable):
+            yield from kernelclient.fsync(task, handle)
+        cf = kernel.page_cache.peek(kernelclient._cache_key(handle.ino))
+        assert kernelclient._pending[handle.ino].dirty_bytes == len(payload)
+        assert cf.nr_dirty == len(payload) // kernel.costs.page_size
+        assert cluster.stored_bytes == 0
+        for osd in cluster.osds:
+            osd.restart()
+            cluster.monitor.mark_up(osd.osd_id)
+        yield from kernelclient.fsync(task, handle)
+        assert not kernelclient._pending[handle.ino]
+        assert cf.nr_dirty == 0
+        return handle.ino
+
+    ino = run(sim, proc())
+    assert cluster.peek(ino, 0, len(payload)) == payload
     assert kernel.page_cache.dirty_bytes == 0
 
 

@@ -1,5 +1,7 @@
 """Unit and property tests for the dirty extent buffer."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -228,3 +230,86 @@ def test_property_truncate_matches_reference(writes, cut):
     # Bytes below the cut that were written survive unchanged.
     for offset, data in buffer.extents():
         assert bytes(reference[offset:offset + len(data)]) == data
+
+
+# --- ownership: payloads are held by reference and never change ---------------
+
+def test_mutating_the_source_after_write_does_not_reach_the_buffer():
+    source = bytearray(b"abcdef")
+    window = memoryview(bytearray(b"uvwxyz"))
+    buffer = ExtentBuffer()
+    buffer.write(0, source)
+    buffer.write(10, window)
+    source[:] = b"XXXXXX"
+    window[:] = b"YYYYYY"
+    assert buffer.extents() == [(0, b"abcdef"), (10, b"uvwxyz")]
+    assert buffer.overlay(0, 6, b"\x00" * 6) == b"abcdef"
+
+
+def test_taken_and_snapshotted_extents_outlive_later_changes():
+    buffer = ExtentBuffer()
+    buffer.write(0, b"aaaa")
+    buffer.write(4, b"bbbb")  # same extent, second chunk
+    snapshot = buffer.extents()
+    buffer.write(2, b"ZZZZ")
+    buffer.truncate(3)
+    assert snapshot == [(0, b"aaaabbbb")]
+    buffer.clear()
+    buffer.write(0, b"aaaa")
+    buffer.write(4, b"bbbb")
+    taken = buffer.take()
+    buffer.write(0, b"QQQQQQQQ")
+    buffer.write(6, b"RR")
+    buffer.truncate(1)
+    assert taken == [(0, b"aaaabbbb")]
+    assert bytes(taken[0][1]) == b"aaaabbbb"
+    assert len(taken[0][1]) == 8
+
+
+def test_appends_and_take_do_not_copy_the_payload():
+    """Sixteen 1 MiB appends, then take(): the buffer may allocate its
+    bookkeeping, not another copy of the bytes."""
+    chunk = 1 << 20
+    payloads = [bytes([index]) * chunk for index in range(16)]
+    buffer = ExtentBuffer()
+    tracemalloc.start()
+    try:
+        for index, payload in enumerate(payloads):
+            buffer.write(index * chunk, payload)
+        taken = buffer.take()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 16 * chunk
+    assert len(taken) == 1 and len(taken[0][1]) == 16 * chunk
+    assert all(
+        mine is theirs for mine, theirs in zip(taken[0][1].chunks, payloads)
+    )
+
+
+def test_put_back_goes_under_newer_writes():
+    buffer = ExtentBuffer()
+    buffer.write(0, b"old-old-old-")
+    buffer.write(20, b"far")
+    taken = buffer.take()
+    buffer.write(4, b"NEW")  # written while the flush was failing
+    buffer.put_back(taken)
+    assert buffer.extents() == [(0, b"old-NEW-old-"), (20, b"far")]
+    assert buffer.dirty_bytes == 15
+
+
+@settings(max_examples=100, deadline=None)
+@given(write_sequences(), write_sequences())
+def test_property_put_back_is_writing_in_the_original_order(first, later):
+    """take + newer writes + put_back == never having taken at all."""
+    flushed, untouched = ExtentBuffer(), ExtentBuffer()
+    for offset, data in first:
+        flushed.write(offset, data)
+        untouched.write(offset, data)
+    taken = flushed.take()
+    for offset, data in later:
+        flushed.write(offset, data)
+        untouched.write(offset, data)
+    flushed.put_back(taken)
+    assert flushed.extents() == untouched.extents()
+    assert flushed.dirty_bytes == untouched.dirty_bytes

@@ -140,3 +140,13 @@ def test_workqueue_follows_activation(sim):
     run(sim, proc())
     busy_outside = sum(core.busy_time for core in machine.cores[2:])
     assert busy_outside == pytest.approx(0.0, abs=1e-9)
+
+
+def test_idle_flushers_do_not_accumulate_kick_events(sim, machine, kernel):
+    """Each flusher keeps at most its one pending kick, however long the
+    host idles (one dead event per flusher per interval used to pile up
+    for the next ``_kick()`` to walk)."""
+    flushers = kernel.costs.nr_flushers
+    for deadline in (1.5, 10.5, 100.5):
+        sim.run(until=deadline)
+        assert len(kernel.writeback._kick_events) <= flushers

@@ -2,12 +2,20 @@
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.common.rng import derive, make_rng, pseudo_bytes
 from repro.fs import MemTree, pathutil
 from repro.hw import RamAccount
 from repro.kernel import PageCache
 from repro.storage import CrushMap
+
+from tests.reference_pagecache import PageCache as ReferencePageCache
 
 
 # --- pathutil ---------------------------------------------------------------
@@ -149,16 +157,231 @@ def test_property_pagecache_accounting_invariants(ops):
             cache.drop_file(key)
         # Invariants after every step:
         total_pages = sum(
-            len(file.pages) for file in cache._files.values()
+            file.nr_pages for file in cache._files.values()
         )
         dirty_pages = sum(
-            len(file.dirty_pages) for file in cache._files.values()
+            file.nr_dirty for file in cache._files.values()
         )
         assert ram.used == total_pages * page_size
         assert cache.dirty_bytes == dirty_pages * page_size
         assert cache.dirty_bytes <= ram.used
         # per-account dirty sums to the global dirty figure
         assert cache.account_dirty(ram) == cache.dirty_bytes
+
+
+# --- run-granular page cache vs the per-page reference model --------------------
+
+PAGE = 4096
+FILES = ("f", "g", "h")
+ACCOUNTS = ("host", "pool-a", "pool-b")
+
+
+class _LoggedReference(ReferencePageCache):
+    """The per-page model, noting every eviction victim in order."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.victims = []
+
+    def _evict_one(self):
+        before = next(iter(self._lru), None)
+        evicted = super()._evict_one()
+        if evicted:
+            self.victims.append(before)
+        return evicted
+
+
+class _LoggedPageCache(PageCache):
+    """The run-granular cache, noting every eviction victim in order."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.victims = []
+
+    def _evict(self, run, count):
+        self.victims.extend(
+            (run.file.key, page)
+            for page in range(run.start, run.start + count)
+        )
+        super()._evict(run, count)
+
+
+def _accounts():
+    host = RamAccount(40 * PAGE, name="host")
+    return {
+        "host": host,
+        "pool-a": host.child(28 * PAGE, "pool-a"),
+        "pool-b": host.child(16 * PAGE, "pool-b"),
+    }
+
+
+def _run_pages(order):
+    """Expand an order list of the run-granular cache into its pages."""
+    run = order.next
+    while run.file is not None:
+        for page in range(run.start, run.end):
+            yield run, page
+        run = run.next
+
+
+page_spans = st.tuples(
+    st.integers(min_value=0, max_value=36),
+    st.integers(min_value=1, max_value=14),
+)
+
+
+class PageCacheEquivalence(RuleBasedStateMachine):
+    """Drive both caches with one operation sequence over several files
+    and cgroups on a host small enough to be under memory pressure, and
+    demand equal answers and equal page-level state after every step."""
+
+    def __init__(self):
+        super().__init__()
+        self.ref_accounts = _accounts()
+        self.new_accounts = _accounts()
+        self.ref = _LoggedReference(PAGE, self.ref_accounts["host"])
+        self.new = _LoggedPageCache(PAGE, self.new_accounts["host"])
+        self.now = 0.0
+        self.batches = []  # (file key, picked indices) awaiting an outcome
+        self.ballast = []  # (account name, bytes) charged from outside
+
+    def _both(self, call):
+        """Run ``call(cache, accounts)`` on both models; equal results."""
+        expected = call(self.ref, self.ref_accounts)
+        actual = call(self.new, self.new_accounts)
+        assert actual == expected
+        return expected
+
+    @rule(key=st.sampled_from(FILES), span=page_spans,
+          account=st.sampled_from(ACCOUNTS))
+    def insert(self, key, span, account):
+        self._both(lambda cache, accounts: cache.insert(
+            cache.file(key), span[0] * PAGE, span[1] * PAGE,
+            accounts[account]))
+
+    @rule(key=st.sampled_from(FILES), span=page_spans,
+          skew=st.integers(min_value=0, max_value=PAGE - 1))
+    def scan(self, key, span, skew):
+        self._both(lambda cache, accounts: cache.scan(
+            cache.file(key), span[0] * PAGE + skew, span[1] * PAGE))
+
+    @rule(key=st.sampled_from(FILES), span=page_spans,
+          account=st.sampled_from(ACCOUNTS),
+          tick=st.sampled_from([0.0, 0.5, 3.0]))
+    def mark_dirty(self, key, span, account, tick):
+        self.now += tick
+        self._both(lambda cache, accounts: cache.mark_dirty(
+            cache.file(key), span[0] * PAGE, span[1] * PAGE, self.now,
+            accounts[account]))
+
+    @rule(key=st.sampled_from(FILES),
+          max_pages=st.integers(min_value=1, max_value=20),
+          min_age=st.sampled_from([None, 1.0, 5.0]))
+    def pick_flush_batch(self, key, max_pages, min_age):
+        picked = self._both(lambda cache, accounts: cache.pick_flush_batch(
+            cache.file(key), max_pages, now=self.now, min_age=min_age))
+        if picked:
+            self.batches.append((key, picked))
+
+    @precondition(lambda self: self.batches)
+    @rule(data=st.data(), flushed=st.booleans())
+    def finish_batch(self, data, flushed):
+        index = data.draw(st.integers(0, len(self.batches) - 1))
+        key, picked = self.batches.pop(index)
+        if flushed:
+            self._both(lambda cache, accounts: cache.clean(
+                cache.file(key), picked))
+        else:
+            self._both(lambda cache, accounts: cache.cancel_writeback(
+                cache.file(key), picked))
+
+    @rule(key=st.sampled_from(FILES), flushed=st.booleans(),
+          indices=st.lists(st.integers(min_value=0, max_value=50),
+                           max_size=12))
+    def finish_arbitrary_pages(self, key, flushed, indices):
+        """Any index list is legal: unsorted, repeated, never picked."""
+        method = "clean" if flushed else "cancel_writeback"
+        self._both(lambda cache, accounts: getattr(cache, method)(
+            cache.file(key), indices))
+
+    @rule(key=st.sampled_from(FILES))
+    def drop_file(self, key):
+        self._both(lambda cache, accounts: cache.drop_file(key))
+        self.batches = [b for b in self.batches if b[0] != key]
+
+    @rule(account=st.sampled_from(ACCOUNTS),
+          pages=st.integers(min_value=1, max_value=12))
+    def squeeze_memory(self, account, pages):
+        """Something else on the host takes memory (if it is there)."""
+        nbytes = pages * PAGE
+        if self.ref_accounts[account].can_charge(nbytes):
+            self.ref_accounts[account].charge(nbytes)
+            self.new_accounts[account].charge(nbytes)
+            self.ballast.append((account, nbytes))
+
+    @precondition(lambda self: self.ballast)
+    @rule()
+    def release_memory(self):
+        account, nbytes = self.ballast.pop()
+        self.ref_accounts[account].uncharge(nbytes)
+        self.new_accounts[account].uncharge(nbytes)
+
+    @invariant()
+    def same_observable_state(self):
+        ref, new = self.ref, self.new
+        assert new.victims == ref.victims
+        assert new.stats() == ref.stats()
+        assert new.dirty_bytes == ref.dirty_bytes
+        for name in ACCOUNTS:
+            assert (new.account_dirty(self.new_accounts[name])
+                    == ref.account_dirty(self.ref_accounts[name]))
+            assert self.new_accounts[name].used == self.ref_accounts[name].used
+        assert ([cf.key for cf in new.dirty_files()]
+                == [cf.key for cf in ref.dirty_files()])
+        for key in FILES:
+            ref_cf, new_cf = ref.peek(key), new.peek(key)
+            assert (new_cf is None) == (ref_cf is None)
+            if ref_cf is None:
+                continue
+            assert new_cf.nr_pages == ref_cf.nr_pages
+            assert new_cf.nr_dirty == ref_cf.nr_dirty
+            assert (new_cf.oldest_dirty_age(self.now)
+                    == ref_cf.oldest_dirty_age(self.now))
+
+    @invariant()
+    def same_page_level_state(self):
+        """Every page in the same state, at the same LRU / dirty-order
+        position: nothing a later operation could tell apart."""
+        ref, new = self.ref, self.new
+        assert [
+            (run.file.key, page) for run, page in _run_pages(new._lru)
+        ] == list(ref._lru)
+        for key in FILES:
+            ref_cf, new_cf = ref.peek(key), new.peek(key)
+            if ref_cf is None:
+                continue
+            assert [
+                (page, run.dirty_since) for run, page in _run_pages(new_cf._dirty)
+            ] == list(ref_cf.dirty_pages.items())
+            assert new_cf._starts == [run.start for run in new_cf._runs]
+            pages = {}
+            for run in new_cf._runs:
+                assert run.start < run.end
+                for page in range(run.start, run.end):
+                    assert page not in pages
+                    pages[page] = (run.dirty, run.dirty_since,
+                                   run.under_writeback, run.account.name)
+            assert pages == {
+                index: (page.dirty, page.dirty_since if page.dirty else 0.0,
+                        page.under_writeback, page.account.name)
+                for index, page in ref_cf.pages.items()
+            }
+
+
+PageCacheEquivalence.TestCase.settings = settings(
+    max_examples=300, stateful_step_count=60, deadline=None
+)
+test_pagecache_runs_match_per_page_model = PageCacheEquivalence.TestCase
 
 
 # --- deterministic rng ------------------------------------------------------------
