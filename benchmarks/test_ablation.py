@@ -2,26 +2,29 @@
 
 from repro.bench import (
     CacheDedupAblation,
-    ClientLockAblation,
     IpcQueueAblation,
+    LockingPolicyAblation,
 )
 
 
 def test_client_lock_ablation(once):
-    experiment = ClientLockAblation()
+    experiment = LockingPolicyAblation()
     result = once(experiment.run)
     print()
     print(result.report())
-    coarse = result.value("throughput_mb_s", locking="client_lock")
-    fine = result.value("throughput_mb_s", locking="fine-grained")
+
+    def per_file(column, locking):
+        return result.value(column, locking=locking, sharing="per-file")
+
+    coarse = per_file("throughput_mb_s", "global")
+    fine = per_file("throughput_mb_s", "inode")
     # The paper's preliminary finding: removing the global lock improves
     # cached-read concurrency.
     assert fine > coarse, (
         "fine-grained %.1f !> coarse %.1f MB/s" % (fine, coarse)
     )
-    coarse_wait = result.value("client_lock_wait_s", locking="client_lock")
-    fine_wait = result.value("client_lock_wait_s", locking="fine-grained")
-    assert coarse_wait > fine_wait
+    assert (per_file("client_lock_wait_s", "global")
+            > per_file("client_lock_wait_s", "inode"))
 
 
 def test_cache_dedup_ablation(once):

@@ -11,8 +11,8 @@ byte-identically produce equal fingerprints, so the file doubles as a
 determinism witness for scheduler changes.
 
 Multi-host-shaped scenarios decompose into independent per-simulated-
-machine *tasks* (one world each — the embarrassingly-parallel partition
-case of ``repro.sim.parallel``). ``--parallel N`` runs each such
+machine *tasks* (one world each, fanned out by
+``repro.sim.parallel.map_tasks``). ``--parallel N`` runs each such
 scenario twice: sequentially, then with its tasks fanned over ``N``
 worker processes. The two runs must produce identical fingerprints
 (asserted hard — a mismatch exits non-zero immediately) and the record
@@ -55,7 +55,6 @@ from repro.faults import ChaosConfig  # noqa: E402
 from repro.bench.scaleup import run_file_scaleup, run_pool_scaleup  # noqa: E402
 from repro.bench.sequential import run_sequential  # noqa: E402
 from repro.sim.bench import (  # noqa: E402
-    partitioned_reference,
     schedule_fingerprint,
     stripe_fanout_reference,
 )
@@ -149,19 +148,6 @@ def task_chaos():
     }
 
 
-def task_partitioned():
-    """Coupled-partition PDES demo: the fingerprint must be identical
-    between the in-process coupler and one-OS-process-per-partition."""
-    seq_digest, _stats = partitioned_reference(parallel=False)
-    par_digest, stats = partitioned_reference(parallel=True)
-    return {
-        "fingerprint": seq_digest,
-        "modes_identical": seq_digest == par_digest,
-        "rounds": sum(row["rounds"] for row in stats),
-        "msgs": sum(row["msgs_in"] for row in stats),
-    }
-
-
 def task_stripe(inflight):
     """One striped read-path cell, wide enough to be worth a process."""
     return stripe_fanout_reference(inflight=inflight, num_osds=12,
@@ -215,7 +201,6 @@ SCENARIOS = [
     ("micro", [("micro", task_micro, {})], merge_micro),
     ("seqread", [("seqread", task_seqread, {})], merge_single),
     ("seqwrite", [("seqwrite", task_seqwrite, {})], merge_single),
-    ("partitioned", [("partitioned", task_partitioned, {})], merge_single),
     ("stripe_fanout", [
         ("serial", task_stripe, {"inflight": 1}),
         ("fanout", task_stripe, {"inflight": 16}),
@@ -304,12 +289,11 @@ def _python_minor(version):
 def check_against(record, baseline, threshold, speedup_min=2.0):
     """Compare a fresh record to a baseline; returns a list of failures.
 
-    Environment compatibility guards (satellite of the parallel-DES
-    work): a Python-minor mismatch skips every wall-clock comparison
-    (interpreter speed differences would drown the signal; fingerprints
-    are still compared), and a core-count mismatch skips only the
-    parallel/speedup comparisons (sequential walls stay comparable via
-    calibration normalization).
+    Environment compatibility guards: a Python-minor mismatch skips
+    every wall-clock comparison (interpreter speed differences would
+    drown the signal; fingerprints are still compared), and a
+    core-count mismatch skips only the parallel/speedup comparisons
+    (sequential walls stay comparable via calibration normalization).
     """
     failures = []
     for name, cell in baseline.get("scenarios", {}).items():

@@ -2,7 +2,6 @@
 
 from repro.bench.ablation import (
     CacheDedupAblation,
-    ClientLockAblation,
     IpcQueueAblation,
     LockingPolicyAblation,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "PoolScaleup",
     "ServerlessColocation",
     "CacheDedupAblation",
-    "ClientLockAblation",
     "IpcQueueAblation",
     "LockingPolicyAblation",
     "WORKLOADS",

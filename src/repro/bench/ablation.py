@@ -5,8 +5,7 @@
   removing it helps but requires refactoring. We implement the refactoring
   as the ``locking=`` policy ladder (global -> per-inode -> per-object-
   range -> adaptive, see :mod:`repro.cephclient.locking`) and measure
-  each step: ``abl-lock`` keeps the paper's original two-point
-  comparison, ``abl-locking`` sweeps the full ladder on both the Fig. 9
+  each step: ``abl-locking`` sweeps the full ladder on both the Fig. 9
   per-file scenario and a shared-hot-file variant.
 * **per-core-group IPC queues** (§3.5): Danaus keeps one request queue per
   L2 core pair so communicating threads share a cache and don't contend on
@@ -21,7 +20,6 @@ from repro.workloads import Seqread, Seqwrite
 from repro.world import World
 
 __all__ = [
-    "ClientLockAblation",
     "IpcQueueAblation",
     "CacheDedupAblation",
     "LockingPolicyAblation",
@@ -29,7 +27,7 @@ __all__ = [
 
 
 def _seqread_with(locking, duration=3.0, threads=6, pool_cores=8, seed=1,
-                  shared_file=False, label=None):
+                  shared_file=False):
     world = World(num_cores=pool_cores, ram_bytes=units.gib(64))
     world.activate_cores(pool_cores)
     pool = world.engine.create_pool(
@@ -57,7 +55,7 @@ def _seqread_with(locking, duration=3.0, threads=6, pool_cores=8, seed=1,
         for lock in table.values()
     )
     row = {
-        "locking": label or locking,
+        "locking": locking,
         "sharing": "shared-file" if shared_file else "per-file",
         "throughput_mb_s": workload.result.bytes_read / duration / units.MIB,
         "client_lock_wait_s": client.client_lock.stats.total_wait,
@@ -68,32 +66,6 @@ def _seqread_with(locking, duration=3.0, threads=6, pool_cores=8, seed=1,
         row["switches"] = len(policy.decisions)
         row["final_mode"] = policy.mode
     return row
-
-
-class ClientLockAblation(Experiment):
-    experiment_id = "abl-lock"
-    title = "Cached Seqread with the global client_lock vs per-inode locks"
-    paper_expectation = (
-        "§6.3.2: the client_lock limits D's cached-read concurrency; "
-        "removing it improves concurrency (the paper's future work)."
-    )
-
-    def run(self):
-        result = self.new_result()
-        for locking, label in (("global", "client_lock"),
-                               ("inode", "fine-grained")):
-            row = _seqread_with(locking, label=label, **self.params)
-            # The original two-point ablation keeps its historical shape.
-            for key in ("sharing", "ino_lock_wait_s", "range_lock_wait_s"):
-                row.pop(key, None)
-            result.add_row(**row)
-        coarse = result.value("throughput_mb_s", locking="client_lock")
-        fine = result.value("throughput_mb_s", locking="fine-grained")
-        result.note(
-            "fine-grained locking speedup: %.2fx"
-            % (fine / coarse if coarse else 0)
-        )
-        return result
 
 
 class LockingPolicyAblation(Experiment):

@@ -35,7 +35,6 @@ AXES = {
     "file_scaleup": ("symbol", "clones"),
     "pool_scaleup": ("symbol", "pools", "clones_per_pool"),
     "serverless": ("symbol",),
-    "ablation_lock": (),
     "ablation_locking": (),
     "ablation_ipc": (),
     "ablation_dedup": (),
@@ -147,12 +146,6 @@ def _build_serverless(axes, params):
     )
 
 
-def _build_ablation_lock(axes, params):
-    from repro.bench import ClientLockAblation
-
-    return ClientLockAblation(**params)
-
-
 def _build_ablation_locking(axes, params):
     from repro.bench import LockingPolicyAblation
 
@@ -253,7 +246,6 @@ _BUILDERS = {
     "file_scaleup": _build_file_scaleup,
     "pool_scaleup": _build_pool_scaleup,
     "serverless": _build_serverless,
-    "ablation_lock": _build_ablation_lock,
     "ablation_locking": _build_ablation_locking,
     "ablation_ipc": _build_ablation_ipc,
     "ablation_dedup": _build_ablation_dedup,

@@ -91,7 +91,7 @@ def run_spec(spec, quick=False, parallel=1):
 
     ``parallel`` > 1 runs the spec's seeds as independent simulation
     tasks over that many worker processes (each seed's compiled run is a
-    self-contained world — the embarrassingly-parallel partition case).
+    self-contained world).
     Results merge in seed order, so rows and fingerprints are identical
     to the sequential run; a single-seed spec just runs sequentially.
     """

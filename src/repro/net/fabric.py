@@ -6,31 +6,17 @@ in-flight transfers: each transfer proceeds in chunks whose duration scales
 with the number of concurrent transfers, which approximates per-flow fair
 queueing closely enough for the throughput shapes the paper reports.
 
-The fabric is also the **partition boundary** of the parallel simulator
-(``repro.sim.parallel``): when the simulation is sharded per simulated
-machine, the only cross-partition events are fabric messages, and the
-link's propagation latency is the *conservative lookahead* — no message
-sent at time ``t`` can be observed before ``t + latency``, so a
-partition may safely advance that far beyond its peers. Two pieces here
-serve that protocol:
-
-* :meth:`Fabric.lookahead` exports the minimum cross-machine delay;
-* :class:`CrossChannel` / :class:`ChannelOut` / :class:`ChannelIn` are
-  the typed send/recv endpoints a partition uses for cross-partition
-  traffic (the runtime moves the stamped messages between processes).
-
 Per-edge accounting: :meth:`Fabric.rpc` takes an optional ``edge``
 label (``"osd3"``, ``"mds.1"``) naming the remote endpoint of the round
-trip. Labeled RPCs are counted per edge (count, bytes sent/received),
-which is how partition-boundary traffic is validated — and a useful
-``--report`` table on its own.
+trip. Labeled RPCs are counted per edge (count, bytes sent/received) —
+the ``--report`` fabric table.
 """
 
 from repro.common import units
-from repro.common.errors import ConfigError, NetworkPartitioned, SimulationError
+from repro.common.errors import ConfigError, NetworkPartitioned
 from repro.metrics import MetricSet
 
-__all__ = ["Link", "Fabric", "CrossChannel", "ChannelOut", "ChannelIn"]
+__all__ = ["Link", "Fabric"]
 
 
 class Link(object):
@@ -123,27 +109,6 @@ class Fabric(object):
         self.link = Link(sim, bandwidth=bandwidth, latency=latency, name="fabric")
         self._edges = {}  # edge label -> {"rpcs", "send_bytes", "recv_bytes"}
 
-    def lookahead(self):
-        """The minimum cross-machine delay: the conservative PDES bound.
-
-        Fault injection can only *stretch* propagation (``delay_factor``
-        >= 1) — it never delivers sooner — so the undegraded latency is
-        a valid lower bound on every cross-partition delivery and safe
-        to promise as lookahead even under a fault plan.
-        """
-        return self.link.latency
-
-    def channel(self, name, src, dst, latency=None):
-        """Declare a cross-partition channel over this fabric's link.
-
-        The channel's lookahead defaults to :meth:`lookahead` — the
-        fabric's propagation floor.
-        """
-        return CrossChannel(
-            name, src, dst,
-            latency=self.lookahead() if latency is None else latency,
-        )
-
     def set_partitioned(self, flag):
         """Partition (or heal) the client-to-storage link."""
         self.link.set_partitioned(flag)
@@ -170,9 +135,8 @@ class Fabric(object):
         ``server_gen`` is a generator implementing the server-side work
         (queueing, journaling, disk I/O); its return value is returned.
         ``edge`` optionally names the remote endpoint (``"osd3"``,
-        ``"mds.0"``) for per-edge RPC accounting — cross-machine traffic
-        validation costs one dict update per labeled round trip and no
-        simulated events.
+        ``"mds.0"``) for per-edge RPC accounting, which costs one dict
+        update per labeled round trip and no simulated events.
         """
         if edge is not None:
             cell = self._edges.get(edge)
@@ -203,123 +167,3 @@ class Fabric(object):
             for edge, cell in sorted(self._edges.items())
         ]
 
-
-class CrossChannel(object):
-    """A declared cross-partition edge: ``src`` partition -> ``dst``.
-
-    ``latency`` is the channel's conservative lookahead: every message
-    sent at local time ``t`` is delivered at exactly ``t + latency``,
-    and no future message can ever be delivered earlier than the
-    sender's promised clock plus ``latency``. Positive lookahead is what
-    makes the null-message protocol deadlock-free, so zero is rejected.
-    """
-
-    def __init__(self, name, src, dst, latency):
-        if latency <= 0:
-            raise ConfigError(
-                "channel %r needs positive lookahead latency, got %r"
-                % (name, latency)
-            )
-        self.name = name
-        self.src = src
-        self.dst = dst
-        self.latency = latency
-
-    def __repr__(self):
-        return "<CrossChannel %s: %s->%s la=%g>" % (
-            self.name, self.src, self.dst, self.latency,
-        )
-
-
-class ChannelOut(object):
-    """The send endpoint of a :class:`CrossChannel`, bound to a partition.
-
-    ``send`` stamps the message with its delivery time (now + channel
-    latency) and a per-channel sequence number, then buffers it; the
-    partition runtime flushes the buffer to the transport after each
-    executed timestep. Payloads must survive ``pickle`` when partitions
-    run in separate OS processes — keep them to plain data.
-    """
-
-    def __init__(self, sim, spec):
-        self.sim = sim
-        self.spec = spec
-        self.pending = []
-        self._seq = 0
-        self.sent = 0
-        self.sent_bytes = 0
-
-    def send(self, payload, nbytes=0):
-        """Queue ``payload`` for the peer partition; delivery is at
-        ``now + latency``. Returns the stamped delivery time."""
-        deliver_at = self.sim.now + self.spec.latency
-        self._seq += 1
-        self.pending.append((deliver_at, self._seq, payload))
-        self.sent += 1
-        self.sent_bytes += nbytes
-        return deliver_at
-
-    def flush(self):
-        """Take the buffered messages (the runtime ships them)."""
-        out, self.pending = self.pending, []
-        return out
-
-
-class ChannelIn(object):
-    """The receive endpoint of a :class:`CrossChannel`.
-
-    Buffers in-flight messages and tracks the channel ``bound`` — the
-    peer's promised clock plus lookahead. The partition may execute any
-    timestep strictly below the minimum bound across its in-channels:
-    every message not yet buffered is guaranteed to be delivered at or
-    after that bound.
-    """
-
-    def __init__(self, sim, spec, handler):
-        self.sim = sim
-        self.spec = spec
-        self.handler = handler  # handler(payload) runs at delivery time
-        self.buffered = []  # (deliver_at, seq, payload), kept sorted
-        self.bound = spec.latency  # peer clock starts at 0.0
-        self.received = 0
-
-    def push(self, deliver_at, seq, payload):
-        """Accept one in-flight message from the transport."""
-        self.buffered.append((deliver_at, seq, payload))
-        self.buffered.sort()
-        self.received += 1
-        # A real message is also a promise: the peer's clock was at
-        # deliver_at - latency when it sent, so every later send is
-        # delivered at or after deliver_at.
-        if deliver_at > self.bound:
-            self.bound = deliver_at
-
-    def promise(self, peer_clock):
-        """Raise the channel bound from a peer promise (null message)."""
-        bound = peer_clock + self.spec.latency
-        if bound > self.bound:
-            self.bound = bound
-
-    def earliest(self):
-        """Delivery time of the earliest buffered message (or ``None``)."""
-        if self.buffered:
-            return self.buffered[0][0]
-        return None
-
-    def drain_until(self, when):
-        """Inject every buffered message due at or before ``when``.
-
-        Injection order within the call is (delivery time, send seq) —
-        fully deterministic — and the caller only drains below the safe
-        bound, so the schedule cannot depend on transport timing.
-        """
-        injected = 0
-        while self.buffered and self.buffered[0][0] <= when:
-            deliver_at, _seq, payload = self.buffered.pop(0)
-            if deliver_at < self.sim.now:
-                raise SimulationError(
-                    "channel %s delivered into the past" % self.spec.name
-                )
-            self.sim.schedule_external(deliver_at, self.handler, payload)
-            injected += 1
-        return injected

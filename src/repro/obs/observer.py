@@ -537,11 +537,9 @@ class Observer(object):
         """Cross-machine RPC rows from the world's fabric edge accounting.
 
         One row per labeled remote endpoint (``osd3``, ``mds.1``):
-        round-trip count plus payload bytes sent/received. This is the
-        partition-boundary traffic of the parallel decomposition — the
-        RPCs that would cross partitions in a sharded run — and a useful
-        per-edge load table on its own. Empty when the observer has no
-        world or no RPC carried an edge label.
+        round-trip count plus payload bytes sent/received — everything
+        that leaves the client machine, as a per-edge load table. Empty
+        when the observer has no world or no RPC carried an edge label.
         """
         world = getattr(self, "world", None)
         if world is None or getattr(world, "fabric", None) is None:

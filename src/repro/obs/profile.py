@@ -184,7 +184,7 @@ def format_fabric_table(rows):
 
     One row per remote endpoint of a labeled fabric round trip: RPC
     count plus payload bytes in each direction — the traffic that
-    crosses partition boundaries in a sharded run.
+    leaves the client machine.
     """
     if not rows:
         return "(no labeled fabric RPCs)"
@@ -204,12 +204,11 @@ def format_fabric_table(rows):
 
 
 def format_partitions_table(rows):
-    """Render per-partition sync rows from a parallel run.
+    """Render the ``partitions`` rows of a ``--parallel`` run.
 
-    One row per partition (or per independent machine task): executed
-    rounds/events, cross-partition messages in/out, null-message count,
-    blocked waits, and busy/wait wall seconds. ``map_tasks`` rows carry
-    per-task wall time and worker pid instead of sync counters.
+    One row per ``map_tasks`` task (a seed or sweep cell): its label
+    under ``partition``, then ``wall_s``, the ``worker`` pid that ran
+    it and the ``mode`` (``fork`` or ``inline``).
     """
     if not rows:
         return "(sequential run: no partitions)"

@@ -9,14 +9,7 @@ from repro.sim.engine import (
     Simulator,
     Timeout,
 )
-from repro.sim.parallel import (
-    Partition,
-    Ports,
-    map_tasks,
-    run_partitions,
-    run_processes,
-    run_sequential,
-)
+from repro.sim.parallel import map_tasks
 from repro.sim.sync import LockStats, Mutex, Semaphore, Store
 from repro.sim.cpu import DEFAULT_QUANTUM, Core, SimThread, UtilizationProbe
 
@@ -28,12 +21,7 @@ __all__ = [
     "Process",
     "Simulator",
     "Timeout",
-    "Partition",
-    "Ports",
     "map_tasks",
-    "run_partitions",
-    "run_processes",
-    "run_sequential",
     "LockStats",
     "Mutex",
     "Semaphore",

@@ -37,7 +37,6 @@ __all__ = [
     "schedule_fingerprint",
     "run_reference",
     "stripe_fanout_reference",
-    "partitioned_reference",
 ]
 
 
@@ -237,91 +236,6 @@ def stripe_fanout_reference(inflight=None, num_osds=6, objects=6,
     sim.spawn(driver(), name="driver")
     out["final_s"] = sim.run()
     return out
-
-
-def partitioned_reference(hosts=2, requests=24, seed=5, parallel=False):
-    """The coupled-partition reference: ``hosts`` client partitions RPC
-    a shared cluster partition over lookahead-bounded channels.
-
-    Each host partition paces ``requests`` request messages from a
-    seeded stream; the cluster partition serves them through a shared
-    mutex (so cross-host arrival order matters — exactly the schedule a
-    buggy synchronization protocol would scramble) and replies over the
-    return channel. Returns ``(fingerprint_hex, stats_rows)`` where the
-    fingerprint hashes every partition's full observation log in
-    declaration order. ``parallel`` picks one-OS-process-per-partition
-    execution; the fingerprint must be identical either way — this
-    scenario exists to prove that.
-    """
-    from repro.common import units
-    from repro.net.fabric import CrossChannel
-    from repro.sim.parallel import Partition, run_partitions
-    from repro.sim.sync import Mutex
-
-    lookahead = units.usec(40)
-
-    def host_build(host_id):
-        def build(sim, ports):
-            rng = random.Random(seed * 1000 + host_id)
-            gaps = [rng.randrange(1, 9) * 0.0002 for _ in range(requests)]
-            services = [rng.randrange(1, 5) * 0.0003 for _ in range(requests)]
-            log = []
-            out = ports.out("h%d-req" % host_id)
-
-            def on_reply(payload):
-                log.append(("reply", payload, sim.now))
-
-            ports.on("h%d-rsp" % host_id, on_reply)
-
-            def issue():
-                for req_id in range(requests):
-                    yield sim.timeout(gaps[req_id])
-                    out.send((host_id, req_id, services[req_id]))
-                    log.append(("sent", req_id, sim.now))
-
-            sim.spawn(issue(), name="host%d" % host_id)
-            return lambda: log
-        return build
-
-    def cluster_build(sim, ports):
-        log = []
-        disk = Mutex(sim, name="disk")
-        outs = [ports.out("h%d-rsp" % h) for h in range(hosts)]
-
-        def serve(host_id, req_id, service_s):
-            yield disk.acquire(who=None)
-            try:
-                yield sim.timeout(service_s)
-                log.append(("served", host_id, req_id, sim.now))
-                outs[host_id].send((host_id, req_id))
-            finally:
-                disk.release()
-
-        def on_request(payload):
-            host_id, req_id, service_s = payload
-            sim.spawn(serve(host_id, req_id, service_s),
-                      name="srv-%d-%d" % (host_id, req_id))
-
-        for host_id in range(hosts):
-            ports.on("h%d-req" % host_id, on_request)
-        return lambda: log
-
-    channels = []
-    partitions = [Partition("cluster", cluster_build)]
-    for host_id in range(hosts):
-        name = "host%d" % host_id
-        partitions.append(Partition(name, host_build(host_id)))
-        channels.append(CrossChannel("h%d-req" % host_id, name, "cluster",
-                                     lookahead))
-        channels.append(CrossChannel("h%d-rsp" % host_id, "cluster", name,
-                                     lookahead))
-
-    results, stats = run_partitions(partitions, channels, parallel=parallel)
-    merged = [(part.name, results[part.name]) for part in partitions]
-    digest = hashlib.blake2b(
-        repr(merged).encode(), digest_size=16
-    ).hexdigest()
-    return digest, stats
 
 
 def run_reference(scenario="torture", seed=1, repeat=1, **kwargs):

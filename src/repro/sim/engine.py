@@ -41,31 +41,6 @@ tiers, and the run loop always executes the entry with the smallest
 original single-heap scheduler: the two-tier split is a pure wall-clock
 optimization (see ``repro.sim.bench`` for the fingerprint machinery
 that pins this equivalence).
-
-Partition awareness (parallel DES)
-----------------------------------
-
-A :class:`Simulator` can serve as one *partition* of a larger
-partitioned simulation (``repro.sim.parallel``): an independent event
-loop owning one simulated machine's entities, advanced only up to a
-*safe-time horizon* granted by conservative lookahead. The engine keeps
-no partition logic in the hot loop — the run loops above are untouched
-and schedules stay byte-identical — it only exposes the two primitives
-the partition runtime needs:
-
-* :meth:`Simulator.peek_next_time` — the timestamp of the earliest
-  pending entry, so the runtime can pick the next executable timestep
-  and bound it against the horizon;
-* :meth:`Simulator.schedule_external` — inject a cross-partition
-  arrival (a fabric message from another partition) at its delivery
-  time. Arrivals are injected *before* the timestep they land in is
-  executed, at a deterministic point in the round loop, so the
-  resulting ``(when, seq)`` schedule does not depend on wall-clock
-  message timing.
-
-``Simulator.partition`` names the partition a simulator belongs to
-(``None`` for the ordinary sequential case); the observability layer
-uses it to label per-partition sync counters.
 """
 
 import heapq
@@ -463,7 +438,6 @@ class Simulator(object):
         self.tracer = None  # event sink (a repro.obs.Observer)
         self.observer = None  # full repro.obs.Observer (spans, profiles)
         self._locks = []  # (scope, lock_class, instance, Mutex) registry
-        self.partition = None  # partition name when sharded (sim.parallel)
 
     def trace(self, category, name, **detail):
         """Emit a trace event when a tracer is attached (else a no-op).
@@ -529,43 +503,6 @@ class Simulator(object):
         callbacks, event.callbacks = event.callbacks, []
         for callback in callbacks:
             callback(event)
-
-    def peek_next_time(self):
-        """Timestamp of the earliest pending callback, or ``None`` when idle.
-
-        Now-queue entries are due at the current time by definition; the
-        heap head carries its own timestamp. Used by the partition
-        runtime (``repro.sim.parallel``) to choose the next timestep and
-        check it against the safe-time horizon — and generally useful to
-        ask "is there anything left before t?" without running.
-        """
-        if self._ready:
-            return self.now
-        if self._heap:
-            return self._heap[0][0]
-        return None
-
-    def schedule_external(self, when, fn, arg=None):
-        """Inject an externally-produced callback at absolute time ``when``.
-
-        The cross-partition arrival path: the partition runtime calls
-        this for every fabric message delivered from another partition,
-        before executing the timestep the message lands in. Injection
-        consumes a sequence number exactly like local scheduling, so the
-        interleaving of arrivals with same-timestamp local work is fixed
-        by the (deterministic) injection order, not by wall-clock
-        message timing.
-        """
-        if when < self.now:
-            raise SimulationError(
-                "external arrival at t=%r is in the past (now=%r)"
-                % (when, self.now)
-            )
-        self._seq += 1
-        if when == self.now:
-            self._ready.append((self._seq, fn, arg))
-        else:
-            heapq.heappush(self._heap, (when, self._seq, fn, arg))
 
     def _record_crash(self, process, exc):
         self.crashed.append((process, exc))

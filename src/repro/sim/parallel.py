@@ -1,497 +1,17 @@
-"""Partitioned parallel DES: shard the event loop across OS processes.
+"""Fan independent simulation tasks over a fork pool, merged in order.
 
-The sequential engine (`repro.sim.engine`) runs one event loop on one
-core; wall clock is the binding constraint on scenario size. This
-module partitions a simulation **per simulated machine** — each
-partition owns its own :class:`~repro.sim.engine.Simulator` plus the
-entities of one machine (a client host's kernel/pagecache/clients, or
-the OSD/MDS cluster) — and runs the partitions concurrently, one OS
-process each, synchronized with a classic conservative (null-message /
-lookahead) protocol:
-
-* the only cross-partition events are fabric messages, carried by
-  :class:`~repro.net.fabric.CrossChannel` endpoints whose ``latency``
-  is the conservative *lookahead*: a message sent at time ``t`` is
-  delivered at exactly ``t + latency``, and no in-flight message can
-  land below the sender's promised clock plus ``latency``;
-* each partition repeatedly executes its next *timestep* ``t`` — the
-  minimum of its next local event and its earliest buffered arrival —
-  but only while ``t`` lies strictly below the **safe-time horizon**
-  ``H`` (the minimum channel bound over its in-channels). Blocked
-  partitions exchange *null messages* (pure clock promises) until the
-  horizon moves;
-* a coordinator additionally circulates a global floor (the minimum of
-  every partition's promised clock and of all in-flight delivery
-  times), which collapses the classic low-lookahead null-message
-  livelock: a partition's horizon is never below ``floor + latency``.
-
-**Determinism is the contract.** A partition's schedule depends only on
-the sequence of executed timesteps and the arrivals injected before
-each — both of which the protocol fixes independently of wall-clock
-timing: arrivals below ``H`` are always complete (lookahead), and they
-are injected in (delivery time, channel declaration order, send seq)
-order before the timestep runs. Hence a partitioned run is
-**byte-identical** to the same partition set stepped sequentially in
-one process (:func:`run_sequential` vs :func:`run_processes`), which
-the schedule-fingerprint tests pin on every reference scenario.
-
-Two execution shapes sit on top:
-
-* **Coupled partitions** (`run_sequential` / `run_processes`) for
-  worlds whose machines genuinely exchange fabric RPCs — build each
-  partition with channels from :meth:`repro.world.World.partition_plan`
-  and the fabric's exported lookahead.
-* **Independent machine tasks** (:func:`map_tasks`) — the dominant
-  degenerate case: a sweep of simulated machines with *no*
-  cross-machine traffic (each bench sweep cell is its own world), where
-  lookahead never binds and the partitions are embarrassingly parallel.
-  ``map_tasks`` fans the per-machine simulations over a worker pool and
-  merges results in declared task order, so the merged record is
-  byte-identical to the inline run.
-
-Everything here is pure stdlib (``multiprocessing`` with the ``fork``
-start method); payloads crossing process boundaries must pickle.
+Every experiment builds a self-contained world per sweep cell or seed,
+so cells never exchange events and can run in separate OS processes.
+:func:`map_tasks` does exactly that and returns the results in declared
+task order, which makes the merged record byte-identical to the inline
+run. Pure stdlib (``multiprocessing`` with the ``fork`` start method);
+task callables, arguments and results must pickle.
 """
 
 import os
 import time
 
-from repro.common.errors import ConfigError, SimulationError
-from repro.net.fabric import ChannelIn, ChannelOut
-from repro.sim.engine import Simulator
-
-__all__ = [
-    "Partition",
-    "Ports",
-    "map_tasks",
-    "run_partitions",
-    "run_processes",
-    "run_sequential",
-]
-
-_INF = float("inf")
-
-
-class Partition(object):
-    """One shard of a partitioned simulation.
-
-    ``build(sim, ports)`` constructs the partition's entities on the
-    fresh simulator — spawning processes, registering channel handlers
-    via ``ports.on(name, handler)`` and keeping send endpoints from
-    ``ports.out(name)`` — and returns either ``None`` or a zero-arg
-    ``finish()`` callable producing the partition's result (plain,
-    picklable data) once the run completes.
-    """
-
-    def __init__(self, name, build):
-        self.name = name
-        self.build = build
-
-    def __repr__(self):
-        return "<Partition %s>" % self.name
-
-
-class Ports(object):
-    """The channel endpoints handed to a partition's build function."""
-
-    def __init__(self, sim, out_specs, in_specs):
-        self._outs = {spec.name: ChannelOut(sim, spec) for spec in out_specs}
-        self._in_specs = list(in_specs)
-        self._sim = sim
-        self.ins = {}
-
-    def out(self, name):
-        """The :class:`ChannelOut` of the named outgoing channel."""
-        try:
-            return self._outs[name]
-        except KeyError:
-            raise ConfigError("partition has no out-channel %r" % name)
-
-    def on(self, name, handler):
-        """Bind ``handler(payload)`` as the named in-channel's delivery
-        callback; runs at each message's delivery time."""
-        for spec in self._in_specs:
-            if spec.name == name:
-                self.ins[name] = ChannelIn(self._sim, spec, handler)
-                return self.ins[name]
-        raise ConfigError("partition has no in-channel %r" % name)
-
-    def _finish_wiring(self):
-        missing = [spec.name for spec in self._in_specs
-                   if spec.name not in self.ins]
-        if missing:
-            raise ConfigError(
-                "build() left in-channel(s) unhandled: %s"
-                % ", ".join(missing)
-            )
-        # Deterministic drain order: channel declaration order.
-        return [self.ins[spec.name] for spec in self._in_specs]
-
-
-class _Runtime(object):
-    """The conservative advance loop for one partition.
-
-    Transport-agnostic: the sequential coupler and the per-process
-    worker both drive it. ``round()`` executes at most one timestep and
-    reports what happened; the caller moves messages and promises.
-    """
-
-    def __init__(self, partition, channels):
-        self.partition = partition
-        self.sim = Simulator()
-        self.sim.partition = partition.name
-        out_specs = [ch for ch in channels if ch.src == partition.name]
-        in_specs = [ch for ch in channels if ch.dst == partition.name]
-        self.ports = Ports(self.sim, out_specs, in_specs)
-        self.finish = partition.build(self.sim, self.ports)
-        self.ins = self.ports._finish_wiring()
-        self.outs = [self.ports._outs[spec.name] for spec in out_specs]
-        self.floor = 0.0  # coordinator-circulated global floor
-        self.stats = {
-            "partition": partition.name,
-            "rounds": 0,
-            "msgs_in": 0,
-            "msgs_out": 0,
-            "nulls_in": 0,
-            "nulls_out": 0,
-            "blocked_waits": 0,
-            "busy_s": 0.0,
-            "wait_s": 0.0,
-        }
-
-    # -- protocol arithmetic ------------------------------------------
-
-    def next_time(self):
-        """The next executable timestep: min(local event, arrival)."""
-        t = self.sim.peek_next_time()
-        t = _INF if t is None else t
-        for cin in self.ins:
-            earliest = cin.earliest()
-            if earliest is not None and earliest < t:
-                t = earliest
-        return t
-
-    def horizon(self):
-        """The safe-time horizon H: min channel bound over in-channels.
-
-        The coordinator floor lifts each bound to at least ``floor +
-        latency`` — valid because no partition's clock (hence no send)
-        is below the floor.
-        """
-        horizon = _INF
-        for cin in self.ins:
-            bound = cin.bound
-            lifted = self.floor + cin.spec.latency
-            if lifted > bound:
-                bound = lifted
-            if bound < horizon:
-                horizon = bound
-        return horizon
-
-    def promise(self):
-        """This partition's global-floor contribution: its raw next
-        unprocessed timestep.
-
-        Deliberately *not* capped at the horizon. The coordinator
-        combines these with the delivery times of every in-flight
-        message (Mattern-style accounting), and the minimum of that set
-        is the global virtual time: no event below it exists anywhere,
-        so every future send delivers at or above it plus the channel's
-        lookahead. Using the raw value lets the floor jump straight to
-        the next global event instead of climbing in lookahead-sized
-        null-message steps — the classic small-lookahead livelock.
-        """
-        return self.next_time()
-
-    def idle(self):
-        """True when nothing is pending locally or buffered."""
-        return self.next_time() == _INF
-
-    # -- execution ----------------------------------------------------
-
-    def round(self):
-        """Execute one timestep if the horizon allows; returns the
-        flushed outbox ``[(channel_name, deliver_at, seq, payload)]`` or
-        ``None`` when blocked/idle."""
-        t = self.next_time()
-        if t == _INF or t >= self.horizon():
-            return None
-        started = time.perf_counter()
-        for cin in self.ins:
-            self.stats["msgs_in"] += cin.drain_until(t)
-        self.sim.run(until=t)
-        self.stats["rounds"] += 1
-        out = []
-        for cout in self.outs:
-            for deliver_at, seq, payload in cout.flush():
-                out.append((cout.spec.name, deliver_at, seq, payload))
-        self.stats["msgs_out"] += len(out)
-        self.stats["busy_s"] += time.perf_counter() - started
-        return out
-
-    def result(self):
-        value = self.finish() if self.finish is not None else None
-        self.stats["events"] = self.sim._seq
-        self.stats["final_t"] = self.sim.now
-        return value, self.stats
-
-
-def _validate(partitions, channels):
-    names = [p.name for p in partitions]
-    if len(set(names)) != len(names):
-        raise ConfigError("duplicate partition names: %r" % names)
-    known = set(names)
-    for ch in channels:
-        if ch.src not in known or ch.dst not in known:
-            raise ConfigError(
-                "channel %r references unknown partition (%s->%s)"
-                % (ch.name, ch.src, ch.dst)
-            )
-        if ch.src == ch.dst:
-            raise ConfigError("channel %r loops %s->%s"
-                              % (ch.name, ch.src, ch.dst))
-
-
-def run_sequential(partitions, channels=()):
-    """Step a coupled partition set in one process (the reference).
-
-    Repeatedly executes the partition whose next timestep is globally
-    minimal — the degenerate single-process schedule every parallel run
-    must reproduce byte-for-byte. Returns ``(results, stats_rows)``
-    with both keyed in partition declaration order.
-    """
-    _validate(partitions, list(channels))
-    runtimes = [_Runtime(p, channels) for p in partitions]
-    by_name = {rt.partition.name: rt for rt in runtimes}
-    while True:
-        candidates = [rt for rt in runtimes if not rt.idle()]
-        if not candidates:
-            break
-        # Global knowledge makes the coupler trivial: messages are
-        # delivered (buffered) immediately, so the global virtual time
-        # is exactly the minimum next timestep and is a valid floor —
-        # every future send delivers at or above it plus lookahead. The
-        # global-min partition is then always safe to run.
-        target = min(candidates, key=lambda rt: rt.next_time())
-        floor = target.next_time()
-        for rt in runtimes:
-            if floor > rt.floor:
-                rt.floor = floor
-        out = target.round()
-        if out is None:
-            raise SimulationError(
-                "conservative deadlock: partition %r blocked at its own "
-                "global minimum (zero lookahead?)" % target.partition.name
-            )
-        for ch_name, deliver_at, seq, payload in out:
-            dst = by_name[_dst_of(channels, ch_name)]
-            dst.ports.ins[ch_name].push(deliver_at, seq, payload)
-    results = {}
-    stats = []
-    for rt in runtimes:
-        value, row = rt.result()
-        results[rt.partition.name] = value
-        stats.append(row)
-    return results, stats
-
-
-def _dst_of(channels, name):
-    for ch in channels:
-        if ch.name == name:
-            return ch.dst
-    raise ConfigError("unknown channel %r" % name)
-
-
-# -- process mode -----------------------------------------------------
-
-
-def _worker_main(partition, channels, conn):
-    """One partition in its own OS process, hub-coupled via ``conn``.
-
-    Every report to the hub carries the partition's current clock
-    promise and its per-channel receive counts; the hub needs the
-    latter to know which routed messages are still in flight (their
-    delivery times participate in the global floor — Mattern-style
-    message accounting).
-    """
-    rt = _Runtime(partition, channels)
-
-    def counts():
-        return {cin.spec.name: cin.received for cin in rt.ins}
-
-    try:
-        while True:
-            out = rt.round()
-            if out is not None:
-                conn.send(("out", out, rt.promise(), counts()))
-                continue
-            # Blocked or idle: publish a null message (promise + receive
-            # counts), then wait for the hub to move the horizon.
-            rt.stats["blocked_waits"] += 1
-            rt.stats["nulls_out"] += 1
-            conn.send(("idle" if rt.idle() else "null",
-                       rt.promise(), counts()))
-            started = time.perf_counter()
-            msg = conn.recv()
-            rt.stats["wait_s"] += time.perf_counter() - started
-            kind = msg[0]
-            if kind == "stop":
-                break
-            if kind == "msg":
-                _kind, ch_name, deliver_at, seq, payload = msg
-                rt.ports.ins[ch_name].push(deliver_at, seq, payload)
-            elif kind == "floor":
-                rt.stats["nulls_in"] += 1
-                if msg[1] > rt.floor:
-                    rt.floor = msg[1]
-        value, stats = rt.result()
-        conn.send(("result", value, stats))
-    except BaseException as err:  # surface the crash at the hub
-        conn.send(("crash", "%s: %s" % (type(err).__name__, err)))
-        raise
-
-
-def run_processes(partitions, channels=(), timeout_s=300.0):
-    """Run a coupled partition set with one OS process per partition.
-
-    The parent is a pure message hub: it forwards channel messages,
-    circulates clock promises as a global floor, and detects
-    termination (every partition idle with all in-flight messages
-    accounted for). Returns ``(results, stats_rows)`` — byte-identical
-    results to :func:`run_sequential` on the same partition set.
-    """
-    import multiprocessing
-
-    _validate(partitions, list(channels))
-    ctx = multiprocessing.get_context("fork")
-    pipes = {}
-    procs = {}
-    for part in partitions:
-        parent_end, child_end = ctx.Pipe()
-        proc = ctx.Process(
-            target=_worker_main, args=(part, list(channels), child_end),
-            name="sim-%s" % part.name,
-        )
-        proc.start()
-        child_end.close()
-        pipes[part.name] = parent_end
-        procs[part.name] = proc
-    dst_of = {ch.name: ch.dst for ch in channels}
-    # Per (dst, channel) FIFO of routed-but-unacknowledged delivery
-    # times: these messages are in flight, so their delivery times must
-    # participate in the global floor (the receiver's promise cannot
-    # account for a message it has not yet seen).
-    in_flight = {p.name: {ch.name: [] for ch in channels
-                          if ch.dst == p.name}
-                 for p in partitions}
-    promises = {p.name: 0.0 for p in partitions}
-    idle = set()
-    results = {}
-    stats = []
-    floor_sent = -1.0
-    deadline = time.monotonic() + timeout_s
-    import multiprocessing.connection as mpc
-
-    def ack(name, counts):
-        # ``counts`` is the worker's total received per channel; drop
-        # that many entries from the front of each in-flight FIFO.
-        acked = getattr(ack, "seen", None)
-        if acked is None:
-            acked = ack.seen = {p.name: {ch.name: 0 for ch in channels
-                                         if ch.dst == p.name}
-                                for p in partitions}
-        for ch_name, total in counts.items():
-            fifo = in_flight[name][ch_name]
-            fresh = total - acked[name][ch_name]
-            if fresh > 0:
-                del fifo[:fresh]
-                acked[name][ch_name] = total
-
-    try:
-        while len(results) < len(partitions):
-            if time.monotonic() > deadline:
-                raise SimulationError("partitioned run timed out")
-            ready = mpc.wait(list(pipes.values()), timeout=1.0)
-            for conn in ready:
-                name = next(n for n, c in pipes.items() if c is conn)
-                try:
-                    msg = conn.recv()
-                except EOFError:
-                    if name not in results:
-                        raise SimulationError(
-                            "partition %r died before returning a result"
-                            % name
-                        )
-                    continue
-                kind = msg[0]
-                if kind == "out":
-                    _kind, out, promise, counts = msg
-                    promises[name] = promise
-                    idle.discard(name)
-                    ack(name, counts)
-                    for ch_name, deliver_at, seq, payload in out:
-                        dst = dst_of[ch_name]
-                        pipes[dst].send(
-                            ("msg", ch_name, deliver_at, seq, payload)
-                        )
-                        in_flight[dst][ch_name].append(deliver_at)
-                        idle.discard(dst)
-                elif kind in ("null", "idle"):
-                    _kind, promise, counts = msg
-                    promises[name] = promise
-                    ack(name, counts)
-                    if kind == "idle":
-                        idle.add(name)
-                    else:
-                        idle.discard(name)
-                elif kind == "result":
-                    results[name] = msg[1]
-                    stats.append(msg[2])
-                elif kind == "crash":
-                    raise SimulationError(
-                        "partition %r crashed: %s" % (name, msg[1])
-                    )
-            # Termination: every partition idle and no routed message
-            # unacknowledged.
-            if len(idle) == len(partitions) and not any(
-                fifo for chans in in_flight.values()
-                for fifo in chans.values()
-            ):
-                for conn in pipes.values():
-                    conn.send(("stop",))
-                idle.clear()
-                continue
-            floor = min(promises.values()) if promises else _INF
-            for chans in in_flight.values():
-                for fifo in chans.values():
-                    if fifo and fifo[0] < floor:
-                        floor = fifo[0]
-            if floor > floor_sent and floor != _INF:
-                floor_sent = floor
-                for name, conn in pipes.items():
-                    if name not in results:
-                        conn.send(("floor", floor))
-    finally:
-        for proc in procs.values():
-            proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
-    stats.sort(key=lambda row: [p.name for p in partitions]
-               .index(row["partition"]))
-    return results, stats
-
-
-def run_partitions(partitions, channels=(), parallel=True):
-    """Run a partition set; OS processes when ``parallel``, else coupled
-    sequentially in-process. Same results either way — that equivalence
-    is the whole point."""
-    if parallel:
-        return run_processes(partitions, channels)
-    return run_sequential(partitions, channels)
-
-
-# -- independent machine tasks ---------------------------------------
+__all__ = ["map_tasks"]
 
 
 def _call_task(fn, kwargs):
@@ -505,14 +25,17 @@ def map_tasks(tasks, workers=0, pool=None):
 
     ``tasks`` is ``[(label, fn, kwargs), ...]`` where each ``fn`` is a
     module-level callable building and running its own simulation (one
-    simulated machine / sweep cell per task — the no-cross-traffic
-    partition case). Results always come back in task order, so the
-    merged output is byte-identical to the inline run.
+    sweep cell or seed per task). Results always come back in task
+    order, so the merged output is byte-identical to the inline run.
 
-    Returns ``(values, rows)`` where ``rows`` are per-task sync-counter
-    rows for the partitions profile table. ``workers <= 1`` (or a
-    single task) runs inline; otherwise a ``fork`` process pool is used
-    (pass ``pool`` to reuse one across calls).
+    Returns ``(values, rows)`` where ``rows`` are per-task rows
+    (``partition`` label, ``wall_s``, ``worker`` pid, ``mode``) for the
+    run record's ``partitions`` table. ``workers <= 1`` (or a single
+    task) runs inline; otherwise a ``fork`` process pool is used (pass
+    ``pool`` to reuse one across calls). A task that raises propagates
+    its exception without waiting for the tasks behind it: an owned
+    pool is terminated, not drained (a caller-supplied pool is left
+    alone).
     """
     tasks = list(tasks)
     if workers <= 1 or len(tasks) <= 1:
@@ -542,6 +65,9 @@ def map_tasks(tasks, workers=0, pool=None):
                          "mode": "fork"})
         return values, rows
     finally:
+        # Every result has been fetched on the success path, so there is
+        # nothing to drain; on error, draining would hold the exception
+        # back until every remaining task had run to completion.
         if owned is not None:
-            owned.close()
+            owned.terminate()
             owned.join()

@@ -63,12 +63,8 @@ class StackFactory(object):
         self.world = world
         self.pool = pool
         # The pool's host decides which kernel instance serves it — on a
-        # multi-host world each host has its own kernel (and VFS). The
-        # host also fixes the pool's partition: every component this
-        # factory builds is machine-local, so a sharded run places the
-        # whole pool in its host's partition.
+        # multi-host world each host has its own kernel (and VFS).
         self.kernel = world.kernel_for(pool.machine)
-        self.partition = world.partition_of(pool.machine)
         self.symbol = symbol
         self.cache_bytes = cache_bytes
         # the client locking policy (global/inode/range/adaptive)

@@ -33,10 +33,6 @@ class Host(object):
     def __init__(self, world, name, num_cores, ram_bytes, num_disks):
         self.world = world
         self.name = name
-        # Partition assignment for the parallel simulator: each client
-        # host is its own partition (kernel + page cache + containers
-        # live machine-local; only fabric RPCs cross to the cluster).
-        self.partition = "host:%s" % name
         self.machine = Machine(
             world.sim, name=name, num_cores=num_cores, ram_bytes=ram_bytes,
             num_disks=num_disks,
@@ -109,52 +105,6 @@ class World(object):
     def kernel_for(self, machine):
         """The host kernel of the host owning ``machine``."""
         return self.host_of(machine).kernel
-
-    def partition_of(self, machine):
-        """The partition name of the host owning ``machine``."""
-        return self.host_of(machine).partition
-
-    #: the partition holding the OSD/MDS cluster and its fabric endpoint
-    CLUSTER_PARTITION = "cluster"
-
-    def partition_plan(self):
-        """The per-simulated-machine decomposition of this world.
-
-        Returns ``{"partitions": {name: [member, ...]}, "channels":
-        [CrossChannel, ...], "lookahead": seconds}`` — one partition per
-        client host plus one for the OSD/MDS cluster, with a duplex
-        channel pair per host whose lookahead is the fabric's
-        propagation floor. This is the assignment the parallel runner
-        consumes and the tests validate: the only simulation state
-        shared between a host partition and the cluster partition is
-        fabric traffic.
-        """
-        lookahead = self.fabric.lookahead()
-        partitions = {
-            self.CLUSTER_PARTITION: (
-                ["osd%d" % i for i in range(len(self.cluster.osds))]
-                + ["mds"]
-            ),
-        }
-        channels = []
-        for host in self.hosts:
-            partitions[host.partition] = [
-                host.machine.name, "kernel:%s" % host.name,
-                "engine:%s" % host.name,
-            ]
-            channels.append(self.fabric.channel(
-                "%s->cluster" % host.partition,
-                host.partition, self.CLUSTER_PARTITION,
-            ))
-            channels.append(self.fabric.channel(
-                "cluster->%s" % host.partition,
-                self.CLUSTER_PARTITION, host.partition,
-            ))
-        return {
-            "partitions": partitions,
-            "channels": channels,
-            "lookahead": lookahead,
-        }
 
     def activate_cores(self, count):
         """Enable ``count`` cores on the primary client host."""

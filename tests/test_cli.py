@@ -36,7 +36,7 @@ def test_experiment_names_cover_every_figure():
     names = experiment_names()
     for expected in ("fig1", "fig6a", "fig6b", "fig6c", "fig7a", "fig7b",
                      "fig7c", "fig7d", "fig8", "fig9w", "fig9r", "fig10",
-                     "fig11a", "fig11b", "abl-lock", "abl-ipc"):
+                     "fig11a", "fig11b", "abl-locking", "abl-ipc"):
         assert expected in names
 
 

@@ -1,11 +1,12 @@
 """Determinism of ``common.rng`` stream splitting under reordering.
 
-The partitioned build path constructs entities in per-partition order,
-which generally differs from the order the sequential build (and the
-scheduler) visits them. Stream derivation must therefore be a pure
-function of (seed, label path) — never of construction order, shared
-generator state, or interleaving — or partitioned runs would silently
-diverge from sequential ones.
+``map_tasks`` runs sweep cells and seeds in fork-pool workers, in
+whatever order the pool picks them up, and a refactor may build a
+world's entities in a different order than the scheduler visits them.
+Stream derivation must therefore be a pure function of (seed, label
+path) — never of construction order, shared generator state, or
+interleaving — or a ``--parallel`` run would silently diverge from the
+inline one.
 """
 
 import random
@@ -60,9 +61,9 @@ class TestDeriveOrderIndependence:
 
 class TestScheduleOrderVsBuildOrder:
     def test_partition_shaped_reordering(self):
-        # Sequential build: hosts in declaration order, entities nested.
-        # Partitioned build: one partition at a time, entities flat.
-        # Both must end up with identical per-entity streams.
+        # One build nests entities under hosts in declaration order; the
+        # other walks entity kinds across reversed hosts. Both must end
+        # up with identical per-entity streams.
         seed = 1234
         hosts = ["client", "h1", "h2", "h3"]
 
@@ -73,13 +74,13 @@ class TestScheduleOrderVsBuildOrder:
                     make_rng(seed, host, entity)
                 )
 
-        partitioned = {}
+        reordered = {}
         for entity in ("fuse", "kernel", "pagecache"):  # different order
             for host in reversed(hosts):               # different order
-                partitioned[(host, entity)] = _draws(
+                reordered[(host, entity)] = _draws(
                     make_rng(seed, host, entity)
                 )
-        assert sequential == partitioned
+        assert sequential == reordered
 
     def test_pseudo_bytes_is_a_pure_function(self):
         blocks = [pseudo_bytes(4096, (5, "shared", i)) for i in range(4)]
