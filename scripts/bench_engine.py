@@ -10,6 +10,14 @@ throughputs, chaos determinism fingerprints). Two engines that schedule
 byte-identically produce equal fingerprints, so the file doubles as a
 determinism witness for scheduler changes.
 
+Beside the wall clock every scenario records two *exact* costs (schema
+3): ``entries_scheduled``, the sequence numbers its simulators handed
+out, and ``entries_dispatched``, those that went through the run loop
+(scheduled minus the resumptions ``Process._step`` continued in place).
+Both repeat to the last digit on any machine, so ``--check`` gates
+``entries_dispatched`` exactly; wall-clock stays the noisy secondary
+signal.
+
 Multi-host-shaped scenarios decompose into independent per-simulated-
 machine *tasks* (one world each, fanned out by
 ``repro.sim.parallel.map_tasks``). ``--parallel N`` runs each such
@@ -20,9 +28,8 @@ gains per-scenario parallel wall/speedup cells.
 
 Every record carries the core count and Python version (top-level and
 per scenario): ``check_against`` refuses to compare wall-clock across a
-Python-minor mismatch and skips parallel/speedup comparisons across a
-core-count mismatch, so baselines are never diffed against an
-incompatible environment.
+Python-minor mismatch, and the core count says what the parallel cells
+of a record could have shown (they are recorded, never gated).
 
 Usage:
     PYTHONPATH=src python scripts/bench_engine.py --out BENCH_engine.json
@@ -32,11 +39,10 @@ Usage:
         --check benchmarks/BENCH_engine_parallel_baseline.json
 
 ``--check`` exits non-zero when any fingerprint differs from the
-baseline (a determinism break), when total wall-clock regresses by more
-than ``--threshold`` (default 25%) against the baseline, or — for a
-parallel baseline on a machine with >= 4 cores — when fewer than two
-eligible multi-task scenarios reach the ``--speedup-min`` (default 2.0x)
-sequential-vs-parallel speedup.
+baseline (a determinism break), when a scenario dispatches more
+scheduler entries than the baseline's, or when total wall-clock
+regresses by more than ``--threshold`` (default 25%) against the
+baseline.
 """
 
 import argparse
@@ -58,6 +64,7 @@ from repro.sim.bench import (  # noqa: E402
     schedule_fingerprint,
     stripe_fanout_reference,
 )
+from repro.sim.engine import Simulator  # noqa: E402
 from repro.sim.parallel import map_tasks  # noqa: E402
 
 
@@ -93,6 +100,33 @@ def _calibrate():
         if best is None or elapsed < best:
             best = elapsed
     return best
+
+
+def counted(fn, kwargs):
+    """Run one task; return its value and its simulators' entry counts.
+
+    Counted from outside, around the task: every ``Simulator`` the task
+    builds is noted on construction and read once the task is over.
+    Module-level so the fork pool can ship it.
+    """
+    built = []
+    init = Simulator.__init__
+
+    def noting_init(sim):
+        init(sim)
+        built.append(sim)
+
+    Simulator.__init__ = noting_init
+    try:
+        value = fn(**kwargs)
+    finally:
+        Simulator.__init__ = init
+    scheduled = sum(sim._seq for sim in built)
+    return {
+        "value": value,
+        "entries_scheduled": scheduled,
+        "entries_dispatched": scheduled - sum(sim.elided for sim in built),
+    }
 
 
 # -- scenario tasks -------------------------------------------------------
@@ -226,7 +260,7 @@ SCENARIOS = [
 
 def run_bench(names=None, workers=1):
     record = {
-        "schema": 2,
+        "schema": 3,
         "python": platform.python_version(),
         "cores": _cores(),
         "workers": workers,
@@ -238,14 +272,20 @@ def run_bench(names=None, workers=1):
     for name, tasks, merge in SCENARIOS:
         if names and name not in names:
             continue
+        tasks = [(label, counted, {"fn": fn, "kwargs": kwargs})
+                 for label, fn, kwargs in tasks]
         start = time.perf_counter()
         results, _rows = map_tasks(tasks, workers=1)
         wall = time.perf_counter() - start
-        fingerprint, detail = merge(results)
+        fingerprint, detail = merge([r["value"] for r in results])
         cell = {
             "wall_s": round(wall, 4),
             "fingerprint": fingerprint,
             "tasks": len(tasks),
+            "entries_scheduled": sum(
+                r["entries_scheduled"] for r in results),
+            "entries_dispatched": sum(
+                r["entries_dispatched"] for r in results),
             "detail": detail,
         }
         cell.update(env)
@@ -257,7 +297,8 @@ def run_bench(names=None, workers=1):
             start = time.perf_counter()
             par_results, _rows = map_tasks(tasks, workers=workers)
             par_wall = time.perf_counter() - start
-            par_fingerprint, _detail = merge(par_results)
+            par_fingerprint, _detail = merge(
+                [r["value"] for r in par_results])
             if par_fingerprint != fingerprint:
                 print("FATAL: scenario %r parallel fingerprint %s != "
                       "sequential %s" % (name, par_fingerprint, fingerprint),
@@ -277,8 +318,10 @@ def run_bench(names=None, workers=1):
             suffix = "  parallel=%7.3fs speedup=%.2fx" % (
                 par["wall_s"], par["speedup"],
             )
-        print("bench %-14s wall=%7.3fs fingerprint=%s%s"
-              % (name, wall, fingerprint, suffix), file=sys.stderr)
+        print("bench %-14s wall=%7.3fs dispatched=%8d/%8d fingerprint=%s%s"
+              % (name, wall, cell["entries_dispatched"],
+                 cell["entries_scheduled"], fingerprint, suffix),
+              file=sys.stderr)
     return record
 
 
@@ -286,14 +329,12 @@ def _python_minor(version):
     return tuple(version.split(".")[:2]) if version else None
 
 
-def check_against(record, baseline, threshold, speedup_min=2.0):
+def check_against(record, baseline, threshold):
     """Compare a fresh record to a baseline; returns a list of failures.
 
-    Environment compatibility guards: a Python-minor mismatch skips
-    every wall-clock comparison (interpreter speed differences would
-    drown the signal; fingerprints are still compared), and a
-    core-count mismatch skips only the parallel/speedup comparisons
-    (sequential walls stay comparable via calibration normalization).
+    Fingerprints and dispatch counts are exact and compared on any
+    machine. A Python-minor mismatch skips the wall-clock comparison
+    (interpreter speed differences would drown the signal).
     """
     failures = []
     for name, cell in baseline.get("scenarios", {}).items():
@@ -306,6 +347,14 @@ def check_against(record, baseline, threshold, speedup_min=2.0):
                 "determinism break in %r: fingerprint %s != baseline %s"
                 % (name, fresh["fingerprint"], cell["fingerprint"])
             )
+        base_dispatched = cell.get("entries_dispatched")  # absent before schema 3
+        if base_dispatched is not None \
+                and fresh["entries_dispatched"] > base_dispatched:
+            failures.append(
+                "dispatch regression in %r: %d scheduler entries "
+                "dispatched > baseline %d"
+                % (name, fresh["entries_dispatched"], base_dispatched)
+            )
     python_match = (
         _python_minor(record.get("python"))
         == _python_minor(baseline.get("python"))
@@ -314,7 +363,6 @@ def check_against(record, baseline, threshold, speedup_min=2.0):
         print("note: python %s vs baseline %s — skipping wall-clock "
               "comparison" % (record.get("python"), baseline.get("python")),
               file=sys.stderr)
-    cores_match = record.get("cores") == baseline.get("cores")
     base_wall = baseline.get("total_wall_s") or 0.0
     if python_match and base_wall > 0:
         fresh_wall = record["total_wall_s"]
@@ -336,40 +384,13 @@ def check_against(record, baseline, threshold, speedup_min=2.0):
                 % (fresh_wall, base_wall,
                    (ratio - 1.0) * 100, threshold * 100)
             )
-    # Speedup gate for parallel baselines: enforced only on machines
-    # with enough cores for the target to be physically reachable.
-    baseline_parallel = (baseline.get("workers") or 1) > 1
-    if baseline_parallel:
-        if not cores_match:
-            print("note: cores %s vs baseline %s — parallel walls not "
-                  "compared" % (record.get("cores"), baseline.get("cores")),
-                  file=sys.stderr)
-        if (record.get("workers") or 1) <= 1:
-            failures.append(
-                "baseline is a parallel record (workers=%s) but this run "
-                "was sequential — rerun with --parallel"
-                % baseline.get("workers")
-            )
-        elif (record.get("cores") or 1) >= 4:
-            eligible = []
-            for name, cell in record["scenarios"].items():
-                par = cell.get("parallel")
-                if par and cell.get("tasks", 1) >= 3 \
-                        and cell["wall_s"] >= 0.2:
-                    eligible.append((name, par["speedup"]))
-            reached = [(n, s) for n, s in eligible if s >= speedup_min]
-            if len(reached) < 2:
-                failures.append(
-                    "parallel speedup gate: need >=2 multi-host scenarios "
-                    "at >=%.1fx, got %s"
-                    % (speedup_min,
-                       ", ".join("%s=%.2fx" % pair for pair in eligible)
-                       or "none")
-                )
-        else:
-            print("note: only %s core(s) available — %.1fx speedup gate "
-                  "skipped (needs >= 4 cores)"
-                  % (record.get("cores"), speedup_min), file=sys.stderr)
+    if (baseline.get("workers") or 1) > 1 \
+            and (record.get("workers") or 1) <= 1:
+        failures.append(
+            "baseline is a parallel record (workers=%s) but this run "
+            "was sequential — rerun with --parallel"
+            % baseline.get("workers")
+        )
     return failures
 
 
@@ -383,9 +404,6 @@ def main(argv=None):
     parser.add_argument("--threshold", type=float, default=0.25,
                         help="allowed wall-clock regression vs baseline "
                              "(fraction, default 0.25)")
-    parser.add_argument("--speedup-min", type=float, default=2.0,
-                        help="required parallel speedup for the gate "
-                             "(default 2.0)")
     parser.add_argument("--parallel", type=int, default=1, metavar="N",
                         help="also run each multi-task scenario with its "
                              "tasks fanned over N worker processes; "
@@ -408,13 +426,13 @@ def main(argv=None):
     if args.check:
         with open(args.check) as handle:
             baseline = json.load(handle)
-        failures = check_against(record, baseline, args.threshold,
-                                 speedup_min=args.speedup_min)
+        failures = check_against(record, baseline, args.threshold)
         for failure in failures:
             print("FAIL: %s" % failure, file=sys.stderr)
         if failures:
             return 1
-        print("check ok: fingerprints match, wall %.3fs vs baseline %.3fs"
+        print("check ok: fingerprints match, no scenario dispatches more "
+              "entries, wall %.3fs vs baseline %.3fs"
               % (record["total_wall_s"], baseline.get("total_wall_s", 0.0)),
               file=sys.stderr)
     return 0

@@ -21,7 +21,7 @@ from repro.bench.util import scaled_costs
 from repro.common import units
 from repro.stacks import StackFactory, mount_local
 from repro.workloads import Fileserver, RandomIO, SysbenchCpu, Webserver
-from repro.world import World
+from repro.world import World, releases_world
 
 __all__ = ["FlsColocation", "run_colocation"]
 
@@ -63,6 +63,7 @@ def _build_neighbor(world, pool, kind, duration, seed):
     raise ValueError("unknown neighbour %r" % kind)
 
 
+@releases_world
 def run_colocation(symbol, n_fls, neighbor=None, duration=3.0, seed=1,
                    fls_params=None, pool_ram=POOL_RAM):
     """One bar+line of Fig. 1/6: returns a metrics dict."""

@@ -16,7 +16,7 @@ from repro.bench.util import run_all, scaled_costs
 from repro.common import units
 from repro.stacks import StackFactory
 from repro.workloads import Seqread, Seqwrite
-from repro.world import World
+from repro.world import World, releases_world
 
 __all__ = ["SequentialScaleout", "run_sequential"]
 
@@ -24,6 +24,7 @@ __all__ = ["SequentialScaleout", "run_sequential"]
 SEQ_PARAMS = dict(file_size=units.mib(8), iosize=units.mib(1), threads=4)
 
 
+@releases_world
 def run_sequential(symbol, n_pools, mode, duration=3.0, seed=1,
                    locking="global"):
     world = World(

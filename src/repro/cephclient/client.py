@@ -454,7 +454,7 @@ class CephLibClient(Filesystem):
                 yield from self.cluster.read_extent(
                     ino, miss_offset, miss_size
                 )
-                yield self.sim.timeout(self.costs.payload_cost(miss_size))
+                yield self.costs.payload_cost(miss_size)
                 if fetch_token and ino in self._sizes:
                     self.cache.insert(ino, miss_offset, miss_size)
             finally:
@@ -856,7 +856,7 @@ class CephLibClient(Filesystem):
         try:
             delay = self.costs.retry_backoff
             for _ in range(self.costs.retry_attempts):
-                yield self.sim.timeout(delay)
+                yield delay
                 delay = min(delay * 2.0, self.costs.retry_backoff_max)
                 path = self._paths.get(ino)
                 if path is None:
@@ -899,7 +899,7 @@ class CephLibClient(Filesystem):
 
         flusher_tasks = [Task(thread) for thread in self.flusher_threads]
         while not self._stopped:
-            yield self.sim.timeout(self.costs.writeback_interval)
+            yield self.costs.writeback_interval
             if self._stopped:
                 return
             background = self.cache.dirty_bytes > self.max_dirty // 2

@@ -356,7 +356,7 @@ class AdaptiveLockController(object):
             registry.gauge("mode").set(MODE_INDEX[policy.mode])
         prev = policy._stats_of(policy.mode)
         while not self._stopped:
-            yield self.sim.timeout(self.interval)
+            yield self.interval
             if self._stopped:
                 return
             # Re-resolve each round: the observer may attach after the

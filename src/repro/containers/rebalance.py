@@ -29,7 +29,7 @@ class MemoryRebalancer(object):
             raise ConfigError("guarantee_fraction must be in (0, 1]")
         self.sim = sim
         self.pools = list(pools)
-        self.interval = interval
+        self.interval = float(interval)
         self.donor_threshold = donor_threshold
         self.receiver_threshold = receiver_threshold
         self.step_fraction = step_fraction
@@ -106,7 +106,7 @@ class MemoryRebalancer(object):
 
     def _loop(self):
         while not self._stopped:
-            yield self.sim.timeout(self.interval)
+            yield self.interval
             if self._stopped:
                 return
             self.rebalance_once()

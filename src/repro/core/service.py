@@ -139,7 +139,7 @@ class FilesystemService(object):
             self._inflight[request] = None
             try:
                 try:
-                    yield self.sim.timeout(costs.ipc_poll_latency)
+                    yield costs.ipc_poll_latency
                     yield from task.cpu(costs.ipc_queue_op)
                     self._maybe_scale(queue)
                     handler = getattr(request.fs, request.op)

@@ -33,7 +33,7 @@ class ServiceSupervisor(object):
         self.sim = sim
         self.costs = costs
         #: crash-detection plus re-exec time before the service is back.
-        self.restart_delay = (
+        self.restart_delay = float(
             restart_delay if restart_delay is not None else costs.restart_delay
         )
         self.name = name
@@ -57,7 +57,7 @@ class ServiceSupervisor(object):
     def _watch_loop(self, service):
         while True:
             yield service.crash_event
-            yield self.sim.timeout(self.restart_delay)
+            yield self.restart_delay
             service.restart()
             self.metrics.counter("restarts").add(1)
             # Every mount of the fs table is re-registered implicitly:

@@ -25,7 +25,7 @@ from repro.core import ServiceSupervisor
 from repro.faults.plan import FaultPlan
 from repro.stacks import StackFactory
 from repro.workloads.base import Workload
-from repro.world import World
+from repro.world import World, releases_world
 
 __all__ = [
     "ChaosConfig",
@@ -327,6 +327,7 @@ class ChaosConfig:
         return _run_chaos_config(self)
 
 
+@releases_world
 def _run_chaos_config(config):
     seed = config.seed
     duration = config.duration
@@ -389,13 +390,13 @@ def _run_chaos_config(config):
         # retries drain and the flusher pushes re-dirtied data out.
         remaining = plan.end_time() - world.sim.now
         if remaining > 0:
-            yield world.sim.timeout(remaining)
-        yield world.sim.timeout(SETTLE_TIME)
+            yield remaining
+        yield SETTLE_TIME
         client = factory._shared.get("lib_client")
         if client is not None:
             flush_task = pool.new_task("chaos.flush")
             yield from client.flush_all(flush_task)
-        yield world.sim.timeout(SETTLE_TIME)
+        yield SETTLE_TIME
         # Corruption actions that fired while all data was still dirty
         # client-side defer until replicas hold real bytes; the flush
         # above provides them, so wait for every injection to land
@@ -403,7 +404,7 @@ def _run_chaos_config(config):
         for _ in range(300):
             if not plan.pending_corruptions:
                 break
-            yield world.sim.timeout(0.25)
+            yield 0.25
         # Membership convergence: wait for the heartbeat prober to
         # rejoin every bounced OSD (flap probations included), then
         # drain backfill so remapped/degraded objects are materialised
@@ -414,7 +415,7 @@ def _run_chaos_config(config):
             for _ in range(600):
                 if not monitor.has_failures():
                     break
-                yield world.sim.timeout(0.25)
+                yield 0.25
         if world.cluster.backfill is not None:
             membership_converged = yield from world.cluster.backfill.drain()
         if monitor.lifecycle:
@@ -428,7 +429,7 @@ def _run_chaos_config(config):
             for _ in range(600):
                 if world.cluster.mds_healthy():
                     break
-                yield world.sim.timeout(0.25)
+                yield 0.25
         scrub_converged = True
         if scrub_daemon is not None:
             # Stop the periodic loop, then deep-scrub to convergence so

@@ -347,7 +347,7 @@ class FaultPlan(object):
         sim = self._world.sim
         for action in timed:
             if action.at > sim.now:
-                yield sim.timeout(action.at - sim.now)
+                yield float(action.at - sim.now)
             yield from self._fire(action)
 
     def _log(self, action, event):
@@ -467,7 +467,7 @@ class FaultPlan(object):
         sim = self._world.sim
         try:
             for _ in range(_CORRUPT_DEFER_POLLS):
-                yield sim.timeout(_CORRUPT_DEFER_DELAY)
+                yield _CORRUPT_DEFER_DELAY
                 if self._try_corrupt(action):
                     return
             self.metrics.counter("corruption_noop").add(1)
@@ -505,22 +505,22 @@ class FaultPlan(object):
         osd = cluster.osds[action.target]
         monitor = cluster.monitor
         count = action.params.get("count", 3)
-        period = action.params.get("period", 0.3)
+        period = float(action.params.get("period", 0.3))
         for _ in range(count):
             if not osd.crashed:
                 osd.crash()
                 if not monitor.heartbeats_enabled:
                     monitor.mark_down(action.target)
-            yield world.sim.timeout(period)
+            yield period
             osd.restart()
             if not monitor.heartbeats_enabled:
                 monitor.mark_up(action.target)
-            yield world.sim.timeout(period)
+            yield period
         self._log(action, "flap-done")
 
     def _heal(self, action):
         world = self._world
-        yield world.sim.timeout(action.duration)
+        yield float(action.duration)
         self._log(action, "heal")
         if action.kind == "partition":
             world.fabric.set_partitioned(False)
@@ -543,5 +543,5 @@ class FaultPlan(object):
                 yield from monitor.recover()
                 return
             except RETRYABLE:
-                yield self._world.sim.timeout(_RECOVER_RETRY_DELAY)
+                yield _RECOVER_RETRY_DELAY
         self.metrics.counter("recovery_abandoned").add(1)

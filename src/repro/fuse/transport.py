@@ -137,7 +137,7 @@ class FuseTransport(Filesystem):
                 request.reply.fail(ServiceFailed("fuse daemon died"))
                 return
             # Daemon switch-in + request copy out of the kernel.
-            yield self.sim.timeout(costs.wakeup_latency)
+            yield costs.wakeup_latency
             yield from task.cpu(
                 costs.context_switch
                 + costs.fuse_queue_op

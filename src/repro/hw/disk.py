@@ -56,7 +56,7 @@ class Disk(object):
             position = (
                 self.rand_position_time if random_access else self.seq_position_time
             )
-            yield self.sim.timeout(
+            yield (
                 (position * max(positions, 1) + nbytes / self.bandwidth)
                 * self.slow_factor
             )

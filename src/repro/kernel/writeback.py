@@ -83,7 +83,7 @@ class WritebackDaemon(object):
 
     def _wait_stall(self):
         while self.sim.now < self._stalled_until and not self._stopped:
-            yield self.sim.timeout(self._stalled_until - self.sim.now)
+            yield self._stalled_until - self.sim.now
 
     # -- flusher threads -----------------------------------------------------
 

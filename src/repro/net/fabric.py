@@ -74,7 +74,7 @@ class Link(object):
 
     def transfer(self, nbytes):
         """Move ``nbytes`` across the link; generator until delivered."""
-        yield self.sim.timeout(self.latency * self.delay_factor)
+        yield self.latency * self.delay_factor
         if self.partitioned:
             self.metrics.counter("partition_drops").add(1)
             raise NetworkPartitioned("link %s partitioned" % self.name)
@@ -90,7 +90,7 @@ class Link(object):
             while remaining > 0:
                 piece = min(self.CHUNK, remaining)
                 share = self.bandwidth / self.active
-                yield self.sim.timeout(piece / share)
+                yield piece / share
                 remaining -= piece
         finally:
             self.active -= 1

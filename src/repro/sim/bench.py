@@ -17,6 +17,9 @@ work needs:
   pre-optimization engine, so the fast path is provably
   schedule-equivalent to the original heap-only scheduler.
 
+A third piece, :func:`primitive_costs`, times the three uncontended
+primitives everything else is made of (``python -m repro.sim.bench``).
+
 The fingerprint hash is ``blake2b(repr(log))`` over a log of plain
 tuples of strings/ints/floats — ``repr`` of those is stable across
 CPython versions for the value ranges used here (times are sums of
@@ -26,7 +29,10 @@ equality of the floats themselves).
 
 import hashlib
 import random
+import time
 
+from repro.common.errors import ThreadKilled
+from repro.sim.cpu import Core, SimThread
 from repro.sim.engine import Interrupt, Simulator
 from repro.sim.sync import Mutex, Semaphore, Store
 
@@ -34,9 +40,11 @@ __all__ = [
     "torture_scenario",
     "interrupt_scenario",
     "combinator_scenario",
+    "cpu_mix_scenario",
     "schedule_fingerprint",
     "run_reference",
     "stripe_fanout_reference",
+    "primitive_costs",
 ]
 
 
@@ -58,7 +66,7 @@ def torture_scenario(sim, log, seed=1, nworkers=24, steps=40):
                 log.append(("stop", tag, sim.now))
                 return
             log.append(("got", tag, item, sim.now))
-            yield sim.timeout(0.0005 * ((item % 5) + 1))
+            yield 0.0005 * ((item % 5) + 1)
 
     def worker(tag):
         for step in range(steps):
@@ -68,11 +76,11 @@ def torture_scenario(sim, log, seed=1, nworkers=24, steps=40):
                 lock = locks[(tag + step) % 3]
                 yield lock.acquire(who=None)
                 log.append(("lock", tag, step, sim.now))
-                yield sim.timeout(delay)
+                yield delay
                 lock.release()
             elif choice == 1:
                 yield sem.acquire()
-                yield sim.timeout(delay)
+                yield delay
                 sem.release()
                 log.append(("sem", tag, step, sim.now))
             elif choice == 2:
@@ -111,7 +119,7 @@ def interrupt_scenario(sim, log, seed=2, npairs=16):
             gate.succeed("early")
         try:
             if kind == 2:
-                yield sim.timeout(1000.0)
+                yield 1000.0
             else:
                 value = yield gate
                 log.append(("woke", tag, value, sim.now))
@@ -122,7 +130,7 @@ def interrupt_scenario(sim, log, seed=2, npairs=16):
         return tag
 
     def interrupter(tag, target, delay):
-        yield sim.timeout(delay)
+        yield delay
         target.interrupt(cause="k%d" % tag)
         log.append(("sent", tag, sim.now))
 
@@ -143,7 +151,7 @@ def combinator_scenario(sim, log, seed=3, rounds=12):
             for _ in range(rounds)]
 
     def leaf(tag, delay):
-        yield sim.timeout(delay)
+        yield delay
         return tag
 
     def round_proc(tag, fast, slow):
@@ -153,8 +161,9 @@ def combinator_scenario(sim, log, seed=3, rounds=12):
         log.append(("any", tag, index, value, sim.now))
         values = yield sim.all_of([first, second])
         log.append(("all", tag, tuple(values), sim.now))
-        # Zero-delay timeout: lands in the time queue, not the now-queue.
-        got = yield sim.timeout(0.0, value="z")
+        # A zero-delay Timeout carrying a value: what a sleep cannot do.
+        timer = sim.timeout(0.0, value="z")
+        got = yield timer
         log.append(("zero", tag, got, sim.now))
         return tag
 
@@ -164,10 +173,157 @@ def combinator_scenario(sim, log, seed=3, rounds=12):
     ]
 
 
+def cpu_mix_scenario(sim, log, seed=4, nworkers=9, steps=24):
+    """CPU charges, sleeps and free/contended lock traffic, mixed.
+
+    Pinned and roaming ``SimThread`` threads over private and shared
+    cores, multi-quantum charges, ``kill()`` mid-charge, interrupts
+    landing during a sleep (and on the very timestamp it ends), free
+    and contended ``Mutex``/``Semaphore``/``Store`` traffic, zero-length
+    sleeps: every path the sleep and elision fast paths of
+    ``Process._step`` replace. Its golden digest was captured on the
+    engine that had neither, from the same scenario spelled with
+    ``sim.timeout()``.
+    """
+    rng = random.Random(seed)
+    cores = [Core(sim, index) for index in range(nworkers // 3 + 2)]
+    shared = cores[-2:]
+    lock = Mutex(sim, name="shared")
+    private = [Mutex(sim, name="own%d" % tag) for tag in range(nworkers)]
+    slots = Semaphore(sim, 2, name="slots")
+    queue = Store(sim, capacity=2, name="q")
+    plan = [(rng.randrange(0, 6), rng.randrange(0, 5) * 0.0004)
+            for _ in range(nworkers * steps)]
+
+    def thread_for(tag):
+        # A third pinned to a private core, a third pinned to one shared
+        # core, a third roaming over both shared cores.
+        if tag % 3 == 0:
+            thread = SimThread(sim, "w%d" % tag, [cores[tag // 3]])
+            thread.pin(cores[tag // 3])
+        elif tag % 3 == 1:
+            thread = SimThread(sim, "w%d" % tag, shared)
+            thread.pin(shared[0])
+        else:
+            thread = SimThread(sim, "w%d" % tag, shared)
+        return thread
+
+    def worker(tag, thread):
+        for step in range(steps):
+            kind, amount = plan[tag * steps + step]
+            if kind == 0:
+                yield from thread.run(amount)
+            elif kind == 1:
+                yield private[tag].acquire()
+                yield 0.0
+                private[tag].release()
+            elif kind == 2:
+                yield lock.acquire(who=thread)
+                try:
+                    yield from thread.run(amount / 4)
+                finally:
+                    lock.release()
+            elif kind == 3:
+                yield slots.acquire()
+                yield amount
+                slots.release()
+            elif kind == 4:
+                yield queue.put((tag, step))
+            else:
+                yield amount
+            log.append(("step", tag, step, kind, thread.ctx_switches, sim.now))
+        log.append(("done", tag, thread.cpu_time, sim.now))
+
+    def consumer(thread):
+        while True:
+            item = yield queue.get()
+            if item is None:
+                log.append(("drained", sim.now))
+                return
+            yield from thread.run(0.0003)
+            log.append(("got", item, sim.now))
+
+    def closer(procs):
+        yield sim.all_of(procs)
+        yield queue.put(None)
+
+    def victim(tag, thread):
+        try:
+            yield from thread.run(0.02)
+            log.append(("survived", tag, sim.now))
+        except ThreadKilled:
+            log.append(("killed", tag, thread.cpu_time, sim.now))
+        yield private[0].acquire()
+        private[0].release()
+        log.append(("victim-out", tag, sim.now))
+
+    def killer(thread, delay):
+        yield delay
+        thread.kill()
+        log.append(("kill", thread.name, sim.now))
+
+    def sleeper(tag, nap):
+        try:
+            yield nap
+            log.append(("woke", tag, sim.now))
+            yield 1.0
+        except Interrupt as intr:
+            log.append(("intr", tag, intr.cause, sim.now))
+        yield 0.0
+        yield private[tag].acquire()
+        private[tag].release()
+        log.append(("sleeper-out", tag, sim.now))
+
+    def interrupter(tag, box, delay):
+        yield delay
+        box[0].interrupt(cause="i%d" % tag)
+        log.append(("sent", tag, sim.now))
+
+    procs = []
+    # Interrupts that land mid-sleep, on the wake's own timestamp from an
+    # older and from a younger timer, and after the first sleep is over.
+    for tag, (nap, delay, older) in enumerate(
+            [(1.0, 0.0013, False), (0.002, 0.002, True),
+             (0.002, 0.002, False), (0.001, 0.003, False)]):
+        box = []
+        if older:
+            procs.append(
+                sim.spawn(interrupter(tag, box, delay), name="i%d" % tag))
+        box.append(sim.spawn(sleeper(tag, nap), name="s%d" % tag))
+        procs.append(box[0])
+        if not older:
+            procs.append(
+                sim.spawn(interrupter(tag, box, delay), name="i%d" % tag))
+    workers = [sim.spawn(worker(tag, thread_for(tag)), name="w%d" % tag)
+               for tag in range(nworkers)]
+    eater = SimThread(sim, "eater", shared)
+    procs.append(sim.spawn(consumer(eater), name="eater"))
+    for tag, delay in enumerate((0.0031, 0.0007)):
+        thread = SimThread(sim, "v%d" % tag, shared)
+        if tag == 0:
+            thread.pin(shared[1])
+        procs.append(sim.spawn(victim(tag, thread), name="v%d" % tag))
+        procs.append(sim.spawn(killer(thread, delay), name="k%d" % tag))
+    procs.append(sim.spawn(closer(list(workers)), name="closer"))
+
+    def report(everyone):
+        yield sim.all_of(everyone)
+        for mutex in [lock] + private + [core._mutex for core in cores]:
+            stats = mutex.stats
+            log.append(("lock", mutex.name, stats.acquisitions,
+                        stats.contended, stats.total_wait, stats.total_hold))
+        for core in cores:
+            log.append(("core", core.name, core.busy_time))
+
+    everyone = workers + procs
+    return everyone + [sim.spawn(report(everyone), name="report")]
+
+
 _SCENARIOS = {
     "torture": torture_scenario,
     "interrupts": interrupt_scenario,
     "combinators": combinator_scenario,
+    "cpu_mix": cpu_mix_scenario,
 }
 
 
@@ -248,3 +404,47 @@ def run_reference(scenario="torture", seed=1, repeat=1, **kwargs):
     for _ in range(repeat):
         digest, _final = schedule_fingerprint(scenario, seed=seed, **kwargs)
     return digest
+
+
+def primitive_costs(rounds=200000):
+    """Host microseconds per uncontended engine primitive.
+
+    One process alone in its simulator doing ``rounds`` of: a sleep; a
+    free ``Mutex`` acquire and its release; a one-quantum
+    ``SimThread.run`` charge on an idle core (an acquire, a sleep and a
+    release inside a generator of its own). Loop overhead included;
+    wall clock, so read the smallest of a few calls.
+    """
+    def sleeps(sim):
+        for _ in range(rounds):
+            yield 0.001
+
+    def acquires(sim):
+        lock = Mutex(sim, name="m")
+        for _ in range(rounds):
+            yield lock.acquire()
+            lock.release()
+
+    def charges(sim):
+        thread = SimThread(sim, "t", [Core(sim, 0)])
+        for _ in range(rounds):
+            yield from thread.run(0.0001)
+
+    costs = {}
+    for name, body in (("sleep", sleeps), ("free_acquire", acquires),
+                       ("cpu_charge", charges)):
+        sim = Simulator()
+        sim.spawn(body(sim), name=name)
+        start = time.perf_counter()
+        sim.run()
+        costs[name] = (time.perf_counter() - start) / rounds * 1e6
+    return costs
+
+
+if __name__ == "__main__":
+    best = {}
+    for _ in range(5):
+        for name, micros in primitive_costs().items():
+            best[name] = min(micros, best.get(name, micros))
+    for name, micros in best.items():
+        print("%-13s %.2f us" % (name, micros))

@@ -18,6 +18,8 @@ Key concepts:
   per-core utilisation like the paper's line charts.
 """
 
+from math import inf
+
 from repro.common.errors import SimulationError, ThreadKilled
 from repro.sim.sync import Mutex
 
@@ -45,25 +47,6 @@ class Core(object):
     def load(self):
         """Current run-queue length (running + waiting threads)."""
         return self._mutex.queue_len + (1 if self._mutex.locked else 0)
-
-    def occupy(self, duration, thread=None):
-        """Run ``thread`` on this core for ``duration`` seconds.
-
-        Generator; yields until the slice completes. Returns True when the
-        slice was a context switch (a different thread ran last).
-        """
-        yield self._mutex.acquire(who=thread)
-        switched = self.last_thread is not thread
-        self.last_thread = thread
-        try:
-            yield self.sim.timeout(duration)
-            self.busy_time += duration
-            obs = self.sim.observer
-            if obs is not None:
-                obs.record_cpu(self, thread, duration, switched)
-        finally:
-            self._mutex.release()
-        return switched
 
     def __repr__(self):
         return "<Core %s load=%d>" % (self.name, self.load)
@@ -161,15 +144,15 @@ class SimThread(object):
         dispatched to the currently least-loaded permitted core, so that
         contention shows up as queueing delay rather than being ignored.
         """
-        if cpu_seconds < 0:
-            raise SimulationError("negative cpu time %r" % cpu_seconds)
+        if not 0 <= cpu_seconds < inf:  # NaN fails both bounds
+            raise SimulationError(
+                "cpu time must be finite and >= 0, got %r" % (cpu_seconds,))
         sim = self.sim
         remaining = cpu_seconds
-        # The body of pick_core()/Core.occupy() is inlined here: this loop
-        # runs once per quantum for every simulated CPU charge in every
-        # experiment, and the nested-generator and property-call overhead
-        # dominated scheduler profiles. Event order is identical to the
-        # un-inlined form (acquire, timeout, release).
+        # pick_core() is inlined here: this loop runs once per quantum
+        # for every simulated CPU charge in every experiment. On an idle
+        # core the acquire is continued in place and the slice is a plain
+        # sleep, so a quantum costs one heap entry and no Event.
         while remaining > 1e-12:
             if self.killed:
                 raise ThreadKilled("thread %s was killed" % self.name)
@@ -194,7 +177,7 @@ class SimThread(object):
             switched = core.last_thread is not self
             core.last_thread = self
             try:
-                yield sim.timeout(piece)
+                yield piece
                 core.busy_time += piece
                 obs = sim.observer
                 if obs is not None:

@@ -7,13 +7,16 @@ run as :class:`Process` coroutines over a shared :class:`Simulator` clock.
 The programming model follows the classic generator-coroutine style:
 
     def worker(sim):
-        yield sim.timeout(1.0)          # sleep 1 simulated second
+        yield 1.0                       # sleep 1 simulated second
         result = yield other_process    # wait for a process to finish
         return result
 
 A process yields :class:`Event` objects and is resumed with the event's
-value once the event triggers. Exceptions propagate: failing an event with
-``event.fail(exc)`` raises ``exc`` inside every waiting process.
+value once the event triggers; yielding a ``float`` sleeps that many
+seconds (``sim.timeout(x)`` is for when an Event *object* is needed: an
+``any_of`` member, a stored timer, a value to deliver). Exceptions
+propagate: failing an event with ``event.fail(exc)`` raises ``exc``
+inside every waiting process.
 
 The engine is deliberately small but complete: one-shot events, timeouts,
 process join, ``any_of``/``all_of`` combinators and interrupts. It is
@@ -41,10 +44,53 @@ tiers, and the run loop always executes the entry with the smallest
 original single-heap scheduler: the two-tier split is a pure wall-clock
 optimization (see ``repro.sim.bench`` for the fingerprint machinery
 that pins this equivalence).
+
+Direct resumption
+-----------------
+
+Two cases dominate the traffic — a process going to sleep, and a process
+asking for something that is free (98.8 % of mutex acquires on the
+MDS-failover chaos cell) — and neither needs the event machinery. Both
+short cuts live in :meth:`Process._step` and keep every ``(when, seq)``
+key where the long way round would have put it:
+
+* a **sleep**: the process yields a float. The entry ``(when, seq,
+  process._wake, seq)`` goes straight to the heap (to the now-queue when
+  ``when == now``), with the sequence number a ``Timeout`` created at
+  that yield would have taken, and its dispatch resumes the generator
+  without ``Timeout._fire -> _run_callbacks -> _on_event`` in between.
+  The entry's sequence number doubles as the token ``_waiting_on``
+  holds; :meth:`Process.interrupt` clears it, so the wake of an
+  interrupted sleep finds another token and does nothing — a ``Timeout``
+  nobody waits for any more did nothing either.
+* an **elision**: the process yields an event that has already triggered
+  (``sim.granted``, which ``Mutex.acquire``, ``Semaphore.acquire`` and
+  ``Store.put`` return when they grant on the spot). The long way queues
+  ``(seq, process._resume, event)`` and returns to the run loop. When
+  that entry would be the very next one dispatched, with nothing
+  observable in between, the process instead takes the sequence number
+  (so every later key is unchanged), counts one in ``sim.elided`` and
+  continues in place. "Very next, nothing in between" is four tests,
+  each pinned by a test that fails without it: the now-queue is empty;
+  the heap's head is strictly later than ``now`` (a head due now is
+  older than the new entry and would run first); the process is not
+  being resumed from inside a callback batch with callbacks still to
+  run (they are part of the current entry and run before any queued
+  one); and the event a surrounding :meth:`Simulator.run_until` waits
+  for has not triggered — ``run_until`` looks at it between entries and
+  would return *before* dispatching the resumption, so continuing in
+  place would run the process past the point where the caller expects
+  to find it. Any test failing, the long way runs as it always did.
+
+``sim._seq`` is thus the number of entries scheduled and ``sim._seq -
+sim.elided`` the number the run loop dispatched;
+``scripts/bench_engine.py`` records both per scenario and gates the
+second exactly.
 """
 
 import heapq
 from collections import deque
+from math import inf
 
 from repro.common.errors import SimulationError
 
@@ -151,8 +197,9 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, sim, delay, value=None):
-        if delay < 0:
-            raise SimulationError("negative timeout delay %r" % delay)
+        if not 0 <= delay < inf:  # also false for NaN, which breaks heap order
+            raise SimulationError(
+                "timeout delay must be finite and >= 0, got %r" % (delay,))
         # Event.__init__ and Simulator._schedule are flattened here:
         # timeouts are the single most-allocated event type (one per CPU
         # quantum, poll interval and RPC), and the two calls they replace
@@ -238,7 +285,9 @@ class Process(Event):
             return
         waited = self._waiting_on
         self._waiting_on = None
-        if waited is not None:
+        # A sleep token (an int) has no callback list: its queued _wake
+        # is dropped as stale, like a queued _resume.
+        if waited is not None and waited.__class__ is not int:
             try:
                 waited.callbacks.remove(self._on_event)
             except ValueError:
@@ -268,6 +317,13 @@ class Process(Event):
             self._step(event._value, None)
         else:
             self._step(None, event._exc)
+
+    def _wake(self, token):
+        """End of a sleep; ``token`` is the entry's own sequence number."""
+        if self._waiting_on is not token:
+            return  # interrupted during the sleep; stale wakeup
+        self._waiting_on = None
+        self._step(None, None)
 
     def _on_event(self, event):
         if self._waiting_on is not event:
@@ -310,14 +366,46 @@ class Process(Event):
                 else:
                     sim._record_crash(self, err)
                 return
-            if isinstance(target, Event) and target.sim is sim:
-                break
-            # A bad yield is thrown back into the generator through the
-            # same try/except: a generator that catches the error and
-            # yields a valid event next continues normally; one that does
-            # not is marked crashed/triggered like any other failure
-            # (previously both paths fell out of _step unhandled).
-            if isinstance(target, Event):
+            if target.__class__ is float:
+                # Sleep: the entry a Timeout created here would have
+                # pushed, minus the Timeout.
+                if 0.0 <= target < inf:
+                    when = sim.now + target
+                    sim._seq = token = sim._seq + 1
+                    self._waiting_on = token
+                    if when == sim.now:
+                        sim._ready.append((token, self._wake, token))
+                    else:
+                        heapq.heappush(
+                            sim._heap, (when, token, self._wake, token))
+                    return
+                value, exc = None, SimulationError(
+                    "sleep must be finite and >= 0, got %r" % (target,))
+            elif isinstance(target, Event) and target.sim is sim:
+                if not target.triggered:
+                    self._waiting_on = target
+                    target.callbacks.append(self._on_event)
+                    return
+                heap = sim._heap
+                stop = sim._stop
+                if (sim._ready or sim._batch
+                        or (heap and heap[0][0] <= sim.now)
+                        or (stop is not None and stop.triggered)):
+                    # Something else runs before the resumption would.
+                    self._waiting_on = target
+                    sim._schedule_call(self._resume, target)
+                    return
+                # Elision: the resumption would be the very next entry
+                # dispatched, so take its sequence number and go on.
+                sim._seq += 1
+                sim.elided += 1
+                value, exc = target._value, target._exc
+            elif isinstance(target, Event):
+                # A bad yield is thrown back into the generator through
+                # the same try/except: a generator that catches the error
+                # and yields a valid event next continues normally; one
+                # that does not is marked crashed/triggered like any other
+                # failure.
                 value, exc = None, SimulationError(
                     "event from a different simulator yielded"
                 )
@@ -325,12 +413,6 @@ class Process(Event):
                 value, exc = None, SimulationError(
                     "process yielded non-event %r" % (target,)
                 )
-        self._waiting_on = target
-        if target.triggered:
-            # Fast path: skip subscribe() — queue the resumption directly.
-            sim._schedule_call(self._resume, target)
-        else:
-            target.callbacks.append(self._on_event)
 
 
 class AnyOf(Event):
@@ -434,6 +516,14 @@ class Simulator(object):
         self._heap = []  # (when, seq, fn, arg) — future callbacks
         self._ready = deque()  # (seq, fn, arg) — callbacks due *now*
         self._seq = 0
+        self.elided = 0  # resumptions continued in place (see Process._step)
+        self._batch = False  # inside a callback batch with callbacks to go
+        self._stop = None  # the event a surrounding run_until() waits for
+        #: Shared pre-triggered event: what ``Mutex.acquire`` and friends
+        #: return when they grant immediately. Nothing is ever stored on
+        #: it, so any number of processes may wait on it at once.
+        self.granted = Event(self, name="granted")
+        self.granted.triggered = True
         self.crashed = []  # (process, exception) for unobserved failures
         self.tracer = None  # event sink (a repro.obs.Observer)
         self.observer = None  # full repro.obs.Observer (spans, profiles)
@@ -501,8 +591,19 @@ class Simulator(object):
 
     def _run_callbacks(self, event):
         callbacks, event.callbacks = event.callbacks, []
-        for callback in callbacks:
-            callback(event)
+        if not callbacks:
+            return  # every subscriber left between trigger and dispatch
+        last = callbacks.pop()
+        if callbacks:
+            # The rest of the batch runs before anything queued from here
+            # on; the elision test in Process._step has to know.
+            self._batch = True
+            try:
+                for callback in callbacks:
+                    callback(event)
+            finally:
+                self._batch = False
+        last(event)
 
     def _record_crash(self, process, exc):
         self.crashed.append((process, exc))
@@ -594,6 +695,7 @@ class Simulator(object):
         heap = self._heap
         ready = self._ready
         heappop = heapq.heappop
+        outer, self._stop = self._stop, event
         try:
             while not event.triggered:
                 if ready:
@@ -616,6 +718,8 @@ class Simulator(object):
                     break
         except _CrashHalt:
             self._raise_crash()
+        finally:
+            self._stop = outer
         if event.triggered:
             return True
         if deadline > self.now:

@@ -108,12 +108,16 @@ class Mutex(object):
 
     def acquire(self, who=None):
         """Return an event that triggers once the lock is held."""
-        event = Event(self.sim, name=self._acq_name)
+        sim = self.sim
         if self._owner is None:
-            self._grant(event, who, requested_at=self.sim.now)
-            event.succeed()
-        else:
-            self._waiters.append((event, who, self.sim.now))
+            # _grant() with a zero wait, on the shared pre-triggered event.
+            event = sim.granted
+            self._owner = who if who is not None else event
+            self._granted_at = sim.now
+            self.stats.acquisitions += 1
+            return event
+        event = Event(sim, name=self._acq_name)
+        self._waiters.append((event, who, sim.now))
         return event
 
     def _grant(self, event, who, requested_at):
@@ -160,12 +164,11 @@ class Semaphore(object):
 
     def acquire(self):
         """Return an event that triggers once a unit is held."""
-        event = Event(self.sim, name=self._acq_name)
         if self._available > 0:
             self._available -= 1
-            event.succeed()
-        else:
-            self._waiters.append(event)
+            return self.sim.granted
+        event = Event(self.sim, name=self._acq_name)
+        self._waiters.append(event)
         return event
 
     def release(self):
@@ -210,16 +213,15 @@ class Store(object):
 
     def put(self, item):
         """Offer ``item``; the returned event triggers once it is enqueued."""
-        event = Event(self.sim, name=self._put_name)
         if self._getters:
             self._getters.popleft().succeed(item)
-            event.succeed()
         elif self.capacity is None or len(self._items) < self.capacity:
             self._items.append(item)
-            event.succeed()
         else:
+            event = Event(self.sim, name=self._put_name)
             self._putters.append((event, item))
-        return event
+            return event
+        return self.sim.granted
 
     def get(self):
         """Take the oldest item; the returned event triggers with it."""

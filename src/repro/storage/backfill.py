@@ -35,7 +35,7 @@ class BackfillScheduler(object):
                  ops_per_osd=None):
         costs = cluster.costs
         self.cluster = cluster
-        self.interval = (
+        self.interval = float(
             interval if interval is not None else costs.backfill_interval
         )
         self.bytes_per_osd = (
@@ -71,7 +71,7 @@ class BackfillScheduler(object):
         sim = self.cluster.sim
         try:
             while True:
-                yield sim.timeout(self.interval)
+                yield self.interval
                 yield from self.cycle()
         except Interrupt:
             return
@@ -216,5 +216,5 @@ class BackfillScheduler(object):
             if self.idle():
                 return True
             yield from self.cycle()
-            yield sim.timeout(self.interval)
+            yield self.interval
         return self.idle()

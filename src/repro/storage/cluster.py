@@ -333,7 +333,7 @@ class CephCluster(object):
                 self.metrics.counter("retries_%s" % what).add(1)
                 self.sim.trace("cluster", "retry", what=what, attempt=attempt,
                                error=type(last_err).__name__)
-                yield self.sim.timeout(delay)
+                yield delay
                 delay = min(delay * 2.0, self.costs.retry_backoff_max)
                 if self._lifecycle_armed:
                     # Epoch-aware resend: refresh the osdmap snapshot so
@@ -634,7 +634,7 @@ class CephCluster(object):
                 verify_redos += 1
                 if verify_redos >= self.costs.retry_attempts:
                     raise err
-                yield self.sim.timeout(self.costs.retry_backoff)
+                yield self.costs.retry_backoff
                 continue
             if clean:
                 # a fresh overwrite makes a quarantined object whole again
@@ -1051,7 +1051,7 @@ class CephCluster(object):
                 self.sim.trace("cluster", "mds_retry", op=op_name,
                                attempt=attempt,
                                error=type(last_err).__name__)
-                yield self.sim.timeout(delay)
+                yield delay
                 delay = min(delay * 2.0, self.costs.retry_backoff_max)
                 if service is not None:
                     self._refresh_mds_map()

@@ -269,13 +269,13 @@ class Mds(object):
         if self.crashed or not self.available:
             # Dead MDS: the request goes unanswered until the client-side
             # op timeout declares it lost.
-            yield self.sim.timeout(self.costs.op_timeout)
+            yield self.costs.op_timeout
             raise OpTimeout("mds unavailable")
         if map_epoch is not None:
             self._fence(map_epoch)
         yield self._slots.acquire()
         try:
-            yield self.sim.timeout(self.costs.mds_op)
+            yield self.costs.mds_op
         finally:
             self._slots.release()
         self.metrics.counter("ops").add(1)
@@ -474,7 +474,7 @@ class Mds(object):
         yield from self._op(map_epoch)
         names = self.tree.readdir(path)
         # Marshalling grows with the directory size.
-        yield self.sim.timeout(self.costs.dirent_op * max(len(names), 1))
+        yield self.costs.dirent_op * max(len(names), 1)
         return names
 
     def rename(self, old_path, new_path, client_id=None, op_id=None,
@@ -684,7 +684,7 @@ class Mds(object):
         started = self.sim.now
         records, consumed = yield from journal.read_from(from_bytes)
         for record in records:
-            yield self.sim.timeout(self.costs.mds_replay_op)
+            yield self.costs.mds_replay_op
             self.absorb(rank, record, apply=True)
         # Records absorbed while tailing whose apply never happened
         # (the active died between journal append and apply).
@@ -692,7 +692,7 @@ class Mds(object):
         for seq in sorted(self._pending_apply):
             record = self._pending_apply[seq]
             if seq not in applied:
-                yield self.sim.timeout(self.costs.mds_replay_op)
+                yield self.costs.mds_replay_op
                 try:
                     self._apply_record(record)
                 except FsError:
@@ -823,7 +823,7 @@ class MdsService(object):
         """Standby-replay: periodically absorb the tail of one rank's
         journal so promotion only replays the remaining lag."""
         while daemon.state == "standby" and not daemon.crashed:
-            yield self.sim.timeout(self.costs.mds_tail_interval)
+            yield self.costs.mds_tail_interval
             if daemon.state != "standby" or daemon.crashed:
                 break
             try:

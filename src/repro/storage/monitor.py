@@ -330,7 +330,7 @@ class Monitor(object):
         if interval is None:
             interval = self.cluster.costs.heartbeat_interval
         self._heartbeat_proc = self.cluster.sim.spawn(
-            self._heartbeat_loop(interval), name="mon-heartbeat"
+            self._heartbeat_loop(float(interval)), name="mon-heartbeat"
         )
         return self._heartbeat_proc
 
@@ -338,7 +338,7 @@ class Monitor(object):
         sim = self.cluster.sim
         costs = self.cluster.costs
         while True:
-            yield sim.timeout(interval)
+            yield interval
             for osd in self.cluster.osds:
                 osd_id = osd.osd_id
                 if osd.crashed:

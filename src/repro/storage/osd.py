@@ -134,7 +134,7 @@ class Osd(object):
     def _check_up(self):
         """Dead-daemon behaviour: silence until the op timeout expires."""
         if self.crashed:
-            yield self.sim.timeout(self.costs.op_timeout)
+            yield self.costs.op_timeout
             err = OpTimeout("osd %d is down" % self.osd_id)
             # Let the retry layer blame the right OSD even when the
             # timeout surfaces out of a multi-target write attempt.
@@ -310,7 +310,7 @@ class Osd(object):
         self._enter_op()
         yield self._slots.acquire()
         try:
-            yield self.sim.timeout(self.costs.osd_op)
+            yield self.costs.osd_op
             obj = self._objects.get((ino, index))
             data = (
                 bytes(memoryview(obj)[offset:offset + size])
@@ -382,7 +382,7 @@ class Osd(object):
         self._enter_op()
         yield self._slots.acquire()
         try:
-            yield self.sim.timeout(self.costs.osd_op)
+            yield self.costs.osd_op
             yield from self.device.transfer(total, write=True)
             yield from self.device.transfer(total, write=True)
             for index, offset, data in pieces:
@@ -407,7 +407,7 @@ class Osd(object):
         self._check_epoch(epoch)
         yield self._slots.acquire()
         try:
-            yield self.sim.timeout(self.costs.osd_op)
+            yield self.costs.osd_op
             self._apply_object_truncate((ino, index), size)
         finally:
             self._slots.release()
@@ -423,7 +423,7 @@ class Osd(object):
         started = self.sim.now
         yield self._slots.acquire()
         try:
-            yield self.sim.timeout(self.costs.osd_op)
+            yield self.costs.osd_op
             obj = self._objects.get((ino, index))
             span = 0
             if obj is not None:
@@ -433,7 +433,7 @@ class Osd(object):
                     span = max(0, min(offset + size, len(obj)) - max(offset, 0))
             if span:
                 yield from self.device.transfer(span)
-                yield self.sim.timeout(self.costs.verify_cost(span))
+                yield self.costs.verify_cost(span)
             ok = self.replica_clean(ino, index, offset=offset, size=size)
         finally:
             self._slots.release()
@@ -456,7 +456,7 @@ class Osd(object):
         yield from self._check_up()
         yield self._slots.acquire()
         try:
-            yield self.sim.timeout(self.costs.scrub_meta_op)
+            yield self.costs.scrub_meta_op
             obj = self._objects.get((ino, index))
             dig = self._digests.get((ino, index)) or {}
             size = len(obj) if obj is not None else -1

@@ -30,7 +30,8 @@ class ScrubDaemon(object):
         costs = cluster.costs
         self.cluster = cluster
         self.sim = cluster.sim
-        self.interval = interval if interval is not None else costs.scrub_interval
+        self.interval = float(
+            interval if interval is not None else costs.scrub_interval)
         self.deep_every = (
             deep_every if deep_every is not None else costs.deep_scrub_every
         )
@@ -60,7 +61,7 @@ class ScrubDaemon(object):
 
     def _loop(self):
         while self.running:
-            yield self.sim.timeout(self.interval)
+            yield self.interval
             if not self.running:
                 return
             self._cycle += 1

@@ -12,6 +12,9 @@ hosts through the shared network filesystem — expressible; see
 :mod:`repro.containers.migration`.
 """
 
+import functools
+import gc
+
 from repro import obs
 from repro.common import units
 from repro.common.errors import ConfigError
@@ -24,7 +27,28 @@ from repro.net import Fabric
 from repro.sim import Simulator, SimThread
 from repro.storage import CephCluster
 
-__all__ = ["Host", "World"]
+__all__ = ["Host", "World", "releases_world"]
+
+
+def releases_world(entry_point):
+    """Decorator for row-level entry points that build one world and
+    return plain data: collect the world before handing the row back.
+
+    A finished world is cyclic garbage that no single edge frees — each
+    daemon's suspended generator refers to the object that spawned it,
+    which holds the process — and the generational collector gets to it
+    late, so a process running several cells peaked at the *sum* of
+    neighbouring worlds. The collection runs once the entry point's
+    frame is gone; after a raise the traceback still holds the world
+    and it is left to the caller's.
+    """
+    @functools.wraps(entry_point)
+    def run_and_release(*args, **kwargs):
+        try:
+            return entry_point(*args, **kwargs)
+        finally:
+            gc.collect()
+    return run_and_release
 
 
 class Host(object):

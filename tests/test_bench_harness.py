@@ -59,3 +59,50 @@ def test_registry_lookup():
     assert "Fileserver" in describe("FLS")
     assert workload_class("FLS") is Fileserver
     assert "next to" in describe("X+Y")
+
+
+# -- bugfix: a finished world is released before the row comes back --------
+
+
+def _run_sequential_cell():
+    from repro.bench.sequential import run_sequential
+    return run_sequential("D", 1, "read", duration=0.1, seed=1)
+
+
+def _run_colocation_cell():
+    from repro.bench.isolation import run_colocation
+    return run_colocation("K", 1, neighbor="RND", duration=0.05, seed=1)
+
+
+def _run_chaos_cell():
+    from repro.faults import ChaosConfig
+    return ChaosConfig(seed=7, duration=0.3, osd_crashes=0, partitions=0,
+                       service_crashes=0).run()
+
+
+@pytest.mark.parametrize(
+    "cell", [_run_sequential_cell, _run_colocation_cell, _run_chaos_cell])
+def test_row_entry_point_releases_its_world(cell, monkeypatch):
+    """The world is cyclic garbage; with the collector off it used to
+    outlive the call, so the next cell was built beside it."""
+    import gc
+    import weakref
+
+    from repro.world import World
+
+    built = []
+    init = World.__init__
+
+    def noting_init(world, *args, **kwargs):
+        init(world, *args, **kwargs)
+        built.append(weakref.ref(world))
+
+    monkeypatch.setattr(World, "__init__", noting_init)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cell()
+        assert len(built) == 1 and built[0]() is None
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -21,7 +21,9 @@ The remaining tests pin the three scheduling bugfixes that rode along:
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim import Interrupt, Simulator
+from repro.sim import (
+    Core, Interrupt, Mutex, Semaphore, SimThread, Simulator, Store,
+)
 from repro.sim.bench import schedule_fingerprint
 
 #: (scenario, kwargs) -> (fingerprint, final_time) captured from the
@@ -32,6 +34,9 @@ GOLDEN = {
     ("torture", 1): ("fb445083c241dfb603621d18bc024eba", 0.2690000000000002),
     ("interrupts", 2): ("98e1684463c523e3868384f7ac5a3809", 1000.0),
     ("combinators", 3): ("597bda445e3396d340187178737290d8", 0.0015),
+    # Captured at 52eeb5e, the last engine without the sleep and elision
+    # paths, from the scenario spelled with ``sim.timeout()``.
+    ("cpu_mix", 4): ("aa4f26eb3436fe2e29f60666b81dd395", 1.002),
 }
 
 
@@ -259,3 +264,349 @@ def test_all_of_unsubscribes_pending_children_on_failure(sim):
     sim.run()
     assert proc.value == "failed"
     assert [cb.__name__ for cb in never.callbacks] == ["_watch_abandoned"]
+
+
+# -- direct-resume scheduling: sleeps and elided resumptions ---------------
+
+
+def test_sleep_and_timeout_of_equal_delay_fire_in_program_order(sim):
+    """A sleep takes the sequence number a Timeout created there would."""
+    order = []
+
+    def sleeper(tag):
+        yield 1.0
+        order.append(tag)
+
+    def timer(tag):
+        yield sim.timeout(1.0)
+        order.append(tag)
+
+    for tag, body in enumerate((sleeper, timer, sleeper, timer, timer, sleeper)):
+        sim.spawn(body(tag))
+    sim.run()
+    assert order == [0, 1, 2, 3, 4, 5]
+    assert sim.now == 1.0
+
+
+def test_zero_sleep_is_a_scheduling_point(sim):
+    order = []
+
+    def a():
+        order.append("a0")
+        yield 0.0
+        order.append("a1")
+
+    def b():
+        order.append("b0")
+        yield 0.0
+        order.append("b1")
+
+    sim.spawn(a())
+    sim.spawn(b())
+    sim.run()
+    assert order == ["a0", "b0", "a1", "b1"]
+    assert sim.now == 0.0
+
+
+def test_stale_wake_after_interrupt_is_dropped(sim):
+    """The interrupted sleep's entry stays queued and must do nothing,
+    even though the process is asleep again when it comes up."""
+    log = []
+
+    def sleeper():
+        try:
+            yield 1.0
+            log.append("overslept")
+        except Interrupt as intr:
+            log.append(("intr", intr.cause, sim.now))
+        yield 2.0  # spans t=1.0, when the stale wake is dispatched
+        log.append(("woke", sim.now))
+
+    def interrupter(target):
+        yield 0.5
+        target.interrupt(cause="up")
+
+    target = sim.spawn(sleeper())
+    sim.spawn(interrupter(target))
+    sim.run()
+    assert log == [("intr", "up", 0.5), ("woke", 2.5)]
+
+
+def test_interrupt_on_the_timestamp_a_sleep_ends(sim):
+    """An older timer interrupts at t=1; the sleeper's own wake, due at
+    t=1 too, is dispatched next and dropped."""
+    log = []
+    box = []
+
+    def interrupter():
+        yield 1.0
+        box[0].interrupt(cause="tie")
+
+    def sleeper():
+        try:
+            yield 1.0
+            log.append("woke")
+        except Interrupt as intr:
+            log.append(("intr", intr.cause))
+
+    sim.spawn(interrupter())
+    box.append(sim.spawn(sleeper()))
+    sim.run()
+    assert log == [("intr", "tie")]
+
+
+def test_free_lock_is_continued_in_place_and_counted(sim):
+    lock = Mutex(sim, name="m")
+    sem = Semaphore(sim, 1, name="s")
+    store = Store(sim, name="q")
+
+    def proc():
+        yield 1.0  # alone at t=1: nothing else is runnable
+        before = sim.elided
+        yield lock.acquire()
+        yield sem.acquire()
+        yield store.put("x")
+        return sim.elided - before
+
+    process = sim.spawn(proc())
+    sim.run()
+    assert process.value == 3
+    # Elided entries still take their sequence numbers: start, sleep, 3.
+    assert sim._seq == 5
+    assert lock.stats.acquisitions == 1 and lock.stats.contended == 0
+    assert lock.locked and sem.available == 0 and len(store) == 1
+
+
+def test_elision_refused_when_another_entry_is_runnable_now(sim):
+    """b's start entry is queued at t=0 ahead of a's resumption, so a
+    must not run on past its free acquire before b has started."""
+    order = []
+    lock = Mutex(sim, name="m")
+
+    def a():
+        order.append("a0")
+        yield lock.acquire()
+        order.append("a1")
+        lock.release()
+
+    def b():
+        order.append("b0")
+        yield 0.0
+
+    sim.spawn(a())
+    sim.spawn(b())
+    sim.run()
+    assert order == ["a0", "b0", "a1"]
+    assert sim.elided == 0
+
+
+def test_elision_refused_when_a_heap_entry_is_due_now(sim):
+    """Two sleepers due at t=1: the first must not run past its free
+    acquire before the second — older than the resumption — has woken."""
+    order = []
+    lock = Mutex(sim, name="m")
+
+    def a():
+        yield 1.0
+        order.append("a0")
+        yield lock.acquire()
+        order.append("a1")
+
+    def b():
+        yield 1.0
+        order.append("b0")
+
+    sim.spawn(a())
+    sim.spawn(b())
+    sim.run()
+    assert order == ["a0", "b0", "a1"]
+
+
+def test_elision_refused_inside_a_callback_batch(sim):
+    """Two waiters on one event are one scheduler entry. The first must
+    not run past a free acquire before the second has been resumed."""
+    order = []
+    gate = sim.event()
+    lock = Mutex(sim, name="m")
+
+    def waiter(tag):
+        yield gate
+        order.append((tag, "woke"))
+        yield lock.acquire()
+        order.append((tag, "locked"))
+        lock.release()
+
+    def opener():
+        yield 1.0
+        gate.succeed()
+
+    sim.spawn(waiter(0))
+    sim.spawn(waiter(1))
+    sim.spawn(opener())
+    sim.run()
+    assert order == [(0, "woke"), (1, "woke"), (0, "locked"), (1, "locked")]
+
+
+def test_run_until_stops_before_an_elidable_resumption(sim):
+    """run_until() checks its event between entries; a process that
+    triggers it and then takes a free lock stops at the acquire."""
+    log = []
+    done = sim.event()
+    lock = Mutex(sim, name="m")
+
+    def proc():
+        yield 1.0
+        done.succeed()
+        log.append("triggered")
+        yield lock.acquire()
+        log.append("locked")
+
+    sim.spawn(proc())
+    assert sim.run_until(done, deadline=5.0) is True
+    assert log == ["triggered"]
+    assert lock.locked  # granted at the call; the resumption is queued
+    sim.run()
+    assert log == ["triggered", "locked"]
+    assert sim.elided == 0
+
+
+def test_processes_on_the_shared_granted_event_do_not_wake_each_other(sim):
+    """Both park on ``sim.granted`` (elision refused: each has the other
+    queued behind it); interrupting one must leave the other's
+    resumption alone, and each resumes exactly once."""
+    log = []
+    locks = [Mutex(sim, name="m%d" % i) for i in range(2)]
+
+    def proc(tag):
+        try:
+            event = locks[tag].acquire()
+            assert event is sim.granted
+            yield event
+            log.append(("locked", tag))
+        except Interrupt:
+            log.append(("intr", tag))
+        yield 1.0
+        log.append(("end", tag))
+
+    def meddler(target):
+        target.interrupt()
+        yield 0.0
+
+    first = sim.spawn(proc(0))
+    sim.spawn(proc(1))
+    sim.spawn(meddler(first))
+    sim.run()
+    assert log == [("locked", 0), ("locked", 1), ("end", 0), ("end", 1)] \
+        or log == [("locked", 1), ("intr", 0), ("end", 1), ("end", 0)]
+    assert sim.granted.callbacks == []
+
+
+# -- bugfix: non-finite delays used to corrupt the heap ---------------------
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_timeout_rejects_non_finite_and_negative_delays(sim, bad):
+    with pytest.raises(SimulationError):
+        sim.timeout(bad)
+
+
+def test_nan_delay_no_longer_reorders_sleepers(sim):
+    """With a NaN key in the heap the 1.0 sleeper used to fire before
+    the 0.5 one and ``sim.now`` became NaN."""
+    order = []
+
+    def sleeper(delay):
+        try:
+            yield delay
+        except SimulationError:
+            order.append("rejected")
+            return
+        order.append(delay)
+
+    for delay in (2.0, float("nan"), 1.0, 0.5):
+        sim.spawn(sleeper(delay))
+    sim.run()
+    assert order == ["rejected", 0.5, 1.0, 2.0]
+    assert sim.now == 2.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+def test_bad_sleep_is_catchable_and_process_continues(sim, bad):
+    def proc():
+        try:
+            yield bad
+        except SimulationError:
+            pass
+        yield 1.0
+        return "ok"
+
+    process = sim.spawn(proc())
+    sim.run()
+    assert process.value == "ok" and sim.now == 1.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+def test_thread_run_rejects_non_finite_cpu_time(sim, bad):
+    """``run(nan)`` used to return silently having charged nothing."""
+    thread = SimThread(sim, "t", [Core(sim, 0)])
+
+    def proc():
+        yield from thread.run(bad)
+
+    sim.spawn(proc())
+    with pytest.raises(SimulationError, match="cpu time"):
+        sim.run()
+    assert thread.cpu_time == 0.0
+
+
+# -- the exact half of the perf ledger --------------------------------------
+
+
+def _bench_harness():
+    import importlib.util
+    import os
+
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "scripts", "bench_engine.py")
+    spec = importlib.util.spec_from_file_location("bench_engine", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_counts_entries_of_every_simulator_a_task_builds():
+    harness = _bench_harness()
+    init = Simulator.__init__
+    out = harness.counted(harness.task_micro, {})
+    assert Simulator.__init__ is init  # the note-taking wrapper is gone
+    assert set(out["value"]["detail"]) == {
+        "torture", "interrupts", "combinators"}
+    # Exact on any machine: three simulators' sequence numbers, and
+    # those minus the resumptions continued in place.
+    assert out["entries_scheduled"] == 2423
+    assert out["entries_dispatched"] == 2346
+
+
+def test_bench_check_gates_dispatch_counts_exactly():
+    harness = _bench_harness()
+
+    def record(dispatched):
+        return {"python": "3.11.0", "total_wall_s": 1.0, "scenarios": {
+            "s": {"fingerprint": "f", "entries_dispatched": dispatched}}}
+
+    assert harness.check_against(record(100), record(100), 0.25) == []
+    assert harness.check_against(record(99), record(100), 0.25) == []
+    (failure,) = harness.check_against(record(101), record(100), 0.25)
+    assert "dispatch regression in 's'" in failure
+    # A schema-2 baseline has no counts: nothing to gate.
+    old = record(0)
+    del old["scenarios"]["s"]["entries_dispatched"]
+    assert harness.check_against(record(101), old, 0.25) == []
+
+
+def test_primitive_costs_times_the_three_primitives():
+    from repro.sim.bench import primitive_costs
+
+    costs = primitive_costs(rounds=200)
+    assert sorted(costs) == ["cpu_charge", "free_acquire", "sleep"]
+    assert all(micros > 0 for micros in costs.values())
