@@ -6,9 +6,10 @@ reason Danaus loses to the kernel client on cached sequential reads
 (Fig. 9 bottom, ceph tracker #23844) and reports that removing it helps
 but "requires refactoring libcephfs, which is beyond our current scope".
 
-This reproduction implements that refactoring behind a flag: the
-user-level client can run with per-inode locks instead of one global
-lock. The demo measures cached Seqread throughput both ways.
+This reproduction implements that refactoring as the client's
+``locking=`` policy: ``"global"`` is the faithful single lock,
+``"inode"`` gives every inode its own. The demo measures cached Seqread
+throughput both ways.
 
 Run:  python examples/client_lock_ablation.py
 """
@@ -20,8 +21,8 @@ def main():
     print("Cached sequential read, 6 reader threads, one Danaus client")
     print()
     rows = []
-    for fine_grained in (False, True):
-        row = _seqread_with(fine_grained, duration=4.0)
+    for locking in ("global", "inode"):
+        row = _seqread_with(locking, duration=4.0)
         rows.append(row)
         print("%-14s %10.1f MB/s   (lock wait %.3fs)" % (
             row["locking"], row["throughput_mb_s"],

@@ -21,42 +21,17 @@ ablation quantifies each step.
 
 from repro.cephclient.cache import ObjectCache
 from repro.cephclient.locking import AdaptiveLockController, LockingPolicy
-from repro.common.errors import (
-    RETRYABLE,
-    BadFileDescriptor,
-    FileExists,
-    FileNotFound,
-    FsError,
-    InvalidArgument,
-    IsADirectory,
-    ThreadKilled,
-)
-from repro.fs import pathutil
-from repro.fs.api import FileHandle, FileStat, Filesystem, OpenFlags
+from repro.cephclient.mount import CephMount
+from repro.common.errors import FsError, InvalidArgument, ThreadKilled
+from repro.fs.api import OpenFlags
 from repro.fs.readahead import Prefetcher, next_window, plan_fetch
-from repro.metrics import MetricSet
 from repro.sim.cpu import SimThread
 from repro.sim.sync import Mutex
 
 __all__ = ["CephLibClient"]
 
-#: Sentinel for cached negative lookups (the dentry cache caches ENOENT
-#: too — without it every union whiteout probe would be an MDS round
-#: trip). Negatives are invalidated by local creates/renames; remote
-#: creates become visible through open()'s revalidation, matching the
-#: close-to-open consistency of §3.4.
-_NEGATIVE = object()
 
-
-class _CephHandle(FileHandle):
-    __slots__ = ("ino",)
-
-    def __init__(self, fs, path, flags, ino):
-        super().__init__(fs, path, flags)
-        self.ino = ino
-
-
-class CephLibClient(Filesystem):
+class CephLibClient(CephMount):
     """libcephfs-like user-level client over the simulated cluster."""
 
     def __init__(
@@ -74,16 +49,8 @@ class CephLibClient(Filesystem):
         consistency="close-to-open",
         cache_dedup=False,
     ):
-        self.sim = sim
-        self.cluster = cluster
-        #: this client's view of the osdmap epoch — kept current by a
-        #: monitor subscription (the MON -> client map push; the cluster
-        #: stamps the actual data-path ops with its own snapshot)
-        self.osdmap_epoch = cluster.monitor.epoch
-        cluster.monitor.subscribe(self._on_osdmap)
-        self.costs = costs
+        super().__init__(sim, cluster, costs, name)
         self.account = account
-        self.name = name
         if cache_bytes is None:
             cache_bytes = max(account.capacity // 2, costs.object_size)
         fingerprint_fn = self._block_fingerprint if cache_dedup else None
@@ -106,20 +73,11 @@ class CephLibClient(Filesystem):
                 self._locking, costs
             )
             self._lock_controller.start()
-        self.attr_cache = {}  # path -> InodeInfo (sizes kept current locally)
-        self._sizes = {}  # ino -> local authoritative size
-        self._paths = {}  # ino -> path (for size flush to the MDS)
         self._dirty_since = {}  # ino -> first dirty time
-        #: ino -> count of in-flight flushes whose MDS size update has not
-        #: landed yet; while non-zero the local size stays authoritative
-        #: (the Fw-caps analogue of "dirty": take_dirty cleared the buffer
-        #: but the data/size is still ours until the MDS acknowledges).
-        self._size_flushing = {}
         self._seq_end = {}  # ino -> end offset of last read (readahead)
         #: pipelined readahead: one detached next-window prefetch per ino
         self._prefetcher = Prefetcher(sim)
         self._flush_waiters = []
-        self.metrics = MetricSet(name)
         # The ObjectCacher writes back *asynchronously*: many OSD writes in
         # flight at once, not one serial stream. We model that with a small
         # pool of flusher threads — pinned to the pool's cores, matching
@@ -134,20 +92,12 @@ class CephLibClient(Filesystem):
         if consistency not in ("close-to-open", "caps"):
             raise InvalidArgument("unknown consistency %r" % consistency)
         self.consistency = consistency
-        self.client_id = (
-            cluster.register_client(self) if consistency == "caps" else None
-        )
+        if consistency == "caps":
+            self.client_id = cluster.register_client(self)
         self._session_epoch = cluster.mds.session_epoch
         self._held_caps = {}  # ino -> caps mask held under this session
-        #: exactly-once metadata stamps (allocated lazily when HA arms)
-        self._mds_session_id = None
-        self._mds_op_seq = 0
         if start_flusher:
             sim.spawn(self._flusher_loop(), name="%s.flusher" % name)
-
-    def _on_osdmap(self, osdmap):
-        """Monitor pushed a new osdmap (membership/CRUSH change)."""
-        self.osdmap_epoch = osdmap.epoch
 
     # -- locking ---------------------------------------------------------
     #
@@ -166,83 +116,50 @@ class CephLibClient(Filesystem):
         finally:
             self._locking.release(token)
 
-    # -- attribute handling ------------------------------------------------
+    # -- personality hooks (see CephMount) --------------------------------
 
-    def _remember(self, path, info):
-        self.attr_cache[path] = info
-        self._paths[info.ino] = path
-        if info.ino not in self._sizes \
-                or not self._size_authoritative(info.ino):
-            self._sizes[info.ino] = info.size
+    def _enter(self, task, op, path):
+        """Client CPU of one namespace op under the ``-1`` state lock
+        (the charge's own generator is returned, not wrapped)."""
+        cost = self.costs.ceph_client_op
+        if op in ("stat", "close"):
+            cost /= 2
+        if op in ("close", "readdir") or (
+            op == "stat" and self._locking.policy == "global"
+        ):
+            # Faithful libcephfs fast path (and pinned by the engine-bench
+            # fingerprints): stat consults the attr cache without a lock.
+            # Fine-grained policies route stat through the same namespace
+            # state section as the other path ops (open/mkdir/rename).
+            return task.cpu(cost)
+        return self._locked_cpu(task, -1, cost)
 
-    def _has_dirty(self, ino):
-        buffer = self.cache._dirty.get(ino)
-        return buffer is not None and bool(buffer)
+    def _dirty_buffer(self, ino):
+        return self.cache._dirty.get(ino)
 
-    def _size_pin(self, ino):
-        self._size_flushing[ino] = self._size_flushing.get(ino, 0) + 1
+    def _opened(self, task, path, info, flags):
+        """Caps mode: take the capabilities an open needs before it
+        returns, and refetch the attributes they make authoritative."""
+        if self.consistency != "caps" or info.is_dir:
+            return info
+        from repro.storage.caps import CAP_READ_CACHE, CAP_WRITE_BUFFER
 
-    def _size_unpin(self, ino):
-        count = self._size_flushing.get(ino, 0) - 1
-        if count > 0:
-            self._size_flushing[ino] = count
-        else:
-            self._size_flushing.pop(ino, None)
-
-    def _size_authoritative(self, ino):
-        """True while our local size must not be displaced by MDS attrs:
-        dirty data buffered, a flush in flight, or a size resend pending."""
-        return self._has_dirty(ino) or ino in self._size_flushing
-
-    def _local_size(self, ino, fallback=0):
-        return self._sizes.get(ino, fallback)
-
-    # -- Filesystem interface ---------------------------------------------------
-
-    def open(self, task, path, flags=OpenFlags.RDONLY, mode=0o644):
-        path = pathutil.normalize(path)
-        yield from self._locked_cpu(task, -1, self.costs.ceph_client_op)
-        info = None
-        if not flags & OpenFlags.CREAT:
-            # Close-to-open consistency: revalidate attributes at the MDS.
-            try:
-                info = yield from self.cluster.mds_call("lookup", path)
-            except FileNotFound:
-                self.attr_cache[path] = _NEGATIVE
-                raise
-        else:
-            try:
-                info = yield from self.cluster.mds_call(
-                    "create", path, bool(flags & OpenFlags.EXCL), mode,
-                    **self._mds_op_ids()
-                )
-            except FileExists:
-                raise
-        if info.is_dir and flags.wants_write:
-            raise IsADirectory(path=path)
+        yield from self._ensure_session()
+        want = CAP_READ_CACHE
+        if flags.wants_write:
+            want |= CAP_WRITE_BUFFER
+        yield from self.cluster.acquire_caps(self.client_id, info.ino, want)
+        self._held_caps[info.ino] = self._held_caps.get(info.ino, 0) | want
+        # Holding fresh caps means our attribute view is authoritative;
+        # any prior writer flushed during the revocation, so refetch.
+        info = yield from self.cluster.mds_call("lookup", path)
         self._remember(path, info)
-        if self.consistency == "caps" and not info.is_dir:
-            from repro.storage.caps import CAP_READ_CACHE, CAP_WRITE_BUFFER
-
-            yield from self._ensure_session()
-            want = CAP_READ_CACHE
-            if flags.wants_write:
-                want |= CAP_WRITE_BUFFER
-            yield from self.cluster.acquire_caps(self.client_id, info.ino, want)
-            self._held_caps[info.ino] = self._held_caps.get(info.ino, 0) | want
-            # Holding fresh caps means our attribute view is authoritative;
-            # any prior writer flushed during the revocation, so refetch.
-            info = yield from self.cluster.mds_call("lookup", path)
-            self._remember(path, info)
-            self._sizes[info.ino] = max(
-                info.size,
-                self._sizes.get(info.ino, 0)
-                if self._size_authoritative(info.ino) else 0,
-            )
-        if flags & OpenFlags.TRUNC and not info.is_dir:
-            yield from self._truncate_ino(task, info.ino, path, 0)
-        self.metrics.counter("opens").add(1)
-        return _CephHandle(self, path, flags, info.ino)
+        self._sizes[info.ino] = max(
+            info.size,
+            self._sizes.get(info.ino, 0)
+            if self._size_authoritative(info.ino) else 0,
+        )
+        return info
 
     def handle_cap_revoke(self, ino, caps):
         """MDS revocation callback: flush and/or invalidate, then ack.
@@ -253,7 +170,7 @@ class CephLibClient(Filesystem):
         from repro.storage.caps import CAP_READ_CACHE, CAP_WRITE_BUFFER
 
         revoke_task = Task(self.flusher_thread, pool=None)
-        if caps & CAP_WRITE_BUFFER and self._has_dirty(ino):
+        if caps & CAP_WRITE_BUFFER and self._dirty_buffer(ino):
             yield from self._flush_ino(revoke_task, ino)
         # Invalidate and shrink the cap mask under the inode's state lock:
         # in the fine-grained policies a reader holds that lock across its
@@ -284,29 +201,6 @@ class CephLibClient(Filesystem):
         self.sim.trace("client", "cap_revoke", client=self.name, ino=ino,
                        caps=caps)
 
-    def _mds_op_ids(self):
-        """Stamps for one mutating metadata op (exactly-once resends).
-
-        Disarmed (no MdsService) this returns ``{}`` and the call site
-        expands to nothing — the single-MDS event schedule is untouched.
-        Armed, every mutation carries a ``(client_id, op_id)`` pair that
-        lands in the rank journal: a post-failover resend of the same op
-        dedups against the replayed op-id table instead of re-running,
-        so rename/create/unlink apply exactly once. The pair is built
-        once per logical op — the cluster retry loop reuses it across
-        resends, which is the whole point.
-        """
-        if self.cluster.mds_service is None:
-            return {}
-        if self._mds_session_id is None:
-            self._mds_session_id = (
-                self.client_id if self.client_id is not None
-                else self.cluster.mds_session_id()
-            )
-        self._mds_op_seq += 1
-        return {"client_id": self._mds_session_id,
-                "op_id": self._mds_op_seq}
-
     def _ensure_session(self):
         """Reestablish the MDS session after an MDS restart (caps mode).
 
@@ -327,10 +221,6 @@ class CephLibClient(Filesystem):
         self.sim.trace("client", "session_reestablish", client=self.name,
                        epoch=epoch)
 
-    def close(self, task, handle):
-        yield from task.cpu(self.costs.ceph_client_op / 2)
-        handle.closed = True
-
     def read(self, task, handle, offset, size):
         ino = self._live_ino(handle)
         obs = self.sim.observer
@@ -348,10 +238,7 @@ class CephLibClient(Filesystem):
         token = yield from locking.acquire_state(ino, who=task)
         try:
             yield from task.cpu(self.costs.ceph_client_op)
-            file_size = max(
-                self._local_size(ino),
-                self.cache.dirty_buffer(ino).max_end() if self._has_dirty(ino) else 0,
-            )
+            file_size = self._file_size(ino)
             if offset >= file_size or size <= 0:
                 return b""
             size = min(size, file_size - offset)
@@ -482,7 +369,7 @@ class CephLibClient(Filesystem):
         """
         import hashlib
 
-        if self._has_dirty(ino):
+        if self._dirty_buffer(ino):
             return None
         data = self.cluster.peek(ino, offset, self.cache.block_size)
         return hashlib.blake2b(data, digest_size=16).digest()
@@ -548,91 +435,18 @@ class CephLibClient(Filesystem):
         ino = self._live_ino(handle)
         yield from self._flush_ino(task, ino)
 
-    def stat(self, task, path):
-        path = pathutil.normalize(path)
-        if self._locking.policy == "global":
-            # Faithful libcephfs fast path (and pinned by the engine-bench
-            # fingerprints): stat consults the attr cache without a lock.
-            yield from task.cpu(self.costs.ceph_client_op / 2)
-        else:
-            # Fine-grained policies route stat through the same namespace
-            # state section as the other path ops (open/mkdir/rename).
-            yield from self._locked_cpu(task, -1,
-                                        self.costs.ceph_client_op / 2)
-        info = self.attr_cache.get(path)
-        if info is _NEGATIVE:
-            raise FileNotFound(path=path)
-        if info is None:
-            try:
-                info = yield from self.cluster.mds_call("lookup", path)
-            except FileNotFound:
-                self.attr_cache[path] = _NEGATIVE
-                raise
-            self._remember(path, info)
-        size = self._local_size(info.ino, info.size)
-        return FileStat(info.ino, info.is_dir, size, info.mtime, info.nlink)
-
-    def mkdir(self, task, path, mode=0o755):
-        yield from self._locked_cpu(task, -1, self.costs.ceph_client_op)
-        info = yield from self.cluster.mds_call("mkdir", path, mode,
-                                                **self._mds_op_ids())
-        self._remember(pathutil.normalize(path), info)
-
-    def rmdir(self, task, path):
-        yield from self._locked_cpu(task, -1, self.costs.ceph_client_op)
-        yield from self.cluster.mds_call("rmdir", path,
-                                         **self._mds_op_ids())
-        self.attr_cache[pathutil.normalize(path)] = _NEGATIVE
-
-    def unlink(self, task, path):
-        path = pathutil.normalize(path)
-        yield from self._locked_cpu(task, -1, self.costs.ceph_client_op)
-        ino, _size = yield from self.cluster.mds_call(
-            "unlink", path, **self._mds_op_ids()
-        )
-        self.cluster.purge(ino)
+    def _forget(self, ino):
         self.cache.drop_ino(ino)
         self._prefetcher.forget(ino)
-        self.attr_cache[path] = _NEGATIVE
-        self._sizes.pop(ino, None)
-        self._paths.pop(ino, None)
         self._dirty_since.pop(ino, None)
-        self._size_flushing.pop(ino, None)
         self._seq_end.pop(ino, None)
         self._held_caps.pop(ino, None)
         # Retire the inode's locks: a recycled ino gets fresh ones, and
         # their stats fold into the registry's "retired" bucket instead
         # of lingering as unreachable entries.
         self._locking.drop_ino(ino)
-        self.metrics.counter("unlinks").add(1)
 
-    def readdir(self, task, path):
-        yield from task.cpu(self.costs.ceph_client_op)
-        names = yield from self.cluster.mds_call("readdir", path)
-        yield from task.cpu(self.costs.dirent_op * max(len(names), 1))
-        return names
-
-    def rename(self, task, old_path, new_path):
-        old_path = pathutil.normalize(old_path)
-        new_path = pathutil.normalize(new_path)
-        yield from self._locked_cpu(task, -1, self.costs.ceph_client_op)
-        yield from self.cluster.mds_call("rename", old_path, new_path,
-                                         **self._mds_op_ids())
-        info = self.attr_cache.get(old_path)
-        self.attr_cache[old_path] = _NEGATIVE
-        if info is not None and info is not _NEGATIVE:
-            self._remember(new_path, info)
-            self._paths[info.ino] = new_path
-
-    def truncate(self, task, path, size):
-        path = pathutil.normalize(path)
-        info = self.attr_cache.get(path)
-        if info is None or info is _NEGATIVE:
-            info = yield from self.cluster.mds_call("lookup", path)
-            self._remember(path, info)
-        yield from self._truncate_ino(task, info.ino, path, size)
-
-    def _truncate_ino(self, task, ino, path, size):
+    def _truncate_data(self, task, ino, size):
         if self._locking.policy == "global":
             # Faithful default: the lock covers only the CPU section; the
             # backend truncate travels unlocked (pinned by the engine-bench
@@ -655,29 +469,6 @@ class CephLibClient(Filesystem):
                 self._sizes[ino] = size
             finally:
                 self._locking.release(token)
-        try:
-            info = yield from self.cluster.mds_call(
-                "setattr_size", path, size, **self._mds_op_ids()
-            )
-        except FileNotFound:
-            return  # concurrently unlinked; the open handle stays usable
-        self._remember(path, info)
-
-    def peek(self, path, offset, size):
-        """Zero-cost resident-data read (see Filesystem.peek)."""
-        info = self.attr_cache.get(pathutil.normalize(path))
-        if info is None or info is _NEGATIVE or info.is_dir:
-            return None
-        ino = info.ino
-        file_size = max(
-            self._local_size(ino, info.size),
-            self.cache.dirty_buffer(ino).max_end() if self._has_dirty(ino) else 0,
-        )
-        if offset >= file_size:
-            return b""
-        size = min(size, file_size - offset)
-        base = self.cluster.peek(ino, offset, size)
-        return self.cache.overlay(ino, offset, size, base)[:size]
 
     # -- flushing -----------------------------------------------------------------
 
@@ -717,55 +508,13 @@ class CephLibClient(Filesystem):
             # revalidating open cannot adopt a stale MDS length.
             self._size_pin(ino)
             try:
-                try:
-                    nbytes = sum(len(data) for _off, data in extents)
-                    yield from task.cpu(self.costs.payload_cost(nbytes))
-                    # One vectored fan-out carries the whole batch:
-                    # contiguous runs coalesce per target OSD instead of
-                    # paying one RPC per dirty block.
-                    flushed = yield from self.cluster.write_vector(
-                        ino, extents
-                    )
-                except (FsError, ThreadKilled):
-                    # Re-dirty the whole batch: with fan-out any subset
-                    # may have landed, and rewriting a landed extent is
-                    # idempotent (same bytes, same offset).
-                    for r_offset, r_data in extents:
-                        self.cache.write(ino, r_offset, r_data)
-                    self._dirty_since.setdefault(ino, self.sim.now)
-                    self.metrics.counter("flush_failures").add(1)
-                    raise
-                path = self._paths.get(ino)
-                if path is not None:
-                    try:
-                        info = yield from self.cluster.mds_call(
-                            "setattr_size", path, self._local_size(ino),
-                            **self._mds_op_ids()
-                        )
-                        self._remember(path, info)
-                    except FileNotFound:
-                        pass  # concurrently unlinked
-                    except RETRYABLE:
-                        # MDS unreachable: resend the size in the background
-                        # so a later revalidating open never sees a stale
-                        # length.
-                        self.metrics.counter("size_flush_failures").add(1)
-                        self._size_pin(ino)  # released by _resend_size
-                        self.sim.spawn(
-                            self._resend_size(ino),
-                            name="%s.size-resend" % self.name,
-                        )
+                flushed = yield from self._send_batch(task, ino, extents)
+                yield from self._publish_and_adopt(ino)
             finally:
                 self._size_unpin(ino)
         finally:
             self._locking.release(token)
-        if not self._has_dirty(ino):
-            self._dirty_since.pop(ino, None)
-        self.metrics.counter("bytes_flushed").add(flushed)
-        if self.sim.tracer is not None:
-            self.sim.trace("client", "flush", client=self.name, bytes=flushed)
-        self._notify_flush_progress()
-        return flushed
+        return self._flush_done(ino, flushed)
 
     def _flush_ino_ranged(self, task, ino, max_bytes):
         """Range-policy flush: three sections instead of one long hold.
@@ -798,82 +547,65 @@ class CephLibClient(Filesystem):
             except BaseException:
                 # Killed while queueing for a range: nothing was sent, so
                 # the whole batch goes back to the dirty buffer.
-                for r_offset, r_data in extents:
-                    self.cache.write(ino, r_offset, r_data)
-                self._dirty_since.setdefault(ino, self.sim.now)
+                self._redirty(ino, extents)
                 self._size_unpin(ino)
                 raise
         finally:
             locking.release(state)
         try:
-            nbytes = sum(len(data) for _off, data in extents)
-            yield from task.cpu(self.costs.payload_cost(nbytes))
-            flushed = yield from self.cluster.write_vector(ino, extents)
+            # A failure re-dirties under the still-held range locks.
+            flushed = yield from self._send_batch(task, ino, extents)
         except (FsError, ThreadKilled):
-            # Re-dirty the whole batch under the still-held range locks:
-            # with fan-out any subset may have landed, and rewriting a
-            # landed extent is idempotent (same bytes, same offset).
-            for r_offset, r_data in extents:
-                self.cache.write(ino, r_offset, r_data)
-            self._dirty_since.setdefault(ino, self.sim.now)
-            self.metrics.counter("flush_failures").add(1)
             self._size_unpin(ino)
-            locking.release(tuple(held))
             raise
-        locking.release(tuple(held))
+        finally:
+            locking.release(tuple(held))
         state = yield from locking.acquire_state(ino, who=task)
         try:
-            path = self._paths.get(ino)
-            if path is not None:
-                try:
-                    info = yield from self.cluster.mds_call(
-                        "setattr_size", path, self._local_size(ino),
-                        **self._mds_op_ids()
-                    )
-                    self._remember(path, info)
-                except FileNotFound:
-                    pass  # concurrently unlinked
-                except RETRYABLE:
-                    self.metrics.counter("size_flush_failures").add(1)
-                    self._size_pin(ino)  # released by _resend_size
-                    self.sim.spawn(
-                        self._resend_size(ino),
-                        name="%s.size-resend" % self.name,
-                    )
+            yield from self._publish_and_adopt(ino)
         finally:
             self._size_unpin(ino)
             locking.release(state)
-        if not self._has_dirty(ino):
+        return self._flush_done(ino, flushed)
+
+    def _send_batch(self, task, ino, extents):
+        """Payload CPU plus the cluster write of one taken batch, under
+        whatever locks the caller holds; re-dirties it on failure."""
+        try:
+            nbytes = sum(len(data) for _off, data in extents)
+            yield from task.cpu(self.costs.payload_cost(nbytes))
+            # One vectored fan-out carries the whole batch: contiguous
+            # runs coalesce per target OSD instead of paying one RPC per
+            # dirty block.
+            return (yield from self.cluster.write_vector(ino, extents))
+        except (FsError, ThreadKilled):
+            self._redirty(ino, extents)
+            self.metrics.counter("flush_failures").add(1)
+            raise
+
+    def _redirty(self, ino, extents):
+        """Put a taken batch back whole: with fan-out any subset may have
+        landed, and rewriting a landed extent is idempotent (same bytes,
+        same offset)."""
+        for r_offset, r_data in extents:
+            self.cache.write(ino, r_offset, r_data)
+        self._dirty_since.setdefault(ino, self.sim.now)
+
+    def _publish_and_adopt(self, ino):
+        """Size publication of a flush, under the inode's state lock —
+        which is what makes adopting the returned attributes safe here."""
+        landed = yield from self._publish_flushed_size(ino)
+        if landed is not None:
+            self._remember(*landed)
+
+    def _flush_done(self, ino, flushed):
+        if not self._dirty_buffer(ino):
             self._dirty_since.pop(ino, None)
         self.metrics.counter("bytes_flushed").add(flushed)
         if self.sim.tracer is not None:
             self.sim.trace("client", "flush", client=self.name, bytes=flushed)
         self._notify_flush_progress()
         return flushed
-
-    def _resend_size(self, ino):
-        """Background retry of a failed MDS size flush (no CPU cost)."""
-        try:
-            delay = self.costs.retry_backoff
-            for _ in range(self.costs.retry_attempts):
-                yield delay
-                delay = min(delay * 2.0, self.costs.retry_backoff_max)
-                path = self._paths.get(ino)
-                if path is None:
-                    return
-                try:
-                    info = yield from self.cluster.mds_call(
-                        "setattr_size", path, self._local_size(ino),
-                        **self._mds_op_ids()
-                    )
-                except FileNotFound:
-                    return
-                except RETRYABLE:
-                    continue
-                self._remember(path, info)
-                return
-        finally:
-            self._size_unpin(ino)
 
     def _notify_flush_progress(self):
         waiters, self._flush_waiters = self._flush_waiters, []
@@ -920,15 +652,6 @@ class CephLibClient(Filesystem):
         self._stopped = True
         if self._lock_controller is not None:
             self._lock_controller.stop()
-
-    # -- internals -------------------------------------------------------------------
-
-    def _live_ino(self, handle):
-        if handle.closed:
-            raise BadFileDescriptor(path=handle.path)
-        if not isinstance(handle, _CephHandle):
-            raise InvalidArgument("foreign handle %r" % (handle,))
-        return handle.ino
 
 
 def task_flush(client, task, ino):

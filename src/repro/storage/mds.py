@@ -364,11 +364,7 @@ class Mds(object):
         hit = self._session_hit(client_id, op_id)
         if hit is not _MISS:
             return hit
-        if self.journal is None:
-            node = self._meta_file(path, exclusive, mode)
-            self._bump(node)
-            return self._info(node)
-        # Journaled path: validate, append, then apply atomically.
+        # Validate, journal (a no-op when disarmed), then apply atomically.
         parent_path, name = pathutil.split(path)
         if not name:
             raise InvalidArgument("cannot create root")
@@ -401,10 +397,6 @@ class Mds(object):
         hit = self._session_hit(client_id, op_id)
         if hit is not _MISS:
             return hit
-        if self.journal is None:
-            node = self.tree.mkdir(path, now=self.sim.now, mode=mode)
-            self._bump(node)
-            return self._info(node)
         parent_path, name = pathutil.split(path)
         if not name:
             raise FileExists(path="/")
@@ -428,9 +420,6 @@ class Mds(object):
         hit = self._session_hit(client_id, op_id)
         if hit is not _MISS:
             return hit
-        if self.journal is None:
-            self.tree.rmdir(path, now=self.sim.now)
-            return None
         parent_path, name = pathutil.split(path)
         if not name:
             raise InvalidArgument("cannot remove root")
@@ -483,9 +472,6 @@ class Mds(object):
         hit = self._session_hit(client_id, op_id)
         if hit is not _MISS:
             return hit
-        if self.journal is None:
-            self.tree.rename(old_path, new_path, now=self.sim.now)
-            return None
         self._validate_rename(old_path, new_path)
         seq = yield from self._journal_mutation(
             "rename",

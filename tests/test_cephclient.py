@@ -208,6 +208,57 @@ def test_failed_kernel_flush_keeps_the_data_and_the_pages(
     assert kernel.page_cache.dirty_bytes == 0
 
 
+@pytest.mark.parametrize("locking", ["global", "range"])
+def test_failed_lib_flush_redirties_unpins_and_unlocks(
+    sim, machine, cluster, costs, locking
+):
+    """Both flush shapes send through one ``_send_batch``: when its
+    ``write_vector`` fails the batch is dirty again, the size pin is gone
+    and no lock stays held — under ``range`` that is the network leg,
+    which runs under the range locks alone."""
+    account = machine.ram.child(units.mib(64), "ff")
+    client = CephLibClient(
+        sim, cluster, costs, account, machine.activated, name="ff",
+        locking=locking, start_flusher=False,
+    )
+    task = make_task(sim, machine)
+    payload = bytes(range(256)) * 2048  # 512 KiB: two range stripes
+
+    def proc():
+        handle = yield from client.open(
+            task, "/f", OpenFlags.WRONLY | OpenFlags.CREAT
+        )
+        yield from client.write(task, handle, 0, payload)
+        ino = handle.ino
+        for osd in cluster.osds:
+            osd.crash()
+        with pytest.raises(DataUnavailable):
+            yield from client.fsync(task, handle)
+        assert client.cache.dirty_bytes == len(payload)
+        assert client.cache.dirty_buffer(ino).extents() == [(0, payload)]
+        assert ino not in client._size_flushing
+        assert client.metrics.counter("flush_failures").value == 1
+        policy = client._locking
+        held = [client.client_lock]
+        if locking == "range":
+            held.append(policy._ino_locks[ino])
+            held += policy._range_locks[ino].values()
+            assert len(held) == 4  # two stripes
+        assert not any(lock.locked for lock in held)
+        assert cluster.stored_bytes == 0
+        for osd in cluster.osds:
+            osd.restart()
+            cluster.monitor.mark_up(osd.osd_id)
+        yield from client.fsync(task, handle)
+        assert client.cache.dirty_bytes == 0
+        assert not any(lock.locked for lock in held)
+        return ino
+
+    ino = run(sim, proc())
+    assert cluster.peek(ino, 0, len(payload)) == payload
+    assert cluster.mds.tree.lookup("/f").size == len(payload)
+
+
 def test_close_to_open_consistency_across_clients(sim, machine, cluster, costs):
     """Writer flushes on fsync; a second client sees the data on open."""
     account_a = machine.ram.child(units.mib(64), "a")
