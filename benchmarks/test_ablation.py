@@ -1,14 +1,8 @@
 """Ablations: client_lock granularity, IPC queue placement, cache dedup."""
 
-from repro.bench import (
-    CacheDedupAblation,
-    IpcQueueAblation,
-    LockingPolicyAblation,
-)
 
-
-def test_client_lock_ablation(once):
-    experiment = LockingPolicyAblation()
+def test_client_lock_ablation(once, figure):
+    experiment = figure("abl-locking")
     result = once(experiment.run)
     print()
     print(result.report())
@@ -27,8 +21,8 @@ def test_client_lock_ablation(once):
             > per_file("client_lock_wait_s", "inode"))
 
 
-def test_cache_dedup_ablation(once):
-    experiment = CacheDedupAblation()
+def test_cache_dedup_ablation(once, figure):
+    experiment = figure("abl-dedup")
     result = once(experiment.run)
     print()
     print(result.report())
@@ -40,8 +34,8 @@ def test_cache_dedup_ablation(once):
     assert result.value("saved_mb", dedup="on") > 0
 
 
-def test_ipc_queue_ablation(once):
-    experiment = IpcQueueAblation()
+def test_ipc_queue_ablation(once, figure):
+    experiment = figure("abl-ipc")
     result = once(experiment.run)
     print()
     print(result.report())

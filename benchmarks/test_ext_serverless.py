@@ -1,11 +1,9 @@
 """Extension bench: serverless invocation tails under colocation (§9)."""
 
-from repro.bench import ServerlessColocation
 
-
-def test_ext_serverless_tail_isolation(once):
-    experiment = ServerlessColocation(
-        symbols=("K", "D"), n_tenants=2, duration=3.0
+def test_ext_serverless_tail_isolation(once, figure):
+    experiment = figure(
+        "ext-serverless", {"symbol": ["K", "D"]}, n_tenants=2, duration=3.0
     )
     result = once(experiment.run)
     print()

@@ -1,11 +1,9 @@
 """Fig. 10: Fileserver aggregate throughput at pool scaleout."""
 
-from repro.bench import FileserverScaleout
 
-
-def test_fig10_fileserver_scaleout(once):
-    experiment = FileserverScaleout(
-        symbols=("D", "F", "K"), pool_counts=(1, 4)
+def test_fig10_fileserver_scaleout(once, figure):
+    experiment = figure(
+        "fig10", {"symbol": ["D", "F", "K"], "pools": [1, 4]}
     )
     result = once(experiment.run)
     print()

@@ -1,11 +1,9 @@
 """Fig. 11: Fileappend/Fileread scaleup — timespan and maximum memory."""
 
-from repro.bench import FileScaleup
 
-
-def test_fig11a_fileappend(once):
-    experiment = FileScaleup(
-        symbols=("D", "K/K", "F/F", "FP/FP"), clone_counts=(2, 8),
+def test_fig11a_fileappend(once, figure):
+    experiment = figure(
+        "fig11a", {"symbol": ["D", "K/K", "F/F", "FP/FP"], "clones": [2, 8]},
         mode="append",
     )
     result = once(experiment.run)
@@ -31,9 +29,9 @@ def test_fig11a_fileappend(once):
         assert large > small
 
 
-def test_fig11b_fileread(once):
-    experiment = FileScaleup(
-        symbols=("D", "K/K", "F/F", "FP/FP"), clone_counts=(2, 8),
+def test_fig11b_fileread(once, figure):
+    experiment = figure(
+        "fig11b", {"symbol": ["D", "K/K", "F/F", "FP/FP"], "clones": [2, 8]},
         mode="read",
     )
     result = once(experiment.run)

@@ -8,18 +8,16 @@ predates Danaus in the paper's narrative):
 * Fig. 1b — average kernel lock wait/hold time per lock request.
 """
 
-from repro.bench import FlsColocation
 
-
-def test_fig1_kernel_contention(once):
-    experiment = FlsColocation(
-        symbols=("K",), fls_counts=(1, 3), neighbor="RND", duration=3.0
-    )
-    experiment.experiment_id = "fig1"
-    experiment.title = "Motivation: kernel core and lock contention"
-    experiment.paper_expectation = (
-        "FLS drops 7.4x (1FLS+RND) / 16.5x (7FLS+RND); RND cores used "
-        "87-122% by FLS alone; lock wait grows 2.3x-5.2x."
+def test_fig1_kernel_contention(once, figure):
+    experiment = figure(
+        "fig1", {"symbol": ["K"], "n_fls": [1, 3]},
+        title="Motivation: kernel core and lock contention",
+        expectation=(
+            "FLS drops 7.4x (1FLS+RND) / 16.5x (7FLS+RND); RND cores used "
+            "87-122% by FLS alone; lock wait grows 2.3x-5.2x."
+        ),
+        neighbor="RND", duration=3.0,
     )
     result = once(experiment.run)
     print()

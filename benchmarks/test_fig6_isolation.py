@@ -6,7 +6,6 @@ Three panels: Fileserver colocated with (a) RandomIO, (b) Webserver,
 serves I/O strictly with the pool's own cores and user-level locks.
 """
 
-from repro.bench import FlsColocation
 from repro.bench.isolation import run_colocation
 
 
@@ -18,9 +17,10 @@ def _drop(result, symbol, n_fls, neighbor):
     return alone / coloc if coloc else float("inf")
 
 
-def test_fig6a_randomio(once):
-    experiment = FlsColocation(
-        symbols=("K", "D"), fls_counts=(1, 3), neighbor="RND", duration=3.0
+def test_fig6a_randomio(once, figure):
+    experiment = figure(
+        "fig6a", {"symbol": ["K", "D"], "n_fls": [1, 3]},
+        neighbor="RND", duration=3.0,
     )
     result = once(experiment.run)
     print()
@@ -40,15 +40,15 @@ def test_fig6a_randomio(once):
     assert k_util > 4 * max(d_util, 0.5)
 
 
-def test_fig6b_webserver(once):
-    experiment = FlsColocation(
-        symbols=("K", "D"), fls_counts=(1, 3), neighbor="WBS", duration=3.0
-    )
-    experiment.experiment_id = "fig6b"
-    experiment.title = "Fileserver colocated with Webserver (D vs K)"
-    experiment.paper_expectation = (
-        "K drops 2.3x (1FLS+WBS) / 4.2x (7FLS+WBS); 7FLS/D+WBS is 3.2x "
-        "faster than 7FLS/K+WBS."
+def test_fig6b_webserver(once, figure):
+    experiment = figure(
+        "fig6b", {"symbol": ["K", "D"], "n_fls": [1, 3]},
+        title="Fileserver colocated with Webserver (D vs K)",
+        expectation=(
+            "K drops 2.3x (1FLS+WBS) / 4.2x (7FLS+WBS); 7FLS/D+WBS is 3.2x "
+            "faster than 7FLS/K+WBS."
+        ),
+        neighbor="WBS", duration=3.0,
     )
     result = once(experiment.run)
     print()

@@ -1,12 +1,10 @@
 """Fig. 7: RocksDB latency — scaleout (a: put, b: get) and scaleup
 (c: put, d: get)."""
 
-from repro.bench import RocksDbScaleout, RocksDbScaleup
 
-
-def test_fig7a_put_scaleout(once):
-    experiment = RocksDbScaleout(
-        symbols=("D", "F", "K"), pool_counts=(1, 4), mode="put"
+def test_fig7a_put_scaleout(once, figure):
+    experiment = figure(
+        "fig7a", {"symbol": ["D", "F", "K"], "pools": [1, 4]}, mode="put"
     )
     result = once(experiment.run)
     print()
@@ -30,9 +28,9 @@ def test_fig7a_put_scaleout(once):
     assert (k / d) > (k1 / d1)
 
 
-def test_fig7b_get_scaleout(once):
-    experiment = RocksDbScaleout(
-        symbols=("D", "F", "K"), pool_counts=(1, 4), mode="get"
+def test_fig7b_get_scaleout(once, figure):
+    experiment = figure(
+        "fig7b", {"symbol": ["D", "F", "K"], "pools": [1, 4]}, mode="get"
     )
     result = once(experiment.run)
     print()
@@ -46,9 +44,10 @@ def test_fig7b_get_scaleout(once):
     assert d < k * 1.1
 
 
-def test_fig7c_put_scaleup(once):
-    experiment = RocksDbScaleup(
-        symbols=("D", "F/F", "F/K", "K/K"), clone_counts=(2, 6), mode="put"
+def test_fig7c_put_scaleup(once, figure):
+    experiment = figure(
+        "fig7c", {"symbol": ["D", "F/F", "F/K", "K/K"], "clones": [2, 6]},
+        mode="put",
     )
     result = once(experiment.run)
     print()
@@ -64,9 +63,10 @@ def test_fig7c_put_scaleup(once):
     assert d < kk
 
 
-def test_fig7d_get_scaleup(once):
-    experiment = RocksDbScaleup(
-        symbols=("D", "F/F", "K/K"), clone_counts=(2, 6), mode="get"
+def test_fig7d_get_scaleup(once, figure):
+    experiment = figure(
+        "fig7d", {"symbol": ["D", "F/F", "K/K"], "clones": [2, 6]},
+        mode="get",
     )
     result = once(experiment.run)
     print()

@@ -1,11 +1,9 @@
 """Fig. 8: real time and context switches to start N Lighttpd clones."""
 
-from repro.bench import LighttpdStartup
 
-
-def test_fig8_container_startup(once):
-    experiment = LighttpdStartup(
-        symbols=("D", "K/K", "F/K", "F/F"), container_counts=(1, 8)
+def test_fig8_container_startup(once, figure):
+    experiment = figure(
+        "fig8", {"symbol": ["D", "K/K", "F/K", "F/F"], "containers": [1, 8]}
     )
     result = once(experiment.run)
     print()

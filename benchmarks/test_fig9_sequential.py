@@ -1,11 +1,9 @@
 """Fig. 9: Seqwrite (top) and Seqread (bottom) at pool scaleout."""
 
-from repro.bench import SequentialScaleout
 
-
-def test_fig9_seqwrite(once):
-    experiment = SequentialScaleout(
-        symbols=("D", "F", "K"), pool_counts=(1, 4), mode="write"
+def test_fig9_seqwrite(once, figure):
+    experiment = figure(
+        "fig9w", {"symbol": ["D", "F", "K"], "pools": [1, 4]}, mode="write"
     )
     result = once(experiment.run)
     print()
@@ -23,9 +21,9 @@ def test_fig9_seqwrite(once):
     assert k_wait > d_wait
 
 
-def test_fig9_seqread(once):
-    experiment = SequentialScaleout(
-        symbols=("D", "F", "K"), pool_counts=(1, 4), mode="read"
+def test_fig9_seqread(once, figure):
+    experiment = figure(
+        "fig9r", {"symbol": ["D", "F", "K"], "pools": [1, 4]}, mode="read"
     )
     result = once(experiment.run)
     print()

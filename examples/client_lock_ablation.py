@@ -14,7 +14,7 @@ throughput both ways.
 Run:  python examples/client_lock_ablation.py
 """
 
-from repro.bench.ablation import _seqread_with
+from repro.bench.ablation import run_seqread_locking
 
 
 def main():
@@ -22,7 +22,7 @@ def main():
     print()
     rows = []
     for locking in ("global", "inode"):
-        row = _seqread_with(locking, duration=4.0)
+        row = run_seqread_locking(locking, duration=4.0)
         rows.append(row)
         print("%-14s %10.1f MB/s   (lock wait %.3fs)" % (
             row["locking"], row["throughput_mb_s"],

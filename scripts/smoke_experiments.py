@@ -36,8 +36,8 @@ from repro.bench.scaleup import run_file_scaleup
 clock("fig11a D", lambda: run_file_scaleup("D", 2, "append"))
 clock("fig11a FP/FP", lambda: run_file_scaleup("FP/FP", 2, "append"))
 clock("fig11b K/K", lambda: run_file_scaleup("K/K", 2, "read"))
-from repro.bench.ablation import _seqread_with, _seqwrite_with
-clock("abl-locking global", lambda: _seqread_with("global", duration=3.0))
-clock("abl-locking inode", lambda: _seqread_with("inode", duration=3.0))
-clock("abl-ipc single", lambda: _seqwrite_with(True, duration=3.0))
-clock("abl-ipc group", lambda: _seqwrite_with(False, duration=3.0))
+from repro.bench.ablation import run_seqread_locking, run_seqwrite_queues
+clock("abl-locking global", lambda: run_seqread_locking("global", duration=3.0))
+clock("abl-locking inode", lambda: run_seqread_locking("inode", duration=3.0))
+clock("abl-ipc single", lambda: run_seqwrite_queues(True, duration=3.0))
+clock("abl-ipc group", lambda: run_seqwrite_queues(False, duration=3.0))

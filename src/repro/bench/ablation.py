@@ -12,7 +12,6 @@
   one queue. We compare against a single shared queue.
 """
 
-from repro.bench.harness import Experiment
 from repro.bench.util import run_all
 from repro.common import units
 from repro.stacks import StackFactory
@@ -20,14 +19,26 @@ from repro.workloads import Seqread, Seqwrite
 from repro.world import World
 
 __all__ = [
-    "IpcQueueAblation",
-    "CacheDedupAblation",
-    "LockingPolicyAblation",
+    "dedup_notes",
+    "locking_notes",
+    "run_dedup_memory",
+    "run_seqread_locking",
+    "run_seqwrite_queues",
 ]
 
 
-def _seqread_with(locking, duration=3.0, threads=6, pool_cores=8, seed=1,
-                  shared_file=False):
+def run_seqread_locking(locking, duration=3.0, threads=6, pool_cores=8, seed=1,
+                        shared_file=False):
+    """One locking policy on the Fig. 9 cached-Seqread shape.
+
+    Two scenario groups: the paper's *per-file* configuration (each
+    thread streams its own cached file — per-inode locking removes the
+    contention entirely) and a *shared-file* variant (every thread
+    streams one hot file — per-inode locking degenerates back to a
+    single mutex, and only the per-object-range locks restore
+    concurrency). The adaptive rows show where the runtime controller
+    converged and how many switches it took.
+    """
     world = World(num_cores=pool_cores, ram_bytes=units.gib(64))
     world.activate_cores(pool_cores)
     pool = world.engine.create_pool(
@@ -68,49 +79,24 @@ def _seqread_with(locking, duration=3.0, threads=6, pool_cores=8, seed=1,
     return row
 
 
-class LockingPolicyAblation(Experiment):
-    """The full locking-policy ladder on the Fig. 9 cached-Seqread shape.
-
-    Two scenario groups: the paper's *per-file* configuration (each
-    thread streams its own cached file — per-inode locking removes the
-    contention entirely) and a *shared-file* variant (every thread
-    streams one hot file — per-inode locking degenerates back to a
-    single mutex, and only the per-object-range locks restore
-    concurrency). The adaptive rows show where the runtime controller
-    converged and how many switches it took.
-    """
-
-    experiment_id = "abl-locking"
-    title = "Cached Seqread across locking policies (global/inode/range/adaptive)"
-    paper_expectation = (
-        "§6.3.2 + §9: sharding the client_lock recovers cached-read "
-        "concurrency; range locks additionally cover the shared-hot-file "
-        "case; the adaptive policy should converge to the best tier."
-    )
-
-    def run(self):
-        result = self.new_result()
-        for shared_file in (False, True):
-            for locking in ("global", "inode", "range", "adaptive"):
-                result.add_row(**_seqread_with(
-                    locking, shared_file=shared_file, **self.params
-                ))
-        for sharing in ("per-file", "shared-file"):
-            coarse = result.value(
-                "throughput_mb_s", locking="global", sharing=sharing
+def locking_notes(result, axes):
+    """Each finer policy's speedup over ``global``, per sharing group."""
+    for sharing in ("per-file", "shared-file"):
+        coarse = result.value(
+            "throughput_mb_s", locking="global", sharing=sharing
+        )
+        for locking in ("inode", "range", "adaptive"):
+            fine = result.value(
+                "throughput_mb_s", locking=locking, sharing=sharing
             )
-            for locking in ("inode", "range", "adaptive"):
-                fine = result.value(
-                    "throughput_mb_s", locking=locking, sharing=sharing
-                )
-                result.note(
-                    "%s %s speedup over global: %.2fx"
-                    % (sharing, locking, fine / coarse if coarse else 0)
-                )
-        return result
+            result.note(
+                "%s %s speedup over global: %.2fx"
+                % (sharing, locking, fine / coarse if coarse else 0)
+            )
 
 
-def _seqwrite_with(single_queue, duration=2.0, threads=4, pool_cores=8, seed=1):
+def run_seqwrite_queues(single_queue, duration=2.0, threads=4, pool_cores=8,
+                        seed=1):
     world = World(num_cores=pool_cores, ram_bytes=units.gib(64))
     world.activate_cores(pool_cores)
     pool = world.engine.create_pool(
@@ -134,7 +120,7 @@ def _seqwrite_with(single_queue, duration=2.0, threads=4, pool_cores=8, seed=1):
     }
 
 
-def _dedup_memory(dedup, n_containers=4, content_bytes=units.mib(2), seed=1):
+def run_dedup_memory(dedup, n_containers=4, content_bytes=units.mib(2), seed=1):
     """Memory to cache N byte-identical container roots, with/without
     block-level dedup (§9 future work, Slacker-style)."""
     from repro.bench.util import seed_tree
@@ -171,35 +157,7 @@ def _dedup_memory(dedup, n_containers=4, content_bytes=units.mib(2), seed=1):
     }
 
 
-class CacheDedupAblation(Experiment):
-    experiment_id = "abl-dedup"
-    title = "Client-cache memory for N identical container roots"
-    paper_expectation = (
-        "§9: block-level dedup in the client cache should collapse the "
-        "memory of identical independent containers to ~one copy "
-        "(Slacker does this in the kernel client)."
-    )
-
-    def run(self):
-        result = self.new_result()
-        for dedup in (False, True):
-            result.add_row(**_dedup_memory(dedup, **self.params))
-        off = result.value("cache_mb", dedup="off")
-        on = result.value("cache_mb", dedup="on")
-        result.note("cache memory reduction: %.1fx" % (off / on if on else 0))
-        return result
-
-
-class IpcQueueAblation(Experiment):
-    experiment_id = "abl-ipc"
-    title = "Danaus IPC: per-core-group request queues vs one shared queue"
-    paper_expectation = (
-        "§3.5: per-group queues keep requests within an L2 pair and avoid "
-        "a single contended queue."
-    )
-
-    def run(self):
-        result = self.new_result()
-        for single_queue in (True, False):
-            result.add_row(**_seqwrite_with(single_queue, **self.params))
-        return result
+def dedup_notes(result, axes):
+    off = result.value("cache_mb", dedup="off")
+    on = result.value("cache_mb", dedup="on")
+    result.note("cache memory reduction: %.1fx" % (off / on if on else 0))

@@ -7,7 +7,6 @@ clients pile up on shared kernel locks and generate up to 22x more I/O
 wait at the client.
 """
 
-from repro.bench.harness import Experiment
 # The Fileserver calibration (file count vs dirty-expiration lifetime,
 # pool memory vs dataset) is shared with the isolation experiments —
 # see the rationale in repro.bench.isolation.
@@ -18,7 +17,7 @@ from repro.stacks import StackFactory
 from repro.workloads import Fileserver
 from repro.world import World
 
-__all__ = ["FileserverScaleout", "run_fileserver_scaleout"]
+__all__ = ["run_fileserver_scaleout"]
 
 
 def run_fileserver_scaleout(symbol, n_pools, duration=2.0, seed=1):
@@ -52,26 +51,3 @@ def run_fileserver_scaleout(symbol, n_pools, duration=2.0, seed=1):
         "throughput_mb_s": total_bytes / duration / units.MIB,
         "kernel_lock_wait_s": lock_stats.total_wait,
     }
-
-
-class FileserverScaleout(Experiment):
-    experiment_id = "fig10"
-    title = "Fileserver aggregate throughput at 1-N pools (D/F/K)"
-    paper_expectation = (
-        "D scales to 2.7 GB/s at 16 pools: 1.7x over F at 1 pool, 2.3x "
-        "over K at 8 pools; K shows up to 22x higher client I/O wait."
-    )
-
-    def __init__(self, symbols=("D", "F", "K"), pool_counts=(1, 4), **params):
-        super().__init__(**params)
-        self.symbols = symbols
-        self.pool_counts = pool_counts
-
-    def run(self):
-        result = self.new_result()
-        for n_pools in self.pool_counts:
-            for symbol in self.symbols:
-                result.add_row(
-                    **run_fileserver_scaleout(symbol, n_pools, **self.params)
-                )
-        return result

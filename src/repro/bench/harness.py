@@ -1,15 +1,16 @@
-"""Experiment harness: parameter sweeps, result tables, paper checks.
+"""Experiment results: row tables, notes, paper checks.
 
-Every figure and table of the paper's evaluation maps to one
-:class:`Experiment` (see DESIGN.md's per-experiment index). An experiment
-runs one or more simulated configurations, collects rows of metrics, and
-renders a table next to the paper's expectation so the reproduction can be
-eyeballed and asserted.
+Every figure and table of the paper's evaluation maps to one spec file
+and one row function (see DESIGN.md's per-experiment index). A sweep
+(:mod:`repro.experiments.compiler`) runs the row function once per
+simulated configuration and collects the rows into an
+:class:`ExperimentResult`, which renders a table next to the paper's
+expectation so the reproduction can be eyeballed and asserted.
 """
 
 from repro.common import units
 
-__all__ = ["ExperimentResult", "Experiment"]
+__all__ = ["ExperimentResult"]
 
 
 class ExperimentResult(object):
@@ -117,26 +118,6 @@ class ExperimentResult(object):
             lines.append("note: %s" % note)
         lines.append("=" * 72)
         return "\n".join(lines)
-
-
-class Experiment(object):
-    """Base class for per-figure experiments."""
-
-    experiment_id = "exp"
-    title = "experiment"
-    paper_expectation = ""
-
-    def __init__(self, **params):
-        self.params = params
-
-    def run(self):
-        """Execute the experiment; returns an :class:`ExperimentResult`."""
-        raise NotImplementedError
-
-    def new_result(self):
-        return ExperimentResult(
-            self.experiment_id, self.title, self.paper_expectation
-        )
 
 
 def fmt_throughput(bytes_per_sec):

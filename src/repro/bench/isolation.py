@@ -16,14 +16,13 @@ Reported per configuration:
 * for SSB: p99 SSB latency and mean FLS latency — Fig. 6c.
 """
 
-from repro.bench.harness import Experiment
 from repro.bench.util import scaled_costs
 from repro.common import units
 from repro.stacks import StackFactory, mount_local
 from repro.workloads import Fileserver, RandomIO, SysbenchCpu, Webserver
 from repro.world import World, releases_world
 
-__all__ = ["FlsColocation", "run_colocation"]
+__all__ = ["colocation_notes", "run_colocation"]
 
 #: Scaled Fileserver parameters (paper: 5 MB mean / 1000 files / 120 s).
 #: The dataset (~nfiles x mean_size) is sized a few times the pool's
@@ -145,46 +144,20 @@ def run_colocation(symbol, n_fls, neighbor=None, duration=3.0, seed=1,
     return out
 
 
-class FlsColocation(Experiment):
-    """Sweep of FLS instances x neighbour x client (Fig. 1 + Fig. 6a/6b)."""
-
-    experiment_id = "fig6a"
-    title = "Fileserver colocated with RandomIO (D vs K)"
-    paper_expectation = (
-        "K: 7.4x drop for 1FLS+RND, 16.5x for 7FLS+RND; D drops <=16%. "
-        "K uses the idle neighbour cores heavily, D <2.5%."
-    )
-
-    def __init__(self, symbols=("K", "D"), fls_counts=(1, 3), neighbor="RND",
-                 duration=8.0, **params):
-        super().__init__(**params)
-        self.symbols = symbols
-        self.fls_counts = fls_counts
-        self.neighbor = neighbor
-        self.duration = duration
-
-    def run(self):
-        result = self.new_result()
-        for symbol in self.symbols:
-            for n_fls in self.fls_counts:
-                for neighbor in (None, self.neighbor):
-                    row = run_colocation(
-                        symbol, n_fls, neighbor, duration=self.duration,
-                        **self.params,
-                    )
-                    result.add_row(**row)
-        for symbol in self.symbols:
-            for n_fls in self.fls_counts:
-                alone = result.value(
-                    "fls_ops_per_sec", symbol=symbol, n_fls=n_fls, neighbor="-"
-                )
-                coloc = result.value(
-                    "fls_ops_per_sec", symbol=symbol, n_fls=n_fls,
-                    neighbor=self.neighbor,
-                )
-                drop = alone / coloc if coloc else float("inf")
-                result.note(
-                    "%s %dFLS: alone/colocated throughput ratio = %.2fx"
-                    % (symbol, n_fls, drop)
-                )
-        return result
+def colocation_notes(result, axes):
+    """Alone/colocated throughput ratio per (symbol, n_fls)."""
+    neighbor = axes["neighbor"][1]
+    for symbol in axes["symbol"]:
+        for n_fls in axes["n_fls"]:
+            alone = result.value(
+                "fls_ops_per_sec", symbol=symbol, n_fls=n_fls, neighbor="-"
+            )
+            coloc = result.value(
+                "fls_ops_per_sec", symbol=symbol, n_fls=n_fls,
+                neighbor=neighbor,
+            )
+            drop = alone / coloc if coloc else float("inf")
+            result.note(
+                "%s %dFLS: alone/colocated throughput ratio = %.2fx"
+                % (symbol, n_fls, drop)
+            )

@@ -15,14 +15,13 @@ serialises all clones' cached reads, so gets show the paper's crossover —
 K/K wins at few clones, D still beats F/F everywhere.
 """
 
-from repro.bench.harness import Experiment
 from repro.bench.util import run_all, scaled_costs, seed_tree
 from repro.common import units
 from repro.stacks import StackFactory
 from repro.workloads import RocksDbGet, RocksDbPut
 from repro.world import World
 
-__all__ = ["RocksDbScaleout", "RocksDbScaleup"]
+__all__ = ["run_rocksdb_scaleout", "run_rocksdb_scaleup"]
 
 #: Scaled workload (paper: 1 GB of 128 KB values, 64 MB memtable).
 PUT_PARAMS = dict(
@@ -68,6 +67,7 @@ def run_rocksdb_scaleout(symbol, n_pools, mode, seed=1):
     latencies = [w.result.latency.mean for w in workloads]
     lock_stats = world.kernel.locks.total_stats()
     return {
+        "mode": mode,
         "symbol": symbol,
         "pools": n_pools,
         "mean_latency_ms": 1000.0 * sum(latencies) / len(latencies),
@@ -112,68 +112,8 @@ def run_rocksdb_scaleup(symbol, n_clones, mode, pool_cores=8, seed=1):
     run_all(world, [w.start() for w in workloads], budget=200000)
     latencies = [w.result.latency.mean for w in workloads]
     return {
+        "mode": mode,
         "symbol": symbol,
         "clones": n_clones,
         "mean_latency_ms": 1000.0 * sum(latencies) / len(latencies),
     }
-
-
-class RocksDbScaleout(Experiment):
-    experiment_id = "fig7a"
-    title = "RocksDB put latency, 1-N independent pools (D/F/K)"
-    paper_expectation = (
-        "put: D faster than F up to 5.9x and K up to 16.2x at 32 pools; "
-        "get: D up to 1.4x over F and 2.2x over K."
-    )
-
-    def __init__(self, symbols=("D", "F", "K"), pool_counts=(1, 4),
-                 mode="put", **params):
-        super().__init__(**params)
-        self.symbols = symbols
-        self.pool_counts = pool_counts
-        self.mode = mode
-        if mode == "get":
-            self.experiment_id = "fig7b"
-            self.title = "RocksDB out-of-core get latency, 1-N pools (D/F/K)"
-
-    def run(self):
-        result = self.new_result()
-        for n_pools in self.pool_counts:
-            for symbol in self.symbols:
-                result.add_row(
-                    mode=self.mode,
-                    **run_rocksdb_scaleout(symbol, n_pools, self.mode,
-                                           **self.params),
-                )
-        return result
-
-
-class RocksDbScaleup(Experiment):
-    experiment_id = "fig7c"
-    title = "RocksDB put latency, N clones in one pool (D, F/F, F/K, K/K)"
-    paper_expectation = (
-        "put: D faster than F/F, F/K, K/K up to 12.6x/3.9x/3.6x; "
-        "get: K/K up to 2x faster than D at 2 clones, D up to 5.4x over "
-        "F/F at 32 clones (crossover)."
-    )
-
-    def __init__(self, symbols=("D", "F/F", "F/K", "K/K"),
-                 clone_counts=(2, 8), mode="put", **params):
-        super().__init__(**params)
-        self.symbols = symbols
-        self.clone_counts = clone_counts
-        self.mode = mode
-        if mode == "get":
-            self.experiment_id = "fig7d"
-            self.title = "RocksDB get latency, N clones in one pool"
-
-    def run(self):
-        result = self.new_result()
-        for n_clones in self.clone_counts:
-            for symbol in self.symbols:
-                result.add_row(
-                    mode=self.mode,
-                    **run_rocksdb_scaleup(symbol, n_clones, self.mode,
-                                          **self.params),
-                )
-        return result

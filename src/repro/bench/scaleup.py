@@ -15,7 +15,6 @@ all clones run concurrently and the *timespan* until all finish plus the
   occupies up to 30x more memory.
 """
 
-from repro.bench.harness import Experiment
 from repro.bench.util import run_all, scaled_costs, seed_tree
 from repro.common import units
 from repro.common.rng import pseudo_bytes
@@ -23,8 +22,7 @@ from repro.stacks import StackFactory
 from repro.workloads import Fileappend, Fileread
 from repro.world import World
 
-__all__ = ["FileScaleup", "PoolScaleup", "run_file_scaleup",
-           "run_pool_scaleup"]
+__all__ = ["run_file_scaleup", "run_pool_scaleup"]
 
 IMAGE_PATH = "/images/shared"
 SHARED_FILE = "/shared.bin"
@@ -118,73 +116,3 @@ def run_pool_scaleup(symbol, n_pools, clones_per_pool, mode="append",
         "timespan_s": timespan,
         "max_memory_mb": max(p.ram.high_water for p in pools) / units.MIB,
     }
-
-
-class FileScaleup(Experiment):
-    experiment_id = "fig11a"
-    title = "Fileappend timespan and max memory, N clones in one pool"
-    paper_expectation = (
-        "append: D shortest timespan (up to 46% under K/K at 32); memory "
-        "linear for D/F/F/K/K, ~2x for FP/FP. read: K/K 1.2-4.9x faster "
-        "than D; F/F same memory as D, 11-23% slower; FP/FP up to 30x "
-        "more memory."
-    )
-
-    def __init__(self, symbols=("D", "K/K", "F/F", "FP/FP"),
-                 clone_counts=(2, 8, 16), mode="append", **params):
-        super().__init__(**params)
-        self.symbols = symbols
-        self.clone_counts = clone_counts
-        self.mode = mode
-        if mode == "read":
-            self.experiment_id = "fig11b"
-            self.title = (
-                "Fileread timespan and max memory, N clones in one pool"
-            )
-
-    def run(self):
-        result = self.new_result()
-        for count in self.clone_counts:
-            for symbol in self.symbols:
-                result.add_row(
-                    **run_file_scaleup(symbol, count, self.mode, **self.params)
-                )
-        return result
-
-
-class PoolScaleup(Experiment):
-    """§6.3-style two-axis scale-up with pool/container counts as sweep
-    axes — each cell is :func:`run_pool_scaleup` (N pools x M clones,
-    one stack instance per pool on a dedicated cpuset).
-
-    The wider cells (16 pools / 32 containers) are what the parallel
-    engine makes affordable: every cell is an independent world, so a
-    ``--parallel`` run fans cells' seeds across worker processes.
-    """
-
-    experiment_id = "scaleup-wide"
-    title = "Fileappend timespan and max memory, N pools x M clones"
-    paper_expectation = (
-        "timespan grows sublinearly with pool count (pools are "
-        "independent stacks on dedicated cpusets); per-pool memory "
-        "high-water stays flat as pools scale out."
-    )
-
-    def __init__(self, symbols=("D",), pool_counts=(8, 16),
-                 clones_per_pool_counts=(2,), mode="append", **params):
-        super().__init__(**params)
-        self.symbols = symbols
-        self.pool_counts = pool_counts
-        self.clones_per_pool_counts = clones_per_pool_counts
-        self.mode = mode
-
-    def run(self):
-        result = self.new_result()
-        for pools in self.pool_counts:
-            for clones in self.clones_per_pool_counts:
-                for symbol in self.symbols:
-                    result.add_row(**run_pool_scaleup(
-                        symbol, pools, clones, mode=self.mode,
-                        **self.params
-                    ))
-        return result

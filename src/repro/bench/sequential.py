@@ -11,14 +11,13 @@ instance. The paper's shapes:
   because F pays two FUSE crossings per read.
 """
 
-from repro.bench.harness import Experiment
 from repro.bench.util import run_all, scaled_costs
 from repro.common import units
 from repro.stacks import StackFactory
 from repro.workloads import Seqread, Seqwrite
 from repro.world import World, releases_world
 
-__all__ = ["SequentialScaleout", "run_sequential"]
+__all__ = ["run_sequential"]
 
 #: Scaled parameters (paper: 1 GB file, 16 threads, 120 s).
 SEQ_PARAMS = dict(file_size=units.mib(8), iosize=units.mib(1), threads=4)
@@ -60,29 +59,3 @@ def run_sequential(symbol, n_pools, mode, duration=3.0, seed=1,
         "kernel_lock_wait_s": lock_stats.total_wait,
         "cpu_busy_s": busy,
     }
-
-
-class SequentialScaleout(Experiment):
-    experiment_id = "fig9"
-    title = "Seqwrite/Seqread throughput at 1-N pools (D/F/K)"
-    paper_expectation = (
-        "write: D,F up to 2.8x over K (K: 1000x more lock wait); "
-        "read: K up to 37% over D (client_lock), D up to 75% over F."
-    )
-
-    def __init__(self, symbols=("D", "F", "K"), pool_counts=(1, 4),
-                 mode="write", **params):
-        super().__init__(**params)
-        self.symbols = symbols
-        self.pool_counts = pool_counts
-        self.mode = mode
-        self.experiment_id = "fig9w" if mode == "write" else "fig9r"
-
-    def run(self):
-        result = self.new_result()
-        for n_pools in self.pool_counts:
-            for symbol in self.symbols:
-                result.add_row(
-                    **run_sequential(symbol, n_pools, self.mode, **self.params)
-                )
-        return result

@@ -8,7 +8,6 @@ keeps the invocation tail flat under colocation; the kernel-shared path
 lets the neighbour into every tenant's p99.
 """
 
-from repro.bench.harness import Experiment
 from repro.bench.util import scaled_costs
 from repro.common import units
 from repro.stacks import StackFactory, mount_local
@@ -16,7 +15,7 @@ from repro.workloads import RandomIO
 from repro.workloads.serverless import ServerlessTenant
 from repro.world import World
 
-__all__ = ["ServerlessColocation", "run_serverless"]
+__all__ = ["run_serverless", "serverless_notes"]
 
 
 def run_serverless(symbol, n_tenants=2, with_neighbor=True, duration=4.0,
@@ -71,31 +70,12 @@ def run_serverless(symbol, n_tenants=2, with_neighbor=True, duration=4.0,
     }
 
 
-class ServerlessColocation(Experiment):
-    experiment_id = "ext-serverless"
-    title = "Serverless tenants: invocation tail under a noisy neighbour"
-    paper_expectation = (
-        "Extension of §9: per-tenant Danaus clients should keep the "
-        "invocation p99 flat under colocation, like Fig. 6's throughput."
-    )
-
-    def __init__(self, symbols=("K", "D"), n_tenants=2, **params):
-        super().__init__(**params)
-        self.symbols = symbols
-        self.n_tenants = n_tenants
-
-    def run(self):
-        result = self.new_result()
-        for symbol in self.symbols:
-            for with_neighbor in (False, True):
-                result.add_row(**run_serverless(
-                    symbol, self.n_tenants, with_neighbor, **self.params
-                ))
-        for symbol in self.symbols:
-            alone = result.value("warm_p99_ms", symbol=symbol, neighbor="-")
-            coloc = result.value("warm_p99_ms", symbol=symbol, neighbor="RND")
-            result.note(
-                "%s: warm p99 grows %.2fx under the neighbour"
-                % (symbol, coloc / alone if alone else 0)
-            )
-        return result
+def serverless_notes(result, axes):
+    """Warm-p99 growth under the neighbour, per symbol."""
+    for symbol in axes["symbol"]:
+        alone = result.value("warm_p99_ms", symbol=symbol, neighbor="-")
+        coloc = result.value("warm_p99_ms", symbol=symbol, neighbor="RND")
+        result.note(
+            "%s: warm p99 grows %.2fx under the neighbour"
+            % (symbol, coloc / alone if alone else 0)
+        )

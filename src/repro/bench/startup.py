@@ -10,7 +10,6 @@ kernel-initiated (exec + mmap), so it runs on the *legacy* path of Danaus
   (Fig. 8b) — D crosses FUSE once per legacy op, F/F twice per branch op.
 """
 
-from repro.bench.harness import Experiment
 from repro.bench.util import run_all, seed_image
 from repro.common import units
 from repro.containers import Container, lighttpd_image
@@ -18,7 +17,7 @@ from repro.stacks import StackFactory
 from repro.workloads import LighttpdFleet
 from repro.world import World
 
-__all__ = ["LighttpdStartup", "run_startup"]
+__all__ = ["run_startup", "startup_notes"]
 
 IMAGE_PATH = "/images/lighttpd"
 
@@ -50,35 +49,17 @@ def run_startup(symbol, n_containers, pool_cores=8, image_scale=1.0 / 8192,
     }
 
 
-class LighttpdStartup(Experiment):
-    experiment_id = "fig8"
-    title = "Real time to start N cloned Lighttpd containers"
-    paper_expectation = (
-        "K/K fastest (D up to 8.8x slower), F/K second (D 2.9x slower); "
-        "D beats F/F by 2.3-14.2x with 9-39x fewer context switches."
-    )
-
-    def __init__(self, symbols=("D", "K/K", "F/K", "F/F"),
-                 container_counts=(1, 8), **params):
-        super().__init__(**params)
-        self.symbols = symbols
-        self.container_counts = container_counts
-
-    def run(self):
-        result = self.new_result()
-        for count in self.container_counts:
-            for symbol in self.symbols:
-                result.add_row(**run_startup(symbol, count, **self.params))
-        for count in self.container_counts:
-            d_time = result.value("real_time_s", symbol="D", containers=count)
-            for other in self.symbols:
-                if other == "D":
-                    continue
-                other_time = result.value(
-                    "real_time_s", symbol=other, containers=count
-                )
-                result.note(
-                    "%d containers: D/%s time ratio = %.2fx"
-                    % (count, other, d_time / other_time if other_time else 0)
-                )
-        return result
+def startup_notes(result, axes):
+    """D's startup time relative to every other symbol, per count."""
+    for count in axes["containers"]:
+        d_time = result.value("real_time_s", symbol="D", containers=count)
+        for other in axes["symbol"]:
+            if other == "D":
+                continue
+            other_time = result.value(
+                "real_time_s", symbol=other, containers=count
+            )
+            result.note(
+                "%d containers: D/%s time ratio = %.2fx"
+                % (count, other, d_time / other_time if other_time else 0)
+            )

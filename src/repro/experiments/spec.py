@@ -16,9 +16,11 @@ describing one experiment end to end:
     experiment exercises (validated against the registries).
 ``sweep``
     Axis matrices (axis name -> value list); the compiler expands them
-    onto the experiment's sweep arguments. Axis names are per-kind.
+    in the kind's loop-nest order, one cell per combination. Axis names
+    are per-kind.
 ``params``
-    Scalar knobs forwarded to the runner (durations, modes, sizes).
+    Scalar knobs every cell's row function call shares (durations,
+    modes, sizes).
 ``seeds``
     The deterministic seed list; the sweep runner runs the whole matrix
     once per seed.
@@ -86,13 +88,16 @@ def _workload_symbols():
 
 
 def _kind_axes(kind):
-    from repro.experiments.compiler import AXES, KINDS
+    """The sweep axes a spec of ``kind`` may state: its loop nest minus
+    the axes the kind fixes itself."""
+    from repro.experiments.compiler import KINDS
 
     if kind not in KINDS:
         raise SpecError(
             "unknown experiment kind %r (known: %s)" % (kind, ", ".join(KINDS))
         )
-    return AXES[kind]
+    nest, fixed = KINDS[kind].nest, KINDS[kind].fixed
+    return tuple(axis for axis, _arg in nest if axis not in fixed)
 
 
 def _chaos_fields():

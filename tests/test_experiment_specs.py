@@ -1,12 +1,15 @@
 """Tests for the declarative experiment layer (repro.experiments).
 
 Covers spec validation errors, registry discovery of the committed
-spec files, compile-correctness against the legacy CLI closures, the
-unified run-record schema, and (slow) closure-vs-spec row/fingerprint
-equivalence for fig6a.
+spec files, the kind table (every kind's cell order and rows against
+its row function called directly, params that do not fit), the unified
+run-record schema, and spec-vs-row-function row/fingerprint equivalence
+for fig6a.
 """
 
 import copy
+import importlib
+import inspect
 import json
 
 import pytest
@@ -22,7 +25,7 @@ from repro.experiments import (
     validate_record,
     validate_spec,
 )
-from repro.experiments.compiler import AXES, KINDS, compile_spec
+from repro.experiments.compiler import KINDS, Sweep, compile_spec
 from repro.experiments.runner import check_slos, run_spec
 
 
@@ -194,31 +197,46 @@ def test_yaml_spec_without_pyyaml_is_gated(tmp_path, monkeypatch):
 
 # -- compiler --------------------------------------------------------------
 
+def named(name):
+    """Resolve a ``"module:function"`` name from the kind table."""
+    module, _colon, attr = name.partition(":")
+    return getattr(importlib.import_module(module), attr)
+
+
 def test_every_kind_has_a_builder_or_is_chaos():
-    for kind in KINDS:
-        assert kind in AXES
+    """Every kind but chaos names a row function that takes every
+    argument of its nest, and fixes only axes the nest loops over."""
+    for name, kind in KINDS.items():
+        if name == "chaos":
+            assert kind.row is None
+            continue
+        parameters = inspect.signature(named(kind.row)).parameters
+        assert {arg for _axis, arg in kind.nest} <= set(parameters), name
+        assert set(kind.fixed) <= {axis for axis, _arg in kind.nest}, name
+        if kind.notes:
+            assert callable(named(kind.notes)), name
 
 
 def test_fig6a_compiles_to_legacy_constructor_state():
     spec = registry.get("fig6a")
     full = compile_spec(spec, quick=False, seed=1)
-    assert type(full).__name__ == "FlsColocation"
-    assert tuple(full.symbols) == ("K", "D")
-    assert tuple(full.fls_counts) == (1, 3)
-    assert full.neighbor == "RND"
-    assert full.duration == 4.0
+    assert type(full) is Sweep
+    assert full.axes["symbol"] == ("K", "D")
+    assert full.axes["n_fls"] == (1, 3)
+    assert full.axes["neighbor"] == (None, "RND")
+    assert full.params["duration"] == 4.0
     quick = compile_spec(spec, quick=True, seed=1)
-    assert tuple(quick.fls_counts) == (1,)
-    assert quick.duration == 3.0
-    # the seed lands in params exactly like the legacy default
-    assert quick.params == {"seed": 1}
+    assert quick.axes["n_fls"] == (1,)
+    assert quick.params["duration"] == 3.0
+    # the neighbour became an axis; the seed lands in params
+    assert quick.params == {"duration": 3.0, "seed": 1}
 
 
 def test_fig7d_compiles_with_symbol_subset_and_id():
     spec = registry.get("fig7d")
     exp = compile_spec(spec, quick=False, seed=1)
-    assert tuple(exp.symbols) == ("D", "F/F", "K/K")
-    assert exp.mode == "get"
+    assert exp.axes["symbol"] == ("D", "F/F", "K/K")
+    assert exp.params["mode"] == "get"
     assert exp.experiment_id == "fig7d"
 
 
@@ -238,6 +256,96 @@ def test_param_colliding_with_builder_keyword_fails_compile():
     spec = validate_spec(minimal_spec(params={"symbols": ["K"]}))
     with pytest.raises(SpecError, match="do not fit kind"):
         compile_spec(spec, seed=1)
+
+
+#: One tiny inline spec per kind: (sweep, params). The shapes are the
+#: shrunk ones the suite already runs elsewhere; durations <= 0.2 s.
+TINY = {
+    "colocation": ({"symbol": ["D"], "n_fls": [1]},
+                   {"neighbor": "SSB", "duration": 0.1}),
+    "rocksdb_scaleout": ({"symbol": ["D", "K"], "pools": [1]},
+                         {"mode": "put"}),
+    "rocksdb_scaleup": ({"symbol": ["D"], "clones": [1, 2]},
+                        {"mode": "put", "pool_cores": 2}),
+    "startup": ({"symbol": ["D", "K/K"], "containers": [1]},
+                {"pool_cores": 2}),
+    "sequential_scaleout": ({"symbol": ["D", "K"], "pools": [1]},
+                            {"mode": "read", "duration": 0.1}),
+    "fileserver_scaleout": ({"symbol": ["D"], "pools": [1]},
+                            {"duration": 0.1}),
+    "file_scaleup": ({"symbol": ["D", "K/K"], "clones": [1]},
+                     {"mode": "read", "pool_cores": 2}),
+    "pool_scaleup": ({"symbol": ["D"], "pools": [1, 2],
+                      "clones_per_pool": [1]}, {"mode": "read"}),
+    "serverless": ({"symbol": ["D"]}, {"n_tenants": 1, "duration": 0.1}),
+    "ablation_locking": ({}, {"duration": 0.05, "threads": 2,
+                              "pool_cores": 2}),
+    "ablation_ipc": ({}, {"duration": 0.1, "threads": 2, "pool_cores": 4}),
+    "ablation_dedup": ({}, {"n_containers": 2, "content_bytes": 65536}),
+}
+
+
+def tiny_spec(kind, **extra_params):
+    sweep, params = TINY[kind]
+    return validate_spec({
+        "id": "t-%s" % kind.replace("_", "-"), "kind": kind, "sweep": sweep,
+        "params": dict(params, **extra_params),
+    })
+
+
+def test_tiny_specs_cover_every_kind():
+    assert set(TINY) == set(KINDS) - {"chaos"}
+
+
+@pytest.mark.parametrize("kind", sorted(TINY))
+def test_sweep_cells_follow_the_nest_and_rows_equal_the_row_function(kind):
+    """The cell order is the table's nest (outermost axis slowest) and
+    each row is the row function called directly with the cell."""
+    sweep = compile_spec(tiny_spec(kind), seed=3)
+    nest = KINDS[kind].nest
+    cells = sweep.cells()
+    expected = [()]
+    for axis, _arg in nest:
+        expected = [done + (value,) for done in expected
+                    for value in sweep.axes[axis]]
+    assert [tuple(cell[arg] for _axis, arg in nest) for cell in cells] \
+        == expected
+    rows = sweep.run().rows
+    assert len(rows) == len(cells)
+    row_fn = named(KINDS[kind].row)
+    for cell, row in zip(cells, rows):
+        assert json.dumps(row) == json.dumps(row_fn(**cell, **sweep.params))
+
+
+@pytest.mark.parametrize("kind", sorted(TINY))
+def test_params_that_do_not_fit_die_at_compile_time(kind):
+    spec = tiny_spec(kind, duratoin=0.1)
+    with pytest.raises(SpecError, match="spec %r: params do not fit kind %r"
+                       % (spec["id"], kind)):
+        compile_spec(spec, seed=1)
+
+
+def test_param_naming_a_nest_argument_fails_compile():
+    spec = tiny_spec("rocksdb_scaleout", n_pools=3)
+    with pytest.raises(SpecError, match="do not fit kind"):
+        compile_spec(spec, seed=1)
+
+
+def test_missing_axis_or_required_param_fails_compile():
+    no_mode = validate_spec({
+        "id": "t1", "kind": "rocksdb_scaleout",
+        "sweep": {"symbol": ["D"], "pools": [1]},
+    })
+    with pytest.raises(SpecError, match="do not fit kind.*mode"):
+        compile_spec(no_mode, seed=1)
+    no_axis = validate_spec({
+        "id": "t1", "kind": "rocksdb_scaleout", "sweep": {"symbol": ["D"]},
+        "params": {"mode": "put"},
+    })
+    with pytest.raises(SpecError, match="do not fit kind.*missing 'pools'"):
+        compile_spec(no_axis, seed=1)
+    with pytest.raises(SpecError, match="do not fit kind.*missing 'neighbor'"):
+        compile_spec(validate_spec(minimal_spec()), seed=1)
 
 
 def test_unknown_chaos_param_rejected_at_validation():
@@ -339,17 +447,21 @@ def test_chaos_config_roundtrip():
     assert clone == config
 
 
-# -- spec vs direct constructor --------------------------------------------
+# -- spec vs direct row function calls -------------------------------------
 
 def test_fig6a_spec_matches_legacy_closure_rows():
-    """A colocation spec and the directly constructed experiment yield
-    the same rows and fingerprint (fig6a's shape, shrunk to one symbol
-    and a 0.2 s run: the assertion is equivalence, not scale)."""
-    from repro.bench import FlsColocation
+    """A colocation spec and direct ``run_colocation`` calls in the
+    documented nest order (symbol -> n_fls -> neighbor) yield the same
+    rows and fingerprint (fig6a's shape, shrunk to one symbol and a
+    0.2 s run: the assertion is equivalence, not scale)."""
+    from repro.bench import run_colocation
 
-    direct = FlsColocation(
-        symbols=("D",), fls_counts=(1,), neighbor="RND", duration=0.2,
-    ).run()
+    direct = [
+        run_colocation(symbol, n_fls, neighbor, duration=0.2, seed=1)
+        for symbol in ("D",)
+        for n_fls in (1,)
+        for neighbor in (None, "RND")
+    ]
     spec = validate_spec({
         "id": "t-coloc",
         "kind": "colocation",
@@ -357,6 +469,6 @@ def test_fig6a_spec_matches_legacy_closure_rows():
         "params": {"neighbor": "RND", "duration": 0.2},
     })
     _result, record = run_spec(spec)
-    assert record["rows"] == direct.rows
-    assert record["fingerprint"] == rows_fingerprint(direct.rows)
+    assert record["rows"] == direct
+    assert record["fingerprint"] == rows_fingerprint(direct)
     assert record["seeds"] == [1]

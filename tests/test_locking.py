@@ -359,20 +359,20 @@ def test_adaptive_converges_per_scenario():
     """On the Fig. 9 cached-Seqread shape the controller must escalate
     out of global mode: to `inode` when each thread streams its own file,
     all the way to `range` when every thread hammers one shared file."""
-    from repro.bench.ablation import _seqread_with
+    from repro.bench.ablation import run_seqread_locking
 
-    per_file = _seqread_with(
+    per_file = run_seqread_locking(
         "adaptive", duration=1.5, threads=4, shared_file=False
     )
     assert per_file["switches"] >= 1
     assert per_file["final_mode"] in ("inode", "range")
-    shared = _seqread_with(
+    shared = run_seqread_locking(
         "adaptive", duration=1.5, threads=4, shared_file=True
     )
     assert shared["final_mode"] == "range"
     assert shared["switches"] >= 2
     # The fine tiers must actually pay off against the global baseline.
-    baseline = _seqread_with(
+    baseline = run_seqread_locking(
         "global", duration=1.5, threads=4, shared_file=True
     )
     assert shared["throughput_mb_s"] > baseline["throughput_mb_s"] * 1.3
