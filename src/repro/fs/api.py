@@ -64,9 +64,10 @@ class Task(object):
         pool: the container pool (or None for host tasks); carries the
             cgroup RAM account used for page-cache charging.
         pid: process identifier (distinct library state per process).
+            Numbered per simulator, so a world's pids — and anything
+            sized by them, like Lighttpd's pid file — do not depend on
+            what else ran in the host process.
     """
-
-    _next_pid = [1]
 
     __slots__ = ("thread", "pool", "pid")
 
@@ -74,8 +75,9 @@ class Task(object):
         self.thread = thread
         self.pool = pool
         if pid is None:
-            pid = Task._next_pid[0]
-            Task._next_pid[0] += 1
+            sim = thread.sim
+            pid = sim.next_pid
+            sim.next_pid = pid + 1
         self.pid = pid
 
     def cpu(self, seconds):

@@ -516,6 +516,7 @@ class Simulator(object):
         self._heap = []  # (when, seq, fn, arg) — future callbacks
         self._ready = deque()  # (seq, fn, arg) — callbacks due *now*
         self._seq = 0
+        self.next_pid = 1  # this world's pid space (see repro.fs.api.Task)
         self.elided = 0  # resumptions continued in place (see Process._step)
         self._batch = False  # inside a callback batch with callbacks to go
         self._stop = None  # the event a surrounding run_until() waits for

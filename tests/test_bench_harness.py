@@ -106,3 +106,22 @@ def test_row_entry_point_releases_its_world(cell, monkeypatch):
     finally:
         if was_enabled:
             gc.enable()
+
+
+# -- bugfix: a row does not depend on what ran earlier in the process ------
+
+
+def test_row_is_independent_of_tasks_made_earlier_in_the_process():
+    """``start_lighttpd`` writes its pid into the pid file, so the copy
+    cost follows the pid's digit count; with one process-global pid
+    counter every Task ever made moved ``real_time_s``. Each world now
+    numbers its own tasks."""
+    from repro.bench.startup import run_startup
+    from repro.common import units
+    from repro.world import World
+
+    first = run_startup("D", 1, pool_cores=2)
+    world = World(num_cores=2, ram_bytes=units.gib(1))
+    for index in range(2000):
+        world.host_task("t%d" % index)
+    assert run_startup("D", 1, pool_cores=2) == first
