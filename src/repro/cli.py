@@ -10,7 +10,7 @@ Usage::
     python -m repro run fig6a --trace wb,fuse      # record trace events
     python -m repro run fig6a --profile            # lock/CPU profiles
     python -m repro run fig6a --profile --report out.json
-    python -m repro run fig1 --parallel 4          # seeds across 4 cores
+    python -m repro run fig1 --parallel 4          # cells across 4 cores
 
 Every runnable experiment is a committed spec file under
 ``experiments/`` (see ``docs/experiments.md``); ``run`` and ``list``
@@ -137,8 +137,8 @@ def cmd_run(args):
                 rows = (record.get("detail") or {}).get("partitions", [])
                 if rows:
                     print()
-                    print("partitions (per-seed worker tasks, %d workers):"
-                          % args.parallel)
+                    print("partitions (one task per seed and cell, "
+                          "%d workers):" % args.parallel)
                     print(obs.format_partitions_table(rows))
             if report is not None:
                 report["experiments"].append(entry)
@@ -285,10 +285,10 @@ def main(argv=None):
     )
     run_parser.add_argument(
         "--parallel", metavar="N", type=int, default=1,
-        help="run the spec's seeds as independent simulation tasks over "
-             "N worker processes (results merge in seed order, so rows "
-             "and fingerprints match the sequential run exactly); "
-             "incompatible with --profile/--trace",
+        help="run the spec's cells (per seed) as independent simulation "
+             "tasks over N worker processes (results merge in declaration "
+             "order, so rows and fingerprints match the sequential run "
+             "exactly); incompatible with --profile/--trace",
     )
     args = parser.parse_args(argv)
     if args.command == "list":

@@ -1,15 +1,16 @@
-"""The sweep runner: specs -> deterministic per-seed runs -> one record.
+"""The sweep runner: specs -> deterministic per-cell runs -> one record.
 
-:func:`run_spec` expands a validated spec into one compiled experiment
-per seed, runs them, folds every measured row into a single
-:class:`~repro.bench.harness.ExperimentResult` (rows gain a ``seed``
-column when the spec sweeps more than one seed), checks the spec's SLO
-assertions against the rows, and emits the unified run record
-(``repro.experiments.record``): rows + fingerprint + wall-clock +
-resolved spec, plus any per-seed detail the experiment exposes (the
-chaos kind's plan log and digests).
+:func:`run_spec` compiles a validated spec into one sweep per seed,
+runs every (seed, cell) pair as an independent task, folds the measured
+rows into a single :class:`~repro.bench.harness.ExperimentResult` in
+declaration order (rows gain a ``seed`` column when the spec sweeps
+more than one seed), checks the spec's SLO assertions against the rows,
+and emits the unified run record (``repro.experiments.record``): rows +
+fingerprint + wall-clock + resolved spec, plus any per-seed detail the
+sweep exposes (the chaos kind's plan log and digests).
 """
 
+import itertools
 import time
 
 from repro.experiments.compiler import compile_spec
@@ -67,19 +68,11 @@ def check_slos(spec, result):
     return {"checked": len(spec["slo"]), "violations": violations}
 
 
-def _run_seed(spec, quick, seed):
-    """One seed's compiled run — module-level so the parallel slicer can
+def _run_cell(spec, quick, seed, cell):
+    """One cell of one seed's sweep — module-level so ``map_tasks`` can
     ship it to a forked worker."""
-    experiment = compile_spec(spec, quick=quick, seed=seed)
-    outcome = experiment.run()
-    return {
-        "id": experiment.experiment_id,
-        "title": experiment.title,
-        "expectation": experiment.paper_expectation,
-        "rows": [dict(row) for row in outcome.rows],
-        "notes": list(outcome.notes),
-        "detail": getattr(experiment, "detail", None),
-    }
+    sweep = compile_spec(spec, quick=quick, seed=seed)
+    return {"row": sweep.run_cell(cell), "detail": sweep.detail}
 
 
 def run_spec(spec, quick=False, parallel=1):
@@ -89,11 +82,12 @@ def run_spec(spec, quick=False, parallel=1):
     the unified JSON artifact. Two calls with the same spec and seeds
     yield identical rows and fingerprints (wall-clock aside).
 
-    ``parallel`` > 1 runs the spec's seeds as independent simulation
-    tasks over that many worker processes (each seed's compiled run is a
-    self-contained world).
-    Results merge in seed order, so rows and fingerprints are identical
-    to the sequential run; a single-seed spec just runs sequentially.
+    Every cell of every seed builds its own world, so ``parallel`` > 1
+    runs the (seed, cell) tasks over that many worker processes. Rows
+    merge in declaration order (seeds, then the kind's loop nest) and
+    each seed's notes hook runs here, after the merge, so rows, notes
+    and fingerprint are identical to the sequential run; the record's
+    ``detail.partitions`` then lists one row per task.
     """
     from repro.bench.harness import ExperimentResult
     from repro.sim.parallel import map_tasks
@@ -101,28 +95,32 @@ def run_spec(spec, quick=False, parallel=1):
     started = time.perf_counter()
     seeds = list(spec["seeds"])
     multi_seed = len(seeds) > 1
+    sweeps = [compile_spec(spec, quick=quick, seed=seed) for seed in seeds]
+    cells = [sweep.cells() for sweep in sweeps]
     tasks = [
-        ("seed%d" % seed, _run_seed,
-         {"spec": spec, "quick": quick, "seed": seed})
-        for seed in seeds
+        ("seed%d" % seed + "".join("/%s=%s" % item for item in cell.items()),
+         _run_cell, {"spec": spec, "quick": quick, "seed": seed, "cell": cell})
+        for seed, seed_cells in zip(seeds, cells)
+        for cell in seed_cells
     ]
     outcomes, task_rows = map_tasks(tasks, workers=parallel)
-    merged = None
+    outcomes = iter(outcomes)
+    merged = ExperimentResult(
+        sweeps[0].experiment_id, sweeps[0].title, sweeps[0].paper_expectation
+    )
     details = {}
-    for seed, outcome in zip(seeds, outcomes):
-        if merged is None:
-            merged = ExperimentResult(
-                outcome["id"], outcome["title"], outcome["expectation"],
-            )
-        for row in outcome["rows"]:
-            row = dict(row)
+    for seed, sweep, seed_cells in zip(seeds, sweeps, cells):
+        done = list(itertools.islice(outcomes, len(seed_cells)))
+        result = sweep.collect([outcome["row"] for outcome in done])
+        for row in result.rows:
             if multi_seed:
                 row.setdefault("seed", seed)
             merged.add_row(**row)
-        for note in outcome["notes"]:
+        for note in result.notes:
             merged.note("seed %d: %s" % (seed, note) if multi_seed else note)
-        if outcome["detail"]:
-            details[str(seed)] = outcome["detail"]
+        for outcome in done:
+            if outcome["detail"]:
+                details[str(seed)] = outcome["detail"]
     if parallel > 1:
         details["partitions"] = task_rows
     slo = check_slos(spec, merged)

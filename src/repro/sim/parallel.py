@@ -1,10 +1,14 @@
 """Fan independent simulation tasks over a fork pool, merged in order.
 
-Every experiment builds a self-contained world per sweep cell or seed,
-so cells never exchange events and can run in separate OS processes.
-:func:`map_tasks` does exactly that and returns the results in declared
-task order, which makes the merged record byte-identical to the inline
-run. Pure stdlib (``multiprocessing`` with the ``fork`` start method);
+Every experiment builds a self-contained world per sweep cell and
+seed, so cells never exchange events and can run in separate OS
+processes: the sweep runner (``repro.experiments.runner``) hands
+:func:`map_tasks` one task per (seed, cell). It returns the results in
+declared task order, which makes the merged record byte-identical to
+the inline run — provided a task's result depends on nothing the host
+process did before it (a forked worker inherits the parent's module
+state, the inline run has advanced it), which is why counters such as
+pids live on the ``Simulator``, not in module globals. Pure stdlib (``multiprocessing`` with the ``fork`` start method);
 task callables, arguments and results must pickle.
 """
 
@@ -25,7 +29,7 @@ def map_tasks(tasks, workers=0, pool=None):
 
     ``tasks`` is ``[(label, fn, kwargs), ...]`` where each ``fn`` is a
     module-level callable building and running its own simulation (one
-    sweep cell or seed per task). Results always come back in task
+    sweep cell of one seed per task). Results always come back in task
     order, so the merged output is byte-identical to the inline run.
 
     Returns ``(values, rows)`` where ``rows`` are per-task rows

@@ -472,3 +472,43 @@ def test_fig6a_spec_matches_legacy_closure_rows():
     assert record["rows"] == direct
     assert record["fingerprint"] == rows_fingerprint(direct)
     assert record["seeds"] == [1]
+
+
+# -- --parallel fans cells, not only seeds ---------------------------------
+
+#: fig8-, fig6a- and scaleup-wide-shaped tiny specs (the last with two
+#: seeds): several cells each, a notes hook on the first two.
+PARALLEL_SHAPES = {
+    "fig8": {
+        "id": "t-fig8", "kind": "startup",
+        "sweep": {"symbol": ["D", "K/K"], "containers": [1, 2]},
+        "params": {"pool_cores": 2},
+    },
+    "fig6a": {
+        "id": "t-fig6a", "kind": "colocation",
+        "sweep": {"symbol": ["K", "D"], "n_fls": [1]},
+        "params": {"neighbor": "SSB", "duration": 0.05},
+    },
+    "scaleup-wide": {
+        "id": "t-wide", "kind": "pool_scaleup",
+        "sweep": {"symbol": ["D"], "pools": [1, 2], "clones_per_pool": [1]},
+        "params": {"mode": "read"}, "seeds": [1, 2],
+    },
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PARALLEL_SHAPES))
+def test_parallel_cells_merge_to_the_inline_record(shape):
+    """Every (seed, cell) is its own forked task; rows merge in
+    declaration order and the notes hook runs in the parent, so the
+    record equals the inline one."""
+    spec = validate_spec(PARALLEL_SHAPES[shape])
+    _result, inline = run_spec(spec, parallel=1)
+    _result, forked = run_spec(spec, parallel=2)
+    assert json.dumps(forked["rows"]) == json.dumps(inline["rows"])
+    assert forked["notes"] == inline["notes"]
+    assert forked["fingerprint"] == inline["fingerprint"]
+    assert "detail" not in inline
+    partitions = forked["detail"]["partitions"]
+    assert len(partitions) == len(inline["rows"]) > len(spec["seeds"])
+    assert all(row["mode"] == "fork" for row in partitions)
