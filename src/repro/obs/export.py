@@ -89,6 +89,19 @@ def chrome_trace(observers, labels=None):
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
+#: Per-world row tables of the merged report, in report order: report
+#: key -> the Observer method that yields that world's rows.
+_WORLD_TABLES = (
+    ("lock_contention", "lock_table"),
+    ("core_steal", "core_steal_profile"),
+    ("dispatch", "dispatch_profile"),
+    ("recovery", "recovery_profile"),
+    ("mds", "mds_profile"),
+    ("locking", "locking_profile"),
+    ("fabric", "fabric_profile"),
+)
+
+
 def merge_profiles(observers):
     """Combine per-world derived profiles into one report dict.
 
@@ -96,55 +109,25 @@ def merge_profiles(observers):
     trace summaries sum per (category, name); folds concatenate.
     """
     observers = [obs for obs in observers if obs is not None]
-    lock_rows, steal_rows, dispatch_rows, fold = [], [], [], []
-    recovery_rows = []
-    mds_rows = []
-    locking_rows = []
-    fabric_rows = []
+    tables = {table: [] for table, _profile in _WORLD_TABLES}
+    fold = []
     trace_counts = {}
     for index, obs in enumerate(observers):
         tag = "w%d" % index
-        for row in obs.lock_table():
-            row = dict(row)
-            row["world"] = tag
-            lock_rows.append(row)
-        for row in obs.core_steal_profile():
-            row = dict(row)
-            row["world"] = tag
-            steal_rows.append(row)
-        for row in obs.dispatch_profile():
-            row = dict(row)
-            row["world"] = tag
-            dispatch_rows.append(row)
-        for row in obs.recovery_profile():
-            row = dict(row)
-            row["world"] = tag
-            recovery_rows.append(row)
-        for row in obs.mds_profile():
-            row = dict(row)
-            row["world"] = tag
-            mds_rows.append(row)
-        for row in obs.locking_profile():
-            row = dict(row)
-            row["world"] = tag
-            locking_rows.append(row)
-        for row in obs.fabric_profile():
-            row = dict(row)
-            row["world"] = tag
-            fabric_rows.append(row)
+        for table, profile in _WORLD_TABLES:
+            for row in getattr(obs, profile)():
+                row = dict(row)
+                row["world"] = tag
+                tables[table].append(row)
         for (cat, name), count in obs.summary():
             key = (cat, name)
             trace_counts[key] = trace_counts.get(key, 0) + count
         fold.extend(fold_line for fold_line in obs.fold())
-    lock_rows.sort(key=lambda row: row["total_wait_s"], reverse=True)
+    tables["lock_contention"].sort(
+        key=lambda row: row["total_wait_s"], reverse=True
+    )
     return {
-        "lock_contention": lock_rows,
-        "core_steal": steal_rows,
-        "dispatch": dispatch_rows,
-        "recovery": recovery_rows,
-        "mds": mds_rows,
-        "locking": locking_rows,
-        "fabric": fabric_rows,
+        **tables,
         "trace_summary": [
             {"category": cat, "name": name, "count": count}
             for (cat, name), count in sorted(

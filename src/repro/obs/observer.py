@@ -448,16 +448,11 @@ class Observer(object):
             })
         return rows
 
-    def recovery_profile(self):
-        """Membership/backfill recovery rows from the ``recovery`` scope.
-
-        One row per metric, counters first (their running totals), then
-        gauges (final value plus high-water mark): map-epoch bumps and
-        client map refreshes, EOLDEPOCH rejects, backfill bytes/pushes/
-        trims and budget deferrals, degraded/misplaced object gauges.
-        Empty when the membership lifecycle never armed.
-        """
-        registry = self._scopes.get("recovery")
+    def _scope_rows(self, scope):
+        """One row per metric of ``scope``: counters first (their running
+        totals), then gauges (final value plus high-water mark). Empty
+        when nothing ever registered the scope."""
+        registry = self._scopes.get(scope)
         if registry is None:
             return []
         rows = []
@@ -475,6 +470,17 @@ class Observer(object):
                 "high_water": gauge.high_water,
             })
         return rows
+
+    def recovery_profile(self):
+        """Membership/backfill recovery rows from the ``recovery`` scope.
+
+        One row per metric, counters first (their running totals), then
+        gauges (final value plus high-water mark): map-epoch bumps and
+        client map refreshes, EOLDEPOCH rejects, backfill bytes/pushes/
+        trims and budget deferrals, degraded/misplaced object gauges.
+        Empty when the membership lifecycle never armed.
+        """
+        return self._scope_rows("recovery")
 
     def mds_profile(self):
         """Metadata-HA rows from the ``mds`` scope.
@@ -487,24 +493,7 @@ class Observer(object):
         never armed (the scope's ``service_s`` histogram alone does not
         produce rows).
         """
-        registry = self._scopes.get("mds")
-        if registry is None:
-            return []
-        rows = []
-        for name in sorted(registry.counters):
-            rows.append({
-                "metric": name,
-                "value": registry.counters[name].value,
-                "high_water": None,
-            })
-        for name in sorted(registry.gauges):
-            gauge = registry.gauges[name]
-            rows.append({
-                "metric": name,
-                "value": gauge.value,
-                "high_water": gauge.high_water,
-            })
-        return rows
+        return self._scope_rows("mds")
 
     def locking_profile(self):
         """Adaptive locking-policy rows from the ``locking`` scope.
@@ -514,24 +503,7 @@ class Observer(object):
         mode) and the final mode index (0=global, 1=inode, 2=range).
         Empty when no adaptive locking policy ran.
         """
-        registry = self._scopes.get("locking")
-        if registry is None:
-            return []
-        rows = []
-        for name in sorted(registry.counters):
-            rows.append({
-                "metric": name,
-                "value": registry.counters[name].value,
-                "high_water": None,
-            })
-        for name in sorted(registry.gauges):
-            gauge = registry.gauges[name]
-            rows.append({
-                "metric": name,
-                "value": gauge.value,
-                "high_water": gauge.high_water,
-            })
-        return rows
+        return self._scope_rows("locking")
 
     def fabric_profile(self):
         """Cross-machine RPC rows from the world's fabric edge accounting.
