@@ -3,21 +3,28 @@
 
 Two modes:
 
-* ``--validate`` (default when no ``--run`` is given) — load every spec
+* ``--validate`` (default when no run is asked for) — load every spec
   file the registry discovers, schema-validate it, and compile its
-  quick variant to a runnable experiment without executing it. Any
+  quick variant to a runnable sweep without executing it. Any
   validation or compile error exits non-zero: this is the CI gate that
   catches spec-schema drift (a spec key the validator no longer knows,
-  a sweep axis the compiler dropped, a renamed stack symbol).
-* ``--run ID`` (repeatable) — run each named spec via the sweep runner,
-  schema-validate the emitted unified run record, and write one
-  ``<id>.json`` per spec plus a combined ``trend.json`` in the
-  ``BENCH_engine`` trend shape under ``--out-dir``.
+  a sweep axis the kind table dropped, a renamed stack symbol) and
+  param drift (a param the kind's row function does not take).
+* ``--run ID`` (repeatable) / ``--run-all`` (every spec not tagged
+  ``nightly``) — run the specs via the sweep runner, schema-validate
+  the emitted unified run records, and write one ``<id>.json`` per spec
+  plus a combined ``trend.json`` in the ``BENCH_engine`` trend shape
+  under ``--out-dir``. ``--check FILE`` compares each record
+  fingerprint with the committed table and exits non-zero on a
+  difference or an id the table lacks (under ``--run-all`` also on a
+  table id that did not run); ``--write FILE`` records the table.
 
 Usage:
     python scripts/spec_matrix.py --validate
     python scripts/spec_matrix.py --quick --out-dir artifacts \
         --run fig1 --run abl-ipc --run chaos-corruption
+    python scripts/spec_matrix.py --quick --run-all \
+        --check benchmarks/SPEC_quick_fingerprints.json
 """
 
 import argparse
@@ -61,7 +68,10 @@ def validate_all():
 
 
 def run_selected(names, quick, out_dir):
-    """Run the named specs; write per-spec records plus a trend file."""
+    """Run the named specs; write per-spec records plus a trend file.
+
+    Returns ``(status, {id: fingerprint})``.
+    """
     os.makedirs(out_dir, exist_ok=True)
     records = []
     status = 0
@@ -97,7 +107,41 @@ def run_selected(names, quick, out_dir):
             json.dump(to_trend(records), fh, indent=2, sort_keys=True)
             fh.write("\n")
         print("trend written to %s" % trend_path)
+    return status, {record["id"]: record["fingerprint"] for record in records}
+
+
+def check_fingerprints(path, quick, fingerprints, complete):
+    """Compare run fingerprints with the committed table at ``path``.
+
+    ``complete`` (a ``--run-all`` run) also fails on table ids that did
+    not run, so a deleted spec cannot leave a stale entry behind.
+    """
+    with open(path) as fh:
+        table = json.load(fh)
+    if table["quick"] != quick:
+        print("DRIFT %s was recorded with quick=%s" % (path, table["quick"]),
+              file=sys.stderr)
+        return 1
+    want = table["fingerprints"]
+    status = 0
+    for name in sorted(set(fingerprints) | (set(want) if complete else set())):
+        got, expected = fingerprints.get(name), want.get(name)
+        if got != expected:
+            print("DRIFT %s: fingerprint %s, %s has %s"
+                  % (name, got or "(did not run)", path,
+                     expected or "(no entry)"), file=sys.stderr)
+            status = 1
+    print("%d fingerprints checked against %s: %s"
+          % (len(fingerprints), path, "DRIFT" if status else "equal"))
     return status
+
+
+def write_fingerprints(path, quick, fingerprints):
+    with open(path, "w") as fh:
+        json.dump({"quick": quick, "fingerprints": fingerprints}, fh,
+                  indent=2, sort_keys=True)
+        fh.write("\n")
+    print("%d fingerprints written to %s" % (len(fingerprints), path))
 
 
 def main(argv=None):
@@ -106,16 +150,35 @@ def main(argv=None):
                         help="validate + quick-compile every spec (no runs)")
     parser.add_argument("--run", action="append", default=[], metavar="ID",
                         help="run this spec (repeatable)")
+    parser.add_argument("--run-all", action="store_true",
+                        help="run every spec not tagged nightly")
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare record fingerprints with this table")
+    parser.add_argument("--write", metavar="FILE",
+                        help="record the fingerprint table here")
     parser.add_argument("--quick", action="store_true",
                         help="apply each spec's quick overrides")
     parser.add_argument("--out-dir", default="artifacts",
                         help="directory for records (default: artifacts)")
     args = parser.parse_args(argv)
-    if args.validate or not args.run:
+    names = list(args.run)
+    if args.run_all:
+        specs = registry.discover()
+        names += [name for name in sorted(specs)
+                  if "nightly" not in specs[name]["tags"]
+                  and name not in names]
+    if args.validate or not names:
         status = validate_all()
-        if status or not args.run:
+        if status or not names:
             return status
-    return run_selected(args.run, args.quick, args.out_dir)
+    status, fingerprints = run_selected(names, args.quick, args.out_dir)
+    if args.check:
+        status |= check_fingerprints(
+            args.check, args.quick, fingerprints, complete=args.run_all
+        )
+    if args.write and not status:
+        write_fingerprints(args.write, args.quick, fingerprints)
+    return status
 
 
 if __name__ == "__main__":
