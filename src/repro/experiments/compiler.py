@@ -131,8 +131,20 @@ class Sweep(object):
         self.title = spec["title"]
         self.paper_expectation = spec["expectation"]
         axes, params = resolve_axes(spec, quick=quick)
+        self._bind(spec, axes, params, seed)
+
+    def _bind(self, spec, axes, params, seed):
+        kind = self.kind = KINDS[spec["kind"]]
+        if seed is not None:
+            params.setdefault("seed", seed)
+        self.row_fn = _resolve(kind.row)
         try:
-            self._bind(spec, axes, params, seed)
+            for axis, values in kind.fixed.items():
+                axes[axis] = values(params) if callable(values) else values
+            self.axes = {axis: tuple(axes[axis]) for axis, _arg in kind.nest}
+            inspect.signature(self.row_fn).bind(
+                **dict.fromkeys(arg for _axis, arg in kind.nest), **params
+            )
         except (KeyError, TypeError) as err:
             # KeyError: an axis or param the nest needs is not in the spec.
             raise SpecError(
@@ -140,19 +152,7 @@ class Sweep(object):
                 % (spec["id"], spec["kind"],
                    "missing " if isinstance(err, KeyError) else "", err)
             )
-
-    def _bind(self, spec, axes, params, seed):
-        kind = self.kind = KINDS[spec["kind"]]
-        if seed is not None:
-            params.setdefault("seed", seed)
-        for axis, values in kind.fixed.items():
-            axes[axis] = values(params) if callable(values) else values
-        self.axes = {axis: tuple(axes[axis]) for axis, _arg in kind.nest}
         self.params = params
-        self.row_fn = _resolve(kind.row)
-        inspect.signature(self.row_fn).bind(
-            **dict.fromkeys(arg for _axis, arg in kind.nest), **params
-        )
 
     def cells(self):
         """The nest expanded: one ``{argument: value}`` dict per cell,

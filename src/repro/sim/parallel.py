@@ -8,8 +8,9 @@ declared task order, which makes the merged record byte-identical to
 the inline run — provided a task's result depends on nothing the host
 process did before it (a forked worker inherits the parent's module
 state, the inline run has advanced it), which is why counters such as
-pids live on the ``Simulator``, not in module globals. Pure stdlib (``multiprocessing`` with the ``fork`` start method);
-task callables, arguments and results must pickle.
+pids live on the ``Simulator``, not in module globals. Pure stdlib
+(``multiprocessing`` with the ``fork`` start method); task callables,
+arguments and results must pickle.
 """
 
 import os
