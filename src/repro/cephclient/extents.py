@@ -6,18 +6,19 @@ exist outside the authoritative stores, which is exactly what makes the
 consistency semantics of §3.4 observable: another client reading through
 the cluster sees the data only after a flush.
 
-Buffered bytes are held **by reference**. Every write is kept as the
-immutable ``bytes`` object the caller passed (a mutable ``bytearray`` or
-``memoryview`` is snapshotted once on the way in), in a sorted map of
-non-overlapping chunks; an *extent* is a maximal run of adjacent chunks.
-Overwriting part of a chunk re-slices only that chunk. :meth:`take`
-hands the chunks over as :class:`~repro.common.rope.ByteRope` s, so
-nothing returned by this class changes after the fact and nothing it
-holds can be changed from outside.
+Buffered bytes are held **by reference**, in the same
+:class:`~repro.common.chunks.ChunkMap` an OSD object is made of: every
+write is kept as the immutable ``bytes`` object the caller passed (a
+mutable ``bytearray`` or a view of one is snapshotted once on the way
+in), in a sorted map of non-overlapping chunks; an *extent* is a maximal
+run of adjacent chunks. Overwriting part of a chunk leaves views of what
+survives, no copy. :meth:`take` hands the chunks over as
+:class:`~repro.common.rope.ByteRope` s, so nothing returned by this
+class changes after the fact and nothing it holds can be changed from
+outside.
 """
 
-import bisect
-
+from repro.common.chunks import ChunkMap
 from repro.common.errors import InvalidArgument
 from repro.common.rope import ByteRope
 
@@ -28,12 +29,12 @@ class ExtentBuffer(object):
     """Non-overlapping sorted byte extents of one file."""
 
     def __init__(self):
-        self._offsets = []  # sorted chunk start offsets
-        self._chunks = {}  # start offset -> bytes
+        # Only the chunks matter here; the map's length is not used.
+        self._map = ChunkMap()
         self.dirty_bytes = 0
 
     def __bool__(self):
-        return bool(self._offsets)
+        return bool(self._map.offsets)
 
     def write(self, offset, data):
         """Insert ``data`` at ``offset``; later writes win over earlier."""
@@ -44,38 +45,8 @@ class ExtentBuffer(object):
                 self.write(offset, chunk)
                 offset += len(chunk)
             return
-        if not data:
-            return
-        if type(data) is not bytes:
-            data = bytes(data)
-        offsets, chunks = self._offsets, self._chunks
-        start, end = offset, offset + len(data)
-        # Chunks [lo, hi) overlap the write: the first one may keep a head
-        # before ``start``, the last one a tail from ``end``; everything
-        # else they held is superseded.
-        lo = bisect.bisect_right(offsets, start)
-        if lo:
-            prev_start = offsets[lo - 1]
-            if prev_start + len(chunks[prev_start]) > start:
-                lo -= 1
-        hi = bisect.bisect_left(offsets, end, lo)
-        pieces = [(start, data)]
-        if lo < hi:
-            first_start = offsets[lo]
-            last_start = offsets[hi - 1]
-            last = chunks[last_start]
-            if first_start < start:
-                pieces.insert(
-                    0, (first_start, chunks[first_start][:start - first_start])
-                )
-            if last_start + len(last) > end:
-                pieces.append((end, last[end - last_start:]))
-            for old_start in offsets[lo:hi]:
-                self.dirty_bytes -= len(chunks.pop(old_start))
-        offsets[lo:hi] = [piece_start for piece_start, _piece in pieces]
-        for piece_start, piece in pieces:
-            chunks[piece_start] = piece
-            self.dirty_bytes += len(piece)
+        self._map.write(offset, data)
+        self.dirty_bytes = self._map.stored
 
     def put_back(self, extents):
         """Return extents a failed flush had taken, *under* anything
@@ -92,29 +63,22 @@ class ExtentBuffer(object):
         Returns bytes of length up to max(len(base), highest buffered byte
         within the window) — buffered data may extend past the base.
         """
-        offsets, chunks = self._offsets, self._chunks
-        end = offset + size
-        result = bytearray(base)
-        index = max(bisect.bisect_right(offsets, offset) - 1, 0)
-        while index < len(offsets) and offsets[index] < end:
-            chunk_start = offsets[index]
-            chunk = chunks[chunk_start]
-            index += 1
-            lo = max(chunk_start, offset)
-            hi = min(chunk_start + len(chunk), end)
-            if hi <= lo:
-                continue
-            if hi - offset > len(result):
-                result.extend(b"\x00" * (hi - offset - len(result)))
-            result[lo - offset:hi - offset] = memoryview(chunk)[
-                lo - chunk_start:hi - chunk_start
-            ]
-        return bytes(result)
+        base = memoryview(base)
+        parts = []
+        position = offset
+        for start, piece in self._map.pieces(offset, offset + size):
+            under = base[position - offset:start - offset]
+            parts.append(under)
+            parts.append(bytes(start - position - len(under)))
+            parts.append(piece)
+            position = start + len(piece)
+        parts.append(base[position - offset:])
+        return b"".join(parts)
 
     def _extent_at(self, index):
         """The extent starting at chunk ``index``: ``(start, chunk list,
         length, index of the chunk after it)``."""
-        offsets, chunks = self._offsets, self._chunks
+        offsets, chunks = self._map.offsets, self._map.chunks
         start = end = offsets[index]
         parts = []
         while index < len(offsets) and offsets[index] == end:
@@ -134,31 +98,28 @@ class ExtentBuffer(object):
         taken = []
         budget = max_bytes if max_bytes is not None else float("inf")
         index = 0
-        while index < len(self._offsets) and (budget > 0 or not taken):
+        while index < len(self._map.offsets) and (budget > 0 or not taken):
             start, parts, length, after = self._extent_at(index)
             if length > budget and taken:
                 break
             budget -= length
             taken.append((start, ByteRope(parts, length)))
             index = after
-        for start in self._offsets[:index]:
-            del self._chunks[start]
-        del self._offsets[:index]
-        self.dirty_bytes -= sum(len(rope) for _start, rope in taken)
+        self._map.drop_head(index)
+        self.dirty_bytes = self._map.stored
         return taken
 
     def extents(self):
         """Snapshot of ``(offset, bytes)`` pairs without consuming them."""
         snapshot = []
         index = 0
-        while index < len(self._offsets):
+        while index < len(self._map.offsets):
             start, parts, _length, index = self._extent_at(index)
             snapshot.append((start, b"".join(parts)))
         return snapshot
 
     def clear(self):
-        self._offsets = []
-        self._chunks = {}
+        self._map = ChunkMap()
         self.dirty_bytes = 0
 
     def truncate(self, size):
@@ -167,23 +128,14 @@ class ExtentBuffer(object):
         Buffered data *below* the cut survives — truncating a file must
         not lose its remaining unflushed contents.
         """
-        offsets, chunks = self._offsets, self._chunks
-        cut = bisect.bisect_left(offsets, size)
-        freed = sum(len(chunks.pop(start)) for start in offsets[cut:])
-        del offsets[cut:]
-        if cut:
-            last_start = offsets[cut - 1]
-            last = chunks[last_start]
-            keep = size - last_start
-            if keep < len(last):
-                chunks[last_start] = last[:keep]
-                freed += len(last) - keep
-        self.dirty_bytes -= freed
+        self._map.truncate(size)
+        freed = self.dirty_bytes - self._map.stored
+        self.dirty_bytes = self._map.stored
         return freed
 
     def max_end(self):
         """One past the highest buffered byte (0 when empty)."""
-        if not self._offsets:
+        offsets = self._map.offsets
+        if not offsets:
             return 0
-        last = self._offsets[-1]
-        return last + len(self._chunks[last])
+        return offsets[-1] + len(self._map.chunks[offsets[-1]])

@@ -3,14 +3,16 @@
 The write-behind path moves dirty file data from ``write()`` through the
 extent buffers to the OSD stores. A :class:`ByteRope` lets it do so
 without re-copying the payload at every hop: it is an immutable byte
-string held as a sequence of immutable ``bytes`` chunks — the very
-objects the writers passed in. Only two things ever materialise bytes
-from it: :meth:`ByteRope.split`, which gathers a span that straddles
-chunks (a span inside one chunk is a zero-copy view), and ``bytes()``.
+string held as a sequence of immutable chunks — the very ``bytes``
+objects the writers passed in, or read-only views of them where an
+overwrite cut one (see :mod:`repro.common.chunks`). Only two things ever
+materialise bytes from it: :meth:`ByteRope.split`, which gathers a span
+that straddles chunks (a span inside one chunk is a zero-copy view), and
+``bytes()``.
 
-Ownership: a rope's chunks are ``bytes`` and therefore never change
-under a holder; views cut from it keep their chunk alive for as long as
-they are referenced.
+Ownership: a rope's chunks are ``bytes`` or views over ``bytes`` and
+therefore never change under a holder; views cut from it keep their
+chunk alive for as long as they are referenced.
 """
 
 from itertools import chain
@@ -19,7 +21,7 @@ __all__ = ["ByteRope"]
 
 
 class ByteRope(object):
-    """An immutable byte string stored as a list of ``bytes`` chunks."""
+    """An immutable byte string stored as a list of immutable chunks."""
 
     __slots__ = ("chunks", "_length")
 
@@ -48,7 +50,7 @@ class ByteRope(object):
         return chain.from_iterable(self.chunks)
 
     def __bytes__(self):
-        if len(self.chunks) == 1:
+        if len(self.chunks) == 1 and type(self.chunks[0]) is bytes:
             return self.chunks[0]
         return b"".join(self.chunks)
 

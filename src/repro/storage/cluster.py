@@ -923,10 +923,10 @@ class CephCluster(object):
             if obj is None:
                 parts.append(b"\x00" * length)
                 continue
-            # Slice through a memoryview: one copy instead of three
-            # (bytearray slice -> bytes -> padded concat) on the cache-hit
-            # read path.
-            piece = bytes(memoryview(obj)[obj_off:obj_off + length])
+            # At most one gather, and none for a whole one-chunk object:
+            # the memo below then shares the stored chunk (immutable, so
+            # a later fault on the replica cannot reach it).
+            piece = obj.read(obj_off, length)
             if len(piece) < length:
                 piece += b"\x00" * (length - len(piece))
             parts.append(piece)

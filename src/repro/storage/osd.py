@@ -7,7 +7,12 @@ ramdisk, so writes pay roughly twice the device time of reads, which is
 one reason the paper's write workloads exercise the backend harder.
 
 Objects hold *real bytes*: the OSD store is the authoritative copy of all
-flushed file data in the simulation.
+flushed file data in the simulation. Each object is a
+:class:`~repro.common.chunks.ChunkMap`: it keeps the immutable payload
+chunks the client flushed *by reference*, so a flushed byte is stored
+once however many replicas hold it. Replicas stay independently
+corruptible because nothing is ever changed in place — a fault injected
+here replaces or drops chunks of this replica's map only.
 
 Integrity. When checksums are armed (``verify_enabled``, set by
 :meth:`CephCluster.enable_integrity`), every write records a blake2b
@@ -22,6 +27,7 @@ dictionary work with no sim events, and it is entirely skipped when
 
 import hashlib
 
+from repro.common.chunks import ChunkMap
 from repro.common.errors import InvalidArgument, OldEpoch, OpTimeout
 from repro.hw.disk import RamDisk
 from repro.metrics import MetricSet
@@ -54,7 +60,7 @@ class Osd(object):
             sim, name="osd%d.ram" % osd_id
         )
         self._slots = Semaphore(sim, costs.osd_concurrency, name="osd%d" % osd_id)
-        self._objects = {}  # (ino, index) -> bytearray
+        self._objects = {}  # (ino, index) -> ChunkMap
         self._by_ino = {}  # ino -> set of indices
         #: bumped on *every* stored-byte mutation, including the silent
         #: fault injections that deliberately leave ``_versions`` stale.
@@ -95,6 +101,9 @@ class Osd(object):
     def inject_bitrot(self, ino, index, rng, flips=8):
         """Silently flip bits in this replica's stored bytes.
 
+        Each flip becomes a one-byte chunk of this replica's map: the
+        other replicas, a memoised peek and the client's buffers share
+        the old chunks and keep them.
         The recorded digests are deliberately left stale — that is the
         fault being modelled: the device returns different bytes than
         were acknowledged. No version bump, no trace of the mutation in
@@ -105,7 +114,7 @@ class Osd(object):
             return 0
         flips = min(flips, len(obj))
         for _ in range(flips):
-            obj[rng.randrange(len(obj))] ^= 1 << rng.randrange(8)
+            obj.flip(rng.randrange(len(obj)), 1 << rng.randrange(8))
         self.store_epoch += 1
         self.metrics.counter("bitrot_injected").add(1)
         self.sim.trace("osd", "bitrot", osd=self.osd_id, ino=ino,
@@ -124,7 +133,7 @@ class Osd(object):
             return 0
         keep = max(1, min(int(len(obj) * keep_fraction), len(obj) - 1))
         lost = len(obj) - keep
-        del obj[keep:]
+        obj.truncate(keep)
         self.store_epoch += 1
         self.metrics.counter("torn_injected").add(1)
         self.sim.trace("osd", "torn_write", osd=self.osd_id, ino=ino,
@@ -214,7 +223,7 @@ class Osd(object):
             want = dig.get(chunk)
             if want is None or want is _POISON:
                 continue
-            if self._digest(bytes(obj[lo:hi])) != want:
+            if self._digest(obj.read(lo, hi - lo)) != want:
                 dig[chunk] = _POISON
 
     def _record_digests(self, key, obj, touch_start, end):
@@ -223,12 +232,17 @@ class Osd(object):
             return
         dig = self._digests.setdefault(key, {})
         size = self.costs.integrity_chunk_size
-        for chunk in range(touch_start // size, (end - 1) // size + 1):
+        first = touch_start // size
+        last = (end - 1) // size
+        # One gather for the whole touched span, sliced per chunk.
+        base = first * size
+        span = memoryview(obj.read(base, (last + 1) * size - base))
+        for chunk in range(first, last + 1):
             lo = chunk * size
             hi = min(lo + size, len(obj))
             if dig.get(chunk) is _POISON and not (touch_start <= lo and end >= hi):
                 continue  # partially-rewritten poisoned chunk stays poisoned
-            dig[chunk] = self._digest(bytes(obj[lo:hi]))
+            dig[chunk] = self._digest(span[lo - base:hi - base])
 
     def _apply_object_truncate(self, key, size):
         """Cut one stored object to ``size`` bytes, maintaining digests."""
@@ -237,27 +251,28 @@ class Osd(object):
             return
         dig = self._digests.get(key)
         csize = self.costs.integrity_chunk_size
-        if dig and size % csize:
+        chunk = size // csize
+        head = None
+        if dig is not None and size % csize:
             # The cut chunk's surviving head keeps old bytes: verify them
-            # before re-digesting the now-shorter chunk.
-            chunk = size // csize
+            # before re-digesting the now-shorter chunk. One read serves
+            # both digests.
             lo = chunk * csize
-            hi = min(lo + csize, len(obj))
+            old = obj.read(lo, csize)
             want = dig.get(chunk)
             if want is not None and want is not _POISON \
-                    and self._digest(bytes(obj[lo:hi])) != want:
+                    and self._digest(old) != want:
                 dig[chunk] = _POISON
-        del obj[size:]
+            head = old[:size - lo]
+        obj.truncate(size)
         self.store_epoch += 1
         self._bump_version(key)
         if dig is not None:
             keep = (size + csize - 1) // csize
-            for chunk in [c for c in dig if c >= keep]:
-                del dig[chunk]
-            if size % csize:
-                chunk = size // csize
-                if dig.get(chunk) is not _POISON:
-                    dig[chunk] = self._digest(bytes(obj[chunk * csize:size]))
+            for stale in [c for c in dig if c >= keep]:
+                del dig[stale]
+            if head is not None and dig.get(chunk) is not _POISON:
+                dig[chunk] = self._digest(head)
 
     def replica_clean(self, ino, index, offset=None, size=None):
         """Digest-check this replica over a byte range; pure state, no cost.
@@ -287,8 +302,15 @@ class Osd(object):
         end = top if offset is None else min(offset + size, top)
         if end <= start:
             return True
-        for chunk in range(start // csize, (end - 1) // csize + 1):
-            piece = bytes(obj[chunk * csize:(chunk + 1) * csize])
+        # One gather for the whole checked span, sliced per chunk; past
+        # the stored length the slices come up short or empty, which is
+        # how a torn replica fails.
+        first = start // csize
+        last = (end - 1) // csize
+        base = first * csize
+        span = memoryview(obj.read(base, (last + 1) * csize - base))
+        for chunk in range(first, last + 1):
+            piece = span[chunk * csize - base:(chunk + 1) * csize - base]
             want = dig.get(chunk)
             if want is None:
                 if piece and self.verify_enabled:
@@ -312,10 +334,7 @@ class Osd(object):
         try:
             yield self.costs.osd_op
             obj = self._objects.get((ino, index))
-            data = (
-                bytes(memoryview(obj)[offset:offset + size])
-                if obj is not None else b""
-            )
+            data = obj.read(offset, size) if obj is not None else b""
             if data:
                 yield from self.device.transfer(len(data))
         finally:
@@ -331,27 +350,25 @@ class Osd(object):
         return data
 
     def _apply_write(self, ino, index, offset, data):
-        """Splice one write into the store with full digest bookkeeping.
+        """Put one write into the store with full digest bookkeeping.
 
-        ``data`` is any buffer (``bytes`` or a view of a client's
-        payload chunk). The splice below is the per-replica copy: each
-        OSD owns its bytes, so replicas stay independently corruptible
-        (bitrot, torn writes) and nothing here outlives the call as a
-        reference into the caller's buffer.
+        ``data`` is any buffer. ``bytes``, or a view of a client's
+        ``bytes`` payload chunk, is kept by reference — every replica
+        shares it, and it outlives the call; that is safe because it can
+        never change and this store only ever replaces chunks. A mutable
+        buffer is snapshotted (see :mod:`repro.common.chunks`).
         """
         key = (ino, index)
         obj = self._objects.get(key)
         if obj is None:
-            obj = self._objects[key] = bytearray()
+            obj = self._objects[key] = ChunkMap()
             self._by_ino.setdefault(ino, set()).add(index)
         end = offset + len(data)
         old_len = len(obj)
         touch_start = min(offset, old_len)
         if self.verify_enabled:
             self._precheck_overwrite(key, obj, touch_start, end)
-        if offset > old_len:
-            obj.extend(b"\x00" * (offset - old_len))
-        obj[offset:end] = data
+        obj.write(offset, data)
         self.store_epoch += 1
         self._bump_version(key)
         if self.verify_enabled:
@@ -366,10 +383,10 @@ class Osd(object):
 
         ``pieces`` is ``[(index, obj_off, buffer)]`` — the coalesced dirty
         run a flush batched for this OSD; each buffer is ``bytes`` or a
-        read-only view, copied into the store by :meth:`_apply_write`.
+        read-only view, kept by reference by :meth:`_apply_write`.
         One queue slot, one op charge and one journal+data commit
         (journal append, then the in-place data write) cover the batch's
-        total bytes; every piece then splices into its object with full
+        total bytes; every piece then lands in its object with full
         digest bookkeeping.
         """
         for _index, offset, _data in pieces:

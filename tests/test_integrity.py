@@ -73,7 +73,7 @@ def test_partial_overwrite_cannot_bless_corruption(sim, costs):
     victim_id = cluster.monitor.holders(8, 0)[0]
     victim = cluster.osds[victim_id]
     # silent flip deep inside chunk 1, past the coming overwrite
-    victim._objects[(8, 0)][chunk + 100] ^= 0xFF
+    victim._objects[(8, 0)].flip(chunk + 100, 0xFF)
 
     def overwrite(offset, data):
         def proc():
