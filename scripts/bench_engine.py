@@ -29,7 +29,9 @@ gains per-scenario parallel wall/speedup cells.
 Every record carries the core count and Python version (top-level and
 per scenario): ``check_against`` refuses to compare wall-clock across a
 Python-minor mismatch, and the core count says what the parallel cells
-of a record could have shown (they are recorded, never gated).
+of a record could have shown (they are recorded, never gated). It also
+carries the run's peak resident set (``peak_rss_mb``: this process, and
+under ``--parallel`` the largest forked worker) — recorded, never gated.
 
 Usage:
     PYTHONPATH=src python scripts/bench_engine.py --out BENCH_engine.json
@@ -50,6 +52,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import sys
 import time
 
@@ -100,6 +103,18 @@ def _calibrate():
         if best is None or elapsed < best:
             best = elapsed
     return best
+
+
+def _peak_rss_mb(workers):
+    """``ru_maxrss`` of this process and, when workers were forked, the
+    largest of them (Linux reports KiB)."""
+    peaks = {"self": resource.RUSAGE_SELF}
+    if workers > 1:
+        peaks["children"] = resource.RUSAGE_CHILDREN
+    return {
+        who: round(resource.getrusage(which).ru_maxrss / 1024.0, 1)
+        for who, which in peaks.items()
+    }
 
 
 def counted(fn, kwargs):
@@ -322,6 +337,7 @@ def run_bench(names=None, workers=1):
               % (name, wall, cell["entries_dispatched"],
                  cell["entries_scheduled"], fingerprint, suffix),
               file=sys.stderr)
+    record["peak_rss_mb"] = _peak_rss_mb(workers)
     return record
 
 

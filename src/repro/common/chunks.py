@@ -2,18 +2,19 @@
 
 An OSD object and a client's dirty extent buffer are the same thing
 seen from two ends of a flush: a sparse run of bytes assembled from
-writes that may overlap. :class:`ChunkMap` is that structure, and the
-only overlap-splice in the tree. It never owns a flat copy of its
+writes that may overlap; a local-filesystem inode (``fs/memtree.py``) is
+a third. :class:`ChunkMap` is that structure, and the only
+overlap-splice in the tree. It never owns a flat copy of its
 contents: every write is kept as the immutable buffer the writer passed,
 in a sorted map of non-overlapping chunks, and a later write that covers
 part of a chunk re-slices a *view* of it.
 
 Ownership. A chunk is ``bytes``, or a ``memoryview`` over ``bytes``;
 neither can change, so any number of holders — the writer, an extent
-buffer, ropes in flight, every replica of an object, a memoised read —
-may share one. Anything else (``bytearray``, a view of one, writable or
-not) is snapshotted once on the way in: the test is the type of the
-memory under the buffer, never its ``readonly`` flag. Nothing is ever
+buffer, ropes in flight, every replica of an object, a memoised read, a
+local-fs inode — may share one. Anything else (``bytearray``, a view of
+one, writable or not) is snapshotted once on the way in: the test is the
+type of the memory under the buffer, never its ``readonly`` flag. Nothing is ever
 changed in place; :meth:`ChunkMap.flip` and :meth:`ChunkMap.truncate`
 replace or drop chunks of *this* map only. A writer must not
 ``release()`` a view it has handed over.

@@ -29,14 +29,23 @@ def make_rng(seed, *labels):
     return random.Random(derive(seed, *labels))
 
 
+#: ``pseudo_bytes`` output is periodic in this many bytes.
+PSEUDO_BLOCK = 64
+
+
 def pseudo_bytes(size, seed):
     """Generate ``size`` deterministic pseudo-random bytes cheaply.
 
-    Used to fill synthetic file contents; repeated 64-byte blocks derived
-    from the seed keep generation O(size) with a small constant.
+    Used to fill synthetic file contents; repeated ``PSEUDO_BLOCK``-byte
+    blocks derived from the seed keep generation O(size) with a small
+    constant. A whole number of blocks — every preallocated file — is
+    built in one allocation; only a ragged tail costs a second copy.
     """
     if size <= 0:
         return b""
-    block = hashlib.blake2b(str(seed).encode("utf-8"), digest_size=64).digest()
-    reps = size // len(block) + 1
-    return (block * reps)[:size]
+    block = hashlib.blake2b(
+        str(seed).encode("utf-8"), digest_size=PSEUDO_BLOCK
+    ).digest()
+    whole, rest = divmod(size, PSEUDO_BLOCK)
+    data = block * whole
+    return data + block[:rest] if rest else data

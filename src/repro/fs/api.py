@@ -14,8 +14,17 @@ container pool); passing it explicitly is the simulator's equivalent of
 import enum
 
 from repro.common.errors import InvalidArgument
+from repro.common.rng import PSEUDO_BLOCK
 
-__all__ = ["OpenFlags", "FileStat", "Task", "FileHandle", "Filesystem"]
+__all__ = [
+    "OpenFlags", "FileStat", "Task", "FileHandle", "Filesystem", "WRITE_PIECE",
+]
+
+#: Bytes per ``write`` of :meth:`Filesystem.write_file`. Spelled as a
+#: count of ``pseudo_bytes`` blocks because ``Workload.fill`` depends on
+#: it being a whole number of them (see there): a piece that is not
+#: cannot be written down.
+WRITE_PIECE = 16384 * PSEUDO_BLOCK
 
 
 class OpenFlags(enum.IntFlag):
@@ -218,29 +227,45 @@ class Filesystem(object):
         finally:
             yield from self.close(task, handle)
 
-    def write_file(self, task, path, data, chunk=1 << 20, sync=False):
-        """Create/overwrite ``path`` with ``data`` in ``chunk`` pieces."""
+    def write_file(self, task, path, data, sync=False):
+        """Create/overwrite ``path`` with ``data`` in ``WRITE_PIECE`` pieces.
+
+        Not a generator itself: it hands back the generator of
+        :meth:`write_pieces`, so the ``yield from`` chain every resume
+        walks is no deeper for the indirection.
+        """
         if not isinstance(data, (bytes, bytearray, memoryview)):
             raise InvalidArgument("write_file needs bytes")
+        # Payloads travel by reference below this call, so a mutable
+        # input is snapshotted once here; each piece is then one
+        # ``bytes`` slice (a whole-buffer slice is the same object).
+        payload = data if type(data) is bytes else bytes(data)
+        pieces = (
+            payload[offset:offset + WRITE_PIECE]
+            for offset in range(0, len(payload), WRITE_PIECE)
+        )
+        return self.write_pieces(task, path, pieces, sync=sync)
+
+    def write_pieces(self, task, path, pieces, sync=False):
+        """Create/overwrite ``path`` with the buffers of ``pieces``, one
+        ``write`` each, back to back; returns the bytes written.
+
+        The body of :meth:`write_file`, for a caller whose pieces are not
+        slices of one payload (``Workload.fill`` writes one buffer over
+        and over).
+        """
         handle = yield from self.open(
             task, path, OpenFlags.WRONLY | OpenFlags.CREAT | OpenFlags.TRUNC
         )
         try:
-            # Payloads travel by reference below this call, so a mutable
-            # input is snapshotted once here; each chunk is then one
-            # ``bytes`` slice (a whole-buffer slice is the same object).
-            payload = data if type(data) is bytes else bytes(data)
             offset = 0
-            while offset < len(payload):
-                written = yield from self.write(
-                    task, handle, offset, payload[offset:offset + chunk]
-                )
-                offset += written
+            for piece in pieces:
+                offset += yield from self.write(task, handle, offset, piece)
             if sync:
                 yield from self.fsync(task, handle)
         finally:
             yield from self.close(task, handle)
-        return len(data)
+        return offset
 
     def makedirs(self, task, path):
         """mkdir -p equivalent."""

@@ -1,4 +1,4 @@
-"""An in-memory namespace tree holding real file contents.
+"""An in-memory namespace tree holding real file contents by reference.
 
 This is the common data substrate of the local ext4-like filesystem and
 the Ceph-like metadata server: a tree of :class:`Node` objects (inodes)
@@ -6,8 +6,16 @@ with directory children, file byte contents and POSIX-ish semantics for
 create/unlink/rename. It is a *pure data structure* — it consumes no
 simulated time; the filesystems wrapping it add CPU, lock and device
 costs.
+
+A file's bytes live in a :class:`repro.common.chunks.ChunkMap`: every
+write is kept as the immutable buffer the writer passed (a mutable one
+is snapshotted once on the way in), a read of exactly one whole written
+buffer hands that object back, and holes — a write past EOF, a growing
+truncate — read as zeros without being materialised. ``size`` and
+``MemTree.total_bytes`` count logical bytes, holes included.
 """
 
+from repro.common.chunks import ChunkMap
 from repro.common.errors import (
     DirectoryNotEmpty,
     FileExists,
@@ -40,7 +48,7 @@ class Node(object):
         self.ino = ino
         self.is_dir = is_dir
         self.children = {} if is_dir else None
-        self.data = None if is_dir else bytearray()
+        self.data = None if is_dir else ChunkMap()
         self.mtime = now
         self.ctime = now
         self.nlink = 2 if is_dir else 1
@@ -63,18 +71,13 @@ class Node(object):
             raise IsADirectory()
         if offset < 0 or size < 0:
             raise InvalidArgument("negative offset/size")
-        return bytes(self.data[offset:offset + size])
+        return self.data.read(offset, size)
 
     def write(self, offset, data):
-        """Write ``data`` at ``offset``, zero-extending any hole."""
+        """Write ``data`` at ``offset``; a gap before it reads as zeros."""
         if self.is_dir:
             raise IsADirectory()
-        if offset < 0:
-            raise InvalidArgument("negative offset")
-        end = offset + len(data)
-        if offset > len(self.data):
-            self.data.extend(b"\x00" * (offset - len(self.data)))
-        self.data[offset:end] = data
+        self.data.write(offset, data)
         return len(data)
 
     def truncate(self, size):
@@ -83,9 +86,9 @@ class Node(object):
         if size < 0:
             raise InvalidArgument("negative truncate size")
         if size <= len(self.data):
-            del self.data[size:]
+            self.data.truncate(size)
         else:
-            self.data.extend(b"\x00" * (size - len(self.data)))
+            self.data.write(size, b"")
 
 
 class MemTree(object):

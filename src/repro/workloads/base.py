@@ -8,6 +8,7 @@ reports ops/s, bytes/s and latency percentiles through a
 """
 
 from repro.common.rng import make_rng, pseudo_bytes
+from repro.fs.api import WRITE_PIECE
 from repro.metrics import MetricSet
 
 __all__ = ["WorkloadResult", "Workload"]
@@ -122,3 +123,21 @@ class Workload(object):
     def payload(self, size, tag):
         """Deterministic file contents of ``size`` bytes."""
         return pseudo_bytes(size, (self.seed, self.name, tag))
+
+    def fill(self, task, path, size, tag, sync=False):
+        """``fs.write_file(task, path, payload(size, tag), sync)`` out of
+        one buffer, the way ``dd`` preallocates: the same calls with the
+        same offsets, lengths and bytes, holding one piece of host memory
+        instead of ``size``. Returns the sim generator.
+
+        Exact because ``payload`` repeats every ``PSEUDO_BLOCK`` bytes
+        and ``WRITE_PIECE`` is defined as a whole number of those blocks:
+        every piece ``write_file`` would slice starts on a block boundary,
+        so each full piece equals the first and the tail is a prefix of it.
+        """
+        piece = self.payload(min(size, WRITE_PIECE), tag)
+        whole, rest = divmod(size, WRITE_PIECE)
+        pieces = [piece] * whole
+        if rest:
+            pieces.append(piece[:rest])
+        return self.fs.write_pieces(task, path, pieces, sync=sync)

@@ -36,8 +36,9 @@ class RandomIO(Workload):
         self.batch_cpu = batch_cpu
 
     def setup(self, task):
-        data = self.payload(self.file_size, "prealloc")
-        yield from self.fs.write_file(task, self.path, data, sync=True)
+        yield from self.fill(
+            task, self.path, self.file_size, "prealloc", sync=True
+        )
 
     def worker(self, task, worker_id, rng):
         handle = yield from self.fs.open(task, self.path, OpenFlags.RDWR)

@@ -78,8 +78,9 @@ class Seqread(Workload):
         n_files = 1 if self.shared_file else self.threads
         for worker_id in range(n_files):
             path = "%s/r%02d" % (self.directory, worker_id)
-            data = self.payload(self.file_size, worker_id)
-            yield from self.fs.write_file(task, path, data, sync=True)
+            yield from self.fill(
+                task, path, self.file_size, worker_id, sync=True
+            )
             if self.warm_cache:
                 yield from self.fs.read_file(task, path)
 

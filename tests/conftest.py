@@ -51,3 +51,14 @@ def run(sim, gen, until=1000.0):
     finished = sim.run_until(process, deadline)
     assert finished, "process did not finish by t=%s" % deadline
     return process.value
+
+
+#: Buffers whose writer can still change the bytes after handing them
+#: over — a by-reference store must snapshot all three (the test is the
+#: memory under the buffer, never its ``readonly`` flag). Each entry maps
+#: a source ``bytearray`` to the buffer to write.
+MUTABLE_BUFFERS = {
+    "bytearray": lambda source: source,
+    "writable-view": memoryview,
+    "readonly-view-of-bytearray": lambda source: memoryview(source).toreadonly(),
+}

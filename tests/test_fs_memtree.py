@@ -1,5 +1,7 @@
 """Unit tests for the in-memory namespace tree."""
 
+import tracemalloc
+
 import pytest
 
 from repro.common.errors import (
@@ -201,3 +203,28 @@ def test_inos_are_unique(tree):
     nodes = [tree.create_file("/f%d" % i) for i in range(10)]
     inos = {node.ino for node in nodes}
     assert len(inos) == 10
+
+
+# --- holes are a length, not zeros --------------------------------------------
+
+def test_holes_read_as_zeros_and_hold_nothing(tree):
+    size = 256 << 20
+    grown = tree.create_file("/grown")
+    sparse = tree.create_file("/sparse")
+    tracemalloc.start()
+    try:
+        tree.truncate_node(grown, size)
+        tree.write_node(sparse, size, b"tail")
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # 512 MiB when the zeros were materialised
+    assert grown.size == len(grown.data) == size
+    assert sparse.size == size + 4
+    assert tree.total_bytes == 2 * size + 4
+    assert grown.read(size - 8, 100) == bytes(8)
+    assert sparse.read(size - 4, 100) == bytes(4) + b"tail"
+    assert sparse.read(12345, 16) == bytes(16)
+    tree.truncate_node(sparse, size - 1)  # cut back into the hole
+    assert sparse.read(size - 3, 100) == bytes(2)
+    assert tree.total_bytes == 2 * size - 1

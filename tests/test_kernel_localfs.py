@@ -12,7 +12,7 @@ from repro.common.errors import (
 from repro.fs.api import OpenFlags
 from repro.hw import RamDisk
 from repro.kernel import LocalFs
-from tests.conftest import make_task, run
+from tests.conftest import MUTABLE_BUFFERS, make_task, run
 
 
 @pytest.fixture
@@ -282,3 +282,47 @@ def test_vfs_cross_device_rename_fails(sim, machine, kernel):
         return True
 
     assert run(sim, proc())
+
+
+# --- the inode holds written buffers by reference ------------------------------
+
+@pytest.mark.parametrize("kind", sorted(MUTABLE_BUFFERS))
+@pytest.mark.parametrize("entry", ["write", "write_file"])
+def test_mutable_buffer_written_to_a_file_is_snapshotted(
+        sim, machine, fs, kind, entry):
+    """What decides a snapshot is the memory under the buffer, never its
+    ``readonly`` flag: the writer can still change all three of these."""
+    task = make_task(sim, machine)
+    source = bytearray(b"acknowledged-bytes")
+    buf = MUTABLE_BUFFERS[kind](source)
+
+    def proc():
+        if entry == "write_file":
+            yield from fs.write_file(task, "/f", buf)
+        else:
+            handle = yield from fs.open(
+                task, "/f", OpenFlags.CREAT | OpenFlags.WRONLY
+            )
+            yield from fs.write(task, handle, 0, buf)
+            yield from fs.close(task, handle)
+        source[:] = b"X" * len(source)
+        return (yield from fs.read_file(task, "/f"))
+
+    assert run(sim, proc()) == b"acknowledged-bytes"
+    assert bytes(fs.tree.lookup("/f").data) == b"acknowledged-bytes"
+
+
+def test_bytes_payload_is_stored_and_read_back_by_reference(sim, machine, fs):
+    task = make_task(sim, machine)
+    payload = bytes(range(256)) * 4096  # 1 MiB: one write_file piece
+
+    def proc():
+        yield from fs.write_file(task, "/f", payload)
+        handle = yield from fs.open(task, "/f")
+        data = yield from fs.read(task, handle, 0, len(payload))
+        yield from fs.close(task, handle)
+        return data
+
+    assert run(sim, proc()) is payload
+    assert fs.tree.lookup("/f").read(0, len(payload)) is payload
+    assert fs.peek("/f", 0, len(payload)) is payload

@@ -104,6 +104,42 @@ def test_property_memtree_matches_dict_model(ops):
     assert tree.total_bytes == live
 
 
+data_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), st.integers(0, 96), st.binary(max_size=24)),
+        st.tuples(st.just("truncate"), st.integers(0, 128)),
+    ),
+    min_size=1, max_size=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data_ops)
+def test_property_memtree_data_matches_flat_model(ops):
+    """Writes inside, across and past EOF and truncates both ways: the
+    node's bytes equal a flat ``bytearray`` that materialises every hole."""
+    tree = MemTree()
+    node = tree.create_file("/f")
+    model = bytearray()
+    for op in ops:
+        if op[0] == "write":
+            _kind, offset, data = op
+            tree.write_node(node, offset, data)
+            if offset > len(model):
+                model.extend(bytes(offset - len(model)))
+            model[offset:offset + len(data)] = data
+        else:
+            _kind, size = op
+            tree.truncate_node(node, size)
+            if size <= len(model):
+                del model[size:]
+            else:
+                model.extend(bytes(size - len(model)))
+        assert bytes(node.data) == model
+        assert node.size == tree.total_bytes == len(model)
+        assert node.read(3, 40) == bytes(model[3:43])
+
+
 # --- CRUSH placement ----------------------------------------------------------
 
 @settings(max_examples=100, deadline=None)

@@ -9,9 +9,13 @@ interleaving — or a ``--parallel`` run would silently diverge from the
 inline one.
 """
 
+import hashlib
 import random
+import tracemalloc
 
-from repro.common.rng import derive, make_rng, pseudo_bytes
+import pytest
+
+from repro.common.rng import PSEUDO_BLOCK, derive, make_rng, pseudo_bytes
 
 
 def _draws(rng, n=8):
@@ -94,3 +98,39 @@ class TestScheduleOrderVsBuildOrder:
         raw = _draws(random.Random(77))
         derived = _draws(make_rng(77, "anything"))
         assert raw != derived
+
+
+def _pseudo_bytes_oracle(size, seed):
+    """``pseudo_bytes`` as it was before it stopped over-building: one
+    block too many, then a copy of the first ``size`` bytes."""
+    if size <= 0:
+        return b""
+    block = hashlib.blake2b(str(seed).encode("utf-8"), digest_size=64).digest()
+    return (block * (size // len(block) + 1))[:size]
+
+
+class TestPseudoBytes:
+    SIZES = list(range(201)) + [
+        edge + delta
+        for edge in (64 * 1024, 1 << 20) for delta in (-1, 0, 1)
+    ]
+
+    @pytest.mark.parametrize("seed", [0, (7, "randomio", "prealloc"), "x"])
+    def test_bytes_equal_the_old_expression(self, seed):
+        for size in self.SIZES:
+            assert pseudo_bytes(size, seed) == _pseudo_bytes_oracle(size, seed)
+
+    def test_output_repeats_every_block(self):
+        data = pseudo_bytes(5 * PSEUDO_BLOCK, 3)
+        assert data == data[:PSEUDO_BLOCK] * 5
+
+    def test_a_whole_number_of_blocks_is_the_only_allocation(self):
+        size = 16 << 20
+        tracemalloc.start()
+        try:
+            data = pseudo_bytes(size, 1)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(data) == size
+        assert peak < 1.1 * size  # 2.0x with ``(block * reps)[:size]``

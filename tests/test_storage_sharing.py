@@ -16,7 +16,7 @@ from repro.costs import CostModel
 from repro.fs.api import OpenFlags
 from repro.net import Fabric
 from repro.storage import CephCluster
-from tests.conftest import make_task, run
+from tests.conftest import MUTABLE_BUFFERS, make_task, run
 
 MIB = units.mib(1)
 
@@ -41,13 +41,6 @@ def held_under(snapshot, *packages):
 
 
 # --- a mutable buffer handed straight to an OSD is not aliased ---------------
-
-MUTABLE_BUFFERS = {
-    "bytearray": lambda source: source,
-    "writable-view": memoryview,
-    "readonly-view-of-bytearray": lambda source: memoryview(source).toreadonly(),
-}
-
 
 @pytest.mark.parametrize("kind", sorted(MUTABLE_BUFFERS))
 @pytest.mark.parametrize("entry", ["write", "write_vector"])

@@ -317,3 +317,65 @@ def test_minirocksdb_recovery_prefers_newer_values(world, pool, dmount):
         return (yield from fresh.get(task, "k"))
 
     assert run(world.sim, recover_phase(), until=120) == b"new-value"
+
+
+# --- Workload.fill is write_file(payload), from one buffer --------------------
+
+MIB = units.mib(1)
+FILL_SIZES = [0, 1, 63, 64, MIB - 1, MIB, MIB + 1, 5 * MIB // 2]
+
+
+def _prealloc(stack, size, spelling):
+    """Preallocate ``size`` bytes on a fresh world; what the file holds,
+    when the call returned and how many entries the simulator scheduled."""
+    from repro.workloads.base import Workload
+
+    world = World(num_cores=8, ram_bytes=units.gib(16))
+    world.activate_cores(4)
+    pool = world.engine.create_pool("p0", num_cores=2, ram_bytes=units.gib(4))
+    if stack == "local":
+        mount = mount_local(world, pool)
+    else:
+        mount = StackFactory(world, pool, stack).mount_root("c0")
+    workload = Workload(mount.fs, pool, seed=3)
+    task = pool.new_task()
+
+    def proc():
+        if spelling == "fill":
+            written = yield from workload.fill(
+                task, "/big", size, "tag", sync=True
+            )
+        else:
+            written = yield from mount.fs.write_file(
+                task, "/big", workload.payload(size, "tag"), sync=True
+            )
+        done = (written, world.sim.now, world.sim._seq)
+        data = yield from mount.fs.read_file(task, "/big")
+        return done, data
+
+    done, data = run(world.sim, proc(), until=600)
+    assert data == workload.payload(size, "tag")
+    return done
+
+
+@pytest.mark.parametrize("stack", ["local", "K", "D"])
+def test_fill_issues_what_write_file_of_the_payload_issues(stack):
+    for size in FILL_SIZES:
+        filled = _prealloc(stack, size, "fill")
+        assert filled == _prealloc(stack, size, "write_file"), size
+        assert filled[0] == size
+
+
+def test_fill_writes_one_buffer_over_and_over(world, pool):
+    from repro.fs.api import WRITE_PIECE
+    from repro.workloads.base import Workload
+
+    mount = mount_local(world, pool)
+    workload = Workload(mount.fs, pool, seed=3)
+    size = 2 * WRITE_PIECE + 100
+    run(world.sim, workload.fill(pool.new_task(), "/big", size, "tag"))
+    stored = mount.client.tree.lookup("/big").data
+    first = stored.read(0, WRITE_PIECE)
+    assert first is stored.read(WRITE_PIECE, WRITE_PIECE)
+    assert first == workload.payload(WRITE_PIECE, "tag")
+    assert stored.read(2 * WRITE_PIECE, WRITE_PIECE) == first[:100]
