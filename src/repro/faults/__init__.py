@@ -21,7 +21,6 @@ from repro.faults.chaos import (
 from repro.faults.plan import (
     KINDS,
     MDS_HA_KINDS,
-    MEMBERSHIP_KINDS,
     FaultAction,
     FaultPlan,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "FaultPlan",
     "KINDS",
     "MDS_HA_KINDS",
-    "MEMBERSHIP_KINDS",
     "ChaosConfig",
     "ChaosFileserver",
     "ChaosResult",

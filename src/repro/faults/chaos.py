@@ -188,12 +188,13 @@ class ChaosResult(object):
         self.repairs = repairs
         #: True when the final deep-scrub drain reached a clean pass
         self.scrub_converged = scrub_converged
-        #: True when membership settled: every OSD rejoined and the
-        #: backfill drain reached idle (trivially True without lifecycle)
+        #: True when membership settled: the prober rejoined every OSD
+        #: and the backfill drain reached idle (part of ``ok`` for every
+        #: run — every plan runs on heartbeats and backfill)
         self.membership_converged = membership_converged
         #: object keys still under-replicated at convergence
         self.under_replicated = sorted(under_replicated)
-        #: final osdmap epoch (0 when the lifecycle never armed)
+        #: final osdmap epoch (1 when membership never changed)
         self.map_epoch = map_epoch
         #: objects and bytes the backfill scheduler pushed over the run
         self.backfill_objects = backfill_objects
@@ -317,12 +318,13 @@ class ChaosConfig:
         ``replicas >= 2`` — with a single replica there is nothing to
         repair from, only quarantine.
 
-        ``flaps``/``osd_adds``/``osd_drains`` schedule membership churn;
-        installing such a plan arms the heartbeat prober and the
-        throttled backfill scheduler, and the pipeline then waits for
-        every OSD to rejoin and for backfill to drain before verifying
-        (``membership_converged``, ``under_replicated``). Churn runs
-        want ``replicas >= 2`` so degraded windows stay readable.
+        Installing the plan starts the heartbeat prober and the
+        throttled backfill scheduler, whatever it schedules, and the
+        pipeline always waits for every OSD to rejoin and for backfill
+        to drain before verifying (``membership_converged``,
+        ``under_replicated``). ``flaps``/``osd_adds``/``osd_drains``
+        add membership churn on top of the crash/restart pairs; churn
+        runs want ``replicas >= 2`` so degraded windows stay readable.
         """
         return _run_chaos_config(self)
 
@@ -410,18 +412,14 @@ def _run_chaos_config(config):
         # drain backfill so remapped/degraded objects are materialised
         # on their acting sets and strays are trimmed.
         monitor = world.cluster.monitor
-        membership_converged = True
-        if monitor.heartbeats_enabled:
-            for _ in range(600):
-                if not monitor.has_failures():
-                    break
-                yield 0.25
-        if world.cluster.backfill is not None:
-            membership_converged = yield from world.cluster.backfill.drain()
-        if monitor.lifecycle:
-            membership_converged = (
-                membership_converged and not monitor.has_failures()
-            )
+        backfill = world.cluster.backfill
+        for _ in range(600):
+            if not monitor.has_failures():
+                break
+            yield 0.25
+        membership_converged = (
+            (yield from backfill.drain()) and not monitor.has_failures()
+        )
         # Metadata convergence: give standby promotion + journal replay
         # (and duration-healed crash recoveries) time to finish before
         # the final verification sweeps the namespace.
@@ -449,8 +447,7 @@ def _run_chaos_config(config):
             and all(not service.crashed for service in services)
         )
         cluster_metrics = world.cluster.metrics
-        monitor_metrics = world.cluster.monitor.metrics
-        backfill = world.cluster.backfill
+        monitor_metrics = monitor.metrics
         corruptions = sum(
             int(osd.metrics.counter("bitrot_injected").value)
             + int(osd.metrics.counter("torn_injected").value)
@@ -482,13 +479,11 @@ def _run_chaos_config(config):
                 for ino, index, _missing in monitor.under_replicated()
             ],
             map_epoch=monitor.epoch,
-            backfill_objects=(
-                int(backfill.metrics.counter("objects_pushed").value)
-                if backfill is not None else 0
+            backfill_objects=int(
+                backfill.metrics.counter("objects_pushed").value
             ),
-            backfill_bytes=(
-                int(backfill.metrics.counter("bytes_moved").value)
-                if backfill is not None else 0
+            backfill_bytes=int(
+                backfill.metrics.counter("bytes_moved").value
             ),
         )
 

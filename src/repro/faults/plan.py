@@ -12,7 +12,8 @@ Supported action kinds:
 
 =================  ==========================================================
 ``osd_crash``      kill OSD ``target`` (daemon dies, device survives)
-``osd_restart``    restart OSD ``target``, mark it up, run recovery
+``osd_restart``    restart OSD ``target`` (the prober rejoins it, backfill
+                   refreshes what it missed)
 ``disk_slow``      multiply OSD ``target``'s device service time by
                    ``factor`` (default 4.0) for ``duration`` (or forever)
 ``partition``      partition the client-storage fabric for ``duration``
@@ -43,16 +44,17 @@ Supported action kinds:
                    (its objects remap away; backfill migrates, then trims)
 =================  ==========================================================
 
-Scheduling any corruption kind arms cluster integrity on install
-(checksum recording, verified reads, read-repair) — the silent faults are
-only survivable with verification on. Scheduling any membership kind
-(:data:`MEMBERSHIP_KINDS`) arms the failure lifecycle on install: the
-monitor's heartbeat prober detects crashes instead of oracle
-``mark_down`` calls, and the throttled backfill scheduler re-replicates
-what churn displaces.
+Installing any plan starts the failure daemons
+(:meth:`CephCluster.arm_faults`): the monitor's heartbeat prober detects
+every crash and rejoins every restart — a plan only kills and revives
+daemons, it never tells the monitor — and the throttled backfill
+scheduler re-replicates what failures and churn displace. Scheduling any
+corruption kind additionally arms cluster integrity (checksum recording,
+verified reads, read-repair): the silent faults are only survivable with
+verification on.
 """
 
-from repro.common.errors import RETRYABLE, ConfigError
+from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 from repro.metrics import MetricSet
 
@@ -62,7 +64,6 @@ __all__ = [
     "FaultPlan",
     "KINDS",
     "MDS_HA_KINDS",
-    "MEMBERSHIP_KINDS",
 ]
 
 KINDS = (
@@ -87,16 +88,9 @@ KINDS = (
 #: Fault kinds that silently corrupt stored replicas (integrity required).
 CORRUPTION_KINDS = ("bitrot", "torn_write")
 
-#: Fault kinds that exercise the membership lifecycle (heartbeats +
-#: throttled backfill are armed on install when any is scheduled).
-MEMBERSHIP_KINDS = ("osd_flap", "osd_add", "osd_drain")
-
 #: Fault kinds that need the metadata-HA machinery (journaled ranks +
 #: standby pool + heartbeat-driven failover) armed on install.
 MDS_HA_KINDS = ("mds_crash", "mds_failover", "mds_rank_split")
-
-#: pause between recovery attempts when the fabric is still partitioned.
-_RECOVER_RETRY_DELAY = 0.25
 
 #: poll cadence and bound for corruption actions waiting on stored bytes
 #: (client caches hold dirty data until flush, so a mid-run replica store
@@ -176,9 +170,8 @@ class FaultPlan(object):
 
         Every crash gets a matching restart and every window heals well
         inside the horizon, so a workload outliving the plan converges.
-        ``flaps``/``osd_adds``/``osd_drains`` schedule membership churn
-        (see :data:`MEMBERSHIP_KINDS`); installing such a plan arms the
-        heartbeat prober and the backfill scheduler. The metadata kinds
+        ``flaps``/``osd_adds``/``osd_drains`` schedule membership
+        churn. The metadata kinds
         (``mds_crashes``/``mds_failovers``/``mds_rank_splits``, see
         :data:`MDS_HA_KINDS`) arm the journaled-rank machinery with
         ``mds_standbys`` standby-replay daemons. New kinds draw from the
@@ -309,12 +302,8 @@ class FaultPlan(object):
         world.cluster.arm_faults()
         if any(action.kind in CORRUPTION_KINDS for action in self.actions):
             world.cluster.enable_integrity()
-        if any(action.kind in MEMBERSHIP_KINDS for action in self.actions):
-            world.cluster.start_backfill()
-            world.cluster.monitor.start_heartbeats()
         if any(action.kind in MDS_HA_KINDS for action in self.actions):
             world.cluster.enable_mds_ha(standbys=max(1, self.mds_standbys))
-            world.cluster.monitor.start_heartbeats()
         elif any(action.kind == "mds_down" for action in self.actions):
             # Honest mds_down: journal without a failover pool, so the
             # heal replays instead of resurrecting un-acked mutations.
@@ -338,17 +327,14 @@ class FaultPlan(object):
     def _on_op(self):
         count = self._world.cluster.op_count
         while self._op_triggers and self._op_triggers[0].after_ops <= count:
-            action = self._op_triggers.pop(0)
-            self._world.sim.spawn(
-                self._fire(action), name="fault:%s" % action.kind
-            )
+            self._fire(self._op_triggers.pop(0))
 
     def _driver(self, timed):
         sim = self._world.sim
         for action in timed:
             if action.at > sim.now:
                 yield float(action.at - sim.now)
-            yield from self._fire(action)
+            self._fire(action)
 
     def _log(self, action, event):
         sim = self._world.sim
@@ -362,18 +348,12 @@ class FaultPlan(object):
         self._log(action, "inject")
         self.metrics.counter(action.kind).add(1)
         if action.kind == "osd_crash":
+            # the monitor detects the silence itself (missed probes)
             cluster.osds[action.target].crash()
-            # With heartbeats armed the monitor detects the silence
-            # itself; the oracle mark_down is the legacy-only shortcut.
-            if not cluster.monitor.heartbeats_enabled:
-                cluster.monitor.mark_down(action.target)
         elif action.kind == "osd_restart":
+            # the prober rejoins the responding OSD (flap-damped) and
+            # the backfill scheduler re-replicates what it missed
             cluster.osds[action.target].restart()
-            if not cluster.monitor.heartbeats_enabled:
-                cluster.monitor.mark_up(action.target)
-                yield from self._recover()
-            # else: the prober rejoins the responding OSD (flap-damped)
-            # and the backfill scheduler re-replicates what it missed.
         elif action.kind == "disk_slow":
             factor = action.params.get("factor", 4.0)
             cluster.osds[action.target].device.set_slow_factor(factor)
@@ -439,7 +419,6 @@ class FaultPlan(object):
                     self._deferred_corruption(action),
                     name="fault-corrupt",
                 )
-        return
 
     def _try_corrupt(self, action):
         """Inject one corruption action now; False when nothing is stored."""
@@ -464,7 +443,6 @@ class FaultPlan(object):
 
     def _deferred_corruption(self, action):
         """Poll until stored bytes exist, then damage them (bounded)."""
-        sim = self._world.sim
         try:
             for _ in range(_CORRUPT_DEFER_POLLS):
                 yield _CORRUPT_DEFER_DELAY
@@ -500,21 +478,14 @@ class FaultPlan(object):
 
     def _flap(self, action):
         """Bounce one OSD down/up repeatedly (the flap-damping fodder)."""
-        world = self._world
-        cluster = world.cluster
-        osd = cluster.osds[action.target]
-        monitor = cluster.monitor
+        osd = self._world.cluster.osds[action.target]
         count = action.params.get("count", 3)
         period = float(action.params.get("period", 0.3))
         for _ in range(count):
             if not osd.crashed:
                 osd.crash()
-                if not monitor.heartbeats_enabled:
-                    monitor.mark_down(action.target)
             yield period
             osd.restart()
-            if not monitor.heartbeats_enabled:
-                monitor.mark_up(action.target)
             yield period
         self._log(action, "flap-done")
 
@@ -534,14 +505,3 @@ class FaultPlan(object):
             yield from world.cluster.mds_service.restore(
                 action.params["gid"]
             )
-
-    def _recover(self):
-        """Run monitor recovery, riding out a concurrent partition."""
-        monitor = self._world.cluster.monitor
-        for _ in range(20):
-            try:
-                yield from monitor.recover()
-                return
-            except RETRYABLE:
-                yield _RECOVER_RETRY_DELAY
-        self.metrics.counter("recovery_abandoned").add(1)

@@ -478,7 +478,7 @@ class Observer(object):
         gauges (final value plus high-water mark): map-epoch bumps and
         client map refreshes, EOLDEPOCH rejects, backfill bytes/pushes/
         trims and budget deferrals, degraded/misplaced object gauges.
-        Empty when the membership lifecycle never armed.
+        Empty when membership never changed and nothing was recovered.
         """
         return self._scope_rows("recovery")
 

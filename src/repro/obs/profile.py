@@ -116,7 +116,7 @@ def format_recovery_table(rows):
     mark (``-`` for counters, which have none).
     """
     if not rows:
-        return "(membership lifecycle never armed)"
+        return "(no membership change, no recovery traffic)"
     tagged = any("world" in row for row in rows)
     headers = (["world"] if tagged else []) + [
         "metric", "value", "high_water",

@@ -1,8 +1,10 @@
 """Throttled backfill: budgeted recovery traffic under client I/O.
 
-The lifecycle replacement for the monitor's eager ``recover()``. A
-:class:`BackfillScheduler` process wakes every ``backfill_interval``
-seconds and drains the under-replicated / misplaced set, but each target
+The one replica-recovery mechanism, for every failure. Each cluster
+owns a :class:`BackfillScheduler` from construction; once started
+(:meth:`CephCluster.arm_faults`, or a CRUSH mutation) its process wakes
+every ``backfill_interval`` seconds and drains the under-replicated /
+misplaced set of :meth:`Monitor.census`, but each target
 OSD only accepts ``backfill_bytes_per_osd`` bytes and
 ``backfill_ops_per_osd`` pushes per cycle — recovery traffic shares the
 OSD op queue (and therefore the per-OSD inflight/qdepth profiles) with
@@ -10,7 +12,7 @@ foreground client I/O instead of starving it, which is exactly the
 recovery-vs-tenant interference the observer's dispatch profiles exist
 to show.
 
-Two refinements over the eager path:
+Two refinements over copying everything at once:
 
 * **Deferral for down-not-out OSDs.** An object whose only missing
   member is merely *down* (the daemon usually comes back) is deferred
@@ -22,6 +24,7 @@ Two refinements over the eager path:
   ``replicas`` current copies per object.
 """
 
+from repro.common.errors import RETRYABLE
 from repro.metrics import MetricSet
 from repro.sim import Interrupt
 
@@ -68,7 +71,6 @@ class BackfillScheduler(object):
         self._proc = None
 
     def _loop(self):
-        sim = self.cluster.sim
         try:
             while True:
                 yield self.interval
@@ -82,11 +84,11 @@ class BackfillScheduler(object):
         """Hold off while a down-not-out OSD still holds a current copy.
 
         The daemon usually returns before ``osd_out_interval``; pushing
-        replicas early wastes budget. Never defers when heartbeats are
-        off — nothing would ever promote down to out.
+        replicas early wastes budget. Never defers without a prober —
+        nothing would ever promote down to out.
         """
         monitor = self.cluster.monitor
-        if not monitor.heartbeats_enabled:
+        if not monitor.probing:
             return False
         for osd_id in monitor._down:
             if osd_id in monitor._out:
@@ -104,36 +106,37 @@ class BackfillScheduler(object):
             if not self._deferred((ino, index))
         ]
 
-    def _strays(self):
-        """Live copies to trim: [(ino, index, osd_id)] where the acting
-        set already fully holds the object and ``osd_id`` is not acting —
-        a stale leftover or a copy orphaned by remapping/drain."""
+    def _stray_ids(self, ino, index, acting, holders):
+        """Reachable OSDs whose copy of one object can be trimmed: none
+        while the acting set lacks a copy (still degraded: keep every
+        copy), else every non-acting OSD storing it — a stale leftover
+        or a copy orphaned by remapping/drain."""
+        if not all(m in holders for m in acting):
+            return []
         monitor = self.cluster.monitor
-        out = []
-        seen = set()
-        for osd in self.cluster.osds:
-            for key in list(osd._objects):
-                if key in seen:
-                    continue
-                seen.add(key)
-                ino, index = key
-                acting = monitor.acting_set(ino, index)
-                holders = set(monitor.holders(ino, index))
-                if not all(m in holders for m in acting):
-                    continue  # still degraded: keep every copy
-                for candidate in self.cluster.osds:
-                    osd_id = candidate.osd_id
-                    if osd_id in acting or key not in candidate._objects:
-                        continue
-                    if candidate.crashed or not monitor.is_up(osd_id):
-                        continue  # unreachable; revisit when it returns
-                    out.append((ino, index, osd_id))
-        return out
+        return [
+            osd.osd_id for osd in self.cluster.osds
+            if osd.osd_id not in acting and (ino, index) in osd._objects
+            # unreachable copies are revisited when the OSD returns
+            and not osd.crashed and monitor.is_up(osd.osd_id)
+        ]
+
+    def _strays(self):
+        """Live copies to trim: [(ino, index, osd_id)]."""
+        return [
+            (ino, index, osd_id)
+            for ino, index, acting, holders in self.cluster.monitor.census()
+            for osd_id in self._stray_ids(ino, index, acting, holders)
+        ]
 
     def idle(self):
         """Nothing left to push or trim (deferred work counts as busy)."""
-        return not self.cluster.monitor.under_replicated() \
-            and not self._strays()
+        for ino, index, acting, holders in self.cluster.monitor.census():
+            if holders and not all(m in holders for m in acting):
+                return False  # under-replicated
+            if self._stray_ids(ino, index, acting, holders):
+                return False
+        return True
 
     # -- one cycle -------------------------------------------------------
 
@@ -163,9 +166,15 @@ class BackfillScheduler(object):
                         spent and spent + size > self.bytes_per_osd):
                     deferrals += 1
                     continue  # over budget: next cycle
-                pushed = yield from monitor._push_object(
-                    ino, index, source, osd_id
-                )
+                try:
+                    pushed = yield from monitor._push_object(
+                        ino, index, source, osd_id
+                    )
+                except RETRYABLE:
+                    # the fabric or the target went away mid-push: the
+                    # object is still under-replicated next cycle
+                    self.metrics.counter("push_errors").add(1)
+                    continue
                 moved += pushed
                 pushes += 1
                 budget_bytes[osd_id] = spent + pushed
@@ -211,7 +220,6 @@ class BackfillScheduler(object):
 
     def drain(self, max_cycles=200):
         """Run cycles until idle or the cap; sim generator -> idle()."""
-        sim = self.cluster.sim
         for _ in range(max_cycles):
             if self.idle():
                 return True

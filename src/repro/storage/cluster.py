@@ -10,11 +10,18 @@ File data is striped over fixed-size objects (``costs.object_size``);
 object placement is computed client-side through the CRUSH map.
 
 One path. Every client-callable op has a single body: placement is
-resolved per attempt, the attempt runs through :meth:`CephCluster._retry`,
-and writes stale-mark what they routed around. What the ``arm_*`` /
-``enable_*`` switches add is *state* the one path consults (epoch stamps,
-digests, the mdsmap), not a second body. On a cluster with nothing armed
-and every daemon up no attempt can be lost, so ``_retry`` skips the
+resolved per attempt against the client's osdmap snapshot, the RPC is
+stamped with that snapshot's epoch, the attempt runs through
+:meth:`CephCluster._retry`, and writes stale-mark what they routed
+around. Membership state is always on: every OSD fences ops stamped
+with an older epoch, and a rejoined OSD's superseded copies stay
+recorded stale until backfill refreshes them. The *daemons* that act on
+that state — the monitor's heartbeat prober and the backfill scheduler
+— have one switch, :meth:`CephCluster.arm_faults`, which a fault plan
+throws on install. ``enable_integrity`` / ``enable_mds_ha`` add modelled
+features with a simulated cost (digests, the journaled mdsmap), not a
+second body. While no prober runs, every daemon is up and the client's
+snapshot is current, no attempt can be lost, so ``_retry`` skips the
 attempt/timeout race and runs the attempt inline — the only place the
 ``resilient`` property is read.
 """
@@ -30,6 +37,7 @@ from repro.common.errors import (
 from repro.common.rope import ByteRope
 from repro.metrics import MetricSet
 from repro.sim.sync import Semaphore
+from repro.storage.backfill import BackfillScheduler
 from repro.storage.crush import CrushMap
 from repro.storage.mds import Mds
 from repro.storage.monitor import Monitor
@@ -58,19 +66,14 @@ class CephCluster(object):
         self.metrics = MetricSet("cluster")
         self._cap_clients = {}  # client_id -> client (caps-mode only)
         self._next_client_id = 1
-        self._faults_armed = False
         self._integrity_armed = False
-        #: membership lifecycle armed (heartbeats, backfill, or a CRUSH
-        #: mutation): ops stamp their osdmap epoch and resolve placement
-        #: from the client-side map snapshot below.
-        self._lifecycle_armed = False
         #: True from the first CRUSH mutation until backfill converges:
         #: placements may name OSDs that do not hold the bytes yet, so
         #: reads must not trust ``crush.primary`` blindly.
         self._remapped = False
-        #: the throttled backfill scheduler, once started (see
-        #: start_backfill); None means the eager recover() era.
-        self.backfill = None
+        #: the throttled backfill scheduler; exists from construction,
+        #: runs once arm_faults (or a CRUSH mutation) starts it.
+        self.backfill = BackfillScheduler(self)
         #: objects with no verified-clean replica left; reads raise
         #: DataCorrupt until scrub or a fresh write clears the entry.
         self.quarantined = set()
@@ -99,10 +102,11 @@ class CephCluster(object):
         #: backing OSD (including silent fault injection) changes the
         #: epoch and invalidates the entry. See peek().
         self._peek_memo = {}
-        #: the client-side osdmap snapshot lifecycle-armed ops resolve
-        #: against and stamp RPCs with. Deliberately NOT refreshed on every
-        #: monitor bump — only on retry boundaries (_refresh_map), which
-        #: is what makes an OSD's EOLDEPOCH reject observable.
+        #: the client-side osdmap snapshot every op resolves placement
+        #: against and stamps its RPCs with. Deliberately NOT refreshed
+        #: on every monitor bump — only on retry boundaries
+        #: (_refresh_map), which is what makes an OSD's EOLDEPOCH reject
+        #: observable.
         self._osdmap = self.monitor.get_map()
 
     @property
@@ -131,13 +135,16 @@ class CephCluster(object):
     # -- arming (state the one I/O path consults) --------------------------
 
     def arm_faults(self):
-        """Race every attempt against the client op timeout.
+        """Start the failure daemons: heartbeat prober + backfill.
 
-        Called by :class:`repro.faults.FaultPlan` on install: once a
-        plan can break things, an attempt can be lost, so ``_retry``
-        stops taking its inline exit (see :attr:`resilient`).
+        The one lifecycle switch, thrown by :class:`repro.faults.FaultPlan`
+        on install. Once a plan can break things an attempt can be lost,
+        so with the prober running ``_retry`` stops taking its inline
+        exit (see :attr:`resilient`); crashes are detected by missed
+        probes and healed by throttled backfill, for every fault kind.
         """
-        self._faults_armed = True
+        self.monitor.start_heartbeats()
+        self.backfill.start()
 
     def enable_integrity(self):
         """Arm end-to-end checksums: digest recording + verified reads.
@@ -153,18 +160,6 @@ class CephCluster(object):
     @property
     def integrity_armed(self):
         return self._integrity_armed
-
-    def arm_lifecycle(self):
-        """Arm the membership lifecycle: epoch-stamped ops.
-
-        Called by :meth:`start_backfill`, the monitor's heartbeat starter
-        and the CRUSH mutators. Once armed, ops resolve placement from
-        the client-side osdmap snapshot and stamp its epoch, refreshed
-        only on retry boundaries, and attempts race the op timeout.
-        """
-        self._lifecycle_armed = True
-        self.monitor.lifecycle = True
-        self._osdmap = self.monitor.get_map()
 
     def enable_mds_ha(self, standbys=1, ranks=1):
         """Arm metadata HA: journaled MDS ranks + standby-replay pool.
@@ -207,15 +202,6 @@ class CephCluster(object):
         rank = self._mdsmap.rank_for(op_name, args)
         return self.mds_service.daemons[self._mdsmap.gid_of(rank)]
 
-    def start_backfill(self, **kwargs):
-        """Create (if needed) and start the throttled backfill scheduler."""
-        from repro.storage.backfill import BackfillScheduler
-        if self.backfill is None:
-            self.backfill = BackfillScheduler(self, **kwargs)
-        self.arm_lifecycle()
-        self.backfill.start()
-        return self.backfill
-
     def add_osd(self, weight=1.0, backfill=True):
         """Grow the cluster by one OSD at runtime; returns the new OSD.
 
@@ -229,11 +215,10 @@ class CephCluster(object):
         osd = Osd(self.sim, osd_id, self.costs)
         osd.verify_enabled = self._integrity_armed
         self.osds.append(osd)
-        self.arm_lifecycle()
         self._remapped = True
         self.monitor.note_crush_change("osd_add")
         if backfill:
-            self.start_backfill()
+            self.backfill.start()
         return osd
 
     def drain_osd(self, osd_id, backfill=True):
@@ -244,11 +229,10 @@ class CephCluster(object):
         trims them here — a graceful drain, not a failure.
         """
         self.crush.remove_device(osd_id)
-        self.arm_lifecycle()
         self._remapped = True
         self.monitor.note_crush_change("osd_drain")
         if backfill:
-            self.start_backfill()
+            self.backfill.start()
 
     def note_backfill_clean(self):
         """Backfill converged: placements are materialised everywhere."""
@@ -265,13 +249,15 @@ class CephCluster(object):
 
     @property
     def resilient(self):
-        """True when an attempt can be lost: something is armed or some
-        daemon is down. Read by :meth:`_retry` only — it decides whether
-        an attempt races the op timeout, never which body an op runs."""
+        """True when an attempt can be lost: the failure daemons run,
+        a feature is armed, some daemon is down, or the client's map
+        snapshot is behind the monitor's (the op will be fenced). Read
+        by :meth:`_retry` only — it decides whether an attempt races the
+        op timeout, never which body an op runs."""
         return (
-            self._faults_armed
+            self.monitor.probing
             or self._integrity_armed
-            or self._lifecycle_armed
+            or self._osdmap.epoch < self.monitor.epoch
             or self.degraded
             or self.mds_service is not None
             or not self._mds.available
@@ -311,9 +297,10 @@ class CephCluster(object):
     def _retry(self, what, resolve, timeout_scale=1):
         """The one client→OSD op loop: resolve, attempt, back off, resend.
 
-        Each attempt races the client op timeout — unless nothing is
-        armed and every daemon is up (``not self.resilient``), when no
-        attempt can be lost and it runs inline: no spawn, no timer.
+        Each attempt races the client op timeout — unless no attempt
+        can be lost (``not self.resilient``), when it runs inline: no
+        spawn, no timer. Either way a :data:`RETRYABLE` failure re-enters
+        the loop, never escapes raw.
 
         ``resolve`` re-resolves placement *per attempt* (epoch-aware
         resend) and returns ``(report_osd, gen)``: the attempt generator
@@ -335,29 +322,36 @@ class CephCluster(object):
                                error=type(last_err).__name__)
                 yield delay
                 delay = min(delay * 2.0, self.costs.retry_backoff_max)
-                if self._lifecycle_armed:
-                    # Epoch-aware resend: refresh the osdmap snapshot so
-                    # resolve() re-resolves against current membership.
-                    self._refresh_map()
+                # Epoch-aware resend: refresh the osdmap snapshot so
+                # resolve() re-resolves against current membership.
+                self._refresh_map()
             try:
                 report_osd, gen = resolve()
             except RETRYABLE as err:
                 last_err = err
                 continue
             if not self.resilient:
-                return (yield from gen)  # nothing can be lost: no race
-            proc = self.sim.spawn(self._attempt(gen), name="rpc:%s" % what)
-            timer = self.sim.timeout(self.costs.op_timeout * timeout_scale)
-            index, value = yield self.sim.any_of([proc, timer])
-            if index == 0:
-                ok, outcome = value
-                if ok:
-                    return outcome
-                last_err = outcome
+                try:
+                    # nothing can be lost: no spawn, no timer
+                    return (yield from gen)
+                except RETRYABLE as err:
+                    last_err = err  # e.g. fenced: the map moved mid-op
             else:
-                last_err = OpTimeout("%s timed out" % what)
-                self.metrics.counter("op_timeouts").add(1)
-                self.metrics.counter("op_timeouts_%s" % what).add(1)
+                proc = self.sim.spawn(self._attempt(gen),
+                                      name="rpc:%s" % what)
+                timer = self.sim.timeout(
+                    self.costs.op_timeout * timeout_scale
+                )
+                index, value = yield self.sim.any_of([proc, timer])
+                if index == 0:
+                    ok, outcome = value
+                    if ok:
+                        return outcome
+                    last_err = outcome
+                else:
+                    last_err = OpTimeout("%s timed out" % what)
+                    self.metrics.counter("op_timeouts").add(1)
+                    self.metrics.counter("op_timeouts_%s" % what).add(1)
             if isinstance(last_err, OldEpoch):
                 # The OSD holds a newer map than the stamp we sent; no
                 # blame — refresh immediately so the next attempt (after
@@ -396,9 +390,9 @@ class CephCluster(object):
         """Mark dead OSDs' copies of an object stale after a resend.
 
         A write that routed around a dead OSD leaves that OSD's surviving
-        device copy outdated; the monitor drops those copies on
-        ``mark_up`` (the pg-log/backfill analogue) so a restarted OSD can
-        never serve stale bytes.
+        device copy outdated; the monitor keeps the record across
+        ``mark_up`` and every read path skips the copy until backfill
+        refreshes it, so a restarted OSD can never serve stale bytes.
         """
         key = (ino, index)
         for osd in self.osds:
@@ -407,7 +401,7 @@ class CephCluster(object):
             if (key in osd._objects
                     or osd.osd_id in self.crush.placement(ino, index)):
                 self.monitor.record_stale(osd.osd_id, key)
-        if self._lifecycle_armed and self._remapped:
+        if self._remapped:
             # Remapping leaves live copies outside the acting set (on a
             # drained OSD, or stranded by a straw reshuffle). The write
             # that just landed on the acting members makes those copies
@@ -437,16 +431,17 @@ class CephCluster(object):
         targets a dead daemon just because CRUSH named it, which would be
         a doomed RPC (the caller surfaces :class:`DataUnavailable`
         instead). With ``osdmap`` given, placement resolves against that
-        snapshot (the epoch-stamped lifecycle path).
+        snapshot (the client's, whose epoch stamps the op) instead of
+        the monitor's current map.
         """
+        monitor = self.monitor
         if not self.degraded and not self._remapped and not exclude:
             primary = self.crush.primary(ino, index)
-            if not (self._lifecycle_armed
-                    and self.monitor.is_stale(primary, (ino, index))):
+            if not (monitor._stale
+                    and monitor.is_stale(primary, (ino, index))):
                 return primary
             # The primary rejoined with a known-stale copy that backfill
             # has not refreshed yet: fall through to a current holder.
-        monitor = self.monitor
         if osdmap is None:
             osdmap = monitor.get_map()
         acting = osdmap.acting_set(ino, index)
@@ -463,11 +458,9 @@ class CephCluster(object):
                 return osd_id
         return None
 
-    def _write_targets(self, ino, index, osdmap=None):
+    def _write_targets(self, ino, index, osdmap):
         if not self.degraded and not self._remapped:
             return self.crush.placement(ino, index)
-        if osdmap is None:
-            osdmap = self.monitor.get_map()
         return osdmap.acting_set(ino, index)
 
     # -- object striping -------------------------------------------------
@@ -590,8 +583,7 @@ class CephCluster(object):
         served_by = [None]
 
         def resolve():
-            osdmap = self._osdmap if self._lifecycle_armed else None
-            epoch = osdmap.epoch if osdmap is not None else None
+            osdmap = self._osdmap
             if self._object_unreachable(ino, index):
                 raise DataUnavailable(
                     "no live replica of object (%d, %d)" % (ino, index)
@@ -605,7 +597,7 @@ class CephCluster(object):
             served_by[0] = osd_id
             gen = self.fabric.rpc(
                 self.osds[osd_id].read(ino, index, obj_off, length,
-                                       epoch=epoch),
+                                       osdmap.epoch),
                 send_bytes=0,
                 recv_bytes=length,
                 edge="osd%d" % osd_id,
@@ -725,7 +717,8 @@ class CephCluster(object):
         object from a surviving holder onto every acting target lacking
         a current copy. ``spans`` is ``[(obj_off, length)]`` of the
         pieces about to land; a span covering the whole stored object
-        makes the pull unnecessary. Lifecycle path only.
+        makes the pull unnecessary. Only a degraded, remapped or
+        stale-holding cluster can have such a target (see the caller).
         """
         key = (ino, index)
         monitor = self.monitor
@@ -806,7 +799,7 @@ class CephCluster(object):
         """One vectored push: many pieces, one RPC, one commit."""
         nbytes = sum(len(piece) for _index, _off, piece in pieces)
         return (yield from self.fabric.rpc(
-            self.osds[osd_id].write_vector(ino, pieces, epoch=epoch),
+            self.osds[osd_id].write_vector(ino, pieces, epoch),
             send_bytes=nbytes,
             recv_bytes=0,
             edge="osd%d" % osd_id,
@@ -826,9 +819,8 @@ class CephCluster(object):
         nbytes = sum(len(piece) for _off, piece in pieces)
 
         def resolve():
-            osdmap = self._osdmap if self._lifecycle_armed else None
-            epoch = osdmap.epoch if osdmap is not None else None
-            targets = self._write_targets(ino, index, osdmap=osdmap)
+            osdmap = self._osdmap
+            targets = self._write_targets(ino, index, osdmap)
             if len(targets) < self.costs.pool_min_size:
                 raise DataUnavailable(
                     "acting set of (%d, %d) below min_size %d"
@@ -836,13 +828,13 @@ class CephCluster(object):
                 )
 
             def attempt():
-                if osdmap is not None:
+                if self.degraded or self._remapped or self.monitor._stale:
                     yield from self._pull_before_write(
                         ino, index, targets,
                         [(obj_off, len(piece)) for obj_off, piece in pieces],
                     )
                 yield from self._fanned_replicas([
-                    self._push_vector(ino, osd_id, chunk, epoch)
+                    self._push_vector(ino, osd_id, chunk, osdmap.epoch)
                     for osd_id in targets
                 ])
                 return nbytes
@@ -859,37 +851,40 @@ class CephCluster(object):
     def truncate(self, ino, size):
         """Truncate the object set of ``ino`` to ``size`` bytes.
 
-        A dead OSD's copy is truncated directly on its device, without
-        cost: the operation lands in the pg log and replays during
-        recovery, so a restarted OSD can never resurrect bytes past EOF.
+        One epoch-stamped RPC per stored copy, each through
+        :meth:`_retry` like every other client→OSD op. A dead OSD's copy
+        is truncated directly on its device, without cost: the operation
+        lands in the pg log and replays during recovery, so a restarted
+        OSD can never resurrect bytes past EOF.
         """
         object_size = self.costs.object_size
         keep_objects = (size + object_size - 1) // object_size
         for osd in self.osds:
-            dead = osd.crashed or not self.monitor.is_up(osd.osd_id)
-            stale = [
-                (i, o) for (i, o) in list(osd._objects) if i == ino
-            ]
-            for _ino, index in stale:
+            for index in [o for (i, o) in osd._objects if i == ino]:
                 if index >= keep_objects:
-                    if dead:
-                        osd.apply_truncate(ino, index, 0)
-                    else:
-                        yield from self.fabric.rpc(
-                            osd.truncate(ino, index, 0),
-                            send_bytes=0, recv_bytes=0,
-                            edge="osd%d" % osd.osd_id,
-                        )
+                    yield from self._truncate_object(osd, ino, index, 0)
                 elif index == keep_objects - 1 and size % object_size:
-                    if dead:
-                        osd.apply_truncate(ino, index, size % object_size)
-                    else:
-                        yield from self.fabric.rpc(
-                            osd.truncate(ino, index, size % object_size),
-                            send_bytes=0,
-                            recv_bytes=0,
-                            edge="osd%d" % osd.osd_id,
-                        )
+                    yield from self._truncate_object(
+                        osd, ino, index, size % object_size
+                    )
+
+    def _truncate_object(self, osd, ino, index, size):
+        """Cut one OSD's copy of one object through the retry loop."""
+
+        def attempt(epoch):
+            if osd.crashed or not self.monitor.is_up(osd.osd_id):
+                osd.apply_truncate(ino, index, size)
+                return
+            yield from self.fabric.rpc(
+                osd.truncate(ino, index, size, epoch),
+                send_bytes=0, recv_bytes=0,
+                edge="osd%d" % osd.osd_id,
+            )
+
+        return self._retry(
+            "truncate",
+            lambda: (osd.osd_id, attempt(self._osdmap.epoch)),
+        )
 
     def peek(self, ino, offset, size):
         """Zero-cost assembly of stored bytes (cache-hit reads).

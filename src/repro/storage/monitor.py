@@ -7,11 +7,13 @@ every change, and lets the placement logic route around failed devices:
   (with replacements drawn by rehashing, like CRUSH retries);
 * reads fall back to any acting replica holding the data (degraded
   reads);
-* :meth:`recover` re-replicates under-replicated objects onto their new
-  acting members, paying real network and device costs.
+* :meth:`Monitor.census` is the one scan of stored objects against their
+  acting sets; the :class:`~repro.storage.backfill.BackfillScheduler`
+  re-replicates what it finds under-replicated, paying real network and
+  device costs.
 
-With :meth:`start_heartbeats` running, the monitor drives the full Ceph
-failure lifecycle instead of reacting to direct ``mark_down`` calls::
+With the heartbeat prober running (:meth:`CephCluster.arm_faults`
+starts it), the monitor drives the full Ceph failure lifecycle::
 
     up --(missed probes / report quorum)--> suspect --> down
     down --(osd_out_interval elapses)-----> out   (backfill re-replicates)
@@ -21,8 +23,11 @@ failure lifecycle instead of reacting to direct ``mark_down`` calls::
 Every transition bumps the osdmap epoch and publishes an immutable
 :class:`OsdMap` snapshot to subscribers; OSDs learn the epoch too and
 reject data-path ops stamped with an older one (the EOLDEPOCH analogue),
-forcing clients to refresh before retrying. None of this machinery runs
-— or perturbs the event schedule — until something arms the lifecycle.
+forcing clients to refresh before retrying. That state is always on and
+costs no events; only the prober is a process, and it does not exist —
+or perturb the event schedule — until ``arm_faults`` starts it. Without
+a prober ``mark_down``/``mark_up`` are the admin's (a test's) direct
+switches and a client report quorum marks an OSD down on its own.
 
 The paper leaves backend fault tolerance to future work (§9) — this
 module makes the substrate whole enough to test that direction.
@@ -100,11 +105,6 @@ class Monitor(object):
         self._failure_reports = {}  # osd_id -> [report times] in the window
         self._stale = {}  # osd_id -> keys rewritten while that OSD was dead
         self.metrics = MetricSet("monitor")
-        #: True once heartbeats run; gates suspect/out/flap handling
-        self.heartbeats_enabled = False
-        #: True once any lifecycle feature armed; epoch pushes to OSDs and
-        #: map snapshots only matter then
-        self.lifecycle = False
         self._down_since = {}     # osd_id -> sim time of mark_down
         self._down_reason = {}    # osd_id -> "admin" | "heartbeat" | "reports"
         self._flap_times = {}     # osd_id -> [times of down->up transitions]
@@ -142,10 +142,9 @@ class Monitor(object):
             scope = observer.metrics("recovery")
             scope.counter("map_epoch_bumps").add(1)
             scope.gauge("map_epoch").set(self.epoch)
-        if self.lifecycle:
-            # OSDs learn the new epoch; ops stamped older get rejected.
-            for osd in self.cluster.osds:
-                osd.map_epoch = self.epoch
+        # OSDs learn the new epoch; ops stamped older get rejected.
+        for osd in self.cluster.osds:
+            osd.map_epoch = self.epoch
         for callback in self._subscribers:
             callback(self._map)
 
@@ -167,7 +166,6 @@ class Monitor(object):
 
     def note_crush_change(self, event):
         """A CRUSH mutation (add/drain/reweight) is a map change too."""
-        self.lifecycle = True
         self._bump_epoch(event)
 
     # -- liveness --------------------------------------------------------
@@ -216,26 +214,18 @@ class Monitor(object):
     def mark_up(self, osd_id):
         """Bring an OSD back; its device contents decide what it holds.
 
-        Without the lifecycle armed, copies of objects rewritten while
-        the OSD was dead are dropped immediately (the historical eager
-        analogue of backfill). Under the lifecycle the stale records are
+        Records of objects rewritten while the OSD was dead are
         *retained* — the rejoined OSD is excluded from serving those
-        objects until the backfill scheduler pushes fresh bytes and
-        clears the record. With heartbeats running, a bouncy OSD is also
-        held in probation (flap damping) instead of rejoining instantly.
+        objects until backfill pushes fresh bytes and clears the record.
+        With the prober running, a bouncy OSD is also held in probation
+        (flap damping) instead of rejoining instantly.
         """
         self._failure_reports.pop(osd_id, None)
         self._suspect.discard(osd_id)
         self._hb_misses.pop(osd_id, None)
-        if not self.lifecycle:
-            stale = self._stale.pop(osd_id, ())
-            for ino, index in stale:
-                self.cluster.osds[osd_id].drop_object(ino, index)
-            if stale:
-                self.metrics.counter("stale_dropped").add(len(stale))
         if osd_id not in self._down:
             return
-        if self.heartbeats_enabled and self._flapping(osd_id):
+        if self.probing and self._flapping(osd_id):
             # Flap damping: the rejoin waits out a probation instead of
             # thrashing the map with another down->up->down cycle.
             now = self.cluster.sim.now
@@ -280,9 +270,10 @@ class Monitor(object):
         Mirrors the Ceph failure-report path: reports against one OSD are
         counted over a sliding ``failure_report_window`` and only a
         quorum of ``osd_failure_reports`` within it acts — one transient
-        blame expires harmlessly. With heartbeats running the quorum
+        blame expires harmlessly. With the prober running the quorum
         makes the OSD *suspect* (the next missed probe confirms down);
-        without them it marks the OSD down directly, as before.
+        with no prober to confirm it, the quorum marks the OSD down
+        directly.
         """
         if osd_id in self._down:
             return
@@ -297,7 +288,7 @@ class Monitor(object):
         if len(times) < self.cluster.costs.osd_failure_reports:
             return
         self._failure_reports.pop(osd_id, None)
-        if self.heartbeats_enabled:
+        if self.probing:
             self.mark_suspect(osd_id)
         else:
             self.mark_down(osd_id, reason="reports")
@@ -320,13 +311,16 @@ class Monitor(object):
 
     # -- heartbeats ------------------------------------------------------
 
+    @property
+    def probing(self):
+        """The heartbeat prober runs: it, not the caller, decides down,
+        out and rejoin (suspects, out promotion, flap damping)."""
+        return self._heartbeat_proc is not None
+
     def start_heartbeats(self, interval=None):
-        """Spawn the heartbeat prober; arms the failure lifecycle."""
+        """Spawn the heartbeat prober (idempotent)."""
         if self._heartbeat_proc is not None:
             return self._heartbeat_proc
-        self.heartbeats_enabled = True
-        self.lifecycle = True
-        self.cluster.arm_lifecycle()
         if interval is None:
             interval = self.cluster.costs.heartbeat_interval
         self._heartbeat_proc = self.cluster.sim.spawn(
@@ -406,9 +400,14 @@ class Monitor(object):
 
     # -- recovery ----------------------------------------------------------------
 
-    def under_replicated(self):
-        """Objects whose acting set lacks a copy: [(ino, index, missing)]."""
-        out = []
+    def census(self):
+        """Every stored object once: ``(ino, index, acting, holders)``.
+
+        The one scan under :meth:`under_replicated`, :meth:`misplaced`
+        and the backfill scheduler: ``acting`` is the object's acting
+        set (primary first), ``holders`` the live OSDs with a current
+        copy. A generator over live stores — materialise before mutating.
+        """
         seen = set()
         for osd in self.cluster.osds:
             for key in osd._objects:
@@ -416,11 +415,16 @@ class Monitor(object):
                     continue
                 seen.add(key)
                 ino, index = key
-                acting = self.acting_set(ino, index)
-                holders = set(self.holders(ino, index))
-                missing = [m for m in acting if m not in holders]
-                if missing and holders:
-                    out.append((ino, index, missing))
+                yield (ino, index, self.acting_set(ino, index),
+                       self.holders(ino, index))
+
+    def under_replicated(self):
+        """Objects whose acting set lacks a copy: [(ino, index, missing)]."""
+        out = []
+        for ino, index, acting, holders in self.census():
+            missing = [m for m in acting if m not in holders]
+            if missing and holders:
+                out.append((ino, index, missing))
         return out
 
     def misplaced(self):
@@ -428,20 +432,10 @@ class Monitor(object):
         [(ino, index, strays)]. Cleaned up by backfill trimming once the
         acting set holds the object."""
         out = []
-        seen = set()
-        for osd in self.cluster.osds:
-            for key in osd._objects:
-                if key in seen:
-                    continue
-                seen.add(key)
-                ino, index = key
-                acting = set(self.acting_set(ino, index))
-                strays = [
-                    osd_id for osd_id in self.holders(ino, index)
-                    if osd_id not in acting
-                ]
-                if strays:
-                    out.append((ino, index, strays))
+        for ino, index, acting, holders in self.census():
+            strays = [osd_id for osd_id in holders if osd_id not in acting]
+            if strays:
+                out.append((ino, index, strays))
         return out
 
     def _clean_holders(self, ino, index):
@@ -494,7 +488,7 @@ class Monitor(object):
                 # must not.
                 target.apply_truncate(ino, index, len(data))
             yield from self.cluster.fabric.rpc(
-                target.write(ino, index, 0, data),
+                target.write(ino, index, 0, data, self.epoch),
                 send_bytes=len(data), recv_bytes=0,
                 edge="osd%d" % target.osd_id,
             )
@@ -504,28 +498,6 @@ class Monitor(object):
             self.clear_stale(target_id, (ino, index))
             return moved
         self.metrics.counter("push_races_abandoned").add(1)
-        return moved
-
-    def recover(self):
-        """Re-replicate every under-replicated object; sim generator.
-
-        Copies flow from a surviving holder (preferring verified-clean
-        replicas) to each missing acting member over the fabric with full
-        OSD write costs (journal + store). The eager, unthrottled path;
-        :class:`~repro.storage.backfill.BackfillScheduler` is the
-        budgeted lifecycle replacement.
-        """
-        moved = 0
-        for ino, index, missing in self.under_replicated():
-            source = self._pick_source(ino, index)
-            if source is None:
-                continue  # data loss: nothing to copy from
-            for osd_id in missing:
-                moved += yield from self._push_object(
-                    ino, index, source, osd_id
-                )
-        self.cluster.sim.trace("mon", "recovered", bytes=moved)
-        self.metrics.counter("recovered_bytes").add(moved)
         return moved
 
     def repair_object(self, ino, index, bad):
@@ -550,7 +522,7 @@ class Monitor(object):
         for osd_id in sorted(bad):
             osd = self.cluster.osds[osd_id]
             if osd.crashed or not self.is_up(osd_id):
-                continue  # a dead replica heals through mark_up/recover
+                continue  # a dead replica heals through rejoin + backfill
             yield from self._push_object(ino, index, source, osd_id)
             repaired += 1
         if repaired:

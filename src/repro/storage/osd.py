@@ -69,9 +69,10 @@ class Osd(object):
         #: corruption stays invisible to verification until digests catch
         #: it, exactly as before.
         self.store_epoch = 0
-        #: last osdmap epoch the monitor pushed to this OSD. Data-path
-        #: ops stamped with an older epoch are rejected (EOLDEPOCH);
-        #: stays 0 — and the check vacuous — until the lifecycle arms.
+        #: last osdmap epoch the monitor pushed to this OSD (every bump
+        #: pushes). Data-path ops stamped with an older epoch are
+        #: rejected (EOLDEPOCH); 0 until the first membership change,
+        #: which no client stamp is older than.
         self.map_epoch = 0
         self.crashed = False
         #: record/check per-chunk digests; armed by enable_integrity()
@@ -153,11 +154,11 @@ class Osd(object):
     def _check_epoch(self, epoch):
         """Reject an op resolved against an older osdmap (EOLDEPOCH).
 
-        ``epoch is None`` — an op issued before the lifecycle armed —
-        always passes; stamped ops must be at least as new as the map the
+        Every op carries the epoch of the map its sender resolved
+        placement against, and must be at least as new as the map the
         monitor last pushed here. Pure state, no events.
         """
-        if epoch is not None and epoch < self.map_epoch:
+        if epoch < self.map_epoch:
             self.metrics.counter("epoch_rejects").add(1)
             raise OldEpoch(
                 "osd %d at e%d rejected op stamped e%d"
@@ -322,7 +323,7 @@ class Osd(object):
 
     # -- server-side operations (sim generators) -------------------------
 
-    def read(self, ino, index, offset, size, epoch=None):
+    def read(self, ino, index, offset, size, epoch):
         """Serve an object read; returns the bytes (b'' for a hole)."""
         if offset < 0 or size < 0:
             raise InvalidArgument("negative offset/size")
@@ -374,11 +375,11 @@ class Osd(object):
         if self.verify_enabled:
             self._record_digests(key, obj, touch_start, end)
 
-    def write(self, ino, index, offset, data, epoch=None):
+    def write(self, ino, index, offset, data, epoch):
         """Apply one object write: the one-piece :meth:`write_vector`."""
-        return self.write_vector(ino, [(index, offset, data)], epoch=epoch)
+        return self.write_vector(ino, [(index, offset, data)], epoch)
 
-    def write_vector(self, ino, pieces, epoch=None):
+    def write_vector(self, ino, pieces, epoch):
         """Apply several extent writes of one file as a single op.
 
         ``pieces`` is ``[(index, obj_off, buffer)]`` — the coalesced dirty
@@ -418,7 +419,7 @@ class Osd(object):
             ).observe(self.sim.now - started)
         return total
 
-    def truncate(self, ino, index, size, epoch=None):
+    def truncate(self, ino, index, size, epoch):
         """Truncate one object (used by file truncation)."""
         yield from self._check_up()
         self._check_epoch(epoch)

@@ -164,8 +164,7 @@ class ScrubDaemon(object):
         would duplicate backfill's work or fight its version rechecks.
         The next cycle revisits it once backfill has settled it.
         """
-        backfill = self.cluster.backfill
-        if backfill is None or not backfill.running:
+        if not self.cluster.backfill.running:
             return False
         ino, index = key
         monitor = self.cluster.monitor

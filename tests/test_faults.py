@@ -111,7 +111,7 @@ def test_op_count_trigger_fires_after_n_ops(sim):
     def proc():
         for index in range(3):
             yield from cluster.write_extent(7, index, b"x" * 1024)
-        # The trigger spawns the injection as its own process; give the
+        # The trigger fires inside the third op's hook; give the
         # partition window (0.05s) time to open and heal.
         yield sim.timeout(0.2)
         return cluster.op_count
@@ -169,6 +169,38 @@ def test_ops_ride_out_a_partition(sim):
     data, elapsed = run(sim, proc())
     assert data == payload
     assert elapsed >= 0.4  # blocked until the partition healed
+
+
+def test_truncate_rides_out_a_partition(sim):
+    """truncate is a client→OSD op like any other: its per-object RPCs
+    run through the retry loop, so a partition window delays it instead
+    of surfacing NetworkPartitioned with some objects already cut."""
+    costs = CostModel(object_size=units.kib(64))
+    cluster = CephCluster(sim, Fabric(sim), costs, num_osds=4, replicas=2)
+    cluster.arm_faults()
+    payload = b"t" * units.kib(160)  # three objects
+
+    def proc():
+        yield from cluster.write_extent(12, 0, payload)
+        cluster.fabric.set_partitioned(True)
+
+        def heal():
+            yield sim.timeout(0.05)
+            cluster.fabric.set_partitioned(False)
+
+        sim.spawn(heal())
+        start = sim.now
+        yield from cluster.truncate(12, units.kib(80))
+        return sim.now - start
+
+    elapsed = run(sim, proc())
+    assert elapsed >= 0.05  # blocked until the partition healed
+    assert int(cluster.metrics.counter("retries_truncate").value) >= 1
+    assert cluster.file_bytes(12) == 2 * units.kib(80)  # both replicas cut
+    for osd in cluster.osds:
+        assert osd.object_size(12, 2) == 0
+        assert osd.object_size(12, 1) in (0, units.kib(16))
+    assert cluster.inflight_attempts == 0
 
 
 def test_mds_outage_then_restart_recovers_sessions(sim, machine):
@@ -493,3 +525,90 @@ def test_chaos_corruption_run_is_deterministic():
     assert one.fingerprint() == two.fingerprint()
     assert one.corruptions == two.corruptions
     assert one.repairs == two.repairs
+
+
+# --- one lifecycle for every data-side kind ----------------------------------
+
+#: One short schedule per data-side fault kind: ``[(kind, fields)]``.
+_DATA_SIDE = {
+    "osd_crash": [("osd_crash", dict(at=0.3, target=1)),
+                  ("osd_restart", dict(at=0.7, target=1))],
+    "osd_flap": [("osd_flap", dict(at=0.2, target=1, count=2, period=0.45))],
+    "osd_add": [("osd_add", dict(at=0.5))],
+    "osd_drain": [("osd_drain", dict(at=0.5, target=1))],
+    "partition": [("partition", dict(at=0.5, duration=0.1))],
+    "link_degrade": [("link_degrade", dict(at=0.4, duration=0.4,
+                                           delay_factor=4.0,
+                                           loss_rate=0.05))],
+    "disk_slow": [("disk_slow", dict(at=0.4, target=1, duration=0.4,
+                                     factor=8.0))],
+    "bitrot": [("bitrot", dict(at=0.6, flips=8))],
+    "torn_write": [("torn_write", dict(at=0.6, keep_fraction=0.5))],
+}
+
+
+def _plan(actions, seed=7):
+    plan = FaultPlan(seed=seed)
+    for kind, fields in actions:
+        plan.schedule(kind, **fields)
+    return plan
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("replicas", [2, 3])
+@pytest.mark.parametrize("kind", sorted(_DATA_SIDE))
+def test_every_data_side_kind_converges_on_the_one_lifecycle(kind, replicas):
+    """Every plan runs on heartbeats + backfill, so every data-side kind
+    must end with membership converged — not just the churn kinds."""
+    corrupting = kind in ("bitrot", "torn_write")
+    result = ChaosConfig(
+        seed=7, duration=1.2, replicas=replicas, nfiles=8,
+        mean_size=16 * 1024, scrub=corrupting, plan=_plan(_DATA_SIDE[kind]),
+    ).run()
+    assert result.ok, result
+    assert result.membership_converged
+    assert result.under_replicated == []
+    assert result.files_checked > 0
+    assert kind in {entry[2] for entry in result.plan_log}
+    if corrupting:
+        assert result.corruptions == 1 and result.repairs >= 1
+    if kind in ("osd_crash", "osd_flap", "osd_add", "osd_drain"):
+        assert result.map_epoch > 1, "the membership change must be seen"
+
+
+def _crash_restart_history(with_flap):
+    """Run a crash/restart-only plan (optionally beside a flap of another
+    OSD); returns OSD 1's ``(transitions, plan log rows)``."""
+    world = World(num_cores=2, ram_bytes=units.gib(1), num_osds=4, replicas=2)
+    actions = list(_DATA_SIDE["osd_crash"])
+    if with_flap:
+        actions += [("osd_flap", dict(at=0.2, target=3, count=2,
+                                      period=0.45))]
+    plan = _plan(actions).install(world)
+    monitor = world.cluster.monitor
+    assert monitor.probing and world.cluster.backfill.running
+    transitions = []
+
+    def watch(osdmap):
+        state = "up" if osdmap.is_up(1) else "down"
+        if not transitions or transitions[-1][0] != state:
+            transitions.append((state, monitor._down_reason.get(1)))
+
+    monitor.subscribe(watch)
+    world.sim.run(until=4.0)
+    assert not monitor.has_failures()
+    return transitions, [row[1:] for row in plan.log if row[3] == 1]
+
+
+def test_crash_only_plan_is_detected_by_the_monitor_not_told():
+    alone, alone_log = _crash_restart_history(with_flap=False)
+    beside, beside_log = _crash_restart_history(with_flap=True)
+    # crash -> down -> up, the down decided by probes or reports: a plan
+    # never tells the monitor ("admin") what it did to a daemon
+    assert [state for state, _reason in alone] == ["down", "up"]
+    assert alone[0][1] in ("heartbeat", "reports")
+    assert alone_log == [("inject", "osd_crash", 1),
+                         ("inject", "osd_restart", 1)]
+    # and what osd_crash means does not depend on the rest of the plan
+    assert beside == alone
+    assert beside_log == alone_log

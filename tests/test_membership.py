@@ -215,7 +215,6 @@ def test_flap_damping_holds_bouncy_osd_in_probation(sim, costs):
 
 def test_osd_rejects_ops_stamped_with_old_epoch(sim, costs):
     cluster = make_cluster(sim, costs)
-    cluster.arm_lifecycle()
     osd = cluster.osds[0]
     osd.map_epoch = 5
 
@@ -234,7 +233,6 @@ def test_osd_rejects_ops_stamped_with_old_epoch(sim, costs):
 def test_stale_map_client_refreshes_and_retries(sim, costs):
     """A client on an old osdmap gets EOLDEPOCH'd, refreshes, succeeds."""
     cluster = make_cluster(sim, costs)
-    cluster.arm_lifecycle()
     payload = b"fence me" * 64
 
     def proc():
@@ -253,6 +251,33 @@ def test_stale_map_client_refreshes_and_retries(sim, costs):
     assert cluster._osdmap.epoch == cluster.monitor.epoch
 
 
+def test_truncate_on_a_stale_map_is_fenced_and_resent(sim, costs):
+    """truncate stamps its RPCs like reads and writes: an OSD holding a
+    newer map rejects the cut, the client refreshes and resends."""
+    cluster = make_cluster(sim, costs)
+    payload = b"cut me!!" * units.kib(2)  # 16 KiB, one object
+
+    def proc():
+        yield from cluster.write_extent(7, 0, payload)
+        stale_map = cluster._osdmap
+        cluster.monitor.mark_down(3)
+        cluster.monitor.mark_up(3)
+        cluster._osdmap = stale_map
+        yield from cluster.truncate(7, units.kib(4))
+        return (yield from cluster.read_extent(7, 0, len(payload)))
+
+    assert run(sim, proc()) == payload[:units.kib(4)]
+    assert int(cluster.metrics.counter("stale_map_rejects").value) >= 1
+    assert int(cluster.metrics.counter("retries_truncate").value) >= 1
+    assert sum(
+        int(osd.metrics.counter("epoch_rejects").value)
+        for osd in cluster.osds
+    ) >= 1
+    assert cluster._osdmap.epoch == cluster.monitor.epoch
+    for osd_id in cluster.monitor.holders(7, 0):
+        assert cluster.osds[osd_id].object_size(7, 0) == units.kib(4)
+
+
 # -- throttled backfill --------------------------------------------------
 
 
@@ -269,9 +294,10 @@ def test_backfill_drains_under_budget(sim, costs):
         cluster.monitor.mark_down(victim)
         cluster.monitor.mark_out(victim)
         degraded_before = len(cluster.monitor.under_replicated())
-        backfill = cluster.start_backfill(
-            bytes_per_osd=units.kib(64), ops_per_osd=1
-        )
+        backfill = cluster.backfill
+        backfill.bytes_per_osd = units.kib(64)
+        backfill.ops_per_osd = 1
+        backfill.start()
         done = yield from backfill.drain()
         return degraded_before, done, backfill
 
@@ -299,7 +325,8 @@ def test_backfill_defers_down_not_out_osd(sim, costs):
     def proc():
         yield from cluster.write_extent(1, 0, payload)
         monitor.start_heartbeats()
-        backfill = cluster.start_backfill()
+        backfill = cluster.backfill
+        backfill.start()
         victim = monitor.acting_set(1, 0)[-1]
         cluster.osds[victim].crash()
         # wait until heartbeats confirm down (but well before out)
@@ -318,6 +345,30 @@ def test_backfill_defers_down_not_out_osd(sim, costs):
     assert moved_while_down == 0, "down-not-out objects must be deferred"
     assert outed and done
     assert cluster.monitor.under_replicated() == []
+
+
+def test_backfill_push_rides_out_a_partition(sim, costs):
+    """Backfill runs under every plan, partitions included: a push that
+    loses the fabric is dropped, not fatal, and redone next cycle."""
+    cluster = make_cluster(sim, costs, replicas=2, num_osds=4)
+    payload = b"p" * units.kib(16)
+
+    def proc():
+        yield from cluster.write_extent(1, 0, payload)
+        victim = cluster.monitor.acting_set(1, 0)[-1]
+        cluster.osds[victim].crash()
+        cluster.monitor.mark_down(victim)
+        cluster.monitor.mark_out(victim)
+        cluster.fabric.set_partitioned(True)
+        moved = yield from cluster.backfill.cycle()
+        cluster.fabric.set_partitioned(False)
+        done = yield from cluster.backfill.drain()
+        return moved, done
+
+    moved, done = run(sim, proc())
+    assert moved == 0
+    assert int(cluster.backfill.metrics.counter("push_errors").value) == 1
+    assert done and cluster.monitor.under_replicated() == []
 
 
 # -- runtime add / drain -------------------------------------------------

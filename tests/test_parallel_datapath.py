@@ -235,7 +235,6 @@ def _churn_mid_fanout_run():
     sim = Simulator()
     costs = CostModel(object_size=4096)
     cluster = make_cluster(sim, costs, replicas=2)
-    cluster.arm_lifecycle()
     size = 6 * costs.object_size
     payload = bytes(
         hashlib.blake2b(b"%d" % i, digest_size=1).digest()[0]
@@ -252,7 +251,7 @@ def _churn_mid_fanout_run():
         sim.spawn(saboteur(), name="saboteur")
         yield from cluster.write_extent(SPREAD_INO, 0, payload)
         out["epoch_after_write"] = cluster._osdmap.epoch
-        cluster.start_backfill()
+        cluster.backfill.start()
         yield from cluster.backfill.drain()
         data = yield from cluster.read_extent(SPREAD_INO, 0, size)
         out["read_back_ok"] = data == payload

@@ -115,12 +115,14 @@ def test_under_replicated_detection_and_recovery(sim, costs):
         victim = cluster.crush.primary(4, 0)
         cluster.monitor.mark_down(victim)
         missing = cluster.monitor.under_replicated()
-        moved = yield from cluster.monitor.recover()
+        done = yield from cluster.backfill.drain()
         after = cluster.monitor.under_replicated()
-        return missing, moved, after
+        return missing, done, after
 
-    missing, moved, after = run(sim, proc())
+    missing, done, after = run(sim, proc())
+    moved = int(cluster.backfill.metrics.counter("bytes_moved").value)
     assert missing, "the object should be under-replicated after the failure"
+    assert done
     assert moved >= units.kib(32)
     assert after == []
 
@@ -133,7 +135,7 @@ def test_recovered_object_readable_from_new_member(sim, costs):
         yield from cluster.write_extent(5, 0, payload)
         victim = cluster.crush.primary(5, 0)
         cluster.monitor.mark_down(victim)
-        yield from cluster.monitor.recover()
+        yield from cluster.backfill.drain()
         # Even the surviving original replica can now fail.
         survivors = [
             osd_id for osd_id in cluster.crush.placement(5, 0)
@@ -147,7 +149,7 @@ def test_recovered_object_readable_from_new_member(sim, costs):
 
 
 def test_recovery_never_resurrects_stale_bytes(sim, costs):
-    """Monitor.recover() racing a concurrent write must not push its
+    """A backfill drain racing a concurrent write must not push its
     stale source snapshot over newer bytes: the push re-checks the
     source's mutation version and redoes the copy from fresh data."""
     cluster = make_cluster(sim, costs, replicas=2)
@@ -156,20 +158,26 @@ def test_recovery_never_resurrects_stale_bytes(sim, costs):
 
     def proc():
         yield from cluster.write_extent(6, 0, old)
-        victim = cluster.monitor.acting_set(6, 0)[-1]
+        source, victim = cluster.monitor.acting_set(6, 0)
+        # The small write is already in service on the OSDs — past the
+        # epoch fence, resolved against the healthy map so nothing
+        # pulled the object first — when the victim dies: it lands on
+        # the surviving source while recovery's 64 KiB copy of that
+        # source is in flight.
+        writer = sim.spawn(cluster.write_extent(6, 0, piece), name="writer")
+        while not cluster.osds[source].inflight:
+            yield sim.timeout(1e-6)
         cluster.osds[victim].crash()
         cluster.monitor.mark_down(victim)
-        recovery = sim.spawn(cluster.monitor.recover(), name="recover")
-        # let recovery snapshot the source and start its 64 KiB push,
-        # then land a small write while the copy is in flight
-        yield sim.timeout(1e-5)
-        yield from cluster.write_extent(6, 0, piece)
-        yield sim.all_of([recovery])
+        recovery = sim.spawn(cluster.backfill.drain(), name="recover")
+        yield sim.all_of([writer, recovery])
         data = yield from cluster.read_extent(6, 0, len(old))
         return data, recovery.value
 
     expected = piece + old[len(piece):]
-    data, moved = run(sim, proc())
+    data, done = run(sim, proc())
+    moved = int(cluster.backfill.metrics.counter("bytes_moved").value)
+    assert done
     assert data == expected
     # every live holder converged on the post-race content
     holders = cluster.monitor.holders(6, 0)
@@ -181,12 +189,11 @@ def test_recovery_never_resurrects_stale_bytes(sim, costs):
 
 
 def test_rejoined_osd_never_serves_stale_reads(sim, costs):
-    """Lifecycle rejoin semantics: a rejoined OSD holding a copy that a
+    """Rejoin semantics: a rejoined OSD holding a copy that a
     write superseded while it was down must not serve it — the stale
     record is retained until backfill pushes fresh bytes, and every read
     path (including the non-degraded fast path) excludes the copy."""
     cluster = make_cluster(sim, costs, replicas=2)
-    cluster.arm_lifecycle()
     old = b"old" * units.kib(8)
     new = b"new" * units.kib(8)
 
@@ -209,8 +216,8 @@ def test_rejoined_osd_never_serves_stale_reads(sim, costs):
     assert cluster.monitor.is_stale(victim, (8, 0))
 
     def backfill_proc():
-        backfill = cluster.start_backfill()
-        done = yield from backfill.drain()
+        cluster.backfill.start()
+        done = yield from cluster.backfill.drain()
         data = yield from cluster.read_extent(8, 0, len(new))
         return done, data
 
@@ -222,10 +229,9 @@ def test_rejoined_osd_never_serves_stale_reads(sim, costs):
 
 def test_degraded_partial_write_pulls_object_first(sim, costs):
     """A partial overwrite landing on an acting member that never held
-    the object must not splice onto zero-fill: the lifecycle write path
+    the object must not splice onto zero-fill: the degraded write path
     pulls the full object onto the copy-less target first."""
     cluster = make_cluster(sim, costs, replicas=2)
-    cluster.arm_lifecycle()
     base = b"B" * units.kib(64)   # full object
     patch = b"patch!" * 100       # partial overwrite, offset 0
 
@@ -269,7 +275,8 @@ def test_backfill_push_racing_inflight_write(sim, costs):
         cluster.osds[victim].crash()
         cluster.monitor.mark_down(victim)
         cluster.monitor.mark_out(victim)
-        backfill = cluster.start_backfill()
+        backfill = cluster.backfill
+        backfill.start()
         push = sim.spawn(backfill.cycle(), name="backfill-cycle")
         # let the cycle snapshot its source and start the 64 KiB push,
         # then land a small write while the copy is in flight

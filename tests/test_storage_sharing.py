@@ -49,9 +49,9 @@ def test_mutable_buffer_written_to_an_osd_is_snapshotted(sim, costs, kind, entry
     source = bytearray(b"acknowledged-bytes")
     buf = MUTABLE_BUFFERS[kind](source)
     if entry == "write":
-        run(sim, osd.write(5, 0, 0, buf))
+        run(sim, osd.write(5, 0, 0, buf, 0))
     else:
-        run(sim, osd.write_vector(5, [(0, 0, buf)]))
+        run(sim, osd.write_vector(5, [(0, 0, buf)], 0))
     source[:] = b"X" * len(source)
     assert bytes(osd._objects[(5, 0)]) == b"acknowledged-bytes"
 
