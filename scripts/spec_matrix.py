@@ -18,6 +18,9 @@ Two modes:
   fingerprint with the committed table and exits non-zero on a
   difference or an id the table lacks (under ``--run-all`` also on a
   table id that did not run); ``--write FILE`` records the table.
+  ``--seed N`` runs each selected spec on seed ``N`` alone (the spec is
+  re-validated); an SLO violation — a chaos preset's ``ok == true`` —
+  exits non-zero, which is what the nightly chaos matrix relies on.
 
 Usage:
     python scripts/spec_matrix.py --validate
@@ -25,6 +28,8 @@ Usage:
         --run fig1 --run abl-ipc --run chaos-corruption
     python scripts/spec_matrix.py --quick --run-all \
         --check benchmarks/SPEC_quick_fingerprints.json
+    python scripts/spec_matrix.py --run chaos-churn --seed 7 \
+        --out-dir artifacts/chaos-churn-seed7
 """
 
 import argparse
@@ -38,7 +43,9 @@ _SRC = os.path.join(
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.experiments import SpecError, registry, to_trend, validate_record  # noqa: E402
+from repro.experiments import (  # noqa: E402
+    SpecError, registry, to_trend, validate_record, validate_spec,
+)
 from repro.experiments.compiler import compile_spec  # noqa: E402
 from repro.experiments.runner import run_spec  # noqa: E402
 
@@ -67,10 +74,11 @@ def validate_all():
     return 1 if failures else 0
 
 
-def run_selected(names, quick, out_dir):
+def run_selected(names, quick, out_dir, seed=None):
     """Run the named specs; write per-spec records plus a trend file.
 
-    Returns ``(status, {id: fingerprint})``.
+    ``seed`` replaces each spec's ``seeds`` (re-validated). Returns
+    ``(status, {id: fingerprint})``.
     """
     os.makedirs(out_dir, exist_ok=True)
     records = []
@@ -78,6 +86,8 @@ def run_selected(names, quick, out_dir):
     for name in names:
         try:
             spec = registry.get(name)
+            if seed is not None:
+                spec = validate_spec(dict(spec, seeds=[seed]))
         except SpecError as err:
             print("DRIFT %s" % err, file=sys.stderr)
             status = 1
@@ -160,6 +170,9 @@ def main(argv=None):
                         help="apply each spec's quick overrides")
     parser.add_argument("--out-dir", default="artifacts",
                         help="directory for records (default: artifacts)")
+    parser.add_argument("--seed", type=int, default=None, metavar="N",
+                        help="run every selected spec on this one seed "
+                             "instead of its committed seeds")
     args = parser.parse_args(argv)
     names = list(args.run)
     if args.run_all:
@@ -171,7 +184,9 @@ def main(argv=None):
         status = validate_all()
         if status or not names:
             return status
-    status, fingerprints = run_selected(names, args.quick, args.out_dir)
+    status, fingerprints = run_selected(
+        names, args.quick, args.out_dir, seed=args.seed
+    )
     if args.check:
         status |= check_fingerprints(
             args.check, args.quick, fingerprints, complete=args.run_all

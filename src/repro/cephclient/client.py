@@ -44,7 +44,6 @@ class CephLibClient(CephMount):
         name="libceph",
         cache_bytes=None,
         locking="global",
-        readahead_bytes=128 * 1024,
         start_flusher=True,
         consistency="close-to-open",
         cache_dedup=False,
@@ -59,14 +58,12 @@ class CephLibClient(CephMount):
             fingerprint_fn=fingerprint_fn,
         )
         self.max_dirty = cache_bytes // 2
-        self.readahead_bytes = readahead_bytes
         self.client_lock = Mutex(sim, name="%s.client_lock" % name)
         sim.register_lock(name, "client_lock", name, self.client_lock)
         self._locking = LockingPolicy(
             sim, name, self.client_lock, locking,
             range_stripe=costs.object_size,
         )
-        self.fine_grained = locking != "global"
         self._lock_controller = None
         if locking == "adaptive":
             self._lock_controller = AdaptiveLockController(
@@ -267,8 +264,7 @@ class CephLibClient(CephMount):
             finally:
                 locking.release(token)
         for miss_offset, miss_size in miss_ranges:
-            fetch = plan_fetch(miss_offset, miss_size, file_size,
-                               self.readahead_bytes, sequential)
+            fetch = plan_fetch(miss_offset, miss_size, file_size, sequential)
             # Network fetch happens outside the client/inode lock (dropped
             # while waiting on the OSDs, as in libcephfs); the fine data
             # policies instead hold the covering *range* locks so a
@@ -307,9 +303,7 @@ class CephLibClient(CephMount):
             # child while the caller copies the current one out. The
             # prefetch pays the full network/OSD cost; its payload work
             # happens on the async messenger path (plain delay, no core).
-            window = next_window(
-                offset + len(data), self.readahead_bytes, file_size
-            )
+            window = next_window(offset + len(data), file_size)
             if window is not None:
                 self._prefetcher.launch(
                     ino, self._prefetch(ino, window[0], window[1]),
@@ -602,7 +596,7 @@ class CephLibClient(CephMount):
         if not self._dirty_buffer(ino):
             self._dirty_since.pop(ino, None)
         self.metrics.counter("bytes_flushed").add(flushed)
-        if self.sim.tracer is not None:
+        if self.sim.observer is not None:
             self.sim.trace("client", "flush", client=self.name, bytes=flushed)
         self._notify_flush_progress()
         return flushed

@@ -29,10 +29,9 @@ class CephKernelFs(CephMount):
 
     _next_fs_id = [1]
 
-    def __init__(self, kernel, cluster, name="cephfs", readahead_bytes=128 * 1024):
+    def __init__(self, kernel, cluster, name="cephfs"):
         super().__init__(kernel.sim, cluster, kernel.costs, name)
         self.kernel = kernel
-        self.readahead_bytes = readahead_bytes
         self.fs_id = CephKernelFs._next_fs_id[0]
         CephKernelFs._next_fs_id[0] += 1
         self._pending = {}  # ino -> ExtentBuffer of unflushed bytes
@@ -177,8 +176,7 @@ class CephKernelFs(CephMount):
                     self.costs.page_op * (rescanned - hit_pages)
                 )
         for miss_offset, miss_size in miss_ranges:
-            fetch = plan_fetch(miss_offset, miss_size, file_size,
-                               self.readahead_bytes, sequential)
+            fetch = plan_fetch(miss_offset, miss_size, file_size, sequential)
             yield from self.cluster.read_extent(ino, miss_offset, fetch)
             # Messenger receive processing in kworkers. Sequential reads
             # pipeline through readahead and overlap DMA; random reads pay
@@ -196,8 +194,7 @@ class CephKernelFs(CephMount):
         if sequential:
             # Pipelined readahead: prefetch the next window detached while
             # the caller copies the current one out.
-            window = next_window(offset + size, self.readahead_bytes,
-                                 file_size)
+            window = next_window(offset + size, file_size)
             if window is not None:
                 self._prefetcher.launch(
                     ino, self._prefetch(ino, window[0], window[1], account),

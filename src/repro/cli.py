@@ -20,8 +20,8 @@ nightly matrix instead).
 
 Each run prints the experiment's report block: the paper's expectation
 followed by the measured rows. With ``--trace``/``--profile`` the run is
-observed through :mod:`repro.obs`: a trace summary and the
-lock-contention / core-stealing profiles are printed, and a Chrome
+observed through :mod:`repro.obs`: a trace summary and the profile
+tables (``repro.obs.TABLES``) are printed, and a Chrome
 ``trace_event`` JSON (loadable in Perfetto) is written next to the
 report. ``--report`` writes unified run records (+ profiles) as JSON.
 """
@@ -136,10 +136,7 @@ def cmd_run(args):
             if args.parallel > 1:
                 rows = (record.get("detail") or {}).get("partitions", [])
                 if rows:
-                    print()
-                    print("partitions (one task per seed and cell, "
-                          "%d workers):" % args.parallel)
-                    print(obs.format_partitions_table(rows))
+                    _print_table("partitions", rows, args.parallel)
             if report is not None:
                 report["experiments"].append(entry)
             print("(%.0fs wall-clock)" % record["wall_s"])
@@ -156,52 +153,32 @@ def cmd_run(args):
     return 0
 
 
+def _print_table(key, rows, *title_args):
+    """Print one ``obs.TABLES`` entry: its title, then its rows."""
+    from repro import obs
+
+    table = next(table for table in obs.TABLES if table.key == key)
+    print()
+    print(table.title % title_args)
+    print(obs.format_table(key, rows))
+
+
 def _emit_profile(args, name, observers, entry):
     """Print profile tables; write the Chrome trace; extend the record."""
     from repro import obs
 
     merged = obs.merge_profiles(observers)
     if args.profile:
-        print()
-        print("lock contention (wait/hold per class, per pool):")
-        print(obs.format_lock_table(merged["lock_contention"]))
-        steal = merged["core_steal"]
-        if steal:
-            print()
-            print("core stealing (foreign CPU on pool-reserved cores):")
-            print(obs.format_core_steal(steal))
-        dispatch = merged["dispatch"]
-        if dispatch:
-            print()
-            print("data-path fan-out (dispatch width, per-OSD inflight):")
-            print(obs.format_dispatch_table(dispatch))
-        recovery = merged["recovery"]
-        if recovery:
-            print()
-            print("membership recovery (map epochs, backfill, degraded):")
-            print(obs.format_recovery_table(recovery))
-        mds = merged["mds"]
-        if mds:
-            print()
-            print("metadata HA (journal, sessions, failover):")
-            print(obs.format_mds_table(mds))
-        locking = merged["locking"]
-        if locking:
-            print()
-            print("adaptive locking (mode switches, final mode):")
-            print(obs.format_locking_table(locking))
-        fabric = merged["fabric"]
-        if fabric:
-            print()
-            print("fabric edges (cross-machine RPCs per remote endpoint):")
-            print(obs.format_fabric_table(fabric))
+        for table in obs.TABLES:
+            if table.source is None:
+                continue
+            # The lock-contention table (Fig. 1b) prints even when empty;
+            # the others only when the run produced rows for them.
+            rows = merged[table.key]
+            if rows or table.key == "lock_contention":
+                _print_table(table.key, rows)
     if args.trace is not None:
-        print()
-        print("trace summary:")
-        print(obs.format_trace_summary(
-            [((row["category"], row["name"]), row["count"])
-             for row in merged["trace_summary"]]
-        ))
+        _print_table("trace_summary", merged["trace_summary"])
     trace_path = _trace_path_for(args, name)
     trace = obs.chrome_trace(observers)
     import json

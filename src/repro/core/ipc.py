@@ -132,9 +132,8 @@ class DanausIpc(object):
             )
             request = IpcRequest(self.sim, fs, op, args, payload_out)
             yield queue.store.put(request)
-            if self.sim.tracer is not None:
-                self.sim.trace("ipc", "submit", queue=queue.name, op=op)
             if obs is not None:
+                self.sim.trace("ipc", "submit", queue=queue.name, op=op)
                 obs.sample("qdepth:%s" % queue.name, queue.backlog)
             self.metrics.counter("requests").add(1)
             result = yield request.reply

@@ -53,7 +53,7 @@ class FilesystemService(object):
     """Back driver + filesystem table of one Danaus service process."""
 
     def __init__(self, sim, machine, costs, pool_cores, name="fsvc",
-                 single_queue=False, metrics=None, pool=None):
+                 single_queue=False, pool=None):
         self.sim = sim
         self.machine = machine
         self.costs = costs
@@ -61,7 +61,7 @@ class FilesystemService(object):
         self.pool = pool
         self.pool_cores = list(pool_cores)
         self.single_queue = single_queue
-        self.metrics = metrics if metrics is not None else MetricSet(name)
+        self.metrics = MetricSet(name)
         self.ipc = DanausIpc(
             sim, machine, costs, pool_cores, name="%s.ipc" % name,
             single_queue=single_queue, metrics=self.metrics,

@@ -112,8 +112,6 @@ class CostModel(object):
         # --- locking -----------------------------------------------------------
         #: critical-section CPU inside kernel lock holds (per op)
         self.kernel_lock_section = units.usec(1.5)
-        #: critical-section CPU inside the libcephfs client_lock (per op)
-        self.client_lock_section = units.usec(2.5)
         #: adaptive locking policy: contention sampling period
         self.lock_adapt_interval = 0.05
         #: contended fraction of an interval's acquisitions above which

@@ -15,30 +15,33 @@ already travelling. Prefetches are advisory — failures are swallowed
 in flight *joins* the existing fetch instead of issuing its own.
 """
 
-__all__ = ["plan_fetch", "next_window", "Prefetcher"]
+__all__ = ["READAHEAD_BYTES", "plan_fetch", "next_window", "Prefetcher"]
+
+#: the readahead window every personality uses (Linux's default 128 KiB)
+READAHEAD_BYTES = 128 * 1024
 
 
-def plan_fetch(miss_offset, miss_size, file_size, readahead_bytes,
-               sequential):
+def plan_fetch(miss_offset, miss_size, file_size, sequential):
     """Bytes to fetch for one cache miss, readahead included.
 
-    A sequential stream widens the miss to at least ``readahead_bytes``;
-    the result is clamped so a widened fetch never runs past EOF (but a
-    miss that itself overhangs the known size is fetched as asked — the
-    caller's size view may trail buffered appends).
+    A sequential stream widens the miss to at least
+    :data:`READAHEAD_BYTES`; the result is clamped so a widened fetch
+    never runs past EOF (but a miss that itself overhangs the known size
+    is fetched as asked — the caller's size view may trail buffered
+    appends).
     """
     fetch = miss_size
-    if readahead_bytes and sequential:
-        fetch = max(miss_size, readahead_bytes)
+    if sequential:
+        fetch = max(miss_size, READAHEAD_BYTES)
     return min(fetch, max(file_size - miss_offset, miss_size))
 
 
-def next_window(end_offset, readahead_bytes, file_size):
+def next_window(end_offset, file_size):
     """The ``(offset, size)`` window to prefetch after a read ending at
     ``end_offset``, or ``None`` when there is nothing ahead to fetch."""
-    if not readahead_bytes or end_offset >= file_size:
+    if end_offset >= file_size:
         return None
-    return end_offset, min(readahead_bytes, file_size - end_offset)
+    return end_offset, min(READAHEAD_BYTES, file_size - end_offset)
 
 
 class Prefetcher(object):

@@ -28,6 +28,9 @@ from repro.sim.sync import Store
 
 __all__ = ["FuseTransport"]
 
+#: daemon threads serving each FUSE mount's request queue
+DAEMON_THREADS = 4
+
 
 class _FuseRequest(object):
     __slots__ = ("op", "args", "reply", "payload_out")
@@ -52,17 +55,8 @@ class FuseTransport(Filesystem):
 
     _next_id = [1]
 
-    def __init__(
-        self,
-        kernel,
-        inner,
-        cpuset,
-        name="fuse",
-        daemon_threads=4,
-        use_page_cache=False,
-        metrics=None,
-        pool=None,
-    ):
+    def __init__(self, kernel, inner, cpuset, name="fuse",
+                 use_page_cache=False, pool=None):
         self.kernel = kernel
         self.sim = kernel.sim
         self.costs = kernel.costs
@@ -70,13 +64,13 @@ class FuseTransport(Filesystem):
         self.name = name
         self.pool = pool
         self.use_page_cache = use_page_cache
-        self.metrics = metrics if metrics is not None else MetricSet(name)
+        self.metrics = MetricSet(name)
         self.fs_id = FuseTransport._next_id[0]
         FuseTransport._next_id[0] += 1
         self._queue = Store(kernel.sim, name="fuse:%s" % name)
         self._failed = False
         self.daemon_threads = []
-        for index in range(daemon_threads):
+        for index in range(DAEMON_THREADS):
             thread = SimThread(kernel.sim, "%s.d%d" % (name, index), cpuset)
             self.daemon_threads.append(thread)
             kernel.sim.spawn(self._daemon_loop(thread), name=thread.name)
@@ -112,7 +106,7 @@ class FuseTransport(Filesystem):
             )
             request = _FuseRequest(self.sim, op, args, payload_out)
             yield self._queue.put(request)
-            if self.sim.tracer is not None:
+            if obs is not None:
                 self.sim.trace("fuse", "call", transport=self.name, op=op)
             self.metrics.counter("fuse_calls").add(1)
             self.metrics.counter("ctx_switches").add(

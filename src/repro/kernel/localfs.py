@@ -55,14 +55,12 @@ class LocalFs(Filesystem):
 
     _next_fs_id = [1]
 
-    def __init__(self, kernel, device, name="ext4", readahead_bytes=128 * 1024,
-                 direct_io=False):
+    def __init__(self, kernel, device, name="ext4", direct_io=False):
         self.kernel = kernel
         self.sim = kernel.sim
         self.costs = kernel.costs
         self.device = device
         self.name = name
-        self.readahead_bytes = readahead_bytes
         self.direct_io = direct_io
         self.tree = MemTree()
         self.fs_id = LocalFs._next_fs_id[0]
@@ -181,7 +179,7 @@ class LocalFs(Filesystem):
         sequential = offset == cf.read_sequential_end
         for miss_offset, miss_size in miss_ranges:
             fetch_size = plan_fetch(miss_offset, miss_size, node.size,
-                                    self.readahead_bytes, sequential)
+                                    sequential)
             yield from self.device.transfer(
                 fetch_size, random_access=not sequential
             )

@@ -184,12 +184,11 @@ class WritebackDaemon(object):
                     raise
                 self.page_cache.clean(cf, picked)
                 self.pages_flushed += len(picked)
-                if self.sim.tracer is not None:
-                    self.sim.trace("wb", "flush", file=str(cf.key),
-                                   pages=len(picked))
                 if self.metrics is not None:
                     self.metrics.counter("wb.pages_flushed").add(len(picked))
                 if obs is not None:
+                    self.sim.trace("wb", "flush", file=str(cf.key),
+                                   pages=len(picked))
                     obs.sample("dirty_bytes", self.page_cache.dirty_bytes)
                 self._notify_progress()
                 if not all_pages and min_age is not None:
@@ -219,7 +218,7 @@ class WritebackDaemon(object):
                 self._progress_waiters.append(progress)
                 timeout = self.sim.timeout(self.costs.writeback_interval)
                 yield self.sim.any_of([progress, timeout])
-                if self.sim.tracer is not None:
+                if obs is not None:
                     self.sim.trace("wb", "throttle", account=account.name)
                 if self.metrics is not None:
                     self.metrics.counter("wb.throttle_waits").add(1)

@@ -3,9 +3,10 @@
 One API across every layer: attach an :class:`Observer` with
 ``world.observe(categories=..., capacity=...)`` and get the flat event
 stream, nested spans with on-CPU attribution, get-or-create metric
-registries, and derived profiles — lock-contention tables, per-core CPU
-/ core-steal attribution, flamegraph folds and Chrome ``trace_event``
-exports.
+registries, and derived profiles — the :data:`TABLES` spec (lock
+contention, per-core CPU / core-steal attribution, fabric edges, the
+metric-scope tables) rendered by :func:`format_table`, flamegraph folds
+and Chrome ``trace_event`` exports.
 
 The module also carries the *default observation spec* the CLI uses to
 profile experiments that construct their own :class:`~repro.world.World`
@@ -17,25 +18,11 @@ every observer the run produced.
 
 from repro.obs.export import chrome_trace, merge_profiles
 from repro.obs.observer import Observer, Span, TraceEvent
-from repro.obs.profile import (
-    format_core_steal,
-    format_dispatch_table,
-    format_fabric_table,
-    format_lock_table,
-    format_locking_table,
-    format_mds_table,
-    format_partitions_table,
-    format_recovery_table,
-    format_trace_summary,
-)
+from repro.obs.profile import TABLES, format_table
 
 __all__ = [
     "Observer", "Span", "TraceEvent",
-    "chrome_trace", "merge_profiles",
-    "format_lock_table", "format_core_steal", "format_dispatch_table",
-    "format_fabric_table", "format_locking_table", "format_mds_table",
-    "format_partitions_table", "format_recovery_table",
-    "format_trace_summary",
+    "chrome_trace", "merge_profiles", "TABLES", "format_table",
     "set_default", "clear_default", "default_spec",
     "attached", "reset_attached",
 ]

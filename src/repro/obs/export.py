@@ -10,6 +10,8 @@ per-symbol colocation sweeps) merge into one trace with a distinct
 ``pid`` per world.
 """
 
+from repro.obs.profile import TABLES
+
 __all__ = ["chrome_trace", "merge_profiles"]
 
 _USEC = 1e6  # simulated seconds -> trace microseconds
@@ -89,36 +91,25 @@ def chrome_trace(observers, labels=None):
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-#: Per-world row tables of the merged report, in report order: report
-#: key -> the Observer method that yields that world's rows.
-_WORLD_TABLES = (
-    ("lock_contention", "lock_table"),
-    ("core_steal", "core_steal_profile"),
-    ("dispatch", "dispatch_profile"),
-    ("recovery", "recovery_profile"),
-    ("mds", "mds_profile"),
-    ("locking", "locking_profile"),
-    ("fabric", "fabric_profile"),
-)
-
-
 def merge_profiles(observers):
     """Combine per-world derived profiles into one report dict.
 
-    Lock tables and core-steal rows concatenate with a ``world`` column;
-    trace summaries sum per (category, name); folds concatenate.
+    Every :data:`~repro.obs.profile.TABLES` entry with a row source
+    concatenates its rows with a ``world`` column; trace summaries sum
+    per (category, name); folds concatenate.
     """
     observers = [obs for obs in observers if obs is not None]
-    tables = {table: [] for table, _profile in _WORLD_TABLES}
+    world_tables = [table for table in TABLES if table.source is not None]
+    tables = {table.key: [] for table in world_tables}
     fold = []
     trace_counts = {}
     for index, obs in enumerate(observers):
         tag = "w%d" % index
-        for table, profile in _WORLD_TABLES:
-            for row in getattr(obs, profile)():
+        for table in world_tables:
+            for row in table.source(obs):
                 row = dict(row)
                 row["world"] = tag
-                tables[table].append(row)
+                tables[table.key].append(row)
         for (cat, name), count in obs.summary():
             key = (cat, name)
             trace_counts[key] = trace_counts.get(key, 0) + count

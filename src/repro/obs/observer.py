@@ -1,9 +1,9 @@
 """The unified observability core: event sink, spans, metric registries.
 
 One :class:`Observer` replaces the previously separate tracing and
-metric surfaces. It is attached through ``World.observe(...)`` (which
-also installs it as ``sim.tracer`` for the legacy ``sim.trace`` emit
-path) and collects three kinds of evidence:
+metric surfaces. It is attached through ``World.observe(...)``, which
+installs it as ``sim.observer`` — the one handle every layer reads,
+``sim.trace`` included — and collects three kinds of evidence:
 
 * **events** — flat flight-recorder records, in a ring buffer so the
   *most recent* window survives overflow;
@@ -110,14 +110,9 @@ class Span(object):
 
 
 class Observer(object):
-    """One attached observability instance: events + spans + registries.
+    """One attached observability instance: events + spans + registries."""
 
-    Installed as ``sim.tracer`` alone (no ``sim.observer``) it is an
-    events-only sink: ``emit``/``events``/``summary``/``to_jsonl``.
-    """
-
-    def __init__(self, sim=None, categories=None, capacity=100000,
-                 world=None):
+    def __init__(self, sim, categories=None, capacity=100000, world=None):
         self.sim = sim
         self.world = world
         self.categories = set(categories) if categories is not None else None
@@ -228,7 +223,7 @@ class Observer(object):
         return span
 
     def _end_span(self, span):
-        span.t1 = self.sim.now if self.sim is not None else span.t0
+        span.t1 = self.sim.now
         span.cpu1 = (
             span.thread.cpu_time if span.thread is not None else span.cpu0
         )
@@ -283,7 +278,7 @@ class Observer(object):
         series = self._timelines.get(timeline)
         if series is None:
             series = self._timelines[timeline] = deque(maxlen=self.capacity)
-        series.append((self.sim.now if self.sim is not None else 0.0, value))
+        series.append((self.sim.now, value))
 
     def timeline(self, name):
         """The recorded ``(time, value)`` series for ``name`` (may be empty)."""
@@ -369,8 +364,7 @@ class Observer(object):
 
         pools = self._pool_names()
         merged = {}  # (pool, lock_class) -> [stats fields]
-        for scope, lock_class, _instance, lock in (
-                self.sim.registered_locks() if self.sim is not None else ()):
+        for scope, lock_class, _instance, lock in self.sim.registered_locks():
             # Scopes look like "fls0.cephk" / "fls0.libceph" (pool-owned
             # mounts) or "kernel" (host-global); the prefix before the
             # first dot is the owning pool when it names one.
@@ -471,40 +465,6 @@ class Observer(object):
             })
         return rows
 
-    def recovery_profile(self):
-        """Membership/backfill recovery rows from the ``recovery`` scope.
-
-        One row per metric, counters first (their running totals), then
-        gauges (final value plus high-water mark): map-epoch bumps and
-        client map refreshes, EOLDEPOCH rejects, backfill bytes/pushes/
-        trims and budget deferrals, degraded/misplaced object gauges.
-        Empty when membership never changed and nothing was recovered.
-        """
-        return self._scope_rows("recovery")
-
-    def mds_profile(self):
-        """Metadata-HA rows from the ``mds`` scope.
-
-        One row per metric, counters first, then gauges (final value
-        plus high-water mark): per-rank journal appends, fenced ops,
-        dedup hits and replay counts (``r<rank>.*``), service-wide
-        failovers and the mdsmap epoch, plus per-rank journal lag /
-        session count / replay duration gauges. Empty when metadata HA
-        never armed (the scope's ``service_s`` histogram alone does not
-        produce rows).
-        """
-        return self._scope_rows("mds")
-
-    def locking_profile(self):
-        """Adaptive locking-policy rows from the ``locking`` scope.
-
-        One row per metric, counters first, then gauges (final value
-        plus high-water mark): mode switches (total and per target
-        mode) and the final mode index (0=global, 1=inode, 2=range).
-        Empty when no adaptive locking policy ran.
-        """
-        return self._scope_rows("locking")
-
     def fabric_profile(self):
         """Cross-machine RPC rows from the world's fabric edge accounting.
 
@@ -513,10 +473,9 @@ class Observer(object):
         that leaves the client machine, as a per-edge load table. Empty
         when the observer has no world or no RPC carried an edge label.
         """
-        world = getattr(self, "world", None)
-        if world is None or getattr(world, "fabric", None) is None:
+        if self.world is None:
             return []
-        return world.fabric.edge_profile()
+        return self.world.fabric.edge_profile()
 
     def fold(self):
         """Flamegraph-style folded stacks from the completed spans.
@@ -545,31 +504,3 @@ class Observer(object):
         with open(path, "w") as handle:
             json.dump(trace, handle)
         return len(trace["traceEvents"])
-
-    def profile_report(self):
-        """A JSON-safe bundle of every derived profile."""
-        return {
-            "lock_contention": self.lock_table(),
-            "core_steal": self.core_steal_profile(),
-            "dispatch": self.dispatch_profile(),
-            "recovery": self.recovery_profile(),
-            "mds": self.mds_profile(),
-            "locking": self.locking_profile(),
-            "cpu_by_core": {
-                core: dict(sorted(threads.items()))
-                for core, threads in sorted(self.cpu_profile().items())
-            },
-            "ctx_switches": self.ctx_switch_profile(),
-            "span_summary": [
-                {"name": name, "count": count, "wall_s": wall, "cpu_s": cpu}
-                for name, count, wall, cpu in self.span_summary()
-            ],
-            "timelines": {
-                name: self.timeline(name) for name in self.timelines()
-            },
-            "trace_summary": [
-                {"category": cat, "name": name, "count": count}
-                for (cat, name), count in self.summary()
-            ],
-            "fold": self.fold(),
-        }

@@ -1,244 +1,190 @@
-"""Text renderers for the derived profiles.
+"""The profile tables: one spec, one renderer.
 
-The CLI prints these after a ``--profile`` run; they are deliberately
-plain fixed-width tables so diffs between runs stay readable.
+Every table a profiled run reports is one :data:`TABLES` entry — its
+report key, the title the CLI prints over it, the text shown when it
+has no rows, where its rows come from, its columns and an optional row
+limit. ``merge_profiles`` collects the per-world rows of every entry
+that has a source, the CLI prints them in this order, and
+:func:`format_table` renders any of them; adding a metric scope to the
+profile is one entry here. The tables are deliberately plain
+fixed-width text so diffs between runs stay readable.
 """
 
-__all__ = [
-    "format_lock_table",
-    "format_core_steal",
-    "format_dispatch_table",
-    "format_fabric_table",
-    "format_locking_table",
-    "format_mds_table",
-    "format_partitions_table",
-    "format_recovery_table",
-    "format_trace_summary",
-]
+from collections import namedtuple
+
+from repro.obs.observer import Observer
+
+__all__ = ["Table", "TABLES", "format_table"]
+
+#: ``source`` is ``Observer -> rows`` (None: rows the CLI supplies);
+#: ``columns`` are ``(header, row key, format)`` triples; ``limit`` is
+#: None or ``(max rows, noun for the "(+N more …)" footer)``.
+Table = namedtuple("Table", "key title empty source columns limit")
+
+
+def _scope(name):
+    """Row source: one row per counter/gauge of metric scope ``name``."""
+    return lambda observer: observer._scope_rows(name)
+
+
+def _fixed(pattern):
+    return lambda value: pattern % value
+
+
+def _ms(seconds):
+    return "%.3f" % (seconds * 1e3)
+
+
+def _thieves(names):
+    return ", ".join(names) or "-"
+
+
+#: Counters show their totals; gauges also show the high-water mark
+#: (``-`` for counters, which have none).
+_METRIC_COLUMNS = (
+    ("metric", "metric", str),
+    ("value", "value", str),
+    ("high_water", "high_water", str),
+)
+
+TABLES = (
+    Table(
+        "lock_contention", "lock contention (wait/hold per class, per pool):",
+        "(no locks registered)", Observer.lock_table,
+        (("pool", "pool", str),
+         ("lock_class", "lock_class", str),
+         ("acq", "acquisitions", str),
+         ("contended", "contended", str),
+         ("wait_ms", "total_wait_s", _ms),
+         ("hold_ms", "total_hold_s", _ms),
+         ("avg_wait_us", "avg_wait_us", _fixed("%.2f")),
+         ("max_wait_us", "max_wait_us", _fixed("%.2f"))),
+        (20, "lock classes"),
+    ),
+    Table(
+        "core_steal", "core stealing (foreign CPU on pool-reserved cores):",
+        "(no pool-owned cores saw CPU time)", Observer.core_steal_profile,
+        (("core", "core", str),
+         ("pool", "pool", str),
+         ("busy_ms", "busy_s", _ms),
+         ("foreign_ms", "foreign_s", _ms),
+         ("foreign_%", "foreign_pct", _fixed("%.1f")),
+         ("top thieves", "top_thieves", _thieves)),
+        None,
+    ),
+    # The client row's distribution is the dispatch width (objects per
+    # striped call); the osdN rows' is the queue depth each op saw.
+    Table(
+        "dispatch", "data-path fan-out (dispatch width, per-OSD inflight):",
+        "(no fan-out dispatches recorded)", Observer.dispatch_profile,
+        (("scope", "scope", str),
+         ("samples", "samples", str),
+         ("width/qdepth mean", "mean", _fixed("%.2f")),
+         ("max", "max", str),
+         ("inflight_hw", "inflight_hw", str)),
+        None,
+    ),
+    # Map-epoch bumps and client map refreshes, EOLDEPOCH rejects,
+    # backfill bytes/pushes/trims and budget deferrals, degraded and
+    # misplaced object gauges.
+    Table(
+        "recovery", "membership recovery (map epochs, backfill, degraded):",
+        "(no membership change, no recovery traffic)", _scope("recovery"),
+        _METRIC_COLUMNS, None,
+    ),
+    # Per-rank journal appends, fenced ops, dedup hits and replays
+    # (r<rank>.*), failovers and the mdsmap epoch, journal lag / session
+    # / replay-duration gauges. The scope's service_s histogram alone
+    # produces no rows.
+    Table(
+        "mds", "metadata HA (journal, sessions, failover):",
+        "(metadata HA never armed)", _scope("mds"), _METRIC_COLUMNS, None,
+    ),
+    # Mode switches (total and per target mode) and the final mode index
+    # (0=global, 1=inode, 2=range).
+    Table(
+        "locking", "adaptive locking (mode switches, final mode):",
+        "(no adaptive locking policy ran)", _scope("locking"),
+        _METRIC_COLUMNS, None,
+    ),
+    Table(
+        "fabric", "fabric edges (cross-machine RPCs per remote endpoint):",
+        "(no labeled fabric RPCs)", Observer.fabric_profile,
+        (("edge", "edge", str),
+         ("rpcs", "rpcs", str),
+         ("send_bytes", "send_bytes", str),
+         ("recv_bytes", "recv_bytes", str)),
+        None,
+    ),
+    Table(
+        "integrity",
+        "end-to-end integrity (checksum failures, read repairs, quarantines):",
+        "(no checksum failure, no repair)", _scope("integrity"),
+        _METRIC_COLUMNS, None,
+    ),
+    Table(
+        "scrub", "scrub (objects scanned, errors found, repaired):",
+        "(scrub never ran)", _scope("scrub"), _METRIC_COLUMNS, None,
+    ),
+    Table(
+        "trace_summary", "trace summary:", "(no trace events)", None,
+        (("category", "category", str),
+         ("name", "name", str),
+         ("count", "count", str)),
+        (15, "event kinds"),
+    ),
+    # One row per map_tasks task of a --parallel run; the title takes
+    # the worker count.
+    Table(
+        "partitions", "partitions (one task per seed and cell, %d workers):",
+        "(sequential run: no partitions)", None,
+        (("partition", "partition", str),
+         ("wall_s", "wall_s", _fixed("%.4f")),
+         ("worker", "worker", str),
+         ("mode", "mode", str)),
+        None,
+    ),
+)
+
+_BY_KEY = {table.key: table for table in TABLES}
 
 
 def _render(headers, rows):
     widths = [len(h) for h in headers]
-    cells = []
     for row in rows:
-        rendered = [str(value) for value in row]
-        cells.append(rendered)
-        for index, value in enumerate(rendered):
+        for index, value in enumerate(row):
             widths[index] = max(widths[index], len(value))
     lines = [
         "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
         "  ".join("-" * widths[i] for i in range(len(headers))),
     ]
-    for rendered in cells:
+    for row in rows:
         lines.append(
-            "  ".join(rendered[i].ljust(widths[i]) for i in range(len(rendered)))
+            "  ".join(row[i].ljust(widths[i]) for i in range(len(row)))
         )
     return "\n".join(lines)
 
 
-def format_lock_table(rows, limit=20):
-    """Render lock-contention rows (dicts from ``Observer.lock_table``)."""
-    if not rows:
-        return "(no locks registered)"
-    tagged = any("world" in row for row in rows)
-    headers = (["world"] if tagged else []) + [
-        "pool", "lock_class", "acq", "contended",
-        "wait_ms", "hold_ms", "avg_wait_us", "max_wait_us",
-    ]
-    body = []
-    for row in rows[:limit]:
-        body.append(([row.get("world", "-")] if tagged else []) + [
-            row.get("pool", "-"),
-            row["lock_class"],
-            row["acquisitions"],
-            row["contended"],
-            "%.3f" % (row["total_wait_s"] * 1e3),
-            "%.3f" % (row["total_hold_s"] * 1e3),
-            "%.2f" % row["avg_wait_us"],
-            "%.2f" % row["max_wait_us"],
-        ])
-    out = _render(headers, body)
-    if len(rows) > limit:
-        out += "\n(+%d more lock classes)" % (len(rows) - limit)
-    return out
+def format_table(key, rows):
+    """Render the rows of table ``key`` as fixed-width text.
 
-
-def format_core_steal(rows):
-    """Render per-core foreign-CPU rows (``Observer.core_steal_profile``)."""
-    if not rows:
-        return "(no pool-owned cores saw CPU time)"
-    tagged = any("world" in row for row in rows)
-    headers = (["world"] if tagged else []) + [
-        "core", "pool", "busy_ms", "foreign_ms", "foreign_%", "top thieves",
-    ]
-    body = []
-    for row in rows:
-        body.append(([row.get("world", "-")] if tagged else []) + [
-            row["core"],
-            row["pool"],
-            "%.3f" % (row["busy_s"] * 1e3),
-            "%.3f" % (row["foreign_s"] * 1e3),
-            "%.1f" % row["foreign_pct"],
-            ", ".join(row["top_thieves"]) or "-",
-        ])
-    return _render(headers, body)
-
-
-def format_dispatch_table(rows):
-    """Render fan-out dispatch rows (``Observer.dispatch_profile``).
-
-    The ``client`` row's distribution is the dispatch *width* (objects
-    per striped call); the ``osdN`` rows' distribution is the queue
-    depth each arriving op saw.
+    A row tagged with a ``world`` (``merge_profiles`` output) adds a
+    leading ``world`` column; a missing or None cell prints ``-``.
     """
+    table = _BY_KEY[key]
     if not rows:
-        return "(no fan-out dispatches recorded)"
+        return table.empty
     tagged = any("world" in row for row in rows)
-    headers = (["world"] if tagged else []) + [
-        "scope", "samples", "width/qdepth mean", "max", "inflight_hw",
-    ]
+    columns = ((("world", "world", str),) if tagged else ()) + table.columns
+    shown = rows if table.limit is None else rows[:table.limit[0]]
     body = []
-    for row in rows:
-        body.append(([row.get("world", "-")] if tagged else []) + [
-            row["scope"],
-            row["samples"],
-            "%.2f" % row["mean"],
-            row["max"],
-            row["inflight_hw"],
-        ])
-    return _render(headers, body)
-
-
-def format_recovery_table(rows):
-    """Render recovery rows (dicts from ``Observer.recovery_profile``).
-
-    Counters show their totals; gauges additionally show the high-water
-    mark (``-`` for counters, which have none).
-    """
-    if not rows:
-        return "(no membership change, no recovery traffic)"
-    tagged = any("world" in row for row in rows)
-    headers = (["world"] if tagged else []) + [
-        "metric", "value", "high_water",
-    ]
-    body = []
-    for row in rows:
-        high = row.get("high_water")
-        body.append(([row.get("world", "-")] if tagged else []) + [
-            row["metric"],
-            row["value"],
-            "-" if high is None else high,
-        ])
-    return _render(headers, body)
-
-
-def format_mds_table(rows):
-    """Render metadata-HA rows (dicts from ``Observer.mds_profile``).
-
-    Same shape as the recovery table: counters show totals, gauges show
-    the final value plus high-water mark.
-    """
-    if not rows:
-        return "(metadata HA never armed)"
-    tagged = any("world" in row for row in rows)
-    headers = (["world"] if tagged else []) + [
-        "metric", "value", "high_water",
-    ]
-    body = []
-    for row in rows:
-        high = row.get("high_water")
-        body.append(([row.get("world", "-")] if tagged else []) + [
-            row["metric"],
-            row["value"],
-            "-" if high is None else high,
-        ])
-    return _render(headers, body)
-
-
-def format_locking_table(rows):
-    """Render adaptive-locking rows (dicts from ``Observer.locking_profile``).
-
-    Same shape as the recovery table: counters show totals, gauges show
-    the final value plus high-water mark (the ``mode`` gauge is the mode
-    index: 0=global, 1=inode, 2=range).
-    """
-    if not rows:
-        return "(no adaptive locking policy ran)"
-    tagged = any("world" in row for row in rows)
-    headers = (["world"] if tagged else []) + [
-        "metric", "value", "high_water",
-    ]
-    body = []
-    for row in rows:
-        high = row.get("high_water")
-        body.append(([row.get("world", "-")] if tagged else []) + [
-            row["metric"],
-            row["value"],
-            "-" if high is None else high,
-        ])
-    return _render(headers, body)
-
-
-def format_fabric_table(rows):
-    """Render per-edge RPC rows (dicts from ``Observer.fabric_profile``).
-
-    One row per remote endpoint of a labeled fabric round trip: RPC
-    count plus payload bytes in each direction — the traffic that
-    leaves the client machine.
-    """
-    if not rows:
-        return "(no labeled fabric RPCs)"
-    tagged = any("world" in row for row in rows)
-    headers = (["world"] if tagged else []) + [
-        "edge", "rpcs", "send_bytes", "recv_bytes",
-    ]
-    body = []
-    for row in rows:
-        body.append(([row.get("world", "-")] if tagged else []) + [
-            row["edge"],
-            row["rpcs"],
-            row["send_bytes"],
-            row["recv_bytes"],
-        ])
-    return _render(headers, body)
-
-
-def format_partitions_table(rows):
-    """Render the ``partitions`` rows of a ``--parallel`` run.
-
-    One row per ``map_tasks`` task (a seed or sweep cell): its label
-    under ``partition``, then ``wall_s``, the ``worker`` pid that ran
-    it and the ``mode`` (``fork`` or ``inline``).
-    """
-    if not rows:
-        return "(sequential run: no partitions)"
-    keys = []
-    for row in rows:
-        for key in row:
-            if key != "partition" and key not in keys:
-                keys.append(key)
-    headers = ["partition"] + keys
-    body = []
-    for row in rows:
-        line = [row["partition"]]
-        for key in keys:
-            value = row.get(key)
-            if value is None:
-                line.append("-")
-            elif isinstance(value, float):
-                line.append("%.4f" % value)
-            else:
-                line.append(value)
+    for row in shown:
+        line = []
+        for _header, row_key, fmt in columns:
+            value = row.get(row_key)
+            line.append("-" if value is None else fmt(value))
         body.append(line)
-    return _render(headers, body)
-
-
-def format_trace_summary(summary, limit=15):
-    """Render (category, name) -> count pairs from ``Observer.summary``."""
-    if not summary:
-        return "(no trace events)"
-    body = [[cat, name, count] for (cat, name), count in summary[:limit]]
-    out = _render(["category", "name", "count"], body)
-    if len(summary) > limit:
-        out += "\n(+%d more event kinds)" % (len(summary) - limit)
+    out = _render([header for header, _key, _fmt in columns], body)
+    if len(shown) < len(rows):
+        out += "\n(+%d more %s)" % (len(rows) - len(shown), table.limit[1])
     return out

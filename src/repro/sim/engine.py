@@ -526,19 +526,18 @@ class Simulator(object):
         self.granted = Event(self, name="granted")
         self.granted.triggered = True
         self.crashed = []  # (process, exception) for unobserved failures
-        self.tracer = None  # event sink (a repro.obs.Observer)
-        self.observer = None  # full repro.obs.Observer (spans, profiles)
+        self.observer = None  # the attached repro.obs.Observer, if any
         self._locks = []  # (scope, lock_class, instance, Mutex) registry
 
     def trace(self, category, name, **detail):
-        """Emit a trace event when a tracer is attached (else a no-op).
+        """Emit a trace event when an observer is attached (else a no-op).
 
         Hot paths should guard the call site with a single attribute
-        check (``if sim.tracer is not None:``) so the kwargs dict is
-        never built when tracing is off.
+        check (``if sim.observer is not None:``) so the kwargs dict is
+        never built when nothing observes.
         """
-        if self.tracer is not None:
-            self.tracer.emit(self.now, category, name, **detail)
+        if self.observer is not None:
+            self.observer.emit(self.now, category, name, **detail)
 
     def register_lock(self, scope, lock_class, instance, lock):
         """Record a named lock for contention profiling.

@@ -69,7 +69,6 @@ class StackFactory(object):
         self.cache_bytes = cache_bytes
         # the client locking policy (global/inode/range/adaptive)
         self.locking = locking
-        self.fine_grained = locking != "global"
         self.single_queue = single_queue
         self._shared = {}
         # The paper's dirty limits: 50% of pool RAM for the kernel client.
@@ -335,15 +334,11 @@ class StackFactory(object):
         )
 
 
-def mount_local(world, pool, name="local", num_disks=4,
-                readahead_bytes=128 * 1024, direct_io=False):
+def mount_local(world, pool, name="local", num_disks=4):
     """An ext4-over-RAID0 mount on local disks (the RND/WBS substrate)."""
     kernel = world.kernel_for(pool.machine)
     device = pool.machine.make_raid0(num_disks=num_disks)
-    fs = LocalFs(
-        kernel, device, name="%s.ext4" % pool.name,
-        readahead_bytes=readahead_bytes, direct_io=direct_io,
-    )
+    fs = LocalFs(kernel, device, name="%s.ext4" % pool.name)
     mountpoint = "/local/%s/%s" % (pool.name, name)
     kernel.vfs.mount(mountpoint, fs)
     kernel.writeback.set_max_dirty(pool.ram, pool.ram.capacity // 2)

@@ -194,23 +194,6 @@ class Mds(object):
         if not flag:
             self.metrics.counter("outages").add(1)
 
-    def restart(self):
-        """Oracle recovery: namespace survives, client sessions do not.
-
-        The un-journaled heal: the in-memory tree is resurrected
-        wholesale — including mutations that were never journaled or
-        acked. Fault plans never use it; they heal through
-        :meth:`recover_local`, which rebuilds through journal replay.
-        """
-        self.caps = CapsTable()
-        self.dedup = {}
-        self.sessions = {}
-        self.crashed = False
-        self.session_epoch += 1
-        self.available = True
-        self.sim.trace("mds", "restart", session_epoch=self.session_epoch)
-        self.metrics.counter("restarts").add(1)
-
     def crash(self):
         """SIGKILL: in-flight un-journaled mutations are lost, and the
         session/caps/dedup tables die with the process. The shared store
@@ -222,10 +205,9 @@ class Mds(object):
     def recover_local(self):
         """Journal-backed in-place recovery (sim generator).
 
-        The honest replacement for :meth:`restart` when journaling is
-        armed: sessions and caps are lost (clients reestablish), the
-        op-id dedup table is rebuilt from the journal, and records that
-        were journaled but never applied land now.
+        The one restart of a daemon: sessions and caps are lost (clients
+        reestablish), the op-id dedup table is rebuilt from the journal,
+        and records that were journaled but never applied land now.
         """
         self.state = "replay"
         self.crashed = False
@@ -917,7 +899,7 @@ class MdsService(object):
 
         If a standby already took its rank it rejoins as an empty
         standby; if no standby ever did, it recovers in place through
-        journal replay — never the oracle ``restart()``.
+        journal replay.
         """
         daemon = self.daemons[gid]
         if not daemon.crashed:

@@ -80,16 +80,12 @@ class World(object):
         ram_bytes=64 * units.GIB,
         num_osds=6,
         replicas=1,
-        net_bandwidth=2.5 * units.GIB,
-        net_latency=units.usec(40),
         costs=None,
         num_disks=6,
     ):
         self.sim = Simulator()
         self.costs = costs if costs is not None else CostModel()
-        self.fabric = Fabric(
-            self.sim, bandwidth=net_bandwidth, latency=net_latency
-        )
+        self.fabric = Fabric(self.sim)
         self.cluster = CephCluster(
             self.sim, self.fabric, self.costs, num_osds=num_osds,
             replicas=replicas,
@@ -103,7 +99,6 @@ class World(object):
         self.machine = primary.machine
         self.kernel = primary.kernel
         self.engine = primary.engine
-        self.observer = None
         spec = obs.default_spec()
         if spec is not None:
             # The CLI armed auto-observation (``--trace``/``--profile``):
@@ -137,17 +132,14 @@ class World(object):
     def observe(self, categories=None, capacity=100000):
         """Attach a fresh :class:`~repro.obs.Observer` to this world.
 
-        The observer becomes both ``sim.observer`` (spans, CPU and lock
-        profiling) and ``sim.tracer`` (the flat ``sim.trace`` event
-        path). Returns the observer.
+        The observer becomes ``sim.observer``, the one handle every layer
+        reads: the flat ``sim.trace`` event stream, spans, CPU and lock
+        profiling. Returns the observer.
         """
         observer = obs.Observer(
-            sim=self.sim, categories=categories, capacity=capacity,
-            world=self,
+            self.sim, categories=categories, capacity=capacity, world=self,
         )
-        self.sim.tracer = observer
         self.sim.observer = observer
-        self.observer = observer
         return observer
 
     def host_task(self, label="host"):

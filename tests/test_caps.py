@@ -194,8 +194,10 @@ def test_cap_revoke_racing_client_crash_does_not_block(sim, machine, cluster,
 
 
 def test_caps_reacquired_after_session_reconnect(sim, machine, cluster, costs):
-    """An MDS restart empties the caps table; the holder's next metadata
-    op reestablishes the session and re-grants what it held."""
+    """An MDS crash and journal-replay restart empties the caps table;
+    the holder's next metadata op reestablishes the session and
+    re-grants what it held."""
+    cluster.enable_mds_ha(standbys=0)
     client = make_caps_client(sim, machine, cluster, costs, "rw")
     task = make_task(sim, machine)
 
@@ -206,7 +208,8 @@ def test_caps_reacquired_after_session_reconnect(sim, machine, cluster, costs):
         yield from client.write(task, handle, 0, b"mine")
         ino = cluster.mds.node_of("/held").ino
         held_before = cluster.mds.caps.held(ino, client.client_id)
-        cluster.mds.restart()
+        cluster.mds.crash()
+        yield from cluster.mds.recover_local()
         assert cluster.mds.caps.held(ino, client.client_id) == 0
         # Any metadata op triggers the reconnect protocol first.
         yield from client.open(task, "/held", OpenFlags.RDWR)

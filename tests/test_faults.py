@@ -204,10 +204,12 @@ def test_truncate_rides_out_a_partition(sim):
 
 
 def test_mds_outage_then_restart_recovers_sessions(sim, machine):
-    """MDS restart loses sessions and caps; the client reestablishes its
-    session and reacquires held caps on the next operation."""
+    """An MDS crash and journal-replay restart loses sessions and caps;
+    the client reestablishes its session and reacquires held caps on the
+    next operation."""
     costs = CostModel(object_size=units.kib(64))
     cluster = CephCluster(sim, Fabric(sim), costs, num_osds=4, replicas=2)
+    cluster.enable_mds_ha(standbys=0)
     account = machine.ram.child(units.mib(64), "caps.ram")
     client = CephLibClient(
         sim, cluster, costs, account, machine.activated, name="caps-client",
@@ -222,7 +224,8 @@ def test_mds_outage_then_restart_recovers_sessions(sim, machine):
         yield from client.write(task, handle, 0, b"pre-restart")
         yield from client.close(task, handle)
         epoch_before = cluster.mds.session_epoch
-        cluster.mds.restart()
+        cluster.mds.crash()
+        yield from cluster.mds.recover_local()
         assert cluster.mds.session_epoch == epoch_before + 1
         # Next open reestablishes the session and reacquires caps.
         handle = yield from client.open(task, "/session-file", OpenFlags.RDWR)

@@ -38,7 +38,7 @@ def test_tenant_runs_multiple_services_with_distinct_settings(world):
     mount_b = factory_b.mount_root("c1")
     assert mount_a.service is not mount_b.service
     assert mount_a.client is not mount_b.client
-    assert mount_b.client.fine_grained
+    assert mount_b.client._locking.policy == "inode"
     assert mount_a.client.cache.capacity != mount_b.client.cache.capacity
     task = pool.new_task()
 

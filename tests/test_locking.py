@@ -48,10 +48,8 @@ def test_unknown_policy_rejected():
 def test_default_is_global_and_flag_maps_to_inode():
     _, _, _, default = make_world()
     assert default._locking.policy == "global"
-    assert not default.fine_grained
     _, _, _, inode = make_world(locking="inode")
     assert inode._locking.policy == "inode"
-    assert inode.fine_grained
 
 
 def test_all_policies_construct():
@@ -416,13 +414,13 @@ def test_adaptive_decision_trace_and_deescalation():
 
 
 def test_locking_profile_table_formatting():
-    from repro.obs import format_locking_table
+    from repro.obs import format_table
 
-    assert "no adaptive locking policy ran" in format_locking_table([])
+    assert "no adaptive locking policy ran" in format_table("locking", [])
     rows = [
         {"world": "w0", "scope": "locking", "metric": "switches",
          "value": 2},
         {"world": "w0", "scope": "locking", "metric": "mode", "value": 2},
     ]
-    table = format_locking_table(rows)
+    table = format_table("locking", rows)
     assert "switches" in table and "mode" in table

@@ -102,7 +102,7 @@ def test_fuse_and_vfs_spans_on_kernel_paths():
 
 
 def test_metric_registry_get_or_create():
-    observer = Observer()
+    observer = Observer(Simulator())
     registry = observer.metrics("pool0")
     assert observer.metrics("pool0") is registry
     counter = registry.counter("ops")
@@ -185,6 +185,77 @@ def test_merge_profiles_tags_worlds():
     assert worlds == {"w0", "w1"}
     classes = {row["lock_class"] for row in merged["lock_contention"]}
     assert "client_lock" in classes and "i_mutex_key" in classes
+    # One report key per table with a row source, in spec order.
+    sourced = [table.key for table in obs.TABLES if table.source is not None]
+    assert [key for key in merged if key in sourced] == sourced
+
+
+# -- table spec ------------------------------------------------------------------
+
+
+def test_every_profile_table_renders():
+    for table in obs.TABLES:
+        assert obs.format_table(table.key, []) == table.empty
+        headers = [header for header, _key, _fmt in table.columns]
+        text = obs.format_table(table.key, [{"world": "w3"}])
+        first, rule, body = text.split("\n")
+        assert first.split() == ["world"] + " ".join(headers).split()
+        assert set(rule.replace(" ", "")) == {"-"}
+        # Unset cells print "-", under the world tag.
+        assert body.split()[0] == "w3"
+        assert set(body.split()[1:]) == {"-"}
+        if table.limit is not None:
+            limit, noun = table.limit
+            rows = [{"world": "w%d" % index} for index in range(limit + 3)]
+            lines = obs.format_table(table.key, rows).split("\n")
+            assert len(lines) == 2 + limit + 1
+            assert lines[-1] == "(+3 more %s)" % noun
+
+
+def test_lock_table_formats_its_columns():
+    row = {"pool": "p", "lock_class": "client_lock", "acquisitions": 4,
+           "contended": 1, "total_wait_s": 0.0025, "total_hold_s": 0.001,
+           "avg_wait_us": 625.0, "max_wait_us": 2500.0}
+    lines = obs.format_table("lock_contention", [row]).split("\n")
+    assert lines[2].split() == [
+        "p", "client_lock", "4", "1", "2.500", "1.000", "625.00", "2500.00",
+    ]
+
+
+# -- zero overhead when detached -------------------------------------------------
+
+
+def test_observing_with_no_categories_leaves_the_schedule_alone(monkeypatch):
+    """docs/observability.md: an attached observer only records; the run
+    schedules exactly the entries a detached one does."""
+    from repro.bench import isolation
+
+    worlds = []
+
+    class RecordedWorld(World):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            worlds.append(self)
+
+    monkeypatch.setattr(isolation, "World", RecordedWorld)
+
+    def cell():
+        return isolation.run_colocation("K", 1, neighbor="RND",
+                                        duration=0.05, seed=3)
+
+    detached = cell()
+    obs.reset_attached()
+    obs.set_default(categories=())
+    try:
+        observed = cell()
+    finally:
+        obs.clear_default()
+        obs.reset_attached()
+    plain, watched = (world.sim for world in worlds)
+    assert plain.observer is None and watched.observer is not None
+    assert watched.observer.spans  # it did observe
+    assert observed == detached
+    assert (watched.now, watched._seq) == (plain.now, plain._seq)
 
 
 # -- no-op path ----------------------------------------------------------------
@@ -197,7 +268,6 @@ def test_no_observer_means_no_recording():
     run_workload(world, "D")
     # Locks still register (creation-time, always on) but nothing records.
     assert world.sim.observer is None
-    assert world.sim.tracer is None
 
 
 def test_default_spec_auto_attaches_new_worlds():

@@ -1,14 +1,16 @@
 """Tests for the event-trace surface of the observability subsystem.
 
 Worlds attach through ``World.observe(...)`` (the ``repro.obs`` entry
-point); a bare :class:`~repro.obs.Observer` installed as ``sim.tracer``
-is the events-only sink, including its ring-buffer semantics.
+point), and ``sim.observer`` is the one handle ``sim.trace`` emits
+through; a bare :class:`~repro.obs.Observer` on a simulator shows the
+ring-buffer semantics.
 """
 
 import json
 
 from repro.common import units
 from repro.obs import Observer
+from repro.sim import Simulator
 from repro.stacks import StackFactory
 from repro.world import World
 from tests.conftest import run
@@ -32,10 +34,10 @@ def test_tracer_records_ipc_and_client_events():
         yield from mount.fs.read_file(task, "/f")
 
     run(world.sim, proc())
-    tracer = world.sim.tracer
-    assert tracer.events("ipc", "submit")
-    assert tracer.events("client", "flush")
-    summary = dict(tracer.summary())
+    observer = world.sim.observer
+    assert observer.events("ipc", "submit")
+    assert observer.events("client", "flush")
+    summary = dict(observer.summary())
     assert summary[("ipc", "submit")] >= 4  # open/write/fsync/close/read...
 
 
@@ -49,9 +51,9 @@ def test_tracer_category_filter():
         yield from mount.fs.write_file(task, "/f", b"x", sync=True)
 
     run(world.sim, proc())
-    tracer = world.sim.tracer
-    assert tracer.events("client")
-    assert not tracer.events("ipc")
+    observer = world.sim.observer
+    assert observer.events("client")
+    assert not observer.events("ipc")
 
 
 def test_tracer_records_fuse_calls():
@@ -64,36 +66,30 @@ def test_tracer_records_fuse_calls():
         yield from mount.fs.write_file(task, "/f", b"x")
 
     run(world.sim, proc())
-    ops = [e.detail["op"] for e in world.sim.tracer.events("fuse", "call")]
+    ops = [e.detail["op"] for e in world.sim.observer.events("fuse", "call")]
     assert "open" in ops and "write" in ops
 
 
 def test_tracer_records_monitor_events():
     world = make_traced_world(categories={"mon"})
     world.cluster.monitor.mark_down(0)
-    events = world.sim.tracer.events("mon", "osd_down")
+    events = world.sim.observer.events("mon", "osd_down")
     assert events and events[0].detail["osd"] == 0
 
 
 def test_observe_returns_the_attached_observer():
     world = World(num_cores=4, ram_bytes=units.gib(4))
     observer = world.observe(categories={"wb"})
-    assert world.sim.tracer is observer
     assert world.sim.observer is observer
-    assert world.observer is observer
-
-
-def test_manual_tracer_attachment_still_works():
-    # Installed as sim.tracer only: events, no span/profile machinery.
-    world = World(num_cores=4, ram_bytes=units.gib(4))
-    world.sim.tracer = Observer(categories={"x"})
-    world.sim.trace("x", "e", value=1)
-    assert world.sim.observer is None
-    assert len(world.sim.tracer.records) == 1
+    # One handle: no second attribute on the simulator or the world.
+    assert not hasattr(world.sim, "tracer")
+    assert not hasattr(world, "observer")
+    world.sim.trace("wb", "e", value=1)
+    assert len(observer.records) == 1
 
 
 def test_tracer_ring_buffer_keeps_most_recent():
-    tracer = Observer(capacity=2)
+    tracer = Observer(Simulator(), capacity=2)
     for index in range(5):
         tracer.emit(float(index), "x", "e", i=index)
     assert len(tracer.records) == 2
@@ -105,7 +101,7 @@ def test_tracer_ring_buffer_keeps_most_recent():
 
 
 def test_tracer_jsonl_dump(tmp_path):
-    tracer = Observer()
+    tracer = Observer(Simulator())
     tracer.emit(1.5, "cat", "name", value=42)
     out = tmp_path / "trace.jsonl"
     count = tracer.to_jsonl(str(out))
