@@ -116,7 +116,7 @@ def run_seqwrite_queues(single_queue, duration=2.0, threads=4, pool_cores=8,
         "queues": "single" if single_queue else "per-core-group",
         "nr_queues": len(mount.service.ipc.queues),
         "throughput_mb_s": workload.result.bytes_written / duration / units.MIB,
-        "threads_pinned": mount.service.metrics.counter("threads_pinned").value,
+        "threads_pinned": mount.service.ipc.metrics.counter("threads_pinned").value,
     }
 
 

@@ -224,13 +224,13 @@ class CephLibClient(CephMount):
         span = obs.span(task, "client.read", "client", ino=ino,
                         size=size) if obs is not None else None
         try:
-            data = yield from self._read(task, ino, offset, size, obs)
+            data = yield from self._read(task, ino, offset, size)
         finally:
             if span is not None:
                 span.end()
         return data
 
-    def _read(self, task, ino, offset, size, obs):
+    def _read(self, task, ino, offset, size):
         locking = self._locking
         token = yield from locking.acquire_state(ino, who=task)
         try:
@@ -240,10 +240,8 @@ class CephLibClient(CephMount):
                 return b""
             size = min(size, file_size - offset)
             hit_blocks, miss_ranges = self.cache.scan(ino, offset, size)
-            if obs is not None:
-                registry = obs.metrics(self.name)
-                registry.counter("cache_hit_blocks").add(hit_blocks)
-                registry.counter("cache_miss_ranges").add(len(miss_ranges))
+            self.metrics.counter("cache_hit_blocks").add(hit_blocks)
+            self.metrics.counter("cache_miss_ranges").add(len(miss_ranges))
             if hit_blocks:
                 yield from task.cpu(self.costs.page_op * hit_blocks)
             sequential = offset == self._seq_end.get(ino, 0)

@@ -23,7 +23,7 @@ it as future work. This module makes that sharding a first-class,
     same wait/hold accounting the PR 2 lock-contention profile reads)
     at runtime, escalating ``global -> inode -> range`` under contention
     and de-escalating when it subsides. Every decision is traced and
-    exported through ``repro.obs`` (metric scope ``locking``).
+    counted (metric scope ``locking:<client name>``).
 
 Locking discipline (see ``docs/architecture.md`` for the field table):
 
@@ -309,17 +309,17 @@ class AdaptiveLockController(object):
     contention of *fine* locks cannot predict coarse-tier contention, so
     only a dying op rate de-escalates). Every decision is
     appended to ``policy.decisions``, traced (``client/lock_policy``)
-    and exported through the observer's ``locking`` metric scope.
+    and counted in the ``locking:<client name>`` metric scope.
     """
 
-    def __init__(self, policy, costs, metrics_scope="locking"):
+    def __init__(self, policy, costs):
         self.policy = policy
         self.sim = policy.sim
         self.interval = costs.lock_adapt_interval
         self.escalate_frac = costs.lock_escalate_frac
         self.idle_acqs = costs.lock_idle_acqs
         self.calm_rounds = costs.lock_calm_rounds
-        self.metrics_scope = metrics_scope
+        self.metrics = self.sim.metrics("locking:%s" % policy.name)
         self._stopped = False
         self._calm = 0
 
@@ -328,10 +328,6 @@ class AdaptiveLockController(object):
 
     def stop(self):
         self._stopped = True
-
-    def _registry(self):
-        obs = self.sim.observer
-        return obs.metrics(self.metrics_scope) if obs is not None else None
 
     def _switch(self, to_mode, reason, frac):
         policy = self.policy
@@ -343,33 +339,26 @@ class AdaptiveLockController(object):
             from_mode=from_mode, to_mode=to_mode, reason=reason,
             contended_frac=round(frac, 4),
         )
-        registry = self._registry()
-        if registry is not None:
-            registry.counter("switches").add(1)
-            registry.counter("to_%s" % to_mode).add(1)
-            registry.gauge("mode").set(MODE_INDEX[to_mode])
+        self.metrics.counter("switches").add(1)
+        self.metrics.counter("to_%s" % to_mode).add(1)
+        self.metrics.gauge("mode").set(MODE_INDEX[to_mode])
 
     def _loop(self):
         policy = self.policy
-        registry = self._registry()
-        if registry is not None:
-            registry.gauge("mode").set(MODE_INDEX[policy.mode])
+        self.metrics.gauge("mode").set(MODE_INDEX[policy.mode])
         prev = policy._stats_of(policy.mode)
         while not self._stopped:
             yield self.interval
             if self._stopped:
                 return
-            # Re-resolve each round: the observer may attach after the
-            # client (worlds arm observation before building stacks, but
-            # tests attach late).
-            registry = self._registry()
             mode = policy.mode
             acq, cont, wait = policy._stats_of(mode)
             d_acq = acq - prev[0]
             d_cont = cont - prev[1]
             frac = (d_cont / d_acq) if d_acq else 0.0
-            if registry is not None:
-                registry.histogram("contended_frac").observe(frac)
+            if self.sim.observer is not None:
+                # one sample per round: kept only while observed
+                self.metrics.histogram("contended_frac").observe(frac)
             if d_acq >= self.idle_acqs and frac > self.escalate_frac:
                 self._calm = 0
                 index = MODE_INDEX[mode]

@@ -41,7 +41,6 @@ from repro.common.errors import (
 )
 from repro.fs import pathutil
 from repro.fs.api import FileHandle, FileStat, Filesystem, OpenFlags
-from repro.metrics import MetricSet
 
 __all__ = ["CephHandle", "CephMount"]
 
@@ -82,7 +81,7 @@ class CephMount(Filesystem):
         #: (the Fw-caps analogue of "dirty": the buffer may be clean but
         #: the data/size is still ours until the MDS acknowledges).
         self._size_flushing = {}
-        self.metrics = MetricSet(name)
+        self.metrics = sim.metrics(name)
         #: the caps-mode registration, when the personality makes one
         self.client_id = None
         #: exactly-once metadata stamps (allocated lazily when HA arms)

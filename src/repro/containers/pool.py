@@ -10,7 +10,6 @@ pool is configured.
 
 from repro.common.errors import ConfigError
 from repro.fs.api import Task
-from repro.metrics import MetricSet
 from repro.sim.cpu import SimThread, UtilizationProbe
 
 __all__ = ["ContainerPool", "Container"]
@@ -27,7 +26,6 @@ class ContainerPool(object):
         self.name = name
         self.cores = list(cores)
         self.ram = machine.ram.child(ram_bytes, name="%s.ram" % name)
-        self.metrics = MetricSet("pool:%s" % name)
         self.probe = UtilizationProbe(sim, self.cores)
         self.services = []  # Danaus filesystem services of this pool
         self.containers = []

@@ -14,7 +14,6 @@ larger effective cache.
 """
 
 from repro.common.errors import ConfigError
-from repro.metrics import MetricSet
 
 __all__ = ["MemoryRebalancer"]
 
@@ -38,7 +37,7 @@ class MemoryRebalancer(object):
             pool: int(pool.ram.capacity * guarantee_fraction)
             for pool in self.pools
         }
-        self.metrics = MetricSet("rebalancer")
+        self.metrics = sim.metrics("rebalancer")
         self._stopped = False
         sim.spawn(self._loop(), name="mem-rebalancer")
 

@@ -21,7 +21,6 @@ placement buys.
 """
 
 from repro.common.errors import ConfigError, ServiceFailed
-from repro.metrics import MetricSet
 from repro.sim.sync import Store
 
 __all__ = ["IpcRequest", "RequestQueue", "DanausIpc"]
@@ -69,7 +68,7 @@ class DanausIpc(object):
     """Front-driver side of the Danaus IPC: queue placement and pinning."""
 
     def __init__(self, sim, machine, costs, pool_cores, name="ipc",
-                 single_queue=False, metrics=None):
+                 single_queue=False):
         if not pool_cores:
             raise ConfigError("IPC needs at least one pool core")
         self.sim = sim
@@ -77,7 +76,7 @@ class DanausIpc(object):
         self.costs = costs
         self.name = name
         self.pool_cores = list(pool_cores)
-        self.metrics = metrics if metrics is not None else MetricSet(name)
+        self.metrics = sim.metrics(name)
         self.failed = False
         self.queues = []
         if single_queue:

@@ -22,7 +22,6 @@ from repro.common.errors import (
 )
 from repro.fs import pathutil
 from repro.fs.api import FileHandle, Filesystem, OpenFlags
-from repro.metrics import MetricSet
 
 __all__ = ["FilesystemLibrary"]
 
@@ -64,7 +63,7 @@ class FilesystemLibrary(Filesystem):
         self.mounts = {}  # mountpoint -> (service, instance)
         self.files = {}  # fd -> _OpenFile
         self._next_fd = 1 << 16  # far above any kernel descriptor
-        self.metrics = MetricSet("lib:%s" % name)
+        self.metrics = self.sim.metrics("lib:%s" % name)
 
     # -- mount table -----------------------------------------------------
 

@@ -23,7 +23,6 @@ from repro.common.errors import (
 from repro.core.ipc import DanausIpc
 from repro.fs import pathutil
 from repro.fs.api import Task
-from repro.metrics import MetricSet
 from repro.sim.cpu import SimThread
 
 __all__ = ["FilesystemInstance", "FilesystemService"]
@@ -61,10 +60,10 @@ class FilesystemService(object):
         self.pool = pool
         self.pool_cores = list(pool_cores)
         self.single_queue = single_queue
-        self.metrics = MetricSet(name)
+        self.metrics = sim.metrics(name)
         self.ipc = DanausIpc(
             sim, machine, costs, pool_cores, name="%s.ipc" % name,
-            single_queue=single_queue, metrics=self.metrics,
+            single_queue=single_queue,
         )
         self.fs_table = {}  # mountpoint -> FilesystemInstance
         self.crashed = False
@@ -222,7 +221,6 @@ class FilesystemService(object):
         self.ipc = DanausIpc(
             self.sim, self.machine, self.costs, self.pool_cores,
             name="%s.ipc" % self.name, single_queue=self.single_queue,
-            metrics=self.metrics,
         )
         self._threads = []
         self._extra_per_queue = {}

@@ -20,7 +20,6 @@ process had buffered, mirroring a journaled user-level cache recovery.
 
 from repro.common.errors import FsError
 from repro.fs.api import Task
-from repro.metrics import MetricSet
 from repro.sim.cpu import SimThread
 
 __all__ = ["ServiceSupervisor"]
@@ -38,7 +37,7 @@ class ServiceSupervisor(object):
         )
         self.name = name
         self.services = []
-        self.metrics = MetricSet(name)
+        self.metrics = sim.metrics(name)
 
     def watch(self, service):
         """Start supervising ``service``; returns the service."""

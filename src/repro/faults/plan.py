@@ -56,7 +56,6 @@ verification on.
 
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
-from repro.metrics import MetricSet
 
 __all__ = [
     "CORRUPTION_KINDS",
@@ -138,7 +137,8 @@ class FaultPlan(object):
         self.actions = []
         #: fired injections, in order: (sim_time, event, kind, target).
         self.log = []
-        self.metrics = MetricSet("faults")
+        #: the world's "faults" metric scope, once installed
+        self.metrics = None
         #: corruption actions still waiting for stored bytes to damage;
         #: the chaos pipeline waits for this to drain before its final
         #: scrub, so every scheduled corruption lands inside the run.
@@ -292,6 +292,7 @@ class FaultPlan(object):
         ``service_crash`` actions (by ``.name``).
         """
         self._world = world
+        self.metrics = world.sim.metrics("faults")
         self._services = {service.name: service for service in services}
         for action in self.actions:
             if action.kind == "service_crash" \

@@ -22,7 +22,6 @@ its problem is crossing overhead, not placement.
 
 from repro.common.errors import ServiceFailed
 from repro.fs.api import FileHandle, Filesystem, OpenFlags, Task
-from repro.metrics import MetricSet
 from repro.sim.cpu import SimThread
 from repro.sim.sync import Store
 
@@ -64,7 +63,7 @@ class FuseTransport(Filesystem):
         self.name = name
         self.pool = pool
         self.use_page_cache = use_page_cache
-        self.metrics = MetricSet(name)
+        self.metrics = kernel.sim.metrics(name)
         self.fs_id = FuseTransport._next_id[0]
         FuseTransport._next_id[0] += 1
         self._queue = Store(kernel.sim, name="fuse:%s" % name)

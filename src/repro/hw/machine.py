@@ -10,7 +10,6 @@ a RAM account that backs cgroup memory charging.
 from repro.common import units
 from repro.common.errors import ConfigError, OutOfMemory
 from repro.hw.disk import Disk, Raid0
-from repro.metrics import MetricSet
 from repro.sim.cpu import Core
 
 __all__ = ["CoreGroup", "RamAccount", "Machine"]
@@ -146,7 +145,6 @@ class Machine(object):
             for index in range(num_disks)
         ]
         self.activated = list(self.cores)
-        self.metrics = MetricSet("%s.metrics" % name)
         self._next_alloc = 0
 
     def activate_cores(self, count):

@@ -22,7 +22,6 @@ from repro.fs.api import FileHandle, Filesystem, OpenFlags
 from repro.kernel.locks import LockRegistry
 from repro.kernel.pagecache import PageCache
 from repro.kernel.writeback import WritebackDaemon
-from repro.metrics import MetricSet
 from repro.sim.cpu import SimThread
 from repro.sim.sync import Store
 
@@ -77,12 +76,11 @@ class HostKernel(object):
         self.sim = sim
         self.machine = machine
         self.costs = costs if costs is not None else CostModel()
-        self.metrics = MetricSet("kernel")
+        self.metrics = sim.metrics("kernel:%s" % machine.name)
         self.locks = LockRegistry(sim)
         self.page_cache = PageCache(self.costs.page_size, machine.ram)
         self.writeback = WritebackDaemon(
             sim, machine, self.page_cache, self.costs, self.locks,
-            metrics=self.metrics,
         )
         self.workqueue = Workqueue(sim, machine, self.costs)
         self.vfs = Vfs(self)

@@ -25,7 +25,6 @@ from repro.fs import pathutil
 from repro.fs.api import FileHandle, FileStat, Filesystem, OpenFlags
 from repro.fs.memtree import MemTree
 from repro.fs.readahead import plan_fetch
-from repro.metrics import MetricSet
 
 __all__ = ["LocalFs"]
 
@@ -65,7 +64,7 @@ class LocalFs(Filesystem):
         self.tree = MemTree()
         self.fs_id = LocalFs._next_fs_id[0]
         LocalFs._next_fs_id[0] += 1
-        self.metrics = MetricSet("localfs:%s" % name)
+        self.metrics = kernel.sim.metrics("localfs:%s" % name)
 
     # -- helpers ---------------------------------------------------------
 

@@ -27,21 +27,19 @@ __all__ = ["WritebackDaemon"]
 class WritebackDaemon(object):
     """Host-wide flusher thread pool with per-cgroup dirty limits."""
 
-    def __init__(self, sim, machine, page_cache, costs, lock_registry,
-                 metrics=None):
+    def __init__(self, sim, machine, page_cache, costs, lock_registry):
         self.sim = sim
         self.machine = machine
         self.page_cache = page_cache
         self.costs = costs
         self.locks = lock_registry
-        self.metrics = metrics
+        self.metrics = sim.metrics("writeback:%s" % machine.name)
         self._max_dirty = {}  # account -> byte limit
         self._progress_waiters = []
         self._kick_events = []
         self._threads = []
         self._stopped = False
         self._stalled_until = 0.0
-        self.pages_flushed = 0
         for index in range(costs.nr_flushers):
             thread = SimThread(
                 sim, "flusher%d" % index, machine.activated
@@ -78,8 +76,7 @@ class WritebackDaemon(object):
         """
         self._stalled_until = max(self._stalled_until, self.sim.now + duration)
         self.sim.trace("wb", "stall", duration=duration)
-        if self.metrics is not None:
-            self.metrics.counter("wb.stalls").add(1)
+        self.metrics.counter("wb.stalls").add(1)
 
     def _wait_stall(self):
         while self.sim.now < self._stalled_until and not self._stopped:
@@ -183,9 +180,7 @@ class WritebackDaemon(object):
                     self.page_cache.cancel_writeback(cf, picked)
                     raise
                 self.page_cache.clean(cf, picked)
-                self.pages_flushed += len(picked)
-                if self.metrics is not None:
-                    self.metrics.counter("wb.pages_flushed").add(len(picked))
+                self.metrics.counter("wb.pages_flushed").add(len(picked))
                 if obs is not None:
                     self.sim.trace("wb", "flush", file=str(cf.key),
                                    pages=len(picked))
@@ -220,8 +215,7 @@ class WritebackDaemon(object):
                 yield self.sim.any_of([progress, timeout])
                 if obs is not None:
                     self.sim.trace("wb", "throttle", account=account.name)
-                if self.metrics is not None:
-                    self.metrics.counter("wb.throttle_waits").add(1)
+                self.metrics.counter("wb.throttle_waits").add(1)
         finally:
             if span is not None:
                 span.end()

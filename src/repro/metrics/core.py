@@ -26,10 +26,6 @@ class Counter(object):
             raise ValueError("counter %r cannot decrease" % self.name)
         self.value += amount
 
-    def rate(self, elapsed):
-        """Value per second over ``elapsed`` seconds."""
-        return self.value / elapsed if elapsed > 0 else 0.0
-
     def __repr__(self):
         return "<Counter %s=%r>" % (self.name, self.value)
 
@@ -126,8 +122,9 @@ class Histogram(object):
 class MetricSet(object):
     """A named bag of metrics, created on first use.
 
-    Components hold one :class:`MetricSet` each (per pool, per client, per
-    workload); the harness rolls them up into report rows.
+    One per scope of the simulator's registry
+    (:meth:`repro.sim.Simulator.metrics`): each component writes its own
+    scope and the profile tables read them.
     """
 
     def __init__(self, name="metrics"):
@@ -153,17 +150,3 @@ class MetricSet(object):
         if metric is None:
             metric = self.histograms[name] = Histogram(name)
         return metric
-
-    def snapshot(self):
-        """A plain-dict summary used by reports and tests."""
-        out = {}
-        for name, counter in self.counters.items():
-            out[name] = counter.value
-        for name, gauge in self.gauges.items():
-            out[name] = gauge.value
-            out[name + ".hw"] = gauge.high_water
-        for name, hist in self.histograms.items():
-            out[name + ".count"] = hist.count
-            out[name + ".mean"] = hist.mean
-            out[name + ".p99"] = hist.p99 if hist.count else 0.0
-        return out

@@ -14,7 +14,6 @@ the ``--report`` fabric table.
 
 from repro.common import units
 from repro.common.errors import ConfigError, NetworkPartitioned
-from repro.metrics import MetricSet
 
 __all__ = ["Link", "Fabric"]
 
@@ -47,7 +46,7 @@ class Link(object):
         self.delay_factor = 1.0
         self.loss_rate = 0.0
         self._loss_rng = None
-        self.metrics = MetricSet("link:%s" % name)
+        self.metrics = sim.metrics("link:%s" % name)
 
     # -- fault injection -------------------------------------------------
 

@@ -1,27 +1,26 @@
-"""The unified observability core: event sink, spans, metric registries.
+"""The unified observability core: event sink, spans, profiles.
 
 One :class:`Observer` replaces the previously separate tracing and
 metric surfaces. It is attached through ``World.observe(...)``, which
 installs it as ``sim.observer`` — the one handle every layer reads,
-``sim.trace`` included — and collects three kinds of evidence:
+``sim.trace`` included — and collects two kinds of evidence:
 
 * **events** — flat flight-recorder records, in a ring buffer so the
   *most recent* window survives overflow;
 * **spans** — nested begin/end intervals riding the DES clock, with
   parent/child structure and on-CPU time attribution (the profiling
-  analogue of the paper's "our kernel profiling showed…");
-* **metric registries** — get-or-create :class:`~repro.metrics.MetricSet`
-  scopes, so instrumented layers share one registry instead of
-  constructing metric objects per site.
+  analogue of the paper's "our kernel profiling showed…").
 
-Everything is strictly opt-in: with no observer attached, every
-instrumented hot path is a single attribute check on the simulator.
+Counters and gauges are not the observer's: components write them into
+the simulator's one registry (``sim.metrics(scope)``) attached or not,
+and :meth:`Observer.metrics` / :meth:`Observer.scopes` read that
+registry. Events, spans and the per-op sample series are strictly
+opt-in: with no observer attached, each of those sites is a single
+attribute check on the simulator.
 """
 
 import json
 from collections import deque
-
-from repro.metrics import MetricSet
 
 __all__ = ["TraceEvent", "Span", "Observer"]
 
@@ -109,8 +108,22 @@ class Span(object):
         return "<Span %s %s>" % ("/".join(self.path), state)
 
 
+def _dispatch_row(label, registry, samples):
+    """One dispatch-profile row: the ``samples`` histogram's
+    distribution plus the ``inflight`` gauge's high-water mark."""
+    hist = registry.histograms.get(samples)
+    inflight = registry.gauges.get("inflight")
+    return {
+        "scope": label,
+        "samples": hist.count if hist is not None else 0,
+        "mean": hist.mean if hist is not None else 0.0,
+        "max": hist.max if hist is not None else 0,
+        "inflight_hw": inflight.high_water if inflight is not None else 0,
+    }
+
+
 class Observer(object):
-    """One attached observability instance: events + spans + registries."""
+    """One attached observability instance: events, spans, profiles."""
 
     def __init__(self, sim, categories=None, capacity=100000, world=None):
         self.sim = sim
@@ -121,7 +134,6 @@ class Observer(object):
         self.dropped = 0
         self.spans = deque(maxlen=capacity)
         self._stacks = {}  # SimThread -> [open Span, ...]
-        self._scopes = {}  # scope name -> MetricSet
         self._timelines = {}  # name -> [(t, value), ...]
         self._cpu = {}  # (core name, thread name) -> seconds
         self._switches = {}  # thread name -> involuntary switch count
@@ -179,18 +191,15 @@ class Observer(object):
         self._cpu.clear()
         self._switches.clear()
 
-    # -- metric registries ------------------------------------------------
+    # -- metric registries (a view of the simulator's) --------------------
 
     def metrics(self, scope):
-        """The get-or-create :class:`MetricSet` registry for ``scope``."""
-        registry = self._scopes.get(scope)
-        if registry is None:
-            registry = self._scopes[scope] = MetricSet(scope)
-        return registry
+        """The simulator's registry for ``scope`` (get-or-create)."""
+        return self.sim.metrics(scope)
 
     def scopes(self):
-        """Sorted scope names with a registry so far."""
-        return sorted(self._scopes)
+        """Sorted scope names of the simulator's registry."""
+        return self.sim.scopes()
 
     # -- spans -------------------------------------------------------------
 
@@ -405,64 +414,24 @@ class Observer(object):
         One ``client`` row summarises the striped fan-out at the
         dispatch point — how many multi-object calls fanned out, how
         wide, and the inflight-window occupancy high-water — followed by
-        one row per ``osdN`` metric scope showing the server side: ops
-        inflight high-water and the queue depth seen at op arrival.
+        one row per ``osdN`` metric scope that served an op, showing the
+        server side: ops inflight high-water and the queue depth seen at
+        op arrival (the two distributions are per-op samples, kept only
+        while an observer is attached).
         """
+        scopes = self.scopes()
         rows = []
-        registry = self._scopes.get("dispatch")
-        if registry is not None:
-            width = registry.histograms.get("width")
-            inflight = registry.gauges.get("inflight")
-            rows.append({
-                "scope": "client",
-                "samples": width.count if width is not None else 0,
-                "mean": width.mean if width is not None else 0.0,
-                "max": width.max if width is not None else 0,
-                "inflight_hw": (
-                    inflight.high_water if inflight is not None else 0
-                ),
-            })
-        osd_scopes = []
-        for scope in self._scopes:
-            tail = scope[3:]
-            if scope.startswith("osd") and tail.isdigit():
-                osd_scopes.append((int(tail), scope))
-        for _osd_id, scope in sorted(osd_scopes):
-            registry = self._scopes[scope]
-            qdepth = registry.histograms.get("qdepth")
-            inflight = registry.gauges.get("inflight")
-            rows.append({
-                "scope": scope,
-                "samples": qdepth.count if qdepth is not None else 0,
-                "mean": qdepth.mean if qdepth is not None else 0.0,
-                "max": qdepth.max if qdepth is not None else 0,
-                "inflight_hw": (
-                    inflight.high_water if inflight is not None else 0
-                ),
-            })
-        return rows
-
-    def _scope_rows(self, scope):
-        """One row per metric of ``scope``: counters first (their running
-        totals), then gauges (final value plus high-water mark). Empty
-        when nothing ever registered the scope."""
-        registry = self._scopes.get(scope)
-        if registry is None:
-            return []
-        rows = []
-        for name in sorted(registry.counters):
-            rows.append({
-                "metric": name,
-                "value": registry.counters[name].value,
-                "high_water": None,
-            })
-        for name in sorted(registry.gauges):
-            gauge = registry.gauges[name]
-            rows.append({
-                "metric": name,
-                "value": gauge.value,
-                "high_water": gauge.high_water,
-            })
+        if "dispatch" in scopes:
+            rows.append(_dispatch_row("client", self.metrics("dispatch"),
+                                      "width"))
+        osd_scopes = sorted(
+            (int(scope[3:]), scope) for scope in scopes
+            if scope.startswith("osd") and scope[3:].isdigit()
+        )
+        for _osd_id, scope in osd_scopes:
+            registry = self.metrics(scope)
+            if "inflight" in registry.gauges:
+                rows.append(_dispatch_row(scope, registry, "qdepth"))
         return rows
 
     def fabric_profile(self):

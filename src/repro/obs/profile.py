@@ -11,6 +11,7 @@ fixed-width text so diffs between runs stay readable.
 """
 
 from collections import namedtuple
+from fnmatch import fnmatchcase
 
 from repro.obs.observer import Observer
 
@@ -22,9 +23,37 @@ __all__ = ["Table", "TABLES", "format_table"]
 Table = namedtuple("Table", "key title empty source columns limit")
 
 
-def _scope(name):
-    """Row source: one row per counter/gauge of metric scope ``name``."""
-    return lambda observer: observer._scope_rows(name)
+def _metrics(*picks):
+    """Row source over the simulator's metric registry.
+
+    Each pick is ``(scope pattern, metric names)``: every scope matching
+    the glob pattern contributes one row per counter (its running total)
+    and then per gauge (final value plus high-water mark), restricted to
+    ``metric names`` unless that is None. A metric nobody wrote yet has
+    no row, so a table stays empty until its facts happen.
+    """
+    def rows(observer):
+        out = []
+        for pattern, names in picks:
+            for scope in observer.scopes():
+                if not fnmatchcase(scope, pattern):
+                    continue
+                registry = observer.metrics(scope)
+                values = [
+                    (name, counter.value, None)
+                    for name, counter in sorted(registry.counters.items())
+                ] + [
+                    (name, gauge.value, gauge.high_water)
+                    for name, gauge in sorted(registry.gauges.items())
+                ]
+                out.extend(
+                    {"scope": scope, "metric": name, "value": value,
+                     "high_water": high_water}
+                    for name, value, high_water in values
+                    if names is None or name in names
+                )
+        return out
+    return rows
 
 
 def _fixed(pattern):
@@ -42,6 +71,7 @@ def _thieves(names):
 #: Counters show their totals; gauges also show the high-water mark
 #: (``-`` for counters, which have none).
 _METRIC_COLUMNS = (
+    ("scope", "scope", str),
     ("metric", "metric", str),
     ("value", "value", str),
     ("high_water", "high_water", str),
@@ -84,27 +114,38 @@ TABLES = (
          ("inflight_hw", "inflight_hw", str)),
         None,
     ),
-    # Map-epoch bumps and client map refreshes, EOLDEPOCH rejects,
-    # backfill bytes/pushes/trims and budget deferrals, degraded and
-    # misplaced object gauges.
+    # Map-epoch bumps and the epoch, client map refreshes and EOLDEPOCH
+    # rejects, backfill bytes/pushes/trims and budget deferrals, degraded
+    # and misplaced object gauges.
     Table(
         "recovery", "membership recovery (map epochs, backfill, degraded):",
-        "(no membership change, no recovery traffic)", _scope("recovery"),
+        "(no membership change, no recovery traffic)",
+        _metrics(("monitor", ("epoch_bumps", "map_epoch")),
+                 ("cluster", ("map_refreshes", "stale_map_rejects")),
+                 ("backfill", ("bytes_moved", "objects_pushed",
+                               "objects_trimmed", "budget_deferrals",
+                               "degraded_objects", "misplaced_objects"))),
         _METRIC_COLUMNS, None,
     ),
-    # Per-rank journal appends, fenced ops, dedup hits and replays
-    # (r<rank>.*), failovers and the mdsmap epoch, journal lag / session
-    # / replay-duration gauges. The scope's service_s histogram alone
-    # produces no rows.
+    # The MdsService's failovers, rank splits, rejoins, heartbeat
+    # failures, mdsmap epoch and per-rank journal lag; each daemon's
+    # (mds:<gid>) journal appends, fenced ops, dedup hits, replays and
+    # last replay's duration and sessions. The "mds" scope's service_s
+    # histogram produces no rows.
     Table(
         "mds", "metadata HA (journal, sessions, failover):",
-        "(metadata HA never armed)", _scope("mds"), _METRIC_COLUMNS, None,
+        "(metadata HA never armed)",
+        _metrics(("mds", None),
+                 ("mds:*", ("dedup_hits", "fenced_ops", "journal_entries",
+                            "replays", "replay_s", "sessions"))),
+        _METRIC_COLUMNS, None,
     ),
-    # Mode switches (total and per target mode) and the final mode index
-    # (0=global, 1=inode, 2=range).
+    # Per adaptive client (locking:<client>): mode switches (total and
+    # per target mode) and the final mode index (0=global, 1=inode,
+    # 2=range).
     Table(
         "locking", "adaptive locking (mode switches, final mode):",
-        "(no adaptive locking policy ran)", _scope("locking"),
+        "(no adaptive locking policy ran)", _metrics(("locking:*", None)),
         _METRIC_COLUMNS, None,
     ),
     Table(
@@ -119,12 +160,15 @@ TABLES = (
     Table(
         "integrity",
         "end-to-end integrity (checksum failures, read repairs, quarantines):",
-        "(no checksum failure, no repair)", _scope("integrity"),
+        "(no checksum failure, no repair)",
+        _metrics(("cluster", ("checksum_failures", "quarantined",
+                              "read_repairs"))),
         _METRIC_COLUMNS, None,
     ),
     Table(
         "scrub", "scrub (objects scanned, errors found, repaired):",
-        "(scrub never ran)", _scope("scrub"), _METRIC_COLUMNS, None,
+        "(scrub never ran)", _metrics(("scrub", None)), _METRIC_COLUMNS,
+        None,
     ),
     Table(
         "trace_summary", "trace summary:", "(no trace events)", None,

@@ -93,6 +93,7 @@ from collections import deque
 from math import inf
 
 from repro.common.errors import SimulationError
+from repro.metrics import MetricSet
 
 __all__ = [
     "Event",
@@ -528,6 +529,7 @@ class Simulator(object):
         self.crashed = []  # (process, exception) for unobserved failures
         self.observer = None  # the attached repro.obs.Observer, if any
         self._locks = []  # (scope, lock_class, instance, Mutex) registry
+        self._scopes = {}  # scope name -> MetricSet (see metrics())
 
     def trace(self, category, name, **detail):
         """Emit a trace event when an observer is attached (else a no-op).
@@ -560,6 +562,23 @@ class Simulator(object):
         lock instead of aliasing the departed one's stats.
         """
         self._locks = [entry for entry in self._locks if entry[3] is not lock]
+
+    def metrics(self, scope):
+        """The get-or-create :class:`~repro.metrics.MetricSet` of ``scope``.
+
+        The world's one metric registry: each component writes its
+        counters and gauges into its own scope (named after the instance,
+        so no two components share one) whether or not an observer is
+        attached, and the observer's profile tables read them from here.
+        """
+        registry = self._scopes.get(scope)
+        if registry is None:
+            registry = self._scopes[scope] = MetricSet(scope)
+        return registry
+
+    def scopes(self):
+        """Sorted scope names with a registry so far."""
+        return sorted(self._scopes)
 
     # -- scheduling internals ------------------------------------------
 

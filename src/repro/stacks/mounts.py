@@ -1,7 +1,5 @@
 """Mount objects: what a container receives from a stack factory."""
 
-from repro.metrics import MetricSet
-
 __all__ = ["Mount"]
 
 
@@ -32,7 +30,6 @@ class Mount(object):
         self.client = client
         self.union = union
         self.fuse_layers = tuple(fuse_layers)
-        self.metrics = MetricSet("mount:%s" % name)
 
     def exec_read(self, task, path):
         """Legacy kernel-initiated read (exec/mmap); sim generator."""

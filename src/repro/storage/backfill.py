@@ -25,7 +25,6 @@ Two refinements over copying everything at once:
 """
 
 from repro.common.errors import RETRYABLE
-from repro.metrics import MetricSet
 from repro.sim import Interrupt
 
 __all__ = ["BackfillScheduler"]
@@ -49,7 +48,7 @@ class BackfillScheduler(object):
             ops_per_osd if ops_per_osd is not None
             else costs.backfill_ops_per_osd
         )
-        self.metrics = MetricSet("backfill")
+        self.metrics = cluster.sim.metrics("backfill")
         self._proc = None
 
     # -- lifecycle -------------------------------------------------------
@@ -143,8 +142,6 @@ class BackfillScheduler(object):
     def cycle(self):
         """One budgeted pass; sim generator returning bytes moved."""
         monitor = self.cluster.monitor
-        observer = self.cluster.sim.observer
-        scope = observer.metrics("recovery") if observer is not None else None
         budget_bytes = {}
         budget_ops = {}
         moved = 0
@@ -189,19 +186,10 @@ class BackfillScheduler(object):
             self.metrics.counter("objects_trimmed").add(trimmed)
         if deferrals:
             self.metrics.counter("budget_deferrals").add(deferrals)
-        if scope is not None:
-            if moved:
-                scope.counter("backfill_bytes").add(moved)
-            if pushes:
-                scope.counter("backfill_pushes").add(pushes)
-            if trimmed:
-                scope.counter("backfill_trims").add(trimmed)
-            if deferrals:
-                scope.counter("budget_deferrals").add(deferrals)
-            scope.gauge("degraded_objects").set(
-                len(monitor.under_replicated())
-            )
-            scope.gauge("misplaced_objects").set(len(monitor.misplaced()))
+        self.metrics.gauge("degraded_objects").set(
+            len(monitor.under_replicated())
+        )
+        self.metrics.gauge("misplaced_objects").set(len(monitor.misplaced()))
         if (moved or trimmed) and self.idle():
             # Converged: remapped placements are fully materialised, so
             # the fast read path may trust CRUSH again.

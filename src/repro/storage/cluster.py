@@ -35,7 +35,6 @@ from repro.common.errors import (
     OpTimeout,
 )
 from repro.common.rope import ByteRope
-from repro.metrics import MetricSet
 from repro.sim.sync import Semaphore
 from repro.storage.backfill import BackfillScheduler
 from repro.storage.crush import CrushMap
@@ -63,7 +62,7 @@ class CephCluster(object):
         #: refreshed only on retry boundaries so fencing is observable.
         self._mdsmap = None
         self.monitor = Monitor(self)
-        self.metrics = MetricSet("cluster")
+        self.metrics = sim.metrics("cluster")
         self._cap_clients = {}  # client_id -> client (caps-mode only)
         self._next_client_id = 1
         self._integrity_armed = False
@@ -94,8 +93,6 @@ class CephCluster(object):
             max(1, int(getattr(costs, "client_inflight_ops", 16))),
             name="client_window",
         )
-        #: fan-out children currently holding a window slot (gauge feed)
-        self._fanout_inflight = 0
         #: peek() assembly memo: (ino, offset, size) -> (witness, bytes).
         #: The witness records which OSD backed each extent and its
         #: store_epoch at assembly time; any byte mutation anywhere on a
@@ -156,13 +153,10 @@ class CephCluster(object):
         self._integrity_armed = True
         for osd in self.osds:
             osd.verify_enabled = True
-        obs = self.sim.observer
-        if obs is not None:
-            # Armed verification reports its read-path counters, zeros
-            # included, so a clean run still shows the integrity table.
-            scope = obs.metrics("integrity")
-            for name in ("checksum_failures", "read_repairs", "quarantined"):
-                scope.counter(name)
+        # Armed verification reports its read-path counters, zeros
+        # included, so a clean run still shows the integrity table.
+        for name in ("checksum_failures", "read_repairs", "quarantined"):
+            self.metrics.counter(name)
 
     @property
     def integrity_armed(self):
@@ -250,9 +244,6 @@ class CephCluster(object):
         if self._osdmap.epoch < self.monitor.epoch:
             self._osdmap = self.monitor.get_map()
             self.metrics.counter("map_refreshes").add(1)
-            obs = self.sim.observer
-            if obs is not None:
-                obs.metrics("recovery").counter("map_refreshes").add(1)
 
     @property
     def resilient(self):
@@ -364,11 +355,6 @@ class CephCluster(object):
                 # blame — refresh immediately so the next attempt (after
                 # its backoff) resolves placement from current membership.
                 self.metrics.counter("stale_map_rejects").add(1)
-                obs = self.sim.observer
-                if obs is not None:
-                    obs.metrics("recovery").counter(
-                        "stale_map_rejects"
-                    ).add(1)
                 self._refresh_map()
             if isinstance(last_err, OpTimeout):
                 blame = getattr(last_err, "osd_id", report_osd)
@@ -500,23 +486,15 @@ class CephCluster(object):
         (see :meth:`_attempt` for the same pattern on the retry path).
         """
         yield self._window.acquire()
-        self._fanout_inflight += 1
-        obs = self.sim.observer
-        if obs is not None:
-            obs.metrics("dispatch").gauge("inflight").set(
-                self._fanout_inflight
-            )
+        inflight = self.sim.metrics("dispatch").gauge("inflight")
+        inflight.add(1)
         try:
             value = yield from gen
             return (True, value)
         except Exception as err:
             return (False, err)
         finally:
-            self._fanout_inflight -= 1
-            if obs is not None:
-                obs.metrics("dispatch").gauge("inflight").set(
-                    self._fanout_inflight
-                )
+            inflight.add(-1)
             self._window.release()
 
     def _dispatch(self, jobs, what):
@@ -531,9 +509,8 @@ class CephCluster(object):
         """
         if len(jobs) == 1:
             return [(yield from jobs[0])]
-        obs = self.sim.observer
-        if obs is not None:
-            obs.metrics("dispatch").histogram("width").observe(len(jobs))
+        if self.sim.observer is not None:
+            self.sim.metrics("dispatch").histogram("width").observe(len(jobs))
         children = [
             self.sim.spawn(self._windowed(gen), name="fanout:%s" % what)
             for gen in jobs
@@ -648,9 +625,6 @@ class CephCluster(object):
             self.metrics.counter("checksum_failures").add(1)
             self.sim.trace("cluster", "checksum_fail", ino=ino, index=index,
                            osd=osd_id)
-            obs = self.sim.observer
-            if obs is not None:
-                obs.metrics("integrity").counter("checksum_failures").add(1)
             remaining = [
                 holder for holder in self.monitor.holders(ino, index)
                 if holder not in rejected
@@ -671,9 +645,6 @@ class CephCluster(object):
             return
         if repaired:
             self.metrics.counter("read_repairs").add(repaired)
-            obs = self.sim.observer
-            if obs is not None:
-                obs.metrics("integrity").counter("read_repairs").add(repaired)
 
     def _quarantine(self, ino, index):
         """Mark an object as having no verified-clean replica."""
@@ -681,9 +652,6 @@ class CephCluster(object):
             self.quarantined.add((ino, index))
             self.metrics.counter("quarantined").add(1)
             self.sim.trace("cluster", "quarantine", ino=ino, index=index)
-            obs = self.sim.observer
-            if obs is not None:
-                obs.metrics("integrity").counter("quarantined").add(1)
 
     def integrity_errors(self):
         """Corrupt replicas on live OSDs: ``[(osd_id, ino, index)]``.
@@ -1021,7 +989,7 @@ class CephCluster(object):
             result = yield from inner
         finally:
             span.end()
-        obs.metrics("mds").histogram("service_s").observe(span.duration)
+        self.sim.metrics("mds").histogram("service_s").observe(span.duration)
         return result
 
     def _mds_retry(self, op_name, args, kwargs):

@@ -45,7 +45,6 @@ from repro.common.errors import (
 )
 from repro.fs import pathutil
 from repro.fs.memtree import MemTree
-from repro.metrics import MetricSet
 from repro.sim.sync import Semaphore
 from repro.storage.caps import CapsTable
 from repro.storage.mdsmap import MdsMap
@@ -169,7 +168,7 @@ class Mds(object):
         #: (reacquiring caps) when it moved — the CephFS
         #: session-reconnect protocol.
         self.session_epoch = 1
-        self.metrics = MetricSet("mds")
+        self.metrics = sim.metrics("mds:%d" % gid)
         # --- HA state (inert until a journal/service is attached) -----
         self.gid = gid
         self.rank = 0
@@ -237,15 +236,6 @@ class Mds(object):
             self._versions.get(node.ino, 0),
         )
 
-    def _obs_scope(self):
-        obs = self.sim.observer
-        return None if obs is None else obs.metrics("mds")
-
-    def _obs_count(self, name):
-        scope = self._obs_scope()
-        if scope is not None:
-            scope.counter("r%s.%s" % (self.rank, name)).add(1)
-
     def _op(self, map_epoch=None):
         """Pay the MDS service cost under the concurrency bound."""
         if self.crashed or not self.available:
@@ -266,7 +256,6 @@ class Mds(object):
         """Reject ops this daemon must not serve under the current map."""
         if self.state in ("standby", "stopped") or map_epoch < self.map_epoch:
             self.metrics.counter("fenced_ops").add(1)
-            self._obs_count("fenced_ops")
             raise OldEpoch(
                 "mds gid %d fenced (op epoch %s < map epoch %d)"
                 % (self.gid, map_epoch, self.map_epoch)
@@ -281,7 +270,6 @@ class Mds(object):
         hit = self.dedup.get((client_id, op_id), _MISS)
         if hit is not _MISS:
             self.metrics.counter("dedup_hits").add(1)
-            self._obs_count("dedup_hits")
         return hit
 
     def _journal_mutation(self, op, fields, client_id, op_id):
@@ -301,7 +289,6 @@ class Mds(object):
         record.update(fields)
         yield from self.journal.append(record)
         self.metrics.counter("journal_entries").add(1)
-        self._obs_count("journal_entries")
         if self.crashed:
             # SIGKILL raced the append: the record is durable but this
             # process never applies it — the promoted standby's replay
@@ -671,11 +658,8 @@ class Mds(object):
         duration = self.sim.now - started
         self.metrics.counter("replays").add(1)
         self.metrics.counter("replayed_records").add(len(records))
-        scope = self._obs_scope()
-        if scope is not None:
-            scope.counter("r%s.replays" % rank).add(1)
-            scope.gauge("r%s.replay_s" % rank).set(duration)
-            scope.gauge("r%s.sessions" % rank).set(len(self.sessions))
+        self.metrics.gauge("replay_s").set(duration)
+        self.metrics.gauge("sessions").set(len(self.sessions))
         self.sim.trace("mds", "replayed", gid=self.gid, rank=rank,
                        records=len(records), duration=duration)
         return len(records)
@@ -717,7 +701,7 @@ class MdsService(object):
         primary.journal = self.journals[0]
         primary.rank = 0
         primary.state = "active"
-        self.metrics = MetricSet("mds_ha")
+        self.metrics = self.sim.metrics("mds")
         self._tails = {}       # gid -> tail process
         self._promoting = set()
         self._hb_misses = {}   # rank -> consecutive missed probes
@@ -736,9 +720,7 @@ class MdsService(object):
         for daemon in self.daemons.values():
             daemon.map_epoch = self.epoch
         self.cluster.monitor.publish_mdsmap(mdsmap, event, rank=rank)
-        obs = self.sim.observer
-        if obs is not None:
-            obs.metrics("mds").gauge("map_epoch").set(self.epoch)
+        self.metrics.gauge("map_epoch").set(self.epoch)
         return mdsmap
 
     # -- pool management ---------------------------------------------------
@@ -802,10 +784,8 @@ class MdsService(object):
             journal = self.journals[rank]
             pos = daemon._tail_pos.get(rank, 0)
             lag = journal.length - pos
-            obs = self.sim.observer
             if lag <= 0:
-                if obs is not None:
-                    obs.metrics("mds").gauge("r%d.journal_lag" % rank).set(0)
+                self.metrics.gauge("r%d.journal_lag" % rank).set(0)
                 continue
             records, consumed = yield from journal.read_from(pos)
             if daemon.state != "standby" or daemon.crashed:
@@ -813,10 +793,9 @@ class MdsService(object):
             for record in records:
                 daemon.absorb(rank, record, apply=False)
             daemon._tail_pos[rank] = pos + consumed
-            if obs is not None:
-                obs.metrics("mds").gauge("r%d.journal_lag" % rank).set(
-                    journal.length - daemon._tail_pos[rank]
-                )
+            self.metrics.gauge("r%d.journal_lag" % rank).set(
+                journal.length - daemon._tail_pos[rank]
+            )
 
     # -- heartbeats / failover ---------------------------------------------
 
@@ -872,9 +851,6 @@ class MdsService(object):
                 daemon.session_epoch = self.session_epoch
             self._publish("mds_failover", rank=rank)
             self.metrics.counter("failovers").add(1)
-            obs = self.sim.observer
-            if obs is not None:
-                obs.metrics("mds").counter("failovers").add(1)
             pos = standby._tail_pos.get(rank, 0)
             yield from standby.replay_journal(self.journals[rank], rank,
                                               from_bytes=pos)

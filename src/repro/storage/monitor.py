@@ -34,7 +34,6 @@ module makes the substrate whole enough to test that direction.
 """
 
 from repro.common.errors import DataUnavailable
-from repro.metrics import MetricSet
 
 __all__ = ["Monitor", "OsdMap"]
 
@@ -104,7 +103,7 @@ class Monitor(object):
         self._suspect = set()
         self._failure_reports = {}  # osd_id -> [report times] in the window
         self._stale = {}  # osd_id -> keys rewritten while that OSD was dead
-        self.metrics = MetricSet("monitor")
+        self.metrics = cluster.sim.metrics("monitor")
         self._down_since = {}     # osd_id -> sim time of mark_down
         self._down_reason = {}    # osd_id -> "admin" | "heartbeat" | "reports"
         self._flap_times = {}     # osd_id -> [times of down->up transitions]
@@ -137,11 +136,7 @@ class Monitor(object):
             trace["osd"] = osd_id
         self.cluster.sim.trace("mon", event, **trace)
         self.metrics.counter("epoch_bumps").add(1)
-        observer = self.cluster.sim.observer
-        if observer is not None:
-            scope = observer.metrics("recovery")
-            scope.counter("map_epoch_bumps").add(1)
-            scope.gauge("map_epoch").set(self.epoch)
+        self.metrics.gauge("map_epoch").set(self.epoch)
         # OSDs learn the new epoch; ops stamped older get rejected.
         for osd in self.cluster.osds:
             osd.map_epoch = self.epoch

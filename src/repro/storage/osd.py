@@ -30,7 +30,6 @@ import hashlib
 from repro.common.chunks import ChunkMap
 from repro.common.errors import InvalidArgument, OldEpoch, OpTimeout
 from repro.hw.disk import RamDisk
-from repro.metrics import MetricSet
 from repro.sim.sync import Semaphore
 
 __all__ = ["Osd"]
@@ -84,7 +83,7 @@ class Osd(object):
         self._versions = {}  # (ino, index) -> int
         #: ops currently inside the service section (fan-out visibility)
         self.inflight = 0
-        self.metrics = MetricSet("osd%d" % osd_id)
+        self.metrics = sim.metrics("osd%d" % osd_id)
 
     # -- fault injection -------------------------------------------------
 
@@ -169,23 +168,17 @@ class Osd(object):
         """Track one op entering service: inflight gauge + queue depth.
 
         Called right before the slot acquire so the histogram sees the
-        queue the op found on arrival. Pure counter work unless an
-        observer is attached.
+        queue the op found on arrival. The histogram keeps one sample per
+        op, so only while an observer is attached.
         """
         self.inflight += 1
-        obs = self.sim.observer
-        if obs is not None:
-            registry = obs.metrics("osd%d" % self.osd_id)
-            registry.gauge("inflight").set(self.inflight)
-            registry.histogram("qdepth").observe(self._slots.queue_len)
+        self.metrics.gauge("inflight").set(self.inflight)
+        if self.sim.observer is not None:
+            self.metrics.histogram("qdepth").observe(self._slots.queue_len)
 
     def _exit_op(self):
         self.inflight -= 1
-        obs = self.sim.observer
-        if obs is not None:
-            obs.metrics("osd%d" % self.osd_id).gauge("inflight").set(
-                self.inflight
-            )
+        self.metrics.gauge("inflight").set(self.inflight)
 
     # -- integrity bookkeeping (pure state, no sim events) ----------------
 
@@ -343,11 +336,10 @@ class Osd(object):
             self._exit_op()
         self.metrics.counter("reads").add(1)
         self.metrics.counter("bytes_read").add(len(data))
-        obs = self.sim.observer
-        if obs is not None:
-            obs.metrics("osd%d" % self.osd_id).histogram(
-                "read_service_s"
-            ).observe(self.sim.now - started)
+        if self.sim.observer is not None:
+            self.metrics.histogram("read_service_s").observe(
+                self.sim.now - started
+            )
         return data
 
     def _apply_write(self, ino, index, offset, data):
@@ -412,11 +404,10 @@ class Osd(object):
         self.metrics.counter("vector_writes").add(1)
         self.metrics.counter("vector_pieces").add(len(pieces))
         self.metrics.counter("bytes_written").add(total)
-        obs = self.sim.observer
-        if obs is not None:
-            obs.metrics("osd%d" % self.osd_id).histogram(
-                "write_service_s"
-            ).observe(self.sim.now - started)
+        if self.sim.observer is not None:
+            self.metrics.histogram("write_service_s").observe(
+                self.sim.now - started
+            )
         return total
 
     def truncate(self, ino, index, size, epoch):
@@ -458,11 +449,10 @@ class Osd(object):
         self.metrics.counter("verifies").add(1)
         if not ok:
             self.metrics.counter("verify_failures").add(1)
-        obs = self.sim.observer
-        if obs is not None:
-            obs.metrics("osd%d" % self.osd_id).histogram(
-                "verify_service_s"
-            ).observe(self.sim.now - started)
+        if self.sim.observer is not None:
+            self.metrics.histogram("verify_service_s").observe(
+                self.sim.now - started
+            )
         return ok
 
     def scrub_meta(self, ino, index):

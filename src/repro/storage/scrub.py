@@ -17,7 +17,6 @@ records no digests and verifies no reads.
 """
 
 from repro.common.errors import RETRYABLE, DataUnavailable
-from repro.metrics import MetricSet
 
 __all__ = ["ScrubDaemon"]
 
@@ -37,7 +36,7 @@ class ScrubDaemon(object):
         )
         self.batch = batch if batch is not None else costs.scrub_batch
         self.repair = repair if repair is not None else costs.scrub_repair
-        self.metrics = MetricSet("scrub")
+        self.metrics = self.sim.metrics("scrub")
         self.running = False
         self._cursor = 0
         self._cycle = 0
@@ -101,7 +100,6 @@ class ScrubDaemon(object):
             span = obs.span(None, "scrub.deep" if deep else "scrub.light",
                             "scrub", cycle=self._cycle)
         errors = 0
-        scanned = 0
         try:
             keys = self._universe()
             if keys:
@@ -116,18 +114,12 @@ class ScrubDaemon(object):
                         errors += yield from self._scrub_object(key, deep)
                     except RETRYABLE:
                         self.metrics.counter("objects_deferred").add(1)
-                    scanned += 1
         finally:
             if span is not None:
                 span.end()
         self.metrics.counter("cycles").add(1)
         if deep:
             self.metrics.counter("deep_cycles").add(1)
-        self.metrics.counter("objects_scrubbed").add(scanned)
-        if obs is not None:
-            obs.metrics("scrub").counter("objects").add(scanned)
-            if errors:
-                obs.metrics("scrub").counter("errors_found").add(errors)
         return errors
 
     def sweep(self, deep=True):
@@ -176,9 +168,14 @@ class ScrubDaemon(object):
         return not all(member in holders for member in acting)
 
     def _scrub_object(self, key, deep):
-        """Scrub one object across its replicas; returns bad replicas."""
+        """Scrub one object across its replicas; returns bad replicas.
+
+        The one place scrubbed objects and corrupt replicas are counted,
+        for periodic cycles and drain sweeps alike.
+        """
         ino, index = key
         cluster = self.cluster
+        self.metrics.counter("objects_scrubbed").add(1)
         if self._pending_backfill(key):
             self.metrics.counter("objects_deferred").add(1)
             return 0
@@ -207,7 +204,6 @@ class ScrubDaemon(object):
             cluster.quarantined.discard(key)
             return 0
         self.metrics.counter("errors_found").add(len(bad))
-        cluster.metrics.counter("scrub_errors").add(len(bad))
         self.sim.trace("scrub", "corrupt", ino=ino, index=index,
                        osds=tuple(bad))
         if not clean:
@@ -218,9 +214,6 @@ class ScrubDaemon(object):
                 ino, index, bad
             )
             self.metrics.counter("repaired").add(repaired)
-            obs = self.sim.observer
-            if obs is not None and repaired:
-                obs.metrics("scrub").counter("repaired").add(repaired)
         return len(bad)
 
     def _reconcile(self, ino, index, clean):

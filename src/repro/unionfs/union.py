@@ -27,7 +27,6 @@ from repro.common.errors import (
 )
 from repro.fs import pathutil
 from repro.fs.api import FileHandle, Filesystem, OpenFlags
-from repro.metrics import MetricSet
 
 __all__ = ["Branch", "UnionFs", "WHITEOUT_PREFIX"]
 
@@ -78,7 +77,7 @@ class UnionFs(Filesystem):
         self.costs = costs
         self.branches = list(branches)
         self.name = name
-        self.metrics = MetricSet(name)
+        self.metrics = sim.metrics(name)
 
     @property
     def top(self):

@@ -9,7 +9,7 @@ reports ops/s, bytes/s and latency percentiles through a
 
 from repro.common.rng import make_rng, pseudo_bytes
 from repro.fs.api import WRITE_PIECE
-from repro.metrics import MetricSet
+from repro.metrics import Histogram
 
 __all__ = ["WorkloadResult", "Workload"]
 
@@ -22,8 +22,7 @@ class WorkloadResult(object):
         self.ops = 0
         self.bytes_read = 0
         self.bytes_written = 0
-        self.metrics = MetricSet(name)
-        self.latency = self.metrics.histogram("latency")
+        self.latency = Histogram("latency")
         self.started_at = None
         self.finished_at = None
         self.errors = 0
@@ -62,7 +61,6 @@ class Workload(object):
         self.threads = threads
         self.seed = seed
         self.result = WorkloadResult(self.name)
-        self.metrics = MetricSet(self.name)
         self._deadline = None
 
     # -- subclass hooks -----------------------------------------------------

@@ -17,6 +17,7 @@ noisy neighbours, where per-tenant user-level clients should keep
 functions steady while a kernel-shared client lets the neighbour in.
 """
 
+from repro.metrics import Histogram
 from repro.workloads.base import Workload
 
 __all__ = ["ServerlessTenant"]
@@ -38,8 +39,8 @@ class ServerlessTenant(Workload):
         self.state_size = state_size
         self.compute_cpu = compute_cpu
         self.warm_fraction = warm_fraction
-        self.cold_latency = self.metrics.histogram("cold")
-        self.warm_latency = self.metrics.histogram("warm")
+        self.cold_latency = Histogram("cold")
+        self.warm_latency = Histogram("warm")
         self._loaded = set()  # warm sandboxes (function ids)
 
     def _handler_path(self, function_id):

@@ -22,6 +22,7 @@ from repro.common.errors import DataCorrupt, DataUnavailable, FsError
 from repro.common.rng import make_rng
 from repro.costs import CostModel
 from repro.net import Fabric
+from repro.obs import Observer, merge_profiles
 from repro.storage import CephCluster, ScrubDaemon
 from tests.conftest import run
 
@@ -342,6 +343,27 @@ def test_scrub_quarantines_unrepairable_object(sim, costs):
     assert errors_after == 0
     assert data == payload
     assert not cluster.quarantined
+
+
+@pytest.mark.scrub
+def test_scrub_table_counts_a_drain_once(sim, costs):
+    """``drain()`` sweeps, the path that ends a chaos run: its scrubbed
+    objects and corrupt replicas reach the scrub table, counted once."""
+    cluster = make_cluster(sim, costs, replicas=2)
+    store(sim, cluster, 25, b"d" * units.kib(16))
+    victim = cluster.monitor.holders(25, 0)[0]
+    assert cluster.osds[victim].inject_bitrot(25, 0, make_rng(9, "drain"))
+    observer = Observer(sim)
+    sim.observer = observer
+    daemon = ScrubDaemon(cluster)
+    assert run(sim, daemon.drain()) is True
+    table = {row["metric"]: row["value"]
+             for row in merge_profiles([observer])["scrub"]}
+    assert daemon.metrics.counter("errors_found").value == 1
+    assert table["errors_found"] == 1
+    # Two sweeps over the one object: the repairing pass, the clean pass.
+    assert table["objects_scrubbed"] == 2
+    assert table["repaired"] == 1
 
 
 # --- fast-path guard ---------------------------------------------------------

@@ -33,7 +33,7 @@ def test_flushers_steal_any_activated_core(sim):
 
     run(sim, proc(), until=100)
     sim.run(until=sim.now + 5)
-    assert kernel.writeback.pages_flushed > 0
+    assert kernel.writeback.metrics.counter("wb.pages_flushed").value > 0
     # Some flusher CPU executed on the neighbour cores.
     neighbor_busy = sum(core.busy_time for core in neighbor_cores)
     assert neighbor_busy > 0
@@ -65,7 +65,7 @@ def test_dirty_throttling_blocks_writers(sim, machine):
     # 1 MiB at a 256 KiB dirty cap over a 1 MiB/s device: the writer must
     # have spent most of the time throttled behind the flusher.
     assert elapsed > 0.5
-    assert kernel.metrics.counter("wb.throttle_waits").value > 0
+    assert kernel.writeback.metrics.counter("wb.throttle_waits").value > 0
 
 
 def test_fsync_uses_caller_not_flushers(sim, machine, kernel):
@@ -77,7 +77,7 @@ def test_fsync_uses_caller_not_flushers(sim, machine, kernel):
 
         handle = yield from fs.open(task, "/f", OpenFlags.CREAT | OpenFlags.RDWR)
         yield from fs.write(task, handle, 0, b"d" * units.kib(64))
-        before = kernel.writeback.pages_flushed
+        before = kernel.writeback.metrics.counter("wb.pages_flushed").value
         yield from fs.fsync(task, handle)
         yield from fs.close(task, handle)
         return before

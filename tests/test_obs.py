@@ -102,15 +102,36 @@ def test_fuse_and_vfs_spans_on_kernel_paths():
 
 
 def test_metric_registry_get_or_create():
-    observer = Observer(Simulator())
-    registry = observer.metrics("pool0")
-    assert observer.metrics("pool0") is registry
+    sim = Simulator()
+    registry = sim.metrics("pool0")
+    assert sim.metrics("pool0") is registry
     counter = registry.counter("ops")
     counter.add(2)
     assert registry.counter("ops") is counter
     assert registry.counter("ops").value == 2
-    assert observer.metrics("pool1") is not registry
+    assert sim.metrics("pool1") is not registry
+    assert sim.scopes() == ["pool0", "pool1"]
+    # The observer's registries are views of the simulator's.
+    observer = Observer(sim)
+    assert observer.metrics("pool0") is registry
     assert observer.scopes() == ["pool0", "pool1"]
+
+
+def test_late_attach_sees_counters_written_before_it():
+    """Counters do not wait for an observer: one attached after a CRUSH
+    change and after integrity armed still shows both in its tables."""
+    world = World(num_cores=4, ram_bytes=units.gib(4))
+    world.cluster.enable_integrity()
+    world.cluster.add_osd()
+    merged = obs.merge_profiles([world.observe()])
+    recovery = {(row["scope"], row["metric"]): row["value"]
+                for row in merged["recovery"]}
+    assert recovery == {("monitor", "epoch_bumps"): 1,
+                        ("monitor", "map_epoch"): 2}
+    integrity = {row["metric"]: row["value"] for row in merged["integrity"]}
+    assert integrity == {
+        "checksum_failures": 0, "quarantined": 0, "read_repairs": 0,
+    }
 
 
 # -- profiles -------------------------------------------------------------------

@@ -8,6 +8,7 @@ from repro.common import units
 from repro.common.errors import DataUnavailable
 from repro.costs import CostModel
 from repro.net import Fabric
+from repro.sim import Simulator
 from repro.storage import CephCluster
 from tests.conftest import run
 
@@ -348,7 +349,9 @@ def test_hand_crashed_osd_on_unarmed_cluster_takes_the_race(sim, costs):
     assert int(lone.metrics.counter("retries").value) >= 1
     assert lone.inflight_attempts == 0
 
-    pair = make_cluster(sim, costs, replicas=2)
+    # A world of its own: one cluster per simulator, so the retries
+    # counted below are the pair's and not the lone cluster's.
+    pair = make_cluster(Simulator(), costs, replicas=2)
 
     def route_around():
         yield from pair.write_extent(4, 0, payload)
@@ -362,7 +365,7 @@ def test_hand_crashed_osd_on_unarmed_cluster_takes_the_race(sim, costs):
         data = yield from pair.read_extent(4, 0, len(payload))
         return victim, data
 
-    victim, data = run(sim, route_around())
+    victim, data = run(pair.sim, route_around())
     assert data == payload[::-1]
     assert int(pair.metrics.counter("retries").value) >= 1
     assert not pair.monitor.is_up(victim)
