@@ -24,7 +24,7 @@ from repro.cephclient.locking import AdaptiveLockController, LockingPolicy
 from repro.cephclient.mount import CephMount
 from repro.common.errors import FsError, InvalidArgument, ThreadKilled
 from repro.fs.api import OpenFlags
-from repro.fs.readahead import Prefetcher, next_window, plan_fetch
+from repro.fs.readahead import Readahead
 from repro.sim.cpu import SimThread
 from repro.sim.sync import Mutex
 
@@ -71,9 +71,10 @@ class CephLibClient(CephMount):
             )
             self._lock_controller.start()
         self._dirty_since = {}  # ino -> first dirty time
-        self._seq_end = {}  # ino -> end offset of last read (readahead)
-        #: pipelined readahead: one detached next-window prefetch per ino
-        self._prefetcher = Prefetcher(sim)
+        #: stream positions and pipelined readahead, keyed by ino
+        self._readahead = Readahead(
+            sim, name, self._scan, self._fill, self._local_size
+        )
         self._flush_waiters = []
         # The ObjectCacher writes back *asynchronously*: many OSD writes in
         # flight at once, not one serial stream. We model that with a small
@@ -99,7 +100,7 @@ class CephLibClient(CephMount):
     # -- locking ---------------------------------------------------------
     #
     # Every access to the shared per-inode state (``attr_cache``,
-    # ``_sizes``, ``_seq_end``, ``_dirty_since``, cap masks, the dirty
+    # ``_sizes``, stream positions, ``_dirty_since``, cap masks, the dirty
     # buffer) goes through the policy's *state* sections; cached-byte
     # sections (insert/write/overlay/flush) go through its *data* and
     # *fetch* sections. Path-namespace ops share the ``-1`` pseudo-inode
@@ -183,8 +184,7 @@ class CephLibClient(CephMount):
                 path = self._paths.get(ino)
                 if path is not None:
                     self.attr_cache.pop(path, None)
-                self._seq_end.pop(ino, None)
-                self._prefetcher.forget(ino)
+                self._readahead.forget(ino)
             held = self._held_caps.get(ino)
             if held is not None:
                 held &= ~caps
@@ -244,45 +244,12 @@ class CephLibClient(CephMount):
             self.metrics.counter("cache_miss_ranges").add(len(miss_ranges))
             if hit_blocks:
                 yield from task.cpu(self.costs.page_op * hit_blocks)
-            sequential = offset == self._seq_end.get(ino, 0)
+            sequential = self._readahead.sequential(ino, offset)
         finally:
             locking.release(token)
-        if sequential and miss_ranges and self._prefetcher.active(ino):
-            # The previous read's pipelined prefetch covers (part of) this
-            # window and is still travelling: adopt it instead of issuing
-            # a duplicate fetch, then rescan for whatever remains missing.
-            yield from self._prefetcher.join(ino)
-            token = yield from locking.acquire_state(ino, who=task)
-            try:
-                rescanned, miss_ranges = self.cache.scan(ino, offset, size)
-                if rescanned > hit_blocks:
-                    yield from task.cpu(
-                        self.costs.page_op * (rescanned - hit_blocks)
-                    )
-            finally:
-                locking.release(token)
-        for miss_offset, miss_size in miss_ranges:
-            fetch = plan_fetch(miss_offset, miss_size, file_size, sequential)
-            # Network fetch happens outside the client/inode lock (dropped
-            # while waiting on the OSDs, as in libcephfs); the fine data
-            # policies instead hold the covering *range* locks so a
-            # flush-in-flight of the same bytes cannot be overtaken.
-            fetch_token = yield from locking.acquire_fetch(
-                ino, miss_offset, fetch, who=task
-            )
-            try:
-                yield from self.cluster.read_extent(ino, miss_offset, fetch)
-                yield from task.cpu(self.costs.payload_cost(fetch))
-                if fetch_token:
-                    self.cache.insert(ino, miss_offset, fetch)
-            finally:
-                locking.release(fetch_token)
-            if not fetch_token:
-                token = yield from locking.acquire_state(ino, who=task)
-                try:
-                    self.cache.insert(ino, miss_offset, fetch)
-                finally:
-                    locking.release(token)
+        if miss_ranges:
+            yield from self._readahead.fetch(task, ino, offset, size, file_size,
+                                             sequential, hit_blocks, miss_ranges)
         # Assemble and copy out *under the lock*: this serialisation is the
         # client_lock bottleneck the paper identifies for cached reads —
         # under the range policy only the covering stripes serialise.
@@ -293,58 +260,55 @@ class CephLibClient(CephMount):
             if len(data) > size:
                 data = data[:size]
             yield from task.cpu(self.costs.copy_cost(len(data)))
-            self._seq_end[ino] = offset + len(data)
         finally:
             locking.release(token)
-        if sequential:
-            # Pipelined readahead: fetch the next window with a detached
-            # child while the caller copies the current one out. The
-            # prefetch pays the full network/OSD cost; its payload work
-            # happens on the async messenger path (plain delay, no core).
-            window = next_window(offset + len(data), file_size)
-            if window is not None:
-                self._prefetcher.launch(
-                    ino, self._prefetch(ino, window[0], window[1]),
-                    name="%s.readahead" % self.name,
-                )
+        # A sequential read launches the next window as a detached
+        # prefetch while the caller copies the current one out.
+        self._readahead.advance(ino, offset + len(data), sequential, file_size, task)
         self.metrics.counter("bytes_read").add(len(data))
         return data
 
-    def _prefetch(self, ino, offset, size):
-        """Detached next-window prefetch (see :class:`Prefetcher`)."""
-        locking = self._locking
-        token = yield from locking.acquire_state(ino, who=None)
+    def _scan(self, task, ino, offset, size, hits):
+        """Readahead scan hook: the missing ranges under the state lock,
+        or None once the inode is unlinked."""
+        token = yield from self._locking.acquire_state(ino, who=task)
         try:
             if ino not in self._sizes:
-                return  # unlinked while queued
-            _hits, missing = self.cache.scan(ino, offset, size)
+                return None
+            rescanned, missing = self.cache.scan(ino, offset, size)
+            if task is not None and rescanned > hits:
+                yield from task.cpu(self.costs.page_op * (rescanned - hits))
         finally:
-            locking.release(token)
-        for miss_offset, miss_size in missing:
-            miss_size = min(
-                miss_size, max(self._local_size(ino) - miss_offset, 0)
-            )
-            if miss_size <= 0:
-                continue
-            fetch_token = yield from locking.acquire_fetch(
-                ino, miss_offset, miss_size, who=None
-            )
+            self._locking.release(token)
+        return missing
+
+    def _fill(self, task, ino, offset, size, sequential, owner):
+        """Readahead fill hook: fetch one range and insert it while the inode
+        is still linked. A detached prefetch (``task`` None) pays the full
+        network/OSD cost; its payload work is a plain delay (no core)."""
+        locking = self._locking
+        # Network fetch happens outside the client/inode lock (dropped
+        # while waiting on the OSDs, as in libcephfs); the fine data
+        # policies instead hold the covering *range* locks so a
+        # flush-in-flight of the same bytes cannot be overtaken.
+        fetch_token = yield from locking.acquire_fetch(ino, offset, size, who=task)
+        try:
+            yield from self.cluster.read_extent(ino, offset, size)
+            if task is None:
+                yield self.costs.payload_cost(size)
+            else:
+                yield from task.cpu(self.costs.payload_cost(size))
+            if fetch_token and ino in self._sizes:
+                self.cache.insert(ino, offset, size)
+        finally:
+            locking.release(fetch_token)
+        if not fetch_token:
+            token = yield from locking.acquire_state(ino, who=task)
             try:
-                yield from self.cluster.read_extent(
-                    ino, miss_offset, miss_size
-                )
-                yield self.costs.payload_cost(miss_size)
-                if fetch_token and ino in self._sizes:
-                    self.cache.insert(ino, miss_offset, miss_size)
+                if ino in self._sizes:
+                    self.cache.insert(ino, offset, size)
             finally:
-                locking.release(fetch_token)
-            if not fetch_token:
-                token = yield from locking.acquire_state(ino, who=None)
-                try:
-                    if ino in self._sizes:
-                        self.cache.insert(ino, miss_offset, miss_size)
-                finally:
-                    locking.release(token)
+                locking.release(token)
 
     def cluster_peek(self, ino, offset, size):
         """Resident-byte assembly; see :meth:`CephCluster.peek`."""
@@ -429,9 +393,8 @@ class CephLibClient(CephMount):
 
     def _forget(self, ino):
         self.cache.drop_ino(ino)
-        self._prefetcher.forget(ino)
+        self._readahead.forget(ino)
         self._dirty_since.pop(ino, None)
-        self._seq_end.pop(ino, None)
         self._held_caps.pop(ino, None)
         # Retire the inode's locks: a recycled ino gets fresh ones, and
         # their stats fold into the registry's "retired" bucket instead

@@ -19,7 +19,7 @@ from repro.cephclient.mount import CephMount
 from repro.common.errors import FsError, ThreadKilled
 from repro.fs import pathutil
 from repro.fs.api import OpenFlags
-from repro.fs.readahead import Prefetcher, next_window, plan_fetch
+from repro.fs.readahead import Readahead
 
 __all__ = ["CephKernelFs"]
 
@@ -35,8 +35,10 @@ class CephKernelFs(CephMount):
         self.fs_id = CephKernelFs._next_fs_id[0]
         CephKernelFs._next_fs_id[0] += 1
         self._pending = {}  # ino -> ExtentBuffer of unflushed bytes
-        #: pipelined readahead: one detached next-window prefetch per ino
-        self._prefetcher = Prefetcher(self.sim)
+        #: stream positions and pipelined readahead, keyed by ino
+        self._readahead = Readahead(
+            self.sim, name, self._scan, self._fill, self._local_size
+        )
 
     # -- helpers ----------------------------------------------------------
 
@@ -130,7 +132,7 @@ class CephKernelFs(CephMount):
 
     def _forget(self, ino):
         self.kernel.page_cache.drop_file(self._cache_key(ino))
-        self._prefetcher.forget(ino)
+        self._readahead.forget(ino)
         self._pending.pop(ino, None)
 
     def _truncate_data(self, task, ino, size):
@@ -145,6 +147,7 @@ class CephKernelFs(CephMount):
         self._sizes[ino] = size
         if size == 0:
             self.kernel.page_cache.drop_file(self._cache_key(ino))
+            self._readahead.forget(ino)
 
     # -- data path ----------------------------------------------------------
 
@@ -162,71 +165,50 @@ class CephKernelFs(CephMount):
         hit_pages, miss_ranges = self.kernel.page_cache.scan(cf, offset, size)
         if hit_pages:
             yield from task.cpu(self.costs.page_op * hit_pages)
-        account = self._account(task)
-        sequential = offset == cf.read_sequential_end
-        if sequential and miss_ranges and self._prefetcher.active(ino):
-            # Adopt the in-flight next-window prefetch instead of issuing
-            # a duplicate fetch, then rescan for what is still missing.
-            yield from self._prefetcher.join(ino)
-            rescanned, miss_ranges = self.kernel.page_cache.scan(
-                cf, offset, size
-            )
-            if rescanned > hit_pages:
-                yield from task.cpu(
-                    self.costs.page_op * (rescanned - hit_pages)
-                )
-        for miss_offset, miss_size in miss_ranges:
-            fetch = plan_fetch(miss_offset, miss_size, file_size, sequential)
-            yield from self.cluster.read_extent(ino, miss_offset, fetch)
-            # Messenger receive processing in kworkers. Sequential reads
-            # pipeline through readahead and overlap DMA; random reads pay
-            # the full per-request completion path (see CostModel).
-            read_bw = (
-                self.costs.kernel_wq_read_bandwidth if sequential
-                else self.costs.kernel_wq_rand_read_bandwidth
-            )
-            yield from self.kernel.workqueue.execute(fetch / read_bw)
-            self.kernel.page_cache.insert(cf, miss_offset, fetch, account)
-            yield from task.cpu(
-                self.costs.page_op * self.costs.pages_of(miss_offset, fetch)
-            )
-        cf.read_sequential_end = offset + size
-        if sequential:
-            # Pipelined readahead: prefetch the next window detached while
-            # the caller copies the current one out.
-            window = next_window(offset + size, file_size)
-            if window is not None:
-                self._prefetcher.launch(
-                    ino, self._prefetch(ino, window[0], window[1], account),
-                    name="%s.readahead" % self.name,
-                )
+        sequential = self._readahead.sequential(ino, offset)
+        if miss_ranges:
+            yield from self._readahead.fetch(task, ino, offset, size, file_size,
+                                             sequential, hit_pages, miss_ranges)
+        # A sequential read launches the next window as a detached
+        # prefetch while the caller copies the current one out.
+        self._readahead.advance(ino, offset + size, sequential, file_size, task)
         base = self.cluster.peek(ino, offset, size)
         data = pending.overlay(offset, size, base) if pending else base
         self.metrics.counter("bytes_read").add(size)
         return data[:size]
 
-    def _prefetch(self, ino, offset, size, account):
-        """Detached next-window prefetch into the shared page cache."""
+    def _scan(self, task, ino, offset, size, hits):
+        """Readahead scan hook: the missing ranges of the file's page
+        cache entry, or None once it was dropped (unlink/truncate)."""
         cf = self.kernel.page_cache.peek(self._cache_key(ino))
         if cf is None:
-            return  # dropped (unlink/truncate) while queued
-        _hits, missing = self.kernel.page_cache.scan(cf, offset, size)
-        for miss_offset, miss_size in missing:
-            miss_size = min(
-                miss_size, max(self._local_size(ino) - miss_offset, 0)
+            return None
+        rescanned, missing = self.kernel.page_cache.scan(cf, offset, size)
+        if task is not None and rescanned > hits:
+            yield from task.cpu(self.costs.page_op * (rescanned - hits))
+        return missing
+
+    def _fill(self, task, ino, offset, size, sequential, owner):
+        """Readahead fill hook: fetch one range and insert it, charged to
+        ``owner``'s cgroup, into the page cache entry that was live when
+        the fetch started — and only while that entry still is."""
+        key = self._cache_key(ino)
+        cf = self.kernel.page_cache.peek(key)
+        yield from self.cluster.read_extent(ino, offset, size)
+        # Messenger receive processing in host-wide kworkers — exactly the
+        # work readahead pipelines. Sequential reads overlap DMA; random
+        # reads pay the full per-request completion path (see CostModel).
+        read_bw = (
+            self.costs.kernel_wq_read_bandwidth if sequential
+            else self.costs.kernel_wq_rand_read_bandwidth
+        )
+        yield from self.kernel.workqueue.execute(size / read_bw)
+        if cf is not None and self.kernel.page_cache.peek(key) is cf:
+            self.kernel.page_cache.insert(cf, offset, size, self._account(owner))
+        if task is not None:
+            yield from task.cpu(
+                self.costs.page_op * self.costs.pages_of(offset, size)
             )
-            if miss_size <= 0:
-                continue
-            yield from self.cluster.read_extent(ino, miss_offset, miss_size)
-            # Receive processing still runs in the host-wide kworkers —
-            # this is exactly the messenger work that readahead pipelines.
-            yield from self.kernel.workqueue.execute(
-                miss_size / self.costs.kernel_wq_read_bandwidth
-            )
-            cf = self.kernel.page_cache.peek(self._cache_key(ino))
-            if cf is None:
-                return
-            self.kernel.page_cache.insert(cf, miss_offset, miss_size, account)
 
     def write(self, task, handle, offset, data):
         ino = self._live_ino(handle)

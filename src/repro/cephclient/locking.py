@@ -28,7 +28,7 @@ it as future work. This module makes that sharding a first-class,
 Locking discipline (see ``docs/architecture.md`` for the field table):
 
 * **state sections** guard the per-inode bookkeeping — ``attr_cache``,
-  ``_sizes``, ``_seq_end``, ``_dirty_since``, cap masks, dirty-buffer
+  ``_sizes``, readahead stream positions, ``_dirty_since``, cap masks, dirty-buffer
   membership. Acquired via :meth:`LockingPolicy.acquire_state`.
 * **data sections** guard the cached bytes of one byte range — block
   insert, dirty write, overlay/copy-out, in-flight flush. Acquired via

@@ -2,7 +2,7 @@
 
 from repro.fs.api import FileHandle, FileStat, Filesystem, OpenFlags, Task
 from repro.fs.memtree import MemTree, Node
-from repro.fs.readahead import Prefetcher, next_window, plan_fetch
+from repro.fs.readahead import Readahead, next_window, plan_fetch
 
 __all__ = [
     "FileHandle",
@@ -12,7 +12,7 @@ __all__ = [
     "Task",
     "MemTree",
     "Node",
-    "Prefetcher",
+    "Readahead",
     "next_window",
     "plan_fetch",
 ]

@@ -24,7 +24,7 @@ from repro.common.errors import (
 from repro.fs import pathutil
 from repro.fs.api import FileHandle, FileStat, Filesystem, OpenFlags
 from repro.fs.memtree import MemTree
-from repro.fs.readahead import plan_fetch
+from repro.fs.readahead import Readahead, plan_fetch
 
 __all__ = ["LocalFs"]
 
@@ -65,6 +65,8 @@ class LocalFs(Filesystem):
         self.fs_id = LocalFs._next_fs_id[0]
         LocalFs._next_fs_id[0] += 1
         self.metrics = kernel.sim.metrics("localfs:%s" % name)
+        #: stream positions by ino (readahead widening is synchronous here)
+        self._readahead = Readahead(self.sim, name)
 
     # -- helpers ---------------------------------------------------------
 
@@ -175,7 +177,7 @@ class LocalFs(Filesystem):
         if hit_pages:
             yield from task.cpu(self.costs.page_op * hit_pages)
         account = self._account(task)
-        sequential = offset == cf.read_sequential_end
+        sequential = self._readahead.sequential(node.ino, offset)
         for miss_offset, miss_size in miss_ranges:
             fetch_size = plan_fetch(miss_offset, miss_size, node.size,
                                     sequential)
@@ -186,7 +188,7 @@ class LocalFs(Filesystem):
             yield from task.cpu(
                 self.costs.page_op * self.costs.pages_of(miss_offset, fetch_size)
             )
-        cf.read_sequential_end = offset + len(data)
+        self._readahead.advance(node.ino, offset + len(data))
         self.metrics.counter("bytes_read").add(len(data))
         return data
 
@@ -269,6 +271,7 @@ class LocalFs(Filesystem):
             task, self._inode_hash_lock(), self.costs.kernel_lock_section / 2
         )
         self.kernel.page_cache.drop_file(self._cache_key(node))
+        self._readahead.forget(node.ino)
         self.tree.unlink(path, now=self.sim.now)
         self.metrics.counter("unlinks").add(1)
 
@@ -304,6 +307,7 @@ class LocalFs(Filesystem):
         # dropping the whole mapping; the next read re-faults it.
         if size == 0:
             self.kernel.page_cache.drop_file(self._cache_key(node))
+            self._readahead.forget(node.ino)
 
     def peek(self, path, offset, size):
         """Zero-cost resident-data read (see Filesystem.peek)."""

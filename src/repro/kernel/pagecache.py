@@ -98,13 +98,12 @@ class CachedFile(object):
     backend write (disk transfer or network push) for a batch of pages.
     """
 
-    __slots__ = ("key", "flush_fn", "read_sequential_end", "nr_pages",
-                 "nr_dirty", "_starts", "_runs", "_dirty")
+    __slots__ = ("key", "flush_fn", "nr_pages", "nr_dirty", "_starts",
+                 "_runs", "_dirty")
 
     def __init__(self, key, flush_fn=None):
         self.key = key
         self.flush_fn = flush_fn
-        self.read_sequential_end = 0  # readahead heuristic state
         self.nr_pages = 0
         self.nr_dirty = 0
         self._starts = []  # sorted first pages of the runs below

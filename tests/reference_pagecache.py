@@ -36,14 +36,13 @@ class CachedFile(object):
     backend write (disk transfer or network push) for a batch of pages.
     """
 
-    __slots__ = ("key", "pages", "dirty_pages", "flush_fn", "read_sequential_end")
+    __slots__ = ("key", "pages", "dirty_pages", "flush_fn")
 
     def __init__(self, key, flush_fn=None):
         self.key = key
         self.pages = {}
         self.dirty_pages = {}  # index -> dirty_since (insertion ordered)
         self.flush_fn = flush_fn
-        self.read_sequential_end = 0  # readahead heuristic state
 
     @property
     def nr_pages(self):

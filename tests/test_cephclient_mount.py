@@ -192,9 +192,11 @@ def test_unlink_drops_every_per_inode_entry(
     assert ino not in fs._size_flushing
     assert not fs._dirty_buffer(ino)
     assert fs.peek("/f", 0, 1) is None  # a negative dentry now
+    assert ino not in fs._readahead._ends
+    assert ino not in fs._readahead._inflight
     if which != "kernel":
         assert ino not in fs.cache._blocks
-        assert ino not in fs._seq_end and ino not in fs._dirty_since
+        assert ino not in fs._dirty_since
         assert ino not in fs._locking._ino_locks
         assert ino not in fs._locking._range_locks
         assert fs.cache.dirty_bytes == 0

@@ -243,13 +243,13 @@ def test_unlink_cleans_seq_end_and_lock_table():
                                      sync=True)
         yield from client.read_file(task, "/f")
         ino = client.attr_cache["/f"].ino
-        assert ino in client._seq_end
+        assert ino in client._readahead._ends
         assert ino in client._locking._ino_locks
         yield from client.unlink(task, "/f")
         return ino
 
     ino = run(sim, proc())
-    assert ino not in client._seq_end
+    assert ino not in client._readahead._ends
     assert ino not in client._locking._ino_locks
     assert ino not in client._locking._range_locks
     # The registry kept only the retired bucket (and the long-lived

@@ -74,7 +74,7 @@ def test_fileserver_deterministic_given_seed(world):
 def test_webserver_is_read_dominated(world, pool):
     mount = mount_local(world, pool)
     workload = Webserver(
-        mount.fs, pool, duration=2.0, threads=4, nfiles=40,
+        mount.fs, pool, duration=0.2, threads=4, nfiles=40,
         mean_size=units.kib(8),
     )
     result = run(world.sim, workload.run(), until=60)
@@ -84,7 +84,7 @@ def test_webserver_is_read_dominated(world, pool):
 def test_randomio_mixes_reads_and_writes(world, pool):
     mount = mount_local(world, pool)
     workload = RandomIO(
-        mount.fs, pool, duration=2.0, file_size=units.mib(2), seed=3
+        mount.fs, pool, duration=0.2, file_size=units.mib(2), seed=3
     )
     result = run(world.sim, workload.run(), until=60)
     assert result.bytes_read > 0
