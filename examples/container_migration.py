@@ -20,11 +20,12 @@ from repro.world import World
 
 def main():
     world = World(num_cores=8, ram_bytes=units.gib(16))
-    world.activate_cores(4)
+    host = world.primary
+    host.activate_cores(4)
     host_b = world.add_host("client-b", num_cores=8, ram_bytes=units.gib(16))
     host_b.activate_cores(4)
 
-    source_pool = world.engine.create_pool(
+    source_pool = host.engine.create_pool(
         "tenant-a", num_cores=2, ram_bytes=units.gib(4)
     )
     target_pool = host_b.engine.create_pool(

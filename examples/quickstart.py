@@ -16,9 +16,10 @@ from repro.common import units
 
 def main():
     world = World(num_cores=8, ram_bytes=units.gib(16))
-    world.activate_cores(4)
+    host = world.primary
+    host.activate_cores(4)
 
-    pool = world.engine.create_pool(
+    pool = host.engine.create_pool(
         "tenant0", num_cores=2, ram_bytes=units.gib(4)
     )
     mount = StackFactory(world, pool, "D").mount_root("c0")

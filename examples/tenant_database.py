@@ -19,12 +19,13 @@ from repro.workloads import MiniRocksDB
 
 def main():
     world = World(num_cores=8, ram_bytes=units.gib(16))
-    world.activate_cores(8)
+    host = world.primary
+    host.activate_cores(8)
 
     tenants = []
     for name in ("alpha", "beta"):
-        pool = world.engine.create_pool(name, num_cores=4,
-                                        ram_bytes=units.gib(4))
+        pool = host.engine.create_pool(name, num_cores=4,
+                                       ram_bytes=units.gib(4))
         mount = StackFactory(world, pool, "D").mount_root("c0")
         tenants.append((name, pool, mount))
 

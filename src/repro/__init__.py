@@ -11,9 +11,10 @@ Quickstart::
     from repro.common import units
 
     world = World(num_cores=8)
-    world.activate_cores(4)
-    pool = world.engine.create_pool("tenant0", num_cores=2,
-                                    ram_bytes=units.gib(8))
+    host = world.primary
+    host.activate_cores(4)
+    pool = host.engine.create_pool("tenant0", num_cores=2,
+                                   ram_bytes=units.gib(8))
     mount = StackFactory(world, pool, "D").mount_root("c0")
     task = pool.new_task("app")
 

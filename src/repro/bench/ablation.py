@@ -40,8 +40,9 @@ def run_seqread_locking(locking, duration=3.0, threads=6, pool_cores=8, seed=1,
     converged and how many switches it took.
     """
     world = World(num_cores=pool_cores, ram_bytes=units.gib(64))
-    world.activate_cores(pool_cores)
-    pool = world.engine.create_pool(
+    host = world.primary
+    host.activate_cores(pool_cores)
+    pool = host.engine.create_pool(
         "pool", num_cores=pool_cores, ram_bytes=units.gib(32)
     )
     factory = StackFactory(
@@ -98,8 +99,9 @@ def locking_notes(result, axes):
 def run_seqwrite_queues(single_queue, duration=2.0, threads=4, pool_cores=8,
                         seed=1):
     world = World(num_cores=pool_cores, ram_bytes=units.gib(64))
-    world.activate_cores(pool_cores)
-    pool = world.engine.create_pool(
+    host = world.primary
+    host.activate_cores(pool_cores)
+    pool = host.engine.create_pool(
         "pool", num_cores=pool_cores, ram_bytes=units.gib(32)
     )
     factory = StackFactory(
@@ -128,7 +130,8 @@ def run_dedup_memory(dedup, n_containers=4, content_bytes=units.mib(2), seed=1):
     from repro.common.rng import make_rng
 
     world = World(num_cores=4, ram_bytes=units.gib(64))
-    world.activate_cores(4)
+    host = world.primary
+    host.activate_cores(4)
     # Independent containers: each holds a FULL private copy of the same
     # image payload (no union — the dedup must come from the cache).
     payload = make_rng(seed, "dedup-image").randbytes(content_bytes)
@@ -137,7 +140,7 @@ def run_dedup_memory(dedup, n_containers=4, content_bytes=units.mib(2), seed=1):
         for index in range(n_containers)
     }
     seed_tree(world, files, "/")
-    pool = world.engine.create_pool("p", num_cores=2, ram_bytes=units.gib(8))
+    pool = host.engine.create_pool("p", num_cores=2, ram_bytes=units.gib(8))
     client = CephLibClient(
         world.sim, world.cluster, world.costs, pool.ram, pool.cores,
         name="dedup-client", cache_dedup=dedup,

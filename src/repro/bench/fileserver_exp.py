@@ -25,14 +25,15 @@ def run_fileserver_scaleout(symbol, n_pools, duration=2.0, seed=1):
         num_cores=max(2 * n_pools, 4), ram_bytes=units.gib(512),
         costs=scaled_costs(),
     )
-    world.activate_cores(2 * n_pools)
+    host = world.primary
+    host.activate_cores(2 * n_pools)
     workloads = []
     for index in range(n_pools):
-        pool = world.engine.create_pool(
+        pool = host.engine.create_pool(
             "p%d" % index, num_cores=2, ram_bytes=POOL_RAM
         )
         factory = StackFactory(world, pool, symbol, cache_bytes=POOL_RAM // 2)
-        world.kernel.writeback.set_max_dirty(pool.ram, units.mib(8))
+        host.kernel.writeback.set_max_dirty(pool.ram, units.mib(8))
         mount = factory.mount_root("c0")
         workloads.append(
             Fileserver(mount.fs, pool, duration=duration, seed=seed + index,
@@ -43,7 +44,7 @@ def run_fileserver_scaleout(symbol, n_pools, duration=2.0, seed=1):
         w.result.bytes_read + w.result.bytes_written for w in workloads
     )
     total_ops = sum(w.result.ops for w in workloads)
-    lock_stats = world.kernel.locks.total_stats()
+    lock_stats = host.kernel.locks.total_stats()
     return {
         "symbol": symbol,
         "pools": n_pools,

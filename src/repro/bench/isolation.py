@@ -39,9 +39,9 @@ FLS_PARAMS = dict(nfiles=500, mean_size=96 * units.KIB, threads=4)
 POOL_RAM = 128 * units.MIB
 
 
-def _build_neighbor(world, pool, kind, duration, seed):
+def _build_neighbor(pool, kind, duration, seed):
     if kind == "RND":
-        mount = mount_local(world, pool, num_disks=4)
+        mount = mount_local(pool)
         # The paper's RND file (1 GB) does not stay cache-hot against the
         # pool's memory; keep that ratio so reads keep missing to disk.
         return RandomIO(
@@ -49,7 +49,7 @@ def _build_neighbor(world, pool, kind, duration, seed):
             file_size=units.mib(96), seed=seed, batch_cpu=units.usec(600),
         )
     if kind == "WBS":
-        mount = mount_local(world, pool, num_disks=4)
+        mount = mount_local(pool)
         # As with RND: the paper's 200k x 16 KB dataset exceeds the pool's
         # memory, so serving it keeps touching the local disks.
         return Webserver(
@@ -74,15 +74,16 @@ def run_colocation(symbol, n_fls, neighbor=None, duration=3.0, seed=1,
         num_cores=max(2 * instances, 4), ram_bytes=units.gib(256),
         costs=scaled_costs(),
     )
-    world.activate_cores(2 * instances)
+    host = world.primary
+    host.activate_cores(2 * instances)
     sim = world.sim
 
     fls_pools = [
-        world.engine.create_pool("fls%d" % index, num_cores=2,
-                                 ram_bytes=pool_ram)
+        host.engine.create_pool("fls%d" % index, num_cores=2,
+                                ram_bytes=pool_ram)
         for index in range(n_fls)
     ]
-    neighbor_pool = world.engine.create_pool(
+    neighbor_pool = host.engine.create_pool(
         "nbr", num_cores=2, ram_bytes=pool_ram
     )
 
@@ -95,18 +96,18 @@ def run_colocation(symbol, n_fls, neighbor=None, duration=3.0, seed=1,
         )
         # Scaled dirty ceiling (the paper's "50% of pool RAM" against the
         # scaled dataset; see scaled_costs for the rationale).
-        world.kernel.writeback.set_max_dirty(pool.ram, units.mib(8))
+        host.kernel.writeback.set_max_dirty(pool.ram, units.mib(8))
         mount = factory.mount_root("c0")
         fls_workloads.append(
             Fileserver(mount.fs, pool, duration=duration, seed=seed + index,
                        **params)
         )
-    world.kernel.writeback.set_max_dirty(neighbor_pool.ram, units.mib(8))
+    host.kernel.writeback.set_max_dirty(neighbor_pool.ram, units.mib(8))
 
     neighbor_workload = None
     if neighbor is not None:
         neighbor_workload = _build_neighbor(
-            world, neighbor_pool, neighbor, duration, seed + 100
+            neighbor_pool, neighbor, duration, seed + 100
         )
 
     processes = [workload.start() for workload in fls_workloads]
@@ -126,7 +127,7 @@ def run_colocation(symbol, n_fls, neighbor=None, duration=3.0, seed=1,
     finished = sim.run_until(done, start + duration * 40)
     assert finished, "colocation run did not finish"
 
-    lock_stats = world.kernel.locks.total_stats()
+    lock_stats = host.kernel.locks.total_stats()
     fls_ops = sum(w.result.ops for w in fls_workloads)
     fls_latency = [w.result.latency.mean for w in fls_workloads]
     out = {

@@ -44,13 +44,14 @@ def run_rocksdb_scaleout(symbol, n_pools, mode, seed=1):
         num_cores=max(2 * n_pools, 4), ram_bytes=units.gib(512),
         costs=scaled_costs(),
     )
-    world.activate_cores(2 * n_pools)
+    host = world.primary
+    host.activate_cores(2 * n_pools)
     # Scaled pool memory: generous for put (write-behind wanted), tight
     # for get (the paper's get workload is explicitly out-of-core).
     pool_ram = units.mib(48) if mode == "put" else units.mib(6)
     workloads = []
     for index in range(n_pools):
-        pool = world.engine.create_pool(
+        pool = host.engine.create_pool(
             "p%d" % index, num_cores=2, ram_bytes=pool_ram
         )
         factory = StackFactory(
@@ -65,7 +66,7 @@ def run_rocksdb_scaleout(symbol, n_pools, mode, seed=1):
         workloads.append(workload)
     run_all(world, [w.start() for w in workloads], budget=100000)
     latencies = [w.result.latency.mean for w in workloads]
-    lock_stats = world.kernel.locks.total_stats()
+    lock_stats = host.kernel.locks.total_stats()
     return {
         "mode": mode,
         "symbol": symbol,
@@ -79,14 +80,15 @@ def run_rocksdb_scaleup(symbol, n_clones, mode, pool_cores=8, seed=1):
     world = World(
         num_cores=pool_cores, ram_bytes=units.gib(512), costs=scaled_costs(),
     )
-    world.activate_cores(pool_cores)
+    host = world.primary
+    host.activate_cores(pool_cores)
     # Seed the shared read-only image (a minimal rootfs marker file).
     seed_tree(world, {"/etc/os-release": b"debian9"}, "/images/base")
     pool_ram = (
         units.mib(48) * n_clones if mode == "put"
         else units.mib(6) * n_clones
     )
-    pool = world.engine.create_pool(
+    pool = host.engine.create_pool(
         "scaleup", num_cores=pool_cores, ram_bytes=pool_ram
     )
     factory = StackFactory(

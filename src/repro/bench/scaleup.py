@@ -35,13 +35,14 @@ def run_file_scaleup(symbol, n_clones, mode, pool_cores=8, seed=1,
     world = World(
         num_cores=pool_cores, ram_bytes=units.gib(512), costs=scaled_costs(),
     )
-    world.activate_cores(pool_cores)
+    host = world.primary
+    host.activate_cores(pool_cores)
     seed_tree(
         world,
         {SHARED_FILE: pseudo_bytes(SHARED_SIZE, (seed, "shared"))},
         IMAGE_PATH,
     )
-    pool = world.engine.create_pool(
+    pool = host.engine.create_pool(
         "scaleup", num_cores=pool_cores, ram_bytes=units.gib(200)
     )
     factory = StackFactory(world, pool, symbol, locking=locking)
@@ -80,7 +81,8 @@ def run_pool_scaleup(symbol, n_pools, clones_per_pool, mode="append",
         num_cores=max(total_cores, 4), ram_bytes=units.gib(512),
         costs=scaled_costs(),
     )
-    world.activate_cores(total_cores)
+    host = world.primary
+    host.activate_cores(total_cores)
     seed_tree(
         world,
         {SHARED_FILE: pseudo_bytes(SHARED_SIZE, (seed, "shared"))},
@@ -89,7 +91,7 @@ def run_pool_scaleup(symbol, n_pools, clones_per_pool, mode="append",
     workloads = []
     pools = []
     for pindex in range(n_pools):
-        pool = world.engine.create_pool(
+        pool = host.engine.create_pool(
             "sp%d" % pindex, num_cores=cores_per_pool,
             ram_bytes=units.gib(32),
         )

@@ -30,15 +30,16 @@ def run_sequential(symbol, n_pools, mode, duration=3.0, seed=1,
         num_cores=max(2 * n_pools, 4), ram_bytes=units.gib(512),
         costs=scaled_costs(),
     )
-    world.activate_cores(2 * n_pools)
+    host = world.primary
+    host.activate_cores(2 * n_pools)
     workloads = []
     for index in range(n_pools):
-        pool = world.engine.create_pool(
+        pool = host.engine.create_pool(
             "p%d" % index, num_cores=2, ram_bytes=units.mib(96)
         )
         factory = StackFactory(world, pool, symbol, cache_bytes=units.mib(48),
                                locking=locking)
-        world.kernel.writeback.set_max_dirty(pool.ram, units.mib(16))
+        host.kernel.writeback.set_max_dirty(pool.ram, units.mib(16))
         mount = factory.mount_root("c0")
         cls = Seqwrite if mode == "write" else Seqread
         workloads.append(
@@ -49,8 +50,8 @@ def run_sequential(symbol, n_pools, mode, duration=3.0, seed=1,
     total_bytes = sum(
         w.result.bytes_written + w.result.bytes_read for w in workloads
     )
-    lock_stats = world.kernel.locks.total_stats()
-    busy = sum(core.busy_time for core in world.machine.cores)
+    lock_stats = host.kernel.locks.total_stats()
+    busy = sum(core.busy_time for core in host.machine.cores)
     return {
         "symbol": symbol,
         "pools": n_pools,

@@ -24,13 +24,14 @@ def run_serverless(symbol, n_tenants=2, with_neighbor=True, duration=4.0,
         num_cores=2 * (n_tenants + 1), ram_bytes=units.gib(128),
         costs=scaled_costs(),
     )
-    world.activate_cores(2 * (n_tenants + 1))
+    host = world.primary
+    host.activate_cores(2 * (n_tenants + 1))
     tenants = []
     for index in range(n_tenants):
-        pool = world.engine.create_pool(
+        pool = host.engine.create_pool(
             "fn%d" % index, num_cores=2, ram_bytes=units.mib(64)
         )
-        world.kernel.writeback.set_max_dirty(pool.ram, units.mib(8))
+        host.kernel.writeback.set_max_dirty(pool.ram, units.mib(8))
         mount = StackFactory(world, pool, symbol).mount_root("c0")
         # Result objects are sized so the tenants generate real writeback
         # traffic — the contended path of Fig. 6 — not just metadata ops.
@@ -38,13 +39,13 @@ def run_serverless(symbol, n_tenants=2, with_neighbor=True, duration=4.0,
             mount, pool, duration=duration, seed=seed + index,
             state_size=units.kib(192), compute_cpu=0.0002,
         ))
-    neighbor_pool = world.engine.create_pool(
+    neighbor_pool = host.engine.create_pool(
         "nbr", num_cores=2, ram_bytes=units.mib(64)
     )
-    world.kernel.writeback.set_max_dirty(neighbor_pool.ram, units.mib(8))
+    host.kernel.writeback.set_max_dirty(neighbor_pool.ram, units.mib(8))
     processes = [tenant.start() for tenant in tenants]
     if with_neighbor:
-        local = mount_local(world, neighbor_pool, num_disks=4)
+        local = mount_local(neighbor_pool)
         neighbor = RandomIO(
             local.fs, neighbor_pool, duration=duration, threads=2,
             file_size=units.mib(96), seed=seed + 99,

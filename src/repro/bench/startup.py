@@ -25,10 +25,11 @@ IMAGE_PATH = "/images/lighttpd"
 def run_startup(symbol, n_containers, pool_cores=8, image_scale=1.0 / 8192,
                 seed=1):
     world = World(num_cores=pool_cores, ram_bytes=units.gib(512))
-    world.activate_cores(pool_cores)
+    host = world.primary
+    host.activate_cores(pool_cores)
     image = lighttpd_image(scale=image_scale, seed=seed)
     seed_image(world, image, IMAGE_PATH)
-    pool = world.engine.create_pool(
+    pool = host.engine.create_pool(
         "fleet", num_cores=pool_cores, ram_bytes=units.gib(200)
     )
     factory = StackFactory(world, pool, symbol)

@@ -30,13 +30,14 @@ def seed_tree(world, files, prefix="/"):
     Uses a throwaway host-side client and flushes synchronously, so the
     data is on the OSDs before any experiment traffic starts.
     """
-    task = world.host_task("seed")
-    account = world.machine.ram.child(
+    host = world.primary
+    task = host.task("seed")
+    account = host.machine.ram.child(
         max(units.mib(64), 2 * sum(len(d) for d in files.values())),
         "seed.ram",
     )
     client = CephLibClient(
-        world.sim, world.cluster, world.costs, account, world.machine.cores,
+        world.sim, world.cluster, world.costs, account, host.machine.cores,
         name="seeder", start_flusher=False,
     )
 

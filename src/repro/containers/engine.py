@@ -18,10 +18,8 @@ __all__ = ["ContainerEngine"]
 class ContainerEngine(object):
     """Manages the container pools of one host."""
 
-    def __init__(self, world, machine=None):
-        self.world = world
-        self.sim = world.sim
-        self.machine = machine if machine is not None else world.machine
+    def __init__(self, host):
+        self.host = host
         self.registry = Registry()
         self.pools = {}
 
@@ -29,8 +27,8 @@ class ContainerEngine(object):
         """Reserve a pool: the paper's default is 2 cores + 8 GB RAM."""
         if name in self.pools:
             raise ConfigError("pool %r already exists" % name)
-        cores = self.machine.allocate_cores(num_cores)
-        pool = ContainerPool(self.sim, self.machine, name, cores, ram_bytes)
+        cores = self.host.machine.allocate_cores(num_cores)
+        pool = ContainerPool(self.host, name, cores, ram_bytes)
         self.pools[name] = pool
         return pool
 

@@ -18,15 +18,16 @@ __all__ = ["ContainerPool", "Container"]
 class ContainerPool(object):
     """A tenant's reservation: cores + memory + namespaces."""
 
-    def __init__(self, sim, machine, name, cores, ram_bytes):
+    def __init__(self, host, name, cores, ram_bytes):
         if not cores:
             raise ConfigError("pool %s needs cores" % name)
-        self.sim = sim
-        self.machine = machine
+        self.host = host
+        self.sim = host.world.sim
+        self.machine = host.machine
         self.name = name
         self.cores = list(cores)
-        self.ram = machine.ram.child(ram_bytes, name="%s.ram" % name)
-        self.probe = UtilizationProbe(sim, self.cores)
+        self.ram = self.machine.ram.child(ram_bytes, name="%s.ram" % name)
+        self.probe = UtilizationProbe(self.sim, self.cores)
         self.services = []  # Danaus filesystem services of this pool
         self.containers = []
         self._next_thread = 0

@@ -40,6 +40,17 @@ UNKNOWN = "unknown"
 #: Settling time after the last fault heals, before verification.
 SETTLE_TIME = 3.0
 
+#: The chaos testbed: an 8-core, 16 GiB client host with 4 cores active
+#: and one 2-core, 4 GiB pool.
+NUM_CORES = 8
+ACTIVE_CORES = 4
+RAM_GIB = 16
+POOL_CORES = 2
+POOL_RAM_GIB = 4
+
+#: Simulated-time budget for one run to converge.
+UNTIL = 600.0
+
 
 class ChaosFileserver(Workload):
     """A mutating fileserver that remembers what it acknowledged.
@@ -233,10 +244,12 @@ class ChaosConfig:
     """Declarative configuration of one chaos run.
 
     One record the spec compiler can build from a plain dict. Fields
-    group into cluster topology (``num_osds``/``replicas``/core and RAM
-    sizing), workload shape (``symbol``/``duration``/``threads``/...),
-    the fault mix (counts per :class:`FaultPlan` kind) and pipeline
-    switches (``supervise``/``scrub``/``until``).
+    group into workload shape (``symbol``/``duration``/``threads``/...),
+    cluster topology (``num_osds``/``replicas``), the fault mix (counts
+    per :class:`FaultPlan` kind) and the ``scrub`` switch. The host and
+    pool sizing and the convergence budget are module constants
+    (:data:`NUM_CORES` ... :data:`UNTIL`), and the pool's Danaus services
+    always run under a :class:`~repro.core.ServiceSupervisor`.
 
     ``plan`` carries a pre-built :class:`FaultPlan`; when None a plan is
     generated from the seed and the fault-count fields.
@@ -252,11 +265,6 @@ class ChaosConfig:
     # -- cluster topology ------------------------------------------------
     num_osds: int = 6
     replicas: int = 1
-    num_cores: int = 8
-    active_cores: int = 4
-    ram_gib: int = 16
-    pool_cores: int = 2
-    pool_ram_gib: int = 4
     # -- fault mix -------------------------------------------------------
     osd_crashes: int = 1
     partitions: int = 1
@@ -273,10 +281,7 @@ class ChaosConfig:
     mds_rank_splits: int = 0
     mds_standbys: int = 1
     # -- pipeline switches -----------------------------------------------
-    supervise: bool = True
     scrub: bool = False
-    scrub_interval: float = None
-    until: float = 600.0
     plan: FaultPlan = None
 
     @classmethod
@@ -334,21 +339,20 @@ def _run_chaos_config(config):
     seed = config.seed
     duration = config.duration
     world = World(
-        num_cores=config.num_cores,
-        ram_bytes=units.gib(config.ram_gib),
+        num_cores=NUM_CORES,
+        ram_bytes=units.gib(RAM_GIB),
         num_osds=config.num_osds,
         replicas=config.replicas,
     )
-    world.activate_cores(config.active_cores)
-    pool = world.engine.create_pool(
-        "p0", num_cores=config.pool_cores,
-        ram_bytes=units.gib(config.pool_ram_gib),
+    host = world.primary
+    host.activate_cores(ACTIVE_CORES)
+    pool = host.engine.create_pool(
+        "p0", num_cores=POOL_CORES, ram_bytes=units.gib(POOL_RAM_GIB),
     )
     factory = StackFactory(world, pool, config.symbol)
     mount = factory.mount_root("c0")
     services = list(pool.services)
-    supervisor = None
-    if config.supervise and services:
+    if services:
         supervisor = ServiceSupervisor(world.sim, world.costs)
         for service in services:
             supervisor.watch(service)
@@ -361,7 +365,7 @@ def _run_chaos_config(config):
             services=[service.name for service in services],
             osd_crashes=config.osd_crashes,
             partitions=config.partitions,
-            service_crashes=config.service_crashes if config.supervise else 0,
+            service_crashes=config.service_crashes,
             mds_windows=config.mds_windows,
             slow_disks=config.slow_disks,
             bitrot=config.bitrot,
@@ -381,10 +385,7 @@ def _run_chaos_config(config):
     plan.install(world, services=services)
     scrub_daemon = None
     if config.scrub:
-        scrub_kwargs = {}
-        if config.scrub_interval is not None:
-            scrub_kwargs["interval"] = config.scrub_interval
-        scrub_daemon = world.cluster.start_scrub(**scrub_kwargs)
+        scrub_daemon = world.cluster.start_scrub()
 
     def pipeline():
         result = yield from workload.run()
@@ -488,11 +489,9 @@ def _run_chaos_config(config):
         )
 
     process = world.sim.spawn(pipeline(), name="chaos-run")
-    finished = world.sim.run_until(process, world.sim.now + config.until)
+    finished = world.sim.run_until(process, world.sim.now + UNTIL)
     if not finished:
-        raise SimulationError(
-            "chaos run did not converge by t=%s" % config.until
-        )
+        raise SimulationError("chaos run did not converge by t=%s" % UNTIL)
     return process.value
 
 

@@ -409,8 +409,7 @@ class FaultPlan(object):
                 self.metrics.counter("drain_noop").add(1)
                 self._log(action, "noop")
         elif action.kind == "flusher_stall":
-            kernel = world.kernel_for(world.machine)
-            kernel.writeback.stall(action.duration or 1.0)
+            world.primary.kernel.writeback.stall(action.duration or 1.0)
         elif action.kind in CORRUPTION_KINDS:
             if not self._try_corrupt(action):
                 # Nothing flushed yet (dirty data still client-side):

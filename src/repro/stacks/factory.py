@@ -64,7 +64,7 @@ class StackFactory(object):
         self.pool = pool
         # The pool's host decides which kernel instance serves it — on a
         # multi-host world each host has its own kernel (and VFS).
-        self.kernel = world.kernel_for(pool.machine)
+        self.kernel = pool.host.kernel
         self.symbol = symbol
         self.cache_bytes = cache_bytes
         # the client locking policy (global/inode/range/adaptive)
@@ -334,12 +334,12 @@ class StackFactory(object):
         )
 
 
-def mount_local(world, pool, name="local", num_disks=4):
+def mount_local(pool):
     """An ext4-over-RAID0 mount on local disks (the RND/WBS substrate)."""
-    kernel = world.kernel_for(pool.machine)
-    device = pool.machine.make_raid0(num_disks=num_disks)
+    kernel = pool.host.kernel
+    device = pool.machine.make_raid0()
     fs = LocalFs(kernel, device, name="%s.ext4" % pool.name)
-    mountpoint = "/local/%s/%s" % (pool.name, name)
+    mountpoint = "/local/%s/local" % pool.name
     kernel.vfs.mount(mountpoint, fs)
     kernel.writeback.set_max_dirty(pool.ram, pool.ram.capacity // 2)
     return Mount(

@@ -54,18 +54,25 @@ def releases_world(entry_point):
 class Host(object):
     """One client host: machine, host kernel, container engine."""
 
-    def __init__(self, world, name, num_cores, ram_bytes, num_disks):
+    def __init__(self, world, name, num_cores, ram_bytes):
         self.world = world
         self.name = name
         self.machine = Machine(
             world.sim, name=name, num_cores=num_cores, ram_bytes=ram_bytes,
-            num_disks=num_disks,
         )
         self.kernel = HostKernel(world.sim, self.machine, costs=world.costs)
-        self.engine = ContainerEngine(world, machine=self.machine)
+        self.engine = ContainerEngine(self)
 
     def activate_cores(self, count):
         return self.machine.activate_cores(count)
+
+    def task(self, label="host"):
+        """A task for host-side setup work (image seeding, pre-population).
+
+        Runs on the machine's *full* core set so setup does not perturb
+        the activated-core accounting of the experiment.
+        """
+        return Task(SimThread(self.world.sim, label, self.machine.cores))
 
     def __repr__(self):
         return "<Host %s>" % self.name
@@ -81,7 +88,6 @@ class World(object):
         num_osds=6,
         replicas=1,
         costs=None,
-        num_disks=6,
     ):
         self.sim = Simulator()
         self.costs = costs if costs is not None else CostModel()
@@ -91,43 +97,23 @@ class World(object):
             replicas=replicas,
         )
         self.hosts = []
-        primary = self.add_host(
+        #: the client host the paper's testbed has (Fig. 5); ``hosts[0]``
+        self.primary = self.add_host(
             "client", num_cores=num_cores, ram_bytes=ram_bytes,
-            num_disks=num_disks,
         )
-        # Compatibility aliases: most experiments use a single host.
-        self.machine = primary.machine
-        self.kernel = primary.kernel
-        self.engine = primary.engine
         spec = obs.default_spec()
         if spec is not None:
             # The CLI armed auto-observation (``--trace``/``--profile``):
             # experiments that build worlds internally get observed too.
             obs._note_attached(self.observe(**spec))
 
-    def add_host(self, name, num_cores=16, ram_bytes=64 * units.GIB,
-                 num_disks=6):
+    def add_host(self, name, num_cores=16, ram_bytes=64 * units.GIB):
         """Attach another client host to the same storage cluster."""
         if any(host.name == name for host in self.hosts):
             raise ConfigError("host %r already exists" % name)
-        host = Host(self, name, num_cores, ram_bytes, num_disks)
+        host = Host(self, name, num_cores, ram_bytes)
         self.hosts.append(host)
         return host
-
-    def host_of(self, machine):
-        """The :class:`Host` owning ``machine``."""
-        for host in self.hosts:
-            if host.machine is machine:
-                return host
-        raise ConfigError("machine %r belongs to no host" % machine)
-
-    def kernel_for(self, machine):
-        """The host kernel of the host owning ``machine``."""
-        return self.host_of(machine).kernel
-
-    def activate_cores(self, count):
-        """Enable ``count`` cores on the primary client host."""
-        return self.machine.activate_cores(count)
 
     def observe(self, categories=None, capacity=100000):
         """Attach a fresh :class:`~repro.obs.Observer` to this world.
@@ -141,15 +127,6 @@ class World(object):
         )
         self.sim.observer = observer
         return observer
-
-    def host_task(self, label="host"):
-        """A task for host-side setup work (image seeding, pre-population).
-
-        Runs on the primary machine's *full* core set so setup does not
-        perturb the activated-core accounting of the experiment.
-        """
-        thread = SimThread(self.sim, label, self.machine.cores)
-        return Task(thread)
 
     def run(self, until=None):
         return self.sim.run(until=until)

@@ -123,5 +123,5 @@ def test_row_is_independent_of_tasks_made_earlier_in_the_process():
     first = run_startup("D", 1, pool_cores=2)
     world = World(num_cores=2, ram_bytes=units.gib(1))
     for index in range(2000):
-        world.host_task("t%d" % index)
+        world.primary.task("t%d" % index)
     assert run_startup("D", 1, pool_cores=2) == first

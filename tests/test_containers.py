@@ -87,28 +87,34 @@ def test_registry_materialize_writes_tree(sim, kernel, machine):
 
 # --- pools -------------------------------------------------------------------
 
-def test_pool_threads_confined_to_cpuset(sim, machine):
-    pool = ContainerPool(sim, machine, "p", machine.cores[:2], units.gib(1))
+def test_pool_threads_confined_to_cpuset():
+    host = World(num_cores=8).primary
+    cores = host.machine.cores[:2]
+    pool = ContainerPool(host, "p", cores, units.gib(1))
+    assert pool.host is host and pool.machine is host.machine
     thread = pool.new_thread()
-    assert set(thread.cpuset) == set(machine.cores[:2])
+    assert set(thread.cpuset) == set(cores)
     task = pool.new_task()
     assert task.pool is pool
 
 
-def test_pool_requires_cores(sim, machine):
+def test_pool_requires_cores():
+    host = World(num_cores=8).primary
     with pytest.raises(ConfigError):
-        ContainerPool(sim, machine, "p", [], units.gib(1))
+        ContainerPool(host, "p", [], units.gib(1))
 
 
-def test_pool_utilization_probe(sim, machine):
-    pool = ContainerPool(sim, machine, "p", machine.cores[:2], units.gib(1))
+def test_pool_utilization_probe():
+    world = World(num_cores=8)
+    host = world.primary
+    pool = ContainerPool(host, "p", host.machine.cores[:2], units.gib(1))
     task = pool.new_task()
 
     def proc():
         yield from task.cpu(0.1)
 
     pool.probe.reset()
-    run(sim, proc())
+    run(world.sim, proc())
     assert pool.utilization() > 0
 
 
@@ -116,25 +122,28 @@ def test_pool_utilization_probe(sim, machine):
 
 def test_engine_creates_disjoint_pools():
     world = World(num_cores=8)
-    world.activate_cores(8)
-    pools = world.engine.create_pools(3, num_cores=2, ram_bytes=units.gib(1))
+    host = world.primary
+    host.activate_cores(8)
+    pools = host.engine.create_pools(3, num_cores=2, ram_bytes=units.gib(1))
     cores = [core for pool in pools for core in pool.cores]
     assert len(cores) == len(set(cores)) == 6
 
 
 def test_engine_duplicate_pool_name_rejected():
     world = World(num_cores=8)
-    world.engine.create_pool("same")
+    host = world.primary
+    host.engine.create_pool("same")
     with pytest.raises(ConfigError):
-        world.engine.create_pool("same")
+        host.engine.create_pool("same")
 
 
 def test_container_wraps_mount():
     from repro.stacks import StackFactory
 
     world = World(num_cores=8, ram_bytes=units.gib(8))
-    world.activate_cores(4)
-    pool = world.engine.create_pool("p", num_cores=2, ram_bytes=units.gib(2))
+    host = world.primary
+    host.activate_cores(4)
+    pool = host.engine.create_pool("p", num_cores=2, ram_bytes=units.gib(2))
     mount = StackFactory(world, pool, "D").mount_root("c0")
     container = Container(pool, "c0", mount)
     assert container.fs is mount.fs

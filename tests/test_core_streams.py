@@ -129,8 +129,9 @@ def test_dirstream_iterates_and_rewinds():
 @pytest.fixture
 def setup():
     world = World(num_cores=8, ram_bytes=units.gib(8))
-    world.activate_cores(4)
-    pool = world.engine.create_pool("p", num_cores=2, ram_bytes=units.gib(2))
+    host = world.primary
+    host.activate_cores(4)
+    pool = host.engine.create_pool("p", num_cores=2, ram_bytes=units.gib(2))
     mount = StackFactory(world, pool, "D").mount_root("c0")
     return world, pool, mount
 

@@ -123,9 +123,11 @@ def test_faults_only_for_chaos_kind():
 
 
 def test_unknown_chaos_field_rejected():
-    spec = {"id": "c1", "kind": "chaos", "faults": {"bitrots": 2}}
-    with pytest.raises(SpecError, match="unknown ChaosConfig fields"):
-        validate_spec(spec)
+    # A misspelt fault count, and a testbed setting that is a constant.
+    for faults in ({"bitrots": 2}, {"supervise": False}):
+        spec = {"id": "c1", "kind": "chaos", "faults": faults}
+        with pytest.raises(SpecError, match="unknown ChaosConfig fields"):
+            validate_spec(spec)
 
 
 def test_bad_slo_op_rejected():

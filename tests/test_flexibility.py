@@ -19,13 +19,13 @@ from tests.conftest import run
 @pytest.fixture
 def world():
     world = World(num_cores=8, ram_bytes=units.gib(16))
-    world.activate_cores(8)
+    world.primary.activate_cores(8)
     return world
 
 
 def test_tenant_runs_multiple_services_with_distinct_settings(world):
-    pool = world.engine.create_pool("tenant", num_cores=4,
-                                    ram_bytes=units.gib(4))
+    pool = world.primary.engine.create_pool("tenant", num_cores=4,
+                                            ram_bytes=units.gib(4))
     # Service 1: default consistency; Service 2: fine-grained locking and
     # a small cache — "multiple filesystem services with distinct settings
     # in resource naming, memory reservation, ... " (§5).
@@ -53,8 +53,9 @@ def test_tenant_runs_multiple_services_with_distinct_settings(world):
 
 
 def test_tenants_collaborate_through_shared_backend(world):
-    pool_a = world.engine.create_pool("a", num_cores=2, ram_bytes=units.gib(2))
-    pool_b = world.engine.create_pool("b", num_cores=2, ram_bytes=units.gib(2))
+    host = world.primary
+    pool_a = host.engine.create_pool("a", num_cores=2, ram_bytes=units.gib(2))
+    pool_b = host.engine.create_pool("b", num_cores=2, ram_bytes=units.gib(2))
     mount_a = StackFactory(world, pool_a, "D").mount_root("c0")
     mount_b = StackFactory(world, pool_b, "D").mount_root("c0")
     task_a = pool_a.new_task()
@@ -79,8 +80,9 @@ def test_tenants_collaborate_through_shared_backend(world):
 
 def test_central_administration_through_backend(world):
     """Malware-scan-style admin task reads tenant files centrally."""
-    pool = world.engine.create_pool("tenant", num_cores=2,
-                                    ram_bytes=units.gib(2))
+    host = world.primary
+    pool = host.engine.create_pool("tenant", num_cores=2,
+                                   ram_bytes=units.gib(2))
     mount = StackFactory(world, pool, "D").mount_root("c0")
     task = pool.new_task()
 
@@ -93,12 +95,12 @@ def test_central_administration_through_backend(world):
 
     # The admin uses its own host-side client over the same backend; it
     # never enters the tenant's container.
-    admin_account = world.machine.ram.child(units.mib(64), "admin.ram")
+    admin_account = host.machine.ram.child(units.mib(64), "admin.ram")
     admin = CephLibClient(
         world.sim, world.cluster, world.costs, admin_account,
-        world.machine.cores, name="admin",
+        host.machine.cores, name="admin",
     )
-    admin_task = world.host_task("admin")
+    admin_task = host.task("admin")
 
     def scan():
         names = yield from admin.readdir(admin_task, "/pools/tenant/c0/app")
@@ -114,8 +116,8 @@ def test_central_administration_through_backend(world):
 
 def test_writable_sharing_mode_between_containers(world):
     """Two containers of one tenant share a writable directory (§5)."""
-    pool = world.engine.create_pool("tenant", num_cores=4,
-                                    ram_bytes=units.gib(2))
+    pool = world.primary.engine.create_pool("tenant", num_cores=4,
+                                            ram_bytes=units.gib(2))
     factory = StackFactory(world, pool, "D")
     mount_a = factory.mount_root("c0")
     mount_b = factory.mount_root("c1")

@@ -21,14 +21,15 @@ MIB = units.mib(1)
 
 def build_world():
     world = World(num_cores=8, ram_bytes=units.gib(16))
-    world.activate_cores(4)
-    pool = world.engine.create_pool("p0", num_cores=2, ram_bytes=units.gib(4))
+    host = world.primary
+    host.activate_cores(4)
+    pool = host.engine.create_pool("p0", num_cores=2, ram_bytes=units.gib(4))
     return world, pool
 
 
 def test_randomio_prealloc_on_a_local_mount_peaks_at_one_piece():
     world, pool = build_world()
-    workload = RandomIO(mount_local(world, pool).fs, pool, file_size=16 * MIB)
+    workload = RandomIO(mount_local(pool).fs, pool, file_size=16 * MIB)
     tracemalloc.start()
     try:
         run(world.sim, workload.setup(pool.new_task()), until=600)

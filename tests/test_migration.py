@@ -13,7 +13,7 @@ from tests.conftest import run
 @pytest.fixture
 def world():
     world = World(num_cores=8, ram_bytes=units.gib(16))
-    world.activate_cores(8)
+    world.primary.activate_cores(8)
     return world
 
 
@@ -23,10 +23,11 @@ def launch(world, pool, cid="c0"):
 
 
 def test_migration_preserves_data_across_pools(world):
-    source = world.engine.create_pool("src", num_cores=2,
-                                      ram_bytes=units.gib(2))
-    target = world.engine.create_pool("dst", num_cores=2,
-                                      ram_bytes=units.gib(2))
+    host = world.primary
+    source = host.engine.create_pool("src", num_cores=2,
+                                     ram_bytes=units.gib(2))
+    target = host.engine.create_pool("dst", num_cores=2,
+                                     ram_bytes=units.gib(2))
     container = launch(world, source)
     task = container.new_task()
 
@@ -48,10 +49,11 @@ def test_migration_preserves_data_across_pools(world):
 
 
 def test_migration_moves_execution_to_target_cores(world):
-    source = world.engine.create_pool("src", num_cores=2,
-                                      ram_bytes=units.gib(2))
-    target = world.engine.create_pool("dst", num_cores=2,
-                                      ram_bytes=units.gib(2))
+    host = world.primary
+    source = host.engine.create_pool("src", num_cores=2,
+                                     ram_bytes=units.gib(2))
+    target = host.engine.create_pool("dst", num_cores=2,
+                                     ram_bytes=units.gib(2))
     container = launch(world, source)
 
     def proc():
@@ -71,8 +73,8 @@ def test_migration_across_hosts(world):
     """The §9 scenario proper: a second host adopts the container."""
     host_b = world.add_host("client-b", num_cores=8, ram_bytes=units.gib(16))
     host_b.activate_cores(4)
-    source = world.engine.create_pool("src", num_cores=2,
-                                      ram_bytes=units.gib(2))
+    source = world.primary.engine.create_pool("src", num_cores=2,
+                                              ram_bytes=units.gib(2))
     target = host_b.engine.create_pool("dst", num_cores=2,
                                        ram_bytes=units.gib(2))
     container = launch(world, source)
@@ -90,7 +92,7 @@ def test_migration_across_hosts(world):
 
     report, data = run(world.sim, proc())
     assert data == b"entries" * 100
-    assert report.container.pool.machine is host_b.machine
+    assert report.container.pool.host is host_b
     # The new mount's client runs against the second host's kernel-free
     # user-level stack; its service is owned by the destination pool.
     assert report.container.mount.service in target.services
@@ -99,10 +101,11 @@ def test_migration_across_hosts(world):
 def test_migration_after_source_service_crash(world):
     """Migration doubles as recovery: a dead source service is fine as
     long as the flushed state already reached the cluster."""
-    source = world.engine.create_pool("src", num_cores=2,
-                                      ram_bytes=units.gib(2))
-    target = world.engine.create_pool("dst", num_cores=2,
-                                      ram_bytes=units.gib(2))
+    host = world.primary
+    source = host.engine.create_pool("src", num_cores=2,
+                                     ram_bytes=units.gib(2))
+    target = host.engine.create_pool("dst", num_cores=2,
+                                     ram_bytes=units.gib(2))
     container = launch(world, source)
 
     def proc():
@@ -122,9 +125,13 @@ def test_migration_after_source_service_crash(world):
 
 
 def test_two_hosts_have_independent_kernels(world):
+    host = world.primary
     host_b = world.add_host("client-b", num_cores=4, ram_bytes=units.gib(8))
-    assert world.kernel_for(world.machine) is world.kernel
-    assert world.kernel_for(host_b.machine) is host_b.kernel
-    assert world.kernel is not host_b.kernel
+    assert world.hosts == [host, host_b]
+    assert host.kernel is not host_b.kernel
+    # A pool carries its host, and its stacks mount in that host's kernel.
+    pool = host_b.engine.create_pool("p", num_cores=2, ram_bytes=units.gib(1))
+    assert pool.host is host_b
+    assert StackFactory(world, pool, "K").kernel is host_b.kernel
     with pytest.raises(Exception):
         world.add_host("client-b")  # duplicate name

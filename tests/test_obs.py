@@ -14,13 +14,15 @@ from tests.conftest import run
 
 def make_observed_world(categories=None):
     world = World(num_cores=8, ram_bytes=units.gib(8))
-    world.activate_cores(4)
+    world.primary.activate_cores(4)
     world.observe(categories=categories)
     return world
 
 
 def run_workload(world, symbol, data=b"x" * 65536):
-    pool = world.engine.create_pool("p", num_cores=2, ram_bytes=units.gib(2))
+    pool = world.primary.engine.create_pool(
+        "p", num_cores=2, ram_bytes=units.gib(2)
+    )
     mount = StackFactory(world, pool, symbol).mount_root("c0")
     task = pool.new_task()
 
@@ -284,7 +286,7 @@ def test_observing_with_no_categories_leaves_the_schedule_alone(monkeypatch):
 
 def test_no_observer_means_no_recording():
     world = World(num_cores=8, ram_bytes=units.gib(8))
-    world.activate_cores(4)
+    world.primary.activate_cores(4)
     assert world.sim.observer is None
     run_workload(world, "D")
     # Locks still register (creation-time, always on) but nothing records.

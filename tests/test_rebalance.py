@@ -11,13 +11,15 @@ from repro.world import World
 @pytest.fixture
 def world():
     world = World(num_cores=8, ram_bytes=units.gib(8))
-    world.activate_cores(8)
+    world.primary.activate_cores(8)
     return world
 
 
 def make_pools(world, count=2, ram=units.mib(100)):
     return [
-        world.engine.create_pool("p%d" % index, num_cores=2, ram_bytes=ram)
+        world.primary.engine.create_pool(
+            "p%d" % index, num_cores=2, ram_bytes=ram
+        )
         for index in range(count)
     ]
 

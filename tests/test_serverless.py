@@ -12,13 +12,15 @@ from tests.conftest import run
 @pytest.fixture
 def world():
     world = World(num_cores=8, ram_bytes=units.gib(8))
-    world.activate_cores(4)
+    world.primary.activate_cores(4)
     return world
 
 
 @pytest.fixture
 def tenant(world):
-    pool = world.engine.create_pool("fn", num_cores=2, ram_bytes=units.gib(2))
+    pool = world.primary.engine.create_pool(
+        "fn", num_cores=2, ram_bytes=units.gib(2)
+    )
     mount = StackFactory(world, pool, "D").mount_root("c0")
     return ServerlessTenant(
         mount, pool, duration=2.0, threads=2, n_functions=3,

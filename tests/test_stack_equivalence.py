@@ -25,7 +25,7 @@ IMAGE_FILES = {
 
 def build_world():
     world = World(num_cores=8, ram_bytes=units.gib(8))
-    world.activate_cores(4)
+    world.primary.activate_cores(4)
     return world
 
 
@@ -120,7 +120,9 @@ def test_stack_equivalence(symbol):
     if wants_union:
         seed(world)
         image_path = "/images/eq"
-    pool = world.engine.create_pool("p", num_cores=2, ram_bytes=units.gib(2))
+    pool = world.primary.engine.create_pool(
+        "p", num_cores=2, ram_bytes=units.gib(2)
+    )
     mount = StackFactory(world, pool, symbol).mount_root(
         "c0", image_path=image_path
     )
@@ -142,7 +144,8 @@ def test_stack_state_visible_through_fresh_client(symbol):
     from repro.cephclient import CephLibClient
 
     world = build_world()
-    pool = world.engine.create_pool("p", num_cores=2, ram_bytes=units.gib(2))
+    host = world.primary
+    pool = host.engine.create_pool("p", num_cores=2, ram_bytes=units.gib(2))
     mount = StackFactory(world, pool, symbol).mount_root("c0")
     task = pool.new_task()
     run(world.sim, script(mount.fs, task), until=4000)
@@ -159,12 +162,12 @@ def test_stack_state_visible_through_fresh_client(symbol):
     run(world.sim, flush(), until=4000)
     world.sim.run(until=world.sim.now + 2.0)
 
-    account = world.machine.ram.child(units.mib(64), "audit.ram")
+    account = host.machine.ram.child(units.mib(64), "audit.ram")
     auditor = CephLibClient(
         world.sim, world.cluster, world.costs, account,
-        world.machine.cores, name="auditor",
+        host.machine.cores, name="auditor",
     )
-    audit_task = world.host_task("audit")
+    audit_task = host.task("audit")
 
     def audit():
         return (

@@ -17,13 +17,14 @@ PLAIN_SYMBOLS = [s for s in SYMBOLS if "/" not in s]
 @pytest.fixture
 def world():
     world = World(num_cores=8, ram_bytes=units.gib(8))
-    world.activate_cores(4)
+    world.primary.activate_cores(4)
     return world
 
 
 def seed_image(world, path="/images/test"):
     """Put a tiny image tree into the shared cluster namespace."""
-    task = world.host_task("seed")
+    host = world.primary
+    task = host.task("seed")
     image = debian_base(scale=1.0 / 8192)
     client = None
 
@@ -31,13 +32,13 @@ def seed_image(world, path="/images/test"):
         from repro.cephclient import CephLibClient
 
         nonlocal client
-        account = world.machine.ram.child(units.mib(64), "seed.ram")
+        account = host.machine.ram.child(units.mib(64), "seed.ram")
         client = CephLibClient(
             world.sim, world.cluster, world.costs, account,
-            world.machine.cores, name="seed",
+            host.machine.cores, name="seed",
         )
-        yield from world.engine.registry.materialize(
-            task, world.engine.push_image(image), client, path
+        yield from host.engine.registry.materialize(
+            task, host.engine.push_image(image), client, path
         )
         yield from client.flush_all(task)
         client.stop()
@@ -48,7 +49,9 @@ def seed_image(world, path="/images/test"):
 
 @pytest.mark.parametrize("symbol", PLAIN_SYMBOLS)
 def test_plain_stack_roundtrip(world, symbol):
-    pool = world.engine.create_pool("p0", num_cores=2, ram_bytes=units.gib(2))
+    pool = world.primary.engine.create_pool(
+        "p0", num_cores=2, ram_bytes=units.gib(2)
+    )
     factory = StackFactory(world, pool, symbol)
     mount = factory.mount_root("c0")
     task = pool.new_task()
@@ -63,7 +66,9 @@ def test_plain_stack_roundtrip(world, symbol):
 @pytest.mark.parametrize("symbol", UNION_SYMBOLS)
 def test_union_stack_sees_image_and_writes_cow(world, symbol):
     image, path = seed_image(world)
-    pool = world.engine.create_pool("p0", num_cores=2, ram_bytes=units.gib(2))
+    pool = world.primary.engine.create_pool(
+        "p0", num_cores=2, ram_bytes=units.gib(2)
+    )
     factory = StackFactory(world, pool, symbol)
     mount = factory.mount_root("c0", image_path=path)
     task = pool.new_task()
@@ -83,7 +88,9 @@ def test_union_stack_sees_image_and_writes_cow(world, symbol):
 @pytest.mark.parametrize("symbol", UNION_SYMBOLS + ["D"])
 def test_clones_share_lower_but_not_upper(world, symbol):
     image, path = seed_image(world)
-    pool = world.engine.create_pool("p0", num_cores=2, ram_bytes=units.gib(2))
+    pool = world.primary.engine.create_pool(
+        "p0", num_cores=2, ram_bytes=units.gib(2)
+    )
     factory = StackFactory(world, pool, symbol)
     mount_a = factory.mount_root("c0", image_path=path)
     mount_b = factory.mount_root("c1", image_path=path)
@@ -102,20 +109,22 @@ def test_clones_share_lower_but_not_upper(world, symbol):
 
 
 def test_union_symbol_requires_image(world):
-    pool = world.engine.create_pool("p0")
+    pool = world.primary.engine.create_pool("p0")
     factory = StackFactory(world, pool, "K/K")
     with pytest.raises(ConfigError):
         factory.mount_root("c0")
 
 
 def test_unknown_symbol_rejected(world):
-    pool = world.engine.create_pool("p0")
+    pool = world.primary.engine.create_pool("p0")
     with pytest.raises(ConfigError):
         StackFactory(world, pool, "X/Y")
 
 
 def test_danaus_mount_has_service_and_legacy_path(world):
-    pool = world.engine.create_pool("p0", num_cores=2, ram_bytes=units.gib(2))
+    pool = world.primary.engine.create_pool(
+        "p0", num_cores=2, ram_bytes=units.gib(2)
+    )
     mount = StackFactory(world, pool, "D").mount_root("c0")
     assert mount.service is not None
     assert mount.library is not None
@@ -132,53 +141,59 @@ def test_danaus_mount_has_service_and_legacy_path(world):
 
 
 def test_danaus_default_path_bypasses_kernel(world):
-    pool = world.engine.create_pool("p0", num_cores=2, ram_bytes=units.gib(2))
+    host = world.primary
+    pool = host.engine.create_pool("p0", num_cores=2, ram_bytes=units.gib(2))
     mount = StackFactory(world, pool, "D").mount_root("c0")
     task = pool.new_task()
 
     def proc():
-        before = world.kernel.metrics.counter("syscalls").value
+        before = host.kernel.metrics.counter("syscalls").value
         yield from mount.fs.write_file(task, "/f", b"no syscalls")
         yield from mount.fs.read_file(task, "/f")
-        after = world.kernel.metrics.counter("syscalls").value
+        after = host.kernel.metrics.counter("syscalls").value
         return after - before
 
     assert run(world.sim, proc()) == 0
 
 
 def test_kernel_stack_pays_syscalls(world):
-    pool = world.engine.create_pool("p0", num_cores=2, ram_bytes=units.gib(2))
+    host = world.primary
+    pool = host.engine.create_pool("p0", num_cores=2, ram_bytes=units.gib(2))
     mount = StackFactory(world, pool, "K").mount_root("c0")
     task = pool.new_task()
 
     def proc():
-        before = world.kernel.metrics.counter("syscalls").value
+        before = host.kernel.metrics.counter("syscalls").value
         yield from mount.fs.write_file(task, "/f", b"syscalls")
-        after = world.kernel.metrics.counter("syscalls").value
+        after = host.kernel.metrics.counter("syscalls").value
         return after - before
 
     assert run(world.sim, proc()) > 0
 
 
 def test_two_pools_have_disjoint_cores_and_ram(world):
-    pool_a = world.engine.create_pool("a", num_cores=2, ram_bytes=units.gib(2))
-    pool_b = world.engine.create_pool("b", num_cores=2, ram_bytes=units.gib(2))
+    host = world.primary
+    pool_a = host.engine.create_pool("a", num_cores=2, ram_bytes=units.gib(2))
+    pool_b = host.engine.create_pool("b", num_cores=2, ram_bytes=units.gib(2))
     assert not set(pool_a.cores) & set(pool_b.cores)
     pool_a.ram.charge(units.gib(1))
     assert pool_b.ram.used == 0
-    assert world.machine.ram.used == units.gib(1)
+    assert host.machine.ram.used == units.gib(1)
 
 
 def test_pool_cannot_exceed_activated_cores(world):
-    world.engine.create_pool("a", num_cores=2)
-    world.engine.create_pool("b", num_cores=2)
+    host = world.primary
+    host.engine.create_pool("a", num_cores=2)
+    host.engine.create_pool("b", num_cores=2)
     with pytest.raises(ConfigError):
-        world.engine.create_pool("c", num_cores=2)
+        host.engine.create_pool("c", num_cores=2)
 
 
 def test_mount_local_roundtrip(world):
-    pool = world.engine.create_pool("p0", num_cores=2, ram_bytes=units.gib(2))
-    mount = mount_local(world, pool)
+    pool = world.primary.engine.create_pool(
+        "p0", num_cores=2, ram_bytes=units.gib(2)
+    )
+    mount = mount_local(pool)
     task = pool.new_task()
 
     def proc():
@@ -189,7 +204,8 @@ def test_mount_local_roundtrip(world):
 
 
 def test_fp_stack_uses_page_cache_and_user_cache(world):
-    pool = world.engine.create_pool("p0", num_cores=2, ram_bytes=units.gib(2))
+    host = world.primary
+    pool = host.engine.create_pool("p0", num_cores=2, ram_bytes=units.gib(2))
     factory = StackFactory(world, pool, "FP")
     mount = factory.mount_root("c0")
     task = pool.new_task()
@@ -203,7 +219,7 @@ def test_fp_stack_uses_page_cache_and_user_cache(world):
     # Double caching: page cache holds the fuse layer's pages while the
     # user-level client cache holds its own copy.
     fuse_pages = sum(
-        cf.nr_pages for key, cf in world.kernel.page_cache._files.items()
+        cf.nr_pages for key, cf in host.kernel.page_cache._files.items()
         if key[0] == "fuse"
     )
     assert fuse_pages > 0
@@ -211,9 +227,10 @@ def test_fp_stack_uses_page_cache_and_user_cache(world):
 
 
 def test_danaus_service_crash_contained(world):
+    host = world.primary
     image, path = seed_image(world)
-    pool_a = world.engine.create_pool("a", num_cores=2, ram_bytes=units.gib(2))
-    pool_b = world.engine.create_pool("b", num_cores=2, ram_bytes=units.gib(2))
+    pool_a = host.engine.create_pool("a", num_cores=2, ram_bytes=units.gib(2))
+    pool_b = host.engine.create_pool("b", num_cores=2, ram_bytes=units.gib(2))
     mount_a = StackFactory(world, pool_a, "D").mount_root("c0")
     mount_b = StackFactory(world, pool_b, "D").mount_root("c0")
     task_a = pool_a.new_task()

@@ -18,14 +18,16 @@ from tests.conftest import run
 
 def make_traced_world(categories=None):
     world = World(num_cores=8, ram_bytes=units.gib(8))
-    world.activate_cores(4)
+    world.primary.activate_cores(4)
     world.observe(categories=categories)
     return world
 
 
 def test_tracer_records_ipc_and_client_events():
     world = make_traced_world()
-    pool = world.engine.create_pool("p", num_cores=2, ram_bytes=units.gib(2))
+    pool = world.primary.engine.create_pool(
+        "p", num_cores=2, ram_bytes=units.gib(2)
+    )
     mount = StackFactory(world, pool, "D").mount_root("c0")
     task = pool.new_task()
 
@@ -43,7 +45,9 @@ def test_tracer_records_ipc_and_client_events():
 
 def test_tracer_category_filter():
     world = make_traced_world(categories={"client"})
-    pool = world.engine.create_pool("p", num_cores=2, ram_bytes=units.gib(2))
+    pool = world.primary.engine.create_pool(
+        "p", num_cores=2, ram_bytes=units.gib(2)
+    )
     mount = StackFactory(world, pool, "D").mount_root("c0")
     task = pool.new_task()
 
@@ -58,7 +62,9 @@ def test_tracer_category_filter():
 
 def test_tracer_records_fuse_calls():
     world = make_traced_world(categories={"fuse"})
-    pool = world.engine.create_pool("p", num_cores=2, ram_bytes=units.gib(2))
+    pool = world.primary.engine.create_pool(
+        "p", num_cores=2, ram_bytes=units.gib(2)
+    )
     mount = StackFactory(world, pool, "F").mount_root("c0")
     task = pool.new_task()
 

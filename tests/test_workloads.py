@@ -26,13 +26,15 @@ from tests.conftest import run
 @pytest.fixture
 def world():
     world = World(num_cores=8, ram_bytes=units.gib(16))
-    world.activate_cores(4)
+    world.primary.activate_cores(4)
     return world
 
 
 @pytest.fixture
 def pool(world):
-    return world.engine.create_pool("p0", num_cores=2, ram_bytes=units.gib(4))
+    return world.primary.engine.create_pool(
+        "p0", num_cores=2, ram_bytes=units.gib(4)
+    )
 
 
 @pytest.fixture
@@ -56,8 +58,9 @@ def test_fileserver_produces_throughput(world, pool, dmount):
 def test_fileserver_deterministic_given_seed(world):
     def measure():
         local_world = World(num_cores=8, ram_bytes=units.gib(16))
-        local_world.activate_cores(4)
-        local_pool = local_world.engine.create_pool(
+        local_host = local_world.primary
+        local_host.activate_cores(4)
+        local_pool = local_host.engine.create_pool(
             "p0", num_cores=2, ram_bytes=units.gib(4)
         )
         mount = StackFactory(local_world, local_pool, "D").mount_root("c0")
@@ -72,7 +75,7 @@ def test_fileserver_deterministic_given_seed(world):
 
 
 def test_webserver_is_read_dominated(world, pool):
-    mount = mount_local(world, pool)
+    mount = mount_local(pool)
     workload = Webserver(
         mount.fs, pool, duration=0.2, threads=4, nfiles=40,
         mean_size=units.kib(8),
@@ -82,7 +85,7 @@ def test_webserver_is_read_dominated(world, pool):
 
 
 def test_randomio_mixes_reads_and_writes(world, pool):
-    mount = mount_local(world, pool)
+    mount = mount_local(pool)
     workload = RandomIO(
         mount.fs, pool, duration=0.2, file_size=units.mib(2), seed=3
     )
@@ -237,20 +240,21 @@ def test_lighttpd_startup_sequence(world, pool):
     from repro.containers import Container, lighttpd_image
     from tests.test_stacks import seed_image
 
-    task = world.host_task("seed")
+    host = world.primary
+    task = host.task("seed")
     image = lighttpd_image(scale=1.0 / 8192)
     # Seed the image into the shared namespace via a temporary client.
     from repro.cephclient import CephLibClient
 
-    account = world.machine.ram.child(units.mib(64), "seed.ram")
+    account = host.machine.ram.child(units.mib(64), "seed.ram")
     client = CephLibClient(
-        world.sim, world.cluster, world.costs, account, world.machine.cores,
+        world.sim, world.cluster, world.costs, account, host.machine.cores,
         name="seeder",
     )
 
     def seed():
-        yield from world.engine.registry.materialize(
-            task, world.engine.push_image(image), client, "/images/lighttpd"
+        yield from host.engine.registry.materialize(
+            task, host.engine.push_image(image), client, "/images/lighttpd"
         )
         yield from client.flush_all(task)
         client.stop()
@@ -331,10 +335,11 @@ def _prealloc(stack, size, spelling):
     from repro.workloads.base import Workload
 
     world = World(num_cores=8, ram_bytes=units.gib(16))
-    world.activate_cores(4)
-    pool = world.engine.create_pool("p0", num_cores=2, ram_bytes=units.gib(4))
+    host = world.primary
+    host.activate_cores(4)
+    pool = host.engine.create_pool("p0", num_cores=2, ram_bytes=units.gib(4))
     if stack == "local":
-        mount = mount_local(world, pool)
+        mount = mount_local(pool)
     else:
         mount = StackFactory(world, pool, stack).mount_root("c0")
     workload = Workload(mount.fs, pool, seed=3)
@@ -370,7 +375,7 @@ def test_fill_writes_one_buffer_over_and_over(world, pool):
     from repro.fs.api import WRITE_PIECE
     from repro.workloads.base import Workload
 
-    mount = mount_local(world, pool)
+    mount = mount_local(pool)
     workload = Workload(mount.fs, pool, seed=3)
     size = 2 * WRITE_PIECE + 100
     run(world.sim, workload.fill(pool.new_task(), "/big", size, "tag"))
