@@ -19,8 +19,11 @@ Two modes:
   difference or an id the table lacks (under ``--run-all`` also on a
   table id that did not run); ``--write FILE`` records the table.
   ``--seed N`` runs each selected spec on seed ``N`` alone (the spec is
-  re-validated); an SLO violation — a chaos preset's ``ok == true`` —
-  exits non-zero, which is what the nightly chaos matrix relies on.
+  re-validated). Every record carries its spec's check verdicts; a
+  violated check — a paper shape that does not hold, a known gap that
+  unexpectedly holds, or a chaos preset's ``ok == true`` — exits
+  non-zero. That is the quick job's shape gate, the full-size
+  paper-shapes gate and the nightly chaos matrix's verdict.
 
 Usage:
     python scripts/spec_matrix.py --validate
@@ -30,6 +33,7 @@ Usage:
         --check benchmarks/SPEC_quick_fingerprints.json
     python scripts/spec_matrix.py --run chaos-churn --seed 7 \
         --out-dir artifacts/chaos-churn-seed7
+    python scripts/spec_matrix.py --run-all --out-dir artifacts/shapes
 """
 
 import argparse
@@ -47,7 +51,7 @@ from repro.experiments import (  # noqa: E402
     SpecError, registry, to_trend, validate_record, validate_spec,
 )
 from repro.experiments.compiler import compile_spec  # noqa: E402
-from repro.experiments.runner import run_spec  # noqa: E402
+from repro.experiments.runner import describe, run_spec, state  # noqa: E402
 
 
 def validate_all():
@@ -103,13 +107,17 @@ def run_selected(names, quick, out_dir, seed=None):
         with open(path, "w") as fh:
             json.dump(record, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        violations = record.get("slo", {}).get("violations", [])
-        print("ran %-16s rows=%d wall=%.1fs fingerprint=%s -> %s"
+        states = [state(verdict) for verdict in record["checks"]]
+        print("ran %-16s rows=%d wall=%.1fs fingerprint=%s checks=%s -> %s"
               % (name, len(record["rows"]), record["wall_s"],
-                 record["fingerprint"], path))
-        for violation in violations:
-            print("SLO %s: %s" % (name, violation), file=sys.stderr)
-            status = 1
+                 record["fingerprint"],
+                 ",".join("%d %s" % (states.count(s), s)
+                          for s in sorted(set(states))) or "-", path))
+        for verdict in record["checks"]:
+            if not verdict["ok"]:
+                print("CHECK %s: %s" % (name, describe(verdict)),
+                      file=sys.stderr)
+                status = 1
         records.append(record)
     if records:
         trend_path = os.path.join(out_dir, "trend.json")

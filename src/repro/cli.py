@@ -19,11 +19,13 @@ runs everything not tagged ``nightly`` (the chaos presets run in the
 nightly matrix instead).
 
 Each run prints the experiment's report block: the paper's expectation
-followed by the measured rows. With ``--trace``/``--profile`` the run is
-observed through :mod:`repro.obs`: a trace summary and the profile
-tables (``repro.obs.TABLES``) are printed, and a Chrome
-``trace_event`` JSON (loadable in Perfetto) is written next to the
-report. ``--report`` writes unified run records (+ profiles) as JSON.
+followed by the measured rows and one verdict line per spec check; the
+exit status is 1 when any check is violated. With
+``--trace``/``--profile`` the run is observed through
+:mod:`repro.obs`: a trace summary and the profile tables
+(``repro.obs.TABLES``) are printed, and a Chrome ``trace_event`` JSON
+(loadable in Perfetto) is written next to the report. ``--report``
+writes unified run records (+ profiles) as JSON.
 """
 
 import argparse
@@ -93,7 +95,7 @@ def _trace_path_for(args, name):
 def cmd_run(args):
     from repro import obs
     from repro.experiments import registry
-    from repro.experiments.runner import run_spec
+    from repro.experiments.runner import describe, run_spec
 
     specs = registry.discover()
     if args.experiment == "all":
@@ -115,6 +117,7 @@ def cmd_run(args):
               file=sys.stderr)
         return 2
     report = {"experiments": []} if args.report else None
+    status = 0
     try:
         for name in names:
             if observing:
@@ -127,6 +130,9 @@ def cmd_run(args):
                 specs[name], quick=args.quick, parallel=args.parallel,
             )
             print(result.report())
+            for verdict in record["checks"]:
+                print("check: %s" % describe(verdict))
+                status |= not verdict["ok"]
             chart = _chart_for(result)
             if chart:
                 print(chart)
@@ -150,7 +156,7 @@ def cmd_run(args):
         with open(args.report, "w") as handle:
             json.dump(report, handle, indent=2)
         print("report written to %s" % args.report)
-    return 0
+    return status
 
 
 def _print_table(key, rows, *title_args):

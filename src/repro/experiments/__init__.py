@@ -10,8 +10,8 @@ config file; this is the simulated analogue):
 * :mod:`repro.experiments.compiler` — lowers a spec onto
   ``World``/``StackFactory``/``FaultPlan``/``bench`` experiments;
 * :mod:`repro.experiments.runner` — expands sweep axes into
-  deterministic per-seed runs, checks SLO assertions, emits the unified
-  run record;
+  deterministic per-seed runs, evaluates the spec's checks (the paper's
+  shapes as data), emits the unified run record;
 * :mod:`repro.experiments.record` — the schema-versioned run record
   every artifact (CLI reports, chaos matrix, spec-matrix CI) shares,
   convertible to the ``BENCH_engine`` trend format;

@@ -183,10 +183,6 @@ class Sweep(object):
         if self.kind.notes:
             _resolve(self.kind.notes)(result, self.axes)
 
-    def run(self):
-        """Every cell inline; returns an ``ExperimentResult``."""
-        return self.collect([self.run_cell(cell) for cell in self.cells()])
-
 
 class ChaosSweep(Sweep):
     """The ``chaos`` kind: one :class:`~repro.faults.ChaosConfig` run.

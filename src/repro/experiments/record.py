@@ -33,7 +33,7 @@ __all__ = [
 #: Version of the unified run-record shape. Bump on any key change and
 #: extend :func:`validate_record` — the CI spec-matrix job fails on
 #: records it cannot validate, which is the schema-drift gate.
-RECORD_SCHEMA = 2
+RECORD_SCHEMA = 3
 
 #: Keys every record must carry, in canonical order.
 REQUIRED_KEYS = (
@@ -42,7 +42,7 @@ REQUIRED_KEYS = (
 )
 
 #: Optional keys a record may carry (anything else is drift).
-OPTIONAL_KEYS = ("seeds", "wall_s", "spec", "slo", "profile", "detail")
+OPTIONAL_KEYS = ("seeds", "wall_s", "spec", "checks", "profile", "detail")
 
 
 class RecordError(ValueError):
@@ -60,7 +60,7 @@ def rows_fingerprint(rows):
 
 
 def make_record(experiment_id, title="", paper_expectation="", rows=(),
-                notes=(), seeds=None, wall_s=None, spec=None, slo=None,
+                notes=(), seeds=None, wall_s=None, spec=None, checks=None,
                 profile=None, detail=None):
     """Assemble a schema-versioned run record with stable keys."""
     record = {
@@ -78,8 +78,8 @@ def make_record(experiment_id, title="", paper_expectation="", rows=(),
         record["wall_s"] = round(float(wall_s), 4)
     if spec is not None:
         record["spec"] = spec
-    if slo is not None:
-        record["slo"] = slo
+    if checks is not None:
+        record["checks"] = checks
     if profile is not None:
         record["profile"] = profile
     if detail is not None:
@@ -91,7 +91,8 @@ def validate_record(record):
     """Check a record against the unified schema; returns it.
 
     Raises :class:`RecordError` on any drift: wrong schema version,
-    missing or unknown keys, rows that are not dicts, or a fingerprint
+    missing or unknown keys, rows that are not dicts, check verdicts
+    without a bool ``ok``, or a fingerprint
     that does not match the rows (a tampered or hand-edited artifact).
     """
     if not isinstance(record, dict):
@@ -117,6 +118,12 @@ def validate_record(record):
             not isinstance(row, dict) for row in record["rows"]):
         raise RecordError("record %r rows must be a list of dicts"
                           % record.get("id"))
+    checks = record.get("checks", [])
+    if not isinstance(checks, list) or any(
+            not isinstance(check, dict) or not isinstance(check.get("ok"), bool)
+            for check in checks):
+        raise RecordError("record %r checks must be a list of verdicts "
+                          "with a bool 'ok'" % record.get("id"))
     expected = rows_fingerprint(record["rows"])
     if record["fingerprint"] != expected:
         raise RecordError(

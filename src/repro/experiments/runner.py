@@ -4,68 +4,152 @@
 runs every (seed, cell) pair as an independent task, folds the measured
 rows into a single :class:`~repro.bench.harness.ExperimentResult` in
 declaration order (rows gain a ``seed`` column when the spec sweeps
-more than one seed), checks the spec's SLO assertions against the rows,
-and emits the unified run record (``repro.experiments.record``): rows +
-fingerprint + wall-clock + resolved spec, plus any per-seed detail the
-sweep exposes (the chaos kind's plan log and digests).
+more than one seed), evaluates the spec's checks against the rows
+(:func:`evaluate_checks`), and emits the unified run record
+(``repro.experiments.record``): rows + fingerprint + check verdicts +
+wall-clock + resolved spec, plus any per-seed detail the sweep exposes
+(the chaos kind's plan log and digests).
 """
 
 import itertools
+import json
 import time
 
 from repro.experiments.compiler import compile_spec
 from repro.experiments.record import make_record
+from repro.experiments.spec import CHECK_OPS
 
-__all__ = ["check_slos", "run_spec"]
-
-_OPS = {
-    "<=": lambda a, b: a <= b,
-    "<": lambda a, b: a < b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
+__all__ = ["describe", "evaluate_checks", "measured", "run_spec", "state"]
 
 
-def check_slos(spec, result):
-    """Evaluate the spec's SLO assertions against measured rows.
+class _Unmatched(LookupError):
+    """A term's ``where`` filter matched no row."""
 
-    Returns ``{"checked": N, "violations": [message, ...]}``; an SLO
-    whose ``where`` filter matches no rows is itself a violation (the
-    assertion silently checking nothing is the worst failure mode).
+
+def _render_term(term):
+    if not isinstance(term, dict):
+        return json.dumps(term)
+    if "ratio" in term:
+        return "(%s / %s)" % tuple(_render_term(part) for part in term["ratio"])
+    where = ", ".join("%s=%s" % item for item in term["where"].items())
+    return "%s[%s]" % (term["metric"], where) if where else term["metric"]
+
+
+def _render_check(check):
+    """A check as one readable comparison, e.g. ``a[symbol=D] < 2 * b``."""
+    rhs = _render_term(check["rhs"])
+    if check["factor"] != 1:
+        rhs = "%g * %s" % (check["factor"], rhs)
+    return "%s %s %s" % (_render_term(check["lhs"]), check["op"], rhs)
+
+
+def _rows(result, term):
+    rows = result.rows_where(**term["where"])
+    if not rows:
+        raise _Unmatched("no row matches %s" % _render_term(term))
+    if any(term["metric"] not in row for row in rows):
+        raise LookupError("a row of %s has no metric %r"
+                          % (_render_term(term), term["metric"]))
+    return [row[term["metric"]] for row in rows]
+
+
+def _value(result, term):
+    """A single-valued term: a constant, one row's metric, or a ratio
+    (``x / 0`` is ``inf``)."""
+    if not isinstance(term, dict):
+        return term
+    if "ratio" in term:
+        num, den = (_value(result, part) for part in term["ratio"])
+        return num / den if den else float("inf")
+    values = _rows(result, term)
+    if len(values) != 1:
+        raise LookupError("%d rows match %s, want exactly one"
+                          % (len(values), _render_term(term)))
+    return values[0]
+
+
+def evaluate_checks(spec, result, quick=False):
+    """Evaluate the spec's checks against measured rows.
+
+    Returns one verdict per check: ``{check, ok, lhs, rhs, op, factor,
+    paper, expect, skipped}`` with the values compared, plus a
+    ``reason`` when the terms could not be evaluated. A metric term on
+    the left is compared on every row it matches; every other row term
+    must match exactly one row. A check expected to ``fail`` that holds
+    is a violation (``ok`` false). A term that matches no row is a
+    violation too (a check that silently checks nothing is the worst
+    failure mode) -- except under ``quick``, whose reduced sweep lacks
+    the rows of some checks: those are ``skipped``.
     """
-    violations = []
-    for entry in spec["slo"]:
-        metric = entry["metric"]
-        op = entry["op"]
-        want = entry["value"]
-        where = entry["where"]
-        rows = result.rows_where(**where) if where else result.rows
-        if not rows:
-            violations.append(
-                "slo %s %s %r: no rows match %r" % (metric, op, want, where)
-            )
-            continue
-        for row in rows:
-            if metric not in row:
-                violations.append(
-                    "slo %s %s %r: row %r has no such metric"
-                    % (metric, op, want, row)
-                )
-                continue
-            got = row[metric]
+    verdicts = []
+    for check in spec["checks"]:
+        verdict = {
+            "check": _render_check(check), "lhs": None, "rhs": None,
+            "op": check["op"], "factor": check["factor"],
+            "paper": check["paper"], "expect": check["expect"],
+            "skipped": False,
+        }
+        lhs = check["lhs"]
+        try:
+            rhs = _value(result, check["rhs"])
+            if isinstance(lhs, dict) and "metric" in lhs:
+                values = _rows(result, lhs)
+            else:
+                values = [_value(result, lhs)]
+        except _Unmatched as err:
+            verdict.update(ok=quick, skipped=quick, reason=str(err))
+        except (LookupError, TypeError) as err:
+            # TypeError: a ratio over a non-numeric value.
+            verdict.update(ok=False, reason=str(err))
+        else:
+            want = rhs * check["factor"] if check["factor"] != 1 else rhs
+            compare = CHECK_OPS[check["op"]]
             try:
-                ok = _OPS[op](got, want)
+                holds = all(compare(value, want) for value in values)
             except TypeError:
-                ok = False
-            if not ok:
-                violations.append(
-                    "slo violated: %s=%r not %s %r (row %r)"
-                    % (metric, got, op, want,
-                       {k: v for k, v in row.items() if not isinstance(v, float)})
-                )
-    return {"checked": len(spec["slo"]), "violations": violations}
+                holds = False
+            verdict.update(
+                lhs=values[0] if len(values) == 1 else values, rhs=rhs,
+                ok=holds == (check["expect"] == "pass"),
+            )
+        verdicts.append(verdict)
+    return verdicts
+
+
+def state(verdict):
+    """``pass``, ``xfail`` (fails as the spec expects), ``skip``, or a
+    violation: ``FAIL`` (does not hold) / ``XPASS`` (holds, expected to
+    fail)."""
+    if verdict["skipped"]:
+        return "skip"
+    expect_pass = verdict["expect"] == "pass"
+    if verdict["ok"]:
+        return "pass" if expect_pass else "xfail"
+    return "XPASS" if not expect_pass and "reason" not in verdict else "FAIL"
+
+
+def _fmt(value):
+    if isinstance(value, list):
+        return "[%s]" % ", ".join(_fmt(item) for item in value)
+    if isinstance(value, float):
+        return "%.0f" % value if 1e5 <= abs(value) < 1e15 else "%.5g" % value
+    return json.dumps(value)
+
+
+def measured(verdict):
+    """The comparison with the measured values in (or why there was
+    none), e.g. ``0.97 < 1.04``."""
+    if "reason" in verdict:
+        return verdict["reason"]
+    factor = "%g * " % verdict["factor"] if verdict["factor"] != 1 else ""
+    return "%s %s %s%s" % (_fmt(verdict["lhs"]), verdict["op"], factor,
+                           _fmt(verdict["rhs"]))
+
+
+def describe(verdict):
+    """One line per verdict: state, the check, what it compared."""
+    return "%-5s %s  (%s)" % (state(verdict), verdict["check"],
+                              measured(verdict))
 
 
 def _run_cell(spec, quick, seed, cell):
@@ -123,9 +207,6 @@ def run_spec(spec, quick=False, parallel=1):
                 details[str(seed)] = outcome["detail"]
     if parallel > 1:
         details["partitions"] = task_rows
-    slo = check_slos(spec, merged)
-    for violation in slo["violations"]:
-        merged.note("SLO: %s" % violation)
     record = make_record(
         merged.experiment_id,
         merged.title,
@@ -135,7 +216,7 @@ def run_spec(spec, quick=False, parallel=1):
         seeds=seeds,
         wall_s=time.perf_counter() - started,
         spec=spec,
-        slo=slo,
+        checks=evaluate_checks(spec, merged, quick=quick),
         detail=details or None,
     )
     return merged, record

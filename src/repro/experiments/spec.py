@@ -26,8 +26,10 @@ describing one experiment end to end:
     once per seed.
 ``faults``
     A :class:`~repro.faults.ChaosConfig` field dict (chaos kind only).
-``slo``
-    Assertions checked against the measured rows after the run.
+``checks``
+    The paper's shapes as data: each ``{lhs, op, rhs, factor, paper,
+    expect}`` compares measured rows after the run (grammar in
+    ``docs/experiments.md``, "Checks").
 ``quick``
     Sweep/param overrides applied under ``--quick``.
 
@@ -39,18 +41,22 @@ CLI) consumes only validated specs.
 
 import copy
 import json
+import numbers
+import operator
 import re
 
 from repro.common.errors import ConfigError
 
-__all__ = ["SPEC_SCHEMA", "SpecError", "resolve_axes", "validate_spec"]
+__all__ = [
+    "CHECK_OPS", "SPEC_SCHEMA", "SpecError", "resolve_axes", "validate_spec",
+]
 
 #: Version of the spec shape; validation rejects any other value.
-SPEC_SCHEMA = 1
+SPEC_SCHEMA = 2
 
 _TOP_KEYS = frozenset((
     "schema", "id", "kind", "title", "expectation", "tags", "cluster",
-    "stacks", "workloads", "sweep", "params", "seeds", "faults", "slo",
+    "stacks", "workloads", "sweep", "params", "seeds", "faults", "checks",
     "quick",
 ))
 
@@ -58,7 +64,13 @@ _ID_RE = re.compile(r"^[a-z0-9][a-z0-9_.-]*$")
 
 _CLUSTER_DEFAULTS = {"osds": 6, "replicas": 1, "hosts": 1}
 
-_SLO_OPS = ("<=", "<", ">=", ">", "==", "!=")
+#: The comparison a check states between its two terms.
+CHECK_OPS = {
+    "<=": operator.le, "<": operator.lt, ">=": operator.ge,
+    ">": operator.gt, "==": operator.eq, "!=": operator.ne,
+}
+
+_CHECK_KEYS = frozenset(("lhs", "op", "rhs", "factor", "paper", "expect"))
 
 
 class SpecError(ConfigError):
@@ -110,6 +122,49 @@ def _check_scalar_list(spec_id, name, values):
     if not isinstance(values, (list, tuple)) or not values:
         _fail(spec_id, "%s must be a non-empty list" % name)
     return list(values)
+
+
+def _check_term(spec_id, name, term):
+    """A term is a number/bool, ``{metric, where}`` or ``{ratio: [a, b]}``."""
+    if isinstance(term, (bool, numbers.Real)):
+        return
+    if isinstance(term, dict) and set(term) == {"ratio"}:
+        parts = term["ratio"]
+        if not isinstance(parts, list) or len(parts) != 2:
+            _fail(spec_id, "%s.ratio must be a list of two terms" % name)
+        for index, part in enumerate(parts):
+            _check_term(spec_id, "%s.ratio[%d]" % (name, index), part)
+        return
+    if (not isinstance(term, dict) or set(term) - {"metric", "where"}
+            or not isinstance(term.get("metric"), str)):
+        _fail(spec_id, "%s must be a number, {metric, where} or "
+              "{ratio: [term, term]}, got %r" % (name, term))
+    if not isinstance(term.setdefault("where", {}), dict):
+        _fail(spec_id, "%s.where must be a mapping" % name)
+
+
+def _check_entry(spec_id, name, check):
+    """One paper shape: ``lhs op factor * rhs``, expected to pass or fail."""
+    if not isinstance(check, dict):
+        _fail(spec_id, "%s must be a mapping" % name)
+    unknown = sorted(set(check) - _CHECK_KEYS)
+    if unknown:
+        _fail(spec_id, "%s has unknown keys: %s" % (name, ", ".join(unknown)))
+    for side in ("lhs", "rhs"):
+        if side not in check:
+            _fail(spec_id, "%s needs %s" % (name, side))
+        _check_term(spec_id, "%s.%s" % (name, side), check[side])
+    if check.get("op") not in CHECK_OPS:
+        _fail(spec_id, "%s op %r not one of %s"
+              % (name, check.get("op"), ", ".join(CHECK_OPS)))
+    factor = check.setdefault("factor", 1)
+    if isinstance(factor, bool) or not isinstance(factor, numbers.Real):
+        _fail(spec_id, "%s.factor must be a number" % name)
+    if not isinstance(check.setdefault("paper", ""), str):
+        _fail(spec_id, "%s.paper must be a string" % name)
+    if check.setdefault("expect", "pass") not in ("pass", "fail"):
+        _fail(spec_id, "%s.expect %r not one of pass, fail"
+              % (name, check["expect"]))
 
 
 def validate_spec(raw, source=None):
@@ -236,27 +291,12 @@ def validate_spec(raw, source=None):
             _fail(spec_id, "unknown ChaosConfig fields in faults: %s"
                   % ", ".join(unknown))
 
-    # -- SLO assertions ---------------------------------------------------
-    slo = spec.setdefault("slo", [])
-    if not isinstance(slo, list):
-        _fail(spec_id, "slo must be a list of assertions")
-    for index, entry in enumerate(slo):
-        if not isinstance(entry, dict):
-            _fail(spec_id, "slo[%d] must be a mapping" % index)
-        unknown = sorted(set(entry) - {"metric", "op", "value", "where"})
-        if unknown:
-            _fail(spec_id, "slo[%d] has unknown keys: %s"
-                  % (index, ", ".join(unknown)))
-        if not isinstance(entry.get("metric"), str):
-            _fail(spec_id, "slo[%d] needs a string metric" % index)
-        if entry.get("op") not in _SLO_OPS:
-            _fail(spec_id, "slo[%d] op %r not one of %s"
-                  % (index, entry.get("op"), ", ".join(_SLO_OPS)))
-        if "value" not in entry:
-            _fail(spec_id, "slo[%d] needs a value" % index)
-        where = entry.setdefault("where", {})
-        if not isinstance(where, dict):
-            _fail(spec_id, "slo[%d].where must be a mapping" % index)
+    # -- checks -----------------------------------------------------------
+    checks = spec.setdefault("checks", [])
+    if not isinstance(checks, list):
+        _fail(spec_id, "checks must be a list")
+    for index, check in enumerate(checks):
+        _check_entry(spec_id, "checks[%d]" % index, check)
 
     # -- quick overrides --------------------------------------------------
     quick = spec.setdefault("quick", {})

@@ -81,3 +81,33 @@ def test_chart_for_handles_unchartable_results():
     no_metric = ExperimentResult("y", "t")
     no_metric.add_row(symbol="K", note="text only")
     assert _chart_for(no_metric) is None
+
+
+def _dedup_spec(spec_id, checks):
+    return {
+        "id": spec_id, "kind": "ablation_dedup",
+        "params": {"n_containers": 2, "content_bytes": 65536},
+        "checks": checks,
+    }
+
+
+def test_run_exits_nonzero_on_a_violated_check(tmp_path, monkeypatch, capsys):
+    import json
+
+    containers = {"metric": "containers", "where": {"dedup": "on"}}
+    (tmp_path / "t-good.json").write_text(json.dumps(_dedup_spec("t-good", [
+        {"lhs": containers, "op": "==", "rhs": 2},
+        {"lhs": containers, "op": "==", "rhs": 3, "expect": "fail"},
+    ])))
+    (tmp_path / "t-bad.json").write_text(json.dumps(_dedup_spec("t-bad", [
+        {"lhs": containers, "op": "==", "rhs": 3},
+        {"lhs": containers, "op": "==", "rhs": 2, "expect": "fail"},
+    ])))
+    monkeypatch.setenv("REPRO_EXPERIMENTS_PATH", str(tmp_path))
+    assert main(["run", "t-good"]) == 0
+    out = capsys.readouterr().out
+    assert "check: pass " in out and "check: xfail" in out
+    assert main(["run", "t-bad"]) == 1
+    out = capsys.readouterr().out
+    assert "check: FAIL  containers[dedup=on] == 3  (2 == 3)" in out
+    assert "check: XPASS containers[dedup=on] == 2" in out

@@ -2,9 +2,9 @@
 
 Covers spec validation errors, registry discovery of the committed
 spec files, the kind table (every kind's cell order and rows against
-its row function called directly, params that do not fit), the unified
-run-record schema, and spec-vs-row-function row/fingerprint equivalence
-for fig6a.
+its row function called directly, params that do not fit), the check
+grammar and evaluator, the unified run-record schema, and
+spec-vs-row-function row/fingerprint equivalence for fig6a.
 """
 
 import copy
@@ -16,6 +16,7 @@ import pytest
 
 from repro.experiments import (
     RECORD_SCHEMA,
+    SPEC_SCHEMA,
     RecordError,
     SpecError,
     make_record,
@@ -26,7 +27,7 @@ from repro.experiments import (
     validate_spec,
 )
 from repro.experiments.compiler import KINDS, Sweep, compile_spec
-from repro.experiments.runner import check_slos, run_spec
+from repro.experiments.runner import evaluate_checks, run_spec, state
 
 
 def minimal_spec(**overrides):
@@ -44,7 +45,7 @@ def minimal_spec(**overrides):
 
 def test_validate_fills_defaults():
     spec = validate_spec(minimal_spec())
-    assert spec["schema"] == 1
+    assert spec["schema"] == SPEC_SCHEMA == 2
     assert spec["cluster"] == {"osds": 6, "replicas": 1, "hosts": 1}
     assert spec["seeds"] == [1]
     assert spec["stacks"] == ["K"]  # derived from the symbol axis
@@ -130,10 +131,46 @@ def test_unknown_chaos_field_rejected():
             validate_spec(spec)
 
 
-def test_bad_slo_op_rejected():
-    spec = minimal_spec(slo=[{"metric": "ok", "op": "~=", "value": 1}])
+def test_bad_check_op_rejected():
+    spec = minimal_spec(checks=[{"lhs": {"metric": "ok"}, "op": "~=",
+                                 "rhs": 1}])
     with pytest.raises(SpecError, match="op '~='"):
         validate_spec(spec)
+
+
+OK_TERM = {"metric": "ops", "where": {"symbol": "K"}}
+
+
+@pytest.mark.parametrize("check, message", [
+    ({"lhs": OK_TERM, "op": "<", "rhs": 1, "value": 1},
+     r"checks\[0\] has unknown keys: value"),
+    ({"lhs": OK_TERM, "op": "<"}, r"checks\[0\] needs rhs"),
+    ({"lhs": OK_TERM, "op": "<", "rhs": {"ratio": [OK_TERM]}},
+     r"checks\[0\].rhs.ratio must be a list of two terms"),
+    ({"lhs": {"ratio": [OK_TERM, OK_TERM, OK_TERM]}, "op": "<", "rhs": 1},
+     r"checks\[0\].lhs.ratio must be a list of two terms"),
+    ({"lhs": OK_TERM, "op": "<", "rhs": 1, "expect": "xfail"},
+     r"checks\[0\].expect 'xfail' not one of pass, fail"),
+    ({"lhs": OK_TERM, "op": "<", "rhs": 1, "factor": "2"},
+     r"checks\[0\].factor must be a number"),
+    ({"lhs": "ops", "op": "<", "rhs": 1}, r"checks\[0\].lhs must be a number"),
+    ({"lhs": {"metric": "ops", "filter": {}}, "op": "<", "rhs": 1},
+     r"checks\[0\].lhs must be a number"),
+    ({"lhs": {"metric": "ops", "where": ["K"]}, "op": "<", "rhs": 1},
+     r"checks\[0\].lhs.where must be a mapping"),
+])
+def test_check_grammar_rejections(check, message):
+    with pytest.raises(SpecError, match=message):
+        validate_spec(minimal_spec(checks=[check]))
+
+
+def test_check_defaults_filled():
+    spec = validate_spec(minimal_spec(checks=[
+        {"lhs": {"metric": "ops"}, "op": ">", "rhs": 0}]))
+    assert spec["checks"] == [{
+        "lhs": {"metric": "ops", "where": {}}, "op": ">", "rhs": 0,
+        "factor": 1, "paper": "", "expect": "pass",
+    }]
 
 
 def test_replicas_cannot_exceed_osds():
@@ -226,7 +263,7 @@ def test_fig6a_compiles_to_legacy_constructor_state():
     assert full.axes["symbol"] == ("K", "D")
     assert full.axes["n_fls"] == (1, 3)
     assert full.axes["neighbor"] == (None, "RND")
-    assert full.params["duration"] == 4.0
+    assert full.params["duration"] == 3.0
     quick = compile_spec(spec, quick=True, seed=1)
     assert quick.axes["n_fls"] == (1,)
     assert quick.params["duration"] == 3.0
@@ -312,7 +349,7 @@ def test_sweep_cells_follow_the_nest_and_rows_equal_the_row_function(kind):
                     for value in sweep.axes[axis]]
     assert [tuple(cell[arg] for _axis, arg in nest) for cell in cells] \
         == expected
-    rows = sweep.run().rows
+    rows = sweep.collect([sweep.run_cell(cell) for cell in cells]).rows
     assert len(rows) == len(cells)
     row_fn = named(KINDS[kind].row)
     for cell, row in zip(cells, rows):
@@ -411,23 +448,113 @@ def test_to_trend_shape():
     assert trend["scenarios"]["a"]["fingerprint"] == records[0]["fingerprint"]
 
 
-# -- SLO checks ------------------------------------------------------------
+# -- checks ----------------------------------------------------------------
 
-def test_check_slos_flags_violation_and_empty_match():
+def checked(checks, rows, quick=False):
+    """Evaluate ``checks`` against ``rows``; returns the verdicts."""
     from repro.bench.harness import ExperimentResult
 
-    spec = validate_spec(minimal_spec(slo=[
-        {"metric": "ops", "op": ">=", "value": 10,
-         "where": {"symbol": "K"}},
-        {"metric": "ops", "op": ">=", "value": 1,
-         "where": {"symbol": "Z"}},
-    ]))
     result = ExperimentResult("t1", "t")
-    result.add_row(symbol="K", ops=5)
-    outcome = check_slos(spec, result)
-    assert outcome["checked"] == 2
-    assert len(outcome["violations"]) == 2
-    assert any("no rows match" in v for v in outcome["violations"])
+    for row in rows:
+        result.add_row(**row)
+    return evaluate_checks(validate_spec(minimal_spec(checks=checks)), result,
+                           quick=quick)
+
+
+def ops(**where):
+    return {"metric": "ops", "where": where}
+
+
+def test_evaluate_checks_flags_violation_and_empty_match():
+    verdicts = checked([
+        {"lhs": ops(symbol="K"), "op": ">=", "rhs": 10},
+        {"lhs": ops(symbol="Z"), "op": ">=", "rhs": 1},
+    ], [{"symbol": "K", "ops": 5}])
+    assert len(verdicts) == 2
+    assert [verdict["ok"] for verdict in verdicts] == [False, False]
+    assert any("no row matches" in verdict.get("reason", "")
+               for verdict in verdicts)
+    assert verdicts[0]["lhs"] == 5 and verdicts[0]["rhs"] == 10
+
+
+def test_ratio_with_zero_denominator_is_inf():
+    rows = [{"symbol": "K", "ops": 3}, {"symbol": "D", "ops": 0}]
+    ratio = {"ratio": [ops(symbol="K"), ops(symbol="D")]}
+    (verdict,) = checked([{"lhs": ratio, "op": ">", "rhs": 1e12}], rows)
+    assert verdict["lhs"] == float("inf")
+    assert verdict["ok"]
+
+
+def test_factor_multiplies_rhs():
+    rows = [{"symbol": "K", "ops": 30}, {"symbol": "D", "ops": 10}]
+    holds, fails = checked([
+        {"lhs": ops(symbol="K"), "op": ">", "rhs": ops(symbol="D"),
+         "factor": 2},
+        {"lhs": ops(symbol="K"), "op": ">", "rhs": ops(symbol="D"),
+         "factor": 4},
+    ], rows)
+    assert holds["ok"] and (holds["lhs"], holds["rhs"]) == (30, 10)
+    assert not fails["ok"]
+
+
+def test_lhs_is_checked_on_every_matching_row():
+    rows = [{"symbol": "K", "n": 1, "ops": 5},
+            {"symbol": "K", "n": 3, "ops": 15}]
+    low, high = checked([
+        {"lhs": ops(symbol="K"), "op": ">=", "rhs": 4},
+        {"lhs": ops(symbol="K"), "op": ">=", "rhs": 10},
+    ], rows)
+    assert low["ok"] and low["lhs"] == [5, 15]
+    assert not high["ok"] and high["lhs"] == [5, 15]
+    # The chaos presets' form: an empty filter covers every seed's row.
+    (chaos,) = checked([{"lhs": {"metric": "ok"}, "op": "==", "rhs": True}],
+                       [{"seed": 3, "ok": True}, {"seed": 7, "ok": False}])
+    assert not chaos["ok"] and chaos["lhs"] == [True, False]
+
+
+def test_rhs_row_term_must_match_exactly_one_row():
+    rows = [{"symbol": "K", "n": 1, "ops": 5},
+            {"symbol": "K", "n": 3, "ops": 15}]
+    (verdict,) = checked(
+        [{"lhs": 100, "op": ">", "rhs": ops(symbol="K")}], rows)
+    assert not verdict["ok"]
+    assert "2 rows match" in verdict["reason"]
+    assert state(verdict) == "FAIL"
+
+
+def test_unmatched_check_is_skipped_under_quick_only():
+    check = {"lhs": ops(symbol="K", n=3), "op": ">", "rhs": ops(symbol="D")}
+    rows = [{"symbol": "D", "ops": 1}, {"symbol": "K", "n": 1, "ops": 2}]
+    (quick,) = checked([check], rows, quick=True)
+    assert quick["skipped"] and quick["ok"]
+    assert state(quick) == "skip"
+    (full,) = checked([check], rows)
+    assert not full["skipped"] and not full["ok"]
+    assert "no row matches ops[symbol=K, n=3]" in full["reason"]
+
+
+def test_expected_failure_is_strict():
+    rows = [{"symbol": "K", "ops": 5}]
+    gap, fixed = checked([
+        {"lhs": ops(symbol="K"), "op": ">", "rhs": 10, "expect": "fail"},
+        {"lhs": ops(symbol="K"), "op": ">", "rhs": 1, "expect": "fail"},
+    ], rows)
+    assert gap["ok"] and state(gap) == "xfail"
+    # A known gap that starts to hold is a violation, like a strict xfail.
+    assert not fixed["ok"] and state(fixed) == "XPASS"
+
+
+def test_every_non_nightly_spec_states_a_check():
+    specs = registry.discover()
+    bare = [name for name, spec in specs.items()
+            if "nightly" not in spec["tags"] and not spec["checks"]]
+    assert not bare
+
+
+def test_record_rejects_a_verdict_without_ok():
+    record = make_record("t1", rows=[{"a": 1}], checks=[{"check": "x"}])
+    with pytest.raises(RecordError, match="checks"):
+        validate_record(record)
 
 
 # -- ChaosConfig back-compat ----------------------------------------------

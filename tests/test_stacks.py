@@ -14,6 +14,10 @@ UNION_SYMBOLS = [s for s in SYMBOLS if "/" in s]
 PLAIN_SYMBOLS = [s for s in SYMBOLS if "/" not in s]
 
 
+def test_table1_has_the_papers_eight_configurations():
+    assert set(SYMBOLS) == {"D", "K", "F", "FP", "K/K", "F/K", "F/F", "FP/FP"}
+
+
 @pytest.fixture
 def world():
     world = World(num_cores=8, ram_bytes=units.gib(8))
