@@ -1,4 +1,5 @@
-"""Unit and property tests for the dirty extent buffer."""
+"""Unit and property tests for the dirty extent buffer and the object
+cache's dirty accounting."""
 
 import tracemalloc
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cephclient import ExtentBuffer
+from repro.cephclient import ExtentBuffer, ObjectCache
 from repro.common.errors import InvalidArgument
+from repro.hw import RamAccount
 
 
 def test_empty_buffer_is_falsy():
@@ -313,3 +315,38 @@ def test_property_put_back_is_writing_in_the_original_order(first, later):
     flushed.put_back(taken)
     assert flushed.extents() == untouched.extents()
     assert flushed.dirty_bytes == untouched.dirty_bytes
+
+
+# --- the object cache's running dirty total -----------------------------------
+
+cache_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), st.integers(0, 2), st.integers(0, 96),
+                  st.integers(1, 40)),
+        st.tuples(st.just("take"), st.integers(0, 2), st.integers(1, 48)),
+        st.tuples(st.just("truncate"), st.integers(0, 2), st.integers(0, 96)),
+        st.tuples(st.just("drop"), st.integers(0, 2)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cache_ops)
+def test_property_cache_dirty_total_equals_the_sum_of_its_buffers(ops):
+    """``ObjectCache.dirty_bytes`` is a running total; every op that moves
+    a buffer's size must move it by the same amount."""
+    cache = ObjectCache(1 << 20, RamAccount(1 << 20), block_size=16)
+    for op in ops:
+        kind, ino = op[0], op[1]
+        if kind == "write":
+            cache.write(ino, op[2], bytes([ino + 1]) * op[3])
+        elif kind == "take":
+            cache.take_dirty(ino, op[2])
+        elif kind == "truncate":
+            cache.truncate_dirty(ino, op[2])
+        else:
+            cache.drop_ino(ino)
+        assert cache.dirty_bytes == sum(
+            buffer.dirty_bytes for buffer in cache._dirty.values()
+        )
