@@ -835,7 +835,7 @@ class CephCluster(object):
         object_size = self.costs.object_size
         keep_objects = (size + object_size - 1) // object_size
         for osd in self.osds:
-            for index in [o for (i, o) in osd._objects if i == ino]:
+            for index in osd.indices_of(ino):
                 if index >= keep_objects:
                     yield from self._truncate_object(osd, ino, index, 0)
                 elif index == keep_objects - 1 and size % object_size:
@@ -1053,6 +1053,5 @@ class CephCluster(object):
         return sum(
             osd.object_size(ino, index)
             for osd in self.osds
-            for (obj_ino, index) in list(osd._objects)
-            if obj_ino == ino
+            for index in osd.indices_of(ino)
         )

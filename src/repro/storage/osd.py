@@ -60,7 +60,8 @@ class Osd(object):
         )
         self._slots = Semaphore(sim, costs.osd_concurrency, name="osd%d" % osd_id)
         self._objects = {}  # (ino, index) -> ChunkMap
-        self._by_ino = {}  # ino -> set of indices
+        #: ino -> {index: None}, each in ``_objects`` insertion order
+        self._by_ino = {}
         #: bumped on *every* stored-byte mutation, including the silent
         #: fault injections that deliberately leave ``_versions`` stale.
         #: Engine-level cache-invalidation hook (peek memoisation) only —
@@ -355,7 +356,7 @@ class Osd(object):
         obj = self._objects.get(key)
         if obj is None:
             obj = self._objects[key] = ChunkMap()
-            self._by_ino.setdefault(ino, set()).add(index)
+            self._by_ino.setdefault(ino, {})[index] = None
         end = offset + len(data)
         old_len = len(obj)
         touch_start = min(offset, old_len)
@@ -486,7 +487,7 @@ class Osd(object):
         if self._objects.pop((ino, index), None) is not None:
             indices = self._by_ino.get(ino)
             if indices is not None:
-                indices.discard(index)
+                indices.pop(index, None)
             self.store_epoch += 1
         self._digests.pop((ino, index), None)
         self._versions.pop((ino, index), None)
@@ -495,11 +496,15 @@ class Osd(object):
 
     def purge_ino(self, ino):
         """Drop every object of ``ino`` (async purge after unlink)."""
-        for index in self._by_ino.pop(ino, set()):
+        for index in self._by_ino.pop(ino, {}):
             self._objects.pop((ino, index), None)
             self._digests.pop((ino, index), None)
             self._versions.pop((ino, index), None)
             self.store_epoch += 1
+
+    def indices_of(self, ino):
+        """The object indices stored for ``ino``, in ``_objects`` order."""
+        return list(self._by_ino.get(ino, ()))
 
     def object_size(self, ino, index):
         obj = self._objects.get((ino, index))

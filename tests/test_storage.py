@@ -227,3 +227,31 @@ def test_osd_concurrency_limits_parallelism(sim, costs):
     sim.run(until=60)
     assert len(finish) == 20
     assert osd.metrics.counter("writes").value == 20
+
+
+def test_osd_inode_index_follows_object_insertion_order(sim, costs):
+    """``Osd.indices_of`` is the ``_objects`` scan it replaces: same
+    indices, same order, through creates, drops, re-creates and purges
+    (``CephCluster.truncate`` sends its RPCs in this order)."""
+    from repro.storage.osd import Osd
+
+    osd = Osd(sim, 0, costs)
+
+    def scanned(ino):
+        return [index for (i, index) in osd._objects if i == ino]
+
+    steps = [
+        ("w", 1, 3), ("w", 2, 0), ("w", 1, 0), ("w", 1, 5), ("d", 1, 3),
+        ("w", 2, 4), ("w", 1, 3), ("w", 1, 0), ("p", 2, None), ("w", 2, 1),
+        ("d", 1, 9), ("d", 1, 0), ("w", 1, 0),
+    ]
+    for kind, ino, index in steps:
+        if kind == "w":
+            osd._apply_write(ino, index, 0, b"x")
+        elif kind == "d":
+            osd.drop_object(ino, index)
+        else:
+            osd.purge_ino(ino)
+        for each in (1, 2, 3):
+            assert osd.indices_of(each) == scanned(each)
+    assert osd.indices_of(1) == [5, 3, 0]
