@@ -27,6 +27,12 @@ the others must not):
   (unlink).
 * ``_opened(task, path, info, flags)`` — generator, optional: runs after
   a successful open, before O_TRUNC (capabilities).
+* ``_overlay(ino, offset, size, base)`` — optional: ``base`` (the OSD
+  bytes) with every unflushed byte of the range on top; the default
+  applies ``_dirty_buffer``.
+* ``_drain_flush(task, ino)`` — generator, optional: wait until no flush
+  of ``ino`` is sending, so an unlink's purge is the last word on its
+  objects.
 
 The base never asks which personality it serves: no type test, no
 probing for attributes — a behaviour that differs is a hook.
@@ -111,6 +117,14 @@ class CephMount(Filesystem):
     def _opened(self, task, path, info, flags):
         """Returns the attributes the open goes on with."""
         return info
+        yield  # pragma: no cover
+
+    def _overlay(self, ino, offset, size, base):
+        buffer = self._dirty_buffer(ino)
+        return buffer.overlay(offset, size, base) if buffer else base
+
+    def _drain_flush(self, task, ino):
+        return
         yield  # pragma: no cover
 
     # -- MDS protocol -----------------------------------------------------
@@ -288,6 +302,7 @@ class CephMount(Filesystem):
         path = pathutil.normalize(path)
         yield from self._enter(task, "unlink", path)
         ino, _size = yield from self._mutate("unlink", path)
+        yield from self._drain_flush(task, ino)
         self.cluster.purge(ino)
         self._forget(ino)
         self.attr_cache[path] = _NEGATIVE
@@ -340,9 +355,7 @@ class CephMount(Filesystem):
             return b""
         size = min(size, file_size - offset)
         base = self.cluster.peek(ino, offset, size)
-        buffer = self._dirty_buffer(ino)
-        out = buffer.overlay(offset, size, base) if buffer else base
-        return out[:size]
+        return self._overlay(ino, offset, size, base)[:size]
 
     def _live_ino(self, handle):
         if handle.closed:
