@@ -73,8 +73,6 @@ def test_range_lock_stripes_and_extent_dedup():
     assert [lock.name for lock in locks] == ["t.ino7.r2", "t.ino7.r3"]
     # Same stripes come back as the same Mutex objects.
     assert policy.range_locks(7, 299, 1) == [locks[0]]
-    merged = policy.extent_range_locks(7, [(250, b"x" * 120), (300, b"y")])
-    assert merged == locks  # deduped, stripe-ordered
     assert len(sim.registered_locks()) == 2
 
 
