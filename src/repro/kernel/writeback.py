@@ -114,8 +114,13 @@ class WritebackDaemon(object):
             yield from self._flush_round(thread)
 
     def _flush_round(self, thread):
-        """One pass over the dirty files, flushing what policy demands."""
-        sim = self.sim
+        """One pass over the dirty files, flushing what policy demands.
+
+        A host with no dirty page skips the locked scan, as Linux only
+        queues periodic writeback work for a bdi with dirty I/O.
+        """
+        if not self.page_cache.dirty_bytes:
+            return
         wb_lock = self.locks.get("wb_list_lock")
         yield wb_lock.acquire(who=thread)
         try:

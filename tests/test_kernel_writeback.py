@@ -150,3 +150,19 @@ def test_idle_flushers_do_not_accumulate_kick_events(sim, machine, kernel):
     for deadline in (1.5, 10.5, 100.5):
         sim.run(until=deadline)
         assert len(kernel.writeback._kick_events) <= flushers
+
+
+def test_a_round_with_nothing_dirty_takes_no_lock_and_no_cpu(sim, machine,
+                                                           kernel):
+    """Flushers of a host with a clean page cache wake and go back to
+    sleep: no ``wb_list_lock`` acquisition, no core time. Once a page is
+    dirty, the next round scans under the lock again."""
+    wb_lock = kernel.locks.get("wb_list_lock")
+    interval = kernel.costs.writeback_interval
+    sim.run(until=3.5 * interval)
+    assert wb_lock.stats.acquisitions == 0
+    assert sum(core.busy_time for core in machine.cores) == 0.0
+    fs = LocalFs(kernel, RamDisk(sim), name="dirty")
+    run(sim, fs.write_file(make_task(sim, machine), "/f", b"d" * units.kib(8)))
+    sim.run(until=sim.now + interval)
+    assert wb_lock.stats.acquisitions > 0
