@@ -98,6 +98,14 @@ _CORRUPT_DEFER_DELAY = 0.25
 _CORRUPT_DEFER_POLLS = 240
 
 
+def _leaves_clean_copy(cluster, pick):
+    """Whether another live holder of ``pick``'s object passes its digests."""
+    osd_id, (ino, index) = pick
+    return any(
+        other != osd_id for other in cluster.monitor.clean_holders(ino, index)
+    )
+
+
 class FaultAction(object):
     """One scheduled fault: a kind, a trigger, an optional heal window."""
 
@@ -460,7 +468,10 @@ class FaultPlan(object):
         Drawn from the sorted set of non-trivial replicas on live,
         running OSDs at fire time (``target`` pins the OSD), so the same
         seed corrupts the same replica given the same cluster history.
-        Returns None when nothing is stored yet.
+        A draw that would damage an object's last clean replica is
+        redrawn from the candidates that would not (a plan never destroys
+        data outright); when there are none — a single-replica pool — the
+        draw stands. Returns None when nothing is stored yet.
         """
         candidates = []
         for osd in cluster.osds:
@@ -474,7 +485,12 @@ class FaultPlan(object):
         if not candidates:
             return None
         candidates.sort()
-        return candidates[rng.randrange(len(candidates))]
+        victim = candidates[rng.randrange(len(candidates))]
+        if _leaves_clean_copy(cluster, victim):
+            return victim
+        safe = [pick for pick in candidates
+                if _leaves_clean_copy(cluster, pick)]
+        return safe[rng.randrange(len(safe))] if safe else victim
 
     def _flap(self, action):
         """Bounce one OSD down/up repeatedly (the flap-damping fodder)."""

@@ -533,6 +533,20 @@ def test_chaos_corruption_is_repaired_by_scrub():
 
 @pytest.mark.chaos
 @pytest.mark.scrub
+def test_corruption_plan_spares_the_last_clean_replica():
+    """Seed 0 of the corruption mix draws a second corruption onto the
+    other replica of an already damaged object; the plan redraws it, so
+    scrub repairs every object instead of quarantining one."""
+    result = ChaosConfig(seed=0, duration=4.0, replicas=2, bitrot=2,
+                         torn_writes=1, scrub=True).run()
+    assert result.corruptions == 3
+    assert result.integrity_errors == []
+    assert result.quarantined == []
+    assert result.ok
+
+
+@pytest.mark.chaos
+@pytest.mark.scrub
 def test_chaos_corruption_run_is_deterministic():
     one = _first_run(**_SCRUB_KW)
     two = ChaosConfig(**_SCRUB_KW).run()
