@@ -54,13 +54,12 @@ class LocalFs(Filesystem):
 
     _next_fs_id = [1]
 
-    def __init__(self, kernel, device, name="ext4", direct_io=False):
+    def __init__(self, kernel, device, name="ext4"):
         self.kernel = kernel
         self.sim = kernel.sim
         self.costs = kernel.costs
         self.device = device
         self.name = name
-        self.direct_io = direct_io
         self.tree = MemTree()
         self.fs_id = LocalFs._next_fs_id[0]
         LocalFs._next_fs_id[0] += 1
@@ -166,10 +165,6 @@ class LocalFs(Filesystem):
         data = node.read(offset, size)
         if not data:
             return b""
-        if self.direct_io:
-            yield from self.device.transfer(len(data), random_access=True)
-            self.metrics.counter("bytes_read").add(len(data))
-            return data
         cf = self._cached_file(node)
         hit_pages, miss_ranges = self.kernel.page_cache.scan(
             cf, offset, len(data)
@@ -197,13 +192,6 @@ class LocalFs(Filesystem):
         if handle.flags & OpenFlags.APPEND:
             offset = node.size
         yield from self._op_cpu(task)
-        if self.direct_io:
-            written = self.tree.write_node(node, offset, data, now=self.sim.now)
-            yield from self.device.transfer(
-                len(data), write=True, random_access=True
-            )
-            self.metrics.counter("bytes_written").add(written)
-            return written
         cf = self._cached_file(node)
         account = self._account(task)
         inode_lock = self._inode_lock(node)

@@ -223,19 +223,6 @@ def test_kernel_locks_see_traffic(sim, machine, kernel, fs):
     assert kernel.locks.class_stats("sb_lock").acquisitions >= 5
 
 
-def test_direct_io_bypasses_page_cache(sim, machine, kernel):
-    from repro.hw import RamDisk
-
-    fs = LocalFs(kernel, RamDisk(sim), name="direct", direct_io=True)
-    task = make_task(sim, machine)
-
-    def proc():
-        yield from fs.write_file(task, "/f", b"x" * units.kib(16))
-        return kernel.page_cache.cached_bytes
-
-    assert run(sim, proc()) == 0
-
-
 def test_vfs_routing(sim, machine, kernel):
     fs_a = LocalFs(kernel, RamDisk(sim), name="a")
     fs_b = LocalFs(kernel, RamDisk(sim), name="b")
