@@ -149,9 +149,10 @@ class StackFactory(object):
 
     # -- branch assembly for cloned containers ----------------------------------
 
-    def _union_over(self, branch_fs, cid, image_path, base=None):
-        """Union of a private upper dir and the shared image lower dir."""
-        upper = pathutil.join(base or self.base, cid, "upper")
+    def _union_over(self, branch_fs, cid, image_path, base):
+        """Union of a private upper dir under the container's ``base``
+        and the shared image lower dir."""
+        upper = pathutil.join(base, "upper")
         return UnionFs(
             self.world.sim,
             self.world.costs,
@@ -164,7 +165,7 @@ class StackFactory(object):
 
     # -- the factory entry point -----------------------------------------------------
 
-    def _provision_dirs(self, cid, cloned):
+    def _provision_dirs(self, base, cloned):
         """Pre-create the container's directories in the shared namespace.
 
         Container creation is engine-side setup, not measured I/O, so the
@@ -172,10 +173,7 @@ class StackFactory(object):
         cost.
         """
         tree = self.world.cluster.mds.tree
-        container_base = self._container_base(cid)
-        tree.makedirs(
-            pathutil.join(container_base, "upper") if cloned else container_base
-        )
+        tree.makedirs(pathutil.join(base, "upper") if cloned else base)
 
     def mount_root(self, cid, image_path=None, base=None):
         """Build the root mount of container ``cid``.
@@ -194,45 +192,40 @@ class StackFactory(object):
             raise ConfigError(
                 "%s is a union configuration: pass image_path" % self.symbol
             )
-        self._base_override = base
-        self._provision_dirs(cid, cloned=image_path is not None)
+        base = pathutil.join(base or self.base, cid)
+        self._provision_dirs(base, cloned=image_path is not None)
         if self.symbol == "D":
-            return self._mount_danaus(cid, image_path)
+            return self._mount_danaus(cid, base, image_path)
         if self.symbol == "K":
-            return self._mount_kernel(cid, image_path=None)
+            return self._mount_kernel(cid, base, image_path=None)
         if self.symbol in ("F", "FP"):
-            return self._mount_fuse_plain(cid, self.symbol == "FP")
+            return self._mount_fuse_plain(cid, base, self.symbol == "FP")
         if self.symbol == "K/K":
-            return self._mount_kernel(cid, image_path=image_path)
+            return self._mount_kernel(cid, base, image_path=image_path)
         if self.symbol == "F/K":
             return self._mount_union_fuse(
-            cid, image_path, inner_kernel=True, page_cache=False)
+                cid, base, image_path, inner_kernel=True, page_cache=False
+            )
         if self.symbol == "F/F":
             return self._mount_union_fuse(
-                cid, image_path, inner_kernel=False, page_cache=False
+                cid, base, image_path, inner_kernel=False, page_cache=False
             )
         if self.symbol == "FP/FP":
             return self._mount_union_fuse(
-                cid, image_path, inner_kernel=False, page_cache=True
+                cid, base, image_path, inner_kernel=False, page_cache=True
             )
         raise ConfigError("unhandled symbol %r" % self.symbol)
 
     # -- per-symbol assembly ------------------------------------------------------------
 
-    def _container_base(self, cid):
-        return pathutil.join(getattr(self, "_base_override", None) or self.base, cid)
-
-    def _mount_danaus(self, cid, image_path):
+    def _mount_danaus(self, cid, base, image_path):
         client = self.lib_client()
         if image_path is not None:
-            stack = self._union_over(
-                client, cid, image_path,
-                base=getattr(self, "_base_override", None),
-            )
+            stack = self._union_over(client, cid, image_path, base)
             union = stack
             libservices = ("union", "client")
         else:
-            stack = SubtreeFs(client, self._container_base(cid))
+            stack = SubtreeFs(client, base)
             union = None
             libservices = ("client",)
         service = self.service()
@@ -265,16 +258,13 @@ class StackFactory(object):
             fuse_layers=(legacy_fuse,),
         )
 
-    def _mount_kernel(self, cid, image_path):
+    def _mount_kernel(self, cid, base, image_path):
         client = self.kernel_client()
         if image_path is not None:
-            stack = self._union_over(
-                client, cid, image_path,
-                base=getattr(self, "_base_override", None),
-            )
+            stack = self._union_over(client, cid, image_path, base)
             union = stack
         else:
-            stack = SubtreeFs(client, self._container_base(cid))
+            stack = SubtreeFs(client, base)
             union = None
         mountpoint = "/mnt/%s/%s" % (self.pool.name, cid)
         self.kernel.vfs.mount(mountpoint, stack)
@@ -282,18 +272,17 @@ class StackFactory(object):
         name = ("K/K:%s" if union else "K:%s") % cid
         return Mount(name, fs=fs, client=client, union=union)
 
-    def _mount_fuse_plain(self, cid, use_page_cache):
+    def _mount_fuse_plain(self, cid, base, use_page_cache):
         fuse = self.inner_fuse(use_page_cache)
-        mountpoint = pathutil.join(
-            self._fuse_mountpoint(), self._container_base(cid)[1:]
-        )
+        mountpoint = pathutil.join(self._fuse_mountpoint(), base[1:])
         fs = SubtreeFs(self.kernel.vfs, mountpoint)
         name = ("FP:%s" if use_page_cache else "F:%s") % cid
         return Mount(
             name, fs=fs, client=self.lib_client(), fuse_layers=(fuse,)
         )
 
-    def _mount_union_fuse(self, cid, image_path, inner_kernel, page_cache):
+    def _mount_union_fuse(self, cid, base, image_path, inner_kernel,
+                          page_cache):
         if inner_kernel:
             # F/K: the union daemon reaches CephFS through the kernel.
             branch_fs = self.kernel_client()
@@ -306,10 +295,7 @@ class StackFactory(object):
             branch_fs = SubtreeFs(self.kernel.vfs, self._fuse_mountpoint())
             inner_layers = (inner,)
             client = self.lib_client()
-        union = self._union_over(
-            branch_fs, cid, image_path,
-            base=getattr(self, "_base_override", None),
-        )
+        union = self._union_over(branch_fs, cid, image_path, base)
         outer = FuseTransport(
             self.kernel,
             union,

@@ -89,9 +89,7 @@ class CephCluster(object):
         #: (the objecter's inflight cap). Capacity 1 degenerates to the
         #: old fully-serial dispatch.
         self._window = Semaphore(
-            sim,
-            max(1, int(getattr(costs, "client_inflight_ops", 16))),
-            name="client_window",
+            sim, max(1, int(costs.client_inflight_ops)), name="client_window"
         )
         #: peek() assembly memo: (ino, offset, size) -> (witness, bytes).
         #: The witness records which OSD backed each extent and its
