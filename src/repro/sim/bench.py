@@ -355,8 +355,8 @@ def stripe_fanout_reference(inflight=None, num_osds=6, objects=6,
     read is bound by per-object OSD service, not by serialising bytes on
     the link, so dispatch concurrency is what the completion time
     measures. The default ``ino`` is one whose CRUSH placement spreads
-    the six objects over five distinct OSDs (ino 1 happens to hash five
-    of six objects onto one OSD, which would measure placement luck, not
+    the six objects over five distinct OSDs (ino 1 happens to put three
+    of six objects on one OSD, which would measure placement luck, not
     dispatch). ``inflight`` overrides ``costs.client_inflight_ops``
     (1 degenerates to the old fully-serial dispatch). Returns a dict of
     schedule-sensitive observations: identical schedules produce

@@ -30,26 +30,9 @@ def make_cluster(sim, costs, replicas=2, num_osds=4):
 # -- CRUSH map mutation -------------------------------------------------
 
 
-def test_pristine_placement_matches_legacy_walk():
-    """An unmutated map must reproduce the historical retry-walk
-    placements byte for byte (the committed fingerprints depend on it)."""
-    crush = CrushMap(6, replicas=2)
-    for ino in range(1, 20):
-        for index in range(4):
-            chosen = []
-            attempt = 0
-            while len(chosen) < 2:
-                osd = crush._hash(ino, index, attempt) % 6
-                attempt += 1
-                if osd not in chosen:
-                    chosen.append(osd)
-            assert crush.placement(ino, index) == chosen
-
-
 def test_straw2_add_remaps_minimally():
     """Adding a device only moves objects the newcomer wins."""
     crush = CrushMap(6, replicas=2)
-    crush.reweight(0, 1.0)  # no-op weight change: enter straw2 mode
     objects = [(ino, index) for ino in range(1, 60) for index in range(2)]
     before = {key: crush.placement(*key) for key in objects}
     new_id = crush.add_device()
@@ -71,7 +54,6 @@ def test_straw2_add_remaps_minimally():
 def test_straw2_remove_remaps_only_affected():
     """Removing a device leaves placements that never used it alone."""
     crush = CrushMap(6, replicas=2)
-    crush.reweight(0, 1.0)
     objects = [(ino, index) for ino in range(1, 60) for index in range(2)]
     before = {key: crush.placement(*key) for key in objects}
     crush.remove_device(3)
@@ -403,6 +385,23 @@ def test_add_osd_backfills_and_trims(sim, costs):
             1 for osd in cluster.osds if (ino, 0) in osd._objects
         )
         assert copies == 2
+
+
+def test_first_add_osd_remaps_minimally(sim, costs):
+    """The first device added to a fresh cluster changes only the acting
+    sets the newcomer joins, and keeps one old member in each."""
+    cluster = make_cluster(sim, costs, replicas=2, num_osds=6)
+    objects = [(ino, index) for ino in range(1, 60) for index in range(2)]
+    before = {key: cluster.monitor.acting_set(*key) for key in objects}
+    newcomer = cluster.add_osd(backfill=False).osd_id
+    moved = 0
+    for key, old in before.items():
+        new = cluster.monitor.acting_set(*key)
+        if new != old:
+            moved += 1
+            assert newcomer in new
+            assert set(new) - {newcomer} <= set(old)
+    assert 0 < moved < len(objects) // 2
 
 
 def test_drain_osd_migrates_and_empties_device(sim, costs):

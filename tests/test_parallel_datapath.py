@@ -6,6 +6,7 @@ fan-out enabled — including an OSD crash landing mid-fan-out.
 """
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -14,19 +15,34 @@ from repro.net import Fabric
 from repro.obs import Observer
 from repro.sim import Simulator
 from repro.sim.bench import stripe_fanout_reference
-from repro.storage import CephCluster
+from repro.storage import CephCluster, CrushMap
 from tests.conftest import run
 
-#: CRUSH spreads this file's six objects over six *distinct* OSDs, so
+def _first_spread_ino(num_osds=6):
+    crush = CrushMap(num_osds)
+    return next(
+        ino for ino in itertools.count(1)
+        if len({crush.primary(ino, index) for index in range(num_osds)})
+        == num_osds
+    )
+
+
+#: The first ino whose six objects land on six *distinct* primaries, so
 #: striped-read completion time measures dispatch concurrency rather
 #: than placement collisions (many small inos hash several objects onto
 #: one OSD, which would serialise at the device regardless of dispatch).
-SPREAD_INO = 51
+SPREAD_INO = _first_spread_ino()
 
 
 def make_cluster(sim, costs, num_osds=6, replicas=1):
     return CephCluster(sim, Fabric(sim), costs, num_osds=num_osds,
                        replicas=replicas)
+
+
+def test_spread_ino_puts_each_object_on_its_own_primary(sim):
+    cluster = make_cluster(sim, CostModel())
+    primaries = {cluster.crush.primary(SPREAD_INO, index) for index in range(6)}
+    assert len(primaries) == 6
 
 
 def test_stripe_read_completes_in_about_one_rpc_latency(sim):

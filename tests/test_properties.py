@@ -1,5 +1,6 @@
 """Property-based tests on core data structures (hypothesis)."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -9,11 +10,13 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.common.errors import ConfigError, DataUnavailable
 from repro.common.rng import derive, make_rng, pseudo_bytes
 from repro.fs import MemTree, pathutil
 from repro.hw import RamAccount
 from repro.kernel import PageCache
 from repro.storage import CrushMap
+from repro.storage.monitor import OsdMap
 
 from tests.reference_pagecache import PageCache as ReferencePageCache
 
@@ -158,6 +161,66 @@ def test_property_crush_valid_and_stable(num_osds, replicas, ino, index):
     assert len(set(placement)) == replicas
     assert all(0 <= osd < num_osds for osd in placement)
     assert placement == crush.placement(ino, index)
+
+
+crush_mutations = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "remove", "reweight"]),
+        st.integers(min_value=0, max_value=99),
+        st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=3),
+    crush_mutations,
+    st.sets(st.integers(min_value=0, max_value=9), max_size=3),
+)
+def test_property_acting_set_filters_a_fresh_order(num_osds, replicas,
+                                                   mutations, down):
+    """After any add/remove/reweight sequence the memoised order is the
+    one the current weights give, and the acting set is that order with
+    ``down`` skipped, cut to ``replicas``."""
+    crush = CrushMap(num_osds, replicas=min(replicas, num_osds))
+    objects = [(ino, index) for ino in range(1, 6) for index in range(2)]
+
+    def fresh_order(ino, index):
+        weighted = [osd for osd in crush.devices() if crush.weight(osd) > 0]
+        return sorted(weighted, key=lambda osd: (
+            -crush._straw(ino, index, osd, crush.weight(osd)), osd
+        ))
+
+    def check():
+        osdmap = OsdMap(1, down, (), crush)
+        for key in objects:
+            order = fresh_order(*key)
+            assert crush.order(*key) == order
+            assert crush.placement(*key) == order[:crush.replicas]
+            live = [osd for osd in order if osd not in down]
+            if live:
+                assert osdmap.acting_set(*key) == live[:crush.replicas]
+            else:
+                with pytest.raises(DataUnavailable):
+                    osdmap.acting_set(*key)
+
+    check()
+    for kind, pick, weight in mutations:
+        devices = crush.devices()
+        osd_id = devices[pick % len(devices)]
+        try:
+            if kind == "add":
+                crush.add_device(weight=weight or 1.0)
+            elif kind == "remove":
+                crush.remove_device(osd_id)
+            else:
+                crush.reweight(osd_id, weight)
+        except ConfigError:
+            continue
+        check()
 
 
 # --- page cache memory accounting ----------------------------------------------
