@@ -20,7 +20,6 @@ low-level modules without cycles.
 """
 
 import collections
-import hashlib
 import importlib
 import inspect
 import itertools
@@ -213,9 +212,6 @@ class ChaosSweep(Sweep):
 
     def run_cell(self, cell):
         outcome = self.config.run()
-        fingerprint = hashlib.blake2b(
-            repr(outcome.fingerprint()).encode(), digest_size=16
-        ).hexdigest()
         self.detail = {
             "plan_log": [list(entry) for entry in outcome.plan_log],
             "digests": {str(k): v for k, v in sorted(outcome.digests.items())},
@@ -240,7 +236,7 @@ class ChaosSweep(Sweep):
             files_skipped=outcome.files_skipped,
             backfill_objects=outcome.backfill_objects,
             backfill_bytes=outcome.backfill_bytes,
-            fingerprint=fingerprint,
+            fingerprint=outcome.fingerprint_hex(),
         )
 
     def _notes(self, result):

@@ -18,6 +18,7 @@ import time
 from repro.experiments.compiler import compile_spec
 from repro.experiments.record import make_record
 from repro.experiments.spec import CHECK_OPS
+from repro.world import releases_world
 
 __all__ = ["describe", "evaluate_checks", "measured", "run_spec", "state"]
 
@@ -152,9 +153,11 @@ def describe(verdict):
                               measured(verdict))
 
 
+@releases_world
 def _run_cell(spec, quick, seed, cell):
     """One cell of one seed's sweep — module-level so ``map_tasks`` can
-    ship it to a forked worker."""
+    ship it to a forked worker. The cell's world is freed before the
+    next cell builds its own, whatever the spec's kind."""
     sweep = compile_spec(spec, quick=quick, seed=seed)
     return {"row": sweep.run_cell(cell), "detail": sweep.detail}
 

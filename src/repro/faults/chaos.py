@@ -233,6 +233,13 @@ class ChaosResult(object):
             self.workload_result.bytes_written,
         )
 
+    def fingerprint_hex(self):
+        """:meth:`fingerprint` as a stable hex string: the form run
+        records and committed fingerprint tables hold."""
+        return hashlib.blake2b(
+            repr(self.fingerprint()).encode(), digest_size=16
+        ).hexdigest()
+
     def __repr__(self):
         return "<ChaosResult seed=%s ok=%s checked=%d skipped=%d>" % (
             self.seed, self.ok, self.files_checked, self.files_skipped,

@@ -32,22 +32,27 @@ __all__ = ["Host", "World", "releases_world"]
 
 def releases_world(entry_point):
     """Decorator for row-level entry points that build one world and
-    return plain data: collect the world before handing the row back.
+    return plain data: free the world before handing the row back.
 
     A finished world is cyclic garbage that no single edge frees — each
     daemon's suspended generator refers to the object that spawned it,
     which holds the process — and the generational collector gets to it
     late, so a process running several cells peaked at the *sum* of
-    neighbouring worlds. The collection runs once the entry point's
-    frame is gone; after a raise the traceback still holds the world
-    and it is left to the caller's.
+    neighbouring worlds. One collection does not free it either: closing
+    a suspended daemon runs its ``finally:`` blocks, whose lock releases
+    schedule fresh events on the dead simulator, and those new entries
+    hold the whole world for another pass. So this collects until a
+    pass finds nothing. It runs once the entry point's frame is gone;
+    after a raise the traceback still holds the world and it is left to
+    the caller's.
     """
     @functools.wraps(entry_point)
     def run_and_release(*args, **kwargs):
         try:
             return entry_point(*args, **kwargs)
         finally:
-            gc.collect()
+            while gc.collect():
+                pass
     return run_and_release
 
 

@@ -1,5 +1,8 @@
 """Shared pytest fixtures and helpers."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro.common import units
@@ -51,6 +54,16 @@ def run(sim, gen, until=1000.0):
     finished = sim.run_until(process, deadline)
     assert finished, "process did not finish by t=%s" % deadline
     return process.value
+
+
+def committed_fingerprint(scenario, seed):
+    """The chaos fingerprint ``tests/chaos_fingerprints.json`` commits for
+    ``scenario`` at ``seed`` (``ChaosResult.fingerprint_hex()``). One run
+    checked against it catches a schedule that moves between commits as
+    well as one that moves with process state; after a deliberate
+    re-baseline, write the new value there."""
+    path = pathlib.Path(__file__).with_name("chaos_fingerprints.json")
+    return json.loads(path.read_text())[scenario][str(seed)]
 
 
 #: Buffers whose writer can still change the bytes after handing them

@@ -547,6 +547,25 @@ def test_corruption_plan_spares_the_last_clean_replica():
 
 @pytest.mark.chaos
 @pytest.mark.scrub
+@pytest.mark.parametrize("seed", [7, 1])
+def test_standby_replays_a_journal_the_plan_left_a_clean_replica(seed):
+    """Corruption under an MDS crash and failover. At seeds 7 and 1 the
+    plan used to damage both replicas of the journal object, and the
+    promoted standby's replay raised ``DataCorrupt``. The plan's
+    last-clean-replica rule keeps that state from being generated; it
+    is a guard, not a repair (``docs/faults.md``)."""
+    result = ChaosConfig(seed=seed, duration=4.0, replicas=2, bitrot=2,
+                         torn_writes=1, mds_crashes=1, mds_failovers=1,
+                         mds_standbys=2, scrub=True).run()
+    assert result.corruptions >= 1
+    kinds = {entry[2] for entry in result.plan_log}
+    assert {"mds_crash", "mds_failover"} <= kinds
+    assert result.quarantined == []
+    assert result.ok
+
+
+@pytest.mark.chaos
+@pytest.mark.scrub
 def test_chaos_corruption_run_is_deterministic():
     one = _first_run(**_SCRUB_KW)
     two = ChaosConfig(**_SCRUB_KW).run()
