@@ -10,13 +10,14 @@ throughputs, chaos determinism fingerprints). Two engines that schedule
 byte-identically produce equal fingerprints, so the file doubles as a
 determinism witness for scheduler changes.
 
-Beside the wall clock every scenario records two *exact* costs (schema
-3): ``entries_scheduled``, the sequence numbers its simulators handed
-out, and ``entries_dispatched``, those that went through the run loop
-(scheduled minus the resumptions ``Process._step`` continued in place).
-Both repeat to the last digit on any machine, so ``--check`` gates
-``entries_dispatched`` exactly; wall-clock stays the noisy secondary
-signal.
+Beside the wall clock every scenario records three *exact* costs
+(schema 4): ``entries_scheduled``, the sequence numbers its simulators
+handed out; ``entries_dispatched``, those that went through the run loop
+(scheduled minus the resumptions continued in place); and ``resumes``,
+the generator ``send``/``throw`` calls ``Process._step`` made. All three
+repeat to the last digit on any machine, so ``--check`` gates
+``entries_dispatched`` and ``resumes`` exactly; wall-clock stays the
+noisy secondary signal.
 
 Multi-host-shaped scenarios decompose into independent per-simulated-
 machine *tasks* (one world each, fanned out by
@@ -42,7 +43,8 @@ Usage:
 
 ``--check`` exits non-zero when any fingerprint differs from the
 baseline (a determinism break), when a scenario dispatches more
-scheduler entries than the baseline's, or when total wall-clock
+scheduler entries or resumes more generators than the baseline's, or
+when total wall-clock
 regresses by more than ``--threshold`` (default 25%) against the
 baseline.
 """
@@ -118,7 +120,7 @@ def _peak_rss_mb(workers):
 
 
 def counted(fn, kwargs):
-    """Run one task; return its value and its simulators' entry counts.
+    """Run one task; return its value and its simulators' exact counts.
 
     Counted from outside, around the task: every ``Simulator`` the task
     builds is noted on construction and read once the task is over.
@@ -141,6 +143,7 @@ def counted(fn, kwargs):
         "value": value,
         "entries_scheduled": scheduled,
         "entries_dispatched": scheduled - sum(sim.elided for sim in built),
+        "resumes": sum(sim.resumes for sim in built),
     }
 
 
@@ -275,7 +278,7 @@ SCENARIOS = [
 
 def run_bench(names=None, workers=1):
     record = {
-        "schema": 3,
+        "schema": 4,
         "python": platform.python_version(),
         "cores": _cores(),
         "workers": workers,
@@ -301,6 +304,7 @@ def run_bench(names=None, workers=1):
                 r["entries_scheduled"] for r in results),
             "entries_dispatched": sum(
                 r["entries_dispatched"] for r in results),
+            "resumes": sum(r["resumes"] for r in results),
             "detail": detail,
         }
         cell.update(env)
@@ -333,9 +337,11 @@ def run_bench(names=None, workers=1):
             suffix = "  parallel=%7.3fs speedup=%.2fx" % (
                 par["wall_s"], par["speedup"],
             )
-        print("bench %-14s wall=%7.3fs dispatched=%8d/%8d fingerprint=%s%s"
+        print("bench %-14s wall=%7.3fs dispatched=%8d/%8d resumes=%8d "
+              "fingerprint=%s%s"
               % (name, wall, cell["entries_dispatched"],
-                 cell["entries_scheduled"], fingerprint, suffix),
+                 cell["entries_scheduled"], cell["resumes"], fingerprint,
+                 suffix),
               file=sys.stderr)
     record["peak_rss_mb"] = _peak_rss_mb(workers)
     return record
@@ -348,8 +354,8 @@ def _python_minor(version):
 def check_against(record, baseline, threshold):
     """Compare a fresh record to a baseline; returns a list of failures.
 
-    Fingerprints and dispatch counts are exact and compared on any
-    machine. A Python-minor mismatch skips the wall-clock comparison
+    Fingerprints, dispatch counts and resume counts are exact and
+    compared on any machine. A Python-minor mismatch skips the wall-clock comparison
     (interpreter speed differences would drown the signal).
     """
     failures = []
@@ -370,6 +376,12 @@ def check_against(record, baseline, threshold):
                 "dispatch regression in %r: %d scheduler entries "
                 "dispatched > baseline %d"
                 % (name, fresh["entries_dispatched"], base_dispatched)
+            )
+        base_resumes = cell.get("resumes")  # absent before schema 4
+        if base_resumes is not None and fresh["resumes"] > base_resumes:
+            failures.append(
+                "resume regression in %r: %d generator resumes > "
+                "baseline %d" % (name, fresh["resumes"], base_resumes)
             )
     python_match = (
         _python_minor(record.get("python"))
@@ -448,7 +460,8 @@ def main(argv=None):
         if failures:
             return 1
         print("check ok: fingerprints match, no scenario dispatches more "
-              "entries, wall %.3fs vs baseline %.3fs"
+              "entries or resumes more generators, wall %.3fs vs baseline "
+              "%.3fs"
               % (record["total_wall_s"], baseline.get("total_wall_s", 0.0)),
               file=sys.stderr)
     return 0

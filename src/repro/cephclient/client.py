@@ -30,7 +30,7 @@ from repro.cephclient.cache import ObjectCache
 from repro.cephclient.locking import AdaptiveLockController, LockingPolicy
 from repro.cephclient.mount import CephMount
 from repro.common.errors import FsError, InvalidArgument
-from repro.fs.api import OpenFlags
+from repro.fs.api import O_APPEND
 from repro.fs.readahead import Readahead
 from repro.sim.cpu import SimThread
 from repro.sim.sync import Mutex
@@ -330,7 +330,7 @@ class CephLibClient(CephMount):
 
     def write(self, task, handle, offset, data):
         ino = self._live_ino(handle)
-        append = bool(handle.flags & OpenFlags.APPEND)
+        append = bool(int(handle.flags) & O_APPEND)
         obs = self.sim.observer
         span = obs.span(task, "client.write", "client", ino=ino,
                         size=len(data)) if obs is not None else None

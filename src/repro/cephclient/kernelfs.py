@@ -18,7 +18,7 @@ from repro.cephclient.extents import ExtentBuffer
 from repro.cephclient.mount import CephMount
 from repro.common.errors import FsError, ThreadKilled
 from repro.fs import pathutil
-from repro.fs.api import OpenFlags
+from repro.fs.api import O_APPEND
 from repro.fs.readahead import Readahead
 
 __all__ = ["CephKernelFs"]
@@ -212,7 +212,7 @@ class CephKernelFs(CephMount):
 
     def write(self, task, handle, offset, data):
         ino = self._live_ino(handle)
-        append = bool(handle.flags & OpenFlags.APPEND)
+        append = bool(int(handle.flags) & O_APPEND)
         yield from task.cpu(self.costs.fs_op)
         cf = self._cached_file(ino)
         account = self._account(task)

@@ -46,7 +46,9 @@ from repro.common.errors import (
     IsADirectory,
 )
 from repro.fs import pathutil
-from repro.fs.api import FileHandle, FileStat, Filesystem, OpenFlags
+from repro.fs.api import (
+    O_CREAT, O_EXCL, O_TRUNC, FileHandle, FileStat, Filesystem, OpenFlags,
+)
 
 __all__ = ["CephHandle", "CephMount"]
 
@@ -254,11 +256,12 @@ class CephMount(Filesystem):
 
     def open(self, task, path, flags=OpenFlags.RDONLY, mode=0o644):
         path = pathutil.normalize(path)
-        create = bool(flags & OpenFlags.CREAT)
+        bits = int(flags)
+        create = bool(bits & O_CREAT)
         yield from self._enter(task, "create" if create else "open", path)
         if create:
             info = yield from self._mutate(
-                "create", path, bool(flags & OpenFlags.EXCL), mode
+                "create", path, bool(bits & O_EXCL), mode
             )
         else:
             # Close-to-open consistency: revalidate attributes at the MDS.
@@ -267,7 +270,7 @@ class CephMount(Filesystem):
             raise IsADirectory(path=path)
         self._remember(path, info)
         info = yield from self._opened(task, path, info, flags)
-        if flags & OpenFlags.TRUNC and not info.is_dir:
+        if bits & O_TRUNC and not info.is_dir:
             yield from self._truncate_ino(task, info.ino, path, 0)
         self.metrics.counter("opens").add(1)
         return CephHandle(self, path, flags, info.ino)

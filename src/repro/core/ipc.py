@@ -21,6 +21,7 @@ placement buys.
 """
 
 from repro.common.errors import ConfigError, ServiceFailed
+from repro.sim.engine import Event
 from repro.sim.sync import Store
 
 __all__ = ["IpcRequest", "RequestQueue", "DanausIpc"]
@@ -38,7 +39,7 @@ class IpcRequest(object):
         self.fs = fs
         self.op = op
         self.args = args
-        self.reply = sim.event(name="ipc-reply:%s" % op)
+        self.reply = Event(sim, "ipc-reply")
         self.payload_out = payload_out
         self.submitted_at = sim.now
 
@@ -77,7 +78,8 @@ class DanausIpc(object):
         self.name = name
         self.pool_cores = list(pool_cores)
         self.metrics = sim.metrics(name)
-        self.failed = False
+        #: Requests enqueued; counted on every submit, so held here.
+        self.requests = self.metrics.counter("requests")
         self.queues = []
         if single_queue:
             self.queues.append(
@@ -105,42 +107,13 @@ class DanausIpc(object):
 
     def pin_to_queue(self, thread, queue):
         """First-I/O pinning: restrict the thread to the queue's cores."""
-        if thread.pinned is None and set(thread.cpuset) != set(queue.cores):
+        if thread.pinned is not None or thread.cpuset == queue.cores:
+            return  # the steady state after the first request: no sets
+        if set(thread.cpuset) != set(queue.cores):
             usable = [core for core in queue.cores if core in thread.cpuset]
             if usable:
                 thread.set_cpuset(usable)
                 self.metrics.counter("threads_pinned").add(1)
-
-    def submit(self, task, fs, op, args, payload_out=0, payload_in=0):
-        """Front-driver submit: enqueue, wait for the reply, return result.
-
-        Generator. Charges the enqueue CPU and the request-buffer copies to
-        the calling thread; everything stays at user level.
-        """
-        if self.failed:
-            raise ServiceFailed("filesystem service %s is down" % self.name)
-        queue = self.queue_for(task.thread)
-        self.pin_to_queue(task.thread, queue)
-        costs = self.costs
-        obs = self.sim.observer
-        span = obs.span(task, "ipc.submit", "ipc", queue=queue.name,
-                        op=op) if obs is not None else None
-        try:
-            yield from task.cpu(
-                costs.ipc_queue_op + costs.copy_cost(payload_out)
-            )
-            request = IpcRequest(self.sim, fs, op, args, payload_out)
-            yield queue.store.put(request)
-            if obs is not None:
-                self.sim.trace("ipc", "submit", queue=queue.name, op=op)
-                obs.sample("qdepth:%s" % queue.name, queue.backlog)
-            self.metrics.counter("requests").add(1)
-            result = yield request.reply
-            yield from task.cpu(costs.copy_cost(payload_in))
-        finally:
-            if span is not None:
-                span.end()
-        return result
 
     def fail(self, make_error=None):
         """Drop the service side: error out all queued requests.
@@ -155,7 +128,6 @@ class DanausIpc(object):
                 return ServiceFailed(
                     "filesystem service %s died" % self.name
                 )
-        self.failed = True
         for queue in self.queues:
             while True:
                 ok, request = queue.store.try_get()

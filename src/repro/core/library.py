@@ -15,11 +15,7 @@ both paths land here (§3.2). The library keeps per-process state:
   endpoint of the same service picks them up (the dual interface).
 """
 
-from repro.common.errors import (
-    BadFileDescriptor,
-    InvalidArgument,
-    ServiceRestarting,
-)
+from repro.common.errors import BadFileDescriptor, InvalidArgument
 from repro.fs import pathutil
 from repro.fs.api import FileHandle, Filesystem, OpenFlags
 
@@ -103,33 +99,6 @@ class FilesystemLibrary(Filesystem):
             raise BadFileDescriptor(path=handle.path)
         return entry
 
-    def _service_call(self, task, service, instance, op, args,
-                      payload_out=0, payload_in=0):
-        """Submit to a service, riding out supervised restarts.
-
-        :class:`ServiceRestarting` means the service died but a
-        supervisor is bringing it back — the library waits for the
-        restart (bounded by the op timeout) and resubmits, so a
-        supervised crash costs the application a delay, never an error.
-        Unsupervised crashes still raise ``ServiceFailed`` immediately.
-        """
-        attempts = 0
-        while True:
-            try:
-                return (yield from service.call(
-                    task, instance, op, args,
-                    payload_out=payload_out, payload_in=payload_in,
-                ))
-            except ServiceRestarting:
-                attempts += 1
-                if attempts >= self.costs.retry_attempts:
-                    raise
-                self.metrics.counter("service_retries").add(1)
-                yield self.sim.any_of([
-                    service.wait_restarted(),
-                    self.sim.timeout(self.costs.op_timeout),
-                ])
-
     # -- Filesystem interface (the overridden libc calls) ---------------------
 
     def open(self, task, path, flags=OpenFlags.RDONLY, mode=0o644):
@@ -139,8 +108,8 @@ class FilesystemLibrary(Filesystem):
             entry = self._alloc_fd(("kernel", inner, path))
         else:
             service, instance, inner_path = resolved
-            inner = yield from self._service_call(
-                task, service, instance, "open", (inner_path, flags, mode)
+            inner = yield from service.call(
+                task, instance, "open", (inner_path, flags, mode)
             )
             entry = self._alloc_fd(("danaus", inner, path, service, instance))
             self.metrics.counter("danaus_opens").add(1)
@@ -149,41 +118,41 @@ class FilesystemLibrary(Filesystem):
     def close(self, task, handle):
         entry = self._entry(handle)
         if entry.route == "danaus":
-            yield from self._service_call(
-                task, entry.service, entry.instance, "close", (entry.inner,)
+            yield from entry.service.call(
+                task, entry.instance, "close", (entry.inner,)
             )
         else:
             yield from self.kernel.vfs.close(task, entry.inner)
         del self.files[entry.fd]
         handle.closed = True
 
+    # read and write are not generators themselves: they hand back the
+    # service's or the VFS's, so the chain every resume of a data request
+    # walks is one frame shorter.
+
     def read(self, task, handle, offset, size):
         entry = self._entry(handle)
         if entry.route == "danaus":
-            return (
-                yield from self._service_call(
-                    task, entry.service, entry.instance, "read",
-                    (entry.inner, offset, size), payload_in=size,
-                )
+            return entry.service.call(
+                task, entry.instance, "read",
+                (entry.inner, offset, size), payload_in=size,
             )
-        return (yield from self.kernel.vfs.read(task, entry.inner, offset, size))
+        return self.kernel.vfs.read(task, entry.inner, offset, size)
 
     def write(self, task, handle, offset, data):
         entry = self._entry(handle)
         if entry.route == "danaus":
-            return (
-                yield from self._service_call(
-                    task, entry.service, entry.instance, "write",
-                    (entry.inner, offset, data), payload_out=len(data),
-                )
+            return entry.service.call(
+                task, entry.instance, "write",
+                (entry.inner, offset, data), payload_out=len(data),
             )
-        return (yield from self.kernel.vfs.write(task, entry.inner, offset, data))
+        return self.kernel.vfs.write(task, entry.inner, offset, data)
 
     def fsync(self, task, handle):
         entry = self._entry(handle)
         if entry.route == "danaus":
-            yield from self._service_call(
-                task, entry.service, entry.instance, "fsync", (entry.inner,)
+            yield from entry.service.call(
+                task, entry.instance, "fsync", (entry.inner,)
             )
         else:
             yield from self.kernel.vfs.fsync(task, entry.inner)
@@ -195,8 +164,8 @@ class FilesystemLibrary(Filesystem):
             return (yield from handler(task, path, *args))
         service, instance, inner_path = resolved
         return (
-            yield from self._service_call(
-                task, service, instance, op, (inner_path,) + args,
+            yield from service.call(
+                task, instance, op, (inner_path,) + args,
                 payload_in=payload_in,
             )
         )
@@ -234,8 +203,8 @@ class FilesystemLibrary(Filesystem):
             from repro.common.errors import CrossDevice
 
             raise CrossDevice(path=new_path)
-        yield from self._service_call(
-            task, service, instance, "rename", (inner_old, inner_new)
+        yield from service.call(
+            task, instance, "rename", (inner_old, inner_new)
         )
 
     # -- pipes and directory streams (§4.1) ------------------------------------------

@@ -20,7 +20,7 @@ from repro.common.errors import (
     ServiceRestarting,
     ThreadKilled,
 )
-from repro.core.ipc import DanausIpc
+from repro.core.ipc import DanausIpc, IpcRequest
 from repro.fs import pathutil
 from repro.fs.api import Task
 from repro.sim.cpu import SimThread
@@ -61,6 +61,7 @@ class FilesystemService(object):
         self.pool_cores = list(pool_cores)
         self.single_queue = single_queue
         self.metrics = sim.metrics(name)
+        self.ops_served = self.metrics.counter("ops_served")
         self.ipc = DanausIpc(
             sim, machine, costs, pool_cores, name="%s.ipc" % name,
             single_queue=single_queue,
@@ -166,7 +167,7 @@ class FilesystemService(object):
                 # crash() may have failed the reply while the handler ran.
                 if not request.reply.triggered:
                     request.reply.succeed(result)
-                    self.metrics.counter("ops_served").add(1)
+                    self.ops_served.add(1)
             finally:
                 self._inflight.pop(request, None)
 
@@ -246,15 +247,64 @@ class FilesystemService(object):
     # -- front-driver entry ------------------------------------------------------------
 
     def call(self, task, instance, op, args, payload_out=0, payload_in=0):
-        """Submit one operation against a mounted instance (generator)."""
-        if self.crashed:
-            raise self._down_error()
-        return (
-            yield from self.ipc.submit(
-                task, instance.stack, op, args,
-                payload_out=payload_out, payload_in=payload_in,
-            )
-        )
+        """Submit one operation against a mounted instance (generator).
+
+        The whole front-driver round trip is this one frame: queue
+        placement and first-I/O pinning, the enqueue CPU and the
+        request-buffer copies (charged to the calling thread; everything
+        stays at user level), the put, the reply wait.
+
+        :class:`ServiceRestarting` means the service died but a
+        supervisor is bringing it back: the caller waits for the restart
+        (bounded by the op timeout) and resubmits, so a supervised crash
+        costs the application a delay, never an error. Unsupervised
+        crashes raise :class:`ServiceFailed` immediately.
+        """
+        sim = self.sim
+        costs = self.costs
+        thread = task.thread
+        attempts = 0
+        while True:
+            try:
+                if self.crashed:
+                    raise self._down_error()
+                ipc = self.ipc
+                queue = ipc.queue_for(thread)
+                ipc.pin_to_queue(thread, queue)
+                obs = sim.observer
+                span = obs.span(task, "ipc.submit", "ipc", queue=queue.name,
+                                op=op) if obs is not None else None
+                try:
+                    yield from task.cpu(
+                        costs.ipc_queue_op + costs.copy_cost(payload_out)
+                    )
+                    request = IpcRequest(sim, instance.stack, op, args,
+                                         payload_out)
+                    accepted = queue.store.put(request)
+                    # Resumed, the caller would only park on the reply,
+                    # which no one can answer before that resumption.
+                    if not sim.skip_resumption(accepted):
+                        yield accepted
+                    if obs is not None:
+                        sim.trace("ipc", "submit", queue=queue.name, op=op)
+                        obs.sample("qdepth:%s" % queue.name, queue.backlog)
+                    ipc.requests.add(1)
+                    result = yield request.reply
+                    if payload_in:
+                        yield from task.cpu(costs.copy_cost(payload_in))
+                finally:
+                    if span is not None:
+                        span.end()
+                return result
+            except ServiceRestarting:
+                attempts += 1
+                if attempts >= costs.retry_attempts:
+                    raise
+                self.metrics.counter("service_retries").add(1)
+                yield sim.any_of([
+                    self.wait_restarted(),
+                    sim.timeout(costs.op_timeout),
+                ])
 
     def __repr__(self):
         state = "crashed" if self.crashed else "%d mounts" % len(self.fs_table)

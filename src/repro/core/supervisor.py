@@ -8,7 +8,8 @@ replays the journaled write-behind state before declaring it up.
 
 While a service is supervised its crash surfaces to applications as the
 *retryable* :class:`~repro.common.errors.ServiceRestarting`; the
-filesystem library rides the restart out and resubmits, so a supervised
+front driver's submit (``FilesystemService.call``, which the filesystem
+library uses) rides the restart out and resubmits, so a supervised
 crash costs the pool a latency bubble instead of failed I/O — and, unlike
 a kernel-client failure, the bubble never leaves the pool.
 

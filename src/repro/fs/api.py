@@ -18,6 +18,7 @@ from repro.common.rng import PSEUDO_BLOCK
 
 __all__ = [
     "OpenFlags", "FileStat", "Task", "FileHandle", "Filesystem", "WRITE_PIECE",
+    "O_CREAT", "O_EXCL", "O_TRUNC", "O_APPEND",
 ]
 
 #: Bytes per ``write`` of :meth:`Filesystem.write_file`. Spelled as a
@@ -41,11 +42,24 @@ class OpenFlags(enum.IntFlag):
 
     @property
     def wants_write(self):
-        return bool(self & (OpenFlags.WRONLY | OpenFlags.RDWR | OpenFlags.APPEND))
+        return bool(int(self) & _WRITE_BITS)
 
     @property
     def wants_read(self):
-        return not (self & OpenFlags.WRONLY)
+        return not (int(self) & _WRONLY)
+
+
+# The bits the open and write paths test, as plain ints: ``flags &
+# OpenFlags.X`` builds an ``IntFlag`` member on every test, ``int(flags) &
+# O_X`` is one int operation.
+O_CREAT = int(OpenFlags.CREAT)
+O_EXCL = int(OpenFlags.EXCL)
+O_TRUNC = int(OpenFlags.TRUNC)
+O_APPEND = int(OpenFlags.APPEND)
+_WRONLY = int(OpenFlags.WRONLY)
+_WRITE_BITS = int(OpenFlags.WRONLY | OpenFlags.RDWR | OpenFlags.APPEND)
+#: What :meth:`Filesystem.write_pieces` opens with, built once.
+_CREATE_TRUNC = OpenFlags.WRONLY | OpenFlags.CREAT | OpenFlags.TRUNC
 
 
 class FileStat(object):
@@ -254,9 +268,7 @@ class Filesystem(object):
         slices of one payload (``Workload.fill`` writes one buffer over
         and over).
         """
-        handle = yield from self.open(
-            task, path, OpenFlags.WRONLY | OpenFlags.CREAT | OpenFlags.TRUNC
-        )
+        handle = yield from self.open(task, path, _CREATE_TRUNC)
         try:
             offset = 0
             for piece in pieces:

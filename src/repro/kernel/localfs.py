@@ -22,7 +22,10 @@ from repro.common.errors import (
     IsADirectory,
 )
 from repro.fs import pathutil
-from repro.fs.api import FileHandle, FileStat, Filesystem, OpenFlags
+from repro.fs.api import (
+    O_APPEND, O_CREAT, O_EXCL, O_TRUNC, FileHandle, FileStat, Filesystem,
+    OpenFlags,
+)
 from repro.fs.memtree import MemTree
 from repro.fs.readahead import Readahead, plan_fetch
 
@@ -122,9 +125,10 @@ class LocalFs(Filesystem):
     def open(self, task, path, flags=OpenFlags.RDONLY, mode=0o644):
         path = pathutil.normalize(path)
         yield from self._op_cpu(task)
+        bits = int(flags)
         node = self.tree.try_lookup(path)
         if node is None:
-            if not flags & OpenFlags.CREAT:
+            if not bits & O_CREAT:
                 raise FileNotFound(path=path)
             parent = self.tree.lookup_dir(pathutil.parent_of(path))
             dir_lock = self._dir_lock(parent)
@@ -140,16 +144,16 @@ class LocalFs(Filesystem):
             )
             node = self.tree.create_file(
                 path, now=self.sim.now,
-                exclusive=bool(flags & OpenFlags.EXCL), mode=mode,
+                exclusive=bool(bits & O_EXCL), mode=mode,
             )
             self.metrics.counter("creates").add(1)
-        elif flags & OpenFlags.EXCL and flags & OpenFlags.CREAT:
+        elif bits & O_EXCL and bits & O_CREAT:
             from repro.common.errors import FileExists
 
             raise FileExists(path=path)
         if node.is_dir and flags.wants_write:
             raise IsADirectory(path=path)
-        if flags & OpenFlags.TRUNC and not node.is_dir:
+        if bits & O_TRUNC and not node.is_dir:
             yield from self._truncate_node(task, node, 0)
         handle = _LocalHandle(self, path, flags, node)
         self.metrics.counter("opens").add(1)
@@ -189,7 +193,7 @@ class LocalFs(Filesystem):
 
     def write(self, task, handle, offset, data):
         node = self._live_node(handle)
-        if handle.flags & OpenFlags.APPEND:
+        if int(handle.flags) & O_APPEND:
             offset = node.size
         yield from self._op_cpu(task)
         cf = self._cached_file(node)

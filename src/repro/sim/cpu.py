@@ -148,11 +148,14 @@ class SimThread(object):
             raise SimulationError(
                 "cpu time must be finite and >= 0, got %r" % (cpu_seconds,))
         sim = self.sim
+        ready = sim._ready
+        heap = sim._heap
         remaining = cpu_seconds
         # pick_core() is inlined here: this loop runs once per quantum
         # for every simulated CPU charge in every experiment. On an idle
-        # core the acquire is continued in place and the slice is a plain
-        # sleep, so a quantum costs one heap entry and no Event.
+        # core the grant is taken in place and the slice is a plain
+        # sleep, so a quantum costs one heap entry, no Event and one
+        # generator resume.
         while remaining > 1e-12:
             if self.killed:
                 raise ThreadKilled("thread %s was killed" % self.name)
@@ -173,7 +176,23 @@ class SimThread(object):
                             core = cand
                             best_load = load
                             best_busy = cand.busy_time
-            yield core._mutex.acquire(who=self)
+            mux = core._mutex
+            stop = sim._stop
+            if (mux._owner is None and not (
+                    ready or sim._batch
+                    or (heap and heap[0][0] <= sim.now)
+                    or (stop is not None and stop.triggered))):
+                # Mutex.acquire's free grant plus the elision
+                # Process._step would make on the sim.granted it returns:
+                # same four tests, same sequence number (see "Direct
+                # resumption" in repro.sim.engine).
+                mux._owner = self
+                mux._granted_at = sim.now
+                mux.stats.acquisitions += 1
+                sim._seq += 1
+                sim.elided += 1
+            else:
+                yield mux.acquire(who=self)
             switched = core.last_thread is not self
             core.last_thread = self
             try:
@@ -183,7 +202,16 @@ class SimThread(object):
                 if obs is not None:
                     obs.record_cpu(core, self, piece, switched)
             finally:
-                core._mutex.release()
+                if mux._waiters:
+                    mux.release()
+                else:
+                    # Mutex.release with nobody to hand the core to.
+                    stats = mux.stats
+                    hold = sim.now - mux._granted_at
+                    stats.total_hold += hold
+                    if hold > stats.max_hold:
+                        stats.max_hold = hold
+                    mux._owner = None
             if switched:
                 self.ctx_switches += 1
             self.cpu_time += piece

@@ -82,10 +82,52 @@ key where the long way round would have put it:
   place would run the process past the point where the caller expects
   to find it. Any test failing, the long way runs as it always did.
 
+Two callers take the same sequence number without yielding at all, so
+the grant or the put also skips the trip up the ``yield from`` chain to
+``_step`` and the ``send`` back down:
+
+* a **free-core grant** (:meth:`repro.sim.cpu.SimThread.run`): when the
+  core's run queue is free and the four tests above hold, the thread
+  takes the core in place, with the key ``_step`` would have elided, and
+  counts one in ``sim.elided``. The tests are the ones ``_step`` would
+  apply to the ``sim.granted`` the acquire returns, evaluated at the same
+  moment, so the outcome is the one the long way reaches. When the slice
+  ends with nobody waiting for the core, the release clears the owner
+  without the ``Mutex.release`` call; a waiter gets the normal hand-off.
+* an **accepted IPC put** (:meth:`repro.core.service.FilesystemService.call`
+  through :meth:`Simulator.skip_resumption`): ``Store.put`` returns
+  ``sim.granted`` and the caller's next act is to wait on its reply,
+  which nobody can answer before the resumption — the service thread
+  needs a poll latency and a CPU charge first. The long way queues the
+  resumption at sequence number ``s``, lets whatever is queued ahead of
+  it run (typically the service thread's pickup, which the put just
+  queued), then resumes the caller only for it to park on the reply. The
+  short cut takes ``s`` (counting it as elided) and parks on the reply
+  at once, so no later key moves. It is refused inside a callback batch
+  and when the stop event of a surrounding ``run_until`` has triggered,
+  the cases where the caller's place matters before ``s`` would be
+  dispatched. What moves is host-side observation: an observer's
+  ``qdepth`` sample and ``ipc submit`` trace record (and the
+  ``requests`` counter) are now taken at put time, ahead of the entries
+  that were queued before ``s``. One schedule can move: a service crash
+  dispatched between the put and ``s`` fails the reply before the long
+  way would have parked on it, so the caller wakes on the failure's own
+  entry instead of at ``s``. It still gets the error (a test pins it);
+  no reference run crashes a service in that window.
+
+One wakeup needs no batch either: an event with a single subscriber (in
+practice one waiting process's ``_on_event``) queues that callback as its
+entry instead of a one-element :meth:`Simulator._run_callbacks` batch —
+the same one sequence number. An interrupt that lands between trigger
+and dispatch can no longer take the callback out of the batch, so the
+entry stays queued; ``_on_event``'s ``_waiting_on`` check drops it as
+stale, as it does for a queued ``_resume``.
+
 ``sim._seq`` is thus the number of entries scheduled and ``sim._seq -
-sim.elided`` the number the run loop dispatched;
-``scripts/bench_engine.py`` records both per scenario and gates the
-second exactly.
+sim.elided`` the number the run loop dispatched; ``sim.resumes`` counts
+the generator ``send``/``throw`` calls ``_step`` made.
+``scripts/bench_engine.py`` records all three per scenario and gates
+the dispatched and resumed counts exactly.
 """
 
 import heapq
@@ -292,7 +334,9 @@ class Process(Event):
             try:
                 waited.callbacks.remove(self._on_event)
             except ValueError:
-                pass  # resumption already queued; _resume drops it as stale
+                # Resumption already queued (a _resume, or a lone
+                # subscriber's _on_event): it drops itself as stale.
+                pass
         self.sim._schedule_call(self._throw, Interrupt(cause))
 
     # -- tuple-dispatched entry points ---------------------------------
@@ -341,6 +385,7 @@ class Process(Event):
         sim = self.sim
         generator = self.generator
         while True:
+            sim.resumes += 1
             try:
                 if exc is not None:
                     target = generator.throw(exc)
@@ -519,6 +564,7 @@ class Simulator(object):
         self._seq = 0
         self.next_pid = 1  # this world's pid space (see repro.fs.api.Task)
         self.elided = 0  # resumptions continued in place (see Process._step)
+        self.resumes = 0  # generator send/throw calls made by Process._step
         self._batch = False  # inside a callback batch with callbacks to go
         self._stop = None  # the event a surrounding run_until() waits for
         #: Shared pre-triggered event: what ``Mutex.acquire`` and friends
@@ -603,10 +649,16 @@ class Simulator(object):
         Callers check ``event.callbacks`` first: an event triggering
         with no subscribers yet schedules nothing (post-trigger
         subscribers queue their own resumption), which keeps uncontended
-        lock acquires to a single scheduler entry.
+        lock acquires to a single scheduler entry. A lone subscriber is
+        queued itself rather than as a one-element batch (see "Direct
+        resumption" in the module docstring).
         """
         self._seq += 1
-        self._ready.append((self._seq, self._run_callbacks, event))
+        callbacks = event.callbacks
+        if len(callbacks) == 1:
+            self._ready.append((self._seq, callbacks.pop(), event))
+        else:
+            self._ready.append((self._seq, self._run_callbacks, event))
 
     def _run_callbacks(self, event):
         callbacks, event.callbacks = event.callbacks, []
@@ -623,6 +675,26 @@ class Simulator(object):
             finally:
                 self._batch = False
         last(event)
+
+    def skip_resumption(self, event):
+        """Take the sequence number of the resumption on ``event`` in
+        place of yielding it; True when taken, and the caller goes on.
+
+        Only for a caller whose next act is to park on an event that
+        cannot trigger before that resumption would be dispatched (the
+        IPC reply after an accepted put; see "Direct resumption" in the
+        module docstring). Only ``sim.granted`` qualifies, and not inside
+        a callback batch or once the stop event of a surrounding
+        :meth:`run_until` has triggered: the caller then yields
+        ``event`` the long way.
+        """
+        stop = self._stop
+        if (event is not self.granted or self._batch
+                or (stop is not None and stop.triggered)):
+            return False
+        self._seq += 1
+        self.elided += 1
+        return True
 
     def _record_crash(self, process, exc):
         self.crashed.append((process, exc))

@@ -891,17 +891,21 @@ class CephCluster(object):
             if obj is None:
                 parts.append(b"\x00" * length)
                 continue
-            # At most one gather, and none for a whole one-chunk object:
-            # the memo below then shares the stored chunk (immutable, so
-            # a later fault on the replica cannot reach it).
+            # At most one gather, and none for a whole one-chunk object.
             piece = obj.read(obj_off, length)
             if len(piece) < length:
                 piece += b"\x00" * (length - len(piece))
             parts.append(piece)
         data = parts[0] if len(parts) == 1 else b"".join(parts)
-        if len(self._peek_memo) >= 256:
-            self._peek_memo.clear()
-        self._peek_memo[key] = (witness, data)
+        # Only a stored chunk handed back as is goes into the memo: it
+        # costs no memory the OSD does not hold anyway (immutable, so a
+        # later fault on the replica cannot reach it). A gathered or
+        # zero-filled result would be a private copy kept alive here.
+        if len(extents) == 1 and obj is not None \
+                and data is obj.chunks.get(extents[0][1]):
+            if len(self._peek_memo) >= 256:
+                self._peek_memo.clear()
+            self._peek_memo[key] = (witness, data)
         return data
 
     def _peek_source(self, ino, index, obj_off, length):

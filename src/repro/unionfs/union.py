@@ -26,7 +26,9 @@ from repro.common.errors import (
     ReadOnlyFilesystem,
 )
 from repro.fs import pathutil
-from repro.fs.api import FileHandle, Filesystem, OpenFlags
+from repro.fs.api import (
+    O_CREAT, O_EXCL, O_TRUNC, FileHandle, Filesystem, OpenFlags,
+)
 
 __all__ = ["Branch", "UnionFs", "WHITEOUT_PREFIX"]
 
@@ -143,9 +145,10 @@ class UnionFs(Filesystem):
 
     def open(self, task, path, flags=OpenFlags.RDONLY, mode=0o644):
         path = pathutil.normalize(path)
+        bits = int(flags)
         found = yield from self._try_find(task, path)
         if found is None:
-            if not flags & OpenFlags.CREAT:
+            if not bits & O_CREAT:
                 raise FileNotFound(path=path)
             top = self.top
             if not top.writable:
@@ -155,13 +158,13 @@ class UnionFs(Filesystem):
             inner = yield from top.fs.open(task, top.map_path(path), flags, mode)
             return _UnionHandle(self, path, flags, top, inner)
         branch, mapped = found
-        if flags & OpenFlags.EXCL and flags & OpenFlags.CREAT:
+        if bits & O_EXCL and bits & O_CREAT:
             raise FileExists(path=path)
         if flags.wants_write and not branch.writable:
             stat = yield from branch.fs.stat(task, mapped)
             if stat.is_dir:
                 raise IsADirectory(path=path)
-            if not flags & OpenFlags.TRUNC:
+            if not bits & O_TRUNC:
                 yield from self._copy_up(task, path, branch)
             else:
                 # Truncating: no point copying bytes that are discarded.

@@ -5,7 +5,9 @@ import pytest
 from repro.cephclient import CephLibClient
 from repro.common import units
 from repro.common.errors import ConfigError, ServiceFailed
-from repro.core import DanausIpc, FilesystemLibrary, FilesystemService
+from repro.core import (
+    DanausIpc, FilesystemLibrary, FilesystemService, ServiceSupervisor,
+)
 from repro.costs import CostModel
 from repro.fs.api import OpenFlags
 from repro.fs.prefix import SubtreeFs
@@ -129,6 +131,133 @@ def test_service_crash_contained_to_its_pool(sim, machine, kernel, costs, cluste
         return True
 
     assert run(sim, proc())
+
+
+# --- the accepted put parks straight on the reply ---------------------------
+
+
+def _one_queue_service(sim, machine, kernel, costs):
+    """A service on core 0 (one queue) and a caller task on core 1."""
+    service = make_service(sim, machine, costs, cores=machine.cores[:1])
+    instance = service.mount("/", LocalFs(kernel, RamDisk(sim), name="t"))
+    task = make_task(sim, machine, cores=machine.cores[1:2])
+    return service, instance, task
+
+
+def _crash_between_put_and_pickup(sim, service, costs):
+    """Crash ``service`` after a caller's put at t=1 and before the
+    service thread's pickup, in the same step.
+
+    The caller's enqueue charge ends at ``1 + ipc_queue_op`` (its slice
+    entry is queued at t=1). This wake, queued at t=0, ties with it and
+    runs first; the zero sleep then queues the crash behind the slice
+    entry but ahead of the pickup the put queues. Returns the state
+    seen at the crash."""
+    yield 1.0 + costs.ipc_queue_op
+    yield 0.0
+    seen = {
+        "put": service.ipc.requests.value == 1,
+        "picked_up": bool(service._inflight),
+        "now": sim.now,
+    }
+    service.crash()
+    return seen
+
+
+def test_crash_between_put_and_pickup_fails_the_caller(sim, machine, kernel,
+                                                       costs):
+    service, instance, task = _one_queue_service(sim, machine, kernel, costs)
+    outcome = []
+
+    def caller():
+        yield 1.0
+        try:
+            yield from service.call(task, instance, "stat", ("/",))
+            outcome.append("served")
+        except ServiceFailed:
+            outcome.append(("failed", sim.now))
+
+    sim.spawn(caller())
+    crasher = sim.spawn(_crash_between_put_and_pickup(sim, service, costs))
+    sim.run(until=5.0)
+    seen = crasher.value
+    assert seen["put"] and not seen["picked_up"]
+    # Failed in the step of the crash, not a poll latency later.
+    assert outcome == [("failed", seen["now"])]
+
+
+def test_supervised_crash_between_put_and_pickup_is_retried(sim, machine,
+                                                            kernel, costs):
+    service, instance, task = _one_queue_service(sim, machine, kernel, costs)
+    supervisor = ServiceSupervisor(sim, costs)
+    supervisor.watch(service)
+
+    def caller():
+        yield 1.0
+        stat = yield from service.call(task, instance, "stat", ("/",))
+        return stat.is_dir, sim.now
+
+    process = sim.spawn(caller())
+    crasher = sim.spawn(_crash_between_put_and_pickup(sim, service, costs))
+    sim.run(until=5.0)
+    seen = crasher.value
+    assert seen["put"] and not seen["picked_up"]
+    is_dir, finished = process.value
+    assert is_dir and finished >= seen["now"] + supervisor.restart_delay
+    # At least one retry: more when the restart outlasts an op timeout.
+    assert service.metrics.counter("service_retries").value >= 1
+    assert service.generation == 1
+
+
+def test_put_parks_the_long_way_inside_a_callback_batch(sim, machine, kernel):
+    """Two subscribers of one event are one batch; the first submits with
+    a free enqueue, so its put comes while the second is still to run."""
+    costs = CostModel(object_size=units.kib(256), ipc_queue_op=0.0)
+    service, instance, task = _one_queue_service(sim, machine, kernel, costs)
+    gate = sim.event()
+    seen = []
+
+    def submitter():
+        yield gate
+        yield from service.call(task, instance, "stat", ("/",))
+
+    def observer():
+        yield gate
+        seen.append(service.ipc.requests.value)
+
+    def opener():
+        yield 1.0
+        gate.succeed()
+
+    sim.spawn(submitter())
+    sim.spawn(observer())
+    sim.spawn(opener())
+    sim.run(until=5.0)
+    # The submitter had not gone on past its put when the batch ended.
+    assert seen == [0]
+    assert service.ipc.requests.value == 1
+
+
+def test_run_until_stops_before_an_accepted_put_goes_on(sim, machine, kernel):
+    costs = CostModel(object_size=units.kib(256), ipc_queue_op=0.0)
+    service, instance, task = _one_queue_service(sim, machine, kernel, costs)
+    done = sim.event()
+
+    def caller():
+        yield 1.0
+        done.succeed()
+        stat = yield from service.call(task, instance, "stat", ("/",))
+        return stat.is_dir
+
+    process = sim.spawn(caller())
+    elided = sim.elided
+    assert sim.run_until(done, deadline=5.0) is True
+    # Stopped at the put: the request is queued, the caller's resumption
+    # too; it has not gone on to count the request and wait.
+    assert service.ipc.requests.value == 0 and sim.elided == elided
+    sim.run(until=5.0)
+    assert process.value is True
+    assert service.ipc.requests.value == 1
 
 
 def test_service_scales_threads_under_backlog(sim, machine, kernel, costs):

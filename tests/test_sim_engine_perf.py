@@ -501,6 +501,175 @@ def test_processes_on_the_shared_granted_event_do_not_wake_each_other(sim):
     assert sim.granted.callbacks == []
 
 
+# -- free-core grants taken in place by SimThread.run ------------------------
+#
+# A slice shorter than a quantum is one sleep of exactly ``SLICE``; a
+# plain sleep of the same length by another process ties with it, and
+# the tie breaks on which of the two was queued first. A grant that ran
+# on in place when it must not would queue the slice ahead of the other
+# sleep.
+
+SLICE = 0.0001
+
+
+def test_free_core_grant_is_taken_in_place_and_counted(sim):
+    core = Core(sim, 0)
+    thread = SimThread(sim, "t", [core])
+
+    def proc():
+        yield 1.0  # alone at t=1: nothing else is runnable
+        before = (sim.elided, sim.resumes)
+        yield from thread.run(SLICE)
+        return sim.elided - before[0], sim.resumes - before[1]
+
+    process = sim.spawn(proc())
+    sim.run()
+    # One grant elided; the slice's wake is the only resume after it.
+    assert process.value == (1, 1)
+    assert core._mutex.stats.acquisitions == 1 and not core._mutex.locked
+    assert core.busy_time == SLICE and thread.cpu_time == SLICE
+
+
+def test_free_core_grant_refused_when_another_entry_is_runnable_now(sim):
+    order = []
+    thread = SimThread(sim, "t", [Core(sim, 0)])
+
+    def charger():
+        yield from thread.run(SLICE)  # b's start is queued ahead of it
+        order.append("charge")
+
+    def sleeper():
+        yield SLICE
+        order.append("sleep")
+
+    sim.spawn(charger())
+    sim.spawn(sleeper())
+    sim.run()
+    assert order == ["sleep", "charge"]
+    assert sim.elided == 0
+
+
+def test_free_core_grant_refused_when_a_heap_entry_is_due_now(sim):
+    order = []
+    thread = SimThread(sim, "t", [Core(sim, 0)])
+
+    def charger():
+        yield 1.0
+        yield from thread.run(SLICE)  # the sleeper's wake at t=1 is older
+        order.append("charge")
+
+    def sleeper():
+        yield 1.0
+        yield SLICE
+        order.append("sleep")
+
+    sim.spawn(charger())
+    sim.spawn(sleeper())
+    sim.run()
+    assert order == ["sleep", "charge"]
+    assert sim.elided == 0
+
+
+def test_free_core_grant_refused_inside_a_callback_batch(sim):
+    order = []
+    gate = sim.event()
+    thread = SimThread(sim, "t", [Core(sim, 0)])
+
+    def charger():
+        yield gate  # first of two subscribers: resumed inside the batch
+        yield from thread.run(SLICE)
+        order.append("charge")
+
+    def sleeper():
+        yield gate
+        yield SLICE
+        order.append("sleep")
+
+    def opener():
+        yield 1.0
+        gate.succeed()
+
+    sim.spawn(charger())
+    sim.spawn(sleeper())
+    sim.spawn(opener())
+    sim.run()
+    assert order == ["sleep", "charge"]
+    assert sim.elided == 0
+
+
+def test_run_until_stops_before_an_in_place_core_grant(sim):
+    core = Core(sim, 0)
+    thread = SimThread(sim, "t", [core])
+    done = sim.event()
+
+    def proc():
+        yield 1.0
+        done.succeed()
+        yield from thread.run(SLICE)
+
+    sim.spawn(proc())
+    assert sim.run_until(done, deadline=5.0) is True
+    # Granted at the acquire, but the thread has not gone on to run.
+    assert core._mutex.locked and core.last_thread is None
+    assert sim.elided == 0
+    sim.run()
+    assert core.last_thread is thread and core.busy_time == SLICE
+
+
+def test_core_released_in_place_hands_over_to_a_waiter(sim):
+    """The slice that ends with a waiter queued releases through
+    ``Mutex.release``; one without releases in place. Both account the
+    hold time."""
+    core = Core(sim, 0)
+    threads = [SimThread(sim, "t%d" % i, [core]) for i in range(2)]
+    done = []
+
+    def proc(thread):
+        yield from thread.run(SLICE)
+        done.append((thread.name, sim.now))
+
+    for thread in threads:
+        sim.spawn(proc(thread))
+    sim.run()
+    assert [name for name, _when in done] == ["t0", "t1"]
+    assert done[1][1] == pytest.approx(2 * SLICE)
+    stats = core._mutex.stats
+    assert stats.acquisitions == 2 and stats.contended == 1
+    assert stats.total_hold == pytest.approx(2 * SLICE)
+    assert not core._mutex.locked
+
+
+# -- a lone subscriber is queued directly ------------------------------------
+
+
+def test_interrupted_lone_waiters_direct_wakeup_is_dropped(sim):
+    """The gate's one subscriber is queued as its own entry when the gate
+    triggers; an interrupt in the same step cannot take it back out, so
+    the entry must find itself stale and do nothing."""
+    log = []
+    gate = sim.event()
+
+    def waiter():
+        try:
+            value = yield gate
+            log.append(("woke", value))
+        except Interrupt as intr:
+            log.append(("intr", intr.cause))
+        yield 1.0  # asleep when a wrongly delivered Interrupt would land
+        log.append("end")
+
+    def opener(target):
+        yield 1.0
+        gate.succeed("v")
+        target.interrupt(cause="late")
+
+    target = sim.spawn(waiter())
+    sim.spawn(opener(target))
+    sim.run()
+    assert log == [("intr", "late"), "end"]
+    assert gate.callbacks == []
+
+
 # -- bugfix: non-finite delays used to corrupt the heap ---------------------
 
 
@@ -585,23 +754,28 @@ def test_bench_counts_entries_of_every_simulator_a_task_builds():
     # those minus the resumptions continued in place.
     assert out["entries_scheduled"] == 2423
     assert out["entries_dispatched"] == 2346
+    assert out["resumes"] == 2112
 
 
 def test_bench_check_gates_dispatch_counts_exactly():
     harness = _bench_harness()
 
-    def record(dispatched):
+    def record(dispatched, resumes=50):
         return {"python": "3.11.0", "total_wall_s": 1.0, "scenarios": {
-            "s": {"fingerprint": "f", "entries_dispatched": dispatched}}}
+            "s": {"fingerprint": "f", "entries_dispatched": dispatched,
+                  "resumes": resumes}}}
 
     assert harness.check_against(record(100), record(100), 0.25) == []
-    assert harness.check_against(record(99), record(100), 0.25) == []
+    assert harness.check_against(record(99, 49), record(100), 0.25) == []
     (failure,) = harness.check_against(record(101), record(100), 0.25)
     assert "dispatch regression in 's'" in failure
-    # A schema-2 baseline has no counts: nothing to gate.
+    (failure,) = harness.check_against(record(100, 51), record(100), 0.25)
+    assert "resume regression in 's'" in failure
+    # Older baselines lack the counts: nothing to gate.
     old = record(0)
     del old["scenarios"]["s"]["entries_dispatched"]
-    assert harness.check_against(record(101), old, 0.25) == []
+    del old["scenarios"]["s"]["resumes"]
+    assert harness.check_against(record(101, 51), old, 0.25) == []
 
 
 def test_primitive_costs_times_the_three_primitives():

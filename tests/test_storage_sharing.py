@@ -141,3 +141,32 @@ def test_cached_whole_object_peeks_allocate_no_copy(sim, costs):
     assert len(cluster._peek_memo) == 64
     assert current < MIB
     assert all(mine is theirs for mine, theirs in zip(peeked, payloads))
+
+
+def test_peek_memo_keeps_only_shared_chunks(sim, costs):
+    """A peek that had to gather extents, zero-fill a tail or a hole, or
+    copy part of a chunk is not memoised: the entry would be a private
+    copy the OSD does not hold. An aligned whole-chunk re-read still
+    hits the memo and hands back the stored object."""
+    cluster = make_cluster(sim, costs, replicas=1)
+    first = b"a" * MIB
+    second = b"b" * MIB
+    run(sim, cluster.write_extent(12, 0, first))
+    run(sim, cluster.write_extent(12, MIB, second))
+    run(sim, cluster.write_extent(12, 3 * MIB, b"tail"))
+
+    gathered = cluster.peek(12, MIB // 2, MIB)  # spans two objects
+    assert gathered == first[MIB // 2:] + second[:MIB // 2]
+    zero_filled = cluster.peek(12, 3 * MIB, 64)  # past the written tail
+    assert zero_filled == b"tail" + bytes(60)
+    hole = cluster.peek(12, 2 * MIB, 16)  # an object never written
+    assert hole == bytes(16)
+    part = cluster.peek(12, 16, 32)  # a slice of one chunk
+    assert part == first[16:48]
+    assert cluster._peek_memo == {}
+
+    assert cluster.peek(12, MIB, MIB) is second
+    (entry,) = cluster._peek_memo.values()
+    assert cluster.peek(12, MIB, MIB) is second
+    assert list(cluster._peek_memo.values()) == [entry]  # a hit, not a refill
+    assert cluster._peek_memo[12, MIB, MIB] is entry
