@@ -8,7 +8,8 @@ but "requires refactoring libcephfs, which is beyond our current scope".
 
 This reproduction implements that refactoring as the client's
 ``locking=`` policy: ``"global"`` is the faithful single lock,
-``"inode"`` gives every inode its own. The demo measures cached Seqread
+``"range"`` gives every inode its own state lock and every object-sized
+range of a file its own data lock. The demo measures cached Seqread
 throughput both ways.
 
 Run:  python examples/client_lock_ablation.py
@@ -21,7 +22,7 @@ def main():
     print("Cached sequential read, 6 reader threads, one Danaus client")
     print()
     rows = []
-    for locking in ("global", "inode"):
+    for locking in ("global", "range"):
         row = run_seqread_locking(locking, duration=4.0)
         rows.append(row)
         print("%-14s %10.1f MB/s   (lock wait %.3fs)" % (

@@ -3,9 +3,9 @@
 * **client_lock** (§6.3.2, §9): the libcephfs global lock limits cached
   sequential-read concurrency; the paper's preliminary experiments showed
   removing it helps but requires refactoring. We implement the refactoring
-  as the ``locking=`` policy ladder (global -> per-inode -> per-object-
-  range -> adaptive, see :mod:`repro.cephclient.locking`) and measure
-  each step: ``abl-locking`` sweeps the full ladder on both the Fig. 9
+  as the ``locking="range"`` policy (per-inode state locks plus
+  per-object-range data locks, see :mod:`repro.cephclient.locking`) and
+  measure it against ``global``: ``abl-locking`` runs both on the Fig. 9
   per-file scenario and a shared-hot-file variant.
 * **per-core-group IPC queues** (§3.5): Danaus keeps one request queue per
   L2 core pair so communicating threads share a cache and don't contend on
@@ -32,12 +32,10 @@ def run_seqread_locking(locking, duration=3.0, threads=6, pool_cores=8, seed=1,
     """One locking policy on the Fig. 9 cached-Seqread shape.
 
     Two scenario groups: the paper's *per-file* configuration (each
-    thread streams its own cached file — per-inode locking removes the
-    contention entirely) and a *shared-file* variant (every thread
-    streams one hot file — per-inode locking degenerates back to a
-    single mutex, and only the per-object-range locks restore
-    concurrency). The adaptive rows show where the runtime controller
-    converged and how many switches it took.
+    thread streams its own cached file — per-inode state locks remove
+    the contention entirely) and a *shared-file* variant (every thread
+    streams one hot file — only the per-object-range data locks keep
+    its readers apart).
     """
     world = World(num_cores=pool_cores, ram_bytes=units.gib(64))
     host = world.primary
@@ -66,7 +64,7 @@ def run_seqread_locking(locking, duration=3.0, threads=6, pool_cores=8, seed=1,
         for table in policy._range_locks.values()
         for lock in table.values()
     )
-    row = {
+    return {
         "locking": locking,
         "sharing": "shared-file" if shared_file else "per-file",
         "throughput_mb_s": workload.result.bytes_read / duration / units.MIB,
@@ -74,26 +72,21 @@ def run_seqread_locking(locking, duration=3.0, threads=6, pool_cores=8, seed=1,
         "ino_lock_wait_s": ino_wait,
         "range_lock_wait_s": range_wait,
     }
-    if locking == "adaptive":
-        row["switches"] = len(policy.decisions)
-        row["final_mode"] = policy.mode
-    return row
 
 
 def locking_notes(result, axes):
-    """Each finer policy's speedup over ``global``, per sharing group."""
+    """``range``'s speedup over ``global``, per sharing group."""
     for sharing in ("per-file", "shared-file"):
         coarse = result.value(
             "throughput_mb_s", locking="global", sharing=sharing
         )
-        for locking in ("inode", "range", "adaptive"):
-            fine = result.value(
-                "throughput_mb_s", locking=locking, sharing=sharing
-            )
-            result.note(
-                "%s %s speedup over global: %.2fx"
-                % (sharing, locking, fine / coarse if coarse else 0)
-            )
+        fine = result.value(
+            "throughput_mb_s", locking="range", sharing=sharing
+        )
+        result.note(
+            "%s range speedup over global: %.2fx"
+            % (sharing, fine / coarse if coarse else 0)
+        )
 
 
 def run_seqwrite_queues(single_queue, duration=2.0, threads=4, pool_cores=8,

@@ -30,8 +30,7 @@ SHARED_FILE = "/shared.bin"
 SHARED_SIZE = units.mib(8)
 
 
-def run_file_scaleup(symbol, n_clones, mode, pool_cores=8, seed=1,
-                     locking="global"):
+def run_file_scaleup(symbol, n_clones, mode, pool_cores=8, seed=1):
     world = World(
         num_cores=pool_cores, ram_bytes=units.gib(512), costs=scaled_costs(),
     )
@@ -45,7 +44,7 @@ def run_file_scaleup(symbol, n_clones, mode, pool_cores=8, seed=1,
     pool = host.engine.create_pool(
         "scaleup", num_cores=pool_cores, ram_bytes=units.gib(200)
     )
-    factory = StackFactory(world, pool, symbol, locking=locking)
+    factory = StackFactory(world, pool, symbol)
     workloads = []
     for index in range(n_clones):
         mount = factory.mount_root("c%d" % index, image_path=IMAGE_PATH)

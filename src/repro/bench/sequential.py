@@ -24,8 +24,7 @@ SEQ_PARAMS = dict(file_size=units.mib(8), iosize=units.mib(1), threads=4)
 
 
 @releases_world
-def run_sequential(symbol, n_pools, mode, duration=3.0, seed=1,
-                   locking="global"):
+def run_sequential(symbol, n_pools, mode, duration=3.0, seed=1):
     world = World(
         num_cores=max(2 * n_pools, 4), ram_bytes=units.gib(512),
         costs=scaled_costs(),
@@ -37,8 +36,7 @@ def run_sequential(symbol, n_pools, mode, duration=3.0, seed=1,
         pool = host.engine.create_pool(
             "p%d" % index, num_cores=2, ram_bytes=units.mib(96)
         )
-        factory = StackFactory(world, pool, symbol, cache_bytes=units.mib(48),
-                               locking=locking)
+        factory = StackFactory(world, pool, symbol, cache_bytes=units.mib(48))
         host.kernel.writeback.set_max_dirty(pool.ram, units.mib(16))
         mount = factory.mount_root("c0")
         cls = Seqwrite if mode == "write" else Seqread

@@ -10,13 +10,12 @@ The efficiency caveat is modelled faithfully too: by default every
 client-side critical section serialises on one global ``client_lock``
 (ceph tracker #23844), which limits cached-read concurrency — the paper's
 explanation for Danaus losing to the kernel client on cached sequential
-reads (Fig. 9 bottom). The ``locking=`` policy switches the sharding the
-paper proposes as future work (see :mod:`repro.cephclient.locking`):
+reads (Fig. 9 bottom). The ``locking=`` policy switches on the sharding
+the paper proposes as future work (see :mod:`repro.cephclient.locking`):
 ``"global"`` (the faithful default — its event schedule is pinned by the
-engine-bench fingerprints), ``"inode"`` (per-inode locks), ``"range"``
-(per-inode state locks plus per-object-range data locks) and ``"adaptive"`` (watches the measured
-contention and switches between the three at runtime). The ``abl-locking``
-ablation quantifies each step.
+engine-bench fingerprints) or ``"range"`` (per-inode state locks plus
+per-object-range data locks). The ``abl-locking`` ablation compares the
+two.
 
 A flush holds no client or inode lock while its batch travels, in any
 policy: the batch sits in the cache's in-flight (``tx``) layer, which
@@ -27,7 +26,7 @@ truncate holds it too, and an unlink waits for it before the purge.
 """
 
 from repro.cephclient.cache import ObjectCache
-from repro.cephclient.locking import AdaptiveLockController, LockingPolicy
+from repro.cephclient.locking import LockingPolicy
 from repro.cephclient.mount import CephMount
 from repro.common.errors import FsError, InvalidArgument
 from repro.fs.api import O_APPEND
@@ -71,12 +70,6 @@ class CephLibClient(CephMount):
             sim, name, self.client_lock, locking,
             range_stripe=costs.object_size,
         )
-        self._lock_controller = None
-        if locking == "adaptive":
-            self._lock_controller = AdaptiveLockController(
-                self._locking, costs
-            )
-            self._lock_controller.start()
         self._dirty_since = {}  # ino -> first dirty time
         #: stream positions and pipelined readahead, keyed by ino
         self._readahead = Readahead(
@@ -173,12 +166,15 @@ class CephLibClient(CephMount):
             # An in-flight batch must land before the ack as well: the
             # flush below waits for it on the flush mutex.
             yield from self._flush_ino(revoke_task, ino)
-        # Invalidate and shrink the cap mask under the inode's state lock:
-        # in the fine-grained policies a reader holds that lock across its
-        # scan/copy-out sections, so the revoke cannot interleave with a
-        # half-done read between the reader's lock drops (the flush above
-        # takes — and must take — the same lock internally, hence two
-        # sections rather than one).
+        # Invalidate and shrink the cap mask under the inode's state lock
+        # (``client_lock`` in ``global``), so the revoke never lands inside
+        # a reader's state section, between its scan and its stream
+        # bookkeeping. Between a reader's sections it is harmless in both
+        # policies: the copy-out assembles the OSD bytes and the in-flight
+        # and dirty layers in one data section with no yield in between,
+        # and dropping the cache drops residency, never bytes, so every
+        # read returns one whole version. The flush above takes the same
+        # state lock internally, hence two sections rather than one.
         token = yield from self._locking.acquire_state(ino, who=revoke_task)
         try:
             if caps & CAP_READ_CACHE:
@@ -567,8 +563,6 @@ class CephLibClient(CephMount):
 
     def stop(self):
         self._stopped = True
-        if self._lock_controller is not None:
-            self._lock_controller.stop()
 
 
 def task_flush(client, task, ino):

@@ -33,15 +33,13 @@ QUEUE_CAPACITY = 128
 class IpcRequest(object):
     """One request descriptor plus its completion event."""
 
-    __slots__ = ("op", "fs", "args", "reply", "payload_out", "submitted_at")
+    __slots__ = ("op", "fs", "args", "reply")
 
-    def __init__(self, sim, fs, op, args, payload_out=0):
+    def __init__(self, sim, fs, op, args):
         self.fs = fs
         self.op = op
         self.args = args
         self.reply = Event(sim, "ipc-reply")
-        self.payload_out = payload_out
-        self.submitted_at = sim.now
 
 
 class RequestQueue(object):

@@ -278,8 +278,7 @@ class FilesystemService(object):
                     yield from task.cpu(
                         costs.ipc_queue_op + costs.copy_cost(payload_out)
                     )
-                    request = IpcRequest(sim, instance.stack, op, args,
-                                         payload_out)
+                    request = IpcRequest(sim, instance.stack, op, args)
                     accepted = queue.store.put(request)
                     # Resumed, the caller would only park on the reply,
                     # which no one can answer before that resumption.

@@ -112,18 +112,6 @@ class CostModel(object):
         # --- locking -----------------------------------------------------------
         #: critical-section CPU inside kernel lock holds (per op)
         self.kernel_lock_section = units.usec(1.5)
-        #: adaptive locking policy: contention sampling period
-        self.lock_adapt_interval = 0.05
-        #: contended fraction of an interval's acquisitions above which
-        #: the adaptive policy escalates (global -> inode -> range)
-        self.lock_escalate_frac = 0.25
-        #: acquisitions per interval below which the pool counts as calm
-        #: (fine-tier contention cannot predict coarse-tier contention —
-        #: that is why the policy escalated — so de-escalation keys on
-        #: the op rate dying down instead)
-        self.lock_idle_acqs = 16
-        #: consecutive calm intervals before the policy de-escalates
-        self.lock_calm_rounds = 4
 
         # --- writeback ---------------------------------------------------------
         #: kernel flusher wakeup interval (paper keeps the 1s default)

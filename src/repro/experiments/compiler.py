@@ -88,7 +88,7 @@ KINDS = {
         "repro.bench.ablation:run_seqread_locking",
         (("shared_file", "shared_file"), ("locking", "locking")),
         fixed={"shared_file": (False, True),
-               "locking": ("global", "inode", "range", "adaptive")},
+               "locking": ("global", "range")},
         notes="repro.bench.ablation:locking_notes",
     ),
     "ablation_ipc": Kind(

@@ -140,14 +140,6 @@ TABLES = (
                             "replays", "replay_s", "sessions"))),
         _METRIC_COLUMNS, None,
     ),
-    # Per adaptive client (locking:<client>): mode switches (total and
-    # per target mode) and the final mode index (0=global, 1=inode,
-    # 2=range).
-    Table(
-        "locking", "adaptive locking (mode switches, final mode):",
-        "(no adaptive locking policy ran)", _metrics(("locking:*", None)),
-        _METRIC_COLUMNS, None,
-    ),
     Table(
         "fabric", "fabric edges (cross-machine RPCs per remote endpoint):",
         "(no labeled fabric RPCs)", Observer.fabric_profile,

@@ -67,7 +67,7 @@ class StackFactory(object):
         self.kernel = pool.host.kernel
         self.symbol = symbol
         self.cache_bytes = cache_bytes
-        # the client locking policy (global/inode/range/adaptive)
+        # the client locking policy (global/range)
         self.locking = locking
         self.single_queue = single_queue
         self._shared = {}

@@ -335,7 +335,7 @@ def test_client_lock_serialises_cached_reads(sim, machine, cluster, costs):
         account = local_machine.ram.child(units.mib(512), "pool")
         client = CephLibClient(
             local_sim, local_cluster, costs, account, local_machine.activated,
-            name="c", locking="inode" if fine_grained else "global",
+            name="c", locking="range" if fine_grained else "global",
         )
         payload = b"y" * units.mib(2)
         setup = make_task(local_sim, local_machine, "setup")

@@ -32,13 +32,13 @@ def test_tenant_runs_multiple_services_with_distinct_settings(world):
     factory_a = StackFactory(world, pool, "D", cache_bytes=units.mib(64))
     mount_a = factory_a.mount_root("c0")
     factory_b = StackFactory(
-        world, pool, "D", cache_bytes=units.mib(4), locking="inode"
+        world, pool, "D", cache_bytes=units.mib(4), locking="range"
     )
     factory_b._shared.clear()  # force a second service + client
     mount_b = factory_b.mount_root("c1")
     assert mount_a.service is not mount_b.service
     assert mount_a.client is not mount_b.client
-    assert mount_b.client._locking.policy == "inode"
+    assert mount_b.client._locking.policy == "range"
     assert mount_a.client.cache.capacity != mount_b.client.cache.capacity
     task = pool.new_task()
 

@@ -29,7 +29,7 @@ from repro.sim import Simulator
 from repro.storage import CephCluster
 from tests.conftest import make_task, run
 
-POLICIES = ["global", "inode", "range"]
+POLICIES = ["global", "range"]
 SIZE = units.kib(64)
 
 

@@ -1,16 +1,16 @@
-"""Tests for the client locking-policy ladder (`repro.cephclient.locking`).
+"""Tests for the client locking policies (`repro.cephclient.locking`).
 
 Covers: policy selection and validation, schedule stability of the
 default global path, byte integrity under concurrent mixed I/O per
 policy (including the O_APPEND two-appender race), inode-lock retirement
-on unlink, revoke-vs-read interleaving under caps, dirty-throttle waiter
-hygiene, and adaptive-policy convergence on the Fig. 9 contention shape.
+on unlink, revoke-vs-read interleaving under caps and dirty-throttle
+waiter hygiene.
 """
 
 import pytest
 
 from repro.cephclient import CephLibClient
-from repro.cephclient.locking import MODES, POLICIES, LockingPolicy
+from repro.cephclient.locking import POLICIES, LockingPolicy
 from repro.common import units
 from repro.common.errors import ConfigError
 from repro.costs import CostModel
@@ -19,7 +19,9 @@ from repro.hw import Machine
 from repro.net import Fabric
 from repro.sim import Simulator
 from repro.sim.sync import Mutex
+from repro.stacks import StackFactory
 from repro.storage import CephCluster
+from repro.world import World
 from tests.conftest import make_task, run
 
 
@@ -40,25 +42,18 @@ def make_world(num_osds=4, **client_kwargs):
 
 # --- policy selection -------------------------------------------------------
 
-def test_unknown_policy_rejected():
+@pytest.mark.parametrize("policy", ["inode", "adaptive", "banana"])
+def test_unknown_policy_rejected(policy):
+    assert POLICIES == ("global", "range")
     with pytest.raises(ConfigError, match="unknown locking policy"):
-        make_world(locking="banana")
-
-
-def test_default_is_global_and_flag_maps_to_inode():
-    _, _, _, default = make_world()
-    assert default._locking.policy == "global"
-    _, _, _, inode = make_world(locking="inode")
-    assert inode._locking.policy == "inode"
-
-
-def test_all_policies_construct():
-    for policy in POLICIES:
-        _, _, _, client = make_world(locking=policy)
-        assert client._locking.policy == policy
-        # Adaptive starts at the coarse end; static policies are fixed.
-        expected = "global" if policy == "adaptive" else policy
-        assert client._locking.mode == expected
+        make_world(locking=policy)
+    world = World(num_cores=2, ram_bytes=units.gib(1))
+    world.primary.activate_cores(2)
+    pool = world.primary.engine.create_pool(
+        "p", num_cores=2, ram_bytes=units.mib(256)
+    )
+    with pytest.raises(ConfigError, match="unknown locking policy"):
+        StackFactory(world, pool, "D", locking=policy).mount_root("c0")
 
 
 # --- lock-table arithmetic (pure unit) --------------------------------------
@@ -142,6 +137,7 @@ def test_explicit_global_matches_default_schedule():
     """`locking="global"` must be the identity: same event schedule as a
     client built with no locking argument (the engine-bench fingerprints
     pin the same property on the full benchmark scenarios)."""
+    assert make_world()[3]._locking.policy == "global"
     assert _mixed_trace(locking="global") == _mixed_trace()
 
 
@@ -271,7 +267,7 @@ def test_revoke_vs_read_sees_whole_versions():
     """Caps chaos: a writer repeatedly replaces a file while a reader on
     another client streams it. Every read must return one *complete*
     version — the revoke invalidation runs under the inode state lock,
-    so it can never interleave with a half-done read."""
+    and a read's copy-out assembles its bytes in one data section."""
     sim = Simulator()
     machine = Machine(sim, num_cores=8, ram_bytes=units.gib(4))
     costs = CostModel(object_size=units.kib(256))
@@ -281,7 +277,7 @@ def test_revoke_vs_read_sees_whole_versions():
         account = machine.ram.child(units.mib(64), name + ".ram")
         return CephLibClient(
             sim, cluster, costs, account, machine.activated, name=name,
-            consistency="caps", locking="inode",
+            consistency="caps", locking="range",
         )
 
     writer = caps_client("w")
@@ -347,78 +343,3 @@ def test_throttle_timeout_removes_stale_waiter():
     sim.run(until=sim.now + 20)
     assert proc.triggered
     assert client._flush_waiters == []
-
-
-# --- adaptive policy convergence --------------------------------------------
-
-def test_adaptive_converges_per_scenario():
-    """On the Fig. 9 cached-Seqread shape the controller must escalate
-    out of global mode: to `inode` when each thread streams its own file,
-    all the way to `range` when every thread hammers one shared file."""
-    from repro.bench.ablation import run_seqread_locking
-
-    per_file = run_seqread_locking(
-        "adaptive", duration=1.5, threads=4, shared_file=False
-    )
-    assert per_file["switches"] >= 1
-    assert per_file["final_mode"] in ("inode", "range")
-    shared = run_seqread_locking(
-        "adaptive", duration=1.5, threads=4, shared_file=True
-    )
-    assert shared["final_mode"] == "range"
-    assert shared["switches"] >= 2
-    # The fine tiers must actually pay off against the global baseline.
-    baseline = run_seqread_locking(
-        "global", duration=1.5, threads=4, shared_file=True
-    )
-    assert shared["throughput_mb_s"] > baseline["throughput_mb_s"] * 1.3
-
-
-def test_adaptive_decision_trace_and_deescalation():
-    """Decisions are recorded with timestamps and reasons, and a dying
-    op rate steps the mode back down toward global."""
-    costs = CostModel(
-        object_size=units.kib(256),
-        lock_adapt_interval=0.01, lock_idle_acqs=4, lock_calm_rounds=2,
-    )
-    sim, machine, _, client = make_world(locking="adaptive", costs=costs)
-    payload = b"h" * units.kib(256)
-    setup = make_task(sim, machine, "setup")
-    run(sim, client.write_file(setup, "/hot", payload, sync=True))
-    run(sim, client.read_file(setup, "/hot"))  # warm the cache
-
-    def reader(index):
-        task = make_task(sim, machine, "r%d" % index)
-        for _ in range(30):
-            yield from client.read_file(task, "/hot")
-
-    procs = [sim.spawn(reader(i)) for i in range(4)]
-    sim.run(until=20)
-    assert all(p.triggered for p in procs)
-    policy = client._locking
-    assert policy.decisions, "contention burst never escalated"
-    escalations = [
-        d for d in policy.decisions
-        if MODES.index(d[2]) > MODES.index(d[1])
-    ]
-    assert escalations and "contended" in escalations[0][3]
-    # Long after the burst the idle detector walked the mode back down.
-    assert policy.mode == "global"
-    idles = [d for d in policy.decisions if "idle" in d[3]]
-    assert idles
-    for when, _from, _to, _reason in policy.decisions:
-        assert 0 <= when <= sim.now
-    client.stop()
-
-
-def test_locking_profile_table_formatting():
-    from repro.obs import format_table
-
-    assert "no adaptive locking policy ran" in format_table("locking", [])
-    rows = [
-        {"world": "w0", "scope": "locking", "metric": "switches",
-         "value": 2},
-        {"world": "w0", "scope": "locking", "metric": "mode", "value": 2},
-    ]
-    table = format_table("locking", rows)
-    assert "switches" in table and "mode" in table
