@@ -17,7 +17,9 @@ Two modes:
   under ``--out-dir``. ``--check FILE`` compares each record
   fingerprint with the committed table and exits non-zero on a
   difference or an id the table lacks (under ``--run-all`` also on a
-  table id that did not run); ``--write FILE`` records the table.
+  table id that did not run); ``--write FILE`` merges the run's
+  fingerprints into the table, keeping the entries of specs that did not
+  run and printing each entry that changed.
   ``--seed N`` runs each selected spec on seed ``N`` alone (the spec is
   re-validated). Every record carries its spec's check verdicts; a
   violated check — a paper shape that does not hold, a known gap that
@@ -155,11 +157,36 @@ def check_fingerprints(path, quick, fingerprints, complete):
 
 
 def write_fingerprints(path, quick, fingerprints):
+    """Merge run fingerprints into the table at ``path``.
+
+    Entries of specs that did not run are kept, so re-baselining a
+    subset never drops the rest; each entry that changed is printed.
+    A table recorded with the other ``quick`` setting is not touched.
+    """
+    table = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            recorded = json.load(fh)
+        if recorded["quick"] != quick:
+            print("NOT WRITTEN %s was recorded with quick=%s"
+                  % (path, recorded["quick"]), file=sys.stderr)
+            return 1
+        table = recorded["fingerprints"]
+    changed = 0
+    for name in sorted(fingerprints):
+        old, new = table.get(name), fingerprints[name]
+        if old != new:
+            print("CHANGED %s: %s -> %s" % (name, old or "(no entry)", new))
+            changed += 1
+    table.update(fingerprints)
     with open(path, "w") as fh:
-        json.dump({"quick": quick, "fingerprints": fingerprints}, fh,
+        json.dump({"quick": quick, "fingerprints": table}, fh,
                   indent=2, sort_keys=True)
         fh.write("\n")
-    print("%d fingerprints written to %s" % (len(fingerprints), path))
+    print("%d fingerprints written to %s (%d changed, %d kept)"
+          % (len(fingerprints), path, changed,
+             len(table) - len(fingerprints)))
+    return 0
 
 
 def main(argv=None):
@@ -200,7 +227,7 @@ def main(argv=None):
             args.check, args.quick, fingerprints, complete=args.run_all
         )
     if args.write and not status:
-        write_fingerprints(args.write, args.quick, fingerprints)
+        status = write_fingerprints(args.write, args.quick, fingerprints)
     return status
 
 

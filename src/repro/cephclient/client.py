@@ -22,14 +22,15 @@ policy: the batch sits in the cache's in-flight (``tx``) layer, which
 reads overlay between the OSD bytes and the dirty bytes, as the
 ObjectCacher serves its ``tx`` buffers. What a flush does hold is the
 inode's flush mutex, from taking the batch to publishing its size; a
-truncate holds it too, and an unlink waits for it before the purge.
+truncate holds it until the MDS has cut the objects, and an unlink waits
+for it before the purge.
 """
 
 from repro.cephclient.cache import ObjectCache
 from repro.cephclient.locking import LockingPolicy
 from repro.cephclient.mount import CephMount
 from repro.common.errors import FsError, InvalidArgument
-from repro.fs.api import O_APPEND
+from repro.fs.api import O_APPEND, O_TRUNC
 from repro.fs.readahead import Readahead
 from repro.sim.cpu import SimThread
 from repro.sim.sync import Mutex
@@ -129,9 +130,14 @@ class CephLibClient(CephMount):
     def _dirty_buffer(self, ino):
         return self.cache._dirty.get(ino)
 
+    def _gathers_caps(self):
+        return self.consistency == "caps"
+
     def _opened(self, task, path, info, flags):
         """Caps mode: take the capabilities an open needs before it
-        returns, and refetch the attributes they make authoritative."""
+        returns, and refetch the attributes they make authoritative.
+        An O_TRUNC open's cut rides on the refetch, so a revoked
+        writer's flush lands before it."""
         if self.consistency != "caps" or info.is_dir:
             return info
         from repro.storage.caps import CAP_READ_CACHE, CAP_WRITE_BUFFER
@@ -144,7 +150,14 @@ class CephLibClient(CephMount):
         self._held_caps[info.ino] = self._held_caps.get(info.ino, 0) | want
         # Holding fresh caps means our attribute view is authoritative;
         # any prior writer flushed during the revocation, so refetch.
-        info = yield from self.cluster.mds_call("lookup", path)
+        if int(flags) & O_TRUNC:
+            info = yield from self._truncating(
+                task, path, 0,
+                self._mutate("setattr_size", path, 0, truncate=True),
+                info.ino,
+            )
+        else:
+            info = yield from self.cluster.mds_call("lookup", path)
         self._remember(path, info)
         self._sizes[info.ino] = max(
             info.size,
@@ -395,13 +408,13 @@ class CephLibClient(CephMount):
         # of lingering as unreachable entries.
         self._locking.drop_ino(ino)
 
-    def _truncate_data(self, task, ino, size):
-        """One section for every policy, inside the inode's flush mutex:
-        no batch is in flight while the objects are cut, so none lands
-        past the cut afterwards. The state lock spans the backend
-        truncate: an appender resolving its offset between the object cut
-        and the size update would write beyond the new end and then be
-        silently clobbered by ``_sizes[ino] = size``."""
+    def _truncate_data(self, task, ino, size, cut):
+        """Inside the inode's flush mutex, for every policy: wait out the
+        in-flight batch, trim the dirty extents and the local size in one
+        state section, then run ``cut`` with only the flush mutex held.
+        No batch can start before the MDS has cut the objects, so none
+        lands past the cut; bytes written after the trim stay buffered
+        until then, at or above the new end."""
         flush_lock = self._locking.flush_lock(ino)
         yield flush_lock.acquire(who=task)
         try:
@@ -411,10 +424,11 @@ class CephLibClient(CephMount):
                 # Buffered data beyond the cut is discarded; data below
                 # survives.
                 self.cache.truncate_dirty(ino, size)
-                yield from self.cluster.truncate(ino, size)
                 self._sizes[ino] = size
             finally:
                 self._locking.release(token)
+            if cut is not None:
+                return (yield from cut)
         finally:
             flush_lock.release()
 

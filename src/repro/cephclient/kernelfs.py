@@ -135,19 +135,25 @@ class CephKernelFs(CephMount):
         self._readahead.forget(ino)
         self._pending.pop(ino, None)
 
-    def _truncate_data(self, task, ino, size):
-        yield from self.kernel.locks.locked_section(
-            task, self._inode_lock(ino), self.costs.kernel_lock_section
-        )
-        pending = self._pending.get(ino)
-        if pending is not None:
-            # Keep unflushed bytes below the cut; drop the rest.
-            pending.truncate(size)
-        yield from self.cluster.truncate(ino, size)
-        self._sizes[ino] = size
-        if size == 0:
-            self.kernel.page_cache.drop_file(self._cache_key(ino))
-            self._readahead.forget(ino)
+    def _truncate_data(self, task, ino, size, cut):
+        """Cut the pending bytes, the local size and the page cache in
+        one ``i_mutex_key`` section, then run ``cut`` with no lock held."""
+        inode_lock = self._inode_lock(ino)
+        yield inode_lock.acquire(who=task)
+        try:
+            yield from task.cpu(self.costs.kernel_lock_section)
+            pending = self._pending.get(ino)
+            if pending is not None:
+                # Keep unflushed bytes below the cut; drop the rest.
+                pending.truncate(size)
+            self._sizes[ino] = size
+            if size == 0:
+                self.kernel.page_cache.drop_file(self._cache_key(ino))
+                self._readahead.forget(ino)
+        finally:
+            inode_lock.release()
+        if cut is not None:
+            return (yield from cut)
 
     # -- data path ----------------------------------------------------------
 

@@ -28,9 +28,10 @@ Locking discipline (see ``docs/architecture.md`` for the field table):
   take no lock of either kind: a read overlays the in-flight (``tx``)
   and dirty layers on the OSD bytes, so neither can hand it stale data.
 * the **flush mutex** of an inode (:meth:`LockingPolicy.flush_lock`,
-  every policy alike) is held by a whole flush, a whole truncate and an
-  unlink's wait for the in-flight batch: one batch of an inode is in
-  flight at a time, and nothing cuts or purges its objects under it.
+  every policy alike) is held by a whole flush, a truncate until the
+  MDS has cut the objects and an unlink's wait for the in-flight batch:
+  one batch of an inode is in flight at a time, and nothing cuts or
+  purges its objects under it.
 
 Lock order (deadlock freedom): ``flush(ino) < client_lock`` in
 ``global``; ``flush(ino) < inode(ino) < range(ino, stripe) <
@@ -42,10 +43,21 @@ inodes.
 from repro.common.errors import ConfigError
 from repro.sim.sync import LockStats, Mutex
 
-__all__ = ["POLICIES", "LockingPolicy"]
+__all__ = ["POLICIES", "LockingPolicy", "validate_policy"]
 
 #: Accepted ``locking=`` policy names, coarse to fine.
 POLICIES = ("global", "range")
+
+
+def validate_policy(policy):
+    """Check a ``locking=`` policy name; returns it. The client and the
+    stack factory both call this, for every stack symbol."""
+    if policy not in POLICIES:
+        raise ConfigError(
+            "unknown locking policy %r (one of: %s)"
+            % (policy, ", ".join(POLICIES))
+        )
+    return policy
 
 
 class _RetiredLocks(object):
@@ -68,11 +80,7 @@ class LockingPolicy(object):
 
     def __init__(self, sim, name, client_lock, policy="global",
                  range_stripe=4 * 1024 * 1024):
-        if policy not in POLICIES:
-            raise ConfigError(
-                "unknown locking policy %r (one of: %s)"
-                % (policy, ", ".join(POLICIES))
-            )
+        validate_policy(policy)
         if range_stripe <= 0:
             raise ConfigError("range_stripe must be positive")
         self.sim = sim

@@ -20,13 +20,18 @@ the others must not):
   sections an op pays before its MDS call.
 * ``_dirty_buffer(ino)`` — the ``ExtentBuffer`` of unflushed bytes, or
   None.
-* ``_truncate_data(task, ino, size)`` — generator: cut cached, buffered
-  and stored data to ``size`` and set the local size, under the
-  personality's own lock section.
+* ``_truncate_data(task, ino, size, cut)`` — generator: cut cached and
+  buffered data to ``size`` and set the local size, under the
+  personality's own lock section, then run ``cut`` (the MDS op that cuts
+  the stored objects; None when it already ran) and return its result.
+  Only the lib client's flush mutex may be held across ``cut``.
 * ``_forget(ino)`` — drop every per-inode entry the personality holds
   (unlink).
+* ``_gathers_caps()`` — optional: True when ``_opened`` takes
+  capabilities and refetches the attributes; an O_TRUNC cut then rides
+  on that refetch (:meth:`CephMount._truncating`), after the gather.
 * ``_opened(task, path, info, flags)`` — generator, optional: runs after
-  a successful open, before O_TRUNC (capabilities).
+  a successful open (capabilities).
 * ``_overlay(ino, offset, size, base)`` — optional: ``base`` (the OSD
   bytes) with every unflushed byte of the range on top; the default
   applies ``_dirty_buffer``.
@@ -109,12 +114,15 @@ class CephMount(Filesystem):
     def _dirty_buffer(self, ino):
         raise NotImplementedError
 
-    def _truncate_data(self, task, ino, size):
+    def _truncate_data(self, task, ino, size, cut):
         raise NotImplementedError
         yield  # pragma: no cover
 
     def _forget(self, ino):
         raise NotImplementedError
+
+    def _gathers_caps(self):
+        return False
 
     def _opened(self, task, path, info, flags):
         """Returns the attributes the open goes on with."""
@@ -154,9 +162,34 @@ class CephMount(Filesystem):
         return {"client_id": self._mds_session_id,
                 "op_id": self._mds_op_seq}
 
-    def _mutate(self, op, *args):
+    def _mutate(self, op, *args, **kwargs):
         """One stamped mutating MDS op (the ``mds_call`` generator)."""
-        return self.cluster.mds_call(op, *args, **self._mds_op_ids())
+        kwargs.update(self._mds_op_ids())
+        return self.cluster.mds_call(op, *args, **kwargs)
+
+    def _cached_ino(self, path):
+        """The inode this mount knows ``path`` by, or None."""
+        info = self.attr_cache.get(path)
+        return None if info is None or info is _NEGATIVE else info.ino
+
+    def _truncating(self, task, path, size, op, ino):
+        """One truncating MDS op and the local cut; returns the attrs.
+
+        ``op`` is the stamped generator of the op (a ``create`` or
+        ``setattr_size`` with ``truncate=True``): the MDS cuts the
+        stored objects as part of it. When this mount knows the file's
+        inode (``ino``) the local cut goes first and the personality
+        runs the op inside it, so none of its in-flight bytes lands past
+        the cut. An inode learnt only from the reply is cut locally
+        after it.
+        """
+        if ino is None:
+            info = yield from op
+        else:
+            info = yield from self._truncate_data(task, ino, size, op)
+        if info.ino != ino:
+            yield from self._truncate_data(task, info.ino, size, None)
+        return info
 
     def _lookup(self, path):
         """Fetch attributes from the MDS; ENOENT is cached as negative."""
@@ -258,20 +291,33 @@ class CephMount(Filesystem):
         path = pathutil.normalize(path)
         bits = int(flags)
         create = bool(bits & O_CREAT)
+        exclusive = bool(bits & O_EXCL)
         yield from self._enter(task, "create" if create else "open", path)
-        if create:
-            info = yield from self._mutate(
-                "create", path, bool(bits & O_EXCL), mode
+        # O_TRUNC rides on the MDS op that answers the open — unless the
+        # open gathers caps first: then on _opened's attribute refetch.
+        truncate = bool(bits & O_TRUNC) and not self._gathers_caps()
+        if truncate and create:
+            # O_EXCL succeeds only on a new file: nothing to cut first.
+            info = yield from self._truncating(
+                task, path, 0,
+                self._mutate("create", path, exclusive, mode, truncate=True),
+                None if exclusive else self._cached_ino(path),
             )
+        elif truncate:
+            info = yield from self._truncating(
+                task, path, 0,
+                self._mutate("setattr_size", path, 0, truncate=True),
+                self._cached_ino(path),
+            )
+        elif create:
+            info = yield from self._mutate("create", path, exclusive, mode)
         else:
             # Close-to-open consistency: revalidate attributes at the MDS.
             info = yield from self._lookup(path)
-        if info.is_dir and flags.wants_write:
+        if info.is_dir and (flags.wants_write or bits & O_TRUNC):
             raise IsADirectory(path=path)
         self._remember(path, info)
         info = yield from self._opened(task, path, info, flags)
-        if bits & O_TRUNC and not info.is_dir:
-            yield from self._truncate_ino(task, info.ino, path, 0)
         self.metrics.counter("opens").add(1)
         return CephHandle(self, path, flags, info.ino)
 
@@ -332,19 +378,11 @@ class CephMount(Filesystem):
 
     def truncate(self, task, path, size):
         path = pathutil.normalize(path)
-        info = self.attr_cache.get(path)
-        if info is None or info is _NEGATIVE:
-            # Not _lookup: a failed truncate caches no negative dentry.
-            info = yield from self.cluster.mds_call("lookup", path)
-            self._remember(path, info)
-        yield from self._truncate_ino(task, info.ino, path, size)
-
-    def _truncate_ino(self, task, ino, path, size):
-        yield from self._truncate_data(task, ino, size)
-        try:
-            info = yield from self._publish_size(path, size)
-        except FileNotFound:
-            return  # concurrently unlinked; the open handle stays usable
+        info = yield from self._truncating(
+            task, path, size,
+            self._mutate("setattr_size", path, size, truncate=True),
+            self._cached_ino(path),
+        )
         self._remember(path, info)
 
     def peek(self, path, offset, size):

@@ -20,6 +20,7 @@ scaleup configuration.
 """
 
 from repro.cephclient import CephKernelFs, CephLibClient
+from repro.cephclient.locking import validate_policy
 from repro.common.errors import ConfigError
 from repro.core import FilesystemLibrary, FilesystemService
 from repro.fs import pathutil
@@ -67,8 +68,9 @@ class StackFactory(object):
         self.kernel = pool.host.kernel
         self.symbol = symbol
         self.cache_bytes = cache_bytes
-        # the client locking policy (global/range)
-        self.locking = locking
+        # the lib client's locking policy (global/range), checked here
+        # for every symbol: a K stack never builds a lib client
+        self.locking = validate_policy(locking)
         self.single_queue = single_queue
         self._shared = {}
         # The paper's dirty limits: 50% of pool RAM for the kernel client.

@@ -54,7 +54,7 @@ class CephCluster(object):
         self.costs = costs
         self.crush = CrushMap(num_osds, replicas=replicas)
         self.osds = [Osd(sim, i, costs) for i in range(num_osds)]
-        self._mds = Mds(sim, costs)
+        self._mds = Mds(sim, costs, self.cut)
         #: metadata-HA coordinator, once enable_mds_ha runs; None means
         #: the single un-journaled daemon serves every metadata op.
         self.mds_service = None
@@ -821,44 +821,6 @@ class CephCluster(object):
         self._record_stale(ino, index)
         return written
 
-    def truncate(self, ino, size):
-        """Truncate the object set of ``ino`` to ``size`` bytes.
-
-        One epoch-stamped RPC per stored copy, each through
-        :meth:`_retry` like every other client→OSD op. A dead OSD's copy
-        is truncated directly on its device, without cost: the operation
-        lands in the pg log and replays during recovery, so a restarted
-        OSD can never resurrect bytes past EOF.
-        """
-        object_size = self.costs.object_size
-        keep_objects = (size + object_size - 1) // object_size
-        for osd in self.osds:
-            for index in osd.indices_of(ino):
-                if index >= keep_objects:
-                    yield from self._truncate_object(osd, ino, index, 0)
-                elif index == keep_objects - 1 and size % object_size:
-                    yield from self._truncate_object(
-                        osd, ino, index, size % object_size
-                    )
-
-    def _truncate_object(self, osd, ino, index, size):
-        """Cut one OSD's copy of one object through the retry loop."""
-
-        def attempt(epoch):
-            if osd.crashed or not self.monitor.is_up(osd.osd_id):
-                osd.apply_truncate(ino, index, size)
-                return
-            yield from self.fabric.rpc(
-                osd.truncate(ino, index, size, epoch),
-                send_bytes=0, recv_bytes=0,
-                edge="osd%d" % osd.osd_id,
-            )
-
-        return self._retry(
-            "truncate",
-            lambda: (osd.osd_id, attempt(self._osdmap.epoch)),
-        )
-
     def peek(self, ino, offset, size):
         """Zero-cost assembly of stored bytes (cache-hit reads).
 
@@ -934,6 +896,25 @@ class CephCluster(object):
         """Background object deletion after unlink (no client-visible cost)."""
         for osd in self.osds:
             osd.purge_ino(ino)
+
+    def cut(self, ino, size):
+        """Cut every stored copy of ``ino`` to ``size`` bytes (no cost).
+
+        The MDS calls this when it applies a truncate, as the cluster
+        trims a file's objects itself: no client→OSD RPC, like
+        :meth:`purge` after an unlink. A copy on a dead OSD is cut on its
+        device too: the operation lands in the pg log and replays during
+        recovery, so a restarted OSD can never resurrect bytes past EOF.
+        """
+        object_size = self.costs.object_size
+        keep = (size + object_size - 1) // object_size
+        tail = size % object_size
+        for osd in self.osds:
+            for index in osd.indices_of(ino):
+                if index >= keep:
+                    osd.apply_truncate(ino, index, 0)
+                elif index == keep - 1 and tail:
+                    osd.apply_truncate(ino, index, tail)
 
     # -- capabilities (caps-mode clients) -------------------------------------------
 

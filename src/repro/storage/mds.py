@@ -154,9 +154,12 @@ class Mds(object):
     dedup, and mdsmap-epoch fencing.
     """
 
-    def __init__(self, sim, costs, store=None, gid=0):
+    def __init__(self, sim, costs, trim, store=None, gid=0):
         self.sim = sim
         self.costs = costs
+        #: ``trim(ino, size)``: the cluster cuts every stored copy of a
+        #: file, without cost (see ``CephCluster.cut``)
+        self._trim = trim
         self.store = store if store is not None else MdsStore()
         self.tree = self.store.tree
         self._versions = self.store.versions
@@ -327,8 +330,10 @@ class Mds(object):
         yield from self._op(map_epoch)
         return self._info(self.tree.lookup(path))
 
-    def create(self, path, exclusive=False, mode=0o644, client_id=None,
-               op_id=None, map_epoch=None):
+    def create(self, path, exclusive=False, mode=0o644, truncate=False,
+               client_id=None, op_id=None, map_epoch=None):
+        """Create a file, or open an existing one; ``truncate`` (O_TRUNC)
+        cuts an existing file to size 0 in the same op."""
         yield from self._op(map_epoch)
         hit = self._session_hit(client_id, op_id)
         if hit is not _MISS:
@@ -344,6 +349,10 @@ class Mds(object):
                 raise FileExists(path=path)
             if existing.is_dir:
                 raise IsADirectory(path=path)
+            if truncate:
+                return (yield from self._set_size(
+                    path, existing, 0, self.sim.now, True, client_id, op_id
+                ))
             # Open-existing: no namespace mutation, nothing to journal.
             node = self._meta_file(path, exclusive, mode)
             self._bump(node)
@@ -475,9 +484,11 @@ class Mds(object):
             if target.is_dir and target.children:
                 raise DirectoryNotEmpty(path=new_path)
 
-    def setattr_size(self, path, size, mtime=None, client_id=None,
-                     op_id=None, map_epoch=None):
-        """Client cap flush: record the new size/mtime of a file."""
+    def setattr_size(self, path, size, mtime=None, truncate=False,
+                     client_id=None, op_id=None, map_epoch=None):
+        """Record the new size/mtime of a file: a client cap flush, or
+        with ``truncate`` a truncate, whose cut of the stored objects
+        is part of the op."""
         yield from self._op(map_epoch)
         hit = self._session_hit(client_id, op_id)
         if hit is not _MISS:
@@ -488,13 +499,26 @@ class Mds(object):
         if size < 0:
             raise InvalidArgument("negative size")
         when = mtime if mtime is not None else self.sim.now
+        return (yield from self._set_size(
+            path, node, size, when, truncate, client_id, op_id
+        ))
+
+    def _set_size(self, path, node, size, when, truncate, client_id, op_id):
+        """Journal one ``setattr`` record, then apply it: the size, and
+        with ``truncate`` the cut of every stored copy past ``size``.
+        The cut lands with the size in one step, so a failover between
+        the journal append and the reply leaves it to the replay of the
+        record (and the resend to the dedup table): it happens once."""
+        fields = {"path": path, "ino": node.ino, "size": size, "mtime": when}
+        if truncate:
+            fields["truncate"] = True
         seq = yield from self._journal_mutation(
-            "setattr",
-            {"path": path, "ino": node.ino, "size": size, "mtime": when},
-            client_id, op_id,
+            "setattr", fields, client_id, op_id,
         )
         node.meta_size = size
         node.mtime = when
+        if truncate:
+            self._trim(node.ino, size)
         self._bump(node)
         info = self._info(node)
         self._commit(seq, client_id, op_id, info)
@@ -602,6 +626,8 @@ class Mds(object):
             node = tree.lookup(record["path"])
             node.meta_size = record["size"]
             node.mtime = record["mtime"]
+            if record.get("truncate"):
+                self._trim(record["ino"], record["size"])
             self._bump(node)
         elif op == "setattr_ino":
             for _path, node in tree.walk("/"):
@@ -726,8 +752,8 @@ class MdsService(object):
     # -- pool management ---------------------------------------------------
 
     def _new_daemon(self):
-        daemon = Mds(self.sim, self.costs, store=self.store,
-                     gid=self._next_gid)
+        daemon = Mds(self.sim, self.costs, self.cluster.cut,
+                     store=self.store, gid=self._next_gid)
         daemon.service = self
         daemon.session_epoch = self.session_epoch
         daemon.map_epoch = self.epoch

@@ -411,17 +411,6 @@ class Osd(object):
             )
         return total
 
-    def truncate(self, ino, index, size, epoch):
-        """Truncate one object (used by file truncation)."""
-        yield from self._check_up()
-        self._check_epoch(epoch)
-        yield self._slots.acquire()
-        try:
-            yield self.costs.osd_op
-            self._apply_object_truncate((ino, index), size)
-        finally:
-            self._slots.release()
-
     def verify_range(self, ino, index, offset=None, size=None):
         """Deep verify: re-read stored bytes and digest-check them.
 
@@ -479,7 +468,8 @@ class Osd(object):
         return size, fingerprint
 
     def apply_truncate(self, ino, index, size):
-        """Apply a truncate directly to the store (recovery replay, no cost)."""
+        """Apply a truncate directly to the store, without cost (the
+        cluster's cut of a truncated file, recovery replay)."""
         self._apply_object_truncate((ino, index), size)
 
     def drop_object(self, ino, index):

@@ -641,3 +641,38 @@ def test_parallel_cells_merge_to_the_inline_record(shape):
     partitions = forked["detail"]["partitions"]
     assert len(partitions) == len(inline["rows"]) > len(spec["seeds"])
     assert all(row["mode"] == "fork" for row in partitions)
+
+
+# --- the spec matrix's fingerprint table -------------------------------------
+
+def _spec_matrix():
+    import importlib.util
+    import os
+
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "scripts", "spec_matrix.py")
+    module_spec = importlib.util.spec_from_file_location("spec_matrix", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
+
+
+def test_write_fingerprints_merges_and_names_the_changes(tmp_path, capsys):
+    """``--write`` after a subset run keeps the entries of the specs
+    that did not run and prints the ones that changed."""
+    matrix = _spec_matrix()
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"quick": True, "fingerprints": {
+        "fig1": "aaa", "fig6a": "bbb", "fig8": "ccc"}}))
+    assert matrix.write_fingerprints(
+        str(path), True, {"fig1": "aaa", "fig6a": "xxx", "new": "nnn"}) == 0
+    assert json.loads(path.read_text()) == {"quick": True, "fingerprints": {
+        "fig1": "aaa", "fig6a": "xxx", "fig8": "ccc", "new": "nnn"}}
+    out = capsys.readouterr().out
+    assert "CHANGED fig6a: bbb -> xxx" in out
+    assert "CHANGED new: (no entry) -> nnn" in out
+    assert "fig1" not in out and "fig8" not in out
+    assert "(2 changed, 1 kept)" in out
+    # A table recorded at the other size is never mixed into.
+    assert matrix.write_fingerprints(str(path), False, {"fig1": "zzz"}) == 1
+    assert json.loads(path.read_text())["fingerprints"]["fig1"] == "aaa"

@@ -174,17 +174,26 @@ def test_ops_ride_out_a_partition(sim):
     assert elapsed >= 0.4  # blocked until the partition healed
 
 
-def test_truncate_rides_out_a_partition(sim):
-    """truncate is a client→OSD op like any other: its per-object RPCs
-    run through the retry loop, so a partition window delays it instead
-    of surfacing NetworkPartitioned with some objects already cut."""
+def test_truncate_rides_out_a_partition(sim, machine):
+    """A truncating open is one MDS op: a partition window delays it on
+    the MDS retry instead of surfacing NetworkPartitioned, and the MDS
+    cuts both replicas of every object once, when the op lands."""
     costs = CostModel(object_size=units.kib(64))
     cluster = CephCluster(sim, Fabric(sim), costs, num_osds=4, replicas=2)
     cluster.arm_faults()
+    client = CephLibClient(
+        sim, cluster, costs, machine.ram.child(units.mib(64), "tr.ram"),
+        machine.activated, name="tr", start_flusher=False,
+    )
+    task = make_task(sim, machine)
+    cuts = []
+    trim = cluster.mds._trim
+    cluster.mds._trim = lambda ino, size: (cuts.append(ino), trim(ino, size))
     payload = b"t" * units.kib(160)  # three objects
 
     def proc():
-        yield from cluster.write_extent(12, 0, payload)
+        yield from client.write_file(task, "/t", payload, sync=True)
+        ino = (yield from client.stat(task, "/t")).ino
         cluster.fabric.set_partitioned(True)
 
         def heal():
@@ -193,16 +202,17 @@ def test_truncate_rides_out_a_partition(sim):
 
         sim.spawn(heal())
         start = sim.now
-        yield from cluster.truncate(12, units.kib(80))
-        return sim.now - start
+        yield from client.open(
+            task, "/t", OpenFlags.CREAT | OpenFlags.TRUNC | OpenFlags.WRONLY
+        )
+        return ino, sim.now - start
 
-    elapsed = run(sim, proc())
+    ino, elapsed = run(sim, proc())
     assert elapsed >= 0.05  # blocked until the partition healed
-    assert int(cluster.metrics.counter("retries_truncate").value) >= 1
-    assert cluster.file_bytes(12) == 2 * units.kib(80)  # both replicas cut
-    for osd in cluster.osds:
-        assert osd.object_size(12, 2) == 0
-        assert osd.object_size(12, 1) in (0, units.kib(16))
+    assert int(cluster.metrics.counter("mds_retries").value) >= 1
+    assert cuts == [ino]
+    assert cluster.file_bytes(ino) == 0
+    assert sum(len(osd.indices_of(ino)) for osd in cluster.osds) == 2 * 3
     assert cluster.inflight_attempts == 0
 
 

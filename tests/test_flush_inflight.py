@@ -167,21 +167,36 @@ def test_a_failed_send_goes_back_beneath_the_rewrite(policy):
     assert not world.client.cache._dirty.get(ino)
 
 
-@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("policy,how", [
+    pytest.param(policy, how,
+                 id=policy if how == "truncate" else policy + "-" + how)
+    for how in ("truncate", "open") for policy in POLICIES
+])
 def test_a_truncate_during_a_flush_never_resurrects_bytes_past_the_cut(
-        policy):
+        policy, how):
     world = World(policy)
-    size, cut = units.kib(600), units.kib(100)  # three objects, cut in one
+    size = units.kib(600)  # three objects
     payload = bytes(range(256)) * (size // 256)
     ino = world.write("/f", 0, payload, OpenFlags.CREAT | OpenFlags.RDWR)
     gate = world.gate_sends()
     flush = world.start_flush(ino)
-    truncate = world.sim.spawn(
-        world.client.truncate(world.task("tr"), "/f", cut)
-    )
+    if how == "truncate":
+        cut = units.kib(100)  # inside the first object
+        call = world.client.truncate(world.task("tr"), "/f", cut)
+    else:
+        cut = 0
+        call = world.client.open(
+            world.task("tr"), "/f",
+            OpenFlags.CREAT | OpenFlags.TRUNC | OpenFlags.WRONLY,
+        )
+    mds_ops = world.cluster.mds.metrics.counter("ops")
+    sent = mds_ops.value
+    truncate = world.sim.spawn(call)
     world.sim.run(until=world.sim.now + 0.05)
-    # The truncate waits for the in-flight batch on the flush mutex.
+    # The truncate waits for the in-flight batch on the flush mutex,
+    # before its MDS op cuts the objects.
     assert not truncate.triggered
+    assert mds_ops.value == sent
     gate.succeed()
     world.sim.run(until=world.sim.now + 1.0)
     assert flush.triggered and truncate.triggered

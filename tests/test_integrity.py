@@ -110,13 +110,16 @@ def test_truncate_keeps_digests_consistent(sim, costs):
     cut = 5000  # mid-chunk
 
     def proc():
-        yield from cluster.write_extent(10, 0, payload)
-        yield from cluster.truncate(10, cut)
-        return (yield from cluster.read_extent(10, 0, len(payload)))
+        info = yield from cluster.mds_call("create", "/t")
+        yield from cluster.write_extent(info.ino, 0, payload)
+        yield from cluster.mds_call("setattr_size", "/t", cut, truncate=True)
+        data = yield from cluster.read_extent(info.ino, 0, len(payload))
+        return info.ino, data
 
-    assert run(sim, proc()) == payload[:cut]
-    holder = cluster.osds[cluster.monitor.holders(10, 0)[0]]
-    assert holder.replica_clean(10, 0)
+    ino, data = run(sim, proc())
+    assert data == payload[:cut]
+    holder = cluster.osds[cluster.monitor.holders(ino, 0)[0]]
+    assert holder.replica_clean(ino, 0)
     assert cluster.integrity_errors() == []
 
 

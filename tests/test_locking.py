@@ -54,6 +54,9 @@ def test_unknown_policy_rejected(policy):
     )
     with pytest.raises(ConfigError, match="unknown locking policy"):
         StackFactory(world, pool, "D", locking=policy).mount_root("c0")
+    # A K stack builds no lib client, and still rejects the name.
+    with pytest.raises(ConfigError, match="unknown locking policy"):
+        StackFactory(world, pool, "K", locking=policy)
 
 
 # --- lock-table arithmetic (pure unit) --------------------------------------

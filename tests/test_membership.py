@@ -233,33 +233,6 @@ def test_stale_map_client_refreshes_and_retries(sim, costs):
     assert cluster._osdmap.epoch == cluster.monitor.epoch
 
 
-def test_truncate_on_a_stale_map_is_fenced_and_resent(sim, costs):
-    """truncate stamps its RPCs like reads and writes: an OSD holding a
-    newer map rejects the cut, the client refreshes and resends."""
-    cluster = make_cluster(sim, costs)
-    payload = b"cut me!!" * units.kib(2)  # 16 KiB, one object
-
-    def proc():
-        yield from cluster.write_extent(7, 0, payload)
-        stale_map = cluster._osdmap
-        cluster.monitor.mark_down(3)
-        cluster.monitor.mark_up(3)
-        cluster._osdmap = stale_map
-        yield from cluster.truncate(7, units.kib(4))
-        return (yield from cluster.read_extent(7, 0, len(payload)))
-
-    assert run(sim, proc()) == payload[:units.kib(4)]
-    assert int(cluster.metrics.counter("stale_map_rejects").value) >= 1
-    assert int(cluster.metrics.counter("retries_truncate").value) >= 1
-    assert sum(
-        int(osd.metrics.counter("epoch_rejects").value)
-        for osd in cluster.osds
-    ) >= 1
-    assert cluster._osdmap.epoch == cluster.monitor.epoch
-    for osd_id in cluster.monitor.holders(7, 0):
-        assert cluster.osds[osd_id].object_size(7, 0) == units.kib(4)
-
-
 # -- throttled backfill --------------------------------------------------
 
 

@@ -133,14 +133,20 @@ def test_purge_removes_objects(sim, cluster):
 
 
 def test_truncate_drops_tail_objects(sim, cluster, costs):
+    """A truncating ``setattr_size`` cuts the stored objects as part of
+    the MDS op: the tail object is gone, the head one is cut."""
     osz = costs.object_size
 
     def proc():
-        yield from cluster.write_extent(7, 0, b"z" * (2 * osz))
-        yield from cluster.truncate(7, osz // 2)
-        return cluster.file_bytes(7)
+        info = yield from cluster.mds_call("create", "/t")
+        yield from cluster.write_extent(info.ino, 0, b"z" * (2 * osz))
+        cut = yield from cluster.mds_call("setattr_size", "/t", osz // 2,
+                                          truncate=True)
+        return info.ino, cut.size
 
-    assert run(sim, proc()) == osz // 2
+    ino, size = run(sim, proc())
+    assert size == osz // 2
+    assert cluster.file_bytes(ino) == osz // 2
 
 
 # --- MDS --------------------------------------------------------------------------
