@@ -8,7 +8,6 @@ simulated configuration and collects the rows into an
 expectation so the reproduction can be eyeballed and asserted.
 """
 
-from repro.common import units
 
 __all__ = ["ExperimentResult"]
 
@@ -118,7 +117,3 @@ class ExperimentResult(object):
             lines.append("note: %s" % note)
         lines.append("=" * 72)
         return "\n".join(lines)
-
-
-def fmt_throughput(bytes_per_sec):
-    return units.fmt_rate(bytes_per_sec)

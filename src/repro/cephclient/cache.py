@@ -1,25 +1,22 @@
 """The user-level object cache (libcephfs ObjectCacher analogue).
 
 One cache per user-level Ceph client. It tracks which file blocks are
-resident (so repeated reads skip the network), buffers dirty writes as
-real bytes (see :class:`~repro.cephclient.extents.ExtentBuffer`), keeps
-the batch a flush is sending in an in-flight (``tx``) layer until the
-send ends, enforces a configurable capacity — the paper sets it to 50 %
-of the pool's memory — and charges every resident byte to the tenant's
-RAM account, so memory comparisons between stacks (Fig. 11) fall out of
-the accounting.
+resident (so repeated reads skip the network), enforces a configurable
+capacity — the paper sets it to 50 % of the pool's memory — and charges
+every resident byte to the tenant's RAM account, so memory comparisons
+between stacks (Fig. 11) fall out of the accounting. The mount's
+write-back buffer holds the dirty bytes; they count here too.
 """
 
 from collections import OrderedDict
 
-from repro.cephclient.extents import ExtentBuffer
 from repro.common.errors import ConfigError
 
 __all__ = ["ObjectCache"]
 
 
 class ObjectCache(object):
-    """Presence + dirty tracking with LRU eviction and a byte capacity.
+    """Presence tracking with LRU eviction and a byte capacity.
 
     With ``dedup=True`` the cache is content-addressed at block level
     (the §9 future-work feature, cf. Slacker): blocks whose content
@@ -44,16 +41,10 @@ class ObjectCache(object):
         self.fingerprint_fn = fingerprint_fn
         self._blocks = {}  # ino -> set of resident block indices
         self._lru = OrderedDict()  # (ino, block) -> None
-        self._dirty = {}  # ino -> ExtentBuffer
-        #: ino -> ExtentBuffer of the batch a flush is sending (``tx``):
-        #: gone from the dirty layer, not yet on the OSDs
-        self._inflight = {}
         self._fingerprints = {}  # (ino, block) -> digest
         self._fp_refs = {}  # digest -> refcount
+        #: resident blocks plus the client's dirty bytes
         self.cached_bytes = 0
-        #: running total of every buffer's ``dirty_bytes`` (the write
-        #: throttle and the flusher read it on every write and tick)
-        self.dirty_bytes = 0
         self.dedup_saved_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -165,120 +156,26 @@ class ObjectCache(object):
 
     # -- dirty data ------------------------------------------------------------
 
-    def dirty_buffer(self, ino):
-        buffer = self._dirty.get(ino)
-        if buffer is None:
-            buffer = self._dirty[ino] = ExtentBuffer()
-        return buffer
-
-    def write(self, ino, offset, data):
-        """Buffer a write: real bytes into the extent buffer + residency."""
-        buffer = self.dirty_buffer(ino)
-        before = buffer.dirty_bytes
-        buffer.write(offset, data)
-        self._charge_dirty(buffer.dirty_bytes - before)
-        self.insert(ino, offset, len(data))
-
-    def _charge_dirty(self, grown):
-        self.dirty_bytes += grown
-        if grown > 0:
-            # Dirty bytes are charged to the tenant too.
-            if self.account.can_charge(grown):
-                self.account.charge(grown)
-            self.cached_bytes += grown
-
-    def take_dirty(self, ino, max_bytes=None):
-        """Move dirty extents of ``ino`` into its in-flight layer for a
-        flush; uncharges memory. One batch per inode is in flight at a
-        time (the client's flush mutex)."""
-        buffer = self._dirty.get(ino)
-        if buffer is None or not buffer:
-            return []
-        taken = buffer.take(max_bytes)
-        released = sum(len(data) for _off, data in taken)
-        self.dirty_bytes -= released
-        self.cached_bytes -= released
-        if released <= self.account.used:
-            self.account.uncharge(released)
-        if not buffer:
-            del self._dirty[ino]
-        inflight = self._inflight[ino] = ExtentBuffer()
-        for offset, data in taken:
-            inflight.write(offset, data)
-        return taken
-
-    def inflight_buffer(self, ino):
-        """The ``tx`` layer of ``ino``, or None when no send is out."""
-        return self._inflight.get(ino)
-
-    def unflushed(self, ino):
-        """True while the OSDs lack some of ``ino``'s bytes: a layer of
-        :meth:`overlay`, dirty or in flight, holds any."""
-        return bool(self._dirty.get(ino)) or bool(self._inflight.get(ino))
-
-    def end_flush(self, ino):
-        """The send of ``ino``'s batch ended: it leaves the ``tx`` layer."""
-        self._inflight.pop(ino, None)
-
-    def put_back(self, ino, extents):
-        """Return a failed batch to the dirty layer *beneath* the bytes
-        written since it was taken (see :meth:`ExtentBuffer.put_back`)."""
-        buffer = self.dirty_buffer(ino)
-        before = buffer.dirty_bytes
-        buffer.put_back(extents)
-        self._charge_dirty(buffer.dirty_bytes - before)
-        for offset, data in extents:
-            self.insert(ino, offset, len(data))
-
-    def truncate_dirty(self, ino, size):
-        """Trim buffered dirty data to ``size`` bytes (file truncation)."""
-        buffer = self._dirty.get(ino)
-        if buffer is None:
-            return 0
-        freed = buffer.truncate(size)
-        if freed:
-            self.dirty_bytes -= freed
-            self.cached_bytes -= freed
-            if freed <= self.account.used:
-                self.account.uncharge(freed)
-        if not buffer:
-            del self._dirty[ino]
-        return freed
-
-    def dirty_inos(self):
-        return list(self._dirty.keys())
-
-    def overlay(self, ino, offset, size, base):
-        """Apply ``ino``'s unflushed bytes over ``base`` (the OSD bytes):
-        the in-flight layer first, the dirty layer on top."""
-        for layer in (self._inflight, self._dirty):
-            buffer = layer.get(ino)
-            if buffer is not None:
-                base = buffer.overlay(offset, size, base)
-        return bytes(base)
+    def dirty_changed(self, delta):
+        """Dirty bytes changed by ``delta``: counted as cached, charged to the tenant."""
+        if delta > 0 and self.account.can_charge(delta):
+            self.account.charge(delta)
+        elif delta < 0 and -delta <= self.account.used:
+            self.account.uncharge(-delta)
+        self.cached_bytes += delta
 
     def drop_ino(self, ino):
-        """Forget a file's resident and dirty data (unlink, cap revoke).
-
-        An in-flight batch stays until its send ends: those bytes are
-        still ours, and unlink waits the send out before it purges.
-        """
+        """Forget which blocks of a file are resident (unlink, cap
+        revoke)."""
         resident = self._blocks.pop(ino, None)
         if resident:
             for block in resident:
                 self._lru.pop((ino, block), None)
                 self._release_block(ino, block)
-        buffer = self._dirty.pop(ino, None)
-        if buffer is not None and buffer.dirty_bytes:
-            self.dirty_bytes -= buffer.dirty_bytes
-            self.cached_bytes -= buffer.dirty_bytes
-            if buffer.dirty_bytes <= self.account.used:
-                self.account.uncharge(buffer.dirty_bytes)
 
     def stats(self):
         return {
             "cached_bytes": self.cached_bytes,
-            "dirty_bytes": self.dirty_bytes,
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,

@@ -25,13 +25,12 @@ Locking discipline (see ``docs/architecture.md`` for the field table):
 * **data sections** guard the cached bytes of one byte range — dirty
   write and overlay/copy-out. Acquired via
   :meth:`LockingPolicy.acquire_data`. A miss fetch and a flush's send
-  take no lock of either kind: a read overlays the in-flight (``tx``)
-  and dirty layers on the OSD bytes, so neither can hand it stale data.
+  take no lock of either kind: a read overlays the mount's in-flight
+  (``tx``) and dirty bytes on the OSD bytes, so neither is stale.
 * the **flush mutex** of an inode (:meth:`LockingPolicy.flush_lock`,
-  every policy alike) is held by a whole flush, a truncate until the
-  MDS has cut the objects and an unlink's wait for the in-flight batch:
-  one batch of an inode is in flight at a time, and nothing cuts or
-  purges its objects under it.
+  every policy alike) is held by a whole flush and by a truncate until
+  the MDS has cut the objects: one batch of an inode is in flight at a
+  time, and no cut races it.
 
 Lock order (deadlock freedom): ``flush(ino) < client_lock`` in
 ``global``; ``flush(ino) < inode(ino) < range(ino, stripe) <

@@ -15,7 +15,6 @@ services keep running — which a test demonstrates.
 """
 
 from repro.common.errors import (
-    NotMounted,
     ServiceFailed,
     ServiceRestarting,
     ThreadKilled,
@@ -89,12 +88,6 @@ class FilesystemService(object):
         """Register a filesystem instance at ``mountpoint``."""
         instance = FilesystemInstance(mountpoint, stack, libservices)
         self.fs_table[instance.mountpoint] = instance
-        return instance
-
-    def instance_at(self, mountpoint):
-        instance = self.fs_table.get(pathutil.normalize(mountpoint))
-        if instance is None:
-            raise NotMounted(path=mountpoint)
         return instance
 
     # -- back driver --------------------------------------------------------------

@@ -134,12 +134,6 @@ class Vfs(Filesystem):
         """Mount ``fs`` at ``mountpoint``; nested mounts shadow parents."""
         self._mounts[pathutil.normalize(mountpoint)] = fs
 
-    def umount(self, mountpoint):
-        self._mounts.pop(pathutil.normalize(mountpoint), None)
-
-    def mounted_at(self, mountpoint):
-        return self._mounts.get(pathutil.normalize(mountpoint))
-
     def resolve(self, path):
         """Longest-prefix mount match; returns ``(fs, inner_path)``."""
         path = pathutil.normalize(path)

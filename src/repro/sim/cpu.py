@@ -97,9 +97,6 @@ class SimThread(object):
             )
         self.pinned = core
 
-    def unpin(self):
-        self.pinned = None
-
     def set_cpuset(self, cores):
         """Move the thread to a new cpuset (cgroup reconfiguration)."""
         if not cores:

@@ -207,10 +207,6 @@ class Store(object):
     def __len__(self):
         return len(self._items)
 
-    @property
-    def getters_waiting(self):
-        return len(self._getters)
-
     def put(self, item):
         """Offer ``item``; the returned event triggers once it is enqueued."""
         if self._getters:

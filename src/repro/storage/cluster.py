@@ -156,10 +156,6 @@ class CephCluster(object):
         for name in ("checksum_failures", "read_repairs", "quarantined"):
             self.metrics.counter(name)
 
-    @property
-    def integrity_armed(self):
-        return self._integrity_armed
-
     def enable_mds_ha(self, standbys=1, ranks=1):
         """Arm metadata HA: journaled MDS ranks + standby-replay pool.
 

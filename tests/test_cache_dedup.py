@@ -127,7 +127,7 @@ def test_dedup_refcount_survives_partial_drop(sim, machine, cluster, costs):
     assert used_after_drop > 0  # /y's blocks still charged
     # Dropping the survivor releases everything.
     client.cache.drop_ino(client.attr_cache["/y"].ino)
-    assert client.cache.cached_bytes == client.cache.dirty_bytes
+    assert client.cache.cached_bytes == client.unflushed.dirty_bytes
 
 
 def test_dedup_off_by_default(sim, machine, cluster, costs):

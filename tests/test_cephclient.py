@@ -132,7 +132,7 @@ def test_lib_write_is_buffered_until_flush(sim, machine, cluster, libclient):
     cluster.file_bytes_now = lambda: cluster.stored_bytes
     stored = run(sim, proc(), until=0.5)
     assert stored == 0  # still in the client write-behind buffer
-    assert libclient.cache.dirty_bytes == units.kib(100)
+    assert libclient.unflushed.dirty_bytes == units.kib(100)
 
 
 def test_lib_fsync_pushes_to_osds(sim, machine, cluster, libclient):
@@ -143,7 +143,7 @@ def test_lib_fsync_pushes_to_osds(sim, machine, cluster, libclient):
 
     run(sim, proc())
     assert cluster.stored_bytes == units.kib(100)
-    assert libclient.cache.dirty_bytes == 0
+    assert libclient.unflushed.dirty_bytes == 0
 
 
 def test_lib_background_flusher_eventually_flushes(sim, machine, cluster, libclient):
@@ -192,14 +192,19 @@ def test_failed_kernel_flush_keeps_the_data_and_the_pages(
         with pytest.raises(DataUnavailable):
             yield from kernelclient.fsync(task, handle)
         cf = kernel.page_cache.peek(kernelclient._cache_key(handle.ino))
-        assert kernelclient._pending[handle.ino].dirty_bytes == len(payload)
+        assert kernelclient.unflushed.dirty_bytes == len(payload)
+        assert kernelclient.unflushed.dirty(handle.ino).extents() == [
+            (0, payload)
+        ]
+        assert not kernelclient.unflushed.batches(handle.ino)
         assert cf.nr_dirty == len(payload) // kernel.costs.page_size
         assert cluster.stored_bytes == 0
         for osd in cluster.osds:
             osd.restart()
             cluster.monitor.mark_up(osd.osd_id)
         yield from kernelclient.fsync(task, handle)
-        assert not kernelclient._pending[handle.ino]
+        assert handle.ino not in kernelclient.unflushed
+        assert kernelclient.unflushed.dirty_bytes == 0
         assert cf.nr_dirty == 0
         return handle.ino
 
@@ -234,8 +239,8 @@ def test_failed_lib_flush_redirties_unpins_and_unlocks(
             osd.crash()
         with pytest.raises(DataUnavailable):
             yield from client.fsync(task, handle)
-        assert client.cache.dirty_bytes == len(payload)
-        assert client.cache.dirty_buffer(ino).extents() == [(0, payload)]
+        assert client.unflushed.dirty_bytes == len(payload)
+        assert client.unflushed.dirty(ino).extents() == [(0, payload)]
         assert ino not in client._size_flushing
         assert client.metrics.counter("flush_failures").value == 1
         policy = client._locking
@@ -250,7 +255,7 @@ def test_failed_lib_flush_redirties_unpins_and_unlocks(
             osd.restart()
             cluster.monitor.mark_up(osd.osd_id)
         yield from client.fsync(task, handle)
-        assert client.cache.dirty_bytes == 0
+        assert client.unflushed.dirty_bytes == 0
         assert not any(lock.locked for lock in held)
         return ino
 

@@ -180,7 +180,7 @@ def test_unlink_drops_every_per_inode_entry(
         ino = handle.ino
         fs._size_pin(ino)  # as if a size resend were owed
         assert ino in fs._sizes and ino in fs._paths
-        assert fs._dirty_buffer(ino)
+        assert fs.unflushed.dirty(ino)
         if which == "lib-range":
             assert fs._locking._range_locks[ino]
         yield from fs.unlink(task, "/f")
@@ -190,7 +190,8 @@ def test_unlink_drops_every_per_inode_entry(
     assert ino not in fs._sizes
     assert ino not in fs._paths
     assert ino not in fs._size_flushing
-    assert not fs._dirty_buffer(ino)
+    assert ino not in fs.unflushed
+    assert fs.unflushed.dirty_bytes == 0
     assert fs.peek("/f", 0, 1) is None  # a negative dentry now
     assert ino not in fs._readahead._ends
     assert ino not in fs._readahead._inflight
@@ -199,10 +200,9 @@ def test_unlink_drops_every_per_inode_entry(
         assert ino not in fs._dirty_since
         assert ino not in fs._locking._ino_locks
         assert ino not in fs._locking._range_locks
-        assert fs.cache.dirty_bytes == 0
+        assert fs.cache.cached_bytes == 0
     else:
         assert kernel.page_cache.peek(fs._cache_key(ino)) is None
-        assert ino not in fs._pending
 
 
 @pytest.mark.parametrize("which", CLIENTS)
