@@ -302,11 +302,6 @@ class FilesystemLibrary(Filesystem):
         self.metrics.counter("legacy_reads").add(1)
         return (yield from self.kernel.vfs.read_file(task, path))
 
-    def mmap_read(self, task, path):
-        """mmap(2) of a shared library: kernel-initiated paging, as exec."""
-        self.metrics.counter("legacy_reads").add(1)
-        return (yield from self.kernel.vfs.read_file(task, path))
-
     # Recompiled applications call the danaus_-prefixed symbols directly;
     # they are the same entry points.
     danaus_open = open

@@ -44,10 +44,6 @@ class OpenFlags(enum.IntFlag):
     def wants_write(self):
         return bool(int(self) & _WRITE_BITS)
 
-    @property
-    def wants_read(self):
-        return not (int(self) & _WRONLY)
-
 
 # The bits the open and write paths test, as plain ints: ``flags &
 # OpenFlags.X`` builds an ``IntFlag`` member on every test, ``int(flags) &
@@ -56,7 +52,6 @@ O_CREAT = int(OpenFlags.CREAT)
 O_EXCL = int(OpenFlags.EXCL)
 O_TRUNC = int(OpenFlags.TRUNC)
 O_APPEND = int(OpenFlags.APPEND)
-_WRONLY = int(OpenFlags.WRONLY)
 _WRITE_BITS = int(OpenFlags.WRONLY | OpenFlags.RDWR | OpenFlags.APPEND)
 #: What :meth:`Filesystem.write_pieces` opens with, built once.
 _CREATE_TRUNC = OpenFlags.WRONLY | OpenFlags.CREAT | OpenFlags.TRUNC
