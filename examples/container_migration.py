@@ -31,7 +31,7 @@ def main():
     target_pool = host_b.engine.create_pool(
         "tenant-a-new-home", num_cores=2, ram_bytes=units.gib(4)
     )
-    mount = StackFactory(world, source_pool, "D").mount_root("db0")
+    mount = StackFactory(source_pool, "D").mount_root("db0")
     container = Container(source_pool, "db0", mount)
 
     def scenario():

@@ -22,7 +22,7 @@ def main():
     pool = host.engine.create_pool(
         "tenant0", num_cores=2, ram_bytes=units.gib(4)
     )
-    mount = StackFactory(world, pool, "D").mount_root("c0")
+    mount = StackFactory(pool, "D").mount_root("c0")
     task = pool.new_task("app")
 
     def app():

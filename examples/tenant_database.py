@@ -26,7 +26,7 @@ def main():
     for name in ("alpha", "beta"):
         pool = host.engine.create_pool(name, num_cores=4,
                                        ram_bytes=units.gib(4))
-        mount = StackFactory(world, pool, "D").mount_root("c0")
+        mount = StackFactory(pool, "D").mount_root("c0")
         tenants.append((name, pool, mount))
 
     def tenant_app(name, pool, mount):
@@ -57,7 +57,7 @@ def main():
 
     # Durability check: a brand-new mount (cold caches) sees the data.
     name, pool, mount = tenants[0]
-    fresh = StackFactory(world, pool, "D").mount_root("c1")
+    fresh = StackFactory(pool, "D").mount_root("c1")
     task = pool.new_task("audit")
 
     def audit():

@@ -15,7 +15,7 @@ Quickstart::
     host.activate_cores(4)
     pool = host.engine.create_pool("tenant0", num_cores=2,
                                    ram_bytes=units.gib(8))
-    mount = StackFactory(world, pool, "D").mount_root("c0")
+    mount = StackFactory(pool, "D").mount_root("c0")
     task = pool.new_task("app")
 
     def app():

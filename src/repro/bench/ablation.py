@@ -43,8 +43,7 @@ def run_seqread_locking(locking, duration=3.0, threads=6, pool_cores=8, seed=1,
     pool = host.engine.create_pool(
         "pool", num_cores=pool_cores, ram_bytes=units.gib(32)
     )
-    factory = StackFactory(
-        world, pool, "D", locking=locking,
+    factory = StackFactory(pool, "D", locking=locking,
         cache_bytes=units.gib(1),
     )
     mount = factory.mount_root("c0")
@@ -97,8 +96,7 @@ def run_seqwrite_queues(single_queue, duration=2.0, threads=4, pool_cores=8,
     pool = host.engine.create_pool(
         "pool", num_cores=pool_cores, ram_bytes=units.gib(32)
     )
-    factory = StackFactory(
-        world, pool, "D", single_queue=single_queue,
+    factory = StackFactory(pool, "D", single_queue=single_queue,
         cache_bytes=units.mib(64),
     )
     mount = factory.mount_root("c0")

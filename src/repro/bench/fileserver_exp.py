@@ -32,7 +32,7 @@ def run_fileserver_scaleout(symbol, n_pools, duration=2.0, seed=1):
         pool = host.engine.create_pool(
             "p%d" % index, num_cores=2, ram_bytes=POOL_RAM
         )
-        factory = StackFactory(world, pool, symbol, cache_bytes=POOL_RAM // 2)
+        factory = StackFactory(pool, symbol, cache_bytes=POOL_RAM // 2)
         host.kernel.writeback.set_max_dirty(pool.ram, units.mib(8))
         mount = factory.mount_root("c0")
         workloads.append(

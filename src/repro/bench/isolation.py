@@ -89,8 +89,7 @@ def run_colocation(symbol, n_fls, neighbor=None, duration=3.0, seed=1,
 
     fls_workloads = []
     for index, pool in enumerate(fls_pools):
-        factory = StackFactory(
-            world, pool, symbol,
+        factory = StackFactory(pool, symbol,
             # The paper gives D a cache that holds the whole dataset.
             cache_bytes=pool_ram // 2,
         )

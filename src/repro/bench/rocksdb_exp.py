@@ -54,8 +54,7 @@ def run_rocksdb_scaleout(symbol, n_pools, mode, seed=1):
         pool = host.engine.create_pool(
             "p%d" % index, num_cores=2, ram_bytes=pool_ram
         )
-        factory = StackFactory(
-            world, pool, symbol,
+        factory = StackFactory(pool, symbol,
             cache_bytes=_small_cache() if mode == "get" else None,
         )
         mount = factory.mount_root("c0")
@@ -91,8 +90,7 @@ def run_rocksdb_scaleup(symbol, n_clones, mode, pool_cores=8, seed=1):
     pool = host.engine.create_pool(
         "scaleup", num_cores=pool_cores, ram_bytes=pool_ram
     )
-    factory = StackFactory(
-        world, pool, symbol,
+    factory = StackFactory(pool, symbol,
         cache_bytes=_small_cache() * n_clones if mode == "get" else None,
     )
     workloads = []

@@ -44,7 +44,7 @@ def run_file_scaleup(symbol, n_clones, mode, pool_cores=8, seed=1):
     pool = host.engine.create_pool(
         "scaleup", num_cores=pool_cores, ram_bytes=units.gib(200)
     )
-    factory = StackFactory(world, pool, symbol)
+    factory = StackFactory(pool, symbol)
     workloads = []
     for index in range(n_clones):
         mount = factory.mount_root("c%d" % index, image_path=IMAGE_PATH)
@@ -95,7 +95,7 @@ def run_pool_scaleup(symbol, n_pools, clones_per_pool, mode="append",
             ram_bytes=units.gib(32),
         )
         pools.append(pool)
-        factory = StackFactory(world, pool, symbol)
+        factory = StackFactory(pool, symbol)
         for cindex in range(clones_per_pool):
             mount = factory.mount_root(
                 "p%dc%d" % (pindex, cindex), image_path=IMAGE_PATH

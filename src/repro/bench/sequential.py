@@ -36,7 +36,7 @@ def run_sequential(symbol, n_pools, mode, duration=3.0, seed=1):
         pool = host.engine.create_pool(
             "p%d" % index, num_cores=2, ram_bytes=units.mib(96)
         )
-        factory = StackFactory(world, pool, symbol, cache_bytes=units.mib(48))
+        factory = StackFactory(pool, symbol, cache_bytes=units.mib(48))
         host.kernel.writeback.set_max_dirty(pool.ram, units.mib(16))
         mount = factory.mount_root("c0")
         cls = Seqwrite if mode == "write" else Seqread

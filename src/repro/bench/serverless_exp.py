@@ -32,7 +32,7 @@ def run_serverless(symbol, n_tenants=2, with_neighbor=True, duration=4.0,
             "fn%d" % index, num_cores=2, ram_bytes=units.mib(64)
         )
         host.kernel.writeback.set_max_dirty(pool.ram, units.mib(8))
-        mount = StackFactory(world, pool, symbol).mount_root("c0")
+        mount = StackFactory(pool, symbol).mount_root("c0")
         # Result objects are sized so the tenants generate real writeback
         # traffic — the contended path of Fig. 6 — not just metadata ops.
         tenants.append(ServerlessTenant(

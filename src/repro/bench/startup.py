@@ -32,7 +32,7 @@ def run_startup(symbol, n_containers, pool_cores=8, image_scale=1.0 / 8192,
     pool = host.engine.create_pool(
         "fleet", num_cores=pool_cores, ram_bytes=units.gib(200)
     )
-    factory = StackFactory(world, pool, symbol)
+    factory = StackFactory(pool, symbol)
     containers = []
     mounts = []
     for index in range(n_containers):

@@ -51,18 +51,3 @@ def fmt_bytes(n):
         value /= 1024.0
     return "%dB" % n
 
-
-def fmt_rate(bytes_per_sec):
-    """Format a throughput (bytes/second) for reports."""
-    return fmt_bytes(bytes_per_sec) + "/s"
-
-
-def fmt_time(seconds):
-    """Format a duration for reports (picks us/ms/s)."""
-    if seconds == 0:
-        return "0s"
-    if abs(seconds) < 1e-3:
-        return "%.1fus" % (seconds / USEC)
-    if abs(seconds) < 1.0:
-        return "%.2fms" % (seconds / MSEC)
-    return "%.2fs" % seconds

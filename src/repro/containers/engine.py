@@ -32,17 +32,6 @@ class ContainerEngine(object):
         self.pools[name] = pool
         return pool
 
-    def create_pools(self, count, prefix="pool", num_cores=2,
-                     ram_bytes=8 * units.GIB):
-        """Create ``count`` identical pools (the scaleout experiments)."""
-        return [
-            self.create_pool("%s%d" % (prefix, index), num_cores, ram_bytes)
-            for index in range(count)
-        ]
-
-    def push_image(self, image):
-        return self.registry.push(image)
-
     def seed_image(self, task, image, fs, prefix):
         """Materialise an image onto a filesystem (sim generator)."""
         return self.registry.materialize(task, image, fs, prefix)

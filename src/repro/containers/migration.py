@@ -76,7 +76,7 @@ def migrate_container(world, container, target_pool, symbol="D",
     source_pool.containers.remove(container)
 
     # 4. adopt: mount the same container directories from the target pool.
-    factory = StackFactory(world, target_pool, symbol, **stack_kwargs)
+    factory = StackFactory(target_pool, symbol, **stack_kwargs)
     source_base = "/pools/%s" % source_pool.name
     new_mount = factory.mount_root(
         container.cid, image_path=image_path, base=source_base

@@ -356,7 +356,7 @@ def _run_chaos_config(config):
     pool = host.engine.create_pool(
         "p0", num_cores=POOL_CORES, ram_bytes=units.gib(POOL_RAM_GIB),
     )
-    factory = StackFactory(world, pool, config.symbol)
+    factory = StackFactory(pool, config.symbol)
     mount = factory.mount_root("c0")
     services = list(pool.services)
     if services:

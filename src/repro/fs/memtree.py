@@ -140,11 +140,15 @@ class MemTree(object):
             raise NotADirectory(path=path)
         return node
 
-    # -- mutation ----------------------------------------------------------
+    # -- preconditions -----------------------------------------------------
+    #
+    # Each mutator's checks, once: the mutators below run them, and the
+    # MDS runs them before it journals (a doomed mutation never reaches
+    # its journal). They return what the mutator needs and change nothing.
 
-    def create_file(self, path, now=0.0, exclusive=False, mode=0o644, ino=None):
-        """Create a regular file; returns the node (existing one unless
-        ``exclusive``)."""
+    def check_create(self, path, exclusive=False):
+        """``(parent, name, existing)``: ``existing`` is the regular file
+        already at ``path``, or None."""
         parent_path, name = pathutil.split(path)
         if not name:
             raise InvalidArgument("cannot create root")
@@ -155,6 +159,72 @@ class MemTree(object):
                 raise FileExists(path=path)
             if existing.is_dir:
                 raise IsADirectory(path=path)
+        return parent, name, existing
+
+    def check_mkdir(self, path):
+        """``(parent, name)`` of a directory that may be made at ``path``."""
+        parent_path, name = pathutil.split(path)
+        if not name:
+            raise FileExists(path="/")
+        parent = self.lookup_dir(parent_path)
+        if name in parent.children:
+            raise FileExists(path=path)
+        return parent, name
+
+    def check_rmdir(self, path):
+        """``(parent, name)`` of the empty directory at ``path``."""
+        parent_path, name = pathutil.split(path)
+        if not name:
+            raise InvalidArgument("cannot remove root")
+        parent = self.lookup_dir(parent_path)
+        node = parent.children.get(name)
+        if node is None:
+            raise FileNotFound(path=path)
+        if not node.is_dir:
+            raise NotADirectory(path=path)
+        if node.children:
+            raise DirectoryNotEmpty(path=path)
+        return parent, name
+
+    def check_unlink(self, path):
+        """``(parent, name, node)`` of the regular file at ``path``."""
+        node = self.lookup(path)
+        if node.is_dir:
+            raise IsADirectory(path=path)
+        parent_path, name = pathutil.split(path)
+        return self.lookup(parent_path), name, node
+
+    def check_rename(self, old_path, new_path):
+        """``(old_parent, old_name, new_parent, new_name, target)``:
+        ``target`` is the entry the rename replaces, or None."""
+        old_parent_path, old_name = pathutil.split(old_path)
+        new_parent_path, new_name = pathutil.split(new_path)
+        if not old_name or not new_name:
+            raise InvalidArgument("cannot rename the root")
+        if pathutil.is_ancestor(old_path, new_path) and old_path != new_path:
+            raise InvalidArgument("cannot move a directory under itself")
+        old_parent = self.lookup_dir(old_parent_path)
+        node = old_parent.children.get(old_name)
+        if node is None:
+            raise FileNotFound(path=old_path)
+        new_parent = self.lookup_dir(new_parent_path)
+        target = new_parent.children.get(new_name)
+        if target is not None:
+            if target.is_dir and not node.is_dir:
+                raise IsADirectory(path=new_path)
+            if not target.is_dir and node.is_dir:
+                raise NotADirectory(path=new_path)
+            if target.is_dir and target.children:
+                raise DirectoryNotEmpty(path=new_path)
+        return old_parent, old_name, new_parent, new_name, target
+
+    # -- mutation ----------------------------------------------------------
+
+    def create_file(self, path, now=0.0, exclusive=False, mode=0o644, ino=None):
+        """Create a regular file; returns the node (existing one unless
+        ``exclusive``)."""
+        parent, name, existing = self.check_create(path, exclusive)
+        if existing is not None:
             return existing
         node = Node(self._use_ino(ino), is_dir=False, now=now, mode=mode)
         parent.children[name] = node
@@ -162,12 +232,7 @@ class MemTree(object):
         return node
 
     def mkdir(self, path, now=0.0, mode=0o755, ino=None):
-        parent_path, name = pathutil.split(path)
-        if not name:
-            raise FileExists(path="/")
-        parent = self.lookup_dir(parent_path)
-        if name in parent.children:
-            raise FileExists(path=path)
+        parent, name = self.check_mkdir(path)
         node = Node(self._use_ino(ino), is_dir=True, now=now, mode=mode)
         parent.children[name] = node
         parent.nlink += 1
@@ -190,13 +255,7 @@ class MemTree(object):
 
     def unlink(self, path, now=0.0):
         """Remove a regular file; returns the freed byte count."""
-        parent_path, name = pathutil.split(path)
-        parent = self.lookup_dir(parent_path)
-        node = parent.children.get(name)
-        if node is None:
-            raise FileNotFound(path=path)
-        if node.is_dir:
-            raise IsADirectory(path=path)
+        parent, name, node = self.check_unlink(path)
         freed = node.size
         self.total_bytes -= freed
         del parent.children[name]
@@ -204,45 +263,18 @@ class MemTree(object):
         return freed
 
     def rmdir(self, path, now=0.0):
-        parent_path, name = pathutil.split(path)
-        if not name:
-            raise InvalidArgument("cannot remove root")
-        parent = self.lookup_dir(parent_path)
-        node = parent.children.get(name)
-        if node is None:
-            raise FileNotFound(path=path)
-        if not node.is_dir:
-            raise NotADirectory(path=path)
-        if node.children:
-            raise DirectoryNotEmpty(path=path)
+        parent, name = self.check_rmdir(path)
         del parent.children[name]
         parent.nlink -= 1
         parent.mtime = now
 
     def rename(self, old_path, new_path, now=0.0):
-        old_parent_path, old_name = pathutil.split(old_path)
-        new_parent_path, new_name = pathutil.split(new_path)
-        if not old_name or not new_name:
-            raise InvalidArgument("cannot rename the root")
-        if pathutil.is_ancestor(old_path, new_path) and old_path != new_path:
-            raise InvalidArgument("cannot move a directory under itself")
-        old_parent = self.lookup_dir(old_parent_path)
-        node = old_parent.children.get(old_name)
-        if node is None:
-            raise FileNotFound(path=old_path)
-        new_parent = self.lookup_dir(new_parent_path)
-        target = new_parent.children.get(new_name)
-        if target is not None:
-            if target.is_dir and not node.is_dir:
-                raise IsADirectory(path=new_path)
-            if not target.is_dir and node.is_dir:
-                raise NotADirectory(path=new_path)
-            if target.is_dir and target.children:
-                raise DirectoryNotEmpty(path=new_path)
-            if not target.is_dir:
-                self.total_bytes -= target.size
-        del old_parent.children[old_name]
-        new_parent.children[new_name] = node
+        old_parent, old_name, new_parent, new_name, target = (
+            self.check_rename(old_path, new_path)
+        )
+        if target is not None and not target.is_dir:
+            self.total_bytes -= target.size
+        new_parent.children[new_name] = old_parent.children.pop(old_name)
         old_parent.mtime = now
         new_parent.mtime = now
 

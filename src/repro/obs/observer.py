@@ -19,7 +19,6 @@ opt-in: with no observer attached, each of those sites is a single
 attribute check on the simulator.
 """
 
-import json
 from collections import deque
 
 __all__ = ["TraceEvent", "Span", "Observer"]
@@ -35,11 +34,6 @@ class TraceEvent(object):
         self.category = category
         self.name = name
         self.detail = detail
-
-    def as_dict(self):
-        out = {"t": self.time, "cat": self.category, "name": self.name}
-        out.update(self.detail)
-        return out
 
     def __repr__(self):
         return "<TraceEvent %.6f %s/%s %r>" % (
@@ -174,13 +168,6 @@ class Observer(object):
         if self.dropped:
             out.append((("trace", "dropped"), self.dropped))
         return out
-
-    def to_jsonl(self, path):
-        """Dump all buffered events as JSON lines."""
-        with open(path, "w") as handle:
-            for event in self.records:
-                handle.write(json.dumps(event.as_dict()) + "\n")
-        return len(self.records)
 
     def clear(self):
         self.records.clear()
@@ -466,10 +453,3 @@ class Observer(object):
         from repro.obs.export import chrome_trace
 
         return chrome_trace([self])
-
-    def write_chrome_trace(self, path):
-        """Write :meth:`chrome_trace` to ``path``; returns the event count."""
-        trace = self.chrome_trace()
-        with open(path, "w") as handle:
-            json.dump(trace, handle)
-        return len(trace["traceEvents"])

@@ -58,10 +58,10 @@ _KERNEL_CLIENT = {"K", "K/K", "F/K"}
 class StackFactory(object):
     """Builds container mounts of one pool for a Table-1 configuration."""
 
-    def __init__(self, world, pool, symbol, cache_bytes=None,
-                 locking="global", single_queue=False):
+    def __init__(self, pool, symbol, cache_bytes=None, locking="global",
+                 single_queue=False):
         validate_symbol(symbol)
-        self.world = world
+        self.world = pool.host.world
         self.pool = pool
         # The pool's host decides which kernel instance serves it — on a
         # multi-host world each host has its own kernel (and VFS).

@@ -68,13 +68,6 @@ class CapsTable(object):
         if not holders:
             self._caps.pop(ino, None)
 
-    def drop_client(self, client_id):
-        """Forget every cap of a departed client."""
-        for ino in list(self._caps):
-            self._caps[ino].pop(client_id, None)
-            if not self._caps[ino]:
-                del self._caps[ino]
-
     def drop_ino(self, ino):
         self._caps.pop(ino, None)
 

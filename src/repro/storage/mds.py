@@ -15,7 +15,10 @@ in an :class:`MdsService`:
   write path (so replication, bitrot, scrub and read-repair cover
   metadata for free), and only then does the daemon touch the shared
   store — an MDS SIGKILL therefore honestly loses exactly the in-flight
-  ops that never reached the journal;
+  ops that never reached the journal. The live op applies its own
+  record through the method replay runs, so replay rebuilds the
+  namespace the clients saw; the checks are ``MemTree``'s, run before
+  the journal append;
 * mutations carry ``(client_id, op_id)`` stamps which land in the
   journal record; a per-rank dedup table — rebuilt on replay — answers
   client resends with the recorded result, making rename/create/unlink
@@ -33,17 +36,13 @@ cheaply (the revalidate-on-open consistency the clients implement).
 import json
 
 from repro.common.errors import (
-    FileExists,
-    FileNotFound,
     FsError,
     InvalidArgument,
     IsADirectory,
-    NotADirectory,
     OldEpoch,
     OpTimeout,
     ServiceRestarting,
 )
-from repro.fs import pathutil
 from repro.fs.memtree import MemTree
 from repro.sim.sync import Semaphore
 from repro.storage.caps import CapsTable
@@ -239,8 +238,12 @@ class Mds(object):
             self._versions.get(node.ino, 0),
         )
 
-    def _op(self, map_epoch=None):
-        """Pay the MDS service cost under the concurrency bound."""
+    def _op(self, map_epoch=None, client_id=None, op_id=None):
+        """Pay the MDS service cost under the concurrency bound.
+
+        Returns a resent mutation's recorded result, else the miss
+        sentinel (always the miss when the journal is disarmed).
+        """
         if self.crashed or not self.available:
             # Dead MDS: the request goes unanswered until the client-side
             # op timeout declares it lost.
@@ -254,6 +257,12 @@ class Mds(object):
         finally:
             self._slots.release()
         self.metrics.counter("ops").add(1)
+        if client_id is None or op_id is None or self.journal is None:
+            return _MISS
+        hit = self.dedup.get((client_id, op_id), _MISS)
+        if hit is not _MISS:
+            self.metrics.counter("dedup_hits").add(1)
+        return hit
 
     def _fence(self, map_epoch):
         """Reject ops this daemon must not serve under the current map."""
@@ -266,31 +275,34 @@ class Mds(object):
         if self.state == "replay":
             raise ServiceRestarting("mds rank %d replaying journal" % self.rank)
 
-    def _session_hit(self, client_id, op_id):
-        """A resent mutation's recorded result, or the miss sentinel."""
-        if client_id is None or op_id is None or self.journal is None:
-            return _MISS
-        hit = self.dedup.get((client_id, op_id), _MISS)
-        if hit is not _MISS:
-            self.metrics.counter("dedup_hits").add(1)
-        return hit
+    def _remember(self, client_id, op_id, result):
+        """Record a mutation's result in the dedup and session tables."""
+        if client_id is None or op_id is None:
+            return
+        self.dedup[(client_id, op_id)] = result
+        prev = self.sessions.get(client_id)
+        if prev is None or op_id > prev:
+            self.sessions[client_id] = op_id
 
-    def _journal_mutation(self, op, fields, client_id, op_id):
-        """Append one journal record before the mutation applies.
+    def _mutation(self, op, fields, client_id, op_id, exclusive=False):
+        """Journal one mutation's record, apply it, return its result.
 
-        Sim generator; yields nothing (and returns None) when the
-        journal is disarmed. On the armed path the caller must have
-        validated the op already — a doomed mutation must never reach
-        the journal — and must apply + :meth:`_commit` atomically (no
-        yields) after this returns.
+        Sim generator. The caller has run the op's checks already (a
+        doomed mutation must never reach the journal). The namespace
+        changes only through :meth:`_apply_record`, the method replay
+        runs, so the record's mtime is the live mtime and a replayed
+        namespace is the one the clients saw. The one branch: disarmed,
+        nothing is journaled and nothing yields; armed, the record is
+        appended first and the apply follows it with no yield between.
         """
-        if self.journal is None:
-            return None
-        record = {"op": op, "client": client_id, "op_id": op_id,
-                  "seq": self.journal.next_seq}
-        self.journal.next_seq += 1
-        record.update(fields)
-        yield from self.journal.append(record)
+        record = dict(fields, op=op)
+        journal = self.journal
+        if journal is None:
+            return self._apply_record(record, exclusive)
+        seq = journal.next_seq
+        journal.next_seq += 1
+        record.update(client=client_id, op_id=op_id, seq=seq)
+        yield from journal.append(record)
         self.metrics.counter("journal_entries").add(1)
         if self.crashed:
             # SIGKILL raced the append: the record is durable but this
@@ -298,31 +310,13 @@ class Mds(object):
             # will, and the client's resend dedups against it.
             raise OpTimeout("mds crashed")
         if self.state != "active":
-            raise OldEpoch("mds gid %d deposed during journal append" % self.gid)
-        return record["seq"]
-
-    def _commit(self, seq, client_id, op_id, result):
-        """Record an applied mutation: seq into the store's applied set,
-        the result into the dedup/session tables (pure, no yields)."""
-        if seq is None:
-            return
+            raise OldEpoch("mds gid %d deposed during journal append"
+                           % self.gid)
+        result = self._apply_record(record, exclusive)
         self.store.applied.setdefault(self.rank, set()).add(seq)
         self._pending_apply.pop(seq, None)
-        if client_id is not None and op_id is not None:
-            self.dedup[(client_id, op_id)] = result
-            prev = self.sessions.get(client_id)
-            if prev is None or op_id > prev:
-                self.sessions[client_id] = op_id
-
-    def _meta_file(self, path, exclusive, mode, ino=None):
-        node = self.tree.create_file(
-            path, now=self.sim.now, exclusive=exclusive, mode=mode, ino=ino
-        )
-        # The MDS never stores file bytes.
-        if node.data is not None and not node.data:
-            node.data = None
-            node.meta_size = 0
-        return node
+        self._remember(client_id, op_id, result)
+        return result
 
     # -- server-side operations (sim generators) ---------------------------
 
@@ -334,108 +328,62 @@ class Mds(object):
                client_id=None, op_id=None, map_epoch=None):
         """Create a file, or open an existing one; ``truncate`` (O_TRUNC)
         cuts an existing file to size 0 in the same op."""
-        yield from self._op(map_epoch)
-        hit = self._session_hit(client_id, op_id)
+        hit = yield from self._op(map_epoch, client_id, op_id)
         if hit is not _MISS:
             return hit
-        # Validate, journal (a no-op when disarmed), then apply atomically.
-        parent_path, name = pathutil.split(path)
-        if not name:
-            raise InvalidArgument("cannot create root")
-        parent = self.tree.lookup_dir(parent_path)
-        existing = parent.children.get(name)
+        _parent, _name, existing = self.tree.check_create(path, exclusive)
         if existing is not None:
-            if exclusive:
-                raise FileExists(path=path)
-            if existing.is_dir:
-                raise IsADirectory(path=path)
             if truncate:
-                return (yield from self._set_size(
-                    path, existing, 0, self.sim.now, True, client_id, op_id
+                return (yield from self._mutation(
+                    "setattr",
+                    {"path": path, "ino": existing.ino, "size": 0,
+                     "mtime": self.sim.now, "truncate": True},
+                    client_id, op_id,
                 ))
             # Open-existing: no namespace mutation, nothing to journal.
-            node = self._meta_file(path, exclusive, mode)
-            self._bump(node)
-            return self._info(node)
-        ino = self.tree._alloc_ino()
-        seq = yield from self._journal_mutation(
+            self._bump(existing)
+            return self._info(existing)
+        return (yield from self._mutation(
             "create",
-            {"path": path, "mode": mode, "ino": ino, "mtime": self.sim.now},
-            client_id, op_id,
-        )
-        node = self._meta_file(path, exclusive, mode, ino=ino)
-        self._bump(node)
-        info = self._info(node)
-        self._commit(seq, client_id, op_id, info)
-        return info
+            {"path": path, "mode": mode, "ino": self.tree._alloc_ino(),
+             "mtime": self.sim.now},
+            client_id, op_id, exclusive,
+        ))
 
     def mkdir(self, path, mode=0o755, client_id=None, op_id=None,
               map_epoch=None):
-        yield from self._op(map_epoch)
-        hit = self._session_hit(client_id, op_id)
+        hit = yield from self._op(map_epoch, client_id, op_id)
         if hit is not _MISS:
             return hit
-        parent_path, name = pathutil.split(path)
-        if not name:
-            raise FileExists(path="/")
-        parent = self.tree.lookup_dir(parent_path)
-        if name in parent.children:
-            raise FileExists(path=path)
-        ino = self.tree._alloc_ino()
-        seq = yield from self._journal_mutation(
+        self.tree.check_mkdir(path)
+        return (yield from self._mutation(
             "mkdir",
-            {"path": path, "mode": mode, "ino": ino, "mtime": self.sim.now},
+            {"path": path, "mode": mode, "ino": self.tree._alloc_ino(),
+             "mtime": self.sim.now},
             client_id, op_id,
-        )
-        node = self.tree.mkdir(path, now=self.sim.now, mode=mode, ino=ino)
-        self._bump(node)
-        info = self._info(node)
-        self._commit(seq, client_id, op_id, info)
-        return info
+        ))
 
     def rmdir(self, path, client_id=None, op_id=None, map_epoch=None):
-        yield from self._op(map_epoch)
-        hit = self._session_hit(client_id, op_id)
+        hit = yield from self._op(map_epoch, client_id, op_id)
         if hit is not _MISS:
             return hit
-        parent_path, name = pathutil.split(path)
-        if not name:
-            raise InvalidArgument("cannot remove root")
-        parent = self.tree.lookup_dir(parent_path)
-        node = parent.children.get(name)
-        if node is None:
-            raise FileNotFound(path=path)
-        if not node.is_dir:
-            raise NotADirectory(path=path)
-        if node.children:
-            from repro.common.errors import DirectoryNotEmpty
-            raise DirectoryNotEmpty(path=path)
-        seq = yield from self._journal_mutation(
+        self.tree.check_rmdir(path)
+        return (yield from self._mutation(
             "rmdir", {"path": path, "mtime": self.sim.now}, client_id, op_id,
-        )
-        self.tree.rmdir(path, now=self.sim.now)
-        self._commit(seq, client_id, op_id, None)
-        return None
+        ))
 
     def unlink(self, path, client_id=None, op_id=None, map_epoch=None):
         """Remove a file; returns its (ino, size) for object purging."""
-        yield from self._op(map_epoch)
-        hit = self._session_hit(client_id, op_id)
+        hit = yield from self._op(map_epoch, client_id, op_id)
         if hit is not _MISS:
             return hit
-        node = self.tree.lookup(path)
-        if node.is_dir:
-            raise IsADirectory(path=path)
-        ino, size = node.ino, node.size
-        seq = yield from self._journal_mutation(
+        _parent, _name, node = self.tree.check_unlink(path)
+        return (yield from self._mutation(
             "unlink",
-            {"path": path, "ino": ino, "size": size, "mtime": self.sim.now},
+            {"path": path, "ino": node.ino, "size": node.size,
+             "mtime": self.sim.now},
             client_id, op_id,
-        )
-        self.tree.unlink(path, now=self.sim.now)
-        self._versions.pop(ino, None)
-        self._commit(seq, client_id, op_id, (ino, size))
-        return ino, size
+        ))
 
     def readdir(self, path, map_epoch=None):
         yield from self._op(map_epoch)
@@ -446,51 +394,22 @@ class Mds(object):
 
     def rename(self, old_path, new_path, client_id=None, op_id=None,
                map_epoch=None):
-        yield from self._op(map_epoch)
-        hit = self._session_hit(client_id, op_id)
+        hit = yield from self._op(map_epoch, client_id, op_id)
         if hit is not _MISS:
             return hit
-        self._validate_rename(old_path, new_path)
-        seq = yield from self._journal_mutation(
+        self.tree.check_rename(old_path, new_path)
+        return (yield from self._mutation(
             "rename",
             {"old": old_path, "new": new_path, "mtime": self.sim.now},
             client_id, op_id,
-        )
-        self.tree.rename(old_path, new_path, now=self.sim.now)
-        self._commit(seq, client_id, op_id, None)
-        return None
-
-    def _validate_rename(self, old_path, new_path):
-        """Mirror MemTree.rename's checks without mutating (the journal
-        must never record a doomed rename)."""
-        from repro.common.errors import DirectoryNotEmpty
-        old_parent_path, old_name = pathutil.split(old_path)
-        new_parent_path, new_name = pathutil.split(new_path)
-        if not old_name or not new_name:
-            raise InvalidArgument("cannot rename the root")
-        if pathutil.is_ancestor(old_path, new_path) and old_path != new_path:
-            raise InvalidArgument("cannot move a directory under itself")
-        old_parent = self.tree.lookup_dir(old_parent_path)
-        node = old_parent.children.get(old_name)
-        if node is None:
-            raise FileNotFound(path=old_path)
-        new_parent = self.tree.lookup_dir(new_parent_path)
-        target = new_parent.children.get(new_name)
-        if target is not None:
-            if target.is_dir and not node.is_dir:
-                raise IsADirectory(path=new_path)
-            if not target.is_dir and node.is_dir:
-                raise NotADirectory(path=new_path)
-            if target.is_dir and target.children:
-                raise DirectoryNotEmpty(path=new_path)
+        ))
 
     def setattr_size(self, path, size, mtime=None, truncate=False,
                      client_id=None, op_id=None, map_epoch=None):
         """Record the new size/mtime of a file: a client cap flush, or
         with ``truncate`` a truncate, whose cut of the stored objects
         is part of the op."""
-        yield from self._op(map_epoch)
-        hit = self._session_hit(client_id, op_id)
+        hit = yield from self._op(map_epoch, client_id, op_id)
         if hit is not _MISS:
             return hit
         node = self.tree.lookup(path)
@@ -498,54 +417,11 @@ class Mds(object):
             raise IsADirectory(path=path)
         if size < 0:
             raise InvalidArgument("negative size")
-        when = mtime if mtime is not None else self.sim.now
-        return (yield from self._set_size(
-            path, node, size, when, truncate, client_id, op_id
-        ))
-
-    def _set_size(self, path, node, size, when, truncate, client_id, op_id):
-        """Journal one ``setattr`` record, then apply it: the size, and
-        with ``truncate`` the cut of every stored copy past ``size``.
-        The cut lands with the size in one step, so a failover between
-        the journal append and the reply leaves it to the replay of the
-        record (and the resend to the dedup table): it happens once."""
-        fields = {"path": path, "ino": node.ino, "size": size, "mtime": when}
+        fields = {"path": path, "ino": node.ino, "size": size,
+                  "mtime": mtime if mtime is not None else self.sim.now}
         if truncate:
             fields["truncate"] = True
-        seq = yield from self._journal_mutation(
-            "setattr", fields, client_id, op_id,
-        )
-        node.meta_size = size
-        node.mtime = when
-        if truncate:
-            self._trim(node.ino, size)
-        self._bump(node)
-        info = self._info(node)
-        self._commit(seq, client_id, op_id, info)
-        return info
-
-    def setattr_size_by_ino(self, ino, size, mtime=None, client_id=None,
-                            op_id=None, map_epoch=None):
-        """Size update addressed by inode (used after renames)."""
-        yield from self._op(map_epoch)
-        hit = self._session_hit(client_id, op_id)
-        if hit is not _MISS:
-            return hit
-        for _path, node in self.tree.walk("/"):
-            if node.ino == ino:
-                when = mtime if mtime is not None else self.sim.now
-                seq = yield from self._journal_mutation(
-                    "setattr_ino",
-                    {"ino": ino, "size": size, "mtime": when},
-                    client_id, op_id,
-                )
-                node.meta_size = size
-                node.mtime = when
-                self._bump(node)
-                info = self._info(node)
-                self._commit(seq, client_id, op_id, info)
-                return info
-        raise FileNotFound(path="ino:%d" % ino)
+        return (yield from self._mutation("setattr", fields, client_id, op_id))
 
     # -- capabilities (caps-mode clients only) --------------------------------
 
@@ -562,11 +438,7 @@ class Mds(object):
         self.caps.grant(ino, client_id, want)
         return self.caps.held(ino, client_id)
 
-    def caps_release(self, ino, client_id, caps, map_epoch=None):
-        yield from self._op(map_epoch)
-        self.caps.revoke(ino, client_id, caps)
-
-    # -- journal replay ----------------------------------------------------
+    # -- journal records ---------------------------------------------------
 
     def absorb(self, rank, record, apply=True):
         """Fold one journal record into this daemon's rank state.
@@ -581,62 +453,67 @@ class Mds(object):
         applied = self.store.applied.setdefault(rank, set())
         if seq not in applied:
             if apply:
-                try:
-                    self._apply_record(record)
-                except FsError:
-                    self.metrics.counter("replay_skips").add(1)
+                self._replay_record(record)
                 applied.add(seq)
                 self._pending_apply.pop(seq, None)
             else:
                 self._pending_apply[seq] = record
         else:
             self._pending_apply.pop(seq, None)
-        client_id = record.get("client")
-        op_id = record.get("op_id")
-        if client_id is not None and op_id is not None:
-            self.dedup[(client_id, op_id)] = self._result_of(record)
-            prev = self.sessions.get(client_id)
-            if prev is None or op_id > prev:
-                self.sessions[client_id] = op_id
+        self._remember(record.get("client"), record.get("op_id"),
+                       self._result_of(record))
 
-    def _apply_record(self, record):
-        """Apply one journal record to the shared store (replay path)."""
+    def _replay_record(self, record):
+        """Apply a record on replay; one that no longer applies (it lost
+        a race the live op also lost) is counted and skipped."""
+        try:
+            self._apply_record(record)
+        except FsError:
+            self.metrics.counter("replay_skips").add(1)
+
+    def _apply_record(self, record, exclusive=False):
+        """Apply one journal record to the shared store; returns the
+        op's result. The live op and replay both apply through here.
+
+        ``exclusive`` is the one check a record does not carry: a live
+        O_EXCL create re-checks it here, after its journal append.
+        """
         op = record["op"]
         tree = self.tree
-        now = record.get("mtime", self.sim.now)
+        now = record["mtime"]
         if op == "create":
-            node = self._meta_file(record["path"], False,
-                                   record.get("mode", 0o644),
-                                   ino=record["ino"])
-            node.mtime = now
-            self._bump(node)
+            node = tree.create_file(record["path"], now=now,
+                                    exclusive=exclusive, mode=record["mode"],
+                                    ino=record["ino"])
+            # The MDS never stores file bytes.
+            if node.data is not None and not node.data:
+                node.data = None
+                node.meta_size = 0
         elif op == "mkdir":
-            node = tree.mkdir(record["path"], now=now,
-                              mode=record.get("mode", 0o755),
+            node = tree.mkdir(record["path"], now=now, mode=record["mode"],
                               ino=record["ino"])
-            self._bump(node)
+        elif op == "setattr":
+            # With ``truncate`` the cut of every stored copy lands with
+            # the size in one step, so a failover between the append and
+            # the reply leaves it to replay (and the resend to the dedup
+            # table): it happens once.
+            node = tree.lookup(record["path"])
+            node.meta_size = record["size"]
+            node.mtime = now
+            if record.get("truncate"):
+                self._trim(record["ino"], record["size"])
         elif op == "unlink":
             tree.unlink(record["path"], now=now)
             self._versions.pop(record["ino"], None)
+            return record["ino"], record["size"]
         elif op == "rmdir":
             tree.rmdir(record["path"], now=now)
-        elif op == "rename":
+            return None
+        else:
             tree.rename(record["old"], record["new"], now=now)
-        elif op == "setattr":
-            node = tree.lookup(record["path"])
-            node.meta_size = record["size"]
-            node.mtime = record["mtime"]
-            if record.get("truncate"):
-                self._trim(record["ino"], record["size"])
-            self._bump(node)
-        elif op == "setattr_ino":
-            for _path, node in tree.walk("/"):
-                if node.ino == record["ino"]:
-                    node.meta_size = record["size"]
-                    node.mtime = record["mtime"]
-                    self._bump(node)
-                    return
-            raise FileNotFound(path="ino:%d" % record["ino"])
+            return None
+        self._bump(node)
+        return self._info(node)
 
     def _result_of(self, record):
         """Reconstruct a mutation's acked result from its journal record
@@ -649,7 +526,7 @@ class Mds(object):
                              self._versions.get(ino, 1))
         if op == "unlink":
             return (record["ino"], record["size"])
-        if op in ("setattr", "setattr_ino"):
+        if op == "setattr":
             ino = record["ino"]
             return InodeInfo(ino, False, record["size"], record["mtime"], 1,
                              self._versions.get(ino, 1))
@@ -674,10 +551,7 @@ class Mds(object):
             record = self._pending_apply[seq]
             if seq not in applied:
                 yield self.costs.mds_replay_op
-                try:
-                    self._apply_record(record)
-                except FsError:
-                    self.metrics.counter("replay_skips").add(1)
+                self._replay_record(record)
                 applied.add(seq)
         self._pending_apply = {}
         self._tail_pos[rank] = from_bytes + consumed
@@ -691,9 +565,6 @@ class Mds(object):
         return len(records)
 
     # -- helpers used by the cluster (no cost) --------------------------------
-
-    def path_exists(self, path):
-        return self.tree.try_lookup(path) is not None
 
     def node_of(self, path):
         return self.tree.lookup(path)

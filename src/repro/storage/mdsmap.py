@@ -14,8 +14,8 @@ over.
 Routing is by *directory*: the rank that owns directory ``d`` serves
 ``readdir(d)`` and every entry mutation inside ``d`` (create, unlink,
 rename-from, lookup of a child), so one directory's entries are always
-journaled by a single rank. Inode-addressed ops (caps, size flushes by
-ino) hash the ino instead. With one rank every op maps to rank 0 and the
+journaled by a single rank. Inode-addressed ops (caps) hash the ino
+instead. With one rank every op maps to rank 0 and the
 hash never runs.
 """
 
@@ -29,9 +29,7 @@ __all__ = ["MdsMap"]
 _DIR_OPS = frozenset(("readdir",))
 
 #: ops routed by an inode number (first positional argument)
-_INO_OPS = frozenset((
-    "caps_conflicts", "caps_commit", "caps_release", "setattr_size_by_ino",
-))
+_INO_OPS = frozenset(("caps_conflicts", "caps_commit"))
 
 
 class MdsMap(object):
@@ -67,7 +65,7 @@ class MdsMap(object):
         return self.rank_of_dir(pathutil.parent_of(path))
 
     def rank_of_ino(self, ino):
-        """The rank serving inode-addressed ops (caps, flushes) on ``ino``."""
+        """The rank serving inode-addressed ops (caps) on ``ino``."""
         if len(self.ranks) == 1:
             return 0
         return ino % len(self.ranks)

@@ -37,11 +37,6 @@ class WorkloadResult(object):
     def ops_per_sec(self):
         return self.ops / self.duration if self.duration > 0 else 0.0
 
-    @property
-    def bytes_per_sec(self):
-        total = self.bytes_read + self.bytes_written
-        return total / self.duration if self.duration > 0 else 0.0
-
     def __repr__(self):
         return "<WorkloadResult %s ops=%d %.1f ops/s>" % (
             self.name, self.ops, self.ops_per_sec,

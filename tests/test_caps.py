@@ -58,15 +58,6 @@ def test_revoke_and_cleanup():
     assert table.holders(1) == {}
 
 
-def test_drop_client_clears_all_inos():
-    table = CapsTable()
-    table.grant(1, 10, CAP_READ_CACHE)
-    table.grant(2, 10, CAP_WRITE_BUFFER)
-    table.drop_client(10)
-    assert table.holders(1) == {}
-    assert table.holders(2) == {}
-
-
 # --- end-to-end coherence ----------------------------------------------------
 
 @pytest.fixture

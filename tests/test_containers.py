@@ -124,7 +124,11 @@ def test_engine_creates_disjoint_pools():
     world = World(num_cores=8)
     host = world.primary
     host.activate_cores(8)
-    pools = host.engine.create_pools(3, num_cores=2, ram_bytes=units.gib(1))
+    pools = [
+        host.engine.create_pool("pool%d" % index, num_cores=2,
+                                ram_bytes=units.gib(1))
+        for index in range(3)
+    ]
     cores = [core for pool in pools for core in pool.cores]
     assert len(cores) == len(set(cores)) == 6
 
@@ -144,7 +148,7 @@ def test_container_wraps_mount():
     host = world.primary
     host.activate_cores(4)
     pool = host.engine.create_pool("p", num_cores=2, ram_bytes=units.gib(2))
-    mount = StackFactory(world, pool, "D").mount_root("c0")
+    mount = StackFactory(pool, "D").mount_root("c0")
     container = Container(pool, "c0", mount)
     assert container.fs is mount.fs
     assert container in pool.containers

@@ -132,7 +132,7 @@ def setup():
     host = world.primary
     host.activate_cores(4)
     pool = host.engine.create_pool("p", num_cores=2, ram_bytes=units.gib(2))
-    mount = StackFactory(world, pool, "D").mount_root("c0")
+    mount = StackFactory(pool, "D").mount_root("c0")
     return world, pool, mount
 
 

@@ -47,7 +47,7 @@ def make_world(symbol="D", pools=1):
         pool = host.engine.create_pool(
             "p%d" % index, num_cores=2, ram_bytes=units.gib(4)
         )
-        factory = StackFactory(world, pool, symbol)
+        factory = StackFactory(pool, symbol)
         mount = factory.mount_root("c%d" % index)
         mounted.append((pool, factory, mount))
     return world, mounted

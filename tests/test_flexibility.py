@@ -29,10 +29,9 @@ def test_tenant_runs_multiple_services_with_distinct_settings(world):
     # Service 1: default consistency; Service 2: fine-grained locking and
     # a small cache — "multiple filesystem services with distinct settings
     # in resource naming, memory reservation, ... " (§5).
-    factory_a = StackFactory(world, pool, "D", cache_bytes=units.mib(64))
+    factory_a = StackFactory(pool, "D", cache_bytes=units.mib(64))
     mount_a = factory_a.mount_root("c0")
-    factory_b = StackFactory(
-        world, pool, "D", cache_bytes=units.mib(4), locking="range"
+    factory_b = StackFactory(pool, "D", cache_bytes=units.mib(4), locking="range"
     )
     factory_b._shared.clear()  # force a second service + client
     mount_b = factory_b.mount_root("c1")
@@ -56,8 +55,8 @@ def test_tenants_collaborate_through_shared_backend(world):
     host = world.primary
     pool_a = host.engine.create_pool("a", num_cores=2, ram_bytes=units.gib(2))
     pool_b = host.engine.create_pool("b", num_cores=2, ram_bytes=units.gib(2))
-    mount_a = StackFactory(world, pool_a, "D").mount_root("c0")
-    mount_b = StackFactory(world, pool_b, "D").mount_root("c0")
+    mount_a = StackFactory(pool_a, "D").mount_root("c0")
+    mount_b = StackFactory(pool_b, "D").mount_root("c0")
     task_a = pool_a.new_task()
     task_b = pool_b.new_task()
     # Both tenants also mount a shared path of the backend filesystem.
@@ -83,7 +82,7 @@ def test_central_administration_through_backend(world):
     host = world.primary
     pool = host.engine.create_pool("tenant", num_cores=2,
                                    ram_bytes=units.gib(2))
-    mount = StackFactory(world, pool, "D").mount_root("c0")
+    mount = StackFactory(pool, "D").mount_root("c0")
     task = pool.new_task()
 
     def tenant_writes():
@@ -118,7 +117,7 @@ def test_writable_sharing_mode_between_containers(world):
     """Two containers of one tenant share a writable directory (§5)."""
     pool = world.primary.engine.create_pool("tenant", num_cores=4,
                                             ram_bytes=units.gib(2))
-    factory = StackFactory(world, pool, "D")
+    factory = StackFactory(pool, "D")
     mount_a = factory.mount_root("c0")
     mount_b = factory.mount_root("c1")
     # Shared client: both containers reach the full tenant namespace.

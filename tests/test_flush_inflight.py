@@ -309,6 +309,38 @@ def test_fsync_waits_for_another_flushers_batch(stack, fail):
     assert ino not in world.client.unflushed
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "PageCache.mark_dirty skips pages that are already dirty, so a "
+    "rewrite of pages under writeback is not dirtied again, and clean() "
+    "cleans them when the older batch lands"))
+def test_a_rewrite_under_writeback_keeps_its_pages_dirty():
+    world = World("K")
+    ino = world.write("/f", 0, b"o" * SIZE, OpenFlags.CREAT | OpenFlags.RDWR)
+    handle = world.open("/f")
+    gate = world.gate_sends()
+    world.start_flush(ino)
+    new = b"n" * SIZE
+    world.run(world.client.write(world.task("w2"), handle, 0, new))
+    gate.succeed()
+    world.settle()
+    # The older batch has landed. Every byte still to be sent needs a
+    # dirty page: only a dirty page lets the kernel's writeback find it.
+    page_cache = world.kernel.page_cache
+    cf = page_cache.peek(world.client._cache_key(ino))
+    dirty = set()
+    for run in cf._runs:
+        if run.dirty:
+            dirty.update(range(run.start, run.end))
+    unflushed = world.client.unflushed.dirty(ino)
+    pages = set()
+    for offset, data in unflushed.extents() if unflushed else ():
+        pages.update(page_cache.page_range(offset, len(data)))
+    assert pages <= dirty
+    # So one more writeback pass puts the rewrite on the OSDs.
+    world.run(world.flush(ino))
+    assert world.stored(ino, SIZE) == new
+
+
 def test_a_take_waits_only_for_the_bytes_it_hands_out_until_they_are_sent():
     sim = Simulator()
     buffer = WritebackBuffer(sim)

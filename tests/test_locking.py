@@ -53,10 +53,10 @@ def test_unknown_policy_rejected(policy):
         "p", num_cores=2, ram_bytes=units.mib(256)
     )
     with pytest.raises(ConfigError, match="unknown locking policy"):
-        StackFactory(world, pool, "D", locking=policy).mount_root("c0")
+        StackFactory(pool, "D", locking=policy).mount_root("c0")
     # A K stack builds no lib client, and still rejects the name.
     with pytest.raises(ConfigError, match="unknown locking policy"):
-        StackFactory(world, pool, "K", locking=policy)
+        StackFactory(pool, "K", locking=policy)
 
 
 # --- lock-table arithmetic (pure unit) --------------------------------------

@@ -21,6 +21,7 @@ from repro.costs import CostModel
 from repro.faults.chaos import ChaosConfig
 from repro.net import Fabric
 from repro.storage import CephCluster
+from repro.storage.mds import Mds, MdsStore
 from repro.storage.mdsmap import MdsMap
 from tests.conftest import committed_fingerprint, run
 
@@ -148,7 +149,7 @@ def test_heartbeats_promote_standby_and_ops_continue(sim, cluster):
     assert service.metrics.counter("failovers").value == 1
     assert not info.is_dir
     # The promoted standby holds the journaled namespace.
-    assert cluster.mds.path_exists("/t/a")
+    assert cluster.mds.tree.try_lookup("/t/a") is not None
 
 
 def test_resent_mutation_is_exactly_once_across_failover(sim, cluster):
@@ -173,7 +174,7 @@ def test_resent_mutation_is_exactly_once_across_failover(sim, cluster):
         # resurrect /src, which the (applied) rename already moved.
         yield from cluster.mds_call("create", "/src", exclusive=True,
                                     client_id=9, op_id=2)
-        assert not cluster.mds.path_exists("/src")
+        assert cluster.mds.tree.try_lookup("/src") is None
         # A genuinely new create of the now-free name is not confused
         # with the replayed one.
         yield from cluster.mds_call("create", "/src", exclusive=True,
@@ -185,8 +186,8 @@ def test_resent_mutation_is_exactly_once_across_failover(sim, cluster):
     run(sim, proc())
     active = cluster.mds
     assert active.metrics.counter("dedup_hits").value >= 2
-    assert active.path_exists("/d/dst")
-    assert active.path_exists("/src")
+    assert active.tree.try_lookup("/d/dst") is not None
+    assert active.tree.try_lookup("/src") is not None
 
 
 def test_deposed_active_fences_stale_epoch_ops(sim, cluster):
@@ -206,7 +207,7 @@ def test_deposed_active_fences_stale_epoch_ops(sim, cluster):
 
     old = run(sim, proc())
     assert old.metrics.counter("fenced_ops").value >= 1
-    assert not cluster.mds.path_exists("/rogue")
+    assert cluster.mds.tree.try_lookup("/rogue") is None
     assert cluster.mds is not old
 
 
@@ -236,6 +237,44 @@ def test_rank_split_repartitions_and_keeps_namespace(sim, cluster):
     ranks_used = {mdsmap.rank_of_path(p) for p in ("/a/x", "/b/y")}
     for rank in ranks_used:
         assert service.journals[rank].entries >= 1
+
+
+def _namespace(tree):
+    return [(path, node.ino, node.is_dir, node.size, node.mtime)
+            for path, node in tree.walk("/")]
+
+
+def test_replaying_the_journal_rebuilds_the_live_namespace(sim, cluster):
+    """Live ops and replay apply the same records: a fresh daemon that
+    replays rank 0's journal holds the namespace the clients saw, down
+    to every directory's mtime."""
+    service = cluster.enable_mds_ha(standbys=0)
+    ops = [
+        ("mkdir", ("/d",), {}),
+        ("create", ("/d/f",), {"exclusive": True}),
+        ("create", ("/d/g",), {}),
+        ("setattr_size", ("/d/f", 5000), {}),
+        ("setattr_size", ("/d/g", 100), {"truncate": True}),
+        ("rename", ("/d/f", "/d/h"), {}),
+        ("unlink", ("/d/g",), {}),
+        ("mkdir", ("/d/e",), {}),
+        ("rmdir", ("/d/e",), {}),
+    ]
+
+    def proc():
+        for op_id, (op, args, kwargs) in enumerate(ops, 1):
+            yield from cluster.mds_call(op, *args, client_id=1, op_id=op_id,
+                                        **kwargs)
+        fresh = Mds(sim, cluster.costs, lambda ino, size: None,
+                    store=MdsStore(), gid=99)
+        replayed = yield from fresh.replay_journal(service.journals[0], 0)
+        return fresh, replayed
+
+    fresh, replayed = run(sim, proc())
+    assert replayed == len(ops)
+    live = _namespace(cluster.mds.tree)
+    assert [entry[0] for entry in live] == ["/", "/d", "/d/h"]
+    assert _namespace(fresh.tree) == live
 
 
 def test_disarmed_cluster_keeps_single_mds_surface(sim, cluster):

@@ -53,7 +53,7 @@ def test_randomio_prealloc_on_a_local_mount_peaks_at_one_piece():
 
 def test_seqread_files_on_danaus_retain_one_piece_each():
     world, pool = build_world()
-    mount = StackFactory(world, pool, "D").mount_root("c0")
+    mount = StackFactory(pool, "D").mount_root("c0")
     workload = Seqread(mount.fs, pool, threads=4, file_size=8 * MIB,
                        warm_cache=False)
     tracemalloc.start()

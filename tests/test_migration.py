@@ -18,7 +18,7 @@ def world():
 
 
 def launch(world, pool, cid="c0"):
-    mount = StackFactory(world, pool, "D").mount_root(cid)
+    mount = StackFactory(pool, "D").mount_root(cid)
     return Container(pool, cid, mount)
 
 
@@ -132,6 +132,6 @@ def test_two_hosts_have_independent_kernels(world):
     # A pool carries its host, and its stacks mount in that host's kernel.
     pool = host_b.engine.create_pool("p", num_cores=2, ram_bytes=units.gib(1))
     assert pool.host is host_b
-    assert StackFactory(world, pool, "K").kernel is host_b.kernel
+    assert StackFactory(pool, "K").kernel is host_b.kernel
     with pytest.raises(Exception):
         world.add_host("client-b")  # duplicate name

@@ -23,7 +23,7 @@ def run_workload(world, symbol, data=b"x" * 65536):
     pool = world.primary.engine.create_pool(
         "p", num_cores=2, ram_bytes=units.gib(2)
     )
-    mount = StackFactory(world, pool, symbol).mount_root("c0")
+    mount = StackFactory(pool, symbol).mount_root("c0")
     task = pool.new_task()
 
     def proc():
@@ -177,9 +177,8 @@ def test_timelines_record_queue_depth_and_dirty_bytes():
 def test_chrome_trace_round_trip(tmp_path):
     observer = run_workload(make_observed_world(), "D")
     path = tmp_path / "trace.json"
-    count = observer.write_chrome_trace(str(path))
+    path.write_text(json.dumps(observer.chrome_trace()))
     trace = json.loads(path.read_text())
-    assert len(trace["traceEvents"]) == count
     spans = [ev for ev in trace["traceEvents"] if ev["ph"] == "X"]
     assert spans
     for event in spans[:50]:

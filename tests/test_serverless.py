@@ -21,7 +21,7 @@ def tenant(world):
     pool = world.primary.engine.create_pool(
         "fn", num_cores=2, ram_bytes=units.gib(2)
     )
-    mount = StackFactory(world, pool, "D").mount_root("c0")
+    mount = StackFactory(pool, "D").mount_root("c0")
     return ServerlessTenant(
         mount, pool, duration=2.0, threads=2, n_functions=3,
         handler_size=units.kib(16), state_size=units.kib(4),

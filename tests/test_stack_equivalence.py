@@ -123,7 +123,7 @@ def test_stack_equivalence(symbol):
     pool = world.primary.engine.create_pool(
         "p", num_cores=2, ram_bytes=units.gib(2)
     )
-    mount = StackFactory(world, pool, symbol).mount_root(
+    mount = StackFactory(pool, symbol).mount_root(
         "c0", image_path=image_path
     )
     task = pool.new_task()
@@ -146,7 +146,7 @@ def test_stack_state_visible_through_fresh_client(symbol):
     world = build_world()
     host = world.primary
     pool = host.engine.create_pool("p", num_cores=2, ram_bytes=units.gib(2))
-    mount = StackFactory(world, pool, symbol).mount_root("c0")
+    mount = StackFactory(pool, symbol).mount_root("c0")
     task = pool.new_task()
     run(world.sim, script(mount.fs, task), until=4000)
 

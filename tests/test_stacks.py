@@ -42,7 +42,7 @@ def seed_image(world, path="/images/test"):
             host.machine.cores, name="seed",
         )
         yield from host.engine.registry.materialize(
-            task, host.engine.push_image(image), client, path
+            task, host.engine.registry.push(image), client, path
         )
         yield from client.flush_all(task)
         client.stop()
@@ -56,7 +56,7 @@ def test_plain_stack_roundtrip(world, symbol):
     pool = world.primary.engine.create_pool(
         "p0", num_cores=2, ram_bytes=units.gib(2)
     )
-    factory = StackFactory(world, pool, symbol)
+    factory = StackFactory(pool, symbol)
     mount = factory.mount_root("c0")
     task = pool.new_task()
 
@@ -73,7 +73,7 @@ def test_union_stack_sees_image_and_writes_cow(world, symbol):
     pool = world.primary.engine.create_pool(
         "p0", num_cores=2, ram_bytes=units.gib(2)
     )
-    factory = StackFactory(world, pool, symbol)
+    factory = StackFactory(pool, symbol)
     mount = factory.mount_root("c0", image_path=path)
     task = pool.new_task()
     some_file = sorted(image.flat())[0]
@@ -95,7 +95,7 @@ def test_clones_share_lower_but_not_upper(world, symbol):
     pool = world.primary.engine.create_pool(
         "p0", num_cores=2, ram_bytes=units.gib(2)
     )
-    factory = StackFactory(world, pool, symbol)
+    factory = StackFactory(pool, symbol)
     mount_a = factory.mount_root("c0", image_path=path)
     mount_b = factory.mount_root("c1", image_path=path)
     task_a = pool.new_task("a")
@@ -114,7 +114,7 @@ def test_clones_share_lower_but_not_upper(world, symbol):
 
 def test_union_symbol_requires_image(world):
     pool = world.primary.engine.create_pool("p0")
-    factory = StackFactory(world, pool, "K/K")
+    factory = StackFactory(pool, "K/K")
     with pytest.raises(ConfigError):
         factory.mount_root("c0")
 
@@ -122,14 +122,14 @@ def test_union_symbol_requires_image(world):
 def test_unknown_symbol_rejected(world):
     pool = world.primary.engine.create_pool("p0")
     with pytest.raises(ConfigError):
-        StackFactory(world, pool, "X/Y")
+        StackFactory(pool, "X/Y")
 
 
 def test_danaus_mount_has_service_and_legacy_path(world):
     pool = world.primary.engine.create_pool(
         "p0", num_cores=2, ram_bytes=units.gib(2)
     )
-    mount = StackFactory(world, pool, "D").mount_root("c0")
+    mount = StackFactory(pool, "D").mount_root("c0")
     assert mount.service is not None
     assert mount.library is not None
     assert mount.legacy_fs is not None
@@ -147,7 +147,7 @@ def test_danaus_mount_has_service_and_legacy_path(world):
 def test_danaus_default_path_bypasses_kernel(world):
     host = world.primary
     pool = host.engine.create_pool("p0", num_cores=2, ram_bytes=units.gib(2))
-    mount = StackFactory(world, pool, "D").mount_root("c0")
+    mount = StackFactory(pool, "D").mount_root("c0")
     task = pool.new_task()
 
     def proc():
@@ -163,7 +163,7 @@ def test_danaus_default_path_bypasses_kernel(world):
 def test_kernel_stack_pays_syscalls(world):
     host = world.primary
     pool = host.engine.create_pool("p0", num_cores=2, ram_bytes=units.gib(2))
-    mount = StackFactory(world, pool, "K").mount_root("c0")
+    mount = StackFactory(pool, "K").mount_root("c0")
     task = pool.new_task()
 
     def proc():
@@ -210,7 +210,7 @@ def test_mount_local_roundtrip(world):
 def test_fp_stack_uses_page_cache_and_user_cache(world):
     host = world.primary
     pool = host.engine.create_pool("p0", num_cores=2, ram_bytes=units.gib(2))
-    factory = StackFactory(world, pool, "FP")
+    factory = StackFactory(pool, "FP")
     mount = factory.mount_root("c0")
     task = pool.new_task()
     payload = b"pp" * units.kib(32)
@@ -235,8 +235,8 @@ def test_danaus_service_crash_contained(world):
     image, path = seed_image(world)
     pool_a = host.engine.create_pool("a", num_cores=2, ram_bytes=units.gib(2))
     pool_b = host.engine.create_pool("b", num_cores=2, ram_bytes=units.gib(2))
-    mount_a = StackFactory(world, pool_a, "D").mount_root("c0")
-    mount_b = StackFactory(world, pool_b, "D").mount_root("c0")
+    mount_a = StackFactory(pool_a, "D").mount_root("c0")
+    mount_b = StackFactory(pool_b, "D").mount_root("c0")
     task_a = pool_a.new_task()
     task_b = pool_b.new_task()
 

@@ -6,8 +6,6 @@ through; a bare :class:`~repro.obs.Observer` on a simulator shows the
 ring-buffer semantics.
 """
 
-import json
-
 from repro.common import units
 from repro.obs import Observer
 from repro.sim import Simulator
@@ -28,7 +26,7 @@ def test_tracer_records_ipc_and_client_events():
     pool = world.primary.engine.create_pool(
         "p", num_cores=2, ram_bytes=units.gib(2)
     )
-    mount = StackFactory(world, pool, "D").mount_root("c0")
+    mount = StackFactory(pool, "D").mount_root("c0")
     task = pool.new_task()
 
     def proc():
@@ -48,7 +46,7 @@ def test_tracer_category_filter():
     pool = world.primary.engine.create_pool(
         "p", num_cores=2, ram_bytes=units.gib(2)
     )
-    mount = StackFactory(world, pool, "D").mount_root("c0")
+    mount = StackFactory(pool, "D").mount_root("c0")
     task = pool.new_task()
 
     def proc():
@@ -65,7 +63,7 @@ def test_tracer_records_fuse_calls():
     pool = world.primary.engine.create_pool(
         "p", num_cores=2, ram_bytes=units.gib(2)
     )
-    mount = StackFactory(world, pool, "F").mount_root("c0")
+    mount = StackFactory(pool, "F").mount_root("c0")
     task = pool.new_task()
 
     def proc():
@@ -104,16 +102,6 @@ def test_tracer_ring_buffer_keeps_most_recent():
     assert [event.detail["i"] for event in tracer.records] == [3, 4]
     summary = dict(tracer.summary())
     assert summary[("trace", "dropped")] == 3
-
-
-def test_tracer_jsonl_dump(tmp_path):
-    tracer = Observer(Simulator())
-    tracer.emit(1.5, "cat", "name", value=42)
-    out = tmp_path / "trace.jsonl"
-    count = tracer.to_jsonl(str(out))
-    assert count == 1
-    record = json.loads(out.read_text().strip())
-    assert record == {"t": 1.5, "cat": "cat", "name": "name", "value": 42}
 
 
 def test_no_tracer_is_noop():

@@ -39,7 +39,7 @@ def pool(world):
 
 @pytest.fixture
 def dmount(world, pool):
-    return StackFactory(world, pool, "D").mount_root("c0")
+    return StackFactory(pool, "D").mount_root("c0")
 
 
 def test_fileserver_produces_throughput(world, pool, dmount):
@@ -63,7 +63,7 @@ def test_fileserver_deterministic_given_seed(world):
         local_pool = local_host.engine.create_pool(
             "p0", num_cores=2, ram_bytes=units.gib(4)
         )
-        mount = StackFactory(local_world, local_pool, "D").mount_root("c0")
+        mount = StackFactory(local_pool, "D").mount_root("c0")
         workload = Fileserver(
             mount.fs, local_pool, duration=2.0, threads=2, nfiles=10,
             mean_size=units.kib(16), seed=42,
@@ -210,7 +210,7 @@ def test_fileappend_triggers_cow(world, pool):
     from tests.test_stacks import seed_image
 
     image, path = seed_image(world)
-    factory = StackFactory(world, pool, "D")
+    factory = StackFactory(pool, "D")
     mount = factory.mount_root("c0", image_path=path)
     task = pool.new_task()
     shared = sorted(image.flat())[0]  # a file from the read-only lower
@@ -254,13 +254,13 @@ def test_lighttpd_startup_sequence(world, pool):
 
     def seed():
         yield from host.engine.registry.materialize(
-            task, host.engine.push_image(image), client, "/images/lighttpd"
+            task, host.engine.registry.push(image), client, "/images/lighttpd"
         )
         yield from client.flush_all(task)
         client.stop()
 
     run(world.sim, seed(), until=2000)
-    factory = StackFactory(world, pool, "D")
+    factory = StackFactory(pool, "D")
     mount = factory.mount_root("c0", image_path="/images/lighttpd")
     container = Container(pool, "c0", mount)
     fleet = LighttpdFleet([container], image)
@@ -341,7 +341,7 @@ def _prealloc(stack, size, spelling):
     if stack == "local":
         mount = mount_local(pool)
     else:
-        mount = StackFactory(world, pool, stack).mount_root("c0")
+        mount = StackFactory(pool, stack).mount_root("c0")
     workload = Workload(mount.fs, pool, seed=3)
     task = pool.new_task()
 
