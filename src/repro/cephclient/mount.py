@@ -95,7 +95,7 @@ class CephMount(Filesystem):
         self.metrics = sim.metrics(name)
         #: the caps-mode registration, when the personality makes one
         self.client_id = None
-        #: exactly-once metadata stamps (allocated lazily when HA arms)
+        #: exactly-once metadata stamps (session id allocated lazily)
         self._mds_session_id = None
         self._mds_op_seq = 0
 
@@ -129,17 +129,14 @@ class CephMount(Filesystem):
     def _mds_op_ids(self):
         """Stamps for one mutating metadata op (exactly-once resends).
 
-        Disarmed (no MdsService) this returns ``{}`` and the call site
-        expands to nothing — the single-MDS event schedule is untouched.
-        Armed, every mutation carries a ``(client_id, op_id)`` pair that
-        lands in the rank journal: a post-failover resend of the same op
-        dedups against the replayed op-id table instead of re-running,
-        so rename/create/unlink apply exactly once. The pair is built
-        once per logical op — the cluster retry loop reuses it across
-        resends, which is the whole point.
+        Every mutation carries a ``(client_id, op_id)`` pair. With the
+        rank journal attached it lands in the journal record: a
+        post-failover resend of the same op dedups against the replayed
+        op-id table instead of re-running, so rename/create/unlink apply
+        exactly once. The pair is built once per logical op — the
+        cluster retry loop reuses it across resends, which is the whole
+        point.
         """
-        if self.cluster.mds_service is None:
-            return {}
         if self._mds_session_id is None:
             self._mds_session_id = (
                 self.client_id if self.client_id is not None

@@ -431,11 +431,10 @@ def _run_chaos_config(config):
         # Metadata convergence: give standby promotion + journal replay
         # (and duration-healed crash recoveries) time to finish before
         # the final verification sweeps the namespace.
-        if world.cluster.mds_service is not None:
-            for _ in range(600):
-                if world.cluster.mds_healthy():
-                    break
-                yield 0.25
+        for _ in range(600):
+            if world.cluster.mds_healthy():
+                break
+            yield 0.25
         scrub_converged = True
         if scrub_daemon is not None:
             # Stop the periodic loop, then deep-scrub to convergence so

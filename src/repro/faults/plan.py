@@ -19,8 +19,9 @@ Supported action kinds:
 ``partition``      partition the client-storage fabric for ``duration``
 ``link_degrade``   stretch fabric latency by ``delay_factor`` and drop
                    ``loss_rate`` of messages for ``duration``
-``mds_down``       MDS unavailability window; heals through journal
-                   replay (sessions lost, acked namespace rebuilt)
+``mds_down``       MDS unavailability window; heals through
+                   ``MdsService.restore`` (journal replay: sessions lost,
+                   acked namespace rebuilt)
 ``mds_crash``      SIGKILL the active MDS of rank ``target`` (un-journaled
                    in-flight mutations are honestly lost; a standby
                    promotes via heartbeats, or ``duration`` restores the
@@ -381,7 +382,9 @@ class FaultPlan(object):
             if action.duration:
                 world.sim.spawn(self._heal(action), name="fault-heal")
         elif action.kind == "mds_down":
-            cluster.mds.set_available(False)
+            daemon = cluster.mds
+            action.params["gid"] = daemon.gid  # heal restores this daemon
+            daemon.set_available(False)
             if action.duration:
                 world.sim.spawn(self._heal(action), name="fault-heal")
         elif action.kind == "mds_crash":
@@ -515,9 +518,7 @@ class FaultPlan(object):
             world.fabric.set_degraded()
         elif action.kind == "disk_slow":
             world.cluster.osds[action.target].device.set_slow_factor(1.0)
-        elif action.kind == "mds_down":
-            yield from world.cluster.mds.recover_local()
-        elif action.kind == "mds_crash":
+        elif action.kind in ("mds_down", "mds_crash"):
             yield from world.cluster.mds_service.restore(
                 action.params["gid"]
             )

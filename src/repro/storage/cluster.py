@@ -19,11 +19,17 @@ recorded stale until backfill refreshes them. The *daemons* that act on
 that state — the monitor's heartbeat prober and the backfill scheduler
 — have one switch, :meth:`CephCluster.arm_faults`, which a fault plan
 throws on install. ``enable_integrity`` / ``enable_mds_ha`` add modelled
-features with a simulated cost (digests, the journaled mdsmap), not a
-second body. While no prober runs, every daemon is up and the client's
+features with a simulated cost (digests, the MDS journal), not a
+second body. While no prober runs, every OSD is up and the client's
 snapshot is current, no attempt can be lost, so ``_retry`` skips the
 attempt/timeout race and runs the attempt inline — the only place the
 ``resilient`` property is read.
+
+Metadata has one path too. Every cluster runs an
+:class:`~repro.storage.mds.MdsService` (one rank, no standby) and every
+metadata op is routed through the client's mdsmap snapshot and stamped
+with its epoch. Whether mutations are journaled is decided inside
+``storage/mds.py`` alone; ``enable_mds_ha`` attaches the journals.
 """
 
 from repro.common.errors import (
@@ -38,7 +44,7 @@ from repro.common.rope import ByteRope
 from repro.sim.sync import Semaphore
 from repro.storage.backfill import BackfillScheduler
 from repro.storage.crush import CrushMap
-from repro.storage.mds import Mds
+from repro.storage.mds import MdsService
 from repro.storage.monitor import Monitor
 from repro.storage.osd import Osd
 
@@ -54,14 +60,13 @@ class CephCluster(object):
         self.costs = costs
         self.crush = CrushMap(num_osds, replicas=replicas)
         self.osds = [Osd(sim, i, costs) for i in range(num_osds)]
-        self._mds = Mds(sim, costs, self.cut)
-        #: metadata-HA coordinator, once enable_mds_ha runs; None means
-        #: the single un-journaled daemon serves every metadata op.
-        self.mds_service = None
-        #: client-side MdsMap snapshot (set when HA arms); like _osdmap,
-        #: refreshed only on retry boundaries so fencing is observable.
-        self._mdsmap = None
         self.monitor = Monitor(self)
+        #: the metadata service: one rank, no standby, no journal until
+        #: enable_mds_ha attaches them.
+        self.mds_service = MdsService(self)
+        #: client-side MdsMap snapshot; like _osdmap, refreshed only on
+        #: retry boundaries so fencing is observable.
+        self._mdsmap = self.monitor.mdsmap
         self.metrics = sim.metrics("cluster")
         self._cap_clients = {}  # client_id -> client (caps-mode only)
         self._next_client_id = 1
@@ -106,21 +111,13 @@ class CephCluster(object):
 
     @property
     def mds(self):
-        """The metadata daemon the single-MDS surface talks to.
-
-        Disarmed this is the one historical daemon; with HA armed it is
-        rank 0's current active, so legacy reaches (``.tree``,
-        ``.session_epoch``, ``.node_of``) keep working across failover.
-        """
-        if self.mds_service is not None:
-            return self.mds_service.active_daemon(0)
-        return self._mds
+        """Rank 0's current active daemon, so direct reaches (``.tree``,
+        ``.session_epoch``, ``.node_of``) keep working across failover."""
+        return self.mds_service.active_daemon(0)
 
     def mds_healthy(self):
-        """Every metadata rank live and serving (single daemon: up)."""
-        if self.mds_service is not None:
-            return self.mds_service.healthy()
-        return self._mds.available and not self._mds.crashed
+        """Every metadata rank live and serving."""
+        return self.mds_service.healthy()
 
     @property
     def degraded(self):
@@ -157,24 +154,18 @@ class CephCluster(object):
             self.metrics.counter(name)
 
     def enable_mds_ha(self, standbys=1, ranks=1):
-        """Arm metadata HA: journaled MDS ranks + standby-replay pool.
+        """Arm metadata HA: attach the rank journals, grow the pool to
+        ``standbys`` standby-replay daemons and ``ranks`` ranks.
 
         Once armed, every metadata mutation journals through the OSD
-        write path before acking, clients stamp ops with the mdsmap epoch
-        (fencing) and op ids (exactly-once resends), and the monitor's
-        heartbeat loop drives failover. ``standbys=0`` journals without a
+        write path before acking, and the op-id stamps every mutation
+        carries make resends exactly-once. Epoch fencing, op-id stamping
+        and the monitor's failover checks run armed or not; a failover
+        needs a standby to promote. ``standbys=0`` journals without a
         failover pool — the honest-crash substrate for in-place
         ``mds_down`` recovery.
         """
-        from repro.storage.mds import MdsService
-        if self.mds_service is None:
-            self.mds_service = MdsService(self, standbys=standbys,
-                                          ranks=ranks)
-        else:
-            while len(self.mds_service.standby_gids) < standbys:
-                self.mds_service.add_standby()
-            while self.mds_service.num_ranks < max(1, ranks):
-                self.mds_service.split_rank()
+        self.mds_service.attach_journals(standbys, ranks)
         self._mdsmap = self.monitor.mdsmap
         return self.mds_service
 
@@ -188,7 +179,7 @@ class CephCluster(object):
     def _refresh_mds_map(self):
         """Adopt the monitor's current mdsmap if ours is stale."""
         current = self.monitor.mdsmap
-        if current is not None and current is not self._mdsmap:
+        if current is not self._mdsmap:
             self._mdsmap = current
             self.metrics.counter("mdsmap_refreshes").add(1)
 
@@ -242,18 +233,17 @@ class CephCluster(object):
     @property
     def resilient(self):
         """True when an attempt can be lost: the failure daemons run,
-        a feature is armed, some daemon is down, or the client's map
+        integrity is armed, some OSD is down, or the client's map
         snapshot is behind the monitor's (the op will be fenced). Read
         by :meth:`_retry` only — it decides whether an attempt races the
-        op timeout, never which body an op runs."""
+        op timeout, never which body an op runs. MDS state is not in
+        it: an MDS never loses an OSD attempt, and every fault plan that
+        breaks an MDS runs the prober."""
         return (
             self.monitor.probing
             or self._integrity_armed
             or self._osdmap.epoch < self.monitor.epoch
             or self.degraded
-            or self.mds_service is not None
-            or not self._mds.available
-            or self._mds.crashed
             or any(osd.crashed for osd in self.osds)
         )
 
@@ -980,18 +970,14 @@ class CephCluster(object):
         dead MDS raises its own :class:`OpTimeout` after the detection
         window.
 
-        With metadata HA armed the target daemon is re-resolved *per
-        attempt* through the client's mdsmap snapshot — refreshed only on
-        retry boundaries, so a deposed active observably fences a stale
-        op (:class:`OldEpoch`) before the resend re-routes to the
-        promoted standby — and every op is stamped with the snapshot's
-        epoch. Client op-id stamps (exactly-once dedup) ride through in
+        The target daemon is re-resolved *per attempt* through the
+        client's mdsmap snapshot — refreshed only on retry boundaries,
+        so a deposed active observably fences a stale op
+        (:class:`OldEpoch`) before the resend re-routes to the promoted
+        standby — and every op is stamped with the snapshot's epoch.
+        Client op-id stamps (exactly-once dedup) ride through in
         ``kwargs`` untouched.
         """
-        service = self.mds_service
-        edge = "mds"
-        if service is None:
-            op = getattr(self._mds, op_name)
         delay = self.costs.retry_backoff
         last_err = None
         for attempt in range(self.costs.retry_attempts):
@@ -1002,17 +988,13 @@ class CephCluster(object):
                                error=type(last_err).__name__)
                 yield delay
                 delay = min(delay * 2.0, self.costs.retry_backoff_max)
-                if service is not None:
-                    self._refresh_mds_map()
-            if service is not None:
-                daemon = self._mds_target(op_name, args)
-                op = getattr(daemon, op_name)
-                kwargs["map_epoch"] = self._mdsmap.epoch
-                edge = "mds.%d" % daemon.gid
+                self._refresh_mds_map()
+            daemon = self._mds_target(op_name, args)
+            kwargs["map_epoch"] = self._mdsmap.epoch
             try:
                 return (yield from self.fabric.rpc(
-                    op(*args, **kwargs), send_bytes=256, recv_bytes=256,
-                    edge=edge,
+                    getattr(daemon, op_name)(*args, **kwargs),
+                    send_bytes=256, recv_bytes=256, edge=daemon.edge,
                 ))
             except OldEpoch as err:
                 self.metrics.counter("mds_stale_map_rejects").add(1)

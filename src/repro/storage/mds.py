@@ -1,33 +1,37 @@
 """Metadata service: journaled MDS ranks with standby-replay failover.
 
-The single-MDS shape of the testbed is preserved exactly: a disarmed
-:class:`Mds` is one daemon serving the whole namespace with the same op
-costs and the same event schedule as before (no journal, no fencing, no
-op-id bookkeeping — those branches never yield when HA is off).
+Every cluster runs one :class:`MdsService`: the namespace is
+hash-partitioned over *ranks* by an epoch-versioned
+:class:`~repro.storage.mdsmap.MdsMap`, each rank is served by one
+:class:`Mds` daemon, and clients route every op through their mdsmap
+snapshot, stamped with its epoch and, for a mutation, a ``(client_id,
+op_id)`` pair. A fresh cluster has one rank, no standby and no journal,
+the one MDS of the testbed.
 
-Arming metadata HA (``cluster.enable_mds_ha``) wraps a pool of daemons
-in an :class:`MdsService`:
+The journal is the one switch (``cluster.enable_mds_ha`` attaches it)
+and only this module reads it:
 
-* the namespace is hash-partitioned over *ranks* by an epoch-versioned
-  :class:`~repro.storage.mdsmap.MdsMap`, published through the Monitor;
-* every namespace mutation is **journaled before it is applied or
-  acked**: the record goes out as object bytes through the ordinary OSD
-  write path (so replication, bitrot, scrub and read-repair cover
-  metadata for free), and only then does the daemon touch the shared
-  store — an MDS SIGKILL therefore honestly loses exactly the in-flight
-  ops that never reached the journal. The live op applies its own
-  record through the method replay runs, so replay rebuilds the
-  namespace the clients saw; the checks are ``MemTree``'s, run before
-  the journal append;
-* mutations carry ``(client_id, op_id)`` stamps which land in the
-  journal record; a per-rank dedup table — rebuilt on replay — answers
-  client resends with the recorded result, making rename/create/unlink
-  exactly-once across a failover;
+* with a journal every namespace mutation is **journaled before it is
+  applied or acked**: the record goes out as object bytes through the
+  ordinary OSD write path (so replication, bitrot, scrub and read-repair
+  cover metadata for free), and only then does the daemon touch the
+  shared store — an MDS SIGKILL therefore honestly loses exactly the
+  in-flight ops that never reached the journal. A rank's mutations run
+  one at a time from their checks to their apply, so the namespace an
+  op checked is the one it changes;
+* the op-id stamps land in the journal record; a per-rank dedup table —
+  rebuilt on replay — answers client resends with the recorded result,
+  making rename/create/unlink exactly-once across a failover;
 * standbys tail the active ranks' journals (*standby-replay*), so a
   heartbeat-detected failure promotes one with only the journal lag
   left to replay; the deposed active is fenced by mdsmap-epoch
   rejection (:class:`~repro.common.errors.OldEpoch`), the EOLDEPOCH
   analogue the OSDs already implement.
+
+Without a journal a mutation applies in place: nothing is journaled,
+remembered or waited for, and the op costs and event schedule are those
+of an un-journaled MDS. Either way the live op applies its own record
+through the method replay runs, and the checks are ``MemTree``'s.
 
 A per-inode version counter lets clients validate cached attributes
 cheaply (the revalidate-on-open consistency the clients implement).
@@ -44,7 +48,7 @@ from repro.common.errors import (
     ServiceRestarting,
 )
 from repro.fs.memtree import MemTree
-from repro.sim.sync import Semaphore
+from repro.sim.sync import Mutex, Semaphore
 from repro.storage.caps import CapsTable
 from repro.storage.mdsmap import MdsMap
 
@@ -145,24 +149,26 @@ class MdsJournal(object):
 
 
 class Mds(object):
-    """One metadata daemon: the single-MDS shape, HA-capable.
+    """One metadata daemon of an :class:`MdsService`, serving one rank.
 
-    Disarmed (``journal is None``, no :class:`MdsService`) this is
-    byte-identical to the historical single MDS. Attached to a service
-    it serves one rank with journal-before-apply semantics, op-id
-    dedup, and mdsmap-epoch fencing.
+    It always fences ops by mdsmap epoch. With its rank's journal
+    attached it journals each mutation before applying it, keeps the
+    op-id dedup table and orders the rank's mutations (see
+    :meth:`_mutate`); without one it applies mutations in place.
     """
 
-    def __init__(self, sim, costs, trim, store=None, gid=0):
+    def __init__(self, sim, costs, trim, store, gid):
         self.sim = sim
         self.costs = costs
         #: ``trim(ino, size)``: the cluster cuts every stored copy of a
         #: file, without cost (see ``CephCluster.cut``)
         self._trim = trim
-        self.store = store if store is not None else MdsStore()
+        self.store = store
         self.tree = self.store.tree
         self._versions = self.store.versions
         self._slots = Semaphore(sim, costs.mds_concurrency, name="mds")
+        #: held by a journaled mutation from its dedup lookup to its apply
+        self._order = Mutex(sim, name="mds_order")
         self.caps = CapsTable()
         self.available = True
         #: bumps on every restart/failover; clients compare it against
@@ -171,8 +177,10 @@ class Mds(object):
         #: session-reconnect protocol.
         self.session_epoch = 1
         self.metrics = sim.metrics("mds:%d" % gid)
-        # --- HA state (inert until a journal/service is attached) -----
+        # --- HA state (inert until a journal is attached) -------------
         self.gid = gid
+        #: the fabric edge naming this daemon (per-edge RPC accounting)
+        self.edge = "mds.%d" % gid
         self.rank = 0
         #: active | replay | standby | stopped
         self.state = "active"
@@ -180,7 +188,6 @@ class Mds(object):
         #: the daemon's view of the mdsmap epoch (fencing)
         self.map_epoch = 1
         self.journal = None
-        self.service = None
         self.dedup = {}      # (client_id, op_id) -> recorded result
         self.sessions = {}   # client_id -> highest op_id seen
         self._tail_pos = {}  # rank -> journal bytes absorbed while standby
@@ -203,25 +210,17 @@ class Mds(object):
         self.sim.trace("mds", "crash", gid=self.gid, rank=self.rank)
         self.metrics.counter("crashes").add(1)
 
-    def recover_local(self):
-        """Journal-backed in-place recovery (sim generator).
-
-        The one restart of a daemon: sessions and caps are lost (clients
-        reestablish), the op-id dedup table is rebuilt from the journal,
-        and records that were journaled but never applied land now.
-        """
-        self.state = "replay"
+    def _restart(self):
+        """Come back as a fresh process: alive and reachable, with the
+        per-process tables (caps, dedup, sessions, standby-replay
+        progress) empty. The shared store is untouched."""
         self.crashed = False
         self.available = True
         self.caps = CapsTable()
         self.dedup = {}
         self.sessions = {}
-        self.session_epoch += 1
-        self.sim.trace("mds", "replay_recover", gid=self.gid,
-                       session_epoch=self.session_epoch)
-        yield from self.replay_journal(self.journal, self.rank, from_bytes=0)
-        self.state = "active"
-        self.metrics.counter("restarts").add(1)
+        self._tail_pos = {}
+        self._pending_apply = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -238,12 +237,8 @@ class Mds(object):
             self._versions.get(node.ino, 0),
         )
 
-    def _op(self, map_epoch=None, client_id=None, op_id=None):
-        """Pay the MDS service cost under the concurrency bound.
-
-        Returns a resent mutation's recorded result, else the miss
-        sentinel (always the miss when the journal is disarmed).
-        """
+    def _op(self, map_epoch=None):
+        """Pay the MDS service cost under the concurrency bound."""
         if self.crashed or not self.available:
             # Dead MDS: the request goes unanswered until the client-side
             # op timeout declares it lost.
@@ -257,12 +252,6 @@ class Mds(object):
         finally:
             self._slots.release()
         self.metrics.counter("ops").add(1)
-        if client_id is None or op_id is None or self.journal is None:
-            return _MISS
-        hit = self.dedup.get((client_id, op_id), _MISS)
-        if hit is not _MISS:
-            self.metrics.counter("dedup_hits").add(1)
-        return hit
 
     def _fence(self, map_epoch):
         """Reject ops this daemon must not serve under the current map."""
@@ -275,6 +264,14 @@ class Mds(object):
         if self.state == "replay":
             raise ServiceRestarting("mds rank %d replaying journal" % self.rank)
 
+    def _check_serving(self, when):
+        """Refuse to go on with a mutation once the daemon has died or
+        lost its rank (``when`` names the wait it happened in)."""
+        if self.crashed:
+            raise OpTimeout("mds crashed %s" % when)
+        if self.state != "active":
+            raise OldEpoch("mds gid %d deposed %s" % (self.gid, when))
+
     def _remember(self, client_id, op_id, result):
         """Record a mutation's result in the dedup and session tables."""
         if client_id is None or op_id is None:
@@ -284,39 +281,61 @@ class Mds(object):
         if prev is None or op_id > prev:
             self.sessions[client_id] = op_id
 
-    def _mutation(self, op, fields, client_id, op_id, exclusive=False):
-        """Journal one mutation's record, apply it, return its result.
+    def _mutate(self, plan, client_id, op_id, map_epoch, exclusive=False):
+        """Serve one namespace mutation (sim generator); returns its result.
 
-        Sim generator. The caller has run the op's checks already (a
-        doomed mutation must never reach the journal). The namespace
-        changes only through :meth:`_apply_record`, the method replay
-        runs, so the record's mtime is the live mtime and a replayed
-        namespace is the one the clients saw. The one branch: disarmed,
-        nothing is journaled and nothing yields; armed, the record is
-        appended first and the apply follows it with no yield between.
+        ``plan()`` runs the op's checks and returns the ``(op, fields)``
+        of its journal record, or ``(None, result)`` when the op answers
+        without a mutation; a doomed mutation never reaches the journal.
+        The namespace changes only through :meth:`_apply_record`, the
+        method replay runs, so the record's mtime is the live mtime and
+        a replayed namespace is the one the clients saw. ``exclusive``
+        is the one check a record does not carry (O_EXCL).
+
+        The journal is the one switch. Without one, the checks and the
+        apply run with no yield between them. With one, the record is
+        appended before the apply, and the daemon's ``_order`` mutex is
+        held from the dedup lookup to the apply, so no other mutation
+        of the rank lands between this op's checks and its apply.
         """
-        record = dict(fields, op=op)
-        journal = self.journal
-        if journal is None:
-            return self._apply_record(record, exclusive)
-        seq = journal.next_seq
-        journal.next_seq += 1
-        record.update(client=client_id, op_id=op_id, seq=seq)
-        yield from journal.append(record)
-        self.metrics.counter("journal_entries").add(1)
-        if self.crashed:
-            # SIGKILL raced the append: the record is durable but this
-            # process never applies it — the promoted standby's replay
+        yield from self._op(map_epoch)
+        # A daemon deposed during the op's service time has lost its
+        # journal as well as its rank: it must not apply in place.
+        self._check_serving("while serving")
+        if self.journal is None:
+            op, fields = plan()
+            if op is None:
+                return fields
+            return self._apply_record(dict(fields, op=op), exclusive)
+        order = self._order
+        yield order.acquire()
+        try:
+            self._check_serving("while queued")
+            hit = self.dedup.get((client_id, op_id), _MISS)
+            if hit is not _MISS:
+                self.metrics.counter("dedup_hits").add(1)
+                return hit
+            op, fields = plan()
+            if op is None:
+                return fields
+            journal = self.journal
+            seq = journal.next_seq
+            journal.next_seq += 1
+            record = dict(fields, op=op, client=client_id, op_id=op_id,
+                          seq=seq)
+            yield from journal.append(record)
+            self.metrics.counter("journal_entries").add(1)
+            # A SIGKILL that raced the append leaves a durable record
+            # this process never applies: the promoted standby's replay
             # will, and the client's resend dedups against it.
-            raise OpTimeout("mds crashed")
-        if self.state != "active":
-            raise OldEpoch("mds gid %d deposed during journal append"
-                           % self.gid)
-        result = self._apply_record(record, exclusive)
-        self.store.applied.setdefault(self.rank, set()).add(seq)
-        self._pending_apply.pop(seq, None)
-        self._remember(client_id, op_id, result)
-        return result
+            self._check_serving("during journal append")
+            result = self._apply_record(record, exclusive)
+            self.store.applied.setdefault(self.rank, set()).add(seq)
+            self._pending_apply.pop(seq, None)
+            self._remember(client_id, op_id, result)
+            return result
+        finally:
+            order.release()
 
     # -- server-side operations (sim generators) ---------------------------
 
@@ -328,62 +347,43 @@ class Mds(object):
                client_id=None, op_id=None, map_epoch=None):
         """Create a file, or open an existing one; ``truncate`` (O_TRUNC)
         cuts an existing file to size 0 in the same op."""
-        hit = yield from self._op(map_epoch, client_id, op_id)
-        if hit is not _MISS:
-            return hit
-        _parent, _name, existing = self.tree.check_create(path, exclusive)
-        if existing is not None:
+        def plan():
+            _parent, _name, existing = self.tree.check_create(path, exclusive)
+            if existing is None:
+                return "create", {"path": path, "mode": mode,
+                                  "ino": self.tree._alloc_ino(),
+                                  "mtime": self.sim.now}
             if truncate:
-                return (yield from self._mutation(
-                    "setattr",
-                    {"path": path, "ino": existing.ino, "size": 0,
-                     "mtime": self.sim.now, "truncate": True},
-                    client_id, op_id,
-                ))
+                return "setattr", {"path": path, "ino": existing.ino,
+                                   "size": 0, "mtime": self.sim.now,
+                                   "truncate": True}
             # Open-existing: no namespace mutation, nothing to journal.
             self._bump(existing)
-            return self._info(existing)
-        return (yield from self._mutation(
-            "create",
-            {"path": path, "mode": mode, "ino": self.tree._alloc_ino(),
-             "mtime": self.sim.now},
-            client_id, op_id, exclusive,
-        ))
+            return None, self._info(existing)
+        return self._mutate(plan, client_id, op_id, map_epoch, exclusive)
 
     def mkdir(self, path, mode=0o755, client_id=None, op_id=None,
               map_epoch=None):
-        hit = yield from self._op(map_epoch, client_id, op_id)
-        if hit is not _MISS:
-            return hit
-        self.tree.check_mkdir(path)
-        return (yield from self._mutation(
-            "mkdir",
-            {"path": path, "mode": mode, "ino": self.tree._alloc_ino(),
-             "mtime": self.sim.now},
-            client_id, op_id,
-        ))
+        def plan():
+            self.tree.check_mkdir(path)
+            return "mkdir", {"path": path, "mode": mode,
+                             "ino": self.tree._alloc_ino(),
+                             "mtime": self.sim.now}
+        return self._mutate(plan, client_id, op_id, map_epoch)
 
     def rmdir(self, path, client_id=None, op_id=None, map_epoch=None):
-        hit = yield from self._op(map_epoch, client_id, op_id)
-        if hit is not _MISS:
-            return hit
-        self.tree.check_rmdir(path)
-        return (yield from self._mutation(
-            "rmdir", {"path": path, "mtime": self.sim.now}, client_id, op_id,
-        ))
+        def plan():
+            self.tree.check_rmdir(path)
+            return "rmdir", {"path": path, "mtime": self.sim.now}
+        return self._mutate(plan, client_id, op_id, map_epoch)
 
     def unlink(self, path, client_id=None, op_id=None, map_epoch=None):
         """Remove a file; returns its (ino, size) for object purging."""
-        hit = yield from self._op(map_epoch, client_id, op_id)
-        if hit is not _MISS:
-            return hit
-        _parent, _name, node = self.tree.check_unlink(path)
-        return (yield from self._mutation(
-            "unlink",
-            {"path": path, "ino": node.ino, "size": node.size,
-             "mtime": self.sim.now},
-            client_id, op_id,
-        ))
+        def plan():
+            _parent, _name, node = self.tree.check_unlink(path)
+            return "unlink", {"path": path, "ino": node.ino,
+                              "size": node.size, "mtime": self.sim.now}
+        return self._mutate(plan, client_id, op_id, map_epoch)
 
     def readdir(self, path, map_epoch=None):
         yield from self._op(map_epoch)
@@ -394,34 +394,29 @@ class Mds(object):
 
     def rename(self, old_path, new_path, client_id=None, op_id=None,
                map_epoch=None):
-        hit = yield from self._op(map_epoch, client_id, op_id)
-        if hit is not _MISS:
-            return hit
-        self.tree.check_rename(old_path, new_path)
-        return (yield from self._mutation(
-            "rename",
-            {"old": old_path, "new": new_path, "mtime": self.sim.now},
-            client_id, op_id,
-        ))
+        def plan():
+            self.tree.check_rename(old_path, new_path)
+            return "rename", {"old": old_path, "new": new_path,
+                              "mtime": self.sim.now}
+        return self._mutate(plan, client_id, op_id, map_epoch)
 
     def setattr_size(self, path, size, mtime=None, truncate=False,
                      client_id=None, op_id=None, map_epoch=None):
         """Record the new size/mtime of a file: a client cap flush, or
         with ``truncate`` a truncate, whose cut of the stored objects
         is part of the op."""
-        hit = yield from self._op(map_epoch, client_id, op_id)
-        if hit is not _MISS:
-            return hit
-        node = self.tree.lookup(path)
-        if node.is_dir:
-            raise IsADirectory(path=path)
-        if size < 0:
-            raise InvalidArgument("negative size")
-        fields = {"path": path, "ino": node.ino, "size": size,
-                  "mtime": mtime if mtime is not None else self.sim.now}
-        if truncate:
-            fields["truncate"] = True
-        return (yield from self._mutation("setattr", fields, client_id, op_id))
+        def plan():
+            node = self.tree.lookup(path)
+            if node.is_dir:
+                raise IsADirectory(path=path)
+            if size < 0:
+                raise InvalidArgument("negative size")
+            fields = {"path": path, "ino": node.ino, "size": size,
+                      "mtime": mtime if mtime is not None else self.sim.now}
+            if truncate:
+                fields["truncate"] = True
+            return "setattr", fields
+        return self._mutate(plan, client_id, op_id, map_epoch)
 
     # -- capabilities (caps-mode clients only) --------------------------------
 
@@ -571,41 +566,54 @@ class Mds(object):
 
 
 class MdsService(object):
-    """Coordinator for metadata HA: the daemon pool, per-rank journals
-    and the Monitor-published :class:`MdsMap`.
+    """The metadata service: the daemon pool, per-rank journals and the
+    Monitor-published :class:`MdsMap`.
 
-    Created by ``cluster.enable_mds_ha``; never on the fault-free path.
-    The cluster's original single daemon becomes rank 0's active, spare
-    daemons join the standby pool and tail the active journals, and the
-    monitor's heartbeat loop calls :meth:`check_heartbeats` each probe
-    round to drive failover.
+    Every cluster builds one: rank 0 served by daemon gid 0, no standby,
+    no journal. :meth:`attach_journals` (``cluster.enable_mds_ha``)
+    gives every rank its journal and grows the pool; spare daemons join
+    the standby pool and tail the active journals, and the monitor's
+    heartbeat loop calls :meth:`check_heartbeats` each probe round to
+    drive failover.
     """
 
-    def __init__(self, cluster, standbys=1, ranks=1):
+    def __init__(self, cluster):
         self.cluster = cluster
         self.sim = cluster.sim
         self.costs = cluster.costs
-        primary = cluster._mds
-        primary.service = self
-        self.store = primary.store
-        self.daemons = {primary.gid: primary}
-        self._next_gid = primary.gid + 1
-        self.session_epoch = primary.session_epoch
-        self.epoch = 0
-        self.active_gids = [primary.gid]   # rank -> gid
+        self.store = MdsStore()
+        self.daemons = {}
+        self._next_gid = 0
+        self.session_epoch = 1
+        self.epoch = 1
+        self.active_gids = []   # rank -> gid
         self.standby_gids = []
-        self.journals = {0: MdsJournal(cluster, 0)}
-        primary.journal = self.journals[0]
-        primary.rank = 0
-        primary.state = "active"
+        self.journals = {}      # rank -> MdsJournal, once attached
         self.metrics = self.sim.metrics("mds")
         self._tails = {}       # gid -> tail process
         self._promoting = set()
         self._hb_misses = {}   # rank -> consecutive missed probes
-        for _ in range(max(0, standbys)):
+        self.active_gids.append(self._new_daemon().gid)
+        # The first map is the monitor's initial state, not a change:
+        # it is installed without a publication event.
+        cluster.monitor.mdsmap = MdsMap(self.epoch, self.active_gids,
+                                        self.standby_gids,
+                                        self.session_epoch)
+
+    def attach_journals(self, standbys, ranks):
+        """Journal rank 0 and grow the pool to at least ``standbys``
+        standby daemons and ``ranks`` ranks; the first call republishes
+        the map. Ranks are only split once a journal is attached, and a
+        split rank gets its journal when it is created."""
+        first = not self.journals
+        if first:
+            self.journals[0] = MdsJournal(self.cluster, 0)
+            self.active_daemon(0).journal = self.journals[0]
+        while len(self.standby_gids) < standbys:
             self.add_standby()
-        self._publish("mds_ha_armed")
-        for _ in range(max(1, ranks) - 1):
+        if first:
+            self._publish("mds_ha_armed")
+        while self.num_ranks < max(1, ranks):
             self.split_rank()
 
     # -- map publication ---------------------------------------------------
@@ -625,7 +633,6 @@ class MdsService(object):
     def _new_daemon(self):
         daemon = Mds(self.sim, self.costs, self.cluster.cut,
                      store=self.store, gid=self._next_gid)
-        daemon.service = self
         daemon.session_epoch = self.session_epoch
         daemon.map_epoch = self.epoch
         self.daemons[daemon.gid] = daemon
@@ -768,47 +775,38 @@ class MdsService(object):
         return best
 
     def restore(self, gid):
-        """Restart a SIGKILLed daemon (fault heal; sim generator).
+        """Restart a SIGKILLed or unavailable daemon (fault heal; sim
+        generator).
 
         If a standby already took its rank it rejoins as an empty
-        standby; if no standby ever did, it recovers in place through
-        journal replay.
+        standby. Otherwise it restarts in place: sessions and caps are
+        lost (clients reestablish under the bumped session epoch), and
+        the dedup table and any record journaled but never applied come
+        back from a replay of the rank's journal from byte 0.
         """
         daemon = self.daemons[gid]
-        if not daemon.crashed:
+        if not daemon.crashed and daemon.available:
             return
-        if gid in self.active_gids:
-            rank = self.active_gids.index(gid)
-            daemon.crashed = False
-            daemon.caps = CapsTable()
-            daemon.dedup = {}
-            daemon.sessions = {}
-            daemon._tail_pos = {}
-            daemon._pending_apply = {}
-            daemon.state = "replay"
-            self.session_epoch += 1
-            for other in self.daemons.values():
-                other.session_epoch = self.session_epoch
-            self._publish("mds_recover", rank=rank)
-            yield from daemon.replay_journal(self.journals[rank], rank,
-                                             from_bytes=0)
-            daemon.state = "active"
-        else:
+        if gid not in self.active_gids:
             self.rejoin(gid)
+            return
+        rank = self.active_gids.index(gid)
+        daemon._restart()
+        daemon.state = "replay"
+        self.session_epoch += 1
+        for other in self.daemons.values():
+            other.session_epoch = self.session_epoch
+        self._publish("mds_recover", rank=rank)
+        yield from daemon.replay_journal(self.journals[rank], rank)
+        daemon.state = "active"
 
     def rejoin(self, gid):
         """A deposed or SIGKILLed daemon restarts as an empty standby."""
         daemon = self.daemons[gid]
-        daemon.crashed = False
-        daemon.available = True
+        daemon._restart()
         daemon.state = "standby"
         daemon.rank = None
         daemon.journal = None
-        daemon.dedup = {}
-        daemon.sessions = {}
-        daemon.caps = CapsTable()
-        daemon._tail_pos = {}
-        daemon._pending_apply = {}
         if gid not in self.standby_gids and gid not in self.active_gids:
             self.standby_gids.append(gid)
             self._start_tail(daemon)

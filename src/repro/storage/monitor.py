@@ -100,7 +100,7 @@ class Monitor(object):
         self._subscribers = []
         self._map = OsdMap(self.epoch, self._down, self._out,
                            self.cluster.crush)
-        #: the current MdsMap snapshot, once metadata HA is armed
+        #: the current MdsMap snapshot (the MdsService installs the first)
         self.mdsmap = None
 
     # -- map publication -------------------------------------------------
@@ -354,12 +354,9 @@ class Monitor(object):
                 if since is not None and \
                         sim.now - since >= costs.osd_out_interval:
                     self.mark_out(osd_id)
-            # MDS rank liveness rides the same probe cadence. Pure
-            # attribute read when HA is disarmed (mds_service is None),
-            # so heartbeat-only runs keep their exact event schedule.
-            service = self.cluster.mds_service
-            if service is not None:
-                service.check_heartbeats()
+            # MDS rank liveness rides the same probe cadence; the check
+            # is pure, so heartbeat-only runs keep their event schedule.
+            self.cluster.mds_service.check_heartbeats()
 
     # -- placement under failure ------------------------------------------------
 

@@ -200,7 +200,7 @@ def test_caps_reacquired_after_session_reconnect(sim, machine, cluster, costs):
         ino = cluster.mds.node_of("/held").ino
         held_before = cluster.mds.caps.held(ino, client.client_id)
         cluster.mds.crash()
-        yield from cluster.mds.recover_local()
+        yield from cluster.mds_service.restore(cluster.mds.gid)
         assert cluster.mds.caps.held(ino, client.client_id) == 0
         # Any metadata op triggers the reconnect protocol first.
         yield from client.open(task, "/held", OpenFlags.RDWR)

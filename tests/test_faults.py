@@ -238,7 +238,7 @@ def test_mds_outage_then_restart_recovers_sessions(sim, machine):
         yield from client.close(task, handle)
         epoch_before = cluster.mds.session_epoch
         cluster.mds.crash()
-        yield from cluster.mds.recover_local()
+        yield from cluster.mds_service.restore(cluster.mds.gid)
         assert cluster.mds.session_epoch == epoch_before + 1
         # Next open reestablishes the session and reacquires caps.
         handle = yield from client.open(task, "/session-file", OpenFlags.RDWR)
@@ -248,6 +248,44 @@ def test_mds_outage_then_restart_recovers_sessions(sim, machine):
 
     assert run(sim, proc()) == b"pre-restart"
     assert client.metrics.counter("sessions_reestablished").value >= 1
+
+
+def test_mds_down_window_heals_through_journal_replay():
+    """A plan's ``mds_down`` window over a D workload: the heal restarts
+    the daemon through ``MdsService.restore``, which replays the journal
+    (the plan attached it), and every file the app saw acked reads back
+    intact."""
+    world, [(pool, _factory, mount)] = make_world("D")
+    plan = FaultPlan(seed=7)
+    plan.schedule("mds_down", at=0.005, duration=0.3)
+    plan.install(world)
+    task = pool.new_task("mds-down")
+
+    def proc():
+        acked = {}
+        for index in range(16):
+            path, data = "/f%d" % index, bytes([index + 1]) * 6000
+            try:
+                yield from mount.fs.write_file(task, path, data, sync=True)
+            except FsError:
+                continue
+            acked[path] = data
+        read = {}
+        for path in acked:
+            read[path] = yield from mount.fs.read_file(task, path)
+        return acked, read
+
+    acked, read = run(world.sim, proc(), until=60.0)
+    # The window opens mid-workload: a write waits it out and resends.
+    assert [entry[1:3] for entry in plan.log] == [
+        ("inject", "mds_down"), ("heal", "mds_down")]
+    assert world.cluster.metrics.counter("mds_retries").value >= 1
+    mds = world.cluster.mds
+    assert mds.metrics.counter("replays").value == 1
+    assert mds.metrics.counter("replayed_records").value > 0
+    assert world.cluster.mds_healthy()
+    assert len(acked) > 8
+    assert read == acked
 
 
 # --- service crash semantics (no caller left blocked) ------------------------

@@ -16,12 +16,13 @@ import functools
 import pytest
 
 from repro.common import units
-from repro.common.errors import FileExists, OldEpoch, OpTimeout
+from repro.common.errors import FileExists, FsError, OldEpoch, OpTimeout
 from repro.costs import CostModel
 from repro.faults.chaos import ChaosConfig
 from repro.net import Fabric
 from repro.storage import CephCluster
-from repro.storage.mds import Mds, MdsStore
+from repro.sim import Simulator
+from repro.storage.mds import JOURNAL_INO_BASE, InodeInfo, Mds, MdsStore
 from repro.storage.mdsmap import MdsMap
 from tests.conftest import committed_fingerprint, run
 
@@ -104,8 +105,8 @@ def test_torn_journal_tail_is_dropped_by_replay(sim, cluster):
     assert consumed < journal.length  # the torn suffix was not trusted
 
 
-def test_crash_then_recover_local_replays_the_journal(sim, cluster):
-    cluster.enable_mds_ha(standbys=0)
+def test_crash_then_restore_replays_the_journal(sim, cluster):
+    service = cluster.enable_mds_ha(standbys=0)
 
     def proc():
         yield from cluster.mds_call("mkdir", "/kept", client_id=1, op_id=1)
@@ -117,7 +118,7 @@ def test_crash_then_recover_local_replays_the_journal(sim, cluster):
         # SIGKILL answers nothing: a bare op times out.
         with pytest.raises(OpTimeout):
             yield from mds.lookup("/kept/f")
-        yield from mds.recover_local()
+        yield from service.restore(mds.gid)
         assert mds.session_epoch == epoch_before + 1
         info = yield from mds.lookup("/kept/f")
         return info, mds
@@ -211,6 +212,30 @@ def test_deposed_active_fences_stale_epoch_ops(sim, cluster):
     assert cluster.mds is not old
 
 
+def test_daemon_deposed_while_serving_applies_nothing(sim, cluster):
+    """A failover that lands inside a mutation's service time leaves the
+    deposed daemon without its journal: the op must be fenced, not
+    applied to the shared store unjournaled."""
+    service = cluster.enable_mds_ha(standbys=1)
+    old = service.active_daemon(0)
+
+    def serve():
+        with pytest.raises(OldEpoch):
+            yield from old.mkdir("/late", client_id=1, op_id=1,
+                                 map_epoch=old.map_epoch)
+
+    def proc():
+        op = sim.spawn(serve())
+        yield cluster.costs.mds_op / 4  # the op is inside its service time
+        yield from service.failover(0)
+        yield op
+
+    run(sim, proc())
+    assert cluster.mds is not old
+    assert cluster.mds.tree.try_lookup("/late") is None
+    assert service.journals[0].entries == 0
+
+
 def test_rank_split_repartitions_and_keeps_namespace(sim, cluster):
     service = cluster.enable_mds_ha(standbys=1)
 
@@ -244,53 +269,127 @@ def _namespace(tree):
             for path, node in tree.walk("/")]
 
 
+#: one of each mutation, stamped in order with op ids 1, 2, …
+_OPS = [
+    ("mkdir", ("/d",), {}),
+    ("create", ("/d/f",), {"exclusive": True}),
+    ("create", ("/d/g",), {}),
+    ("setattr_size", ("/d/f", 5000), {}),
+    ("setattr_size", ("/d/g", 100), {"truncate": True}),
+    ("rename", ("/d/f", "/d/h"), {}),
+    ("unlink", ("/d/g",), {}),
+    ("mkdir", ("/d/e",), {}),
+    ("rmdir", ("/d/e",), {}),
+]
+
+
+def _run_ops(cluster):
+    """Run :data:`_OPS` as client 1 (sim generator); returns the
+    results."""
+    results = []
+    for op_id, (op, args, kwargs) in enumerate(_OPS, 1):
+        results.append((yield from cluster.mds_call(
+            op, *args, client_id=1, op_id=op_id, **kwargs)))
+    return results
+
+
 def test_replaying_the_journal_rebuilds_the_live_namespace(sim, cluster):
     """Live ops and replay apply the same records: a fresh daemon that
     replays rank 0's journal holds the namespace the clients saw, down
     to every directory's mtime."""
     service = cluster.enable_mds_ha(standbys=0)
-    ops = [
-        ("mkdir", ("/d",), {}),
-        ("create", ("/d/f",), {"exclusive": True}),
-        ("create", ("/d/g",), {}),
-        ("setattr_size", ("/d/f", 5000), {}),
-        ("setattr_size", ("/d/g", 100), {"truncate": True}),
-        ("rename", ("/d/f", "/d/h"), {}),
-        ("unlink", ("/d/g",), {}),
-        ("mkdir", ("/d/e",), {}),
-        ("rmdir", ("/d/e",), {}),
-    ]
 
     def proc():
-        for op_id, (op, args, kwargs) in enumerate(ops, 1):
-            yield from cluster.mds_call(op, *args, client_id=1, op_id=op_id,
-                                        **kwargs)
+        yield from _run_ops(cluster)
         fresh = Mds(sim, cluster.costs, lambda ino, size: None,
                     store=MdsStore(), gid=99)
         replayed = yield from fresh.replay_journal(service.journals[0], 0)
         return fresh, replayed
 
     fresh, replayed = run(sim, proc())
-    assert replayed == len(ops)
+    assert replayed == len(_OPS)
     live = _namespace(cluster.mds.tree)
     assert [entry[0] for entry in live] == ["/", "/d", "/d/h"]
     assert _namespace(fresh.tree) == live
 
 
-def test_disarmed_cluster_keeps_single_mds_surface(sim, cluster):
-    """No service, no journal, no op ids: the legacy single-MDS shape."""
-    assert cluster.mds_service is None
-    assert cluster.mds is cluster._mds
-    assert cluster.mds.journal is None
-    assert cluster.mds_healthy()
+def _untimed(result):
+    """A result without its mtime: a journaled op acks later, so the
+    clock is all that differs between a detached and an attached run."""
+    if isinstance(result, InodeInfo):
+        return (result.ino, result.is_dir, result.size, result.nlink,
+                result.version)
+    return result
+
+
+def test_detached_journal_answers_like_the_attached_one(costs):
+    """A fresh cluster's MDS has no journal: it writes no journal
+    object, keeps no dedup or session table, and answers a fixed op
+    sequence with the results and the namespace an attached journal
+    gives, times aside."""
+    runs = {}
+    for journal in ("detached", "attached"):
+        sim = Simulator()
+        cluster = CephCluster(sim, Fabric(sim), costs, num_osds=4,
+                              replicas=2)
+        if journal == "attached":
+            cluster.enable_mds_ha(standbys=0)
+        assert cluster.mds_healthy()
+        runs[journal] = (cluster, run(sim, _run_ops(cluster)))
+
+    detached, results = runs["detached"]
+    attached, attached_results = runs["attached"]
+    journal_ino = JOURNAL_INO_BASE
+    assert all(not osd.indices_of(journal_ino) for osd in detached.osds)
+    assert any(osd.indices_of(journal_ino) for osd in attached.osds)
+    assert detached.mds.dedup == {} and detached.mds.sessions == {}
+    assert len(attached.mds.dedup) == len(_OPS)
+    assert [_untimed(r) for r in results] == \
+        [_untimed(r) for r in attached_results]
+    assert [entry[:4] for entry in _namespace(detached.mds.tree)] == \
+        [entry[:4] for entry in _namespace(attached.mds.tree)]
+
+
+def _answer(gen):
+    """Run one MDS call to its answer (sim generator): ``("ok",
+    result)``, or ``("error", name)`` for a filesystem error."""
+    try:
+        return ("ok", (yield from gen))
+    except FsError as err:
+        return ("error", type(err).__name__)
+
+
+@pytest.mark.parametrize("rival", ["unlink", "rename"])
+@pytest.mark.parametrize("journal", ["detached", "attached"])
+def test_racing_mutations_see_one_namespace(sim, cluster, journal, rival):
+    """A rank's mutations are atomic from their checks to their apply,
+    with or without a journal: a truncating create racing an unlink or
+    a rename of its file finds the file gone and creates a fresh one,
+    instead of journaling a truncate of a file that is no longer
+    there."""
+    if journal == "attached":
+        cluster.enable_mds_ha(standbys=0)
+    rival_args = ("/f",) if rival == "unlink" else ("/f", "/h")
 
     def proc():
-        yield from cluster.mds_call("create", "/plain", exclusive=True)
-        return (yield from cluster.mds_call("lookup", "/plain"))
+        old = yield from cluster.mds_call("create", "/f", client_id=1,
+                                          op_id=1)
+        first = sim.spawn(_answer(cluster.mds_call(
+            rival, *rival_args, client_id=2, op_id=1)))
+        second = sim.spawn(_answer(cluster.mds_call(
+            "create", "/f", truncate=True, client_id=3, op_id=1)))
+        yield sim.all_of([first, second])
+        return old, first.value, second.value
 
-    info = run(sim, proc())
-    assert info.nlink == 1
-    assert cluster.mds.metrics.counter("journal_entries").value == 0
+    old, rival_answer, create_answer = run(sim, proc())
+    assert rival_answer == ("ok", (old.ino, 0) if rival == "unlink" else None)
+    status, info = create_answer
+    assert status == "ok", create_answer
+    assert info.ino != old.ino and info.size == 0
+    tree = cluster.mds.tree
+    assert tree.lookup("/f").ino == info.ino
+    moved = tree.try_lookup("/h")
+    assert (moved and moved.ino) == (old.ino if rival == "rename" else None)
 
 
 # --- end-to-end failover chaos ----------------------------------------------
