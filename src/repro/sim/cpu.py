@@ -152,7 +152,8 @@ class SimThread(object):
         # for every simulated CPU charge in every experiment. On an idle
         # core the grant is taken in place and the slice is a plain
         # sleep, so a quantum costs one heap entry, no Event and one
-        # generator resume.
+        # generator resume; when nothing else is due before the slice
+        # ends, not even those.
         while remaining > 1e-12:
             if self.killed:
                 raise ThreadKilled("thread %s was killed" % self.name)
@@ -193,7 +194,18 @@ class SimThread(object):
             switched = core.last_thread is not self
             core.last_thread = self
             try:
-                yield piece
+                when = sim.now + piece
+                if (ready or when > sim._deadline
+                        or (heap and heap[0][0] <= when)):
+                    yield piece
+                else:
+                    # The slice's wake would be the very next entry
+                    # dispatched: take its sequence number and end the
+                    # slice in place (see "Direct resumption" in
+                    # repro.sim.engine).
+                    sim._seq += 1
+                    sim.elided += 1
+                    sim.now = when
                 core.busy_time += piece
                 obs = sim.observer
                 if obs is not None:

@@ -524,10 +524,11 @@ def test_free_core_grant_is_taken_in_place_and_counted(sim):
 
     process = sim.spawn(proc())
     sim.run()
-    # One grant elided; the slice's wake is the only resume after it.
-    assert process.value == (1, 1)
+    # The grant and the slice end are elided; nothing is resumed.
+    assert process.value == (2, 0)
     assert core._mutex.stats.acquisitions == 1 and not core._mutex.locked
     assert core.busy_time == SLICE and thread.cpu_time == SLICE
+    assert sim.now == 1.0 + SLICE
 
 
 def test_free_core_grant_refused_when_another_entry_is_runnable_now(sim):
@@ -614,6 +615,94 @@ def test_run_until_stops_before_an_in_place_core_grant(sim):
     assert sim.elided == 0
     sim.run()
     assert core.last_thread is thread and core.busy_time == SLICE
+
+
+# -- slice ends taken in place by SimThread.run -------------------------------
+#
+# Each refusal test below fails with its own condition taken out of the
+# slice-end test: the slice would end, and ``sim.now`` move, ahead of an
+# entry the run loop must dispatch first.
+
+
+def test_slice_end_refused_when_another_entry_is_runnable_now(sim):
+    """The charger's grant resumption is queued behind the other
+    process's start; that start queues a zero sleep, which is due before
+    the slice ends."""
+    log = []
+    thread = SimThread(sim, "t", [Core(sim, 0)])
+
+    def charger():
+        yield from thread.run(SLICE)
+        log.append(("charge", sim.now))
+
+    def other():
+        yield 0.0
+        log.append(("other", sim.now))
+
+    sim.spawn(charger())
+    sim.spawn(other())
+    sim.run()
+    assert log == [("other", 0.0), ("charge", SLICE)]
+
+
+def test_slice_end_refused_on_a_tie_with_an_older_heap_entry(sim):
+    """The sleeper's wake falls on the very time the slice ends and was
+    queued first, so it runs first."""
+    order = []
+    thread = SimThread(sim, "t", [Core(sim, 0)])
+
+    def sleeper():
+        yield 1.0
+        yield SLICE
+        order.append("sleep")
+
+    def charger():
+        yield 1.0
+        yield from thread.run(SLICE)  # granted in place: the head is later
+        order.append("charge")
+
+    sim.spawn(sleeper())
+    sim.spawn(charger())
+    sim.run()
+    assert order == ["sleep", "charge"]
+    assert sim.elided == 1  # the grant only
+
+
+def test_slice_end_refused_past_the_deadline_of_run(sim):
+    core = Core(sim, 0)
+    thread = SimThread(sim, "t", [core])
+
+    def proc():
+        yield 1.0
+        yield from thread.run(SLICE)
+        yield from thread.run(SLICE)
+
+    sim.spawn(proc())
+    assert sim.run(until=1.0 + SLICE / 2) == 1.0 + SLICE / 2
+    assert core.busy_time == 0.0  # the slice has not ended yet
+    assert sim._deadline == float("inf")
+    elided = sim.elided
+    sim.run()
+    # The first slice ends the long way; the whole second one in place.
+    assert sim.elided == elided + 2
+    assert core.busy_time == 2 * SLICE and sim.now == 1.0 + 2 * SLICE
+
+
+def test_slice_end_refused_past_the_deadline_of_run_until(sim):
+    core = Core(sim, 0)
+    thread = SimThread(sim, "t", [core])
+    never = sim.event()
+
+    def proc():
+        yield 1.0
+        yield from thread.run(SLICE)
+
+    sim.spawn(proc())
+    assert sim.run_until(never, deadline=1.0 + SLICE / 2) is False
+    assert core.busy_time == 0.0 and sim.now == 1.0 + SLICE / 2
+    assert sim._deadline == float("inf")
+    sim.run()
+    assert core.busy_time == SLICE and sim.now == 1.0 + SLICE
 
 
 def test_core_released_in_place_hands_over_to_a_waiter(sim):
