@@ -17,12 +17,13 @@ engine-bench fingerprints) or ``"range"`` (per-inode state locks plus
 per-object-range data locks). The ``abl-locking`` ablation compares the
 two.
 
-A flush holds no client or inode lock while its batch travels, in any
-policy: reads overlay the in-flight (``tx``) batch between the OSD bytes
-and the dirty bytes, as the ObjectCacher serves its ``tx`` buffers. What
-a flush does hold is the inode's flush mutex, from taking the batch to
-publishing its size; a truncate holds it until the MDS has cut the
-objects.
+A flush holds no client or inode lock while its batch travels or while
+the MDS records its size, in any policy: reads overlay the in-flight
+(``tx``) batch between the OSD bytes and the dirty bytes, as the
+ObjectCacher serves its ``tx`` buffers, and the batch keeps the local
+size authoritative until it lands. What a flush does hold is the inode's
+flush mutex, from taking the batch to publishing its size; a truncate
+holds it until the MDS has cut the objects.
 """
 
 from repro.cephclient.cache import ObjectCache
@@ -440,8 +441,12 @@ class CephLibClient(CephMount):
            cannot adopt a stale MDS length. The take never waits here.
         2. *Send* (:meth:`_send_batch`), with no client or inode lock:
            readers see the batch in ``tx``, writers buffer above it.
-        3. *Publish*, under the state lock, which makes adopting the
-           attributes the MDS returns for the flushed size safe.
+        3. *Publish* the local size to the MDS with no client or inode
+           lock, as libcephfs waits for MDS replies with ``client_lock``
+           released; then a state section adopts the attributes the MDS
+           returns. The batch is still in ``tx`` until it lands, so a
+           write that extends the file meanwhile keeps its larger size,
+           which the next flush publishes.
 
         On a backend failure the batch goes back to the dirty layer
         before the error propagates — buffered data is never lost to a
@@ -464,13 +469,13 @@ class CephLibClient(CephMount):
                 return 0
             flushed = yield from self._send_batch(task, batch)
             batch.sent.succeed()
-            token = yield from locking.acquire_state(ino, who=task)
-            try:
-                landed = yield from self._publish_flushed_size(ino)
-                if landed is not None:
+            landed = yield from self._publish_flushed_size(ino)
+            if landed is not None:
+                token = yield from locking.acquire_state(ino, who=task)
+                try:
                     self._remember(*landed)
-            finally:
-                locking.release(token)
+                finally:
+                    locking.release(token)
             return self._flush_done(ino, flushed)
         finally:
             if batch is not None:

@@ -271,6 +271,10 @@ class FilesystemService(object):
                     yield from task.cpu(
                         costs.ipc_queue_op + costs.copy_cost(payload_out)
                     )
+                    if ipc is not self.ipc or self.crashed:
+                        # A crash during the charge drained the queue the
+                        # caller picked; nothing will read it again.
+                        raise self._down_error()
                     request = IpcRequest(sim, instance.stack, op, args)
                     accepted = queue.store.put(request)
                     # Resumed, the caller would only park on the reply,

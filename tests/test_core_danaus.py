@@ -209,6 +209,56 @@ def test_supervised_crash_between_put_and_pickup_is_retried(sim, machine,
     assert service.generation == 1
 
 
+def _crash_during_enqueue_charge(sim, service, costs):
+    """Crash ``service`` halfway through the enqueue charge of a caller
+    that calls at t=1: the caller has picked its queue but not put."""
+    yield 1.0 + costs.ipc_queue_op / 2
+    service.crash()
+
+
+def test_crash_during_the_enqueue_charge_fails_the_caller(sim, machine,
+                                                         kernel, costs):
+    """The caller must not put its request into the queue the crash
+    drained: nothing would ever read it, and the caller would wait on
+    its reply forever."""
+    service, instance, task = _one_queue_service(sim, machine, kernel, costs)
+    outcome = []
+
+    def caller():
+        yield 1.0
+        try:
+            yield from service.call(task, instance, "stat", ("/",))
+            outcome.append("served")
+        except ServiceFailed:
+            outcome.append(("failed", sim.now))
+
+    sim.spawn(caller())
+    sim.spawn(_crash_during_enqueue_charge(sim, service, costs))
+    sim.run(until=5.0)
+    assert outcome == [("failed", 1.0 + costs.ipc_queue_op)]
+
+
+def test_supervised_crash_during_the_enqueue_charge_is_retried(sim, machine,
+                                                               kernel, costs):
+    service, instance, task = _one_queue_service(sim, machine, kernel, costs)
+    supervisor = ServiceSupervisor(sim, costs)
+    supervisor.watch(service)
+
+    def caller():
+        yield 1.0
+        stat = yield from service.call(task, instance, "stat", ("/",))
+        return stat.is_dir, sim.now
+
+    process = sim.spawn(caller())
+    sim.spawn(_crash_during_enqueue_charge(sim, service, costs))
+    sim.run(until=5.0)
+    assert process.triggered, "the caller is stuck in the drained queue"
+    is_dir, finished = process.value
+    assert is_dir and finished >= 1.0 + supervisor.restart_delay
+    assert service.metrics.counter("service_retries").value >= 1
+    assert service.generation == 1
+
+
 def test_put_parks_the_long_way_inside_a_callback_batch(sim, machine, kernel):
     """Two subscribers of one event are one batch; the first submits with
     a free enqueue, so its put comes while the second is still to run."""

@@ -615,6 +615,21 @@ def test_standby_replays_a_journal_the_plan_left_a_clean_replica(seed):
 
 @pytest.mark.chaos
 @pytest.mark.scrub
+def test_service_crash_in_an_enqueue_charge_leaves_no_caller_stranded():
+    """At seed 7 the service crashes (1.422 s) while a worker's ``write``
+    pays its enqueue CPU. The worker used to put the request into the
+    queue the crash had drained, where nothing reads, so the run raised
+    ``chaos run did not converge by t=600.0`` after the restart."""
+    result = ChaosConfig(seed=7, duration=4.0, replicas=3, osd_crashes=1,
+                         partitions=0, service_crashes=1, bitrot=1,
+                         torn_writes=1, scrub=True).run()
+    assert result.converged
+    assert result.service_restarts >= 1
+    assert result.ok
+
+
+@pytest.mark.chaos
+@pytest.mark.scrub
 def test_chaos_corruption_run_is_deterministic():
     one = _first_run(**_SCRUB_KW)
     assert one.ok

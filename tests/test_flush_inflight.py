@@ -44,10 +44,10 @@ class World(object):
     client (its writeback daemon stopped).
     """
 
-    def __init__(self, stack):
+    def __init__(self, stack, **costs):
         self.sim = Simulator()
         self.machine = Machine(self.sim, num_cores=8, ram_bytes=units.gib(4))
-        costs = CostModel(object_size=units.kib(256))
+        costs = CostModel(object_size=units.kib(256), **costs)
         self.cluster = CephCluster(self.sim, Fabric(self.sim), costs,
                                    num_osds=4)
         self.sends = []
@@ -339,6 +339,66 @@ def test_a_rewrite_under_writeback_keeps_its_pages_dirty():
     # So one more writeback pass puts the rewrite on the OSDs.
     world.run(world.flush(ino))
     assert world.stored(ino, SIZE) == new
+
+
+# --- the lib client publishes a flushed size with no state lock held --------
+
+#: The MDS's service time per op in the publish tests: long enough that a
+#: flush spends most of its life on the size publish.
+SLOW_MDS = 0.05
+
+
+def _publishing(world, ino):
+    """Start a flush of ``ino`` and run until its bytes are on the OSDs
+    and its size publish is at the MDS."""
+    flush = world.sim.spawn(world.flush(ino))
+    world.sim.run(until=world.sim.now + SLOW_MDS / 5)
+    assert not flush.triggered
+    assert world.client.unflushed.batches(ino)[0].sent.triggered
+    return flush
+
+
+@pytest.mark.parametrize("stack", ["global", "range"])
+def test_a_cached_read_does_not_wait_for_a_size_publish(stack):
+    world = World(stack, mds_op=SLOW_MDS)
+    payload = b"p" * SIZE
+    ino = world.write("/f", 0, payload, OpenFlags.CREAT | OpenFlags.RDWR)
+    handle = world.open("/f")
+    flush = _publishing(world, ino)
+    reader = world.sim.spawn(
+        world.client.read(world.task("r"), handle, 0, SIZE))
+    world.sim.run(until=world.sim.now + SLOW_MDS / 5)
+    # The publish holds neither client_lock nor the inode's state lock.
+    assert reader.triggered and reader.value == payload
+    assert not flush.triggered
+    world.settle()
+    assert flush.value == SIZE
+
+
+@pytest.mark.parametrize("stack", ["global", "range"])
+def test_a_write_past_the_end_during_a_size_publish_keeps_its_size(stack):
+    world = World(stack, mds_op=SLOW_MDS)
+    ino = world.write("/f", 0, b"a" * SIZE, OpenFlags.CREAT | OpenFlags.RDWR)
+    handle = world.open("/f")
+    flush = _publishing(world, ino)
+    writer = world.sim.spawn(
+        world.client.write(world.task("w2"), handle, SIZE, b"b" * SIZE))
+    world.sim.run(until=world.sim.now + SLOW_MDS / 5)
+    assert writer.triggered and not flush.triggered
+    world.settle()
+    # The MDS recorded the size the flush published; the attributes it
+    # returned do not shrink the file under the newer write.
+    assert flush.value == SIZE
+    mds_size = world.run(world.cluster.mds_call("lookup", "/f")).size
+    assert mds_size == SIZE
+    stat = world.run(world.client.stat(world.task("s"), "/f"))
+    assert stat.size == 2 * SIZE
+    data = world.run(world.client.read_file(world.task("rf"), "/f"))
+    assert data == b"a" * SIZE + b"b" * SIZE
+    assert world.run(world.flush(ino)) == SIZE
+    mds_size = world.run(world.cluster.mds_call("lookup", "/f")).size
+    assert mds_size == 2 * SIZE
+    assert world.stored(ino, 2 * SIZE) == b"a" * SIZE + b"b" * SIZE
 
 
 def test_a_take_waits_only_for_the_bytes_it_hands_out_until_they_are_sent():
