@@ -69,10 +69,10 @@ class CephKernelFs(CephMount):
                 self.unflushed.put_back(batch)
                 raise
             batch.sent.succeed()  # the bytes are on the OSDs
-            # The attributes the MDS returns are deliberately not adopted:
-            # unlike the user-level flush, this one holds no inode lock,
-            # and remembering them here moves the K Fileserver rows. An
-            # MDS that cannot take the size gets it re-sent later.
+            # The attributes the MDS returns are deliberately not adopted
+            # (the user-level flush adopts them in a state section):
+            # remembering them here moves the K Fileserver rows. An MDS
+            # that cannot take the size gets it re-sent later.
             yield from self._publish_flushed_size(ino)
         finally:
             self.unflushed.land(batch)
