@@ -130,7 +130,7 @@ class CephMount(Filesystem):
         """Stamps for one mutating metadata op (exactly-once resends).
 
         Every mutation carries a ``(client_id, op_id)`` pair. With the
-        rank journal attached it lands in the journal record: a
+        MDS journal attached it lands in the journal record: a
         post-failover resend of the same op dedups against the replayed
         op-id table instead of re-running, so rename/create/unlink apply
         exactly once. The pair is built once per logical op — the

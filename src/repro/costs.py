@@ -166,13 +166,13 @@ class CostModel(object):
         #: probation a flapping OSD serves before it may rejoin
         self.flap_probation = 1.0
 
-        # --- metadata HA (MDS ranks / journal / failover) ---------------------
+        # --- metadata HA (MDS journal / standbys / failover) ------------------
         #: per-record CPU cost of replaying one journal entry during
         #: standby promotion or journal-backed local recovery
         self.mds_replay_op = units.usec(5.0)
         #: period of the standby-replay journal tail (sim seconds)
         self.mds_tail_interval = 0.05
-        #: missed monitor probes before an active MDS rank fails over to
+        #: missed monitor probes before the active MDS fails over to
         #: a standby (the mds_beacon_grace analogue)
         self.mds_heartbeat_grace = 3
 

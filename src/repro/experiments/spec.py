@@ -40,6 +40,7 @@ CLI) consumes only validated specs.
 """
 
 import copy
+import dataclasses
 import json
 import numbers
 import operator
@@ -113,9 +114,49 @@ def _kind_axes(kind):
 
 
 def _chaos_fields():
+    """The spec-able ChaosConfig field names -> their declared types."""
     from repro.faults import ChaosConfig
 
-    return ChaosConfig.field_names()
+    names = ChaosConfig.field_names()
+    return {f.name: f.type for f in dataclasses.fields(ChaosConfig)
+            if f.name in names}
+
+
+#: how a field-type error names the type it wanted
+_KIND_WORDS = {int: "an int >= 0", float: "a number >= 0", bool: "a bool",
+               str: "a string"}
+
+
+def _admits(kind, value):
+    """Whether a ChaosConfig field declared ``kind`` takes ``value``:
+    counts and sizes are non-negative ints, times non-negative numbers."""
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    if kind is int:
+        return isinstance(value, int) and value >= 0
+    if kind is float:
+        return isinstance(value, numbers.Real) and value >= 0
+    return isinstance(value, kind)
+
+
+def _check_chaos_values(spec_id, where, values):
+    """Each value of a ChaosConfig field dict fits its field's type."""
+    fields = _chaos_fields()
+    for name, value in sorted(values.items()):
+        kind = fields[name]
+        if not _admits(kind, value):
+            _fail(spec_id, "%s.%s must be %s, got %r"
+                  % (where, name, _KIND_WORDS[kind], value))
+
+
+def _check_chaos_params(spec_id, where, params):
+    """A chaos spec's params lower onto ChaosConfig fields."""
+    bad = sorted(set(params) - set(_chaos_fields()))
+    if bad:
+        _fail(spec_id, "chaos %s %s are not ChaosConfig fields"
+              % (where, ", ".join(bad)))
+    _check_chaos_values(spec_id, where, params)
+
 
 
 def _check_scalar_list(spec_id, name, values):
@@ -245,10 +286,7 @@ def validate_spec(raw, source=None):
     except (TypeError, ValueError):
         _fail(spec_id, "params must be JSON-serialisable")
     if kind == "chaos":
-        bad = sorted(set(params) - set(_chaos_fields()))
-        if bad:
-            _fail(spec_id, "chaos params %s are not ChaosConfig fields"
-                  % ", ".join(bad))
+        _check_chaos_params(spec_id, "params", params)
 
     # -- stacks / workloads ----------------------------------------------
     stacks = spec.get("stacks")
@@ -290,6 +328,7 @@ def validate_spec(raw, source=None):
         if unknown:
             _fail(spec_id, "unknown ChaosConfig fields in faults: %s"
                   % ", ".join(unknown))
+        _check_chaos_values(spec_id, "faults", faults)
 
     # -- checks -----------------------------------------------------------
     checks = spec.setdefault("checks", [])
@@ -324,6 +363,8 @@ def validate_spec(raw, source=None):
     if conflicts:
         _fail(spec_id, "conflicting sweep axes in quick.params: %s"
               % ", ".join(conflicts))
+    if kind == "chaos":
+        _check_chaos_params(spec_id, "quick.params", quick_params)
 
     return spec
 

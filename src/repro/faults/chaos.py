@@ -285,7 +285,6 @@ class ChaosConfig:
     osd_drains: int = 0
     mds_crashes: int = 0
     mds_failovers: int = 0
-    mds_rank_splits: int = 0
     mds_standbys: int = 1
     # -- pipeline switches -----------------------------------------------
     scrub: bool = False
@@ -382,7 +381,6 @@ def _run_chaos_config(config):
             osd_drains=config.osd_drains,
             mds_crashes=config.mds_crashes,
             mds_failovers=config.mds_failovers,
-            mds_rank_splits=config.mds_rank_splits,
             mds_standbys=config.mds_standbys,
         )
     workload = ChaosFileserver(

@@ -22,15 +22,13 @@ Supported action kinds:
 ``mds_down``       MDS unavailability window; heals through
                    ``MdsService.restore`` (journal replay: sessions lost,
                    acked namespace rebuilt)
-``mds_crash``      SIGKILL the active MDS of rank ``target`` (un-journaled
-                   in-flight mutations are honestly lost; a standby
-                   promotes via heartbeats, or ``duration`` restores the
-                   daemon in place through journal replay)
-``mds_failover``   administratively promote a standby over rank
-                   ``target``'s live active (the deposed daemon is fenced
-                   by mdsmap epoch, then rejoins as a standby)
-``mds_rank_split`` grow the metadata service by one directory-hash rank
-                   (max_mds bump; caps and dedup state re-home)
+``mds_crash``      SIGKILL the active MDS (un-journaled in-flight
+                   mutations are honestly lost; a standby promotes via
+                   heartbeats, or ``duration`` restores the daemon in
+                   place through journal replay); takes no ``target``
+``mds_failover``   administratively promote a standby over the live
+                   active (the deposed daemon is fenced by mdsmap epoch,
+                   then rejoins as a standby); takes no ``target``
 ``service_crash``  crash the named Danaus :class:`FilesystemService`
 ``flusher_stall``  stall the host kernel's writeback for ``duration``
 ``bitrot``         silently flip ``flips`` bits in one stored replica of a
@@ -82,15 +80,14 @@ KINDS = (
     "osd_drain",
     "mds_crash",
     "mds_failover",
-    "mds_rank_split",
 )
 
 #: Fault kinds that silently corrupt stored replicas (integrity required).
 CORRUPTION_KINDS = ("bitrot", "torn_write")
 
-#: Fault kinds that need the metadata-HA machinery (journaled ranks +
+#: Fault kinds that need the metadata-HA machinery (the journal +
 #: standby pool + heartbeat-driven failover) armed on install.
-MDS_HA_KINDS = ("mds_crash", "mds_failover", "mds_rank_split")
+MDS_HA_KINDS = ("mds_crash", "mds_failover")
 
 #: poll cadence and bound for corruption actions waiting on stored bytes
 #: (client caches hold dirty data until flush, so a mid-run replica store
@@ -119,6 +116,12 @@ class FaultAction(object):
         if (at is None) == (after_ops is None):
             raise ConfigError(
                 "fault %r needs exactly one of at=/after_ops=" % kind
+            )
+        if kind in MDS_HA_KINDS and target is not None:
+            # The metadata service has one active: there is nothing to
+            # aim at.
+            raise ConfigError(
+                "fault %r takes no target, got %r" % (kind, target)
             )
         self.kind = kind
         self.at = at
@@ -174,15 +177,14 @@ class FaultPlan(object):
                  partitions=1, service_crashes=1, mds_windows=0,
                  slow_disks=0, bitrot=0, torn_writes=0, flaps=0,
                  osd_adds=0, osd_drains=0, mds_crashes=0, mds_failovers=0,
-                 mds_rank_splits=0, mds_standbys=1):
+                 mds_standbys=1):
         """A random-but-reproducible plan over ``horizon`` seconds.
 
         Every crash gets a matching restart and every window heals well
         inside the horizon, so a workload outliving the plan converges.
         ``flaps``/``osd_adds``/``osd_drains`` schedule membership
-        churn. The metadata kinds
-        (``mds_crashes``/``mds_failovers``/``mds_rank_splits``, see
-        :data:`MDS_HA_KINDS`) arm the journaled-rank machinery with
+        churn. The metadata kinds (``mds_crashes``/``mds_failovers``,
+        see :data:`MDS_HA_KINDS`) arm the MDS journal with
         ``mds_standbys`` standby-replay daemons. New kinds draw from the
         rng strictly after the historical ones and only when requested,
         so plans generated with the legacy knobs are bit-identical.
@@ -259,11 +261,7 @@ class FaultPlan(object):
                 target=rng.randrange(num_osds),
             )
         # Metadata HA: crashes early enough that promotion + replay (and
-        # the duration-healed rejoin) settle in-horizon; splits fire
-        # before crashes so multi-rank failover gets exercised.
-        for _ in range(mds_rank_splits):
-            plan.schedule("mds_rank_split",
-                          at=horizon * rng.uniform(0.10, 0.20))
+        # the duration-healed rejoin) settle in-horizon.
         for _ in range(mds_crashes):
             plan.schedule(
                 "mds_crash",
@@ -388,19 +386,16 @@ class FaultPlan(object):
             if action.duration:
                 world.sim.spawn(self._heal(action), name="fault-heal")
         elif action.kind == "mds_crash":
-            rank = action.target or 0
-            daemon = cluster.mds_service.active_daemon(rank)
+            daemon = cluster.mds
             action.params["gid"] = daemon.gid  # heal restores this daemon
             daemon.crash()
             if action.duration:
                 world.sim.spawn(self._heal(action), name="fault-heal")
         elif action.kind == "mds_failover":
             world.sim.spawn(
-                cluster.mds_service.failover(action.target or 0),
+                cluster.mds_service.failover(),
                 name="fault-mds-failover",
             )
-        elif action.kind == "mds_rank_split":
-            cluster.mds_service.split_rank()
         elif action.kind == "service_crash":
             self._services[action.target].crash()
         elif action.kind == "osd_flap":

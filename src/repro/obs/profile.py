@@ -127,8 +127,8 @@ TABLES = (
                                "degraded_objects", "misplaced_objects"))),
         _METRIC_COLUMNS, None,
     ),
-    # The MdsService's failovers, rank splits, rejoins, heartbeat
-    # failures, mdsmap epoch and per-rank journal lag; each daemon's
+    # The MdsService's failovers, rejoins, heartbeat failures, mdsmap
+    # epoch and journal lag; each daemon's
     # (mds:<gid>) journal appends, fenced ops, dedup hits, replays and
     # last replay's duration and sessions. The "mds" scope's service_s
     # histogram produces no rows.

@@ -73,22 +73,3 @@ class CapsTable(object):
 
     def held(self, ino, client_id):
         return self._caps.get(ino, {}).get(client_id, 0)
-
-    def export_inos(self, predicate):
-        """Remove and return the cap records of inos matching ``predicate``.
-
-        Used when metadata ranks split and cap state must re-home to the
-        rank that owns the ino under the new map: the old owner exports,
-        the new owner :meth:`absorb`\\ s.
-        """
-        moved = {}
-        for ino in [i for i in self._caps if predicate(i)]:
-            moved[ino] = self._caps.pop(ino)
-        return moved
-
-    def absorb(self, records):
-        """Merge cap records exported from another table."""
-        for ino, holders in records.items():
-            mine = self._caps.setdefault(ino, {})
-            for client_id, caps in holders.items():
-                mine[client_id] = mine.get(client_id, 0) | caps

@@ -26,10 +26,11 @@ attempt/timeout race and runs the attempt inline — the only place the
 ``resilient`` property is read.
 
 Metadata has one path too. Every cluster runs an
-:class:`~repro.storage.mds.MdsService` (one rank, no standby) and every
-metadata op is routed through the client's mdsmap snapshot and stamped
-with its epoch. Whether mutations are journaled is decided inside
-``storage/mds.py`` alone; ``enable_mds_ha`` attaches the journals.
+:class:`~repro.storage.mds.MdsService` (one active MDS, no standby) and
+every metadata op goes to the active its client's mdsmap snapshot names,
+stamped with that snapshot's epoch. Whether mutations are journaled is
+decided inside ``storage/mds.py`` alone; ``enable_mds_ha`` attaches the
+journal.
 """
 
 from repro.common.errors import (
@@ -61,8 +62,8 @@ class CephCluster(object):
         self.crush = CrushMap(num_osds, replicas=replicas)
         self.osds = [Osd(sim, i, costs) for i in range(num_osds)]
         self.monitor = Monitor(self)
-        #: the metadata service: one rank, no standby, no journal until
-        #: enable_mds_ha attaches them.
+        #: the metadata service: one active MDS, no standby, no journal
+        #: until enable_mds_ha attaches them.
         self.mds_service = MdsService(self)
         #: client-side MdsMap snapshot; like _osdmap, refreshed only on
         #: retry boundaries so fencing is observable.
@@ -111,12 +112,13 @@ class CephCluster(object):
 
     @property
     def mds(self):
-        """Rank 0's current active daemon, so direct reaches (``.tree``,
-        ``.session_epoch``, ``.node_of``) keep working across failover."""
-        return self.mds_service.active_daemon(0)
+        """The metadata service's current active daemon, so direct
+        reaches (``.tree``, ``.session_epoch``, ``.node_of``) keep working
+        across failover."""
+        return self.mds_service.active_daemon()
 
     def mds_healthy(self):
-        """Every metadata rank live and serving."""
+        """The active MDS live and serving."""
         return self.mds_service.healthy()
 
     @property
@@ -153,9 +155,9 @@ class CephCluster(object):
         for name in ("checksum_failures", "read_repairs", "quarantined"):
             self.metrics.counter(name)
 
-    def enable_mds_ha(self, standbys=1, ranks=1):
-        """Arm metadata HA: attach the rank journals, grow the pool to
-        ``standbys`` standby-replay daemons and ``ranks`` ranks.
+    def enable_mds_ha(self, standbys=1):
+        """Arm metadata HA: attach the journal and grow the pool to
+        ``standbys`` standby-replay daemons.
 
         Once armed, every metadata mutation journals through the OSD
         write path before acking, and the op-id stamps every mutation
@@ -165,7 +167,7 @@ class CephCluster(object):
         failover pool — the honest-crash substrate for in-place
         ``mds_down`` recovery.
         """
-        self.mds_service.attach_journals(standbys, ranks)
+        self.mds_service.attach_journal(standbys)
         self._mdsmap = self.monitor.mdsmap
         return self.mds_service
 
@@ -182,11 +184,6 @@ class CephCluster(object):
         if current is not self._mdsmap:
             self._mdsmap = current
             self.metrics.counter("mdsmap_refreshes").add(1)
-
-    def _mds_target(self, op_name, args):
-        """The daemon serving one op under the current mdsmap snapshot."""
-        rank = self._mdsmap.rank_for(op_name, args)
-        return self.mds_service.daemons[self._mdsmap.gid_of(rank)]
 
     def add_osd(self, weight=1.0, backfill=True):
         """Grow the cluster by one OSD at runtime; returns the new OSD.
@@ -970,8 +967,8 @@ class CephCluster(object):
         dead MDS raises its own :class:`OpTimeout` after the detection
         window.
 
-        The target daemon is re-resolved *per attempt* through the
-        client's mdsmap snapshot — refreshed only on retry boundaries,
+        The target daemon is re-resolved *per attempt*: the active its
+        client's mdsmap snapshot names — refreshed only on retry boundaries,
         so a deposed active observably fences a stale op
         (:class:`OldEpoch`) before the resend re-routes to the promoted
         standby — and every op is stamped with the snapshot's epoch.
@@ -989,8 +986,9 @@ class CephCluster(object):
                 yield delay
                 delay = min(delay * 2.0, self.costs.retry_backoff_max)
                 self._refresh_mds_map()
-            daemon = self._mds_target(op_name, args)
-            kwargs["map_epoch"] = self._mdsmap.epoch
+            mdsmap = self._mdsmap
+            daemon = self.mds_service.daemons[mdsmap.active]
+            kwargs["map_epoch"] = mdsmap.epoch
             try:
                 return (yield from self.fabric.rpc(
                     getattr(daemon, op_name)(*args, **kwargs),

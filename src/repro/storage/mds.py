@@ -1,12 +1,11 @@
-"""Metadata service: journaled MDS ranks with standby-replay failover.
+"""Metadata service: one journaled MDS rank with standby-replay failover.
 
-Every cluster runs one :class:`MdsService`: the namespace is
-hash-partitioned over *ranks* by an epoch-versioned
-:class:`~repro.storage.mdsmap.MdsMap`, each rank is served by one
-:class:`Mds` daemon, and clients route every op through their mdsmap
-snapshot, stamped with its epoch and, for a mutation, a ``(client_id,
-op_id)`` pair. A fresh cluster has one rank, no standby and no journal,
-the one MDS of the testbed.
+Every cluster runs one :class:`MdsService`: one active :class:`Mds`
+daemon serves the whole namespace, the Monitor publishes an
+epoch-versioned :class:`MdsMap` naming it, and clients send every op to
+the active of their mdsmap snapshot, stamped with its epoch and, for a
+mutation, a ``(client_id, op_id)`` pair. A fresh cluster has the one
+active, no standby and no journal, the one MDS of the testbed.
 
 The journal is the one switch (``cluster.enable_mds_ha`` attaches it)
 and only this module reads it:
@@ -16,13 +15,13 @@ and only this module reads it:
   ordinary OSD write path (so replication, bitrot, scrub and read-repair
   cover metadata for free), and only then does the daemon touch the
   shared store — an MDS SIGKILL therefore honestly loses exactly the
-  in-flight ops that never reached the journal. A rank's mutations run
-  one at a time from their checks to their apply, so the namespace an
-  op checked is the one it changes;
-* the op-id stamps land in the journal record; a per-rank dedup table —
-  rebuilt on replay — answers client resends with the recorded result,
-  making rename/create/unlink exactly-once across a failover;
-* standbys tail the active ranks' journals (*standby-replay*), so a
+  in-flight ops that never reached the journal. The active's mutations
+  run one at a time from their checks to their apply, so the namespace
+  an op checked is the one it changes;
+* the op-id stamps land in the journal record; the active's dedup
+  table — rebuilt on replay — answers client resends with the recorded
+  result, making rename/create/unlink exactly-once across a failover;
+* standbys tail the journal (*standby-replay*), so a
   heartbeat-detected failure promotes one with only the journal lag
   left to replay; the deposed active is fenced by mdsmap-epoch
   rejection (:class:`~repro.common.errors.OldEpoch`), the EOLDEPOCH
@@ -37,6 +36,7 @@ A per-inode version counter lets clients validate cached attributes
 cheaply (the revalidate-on-open consistency the clients implement).
 """
 
+import collections
 import json
 
 from repro.common.errors import (
@@ -50,16 +50,29 @@ from repro.common.errors import (
 from repro.fs.memtree import MemTree
 from repro.sim.sync import Mutex, Semaphore
 from repro.storage.caps import CapsTable
-from repro.storage.mdsmap import MdsMap
 
-__all__ = ["InodeInfo", "Mds", "MdsJournal", "MdsService", "MdsStore"]
+__all__ = ["InodeInfo", "Mds", "MdsJournal", "MdsMap", "MdsService",
+           "MdsStore"]
 
-#: object-id base of the per-rank journals: far above any MemTree ino,
-#: so journal objects never collide with file data on the OSDs.
+#: object id of the journal: far above any MemTree ino, so journal
+#: objects never collide with file data on the OSDs.
 JOURNAL_INO_BASE = 1 << 40
 
 #: dedup-table miss sentinel (None is a legitimate recorded result)
 _MISS = object()
+
+
+class MdsMap(collections.namedtuple("MdsMap", "epoch active")):
+    """Immutable snapshot of the metadata service (the OsdMap analogue):
+    the map ``epoch`` and the gid of the ``active`` daemon.
+
+    The Monitor publishes a new one on every change — failover, restart,
+    rejoin — and every daemon rejects ops stamped with an older epoch
+    (EOLDEPOCH fencing for metadata), which is what keeps a deposed
+    active from serving after its standby took over.
+    """
+
+    __slots__ = ()
 
 
 class InodeInfo(object):
@@ -86,7 +99,7 @@ class MdsStore(object):
     per-inode version counters — as opposed to per-daemon session state
     (caps, dedup tables) which dies with a SIGKILL. The journal-before-
     apply discipline guarantees the store only ever holds journaled
-    mutations, so sharing it between rank daemons is exactly as durable
+    mutations, so sharing it between the daemons is exactly as durable
     as the journal itself. ``applied`` records which journal seqs have
     reached the store, making replay idempotent.
     """
@@ -94,11 +107,11 @@ class MdsStore(object):
     def __init__(self):
         self.tree = MemTree()
         self.versions = {}  # ino -> version counter
-        self.applied = {}   # rank -> set of applied journal seqs
+        self.applied = set()  # applied journal seqs
 
 
 class MdsJournal(object):
-    """One rank's append-only metadata journal, stored as OSD objects.
+    """The append-only metadata journal, stored as OSD objects.
 
     Records are newline-delimited JSON written through
     ``cluster.write_extent`` under a reserved object id — the same
@@ -108,10 +121,9 @@ class MdsJournal(object):
     reader treats everything behind the first unparsable line as torn.
     """
 
-    def __init__(self, cluster, rank):
+    def __init__(self, cluster):
         self.cluster = cluster
-        self.rank = rank
-        self.ino = JOURNAL_INO_BASE + rank
+        self.ino = JOURNAL_INO_BASE
         self.length = 0    # durable-reserved byte length
         self.next_seq = 1
         self.entries = 0   # completed appends
@@ -149,12 +161,13 @@ class MdsJournal(object):
 
 
 class Mds(object):
-    """One metadata daemon of an :class:`MdsService`, serving one rank.
+    """One metadata daemon of an :class:`MdsService`: the active or a
+    standby.
 
-    It always fences ops by mdsmap epoch. With its rank's journal
-    attached it journals each mutation before applying it, keeps the
-    op-id dedup table and orders the rank's mutations (see
-    :meth:`_mutate`); without one it applies mutations in place.
+    It always fences ops by mdsmap epoch. With the journal attached it
+    journals each mutation before applying it, keeps the op-id dedup
+    table and orders its mutations (see :meth:`_mutate`); without one
+    it applies mutations in place.
     """
 
     def __init__(self, sim, costs, trim, store, gid):
@@ -181,7 +194,6 @@ class Mds(object):
         self.gid = gid
         #: the fabric edge naming this daemon (per-edge RPC accounting)
         self.edge = "mds.%d" % gid
-        self.rank = 0
         #: active | replay | standby | stopped
         self.state = "active"
         self.crashed = False
@@ -190,7 +202,7 @@ class Mds(object):
         self.journal = None
         self.dedup = {}      # (client_id, op_id) -> recorded result
         self.sessions = {}   # client_id -> highest op_id seen
-        self._tail_pos = {}  # rank -> journal bytes absorbed while standby
+        self._tail_pos = 0  # journal bytes absorbed while standby
         self._pending_apply = {}  # seq -> record tailed before the active applied it
 
     # -- fault injection -------------------------------------------------
@@ -207,7 +219,7 @@ class Mds(object):
         session/caps/dedup tables die with the process. The shared store
         is untouched — it only ever held journaled state."""
         self.crashed = True
-        self.sim.trace("mds", "crash", gid=self.gid, rank=self.rank)
+        self.sim.trace("mds", "crash", gid=self.gid)
         self.metrics.counter("crashes").add(1)
 
     def _restart(self):
@@ -219,7 +231,7 @@ class Mds(object):
         self.caps = CapsTable()
         self.dedup = {}
         self.sessions = {}
-        self._tail_pos = {}
+        self._tail_pos = 0
         self._pending_apply = {}
 
     # -- bookkeeping -------------------------------------------------------
@@ -262,11 +274,11 @@ class Mds(object):
                 % (self.gid, map_epoch, self.map_epoch)
             )
         if self.state == "replay":
-            raise ServiceRestarting("mds rank %d replaying journal" % self.rank)
+            raise ServiceRestarting("mds gid %d replaying journal" % self.gid)
 
     def _check_serving(self, when):
         """Refuse to go on with a mutation once the daemon has died or
-        lost its rank (``when`` names the wait it happened in)."""
+        been deposed (``when`` names the wait it happened in)."""
         if self.crashed:
             raise OpTimeout("mds crashed %s" % when)
         if self.state != "active":
@@ -296,11 +308,11 @@ class Mds(object):
         apply run with no yield between them. With one, the record is
         appended before the apply, and the daemon's ``_order`` mutex is
         held from the dedup lookup to the apply, so no other mutation
-        of the rank lands between this op's checks and its apply.
+        lands between this op's checks and its apply.
         """
         yield from self._op(map_epoch)
-        # A daemon deposed during the op's service time has lost its
-        # journal as well as its rank: it must not apply in place.
+        # A daemon deposed during the op's service time no longer holds
+        # the journal: it must not apply in place.
         self._check_serving("while serving")
         if self.journal is None:
             op, fields = plan()
@@ -330,7 +342,7 @@ class Mds(object):
             # will, and the client's resend dedups against it.
             self._check_serving("during journal append")
             result = self._apply_record(record, exclusive)
-            self.store.applied.setdefault(self.rank, set()).add(seq)
+            self.store.applied.add(seq)
             self._pending_apply.pop(seq, None)
             self._remember(client_id, op_id, result)
             return result
@@ -435,8 +447,8 @@ class Mds(object):
 
     # -- journal records ---------------------------------------------------
 
-    def absorb(self, rank, record, apply=True):
-        """Fold one journal record into this daemon's rank state.
+    def absorb(self, record, apply=True):
+        """Fold one journal record into this daemon's state.
 
         Session/dedup tables always rebuild. With ``apply`` (promotion
         or local recovery) a record the crashed active journaled but
@@ -445,7 +457,7 @@ class Mds(object):
         parks unapplied records in ``_pending_apply`` for promotion.
         """
         seq = record["seq"]
-        applied = self.store.applied.setdefault(rank, set())
+        applied = self.store.applied
         if seq not in applied:
             if apply:
                 self._replay_record(record)
@@ -527,7 +539,7 @@ class Mds(object):
                              self._versions.get(ino, 1))
         return None  # rmdir, rename
 
-    def replay_journal(self, journal, rank, from_bytes=0):
+    def replay_journal(self, journal, from_bytes=0):
         """Replay a journal tail into this daemon (sim generator).
 
         Pays the OSD reads plus per-record replay CPU; flushes any
@@ -538,10 +550,10 @@ class Mds(object):
         records, consumed = yield from journal.read_from(from_bytes)
         for record in records:
             yield self.costs.mds_replay_op
-            self.absorb(rank, record, apply=True)
+            self.absorb(record, apply=True)
         # Records absorbed while tailing whose apply never happened
         # (the active died between journal append and apply).
-        applied = self.store.applied.setdefault(rank, set())
+        applied = self.store.applied
         for seq in sorted(self._pending_apply):
             record = self._pending_apply[seq]
             if seq not in applied:
@@ -549,13 +561,13 @@ class Mds(object):
                 self._replay_record(record)
                 applied.add(seq)
         self._pending_apply = {}
-        self._tail_pos[rank] = from_bytes + consumed
+        self._tail_pos = from_bytes + consumed
         duration = self.sim.now - started
         self.metrics.counter("replays").add(1)
         self.metrics.counter("replayed_records").add(len(records))
         self.metrics.gauge("replay_s").set(duration)
         self.metrics.gauge("sessions").set(len(self.sessions))
-        self.sim.trace("mds", "replayed", gid=self.gid, rank=rank,
+        self.sim.trace("mds", "replayed", gid=self.gid,
                        records=len(records), duration=duration)
         return len(records)
 
@@ -566,15 +578,14 @@ class Mds(object):
 
 
 class MdsService(object):
-    """The metadata service: the daemon pool, per-rank journals and the
+    """The metadata service: the daemon pool, the journal and the
     Monitor-published :class:`MdsMap`.
 
-    Every cluster builds one: rank 0 served by daemon gid 0, no standby,
-    no journal. :meth:`attach_journals` (``cluster.enable_mds_ha``)
-    gives every rank its journal and grows the pool; spare daemons join
-    the standby pool and tail the active journals, and the monitor's
-    heartbeat loop calls :meth:`check_heartbeats` each probe round to
-    drive failover.
+    Every cluster builds one: daemon gid 0 active, no standby, no
+    journal. :meth:`attach_journal` (``cluster.enable_mds_ha``)
+    attaches the journal and grows the pool; spare daemons join the
+    standby pool and tail the journal, and the monitor's heartbeat loop
+    calls :meth:`check_heartbeats` each probe round to drive failover.
     """
 
     def __init__(self, cluster):
@@ -586,47 +597,39 @@ class MdsService(object):
         self._next_gid = 0
         self.session_epoch = 1
         self.epoch = 1
-        self.active_gids = []   # rank -> gid
         self.standby_gids = []
-        self.journals = {}      # rank -> MdsJournal, once attached
+        self.journal = None     # the MdsJournal, once attached
         self.metrics = self.sim.metrics("mds")
-        self._tails = {}       # gid -> tail process
-        self._promoting = set()
-        self._hb_misses = {}   # rank -> consecutive missed probes
-        self.active_gids.append(self._new_daemon().gid)
+        #: a promotion is under way (heartbeat or administrative)
+        self._promoting = False
+        self._hb_misses = 0    # consecutive missed probes of the active
+        self.active_gid = self._new_daemon().gid
         # The first map is the monitor's initial state, not a change:
         # it is installed without a publication event.
-        cluster.monitor.mdsmap = MdsMap(self.epoch, self.active_gids,
-                                        self.standby_gids,
-                                        self.session_epoch)
+        cluster.monitor.mdsmap = MdsMap(self.epoch, self.active_gid)
 
-    def attach_journals(self, standbys, ranks):
-        """Journal rank 0 and grow the pool to at least ``standbys``
-        standby daemons and ``ranks`` ranks; the first call republishes
-        the map. Ranks are only split once a journal is attached, and a
-        split rank gets its journal when it is created."""
-        first = not self.journals
+    def attach_journal(self, standbys):
+        """Journal the active and grow the pool to at least ``standbys``
+        standby daemons; the first call republishes the map."""
+        first = self.journal is None
         if first:
-            self.journals[0] = MdsJournal(self.cluster, 0)
-            self.active_daemon(0).journal = self.journals[0]
+            self.journal = MdsJournal(self.cluster)
+            self.active_daemon().journal = self.journal
         while len(self.standby_gids) < standbys:
             self.add_standby()
         if first:
             self._publish("mds_ha_armed")
-        while self.num_ranks < max(1, ranks):
-            self.split_rank()
 
     # -- map publication ---------------------------------------------------
 
-    def _publish(self, event, rank=None):
+    def _publish(self, event):
         self.epoch += 1
-        mdsmap = MdsMap(self.epoch, self.active_gids, self.standby_gids,
-                        self.session_epoch)
         for daemon in self.daemons.values():
             daemon.map_epoch = self.epoch
-        self.cluster.monitor.publish_mdsmap(mdsmap, event, rank=rank)
+        self.cluster.monitor.publish_mdsmap(
+            MdsMap(self.epoch, self.active_gid), event
+        )
         self.metrics.gauge("map_epoch").set(self.epoch)
-        return mdsmap
 
     # -- pool management ---------------------------------------------------
 
@@ -640,136 +643,116 @@ class MdsService(object):
         return daemon
 
     def add_standby(self):
-        """Add one standby-replay daemon tailing the active journals."""
+        """Add one standby-replay daemon tailing the journal."""
         daemon = self._new_daemon()
         daemon.state = "standby"
-        daemon.rank = None
         self.standby_gids.append(daemon.gid)
         self._start_tail(daemon)
-        return daemon
 
-    def active_daemon(self, rank):
-        return self.daemons[self.active_gids[rank]]
-
-    @property
-    def num_ranks(self):
-        return len(self.active_gids)
+    def active_daemon(self):
+        return self.daemons[self.active_gid]
 
     def healthy(self):
-        """Every rank has a live, non-replaying active daemon."""
+        """The active daemon is live and not replaying."""
         if self._promoting:
             return False
-        for gid in self.active_gids:
-            daemon = self.daemons[gid]
-            if daemon.crashed or not daemon.available \
-                    or daemon.state != "active":
-                return False
-        return True
+        daemon = self.active_daemon()
+        return not daemon.crashed and daemon.available \
+            and daemon.state == "active"
 
     # -- standby-replay tail ----------------------------------------------
 
     def _start_tail(self, daemon):
-        self._tails[daemon.gid] = self.sim.spawn(
-            self._tail_loop(daemon), name="mds-standby-tail"
-        )
+        self.sim.spawn(self._tail_loop(daemon), name="mds-standby-tail")
 
     def _tail_loop(self, daemon):
-        """Standby-replay: periodically absorb the tail of one rank's
-        journal so promotion only replays the remaining lag."""
+        """Standby-replay: periodically absorb the tail of the journal
+        so promotion only replays the remaining lag."""
         while daemon.state == "standby" and not daemon.crashed:
             yield self.costs.mds_tail_interval
             if daemon.state != "standby" or daemon.crashed:
                 break
-            try:
-                index = self.standby_gids.index(daemon.gid)
-            except ValueError:
-                break
-            rank = index % max(1, len(self.active_gids))
-            journal = self.journals[rank]
-            pos = daemon._tail_pos.get(rank, 0)
+            journal = self.journal
+            pos = daemon._tail_pos
             lag = journal.length - pos
             if lag <= 0:
-                self.metrics.gauge("r%d.journal_lag" % rank).set(0)
+                self.metrics.gauge("journal_lag").set(0)
                 continue
             records, consumed = yield from journal.read_from(pos)
             if daemon.state != "standby" or daemon.crashed:
                 break
             for record in records:
-                daemon.absorb(rank, record, apply=False)
-            daemon._tail_pos[rank] = pos + consumed
-            self.metrics.gauge("r%d.journal_lag" % rank).set(
-                journal.length - daemon._tail_pos[rank]
+                daemon.absorb(record, apply=False)
+            daemon._tail_pos = pos + consumed
+            self.metrics.gauge("journal_lag").set(
+                journal.length - daemon._tail_pos
             )
 
     # -- heartbeats / failover ---------------------------------------------
 
     def check_heartbeats(self):
-        """One monitor probe round over the active daemons (pure).
+        """One monitor probe round over the active daemon (pure).
 
         Promotions are spawned, never run inline, so the heartbeat loop
         keeps its cadence regardless of replay duration.
         """
-        for rank, gid in enumerate(list(self.active_gids)):
-            daemon = self.daemons[gid]
-            if not daemon.crashed:
-                self._hb_misses.pop(rank, None)
-                continue
-            if rank in self._promoting:
-                continue
-            misses = self._hb_misses.get(rank, 0) + 1
-            self._hb_misses[rank] = misses
-            if misses >= self.costs.mds_heartbeat_grace and self.standby_gids:
-                self._hb_misses.pop(rank, None)
-                self.metrics.counter("heartbeat_failures").add(1)
-                self._promoting.add(rank)
-                self.sim.spawn(self._promote(rank), name="mds-promote")
+        if not self.active_daemon().crashed:
+            self._hb_misses = 0
+            return
+        if self._promoting:
+            return
+        self._hb_misses += 1
+        if self._hb_misses >= self.costs.mds_heartbeat_grace \
+                and self.standby_gids:
+            self._hb_misses = 0
+            self.metrics.counter("heartbeat_failures").add(1)
+            self._promoting = True
+            self.sim.spawn(self._promote(), name="mds-promote")
 
-    def failover(self, rank=0):
+    def failover(self):
         """Administrative failover (sim generator): promote a standby and
         fence the still-live active via mdsmap-epoch rejection."""
-        if rank in self._promoting or not self.standby_gids:
+        if self._promoting or not self.standby_gids:
             return
-        self._promoting.add(rank)
-        yield from self._promote(rank)
+        self._promoting = True
+        yield from self._promote()
 
-    def _promote(self, rank):
-        """Promote a standby into ``rank``: publish the new map (fencing
-        the deposed active), bump session epochs, replay the journal lag.
-        The caller must already have claimed ``rank`` in ``_promoting``.
+    def _promote(self):
+        """Promote a standby to active: publish the new map (fencing the
+        deposed active), bump session epochs, replay the journal lag.
+        The caller must already have set ``_promoting``.
         """
         try:
-            old = self.daemons[self.active_gids[rank]]
-            gid = self._pick_standby(rank)
+            old = self.active_daemon()
+            gid = self._pick_standby()
             standby = self.daemons[gid]
             self.standby_gids.remove(gid)
             started = self.sim.now
             standby.state = "replay"
-            standby.rank = rank
-            standby.journal = self.journals[rank]
+            standby.journal = self.journal
             standby.caps = CapsTable()
             old.state = "stopped"
             old.journal = None
-            self.active_gids[rank] = gid
+            self.active_gid = gid
             self.session_epoch += 1
             for daemon in self.daemons.values():
                 daemon.session_epoch = self.session_epoch
-            self._publish("mds_failover", rank=rank)
+            self._publish("mds_failover")
             self.metrics.counter("failovers").add(1)
-            pos = standby._tail_pos.get(rank, 0)
-            yield from standby.replay_journal(self.journals[rank], rank,
-                                              from_bytes=pos)
+            yield from standby.replay_journal(self.journal,
+                                              from_bytes=standby._tail_pos)
             standby.state = "active"
-            self.sim.trace("mds", "promoted", rank=rank, gid=gid,
+            self.sim.trace("mds", "promoted", gid=gid,
                            replay_s=self.sim.now - started)
         finally:
-            self._promoting.discard(rank)
+            self._promoting = False
 
-    def _pick_standby(self, rank):
-        """Prefer the standby that has been tailing this rank's journal."""
+    def _pick_standby(self):
+        """Prefer the standby that has tailed furthest into the journal."""
         best = self.standby_gids[0]
         best_pos = -1
         for gid in self.standby_gids:
-            pos = self.daemons[gid]._tail_pos.get(rank, 0)
+            pos = self.daemons[gid]._tail_pos
             if pos > best_pos:
                 best, best_pos = gid, pos
         return best
@@ -778,26 +761,25 @@ class MdsService(object):
         """Restart a SIGKILLed or unavailable daemon (fault heal; sim
         generator).
 
-        If a standby already took its rank it rejoins as an empty
-        standby. Otherwise it restarts in place: sessions and caps are
-        lost (clients reestablish under the bumped session epoch), and
-        the dedup table and any record journaled but never applied come
-        back from a replay of the rank's journal from byte 0.
+        If a standby already took over it rejoins as an empty standby.
+        Otherwise it restarts in place: sessions and caps are lost
+        (clients reestablish under the bumped session epoch), and the
+        dedup table and any record journaled but never applied come
+        back from a replay of the journal from byte 0.
         """
         daemon = self.daemons[gid]
         if not daemon.crashed and daemon.available:
             return
-        if gid not in self.active_gids:
+        if gid != self.active_gid:
             self.rejoin(gid)
             return
-        rank = self.active_gids.index(gid)
         daemon._restart()
         daemon.state = "replay"
         self.session_epoch += 1
         for other in self.daemons.values():
             other.session_epoch = self.session_epoch
-        self._publish("mds_recover", rank=rank)
-        yield from daemon.replay_journal(self.journals[rank], rank)
+        self._publish("mds_recover")
+        yield from daemon.replay_journal(self.journal)
         daemon.state = "active"
 
     def rejoin(self, gid):
@@ -805,56 +787,9 @@ class MdsService(object):
         daemon = self.daemons[gid]
         daemon._restart()
         daemon.state = "standby"
-        daemon.rank = None
         daemon.journal = None
-        if gid not in self.standby_gids and gid not in self.active_gids:
+        if gid not in self.standby_gids and gid != self.active_gid:
             self.standby_gids.append(gid)
             self._start_tail(daemon)
         self.metrics.counter("rejoins").add(1)
         self._publish("mds_rejoin")
-
-    # -- rank growth -------------------------------------------------------
-
-    def split_rank(self):
-        """Grow max_mds by one rank (the mds_rank_split fault).
-
-        A standby (or a fresh daemon) takes the new rank with an empty
-        journal; directory hashes repartition over the larger rank
-        count, dedup tables are unioned across all actives so pre-split
-        resends stay exactly-once wherever they now route, and cap
-        records re-home to the rank that owns their ino under the new
-        map.
-        """
-        rank = len(self.active_gids)
-        if not self.standby_gids:
-            self.add_standby()
-        gid = self.standby_gids.pop(0)
-        daemon = self.daemons[gid]
-        daemon.rank = rank
-        daemon.state = "active"
-        daemon.caps = CapsTable()
-        daemon._tail_pos = {}
-        daemon._pending_apply = {}
-        journal = MdsJournal(self.cluster, rank)
-        self.journals[rank] = journal
-        daemon.journal = journal
-        self.active_gids.append(gid)
-        union = {}
-        for other_gid in self.active_gids:
-            union.update(self.daemons[other_gid].dedup)
-        for other_gid in self.active_gids:
-            self.daemons[other_gid].dedup.update(union)
-        self.metrics.counter("rank_splits").add(1)
-        mdsmap = self._publish("mds_rank_split", rank=rank)
-        # Re-home cap records onto the rank owning their ino.
-        for owner_gid in list(self.active_gids):
-            owner = self.daemons[owner_gid]
-            moved = owner.caps.export_inos(
-                lambda ino: mdsmap.rank_of_ino(ino) != owner.rank
-            )
-            for ino, holders in moved.items():
-                target = self.daemons[
-                    self.active_gids[mdsmap.rank_of_ino(ino)]
-                ]
-                target.caps.absorb({ino: holders})
-        return rank

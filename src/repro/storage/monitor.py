@@ -130,20 +130,18 @@ class Monitor(object):
         for callback in self._subscribers:
             callback(self._map)
 
-    def publish_mdsmap(self, mdsmap, event="mdsmap", rank=None):
-        """Publish a new :class:`~repro.storage.mdsmap.MdsMap` snapshot.
+    def publish_mdsmap(self, mdsmap, event="mdsmap"):
+        """Publish a new :class:`~repro.storage.mds.MdsMap` snapshot.
 
         The metadata analogue of an osdmap epoch bump: the MdsService
-        builds the immutable map (failover, rank split, rejoin) and the
-        monitor records + announces it. Clients resolve MDS routing
-        against :attr:`mdsmap` and refresh on retry boundaries, which is
-        what makes a deposed active's EOLDEPOCH reject observable.
+        builds the immutable map (failover, restart, rejoin) and the
+        monitor records + announces it. Clients send MDS ops to the
+        active :attr:`mdsmap` names and refresh it on retry boundaries,
+        which is what makes a deposed active's EOLDEPOCH reject
+        observable.
         """
         self.mdsmap = mdsmap
-        trace = {"epoch": mdsmap.epoch}
-        if rank is not None:
-            trace["rank"] = rank
-        self.cluster.sim.trace("mon", event, **trace)
+        self.cluster.sim.trace("mon", event, epoch=mdsmap.epoch)
         self.metrics.counter("mdsmap_epochs").add(1)
 
     def note_crush_change(self, event):
@@ -354,7 +352,7 @@ class Monitor(object):
                 if since is not None and \
                         sim.now - since >= costs.osd_out_interval:
                     self.mark_out(osd_id)
-            # MDS rank liveness rides the same probe cadence; the check
+            # MDS liveness rides the same probe cadence; the check
             # is pure, so heartbeat-only runs keep their event schedule.
             self.cluster.mds_service.check_heartbeats()
 

@@ -228,7 +228,7 @@ def test_conflicting_writers_stay_coherent_across_failover(sim, machine,
             task, "/shared", OpenFlags.CREAT | OpenFlags.RDWR
         )
         yield from first.write(task, handle, 0, b"pre-failover bytes")
-        yield from service.failover(0)
+        yield from service.failover()
         # The first writer's next op reconnects under the new session
         # epoch and reacquires its write caps from the promoted active.
         yield from first.open(task, "/shared", OpenFlags.RDWR)

@@ -124,11 +124,36 @@ def test_faults_only_for_chaos_kind():
 
 
 def test_unknown_chaos_field_rejected():
-    # A misspelt fault count, and a testbed setting that is a constant.
-    for faults in ({"bitrots": 2}, {"supervise": False}):
+    # A misspelt fault count, a testbed setting that is a constant, and
+    # the rank-split count of a metadata service that has one rank.
+    for faults in ({"bitrots": 2}, {"supervise": False},
+                   {"mds_rank_splits": 1}):
         spec = {"id": "c1", "kind": "chaos", "faults": faults}
         with pytest.raises(SpecError, match="unknown ChaosConfig fields"):
             validate_spec(spec)
+
+
+@pytest.mark.parametrize("where, values, message", [
+    ("faults", {"mds_crashes": "1"}, "faults.mds_crashes must be an int"),
+    ("faults", {"mds_standbys": -1}, "faults.mds_standbys must be an int"),
+    ("faults", {"bitrot": True}, "faults.bitrot must be an int"),
+    ("faults", {"osd_crashes": 1.0}, "faults.osd_crashes must be an int"),
+    ("faults", {"scrub": "yes"}, "faults.scrub must be a bool"),
+    ("faults", {"scrub": 1}, "faults.scrub must be a bool"),
+    ("faults", {"duration": -2.0}, "faults.duration must be a number"),
+    ("faults", {"duration": "2"}, "faults.duration must be a number"),
+    ("faults", {"symbol": 4}, "faults.symbol must be a string"),
+    ("params", {"duration": False}, "params.duration must be a number"),
+    ("params", {"threads": "2"}, "params.threads must be an int"),
+    ("quick", {"params": {"duration": "3"}},
+     "quick.params.duration must be a number"),
+    ("quick", {"params": {"bit_rot": 1}},
+     "quick.params bit_rot are not ChaosConfig fields"),
+])
+def test_chaos_field_values_must_fit_their_types(where, values, message):
+    spec = {"id": "c1", "kind": "chaos", where: values}
+    with pytest.raises(SpecError, match=message):
+        validate_spec(spec)
 
 
 def test_bad_check_op_rejected():

@@ -66,6 +66,18 @@ def test_fault_action_validates_kind_and_trigger():
     assert action.kind in KINDS
 
 
+@pytest.mark.parametrize("kind", ["mds_crash", "mds_failover"])
+def test_mds_faults_take_no_target(kind):
+    """The metadata service has one active, so an MDS fault has nothing
+    to aim at: a target is refused when the plan is authored, not when
+    the action fires."""
+    with pytest.raises(ConfigError, match="takes no target"):
+        FaultPlan(1).schedule(kind, at=1.0, target=1)
+    with pytest.raises(ConfigError, match="takes no target"):
+        FaultPlan(1).schedule(kind, at=1.0, target=0)
+    assert FaultPlan(1).schedule(kind, at=1.0).target is None
+
+
 def test_fault_plan_generation_is_deterministic():
     def snapshot(plan):
         return [

@@ -1,11 +1,10 @@
 """Tests for metadata high availability.
 
-Three layers:
+Two layers:
 
-* the :class:`MdsMap` routing arithmetic (pure);
-* journal-before-apply, torn tails, crash recovery, heartbeat-driven
-  standby promotion, epoch fencing and exactly-once resends against a
-  live cluster;
+* the published :class:`MdsMap`, journal-before-apply, torn tails,
+  crash recovery, heartbeat-driven standby promotion, epoch fencing and
+  exactly-once resends against a live cluster;
 * the end-to-end failover chaos runs (marked ``chaos``): SIGKILL the
   active MDS under a metadata-heavy multi-tenant workload and assert
   zero lost acked mutations plus a deterministic fingerprint per seed.
@@ -22,40 +21,15 @@ from repro.faults.chaos import ChaosConfig
 from repro.net import Fabric
 from repro.storage import CephCluster
 from repro.sim import Simulator
-from repro.storage.mds import JOURNAL_INO_BASE, InodeInfo, Mds, MdsStore
-from repro.storage.mdsmap import MdsMap
+from repro.storage.mds import (
+    JOURNAL_INO_BASE,
+    InodeInfo,
+    Mds,
+    MdsMap,
+    MdsStore,
+)
 from tests.conftest import committed_fingerprint, run
 
-
-# --- MdsMap routing (pure) ---------------------------------------------------
-
-def test_single_rank_map_routes_everything_to_zero():
-    mdsmap = MdsMap(1, ranks=[0], standbys=[1])
-    assert mdsmap.rank_for("create", ("/a/b",)) == 0
-    assert mdsmap.rank_for("readdir", ("/a",)) == 0
-    assert mdsmap.rank_for("caps_commit", (12345,)) == 0
-    assert mdsmap.gid_of(0) == 0
-
-
-def test_multi_rank_map_partitions_by_parent_directory():
-    mdsmap = MdsMap(3, ranks=[0, 1], standbys=[])
-    # Entries of the same directory share a rank (dentry + dir journal
-    # locality); the mapping itself is deterministic.
-    rank = mdsmap.rank_for("create", ("/proj/a",))
-    assert mdsmap.rank_for("unlink", ("/proj/b",)) == rank
-    assert mdsmap.rank_for("readdir", ("/proj",)) == mdsmap.rank_of_dir("/proj")
-    assert mdsmap.rank_for("create", ("/proj/a",)) == rank  # stable
-    # Inode-addressed ops route by ino, spanning both ranks.
-    assert {mdsmap.rank_for("caps_commit", (n,)) for n in range(4)} == {0, 1}
-
-
-def test_rename_routes_by_source_path():
-    mdsmap = MdsMap(3, ranks=[0, 1], standbys=[])
-    rank = mdsmap.rank_of_path("/src/f")
-    assert mdsmap.rank_for("rename", ("/src/f", "/dst/f")) == rank
-
-
-# --- cluster-level HA machinery ---------------------------------------------
 
 @pytest.fixture
 def costs():
@@ -65,6 +39,20 @@ def costs():
 @pytest.fixture
 def cluster(sim, costs):
     return CephCluster(sim, Fabric(sim), costs, num_osds=4, replicas=2)
+
+
+def test_single_rank_map_routes_everything_to_zero(sim, cluster):
+    """The published map names the one active gid and its epoch: gid 0
+    at a fresh cluster, the promoted standby at a bumped epoch after a
+    failover."""
+    assert cluster.monitor.mdsmap == MdsMap(epoch=1, active=0)
+    service = cluster.enable_mds_ha(standbys=1)
+    assert cluster.monitor.mdsmap == MdsMap(epoch=2, active=0)
+    run(sim, service.failover())
+    mdsmap = cluster.monitor.mdsmap
+    assert mdsmap.active == service.active_gid != 0
+    assert mdsmap.epoch == service.epoch > 2
+    assert cluster.mds is service.daemons[mdsmap.active]
 
 
 def test_mutations_journal_before_ack(sim, cluster):
@@ -78,7 +66,7 @@ def test_mutations_journal_before_ack(sim, cluster):
                                     client_id=1, op_id=3)
 
     run(sim, proc())
-    journal = service.journals[0]
+    journal = service.journal
     assert journal.entries == 3
     assert journal.length > 0
     # The journal is real object data on the OSDs, not bookkeeping.
@@ -89,7 +77,7 @@ def test_mutations_journal_before_ack(sim, cluster):
 
 def test_torn_journal_tail_is_dropped_by_replay(sim, cluster):
     service = cluster.enable_mds_ha(standbys=0)
-    journal = service.journals[0]
+    journal = service.journal
 
     def proc():
         yield from cluster.mds_call("create", "/whole", exclusive=True,
@@ -138,14 +126,14 @@ def test_heartbeats_promote_standby_and_ops_continue(sim, cluster):
         yield from cluster.mds_call("mkdir", "/t", client_id=1, op_id=1)
         yield from cluster.mds_call("create", "/t/a", exclusive=True,
                                     client_id=1, op_id=2)
-        old_gid = service.active_gids[0]
-        service.active_daemon(0).crash()
+        old_gid = service.active_gid
+        service.active_daemon().crash()
         # The next op rides detection + promotion + replay transparently.
         info = yield from cluster.mds_call("lookup", "/t/a")
         return old_gid, info
 
     old_gid, info = run(sim, proc())
-    assert service.active_gids[0] != old_gid
+    assert service.active_gid != old_gid
     assert service.daemons[old_gid].state in ("stopped", "standby")
     assert service.metrics.counter("failovers").value == 1
     assert not info.is_dir
@@ -166,7 +154,7 @@ def test_resent_mutation_is_exactly_once_across_failover(sim, cluster):
                                     client_id=9, op_id=2)
         yield from cluster.mds_call("rename", "/src", "/d/dst",
                                     client_id=9, op_id=3)
-        service.active_daemon(0).crash()
+        service.active_daemon().crash()
         # The ack above was delivered, but pretend the client never saw
         # it: resend with the identical op id after the failover.
         yield from cluster.mds_call("rename", "/src", "/d/dst",
@@ -196,11 +184,12 @@ def test_deposed_active_fences_stale_epoch_ops(sim, cluster):
 
     def proc():
         yield from cluster.mds_call("mkdir", "/pre", client_id=1, op_id=1)
-        old = service.active_daemon(0)
+        old = service.active_daemon()
         stale_epoch = old.map_epoch
-        yield from service.failover(0)
+        yield from service.failover()
         # The deposed daemon is alive but must reject everything: both
-        # stale-stamped ops and current-stamped ones (it holds no rank).
+        # stale-stamped ops and current-stamped ones (it is no longer
+        # the active).
         with pytest.raises(OldEpoch):
             yield from old.mkdir("/rogue", client_id=1, op_id=2,
                                  map_epoch=stale_epoch)
@@ -217,7 +206,7 @@ def test_daemon_deposed_while_serving_applies_nothing(sim, cluster):
     deposed daemon without its journal: the op must be fenced, not
     applied to the shared store unjournaled."""
     service = cluster.enable_mds_ha(standbys=1)
-    old = service.active_daemon(0)
+    old = service.active_daemon()
 
     def serve():
         with pytest.raises(OldEpoch):
@@ -227,41 +216,13 @@ def test_daemon_deposed_while_serving_applies_nothing(sim, cluster):
     def proc():
         op = sim.spawn(serve())
         yield cluster.costs.mds_op / 4  # the op is inside its service time
-        yield from service.failover(0)
+        yield from service.failover()
         yield op
 
     run(sim, proc())
     assert cluster.mds is not old
     assert cluster.mds.tree.try_lookup("/late") is None
-    assert service.journals[0].entries == 0
-
-
-def test_rank_split_repartitions_and_keeps_namespace(sim, cluster):
-    service = cluster.enable_mds_ha(standbys=1)
-
-    def proc():
-        yield from cluster.mds_call("mkdir", "/a", client_id=1, op_id=1)
-        yield from cluster.mds_call("mkdir", "/b", client_id=1, op_id=2)
-        service.split_rank()
-        assert service.num_ranks == 2
-        # Ops now route across both ranks; everything stays visible.
-        for index, path in enumerate(("/a/x", "/b/y")):
-            yield from cluster.mds_call("create", path, exclusive=True,
-                                        client_id=1, op_id=10 + index)
-        infos = []
-        for path in ("/a/x", "/b/y"):
-            infos.append((yield from cluster.mds_call("lookup", path)))
-        return infos
-
-    infos = run(sim, proc())
-    assert all(not info.is_dir for info in infos)
-    assert service.metrics.counter("rank_splits").value == 1
-    mdsmap = cluster.monitor.mdsmap
-    assert mdsmap.num_ranks == 2
-    # Each creation journaled on the rank owning its parent directory.
-    ranks_used = {mdsmap.rank_of_path(p) for p in ("/a/x", "/b/y")}
-    for rank in ranks_used:
-        assert service.journals[rank].entries >= 1
+    assert service.journal.entries == 0
 
 
 def _namespace(tree):
@@ -295,7 +256,7 @@ def _run_ops(cluster):
 
 def test_replaying_the_journal_rebuilds_the_live_namespace(sim, cluster):
     """Live ops and replay apply the same records: a fresh daemon that
-    replays rank 0's journal holds the namespace the clients saw, down
+    replays the journal holds the namespace the clients saw, down
     to every directory's mtime."""
     service = cluster.enable_mds_ha(standbys=0)
 
@@ -303,7 +264,7 @@ def test_replaying_the_journal_rebuilds_the_live_namespace(sim, cluster):
         yield from _run_ops(cluster)
         fresh = Mds(sim, cluster.costs, lambda ino, size: None,
                     store=MdsStore(), gid=99)
-        replayed = yield from fresh.replay_journal(service.journals[0], 0)
+        replayed = yield from fresh.replay_journal(service.journal)
         return fresh, replayed
 
     fresh, replayed = run(sim, proc())
@@ -362,7 +323,7 @@ def _answer(gen):
 @pytest.mark.parametrize("rival", ["unlink", "rename"])
 @pytest.mark.parametrize("journal", ["detached", "attached"])
 def test_racing_mutations_see_one_namespace(sim, cluster, journal, rival):
-    """A rank's mutations are atomic from their checks to their apply,
+    """The MDS's mutations are atomic from their checks to their apply,
     with or without a journal: a truncating create racing an unlink or
     a rename of its file finds the file gone and creates a fresh one,
     instead of journaling a truncate of a file that is no longer

@@ -132,15 +132,15 @@ def test_a_failover_after_the_journal_append_cuts_once(sim, machine, cluster,
     client = lib_client(sim, machine, cluster, costs, "ha")
     task = make_task(sim, machine)
     ino = stored_file(sim, task, client)
-    old_gid = service.active_gids[0]
-    journal = service.journals[0]
+    old_gid = service.active_gid
+    journal = service.journal
     real_append = journal.append
 
     def append(record):
         yield from real_append(record)
         if record.get("truncate") and journal.append is append:
             del journal.append  # one crash only
-            service.active_daemon(0).crash()
+            service.active_daemon().crash()
 
     journal.append = append
     cuts = []
@@ -155,7 +155,7 @@ def test_a_failover_after_the_journal_append_cuts_once(sim, machine, cluster,
     flags = OpenFlags.CREAT | OpenFlags.TRUNC | OpenFlags.WRONLY
     handle = run(sim, client.open(task, "/f", flags))
     assert handle.ino == ino
-    assert service.active_gids[0] != old_gid
+    assert service.active_gid != old_gid
     assert cuts == [(ino, 0)]
     assert cluster.mds.metrics.counter("dedup_hits").value >= 1
     info = run(sim, cluster.mds_call("lookup", "/f"))
