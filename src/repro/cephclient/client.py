@@ -30,8 +30,8 @@ from repro.cephclient.cache import ObjectCache
 from repro.cephclient.extents import WritebackBuffer
 from repro.cephclient.locking import LockingPolicy
 from repro.cephclient.mount import CephMount
-from repro.common.errors import FsError, InvalidArgument
-from repro.fs.api import O_APPEND, O_TRUNC
+from repro.common.errors import FsError
+from repro.fs.api import O_APPEND
 from repro.fs.readahead import Readahead
 from repro.sim.cpu import SimThread
 from repro.sim.sync import Mutex
@@ -53,7 +53,6 @@ class CephLibClient(CephMount):
         cache_bytes=None,
         locking="global",
         start_flusher=True,
-        consistency="close-to-open",
         cache_dedup=False,
     ):
         self.account = account
@@ -92,23 +91,16 @@ class CephLibClient(CephMount):
             for index in range(1, 4)
         ]
         self._stopped = False
-        if consistency not in ("close-to-open", "caps"):
-            raise InvalidArgument("unknown consistency %r" % consistency)
-        self.consistency = consistency
-        if consistency == "caps":
-            self.client_id = cluster.register_client(self)
-        self._session_epoch = cluster.mds.session_epoch
-        self._held_caps = {}  # ino -> caps mask held under this session
         if start_flusher:
             sim.spawn(self._flusher_loop(), name="%s.flusher" % name)
 
     # -- locking ---------------------------------------------------------
     #
     # Every access to the shared per-inode state (``attr_cache``,
-    # ``_sizes``, stream positions, ``_dirty_since``, cap masks, the dirty
-    # buffer) goes through the policy's *state* sections; cached-byte
-    # sections (insert/write/overlay/flush) go through its *data* and
-    # *fetch* sections. Path-namespace ops share the ``-1`` pseudo-inode
+    # ``_sizes``, stream positions, ``_dirty_since``, the dirty buffer)
+    # goes through the policy's *state* sections; cached-byte sections
+    # (insert/write/overlay/flush) go through its *data* and *fetch*
+    # sections. Path-namespace ops share the ``-1`` pseudo-inode
     # state lock. The discipline table lives in ``docs/architecture.md``.
 
     def _locked_cpu(self, task, ino, cpu_seconds):
@@ -130,106 +122,6 @@ class CephLibClient(CephMount):
         if op in ("close", "readdir"):
             return task.cpu(cost)
         return self._locked_cpu(task, -1, cost)
-
-    def _gathers_caps(self):
-        return self.consistency == "caps"
-
-    def _opened(self, task, path, info, flags):
-        """Caps mode: take the capabilities an open needs before it
-        returns, and refetch the attributes they make authoritative.
-        An O_TRUNC open's cut rides on the refetch, so a revoked
-        writer's flush lands before it."""
-        if self.consistency != "caps" or info.is_dir:
-            return info
-        from repro.storage.caps import CAP_READ_CACHE, CAP_WRITE_BUFFER
-
-        yield from self._ensure_session()
-        want = CAP_READ_CACHE
-        if flags.wants_write:
-            want |= CAP_WRITE_BUFFER
-        yield from self.cluster.acquire_caps(self.client_id, info.ino, want)
-        self._held_caps[info.ino] = self._held_caps.get(info.ino, 0) | want
-        # Holding fresh caps means our attribute view is authoritative;
-        # any prior writer flushed during the revocation, so refetch.
-        if int(flags) & O_TRUNC:
-            info = yield from self._truncating(
-                task, path, 0,
-                self._mutate("setattr_size", path, 0, truncate=True),
-                info.ino,
-            )
-        else:
-            info = yield from self.cluster.mds_call("lookup", path)
-        self._remember(path, info)
-        self._sizes[info.ino] = max(
-            info.size,
-            self._sizes.get(info.ino, 0)
-            if self._size_authoritative(info.ino) else 0,
-        )
-        return info
-
-    def handle_cap_revoke(self, ino, caps):
-        """MDS revocation callback: flush and/or invalidate, then ack.
-
-        Sim generator run by the cluster while a conflicting open waits.
-        """
-        from repro.fs.api import Task
-        from repro.storage.caps import CAP_READ_CACHE, CAP_WRITE_BUFFER
-
-        revoke_task = Task(self.flusher_thread, pool=None)
-        if caps & CAP_WRITE_BUFFER and ino in self.unflushed:
-            # An in-flight batch must land before the ack as well: the
-            # flush below waits for it on the flush mutex.
-            yield from self._flush_ino(revoke_task, ino)
-        # Invalidate and shrink the cap mask under the inode's state lock
-        # (``client_lock`` in ``global``), so the revoke never lands inside
-        # a reader's state section, between its scan and its stream
-        # bookkeeping. Between a reader's sections it is harmless in both
-        # policies: the copy-out assembles the OSD bytes and the in-flight
-        # and dirty layers in one data section with no yield in between,
-        # and dropping the cache drops residency, never bytes, so every
-        # read returns one whole version. The flush above takes the same
-        # state lock internally, hence two sections rather than one.
-        token = yield from self._locking.acquire_state(ino, who=revoke_task)
-        try:
-            if caps & CAP_READ_CACHE:
-                # Drop cached data and attributes; the next access refetches.
-                self.cache.drop_ino(ino)
-                path = self._paths.get(ino)
-                if path is not None:
-                    self.attr_cache.pop(path, None)
-                self._readahead.forget(ino)
-            held = self._held_caps.get(ino)
-            if held is not None:
-                held &= ~caps
-                if held:
-                    self._held_caps[ino] = held
-                else:
-                    del self._held_caps[ino]
-        finally:
-            self._locking.release(token)
-        self.metrics.counter("caps_revoked").add(1)
-        self.sim.trace("client", "cap_revoke", client=self.name, ino=ino,
-                       caps=caps)
-
-    def _ensure_session(self):
-        """Reestablish the MDS session after an MDS restart (caps mode).
-
-        A restarted MDS lost its caps table; every capability this
-        client held is reacquired under the new session epoch before the
-        triggering operation proceeds — the CephFS session-reconnect
-        protocol.
-        """
-        if self.client_id is None:
-            return
-        epoch = self.cluster.mds.session_epoch
-        if epoch == self._session_epoch:
-            return
-        self._session_epoch = epoch
-        for ino, want in list(self._held_caps.items()):
-            yield from self.cluster.acquire_caps(self.client_id, ino, want)
-        self.metrics.counter("sessions_reestablished").add(1)
-        self.sim.trace("client", "session_reestablish", client=self.name,
-                       epoch=epoch)
 
     def read(self, task, handle, offset, size):
         ino = self._live_ino(handle)
@@ -397,7 +289,6 @@ class CephLibClient(CephMount):
         self.cache.drop_ino(ino)
         self._readahead.forget(ino)
         self._dirty_since.pop(ino, None)
-        self._held_caps.pop(ino, None)
         # Retire the inode's locks: a recycled ino gets fresh ones, and
         # their stats fold into the registry's "retired" bucket instead
         # of lingering as unreachable entries.

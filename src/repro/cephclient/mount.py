@@ -29,11 +29,6 @@ the others must not):
   and return its result. Only the flush mutex may be held across it.
 * ``_forget(ino)`` — drop every per-inode entry the personality holds
   (unlink).
-* ``_gathers_caps()`` — optional: True when ``_opened`` takes
-  capabilities and refetches the attributes; an O_TRUNC cut then rides
-  on that refetch (:meth:`CephMount._truncating`), after the gather.
-* ``_opened(task, path, info, flags)`` — generator, optional: runs after
-  a successful open (capabilities).
 
 The base never asks which personality it serves: no type test, no
 probing for attributes — a behaviour that differs is a hook.
@@ -93,8 +88,6 @@ class CephMount(Filesystem):
         #: the write-back buffer (a personality may hand in its own)
         self.unflushed = unflushed or WritebackBuffer(sim)
         self.metrics = sim.metrics(name)
-        #: the caps-mode registration, when the personality makes one
-        self.client_id = None
         #: exactly-once metadata stamps (session id allocated lazily)
         self._mds_session_id = None
         self._mds_op_seq = 0
@@ -116,14 +109,6 @@ class CephMount(Filesystem):
     def _forget(self, ino):
         raise NotImplementedError
 
-    def _gathers_caps(self):
-        return False
-
-    def _opened(self, task, path, info, flags):
-        """Returns the attributes the open goes on with."""
-        return info
-        yield  # pragma: no cover
-
     # -- MDS protocol -----------------------------------------------------
 
     def _mds_op_ids(self):
@@ -138,10 +123,7 @@ class CephMount(Filesystem):
         point.
         """
         if self._mds_session_id is None:
-            self._mds_session_id = (
-                self.client_id if self.client_id is not None
-                else self.cluster.mds_session_id()
-            )
+            self._mds_session_id = self.cluster.mds_session_id()
         self._mds_op_seq += 1
         return {"client_id": self._mds_session_id,
                 "op_id": self._mds_op_seq}
@@ -270,9 +252,8 @@ class CephMount(Filesystem):
         create = bool(bits & O_CREAT)
         exclusive = bool(bits & O_EXCL)
         yield from self._enter(task, "create" if create else "open", path)
-        # O_TRUNC rides on the MDS op that answers the open — unless the
-        # open gathers caps first: then on _opened's attribute refetch.
-        truncate = bool(bits & O_TRUNC) and not self._gathers_caps()
+        # O_TRUNC rides on the MDS op that answers the open.
+        truncate = bool(bits & O_TRUNC)
         if truncate and create:
             # O_EXCL succeeds only on a new file: nothing to cut first.
             info = yield from self._truncating(
@@ -291,10 +272,9 @@ class CephMount(Filesystem):
         else:
             # Close-to-open consistency: revalidate attributes at the MDS.
             info = yield from self._lookup(path)
-        if info.is_dir and (flags.wants_write or bits & O_TRUNC):
+        if info.is_dir and (flags.wants_write or truncate):
             raise IsADirectory(path=path)
         self._remember(path, info)
-        info = yield from self._opened(task, path, info, flags)
         self.metrics.counter("opens").add(1)
         return CephHandle(self, path, flags, info.ino)
 

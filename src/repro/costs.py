@@ -204,9 +204,6 @@ class CostModel(object):
         self.scrub_batch = 64
         #: CPU+queue work of one light-scrub metadata probe per replica
         self.scrub_meta_op = units.usec(10.0)
-        #: whether scrub repairs corrupt replicas (False: detect/quarantine
-        #: only — the equivalent of ``osd_scrub_auto_repair=false``)
-        self.scrub_repair = True
 
         for key, value in overrides.items():
             if not hasattr(self, key):

@@ -85,6 +85,12 @@ KINDS = (
 #: Fault kinds that silently corrupt stored replicas (integrity required).
 CORRUPTION_KINDS = ("bitrot", "torn_write")
 
+#: Fault kinds aimed at one OSD by index (``target`` required).
+_OSD_TARGET_KINDS = ("osd_crash", "osd_restart", "disk_slow", "osd_flap")
+
+#: Fault kinds whose optional ``target`` names an OSD by index.
+_OSD_PIN_KINDS = CORRUPTION_KINDS + ("osd_drain",)
+
 #: Fault kinds that need the metadata-HA machinery (the journal +
 #: standby pool + heartbeat-driven failover) armed on install.
 MDS_HA_KINDS = ("mds_crash", "mds_failover")
@@ -123,6 +129,9 @@ class FaultAction(object):
             raise ConfigError(
                 "fault %r takes no target, got %r" % (kind, target)
             )
+        if target is None and (kind in _OSD_TARGET_KINDS
+                               or kind == "service_crash"):
+            raise ConfigError("fault %r needs a target" % kind)
         self.kind = kind
         self.at = at
         self.after_ops = after_ops
@@ -301,11 +310,25 @@ class FaultPlan(object):
         self._world = world
         self.metrics = world.sim.metrics("faults")
         self._services = {service.name: service for service in services}
+        # An osd_add appends the next index, so a plan may aim at OSDs
+        # it grows itself.
+        num_osds = len(world.cluster.osds) + sum(
+            action.kind == "osd_add" for action in self.actions
+        )
         for action in self.actions:
             if action.kind == "service_crash" \
                     and action.target not in self._services:
                 raise ConfigError(
                     "service_crash target %r not installed" % action.target
+                )
+            aimed = action.kind in _OSD_TARGET_KINDS or (
+                action.kind in _OSD_PIN_KINDS and action.target is not None
+            )
+            if aimed and not (type(action.target) is int
+                              and 0 <= action.target < num_osds):
+                raise ConfigError(
+                    "%s target %r is not an OSD of this cluster"
+                    % (action.kind, action.target)
                 )
         world.cluster.arm_faults()
         if any(action.kind in CORRUPTION_KINDS for action in self.actions):

@@ -33,21 +33,12 @@ __all__ = ["BackfillScheduler"]
 class BackfillScheduler(object):
     """Budgeted background re-replication sharing the OSD queues."""
 
-    def __init__(self, cluster, interval=None, bytes_per_osd=None,
-                 ops_per_osd=None):
+    def __init__(self, cluster):
         costs = cluster.costs
         self.cluster = cluster
-        self.interval = float(
-            interval if interval is not None else costs.backfill_interval
-        )
-        self.bytes_per_osd = (
-            bytes_per_osd if bytes_per_osd is not None
-            else costs.backfill_bytes_per_osd
-        )
-        self.ops_per_osd = (
-            ops_per_osd if ops_per_osd is not None
-            else costs.backfill_ops_per_osd
-        )
+        self.interval = float(costs.backfill_interval)
+        self.bytes_per_osd = costs.backfill_bytes_per_osd
+        self.ops_per_osd = costs.backfill_ops_per_osd
         self.metrics = cluster.sim.metrics("backfill")
         self._proc = None
 

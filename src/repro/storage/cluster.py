@@ -69,7 +69,6 @@ class CephCluster(object):
         #: retry boundaries so fencing is observable.
         self._mdsmap = self.monitor.mdsmap
         self.metrics = sim.metrics("cluster")
-        self._cap_clients = {}  # client_id -> client (caps-mode only)
         self._next_client_id = 1
         self._integrity_armed = False
         #: True from the first CRUSH mutation until backfill converges:
@@ -113,8 +112,7 @@ class CephCluster(object):
     @property
     def mds(self):
         """The metadata service's current active daemon, so direct
-        reaches (``.tree``, ``.session_epoch``, ``.node_of``) keep working
-        across failover."""
+        reaches (``.tree``, ``.node_of``) keep working across failover."""
         return self.mds_service.active_daemon()
 
     def mds_healthy(self):
@@ -172,8 +170,8 @@ class CephCluster(object):
         return self.mds_service
 
     def mds_session_id(self):
-        """Allocate a metadata session id (shares the caps id space so
-        one client is one principal across both tables)."""
+        """Allocate a metadata session id: the client half of every
+        mutation's ``(client_id, op_id)`` stamp."""
         client_id = self._next_client_id
         self._next_client_id += 1
         return client_id
@@ -650,11 +648,11 @@ class CephCluster(object):
                     errors.append((osd.osd_id, ino, index))
         return errors
 
-    def start_scrub(self, **kwargs):
+    def start_scrub(self):
         """Create (if needed) and start the background scrub daemon."""
         from repro.storage.scrub import ScrubDaemon
         if self.scrub is None:
-            self.scrub = ScrubDaemon(self, **kwargs)
+            self.scrub = ScrubDaemon(self)
         self.scrub.start()
         return self.scrub
 
@@ -898,44 +896,6 @@ class CephCluster(object):
                     osd.apply_truncate(ino, index, 0)
                 elif index == keep - 1 and tail:
                     osd.apply_truncate(ino, index, tail)
-
-    # -- capabilities (caps-mode clients) -------------------------------------------
-
-    def register_client(self, client):
-        """Register a caps-mode client; returns its client id."""
-        client_id = self._next_client_id
-        self._next_client_id += 1
-        self._cap_clients[client_id] = client
-        return client_id
-
-    def acquire_caps(self, client_id, ino, want):
-        """Grant ``want`` caps on ``ino``, revoking conflicting holders.
-
-        Sim generator. The conflicting holders' revocation handlers run to
-        completion (flushing dirty data, invalidating caches) before the
-        grant commits — so the caller pays the coherence latency, exactly
-        like a CephFS open racing a writer.
-        """
-        conflicts = yield from self.mds_call(
-            "caps_conflicts", ino, client_id, want
-        )
-        if conflicts:
-            pending = []
-            for holder_id, caps in conflicts:
-                holder = self._cap_clients.get(holder_id)
-                if holder is None:
-                    continue
-                pending.append(self.sim.spawn(
-                    holder.handle_cap_revoke(ino, caps),
-                    name="cap-revoke",
-                ))
-            if pending:
-                yield self.sim.all_of(pending)
-        held = yield from self.mds_call(
-            "caps_commit", ino, client_id, want, conflicts
-        )
-        self.metrics.counter("caps_grants").add(1)
-        return held
 
     # -- metadata path ------------------------------------------------------------
 

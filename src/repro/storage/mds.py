@@ -49,7 +49,6 @@ from repro.common.errors import (
 )
 from repro.fs.memtree import MemTree
 from repro.sim.sync import Mutex, Semaphore
-from repro.storage.caps import CapsTable
 
 __all__ = ["InodeInfo", "Mds", "MdsJournal", "MdsMap", "MdsService",
            "MdsStore"]
@@ -97,11 +96,11 @@ class MdsStore(object):
 
     Conceptually this is what lives *in RADOS* — the tree and the
     per-inode version counters — as opposed to per-daemon session state
-    (caps, dedup tables) which dies with a SIGKILL. The journal-before-
-    apply discipline guarantees the store only ever holds journaled
-    mutations, so sharing it between the daemons is exactly as durable
-    as the journal itself. ``applied`` records which journal seqs have
-    reached the store, making replay idempotent.
+    (the dedup and session tables) which dies with a SIGKILL. The
+    journal-before-apply discipline guarantees the store only ever holds
+    journaled mutations, so sharing it between the daemons is exactly as
+    durable as the journal itself. ``applied`` records which journal
+    seqs have reached the store, making replay idempotent.
     """
 
     def __init__(self):
@@ -182,13 +181,7 @@ class Mds(object):
         self._slots = Semaphore(sim, costs.mds_concurrency, name="mds")
         #: held by a journaled mutation from its dedup lookup to its apply
         self._order = Mutex(sim, name="mds_order")
-        self.caps = CapsTable()
         self.available = True
-        #: bumps on every restart/failover; clients compare it against
-        #: the epoch they opened their session under and reestablish
-        #: (reacquiring caps) when it moved — the CephFS
-        #: session-reconnect protocol.
-        self.session_epoch = 1
         self.metrics = sim.metrics("mds:%d" % gid)
         # --- HA state (inert until a journal is attached) -------------
         self.gid = gid
@@ -216,7 +209,7 @@ class Mds(object):
 
     def crash(self):
         """SIGKILL: in-flight un-journaled mutations are lost, and the
-        session/caps/dedup tables die with the process. The shared store
+        dedup and session tables die with the process. The shared store
         is untouched — it only ever held journaled state."""
         self.crashed = True
         self.sim.trace("mds", "crash", gid=self.gid)
@@ -224,11 +217,10 @@ class Mds(object):
 
     def _restart(self):
         """Come back as a fresh process: alive and reachable, with the
-        per-process tables (caps, dedup, sessions, standby-replay
-        progress) empty. The shared store is untouched."""
+        per-process tables (dedup, sessions, standby-replay progress)
+        empty. The shared store is untouched."""
         self.crashed = False
         self.available = True
-        self.caps = CapsTable()
         self.dedup = {}
         self.sessions = {}
         self._tail_pos = 0
@@ -430,21 +422,6 @@ class Mds(object):
             return "setattr", fields
         return self._mutate(plan, client_id, op_id, map_epoch)
 
-    # -- capabilities (caps-mode clients only) --------------------------------
-
-    def caps_conflicts(self, ino, client_id, want, map_epoch=None):
-        """Which holders must drop caps before ``client_id`` gets ``want``."""
-        yield from self._op(map_epoch)
-        return self.caps.conflicts(ino, client_id, want)
-
-    def caps_commit(self, ino, client_id, want, revoked, map_epoch=None):
-        """Record completed revocations and grant ``want``."""
-        yield from self._op(map_epoch)
-        for holder, caps in revoked:
-            self.caps.revoke(ino, holder, caps)
-        self.caps.grant(ino, client_id, want)
-        return self.caps.held(ino, client_id)
-
     # -- journal records ---------------------------------------------------
 
     def absorb(self, record, apply=True):
@@ -595,7 +572,6 @@ class MdsService(object):
         self.store = MdsStore()
         self.daemons = {}
         self._next_gid = 0
-        self.session_epoch = 1
         self.epoch = 1
         self.standby_gids = []
         self.journal = None     # the MdsJournal, once attached
@@ -636,7 +612,6 @@ class MdsService(object):
     def _new_daemon(self):
         daemon = Mds(self.sim, self.costs, self.cluster.cut,
                      store=self.store, gid=self._next_gid)
-        daemon.session_epoch = self.session_epoch
         daemon.map_epoch = self.epoch
         self.daemons[daemon.gid] = daemon
         self._next_gid += 1
@@ -719,8 +694,8 @@ class MdsService(object):
 
     def _promote(self):
         """Promote a standby to active: publish the new map (fencing the
-        deposed active), bump session epochs, replay the journal lag.
-        The caller must already have set ``_promoting``.
+        deposed active) and replay the journal lag. The caller must
+        already have set ``_promoting``.
         """
         try:
             old = self.active_daemon()
@@ -730,13 +705,9 @@ class MdsService(object):
             started = self.sim.now
             standby.state = "replay"
             standby.journal = self.journal
-            standby.caps = CapsTable()
             old.state = "stopped"
             old.journal = None
             self.active_gid = gid
-            self.session_epoch += 1
-            for daemon in self.daemons.values():
-                daemon.session_epoch = self.session_epoch
             self._publish("mds_failover")
             self.metrics.counter("failovers").add(1)
             yield from standby.replay_journal(self.journal,
@@ -762,10 +733,9 @@ class MdsService(object):
         generator).
 
         If a standby already took over it rejoins as an empty standby.
-        Otherwise it restarts in place: sessions and caps are lost
-        (clients reestablish under the bumped session epoch), and the
-        dedup table and any record journaled but never applied come
-        back from a replay of the journal from byte 0.
+        Otherwise it restarts in place: the dedup and session tables and
+        any record journaled but never applied come back from a replay
+        of the journal from byte 0.
         """
         daemon = self.daemons[gid]
         if not daemon.crashed and daemon.available:
@@ -775,9 +745,6 @@ class MdsService(object):
             return
         daemon._restart()
         daemon.state = "replay"
-        self.session_epoch += 1
-        for other in self.daemons.values():
-            other.session_epoch = self.session_epoch
         self._publish("mds_recover")
         yield from daemon.replay_journal(self.journal)
         daemon.state = "active"

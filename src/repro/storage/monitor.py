@@ -297,20 +297,19 @@ class Monitor(object):
         out and rejoin (suspects, out promotion, flap damping)."""
         return self._heartbeat_proc is not None
 
-    def start_heartbeats(self, interval=None):
+    def start_heartbeats(self):
         """Spawn the heartbeat prober (idempotent)."""
         if self._heartbeat_proc is not None:
             return self._heartbeat_proc
-        if interval is None:
-            interval = self.cluster.costs.heartbeat_interval
         self._heartbeat_proc = self.cluster.sim.spawn(
-            self._heartbeat_loop(float(interval)), name="mon-heartbeat"
+            self._heartbeat_loop(), name="mon-heartbeat"
         )
         return self._heartbeat_proc
 
-    def _heartbeat_loop(self, interval):
+    def _heartbeat_loop(self):
         sim = self.cluster.sim
         costs = self.cluster.costs
+        interval = float(costs.heartbeat_interval)
         while True:
             yield interval
             for osd in self.cluster.osds:

@@ -24,18 +24,13 @@ __all__ = ["ScrubDaemon"]
 class ScrubDaemon(object):
     """Periodic light/deep scrub over one cluster's object set."""
 
-    def __init__(self, cluster, interval=None, deep_every=None, batch=None,
-                 repair=None):
+    def __init__(self, cluster):
         costs = cluster.costs
         self.cluster = cluster
         self.sim = cluster.sim
-        self.interval = float(
-            interval if interval is not None else costs.scrub_interval)
-        self.deep_every = (
-            deep_every if deep_every is not None else costs.deep_scrub_every
-        )
-        self.batch = batch if batch is not None else costs.scrub_batch
-        self.repair = repair if repair is not None else costs.scrub_repair
+        self.interval = float(costs.scrub_interval)
+        self.deep_every = costs.deep_scrub_every
+        self.batch = costs.scrub_batch
         self.metrics = self.sim.metrics("scrub")
         self.running = False
         self._cursor = 0
@@ -209,11 +204,8 @@ class ScrubDaemon(object):
         if not clean:
             cluster._quarantine(ino, index)
             return len(bad)
-        if self.repair:
-            repaired = yield from cluster.monitor.repair_object(
-                ino, index, bad
-            )
-            self.metrics.counter("repaired").add(repaired)
+        repaired = yield from cluster.monitor.repair_object(ino, index, bad)
+        self.metrics.counter("repaired").add(repaired)
         return len(bad)
 
     def _reconcile(self, ino, index, clean):

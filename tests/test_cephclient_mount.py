@@ -145,6 +145,38 @@ def test_both_personalities_stamp_the_same_ops(sim, machine, cluster, mounts):
     assert mounts["lib"]._mds_session_id != mounts["kernel"]._mds_session_id
 
 
+_OPENS = {
+    "rdonly": (True, OpenFlags.RDONLY),
+    "creat-new": (False, OpenFlags.WRONLY | OpenFlags.CREAT),
+    "creat-existing": (True, OpenFlags.WRONLY | OpenFlags.CREAT),
+    "trunc": (True, OpenFlags.WRONLY | OpenFlags.TRUNC),
+    "creat-trunc": (True, OpenFlags.WRONLY | OpenFlags.CREAT | OpenFlags.TRUNC),
+    "creat-excl": (False, OpenFlags.WRONLY | OpenFlags.CREAT | OpenFlags.EXCL),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_OPENS))
+@pytest.mark.parametrize("which", CLIENTS)
+def test_each_kind_of_open_costs_one_mds_op(
+    sim, machine, cluster, mounts, which, kind
+):
+    """An open is one MDS op whatever its flags: the revalidating lookup,
+    the create, or the create/setattr that carries an O_TRUNC cut."""
+    fs = mounts[which]
+    exists, flags = _OPENS[kind]
+    task = make_task(sim, machine)
+
+    def proc():
+        if exists:
+            yield from fs.write_file(task, "/f", b"x" * 1000, sync=True)
+        before = mds_ops(cluster)
+        handle = yield from fs.open(task, "/f", flags)
+        assert mds_ops(cluster) == before + 1
+        yield from fs.close(task, handle)
+
+    run(sim, proc())
+
+
 @pytest.mark.parametrize("which", CLIENTS)
 def test_peek_returns_unflushed_bytes(sim, machine, cluster, mounts, which):
     fs = mounts[which]

@@ -265,6 +265,8 @@ def test_retry_metrics_labeled_write(sim, costs):
 
 @pytest.mark.scrub
 def test_scrub_repairs_bitrot(sim, costs):
+    costs = costs.replace(scrub_interval=0.5, deep_scrub_every=1,
+                          scrub_batch=100)
     cluster = make_cluster(sim, costs, replicas=2)
     payload = b"s" * units.kib(16)
 
@@ -275,7 +277,7 @@ def test_scrub_repairs_bitrot(sim, costs):
         assert cluster.osds[victim].inject_bitrot(
             21, 0, make_rng(5, "scrub-bitrot")
         )
-        daemon = cluster.start_scrub(interval=0.5, deep_every=1, batch=100)
+        daemon = cluster.start_scrub()
         yield sim.timeout(3.0)
         daemon.stop()
         return victim, daemon
@@ -293,6 +295,8 @@ def test_light_scrub_escalates_torn_replica(sim, costs):
     """Light cycles compare size + digest fingerprints only; a torn
     replica's short copy trips the metadata comparison, escalates to a
     deep check and gets repaired — without deep-reading every object."""
+    costs = costs.replace(scrub_interval=0.5, deep_scrub_every=0,
+                          scrub_batch=100)
     cluster = make_cluster(sim, costs, replicas=2)
     payload = b"l" * units.kib(16)
 
@@ -300,7 +304,7 @@ def test_light_scrub_escalates_torn_replica(sim, costs):
         yield from cluster.write_extent(24, 0, payload)
         victim = cluster.monitor.holders(24, 0)[0]
         assert cluster.osds[victim].inject_torn_write(24, 0) > 0
-        daemon = cluster.start_scrub(interval=0.5, deep_every=0, batch=100)
+        daemon = cluster.start_scrub()
         yield sim.timeout(3.0)
         daemon.stop()
         return victim, daemon

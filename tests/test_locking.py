@@ -3,8 +3,7 @@
 Covers: policy selection and validation, schedule stability of the
 default global path, byte integrity under concurrent mixed I/O per
 policy (including the O_APPEND two-appender race), inode-lock retirement
-on unlink, revoke-vs-read interleaving under caps and dirty-throttle
-waiter hygiene.
+on unlink and dirty-throttle waiter hygiene.
 """
 
 import pytest
@@ -262,59 +261,6 @@ def test_unlink_cleans_seq_end_and_lock_table():
     ]
     assert len(retired) == 1
     assert retired[0][3].stats.acquisitions > 0
-
-
-# --- cap revoke vs concurrent reads -----------------------------------------
-
-def test_revoke_vs_read_sees_whole_versions():
-    """Caps chaos: a writer repeatedly replaces a file while a reader on
-    another client streams it. Every read must return one *complete*
-    version — the revoke invalidation runs under the inode state lock,
-    and a read's copy-out assembles its bytes in one data section."""
-    sim = Simulator()
-    machine = Machine(sim, num_cores=8, ram_bytes=units.gib(4))
-    costs = CostModel(object_size=units.kib(256))
-    cluster = CephCluster(sim, Fabric(sim), costs, num_osds=4)
-
-    def caps_client(name):
-        account = machine.ram.child(units.mib(64), name + ".ram")
-        return CephLibClient(
-            sim, cluster, costs, account, machine.activated, name=name,
-            consistency="caps", locking="range",
-        )
-
-    writer = caps_client("w")
-    reader = caps_client("r")
-    size = units.kib(16)
-    versions = [bytes([ord("0") + v]) * size for v in range(4)]
-    setup = make_task(sim, machine, "setup")
-    run(sim, writer.write_file(setup, "/hot", versions[0], sync=True))
-    seen = []
-
-    def write_loop():
-        # Same-size in-place overwrites (no truncate): each version is a
-        # single extent in a single object, so the OSD applies it whole.
-        task = make_task(sim, machine, "writer")
-        for payload in versions[1:]:
-            handle = yield from writer.open(task, "/hot", OpenFlags.RDWR)
-            yield from writer.write(task, handle, 0, payload)
-            yield from writer.fsync(task, handle)
-            yield from writer.close(task, handle)
-
-    def read_loop():
-        task = make_task(sim, machine, "reader")
-        for _ in range(8):
-            seen.append((yield from reader.read_file(task, "/hot")))
-
-    procs = [sim.spawn(write_loop()), sim.spawn(read_loop())]
-    sim.run(until=100)
-    assert all(p.triggered for p in procs)
-    assert len(seen) == 8
-    for data in seen:
-        assert data in versions  # whole versions only, never a mix
-    check = make_task(sim, machine, "check")
-    assert run(sim, reader.read_file(check, "/hot")) == versions[-1]
-    assert reader.metrics.counter("caps_revoked").value >= 1
 
 
 # --- dirty-throttle waiter hygiene ------------------------------------------

@@ -34,10 +34,10 @@ def cluster(sim, costs):
     return CephCluster(sim, Fabric(sim), costs, num_osds=4, replicas=2)
 
 
-def lib_client(sim, machine, cluster, costs, name, **kwargs):
+def lib_client(sim, machine, cluster, costs, name):
     account = machine.ram.child(units.mib(64), name + ".ram")
     return CephLibClient(sim, cluster, costs, account, machine.activated,
-                         name=name, start_flusher=False, **kwargs)
+                         name=name, start_flusher=False)
 
 
 def edge_rpcs(cluster):
@@ -162,35 +162,3 @@ def test_a_failover_after_the_journal_append_cuts_once(sim, machine, cluster,
     assert info.size == 0
     assert cluster.file_bytes(ino) == 0
     assert run(sim, client.read_file(task, "/f")) == b""
-
-
-def test_caps_the_cut_follows_the_revoked_writers_flush(sim, machine,
-                                                        cluster, costs):
-    """Client A buffers a write; client B's O_TRUNC open revokes A's
-    write caps — A's flush lands — and only then cuts."""
-    writer = lib_client(sim, machine, cluster, costs, "ca",
-                        consistency="caps")
-    truncator = lib_client(sim, machine, cluster, costs, "cb",
-                           consistency="caps")
-    task = make_task(sim, machine)
-
-    def proc():
-        handle = yield from writer.open(task, "/f",
-                                        OpenFlags.CREAT | OpenFlags.RDWR)
-        yield from writer.write(task, handle, 0, PAYLOAD)
-        assert cluster.stored_bytes == 0  # buffered in A only
-        trunc = yield from truncator.open(
-            task, "/f", OpenFlags.CREAT | OpenFlags.TRUNC | OpenFlags.WRONLY
-        )
-        size = (yield from truncator.stat(task, "/f")).size
-        yield from truncator.close(task, trunc)
-        yield from writer.close(task, handle)
-        seen = yield from writer.read_file(task, "/f")
-        return handle.ino, size, seen
-
-    ino, size, seen = run(sim, proc())
-    assert writer.metrics.counter("caps_revoked").value >= 1
-    assert writer.metrics.counter("bytes_flushed").value == SIZE
-    assert size == 0
-    assert cluster.file_bytes(ino) == 0
-    assert seen == b""
